@@ -9,9 +9,8 @@ from .entropy import (Histogram, dissimilarity, entropy, frame_entropy,
                       histogram, modified_entropy, segmented_entropies)
 from .evaluation import (EvalReport, EvaluationError, GroundTruth, Matching,
                          evaluate, load_ground_truth, match_keyframes, metrics)
-from .extraction import (Elimination, EntropyBin, KeyFrame, bin_frames,
-                         bin_indexed_keys, dedup, dedup_detailed,
-                         extract_shot_keyframes, select_keyframes)
+from .extraction import (Elimination, EntropyBin, KeyFrame, bin_indexed_keys,
+                         dedup, dedup_detailed, select_keyframes)
 from .ingest import (Frame, IngestError, SourceKind, SourceSpec, open_source,
                      read_pgm, to_grayscale, write_pgm)
 from .pipeline import ConfigError, PipelineConfig, run_pipeline
@@ -35,7 +34,6 @@ __all__ = [
     "Shot",
     "SourceKind",
     "SourceSpec",
-    "bin_frames",
     "bin_indexed_keys",
     "correlation",
     "dedup",
@@ -44,7 +42,6 @@ __all__ = [
     "dissimilarity",
     "entropy",
     "evaluate",
-    "extract_shot_keyframes",
     "frame_entropy",
     "histogram",
     "load_ground_truth",

@@ -14,8 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy import dissimilarity, frame_entropy, modified_entropy, segmented_entropies
-from .ingest import Frame
+from .entropy import dissimilarity
 from .shots import Shot
 
 DEFAULT_MIN_BIN_SIZE = 20
@@ -56,7 +55,11 @@ class Elimination:
 
 
 def bin_indexed_keys(pairs: Iterable[tuple[int, int]]) -> list[EntropyBin]:
-    """Group (frame index, bin key) pairs into bins, created on first use."""
+    """Group (frame index, bin key) pairs into bins, created on first use.
+
+    Bins appear in creation order (first occurrence of their key) and every
+    index lands in exactly one bin, so the member lists partition the input.
+    """
     bins: dict[int, EntropyBin] = {}
     for index, key in pairs:
         b = bins.get(key)
@@ -64,18 +67,6 @@ def bin_indexed_keys(pairs: Iterable[tuple[int, int]]) -> list[EntropyBin]:
             bins[key] = b = EntropyBin(key=key)
         b.members.append(index)
     return list(bins.values())
-
-
-def bin_frames(shot_frames: Sequence[Frame]) -> list[EntropyBin]:
-    """Class the frames of one shot into squared-entropy bins.
-
-    Bins appear in creation order (first occurrence of their key) and every
-    frame lands in exactly one bin, so the member lists partition the input.
-    """
-    if not shot_frames:
-        raise ValueError("cannot bin an empty shot")
-    return bin_indexed_keys(
-        (fr.index, modified_entropy(frame_entropy(fr))) for fr in shot_frames)
 
 
 def select_keyframes(bins: Sequence[EntropyBin],
@@ -92,27 +83,6 @@ def fallback_pick(bins: Sequence[EntropyBin]) -> tuple[EntropyBin, int]:
     """Centre of the most populated bin (earliest-created wins ties)."""
     best = max(bins, key=lambda b: len(b.members))
     return best, best.center_member()
-
-
-def extract_shot_keyframes(shot_frames: Sequence[Frame], shot: Shot,
-                           min_bin_size: int = DEFAULT_MIN_BIN_SIZE,
-                           fallback: bool = False) -> list[KeyFrame]:
-    """Bin one shot's frames and build full KeyFrame records for the picks."""
-    by_index = {fr.index: fr for fr in shot_frames}
-    bins = bin_frames(shot_frames)
-    picks = select_keyframes(bins, min_bin_size)
-    used_fallback = False
-    if not picks and fallback:
-        picks = [fallback_pick(bins)]
-        used_fallback = True
-    out = []
-    for b, index in picks:
-        fr = by_index[index]
-        out.append(KeyFrame(frame_index=index, shot=shot, bin_key=b.key,
-                            global_entropy=frame_entropy(fr),
-                            segments=segmented_entropies(fr),
-                            fallback=used_fallback))
-    return out
 
 
 def dedup_detailed(candidates: Sequence[KeyFrame],

@@ -1,15 +1,23 @@
 """Frame sources: PGM directories, raw 8-bit luma streams, and Y4M streams.
 
-Every source is normalised to a pull-based stream of 8-bit grayscale
-``Frame`` values with consecutive zero-based indices.  Container decoding is
-out of scope; compressed video is piped in as raw gray or Y4M (see README
-for the ffmpeg recipes).
+``open_source(spec)`` returns one source object per format.  Its ``frames()``
+is a single-pass stream of 8-bit grayscale ``Frame`` values with consecutive
+zero-based indices; ``read_frame(i)`` fetches frame i again once the stream
+has passed it, and ``close()`` releases the files.  A PGM directory re-reads
+the i-th file.  Raw and Y4M streams share one random-access path: the parser
+records each frame's Y-plane byte offset, and ``read_frame`` seeks there in
+the input file, or, for stdin, in a spool file of the Y planes written as
+they stream.  Container decoding is out of scope; compressed video is piped
+in as raw gray or Y4M (see README for the ffmpeg recipes).
 """
 
 from __future__ import annotations
 
 import enum
+import re
 import sys
+import tempfile
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -156,9 +164,19 @@ def list_pgm_dir(path: str | Path) -> list[Path]:
     return files
 
 
-def _iter_pgm_dir(spec: SourceSpec) -> Iterator[Frame]:
-    for index, path in enumerate(list_pgm_dir(spec.path)):
-        yield Frame(index=index, pixels=read_pgm(path))
+class _PgmDirSource:
+    def __init__(self, spec: SourceSpec):
+        self._paths = list_pgm_dir(spec.path)
+
+    def frames(self) -> Iterator[Frame]:
+        for index, path in enumerate(self._paths):
+            yield Frame(index=index, pixels=read_pgm(path))
+
+    def read_frame(self, index: int) -> Frame:
+        return Frame(index=index, pixels=read_pgm(self._paths[index]))
+
+    def close(self) -> None:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +196,32 @@ def _read_exact(stream: BinaryIO, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[Frame]:
+def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, Frame]]:
+    """(byte offset, frame) for each frame of a raw stream."""
     frame_size = width * height
     index = 0
     while True:
         data = _read_exact(stream, frame_size)
         if not data:
             return
+        offset = index * frame_size
         if len(data) != frame_size:
-            offset = index * frame_size
             raise IngestError(
                 f"raw stream truncated at byte offset {offset}: frame {index} "
                 f"has {len(data)} of {frame_size} bytes "
                 f"(stream length is not a multiple of {width}x{height})")
-        yield Frame(index=index, pixels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
+        yield offset, Frame(index=index,
+                            pixels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
         index += 1
 
 
 # ---------------------------------------------------------------------------
 # YUV4MPEG2
 # ---------------------------------------------------------------------------
+
+# largest W or H a Y4M header may declare; bounds the plane sizes read per frame
+MAX_Y4M_DIMENSION = 16384
+_DECIMAL = re.compile(rb"[0-9]+")
 
 _CHROMA_FACTORS = {
     # plane bytes per frame beyond the Y plane, as a function of (w, h)
@@ -235,7 +259,16 @@ def _read_line(stream: BinaryIO, limit: int = 1024) -> bytes:
     raise IngestError("Y4M header line exceeds 1024 bytes; not a Y4M stream?")
 
 
-def _iter_y4m(stream: BinaryIO) -> Iterator[Frame]:
+def _y4m_dimension(param: bytes) -> int:
+    value = param[1:]
+    if not _DECIMAL.fullmatch(value) or not 0 < int(value) <= MAX_Y4M_DIMENSION:
+        raise IngestError(f"Y4M header parameter {param.decode('ascii', 'replace')!r} "
+                          f"is not a dimension in 1..{MAX_Y4M_DIMENSION}")
+    return int(value)
+
+
+def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
+    """(Y-plane byte offset, frame) for each frame of a Y4M stream."""
     header = _read_line(stream)
     if not header.startswith(b"YUV4MPEG2"):
         raise IngestError("missing YUV4MPEG2 signature at byte offset 0")
@@ -244,13 +277,13 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[Frame]:
     for param in header.split(b" ")[1:]:
         if not param:
             continue
-        tag, value = param[:1], param[1:].decode("ascii", "replace")
+        tag = param[:1]
         if tag == b"W":
-            width = int(value)
+            width = _y4m_dimension(param)
         elif tag == b"H":
-            height = int(value)
+            height = _y4m_dimension(param)
         elif tag == b"C":
-            colorspace = value
+            colorspace = param[1:].decode("ascii", "replace")
     if not width or not height:
         raise IngestError("Y4M header lacks W/H dimensions")
     y_size = width * height
@@ -269,14 +302,14 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[Frame]:
         if len(data) != y_size:
             raise IngestError(f"Y4M stream truncated at byte offset {offset}: "
                               f"frame {index} Y plane has {len(data)} of {y_size} bytes")
-        offset += y_size
         if skip:
             chroma = _read_exact(stream, skip)
             if len(chroma) != skip:
-                raise IngestError(f"Y4M stream truncated at byte offset {offset}: "
+                raise IngestError(f"Y4M stream truncated at byte offset {offset + y_size}: "
                                   f"frame {index} chroma has {len(chroma)} of {skip} bytes")
-            offset += skip
-        yield Frame(index=index, pixels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
+        yield offset, Frame(index=index,
+                            pixels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
+        offset += y_size + skip
         index += 1
 
 
@@ -293,14 +326,56 @@ def _open_binary(path: str) -> BinaryIO:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
 
-def open_source(spec: SourceSpec) -> Iterator[Frame]:
-    """Open a frame source as a single-consumer stream of Frames.
+class _StreamSource:
+    """A raw or Y4M stream, re-read at the Y-plane offsets its parser records."""
+
+    def __init__(self, spec: SourceSpec):
+        self._spec = spec
+        self._input = _open_binary(spec.path)
+        # stdin cannot seek, so its Y planes are copied aside as they stream
+        self._spool = (tempfile.TemporaryFile(prefix="entropykf_spool_")
+                       if spec.path == "-" else None)
+        self._offsets = array("q")  # 8 bytes per frame
+        self._shape: tuple[int, int] | None = None
+
+    def frames(self) -> Iterator[Frame]:
+        if self._spec.kind is SourceKind.RAW:
+            parsed = _iter_raw(self._input, self._spec.width, self._spec.height)
+        else:
+            parsed = _iter_y4m(self._input)
+        for offset, frame in parsed:
+            self._shape = frame.pixels.shape
+            if self._spool is not None:
+                offset = self._spool.tell()
+                self._spool.write(frame.pixels.tobytes())
+            self._offsets.append(offset)
+            yield frame
+
+    def read_frame(self, index: int) -> Frame:
+        height, width = self._shape
+        stream = self._input if self._spool is None else self._spool
+        resume = stream.tell()  # where frames() goes on parsing or spooling
+        stream.seek(self._offsets[index])
+        data = _read_exact(stream, height * width)
+        stream.seek(resume)
+        if len(data) != height * width:
+            raise IngestError(f"{self._spec.path} ended before frame {index}")
+        return Frame(index=index,
+                     pixels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
+
+    def close(self) -> None:
+        if self._spool is not None:
+            self._spool.close()
+        else:
+            self._input.close()
+
+
+def open_source(spec: SourceSpec) -> _PgmDirSource | _StreamSource:
+    """The source object for spec's format (see the module docstring).
 
     Opening the same file or directory source twice yields byte-identical
     frame sequences; stdin sources are consumed once by nature.
     """
     if spec.kind is SourceKind.PGM_DIR:
-        return _iter_pgm_dir(spec)
-    if spec.kind is SourceKind.RAW:
-        return _iter_raw(_open_binary(spec.path), spec.width, spec.height)
-    return _iter_y4m(_open_binary(spec.path))
+        return _PgmDirSource(spec)
+    return _StreamSource(spec)

@@ -1,51 +1,23 @@
 """Hot per-frame kernels: histogram, entropy, segment histograms, pixel correlation.
 
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy fallback.
-The numpy path is selected when numba is not importable or when either
-``ENTROPYKF_DISABLE_NUMBA`` or ``NUMBA_DISABLE_JIT`` is set to a non-empty,
-non-"0" value in the environment.  ``benchmarks/benchmark_kernels.py`` times
-both paths side by side.
-
-Integer results (histogram counts, correlation sums) are bit-identical across
-the two paths.  Float results (entropy) may differ in the last ulp because the
-numpy path uses pairwise summation; both paths are individually deterministic.
+Each kernel has one numpy implementation; ``perfbench/`` times every one of
+them inside a pipeline run.  Integer results (histogram counts, correlation
+sums) are exact; entropy uses numpy's pairwise summation and is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 
-def _env_disabled() -> bool:
-    for var in ("ENTROPYKF_DISABLE_NUMBA", "NUMBA_DISABLE_JIT"):
-        if os.environ.get(var, "").strip() not in ("", "0"):
-            return True
-    return False
-
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    NUMBA_AVAILABLE = False
-
-USING_NUMBA = NUMBA_AVAILABLE and not _env_disabled()
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def histogram256_np(pixels: np.ndarray) -> np.ndarray:
+def histogram256(pixels: np.ndarray) -> np.ndarray:
     """256-bin intensity histogram of an 8-bit image, as int64 counts."""
     return np.bincount(pixels.ravel(), minlength=256).astype(np.int64)
 
 
-def entropy_from_counts_np(counts: np.ndarray, total: int) -> float:
+def entropy_from_counts(counts: np.ndarray, total: int) -> float:
     """Shannon entropy in bits of the distribution counts/total.
 
     Zero-count levels contribute nothing; the result is clamped to [0, 8] to
@@ -60,8 +32,8 @@ def entropy_from_counts_np(counts: np.ndarray, total: int) -> float:
     return en
 
 
-def segment_histograms_np(pixels: np.ndarray, row_bounds: np.ndarray,
-                          col_bounds: np.ndarray) -> np.ndarray:
+def segment_histograms(pixels: np.ndarray, row_bounds: np.ndarray,
+                       col_bounds: np.ndarray) -> np.ndarray:
     """Histogram of each cell of the 8x8 segment grid, as a (64, 256) array."""
     counts = np.zeros((64, 256), dtype=np.int64)
     for sy in range(8):
@@ -72,83 +44,11 @@ def segment_histograms_np(pixels: np.ndarray, row_bounds: np.ndarray,
     return counts
 
 
-def pearson_sums_np(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int, int]:
+def pearson_sums(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int, int]:
     """Exact integer moments (sum a, sum b, sum a^2, sum b^2, sum ab)."""
     x = a.ravel().astype(np.int64)
     y = b.ravel().astype(np.int64)
     return int(x.sum()), int(y.sum()), int(x @ x), int(y @ y), int(x @ y)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily on first call, cached on disk)
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def histogram256_nb(pixels):  # pragma: no cover - numba jitted
-        counts = np.zeros(256, np.int64)
-        flat = pixels.ravel()
-        for i in range(flat.size):
-            counts[flat[i]] += 1
-        return counts
-
-    @njit(cache=True, nogil=True)
-    def entropy_from_counts_nb(counts, total):  # pragma: no cover - numba jitted
-        en = 0.0
-        for k in range(counts.shape[0]):
-            c = counts[k]
-            if c > 0:
-                p = c / total
-                en -= p * np.log2(p)
-        if en < 0.0:
-            return 0.0
-        if en > 8.0:
-            return 8.0
-        return en
-
-    @njit(cache=True, nogil=True)
-    def segment_histograms_nb(pixels, row_bounds, col_bounds):  # pragma: no cover
-        counts = np.zeros((64, 256), np.int64)
-        for sy in range(8):
-            for sx in range(8):
-                s = sy * 8 + sx
-                for y in range(row_bounds[sy], row_bounds[sy + 1]):
-                    for x in range(col_bounds[sx], col_bounds[sx + 1]):
-                        counts[s, pixels[y, x]] += 1
-        return counts
-
-    @njit(cache=True, nogil=True)
-    def pearson_sums_nb(a, b):  # pragma: no cover - numba jitted
-        af = a.ravel()
-        bf = b.ravel()
-        sa = np.int64(0)
-        sb = np.int64(0)
-        saa = np.int64(0)
-        sbb = np.int64(0)
-        sab = np.int64(0)
-        for i in range(af.size):
-            x = np.int64(af[i])
-            y = np.int64(bf[i])
-            sa += x
-            sb += y
-            saa += x * x
-            sbb += y * y
-            sab += x * y
-        return sa, sb, saa, sbb, sab
-
-
-# active bindings
-if USING_NUMBA:
-    histogram256 = histogram256_nb
-    entropy_from_counts = entropy_from_counts_nb
-    segment_histograms = segment_histograms_nb
-    pearson_sums = pearson_sums_nb
-else:
-    histogram256 = histogram256_np
-    entropy_from_counts = entropy_from_counts_np
-    segment_histograms = segment_histograms_np
-    pearson_sums = pearson_sums_np
 
 
 def correlation_from_sums(n: int, sums: tuple[int, int, int, int, int]) -> float:
@@ -171,13 +71,3 @@ def correlation_from_sums(n: int, sums: tuple[int, int, int, int, int]) -> float
         return 1.0 if num > 0 else -1.0
     r = num / math.sqrt(float(va) * float(vb))
     return max(-1.0, min(1.0, r))
-
-
-def warmup() -> None:
-    """Force JIT compilation of all active kernels on a tiny input."""
-    px = np.arange(64, dtype=np.uint8).reshape(8, 8)
-    bounds = np.arange(9, dtype=np.int64)
-    counts = histogram256(px)
-    entropy_from_counts(counts, px.size)
-    segment_histograms(px, bounds, bounds)
-    pearson_sums(px, px)

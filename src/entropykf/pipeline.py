@@ -2,10 +2,10 @@
 
 The stream is consumed once.  During that pass the pipeline keeps only the
 running per-frame entropies and the two frames the cut detector is comparing;
-pixel data for the selected key-frames is fetched afterwards by random access
-(directory and raw-file sources seek directly, pipe sources are spooled to a
-temporary file).  Peak resident frame storage therefore stays constant in the
-video length, which the ``peak_resident_frames`` counter in the report
+pixel data for the selected key-frames is fetched afterwards through the
+source's ``read_frame`` (see ``ingest``: files are re-read in place, stdin
+through a spool file).  Peak resident frame storage therefore stays constant
+in the video length, which the ``peak_resident_frames`` counter in the report
 verifies.
 """
 
@@ -15,7 +15,6 @@ import datetime
 import itertools
 import json
 import re
-import tempfile
 import weakref
 from dataclasses import dataclass
 from importlib import resources
@@ -23,7 +22,6 @@ from pathlib import Path
 from typing import Iterator
 
 import jsonschema
-import numpy as np
 
 from . import kernels
 from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, evaluate,
@@ -32,8 +30,8 @@ from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, KeyFrame,
                          bin_indexed_keys, dedup_detailed, fallback_pick,
                          select_keyframes)
 from .entropy import modified_entropy, segmented_entropies
-from .ingest import (Frame, IngestError, SourceKind, SourceSpec, _iter_raw,
-                     list_pgm_dir, open_source, read_pgm, write_pgm)
+from .ingest import Frame, IngestError, SourceSpec, write_pgm
+from .ingest import open_source as _open_access  # perfbench wraps this binding
 from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot,
                     detect_cuts, merge_short_shots)
 
@@ -83,88 +81,6 @@ class _FrameWatermark:
         n = len(self._live)
         if n > self.peak:
             self.peak = n
-
-
-# ---------------------------------------------------------------------------
-# random access over the supported sources
-# ---------------------------------------------------------------------------
-
-class _DirectoryAccess:
-    def __init__(self, spec: SourceSpec):
-        self._paths = list_pgm_dir(spec.path)
-
-    def frames(self) -> Iterator[Frame]:
-        for index, path in enumerate(self._paths):
-            yield Frame(index=index, pixels=read_pgm(path))
-
-    def read_frame(self, index: int) -> Frame:
-        return Frame(index=index, pixels=read_pgm(self._paths[index]))
-
-    def close(self) -> None:
-        pass
-
-
-class _RawFileAccess:
-    def __init__(self, spec: SourceSpec):
-        self._path = Path(spec.path)
-        if not self._path.is_file():
-            raise IngestError(f"cannot read {self._path}: not a file")
-        self._width = spec.width
-        self._height = spec.height
-
-    def frames(self) -> Iterator[Frame]:
-        with open(self._path, "rb") as f:
-            yield from _iter_raw(f, self._width, self._height)
-
-    def read_frame(self, index: int) -> Frame:
-        size = self._width * self._height
-        with open(self._path, "rb") as f:
-            f.seek(index * size)
-            data = f.read(size)
-        if len(data) != size:
-            raise IngestError(f"raw file truncated at byte offset {index * size}")
-        return Frame(index=index,
-                     pixels=np.frombuffer(data, dtype=np.uint8).reshape(self._height, self._width))
-
-    def close(self) -> None:
-        pass
-
-
-class _SpoolAccess:
-    """Tees any stream into a temp file so selected frames can be re-read."""
-
-    def __init__(self, spec: SourceSpec):
-        self._spec = spec
-        self._spool = tempfile.TemporaryFile(prefix="entropykf_spool_")
-        self._width: int | None = spec.width
-        self._height: int | None = spec.height
-
-    def frames(self) -> Iterator[Frame]:
-        for frame in open_source(self._spec):
-            if self._width is None:
-                self._width, self._height = frame.width, frame.height
-            self._spool.write(frame.pixels.tobytes())
-            yield frame
-
-    def read_frame(self, index: int) -> Frame:
-        size = self._width * self._height
-        self._spool.seek(index * size)
-        data = self._spool.read(size)
-        if len(data) != size:
-            raise IngestError(f"spool ended before frame {index}")
-        return Frame(index=index,
-                     pixels=np.frombuffer(data, dtype=np.uint8).reshape(self._height, self._width))
-
-    def close(self) -> None:
-        self._spool.close()
-
-
-def _open_access(spec: SourceSpec):
-    if spec.kind is SourceKind.PGM_DIR:
-        return _DirectoryAccess(spec)
-    if spec.kind is SourceKind.RAW and spec.path != "-":
-        return _RawFileAccess(spec)
-    return _SpoolAccess(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +186,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
             gt = load_ground_truth(config.ground_truth)
             if not gt.keyframe_indices:
                 raise EvaluationError(f"{config.ground_truth}: ground truth lists no key-frames")
+            if gt.total_frames != total_frames:
+                raise EvaluationError(f"{config.ground_truth}: ground truth is for "
+                                      f"{gt.total_frames} frames, the video has {total_frames}")
             result = evaluate([kf.frame_index for kf in survivors], gt, config.match_window)
             evaluation = {
                 "identified": result.identified,
@@ -334,7 +253,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     report["stats"] = {
         "raw_shot_count": len(raw_shots),
         "peak_resident_frames": tracker.peak,
-        "numba_kernels": kernels.USING_NUMBA,
     }
 
     jsonschema.validate(report, load_report_schema())

@@ -12,13 +12,7 @@ import math
 
 import numpy as np
 
-from entropykf import kernels
 from entropykf.ingest import Frame
-
-
-def pytest_sessionstart(session):
-    # compile the jitted kernels once so timed tests measure steady state
-    kernels.warmup()
 
 
 def histogram_oracle(pixels: np.ndarray) -> list[int]:
@@ -83,15 +77,20 @@ def uniform_level_pixels(side: int, levels: int) -> np.ndarray:
     return values.reshape(side, side)
 
 
-def make_y4m(width: int, height: int, frames, colorspace: str = "420") -> bytes:
-    """Assemble a YUV4MPEG2 byte stream from Y planes, chroma filled flat."""
+def make_y4m(width: int, height: int, frames, colorspace: str = "420",
+             frame_params=lambda index: "") -> bytes:
+    """Assemble a YUV4MPEG2 byte stream from Y planes, chroma filled flat.
+
+    ``frame_params(i)`` gives the parameters of frame i's FRAME line, if any.
+    """
     chroma = {"420": (width // 2) * (height // 2) * 2,
               "422": (width // 2) * height * 2,
               "444": width * height * 2,
               "mono": 0}[colorspace]
     buf = bytearray(f"YUV4MPEG2 W{width} H{height} F25:1 Ip A1:1 C{colorspace}\n".encode())
-    for px in frames:
-        buf += b"FRAME\n"
+    for index, px in enumerate(frames):
+        params = frame_params(index)
+        buf += f"FRAME {params}\n".encode() if params else b"FRAME\n"
         buf += px.tobytes()
         buf += bytes([128]) * chroma
     return bytes(buf)

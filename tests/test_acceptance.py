@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import segmented_oracle
-from entropykf import kernels, synthetic
-from entropykf.entropy import (dissimilarity, entropy, histogram,
-                               segmented_entropies)
-from entropykf.extraction import KeyFrame, bin_frames, dedup, select_keyframes
+from entropykf import synthetic
+from entropykf.entropy import (dissimilarity, entropy, frame_entropy, histogram,
+                               modified_entropy, segmented_entropies)
+from entropykf.extraction import (KeyFrame, bin_indexed_keys, dedup,
+                                  select_keyframes)
 from entropykf.ingest import Frame, SourceKind, SourceSpec
 from entropykf.pipeline import PipelineConfig, run_pipeline
 from entropykf.shots import Shot
@@ -97,7 +98,8 @@ def test_criterion_3_binning_partition_property():
             for i in range(int(rng.integers(25, 70))):
                 t = 0 if i % 3 else int(rng.integers(0, len(textures)))
                 frames.append(Frame(index=i, pixels=textures[t]))
-            bins = bin_frames(frames)
+            bins = bin_indexed_keys((f.index, modified_entropy(frame_entropy(f)))
+                                    for f in frames)
 
             members = sorted(m for b in bins for m in b.members)
             assert members == [f.index for f in frames]
@@ -148,7 +150,6 @@ def synthetic_run(tmp_path_factory):
                                 frames_per_scene=997, width=320, height=240,
                                 seed=20260810, fade_frames=4, repeat_first=True)
     assert layout.total_frames == 4000
-    kernels.warmup()  # JIT compilation is a one-off, not pipeline cost
 
     out = root / "run"
     config = PipelineConfig(

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import entropy_oracle, frame, rand_pixels, uniform_level_pixels
-from entropykf.extraction import (EntropyBin, KeyFrame, bin_frames,
-                                  bin_indexed_keys, dedup, dedup_detailed,
-                                  extract_shot_keyframes, fallback_pick,
-                                  select_keyframes)
+from entropykf.entropy import frame_entropy, modified_entropy
+from entropykf.extraction import (EntropyBin, KeyFrame, bin_indexed_keys, dedup,
+                                  dedup_detailed, fallback_pick, select_keyframes)
+from entropykf.ingest import SourceKind, SourceSpec, write_pgm
+from entropykf.pipeline import PipelineConfig, run_pipeline
 from entropykf.shots import Shot
 
 
@@ -14,11 +15,16 @@ def _entropy_level_frame(levels: int) -> np.ndarray:
     return uniform_level_pixels(16, levels)
 
 
+def _bin(frames):
+    """Bin a shot's frames the way run_pipeline does: by squared-entropy key."""
+    return bin_indexed_keys((f.index, modified_entropy(frame_entropy(f))) for f in frames)
+
+
 class TestBinFrames:
     def test_identical_frames_single_bin(self):
         px = _entropy_level_frame(8)
         frames = [frame(i, px) for i in range(30)]
-        bins = bin_frames(frames)
+        bins = _bin(frames)
         assert len(bins) == 1
         assert bins[0].members == list(range(30))
 
@@ -31,14 +37,14 @@ class TestBinFrames:
             px = two_bits if i % 3 == 2 and i < 30 else three_bits
             frames.append(frame(i, px))
         assert sum(1 for f in frames if f.pixels is two_bits) == 10
-        bins = bin_frames(frames)
+        bins = _bin(frames)
         assert [(b.key, len(b.members)) for b in bins] == [(9, 25), (4, 10)]
 
     def test_creation_order_is_first_occurrence(self):
         frames = [frame(0, _entropy_level_frame(4)),
                   frame(1, _entropy_level_frame(8)),
                   frame(2, _entropy_level_frame(4))]
-        bins = bin_frames(frames)
+        bins = _bin(frames)
         assert [b.key for b in bins] == [4, 9]
         assert bins[0].members == [0, 2]
 
@@ -48,7 +54,7 @@ class TestBinFrames:
         for i in range(500):
             levels = int(rng.integers(2, 40))
             frames.append(frame(i, rand_pixels(rng, 16, 16, levels=levels)))
-        bins = bin_frames(frames)
+        bins = _bin(frames)
         # oracle: group indices by independently computed round(entropy^2)
         expected: dict[int, list[int]] = {}
         for f in frames:
@@ -60,8 +66,10 @@ class TestBinFrames:
         assert all_members == list(range(500))
 
     def test_empty_shot_rejected(self):
+        # the pipeline bins the frame range of a Shot, and a Shot is never empty
         with pytest.raises(ValueError):
-            bin_frames([])
+            Shot(5, 5)
+        assert bin_indexed_keys([]) == []
 
 
 class TestSelectKeyframes:
@@ -91,28 +99,35 @@ class TestSelectKeyframes:
         assert b.key == 1 and idx == 1
 
 
-class TestExtractShotKeyframes:
-    def test_full_records(self):
-        px = _entropy_level_frame(8)
-        frames = [frame(i, px) for i in range(25)]
-        kfs = extract_shot_keyframes(frames, Shot(0, 25), min_bin_size=20)
-        assert len(kfs) == 1
-        kf = kfs[0]
-        assert kf.frame_index == 12
-        assert kf.bin_key == 9
-        assert kf.global_entropy == 3.0
-        assert kf.frame_index in kf.shot
-        assert kf.segments.shape == (64,)
-        assert not kf.fallback
+def _run_shot(tmp_path, px, count, **kwargs) -> dict:
+    """run_pipeline over one static shot of ``count`` copies of ``px``."""
+    src = tmp_path / "frames"
+    src.mkdir(parents=True)
+    for i in range(count):
+        write_pgm(src / f"f{i:03d}.pgm", px)
+    spec = SourceSpec(kind=SourceKind.PGM_DIR, path=str(src))
+    return run_pipeline(PipelineConfig(source=spec, output_dir=tmp_path / "out", **kwargs))
 
-    def test_gated_shot_yields_nothing_without_fallback(self):
+
+class TestExtractShotKeyframes:
+    def test_full_records(self, tmp_path):
+        report = _run_shot(tmp_path, _entropy_level_frame(8), 25, min_bin_size=20)
+        assert len(report["candidates"]) == 1
+        kf = report["keyframes"][0]
+        assert kf["frame_index"] == 12
+        assert kf["bin_key"] == 9
+        assert kf["global_entropy"] == 3.0
+        assert kf["shot"] == {"start": 0, "end": 25}
+        assert len(kf["segments"]) == 64
+        assert not kf["fallback"]
+
+    def test_gated_shot_yields_nothing_without_fallback(self, tmp_path):
         px = _entropy_level_frame(8)
-        frames = [frame(i, px) for i in range(10)]
-        assert extract_shot_keyframes(frames, Shot(0, 10)) == []
-        kfs = extract_shot_keyframes(frames, Shot(0, 10), fallback=True)
+        assert _run_shot(tmp_path / "a", px, 10)["candidates"] == []
+        kfs = _run_shot(tmp_path / "b", px, 10, fallback_keyframe=True)["candidates"]
         assert len(kfs) == 1
-        assert kfs[0].frame_index == 5
-        assert kfs[0].fallback
+        assert kfs[0]["frame_index"] == 5
+        assert kfs[0]["fallback"]
 
 
 def _keyframe(index: int, segments: np.ndarray) -> KeyFrame:

@@ -1,4 +1,6 @@
 import io
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from conftest import make_y4m, rand_pixels
 from entropykf.ingest import (Frame, IngestError, SourceKind, SourceSpec,
                               _iter_raw, _iter_y4m, _parse_pgm, list_pgm_dir,
                               open_source, read_pgm, to_grayscale, write_pgm)
+from entropykf.pipeline import PipelineConfig, run_pipeline
 
 
 class TestToGrayscale:
@@ -77,7 +80,7 @@ class TestDirectorySource:
         self._write(tmp_path, "f001.pgm", np.full((4, 4), 1, dtype=np.uint8))
         self._write(tmp_path, "f000.pgm", np.zeros((4, 4), dtype=np.uint8))
         spec = SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path))
-        frames = list(open_source(spec))
+        frames = list(open_source(spec).frames())
         assert [f.index for f in frames] == [0, 1]
         assert frames[0].pixels[0, 0] == 0
         assert frames[1].pixels[0, 0] == 1
@@ -87,7 +90,7 @@ class TestDirectorySource:
         (tmp_path / "b.png").write_bytes(b"\x89PNG\r\n\x1a\n junk")
         spec = SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path))
         with pytest.raises(IngestError, match="b.png"):
-            list(open_source(spec))
+            list(open_source(spec).frames())
 
     def test_empty_directory_errors(self, tmp_path):
         with pytest.raises(IngestError, match="no frame files"):
@@ -102,14 +105,14 @@ class TestDirectorySource:
         for i in range(3):
             self._write(tmp_path, f"f{i}.pgm", rand_pixels(rng, 8, 8))
         spec = SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path))
-        first = [f.pixels.tobytes() for f in open_source(spec)]
-        second = [f.pixels.tobytes() for f in open_source(spec)]
+        first = [f.pixels.tobytes() for f in open_source(spec).frames()]
+        second = [f.pixels.tobytes() for f in open_source(spec).frames()]
         assert first == second
 
 
 class TestRawSource:
     def test_exact_multiple_yields_frames(self):
-        frames = list(_iter_raw(io.BytesIO(bytes(range(32))), 4, 4))
+        frames = [f for _, f in _iter_raw(io.BytesIO(bytes(range(32))), 4, 4)]
         assert [f.index for f in frames] == [0, 1]
         assert frames[0].pixels.shape == (4, 4)
         assert frames[1].pixels[0, 0] == 16
@@ -130,7 +133,7 @@ class TestRawSource:
         spec = SourceSpec(kind=SourceKind.RAW, path=str(tmp_path / "nope.raw"),
                           width=8, height=8)
         with pytest.raises(IngestError):
-            list(open_source(spec))
+            list(open_source(spec).frames())
 
 
 class TestY4mSource:
@@ -138,7 +141,7 @@ class TestY4mSource:
         rng = np.random.default_rng(47)
         planes = [rand_pixels(rng, 16, 8) for _ in range(3)]
         stream = io.BytesIO(make_y4m(16, 8, planes))
-        frames = list(_iter_y4m(stream))
+        frames = [f for _, f in _iter_y4m(stream)]
         assert [f.index for f in frames] == [0, 1, 2]
         for f, px in zip(frames, planes):
             assert np.array_equal(f.pixels, px)
@@ -162,6 +165,91 @@ class TestY4mSource:
         with pytest.raises(IngestError, match="C410"):
             list(_iter_y4m(io.BytesIO(header)))
 
+    @pytest.mark.parametrize("dims", [b"Wabc H16", b"W-16 H16", b"W100000000 H100000000"])
+    def test_bad_header_dimensions(self, dims):
+        # rejected from the header alone, before any frame bytes are read
+        data = b"YUV4MPEG2 " + dims + b" C420\nFRAME\n" + bytes(64)
+        with pytest.raises(IngestError, match="not a dimension"):
+            list(_iter_y4m(io.BytesIO(data)))
+
+
+def _frame_params(index: int) -> str:
+    # FRAME lines of varying length, so Y-plane offsets are not a fixed stride
+    return "Ixyz" * (index % 3)
+
+
+def _stdin(monkeypatch, data: bytes) -> None:
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+class TestRandomAccess:
+    """``read_frame(i)`` returns the i-th frame of ``frames()`` on every source."""
+
+    @pytest.fixture
+    def planes(self):
+        rng = np.random.default_rng(59)
+        return [rand_pixels(rng, 16, 8) for _ in range(7)]
+
+    def _spec(self, kind, planes, tmp_path, monkeypatch) -> SourceSpec:
+        raw = b"".join(px.tobytes() for px in planes)
+        if kind == "pgm-dir":
+            for i, px in enumerate(planes):
+                write_pgm(tmp_path / f"f{i}.pgm", px)
+            return SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path))
+        if kind == "raw-stdin":
+            _stdin(monkeypatch, raw)
+            return SourceSpec(kind=SourceKind.RAW, path="-", width=16, height=8)
+        path = tmp_path / "video"
+        if kind == "raw-file":
+            path.write_bytes(raw)
+            return SourceSpec(kind=SourceKind.RAW, path=str(path), width=16, height=8)
+        params = _frame_params if kind == "y4m-frame-params" else (lambda i: "")
+        path.write_bytes(make_y4m(16, 8, planes, frame_params=params))
+        return SourceSpec(kind=SourceKind.Y4M, path=str(path))
+
+    @pytest.mark.parametrize("kind", ["pgm-dir", "raw-file", "raw-stdin", "y4m-file",
+                                      "y4m-frame-params"])
+    def test_read_frame_matches_stream(self, kind, planes, tmp_path, monkeypatch):
+        source = open_source(self._spec(kind, planes, tmp_path, monkeypatch))
+        try:
+            streamed = []
+            for f in source.frames():
+                streamed.append(f.pixels)
+                # a re-read mid-stream must not disturb the stream
+                assert np.array_equal(source.read_frame(f.index // 2).pixels,
+                                      planes[f.index // 2])
+            assert len(streamed) == len(planes)
+            for i in reversed(range(len(planes))):
+                assert np.array_equal(source.read_frame(i).pixels, streamed[i])
+                assert np.array_equal(streamed[i], planes[i])
+        finally:
+            source.close()
+
+    def test_only_stdin_is_spooled(self, planes, tmp_path, monkeypatch):
+        data = make_y4m(16, 8, planes)
+        path = tmp_path / "video.y4m"
+        path.write_bytes(data)
+        config = dict(output_dir=tmp_path / "out", fallback_keyframe=True)
+        make_spool = tempfile.TemporaryFile
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Y4M file is re-read in place, never spooled")
+        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        from_file = run_pipeline(PipelineConfig(
+            source=SourceSpec(kind=SourceKind.Y4M, path=str(path)), **config))
+
+        spools = []
+
+        def record(*args, **kwargs):
+            spools.append(make_spool(*args, **kwargs))
+            return spools[-1]
+        monkeypatch.setattr(tempfile, "TemporaryFile", record)
+        _stdin(monkeypatch, data)
+        from_stdin = run_pipeline(PipelineConfig(
+            source=SourceSpec(kind=SourceKind.Y4M, path="-"), **config))
+        assert len(spools) == 1
+        assert from_stdin["keyframes"] == from_file["keyframes"] != []
+
 
 class TestFrame:
     def test_index_contiguity_from_sources(self, tmp_path):
@@ -169,7 +257,7 @@ class TestFrame:
         for i in range(5):
             write_pgm(tmp_path / f"{i}.pgm", rand_pixels(rng, 8, 8))
         spec = SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path))
-        indices = [f.index for f in open_source(spec)]
+        indices = [f.index for f in open_source(spec).frames()]
         assert indices == list(range(5))
 
     def test_validation(self):

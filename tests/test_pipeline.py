@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -186,6 +187,40 @@ class TestRunPipeline:
         with pytest.raises(EvaluationError, match="no key-frames"):
             run_pipeline(_config(root / "frames", tmp_path / "out", ground_truth=gt))
 
+    def test_ground_truth_for_another_video_is_evaluation_error(self, small_video, tmp_path):
+        root, _ = small_video
+        gt = tmp_path / "short_gt.txt"
+        gt.write_text("total_frames=10\n5\n")
+        with pytest.raises(EvaluationError, match="10 frames.*252"):
+            run_pipeline(_config(root / "frames", tmp_path / "out", ground_truth=gt))
+
+    def test_every_stream_format_gives_the_same_result(self, tmp_path, monkeypatch):
+        textures = synthetic.make_textures(np.random.default_rng(31), 2, 32, 16)
+        planes = [textures[t] for t in (0, 1, 0) for _ in range(25)]
+        raw = b"".join(px.tobytes() for px in planes)
+        y4m = make_y4m(32, 16, planes)
+        (tmp_path / "video.raw").write_bytes(raw)
+        (tmp_path / "video.y4m").write_bytes(y4m)
+        cases = [("raw", str(tmp_path / "video.raw"), None),
+                 ("raw", "-", raw),
+                 ("y4m", str(tmp_path / "video.y4m"), None),
+                 ("y4m", "-", y4m)]
+        results = []
+        for i, (kind, path, stdin) in enumerate(cases):
+            if stdin is not None:
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+            size = dict(width=32, height=16) if kind == "raw" else {}
+            report = run_pipeline(PipelineConfig(
+                source=SourceSpec(kind=kind, path=path, **size),
+                output_dir=tmp_path / f"out{i}"))
+            results.append({k: report[k] for k in
+                            ("shots", "candidates", "keyframes", "eliminations")})
+        assert [(s["start"], s["end"]) for s in results[0]["shots"]] == \
+            [(0, 25), (25, 50), (50, 75)]
+        assert len(results[0]["keyframes"]) == 2
+        assert len(results[0]["eliminations"]) == 1
+        assert all(r == results[0] for r in results[1:])
+
     def test_bad_threshold_is_config_error(self, small_video, tmp_path):
         root, _ = small_video
         with pytest.raises(ConfigError):
@@ -284,6 +319,24 @@ class TestCli:
         root, _ = small_video
         gt = tmp_path / "gt.txt"
         gt.write_text("total_frames=252\n")
+        result = _cli("extract", "--input", str(root / "frames"),
+                      "--format", "pgm-dir", "--out", str(tmp_path / "o"),
+                      "--gt", str(gt))
+        assert result.returncode == 4
+        assert b"evaluation error" in result.stderr
+
+    def test_bad_y4m_dimensions_exit_3(self, tmp_path):
+        result = _cli("extract", "--input", "-", "--format", "y4m",
+                      "--out", str(tmp_path / "o"),
+                      input=b"YUV4MPEG2 Wabc H16 C420\nFRAME\n" + bytes(64))
+        assert result.returncode == 3
+        assert b"ingest error" in result.stderr
+        assert b"Traceback" not in result.stderr
+
+    def test_ground_truth_for_another_video_exits_4(self, small_video, tmp_path):
+        root, _ = small_video
+        gt = tmp_path / "gt.txt"
+        gt.write_text("total_frames=10\n5\n")
         result = _cli("extract", "--input", str(root / "frames"),
                       "--format", "pgm-dir", "--out", str(tmp_path / "o"),
                       "--gt", str(gt))
