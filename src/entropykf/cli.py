@@ -14,9 +14,11 @@ import sys
 from pathlib import Path
 
 from . import synthetic
-from .evaluation import EvaluationError
+from .evaluation import DEFAULT_MATCH_WINDOW, EvaluationError
+from .extraction import DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD
 from .ingest import IngestError, SourceSpec
 from .pipeline import ConfigError, PipelineConfig, run_pipeline
+from .shots import DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,19 +47,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="how to interpret --input")
     ex.add_argument("--width", type=int, help="frame width (required for raw)")
     ex.add_argument("--height", type=int, help="frame height (required for raw)")
-    ex.add_argument("--cut-threshold", type=float, default=0.9,
-                    help="correlation below this is a cut (default 0.9)")
-    ex.add_argument("--min-shot-len", type=int, default=10,
-                    help="shots shorter than this merge into their successor (default 10)")
-    ex.add_argument("--min-bin-size", type=int, default=20,
-                    help="bins need strictly more members than this (default 20)")
-    ex.add_argument("--sd-threshold", type=float, default=0.15,
-                    help="segment-entropy SD at or below this marks a duplicate (default 0.15)")
+    ex.add_argument("--cut-threshold", type=float, default=DEFAULT_CUT_THRESHOLD,
+                    help="correlation below this is a cut (default %(default)s)")
+    ex.add_argument("--min-shot-len", type=int, default=DEFAULT_MIN_SHOT_LEN,
+                    help="shots shorter than this merge into their successor (default %(default)s)")
+    ex.add_argument("--min-bin-size", type=int, default=DEFAULT_MIN_BIN_SIZE,
+                    help="bins need strictly more members than this (default %(default)s)")
+    ex.add_argument("--sd-threshold", type=float, default=DEFAULT_SD_THRESHOLD,
+                    help="segment-entropy SD at or below this is a duplicate (default %(default)s)")
     ex.add_argument("--fallback-keyframe", action="store_true",
                     help="emit the largest bin's centre when every bin misses the gate")
     ex.add_argument("--gt", help="ground-truth file enabling the evaluation block")
-    ex.add_argument("--match-window", type=int, default=12,
-                    help="max |detected - truth| distance for a match (default 12)")
+    ex.add_argument("--match-window", type=int, default=DEFAULT_MATCH_WINDOW,
+                    help="max |detected - truth| distance for a match (default %(default)s)")
     ex.add_argument("--out", required=True, help="output directory for images and report.json")
     ex.add_argument("--seed-report", action="store_true",
                     help="omit volatile fields (timestamp) so report.json bytes reproduce")
@@ -96,7 +98,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             ground_truth=None if args.gt is None else Path(args.gt),
             seed_report=args.seed_report,
         )
-        config.validate()
     except ValueError as exc:
         print(f"entropykf: bad configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

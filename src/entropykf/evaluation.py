@@ -32,13 +32,13 @@ class GroundTruth:
             raise EvaluationError("ground truth total_frames must be positive")
         prev = -1
         for idx in self.keyframe_indices:
-            if idx <= prev:
-                raise EvaluationError(
-                    f"ground-truth indices must be strictly increasing (at {idx})")
-            if idx >= self.total_frames:
+            if not 0 <= idx < self.total_frames:
                 raise EvaluationError(
                     f"ground-truth index {idx} is outside the video "
                     f"of {self.total_frames} frames")
+            if idx <= prev:
+                raise EvaluationError(
+                    f"ground-truth indices must be strictly increasing (at {idx})")
             prev = idx
 
 
@@ -65,8 +65,8 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
     appear in any order but must be unique and inside the video."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise EvaluationError(f"cannot read ground truth {path}: {exc}") from exc
     total_frames = None
     indices: list[int] = []

@@ -3,12 +3,15 @@
 ``open_source(spec)`` returns one source object per format.  Its ``frames()``
 is a single-pass stream of 8-bit grayscale ``Frame`` values with consecutive
 zero-based indices; ``read_frame(i)`` fetches frame i again once the stream
-has passed it, and ``close()`` releases the files.  A PGM directory re-reads
-the i-th file.  Raw and Y4M streams share one random-access path: the parser
-records each frame's Y-plane byte offset, and ``read_frame`` seeks there in
-the input file, or, for stdin, in a spool file of the Y planes written as
-they stream.  Container decoding is out of scope; compressed video is piped
-in as raw gray or Y4M (see README for the ffmpeg recipes).
+has passed it, and ``close()`` releases the files.  Frame geometry is decided
+here: ``frames()`` yields at least one frame, all of one size and each at
+least ``MIN_DIMENSION`` pixels per side, or raises ``IngestError``.  A PGM
+directory re-reads the i-th file.  Raw and Y4M streams share one
+random-access path: the parser records each frame's Y-plane byte offset, and
+``read_frame`` seeks there in the input file, or, for stdin, in a spool file
+of the Y planes written as they stream.  Container decoding is out of scope;
+compressed video is piped in as raw gray or Y4M (see README for the ffmpeg
+recipes).
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ import numpy as np
 
 class IngestError(Exception):
     """A frame source could not be opened or decoded."""
+
+
+# smallest frame width or height the 8x8 segment grid can split
+MIN_DIMENSION = 8
 
 
 class SourceKind(str, enum.Enum):
@@ -53,9 +60,9 @@ class SourceSpec:
         if kind is SourceKind.RAW and (self.width is None or self.height is None):
             raise ValueError("raw sources need explicit --width and --height")
         for name, value in (("width", self.width), ("height", self.height)):
-            if value is not None and value < 8:
-                raise ValueError(f"{name} must be at least 8 (got {value}); "
-                                 "the 8x8 segment grid needs 8 pixels per axis")
+            if value is not None and value < MIN_DIMENSION:
+                raise ValueError(f"{name} must be at least {MIN_DIMENSION} (got {value}) "
+                                 "to fill the segment grid")
         if self.path == "-" and kind is SourceKind.PGM_DIR:
             raise ValueError("a PGM directory cannot be read from stdin")
 
@@ -169,8 +176,18 @@ class _PgmDirSource:
         self._paths = list_pgm_dir(spec.path)
 
     def frames(self) -> Iterator[Frame]:
+        shape = None
         for index, path in enumerate(self._paths):
-            yield Frame(index=index, pixels=read_pgm(path))
+            pixels = read_pgm(path)
+            height, width = pixels.shape
+            if min(height, width) < MIN_DIMENSION:
+                raise IngestError(f"{path}: frame size {width}x{height} is below the "
+                                  f"{MIN_DIMENSION}x{MIN_DIMENSION} minimum")
+            if shape is not None and pixels.shape != shape:
+                raise IngestError(f"{path}: frame {index} is {width}x{height}, "
+                                  f"expected {shape[1]}x{shape[0]}")
+            shape = pixels.shape
+            yield Frame(index=index, pixels=pixels)
 
     def read_frame(self, index: int) -> Frame:
         return Frame(index=index, pixels=read_pgm(self._paths[index]))
@@ -261,9 +278,9 @@ def _read_line(stream: BinaryIO, limit: int = 1024) -> bytes:
 
 def _y4m_dimension(param: bytes) -> int:
     value = param[1:]
-    if not _DECIMAL.fullmatch(value) or not 0 < int(value) <= MAX_Y4M_DIMENSION:
+    if not _DECIMAL.fullmatch(value) or not MIN_DIMENSION <= int(value) <= MAX_Y4M_DIMENSION:
         raise IngestError(f"Y4M header parameter {param.decode('ascii', 'replace')!r} "
-                          f"is not a dimension in 1..{MAX_Y4M_DIMENSION}")
+                          f"is not a dimension in {MIN_DIMENSION}..{MAX_Y4M_DIMENSION}")
     return int(value)
 
 
@@ -350,6 +367,8 @@ class _StreamSource:
                 self._spool.write(frame.pixels.tobytes())
             self._offsets.append(offset)
             yield frame
+        if not self._offsets:
+            raise IngestError(f"source {self._spec.path} yielded no frames")
 
     def read_frame(self, index: int) -> Frame:
         height, width = self._shape

@@ -30,6 +30,8 @@ class TestGroundTruth:
     def test_rejects_out_of_range(self):
         with pytest.raises(EvaluationError):
             GroundTruth(keyframe_indices=(10,), total_frames=10)
+        with pytest.raises(EvaluationError, match="-3 is outside the video"):
+            GroundTruth(keyframe_indices=(-3, 4), total_frames=10)
 
 
 class TestLoadGroundTruth:
@@ -61,6 +63,18 @@ class TestLoadGroundTruth:
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(EvaluationError):
             load_ground_truth(tmp_path / "absent.txt")
+
+    def test_negative_index_is_outside_the_video(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("total_frames=5\n-3\n2\n")
+        with pytest.raises(EvaluationError, match="-3 is outside the video of 5 frames"):
+            load_ground_truth(path)
+
+    def test_undecodable_file_errors(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_bytes(b"\xff\xfe total_frames=5\n")
+        with pytest.raises(EvaluationError, match="gt.txt"):
+            load_ground_truth(path)
 
 
 class TestMatchKeyframes:

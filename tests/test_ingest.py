@@ -77,8 +77,8 @@ class TestDirectorySource:
         write_pgm(tmp_path / name, px)
 
     def test_lexicographic_order_and_indices(self, tmp_path):
-        self._write(tmp_path, "f001.pgm", np.full((4, 4), 1, dtype=np.uint8))
-        self._write(tmp_path, "f000.pgm", np.zeros((4, 4), dtype=np.uint8))
+        self._write(tmp_path, "f001.pgm", np.full((8, 8), 1, dtype=np.uint8))
+        self._write(tmp_path, "f000.pgm", np.zeros((8, 8), dtype=np.uint8))
         spec = SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path))
         frames = list(open_source(spec).frames())
         assert [f.index for f in frames] == [0, 1]
@@ -86,7 +86,7 @@ class TestDirectorySource:
         assert frames[1].pixels[0, 0] == 1
 
     def test_unsupported_file_named_in_error(self, tmp_path):
-        self._write(tmp_path, "a.pgm", np.zeros((4, 4), dtype=np.uint8))
+        self._write(tmp_path, "a.pgm", np.zeros((8, 8), dtype=np.uint8))
         (tmp_path / "b.png").write_bytes(b"\x89PNG\r\n\x1a\n junk")
         spec = SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path))
         with pytest.raises(IngestError, match="b.png"):
@@ -165,7 +165,8 @@ class TestY4mSource:
         with pytest.raises(IngestError, match="C410"):
             list(_iter_y4m(io.BytesIO(header)))
 
-    @pytest.mark.parametrize("dims", [b"Wabc H16", b"W-16 H16", b"W100000000 H100000000"])
+    @pytest.mark.parametrize("dims", [b"Wabc H16", b"W-16 H16", b"W100000000 H100000000",
+                                      b"W4 H4"])
     def test_bad_header_dimensions(self, dims):
         # rejected from the header alone, before any frame bytes are read
         data = b"YUV4MPEG2 " + dims + b" C420\nFRAME\n" + bytes(64)
@@ -249,6 +250,30 @@ class TestRandomAccess:
             source=SourceSpec(kind=SourceKind.Y4M, path="-"), **config))
         assert len(spools) == 1
         assert from_stdin["keyframes"] == from_file["keyframes"] != []
+
+
+class TestFrameContract:
+    """A source yields at least one frame, or raises IngestError."""
+
+    @pytest.mark.parametrize("kind", ["empty-raw-file", "header-only-y4m-file",
+                                      "empty-raw-stdin", "empty-y4m-stdin"])
+    def test_empty_source_is_ingest_error(self, kind, tmp_path, monkeypatch):
+        path = tmp_path / "video"
+        if kind == "empty-raw-file":
+            path.write_bytes(b"")
+            spec = SourceSpec(kind=SourceKind.RAW, path=str(path), width=8, height=8)
+        elif kind == "header-only-y4m-file":
+            path.write_bytes(make_y4m(8, 8, []))
+            spec = SourceSpec(kind=SourceKind.Y4M, path=str(path))
+        else:
+            _stdin(monkeypatch, b"")
+            spec = SourceSpec(kind=kind.split("-")[1], path="-", width=8, height=8)
+        source = open_source(spec)
+        try:
+            with pytest.raises(IngestError):
+                list(source.frames())
+        finally:
+            source.close()
 
 
 class TestFrame:

@@ -1,14 +1,19 @@
+import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import entropykf
 from conftest import make_y4m
 from entropykf import synthetic
+from entropykf.cli import build_parser
 from entropykf.evaluation import EvaluationError
 from entropykf.ingest import IngestError, SourceKind, SourceSpec, write_pgm
 from entropykf.pipeline import (ConfigError, PipelineConfig,
@@ -148,7 +153,7 @@ class TestRunPipeline:
         report = run_pipeline(_config(root / "frames", tmp_path / "out"))
         peak = report["stats"]["peak_resident_frames"]
         largest_shot = max(e - s for s, e in layout.expected_shots)
-        assert peak <= 4
+        assert peak == 2  # the two frames under correlation
         assert peak < largest_shot
 
     def test_fallback_keyframe_flag(self, tmp_path):
@@ -226,6 +231,12 @@ class TestRunPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(_config(root / "frames", tmp_path / "out", cut_threshold=0.0))
 
+    @pytest.mark.parametrize("sd_threshold", [float("nan"), float("inf")])
+    def test_non_finite_sd_threshold_is_config_error(self, small_video, tmp_path, sd_threshold):
+        root, _ = small_video
+        with pytest.raises(ConfigError, match="finite"):
+            run_pipeline(_config(root / "frames", tmp_path / "out", sd_threshold=sd_threshold))
+
     def test_tiny_frames_rejected(self, tmp_path):
         src = tmp_path / "frames"
         src.mkdir()
@@ -244,8 +255,12 @@ class TestRunPipeline:
 
 
 def _cli(*args, **kwargs):
+    # the CLI process imports the same entropykf as this one, however that was found
+    src = str(Path(entropykf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "entropykf.cli", *args],
-                          capture_output=True, **kwargs)
+                          capture_output=True, env=env, **kwargs)
 
 
 class TestCli:
@@ -304,6 +319,23 @@ class TestCli:
         assert result.returncode == 2
         assert b"bad configuration" in result.stderr
 
+    def test_non_finite_sd_threshold_exits_2(self, small_video, tmp_path):
+        root, _ = small_video
+        result = _cli("extract", "--input", str(root / "frames"),
+                      "--format", "pgm-dir", "--out", str(tmp_path / "o"),
+                      "--sd-threshold", "nan")
+        assert result.returncode == 2
+        assert b"bad configuration" in result.stderr
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_extract_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["extract", "--input", "-", "--format", "y4m",
+                                          "--out", "o"])
+        defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+        for name in ("cut_threshold", "min_shot_len", "min_bin_size", "sd_threshold",
+                     "match_window", "fallback_keyframe", "seed_report"):
+            assert getattr(args, name) == defaults[name], name
+
     def test_raw_without_dimensions_exits_2(self, tmp_path):
         result = _cli("extract", "--input", "-", "--format", "raw",
                       "--out", str(tmp_path / "o"), input=b"")
@@ -314,6 +346,39 @@ class TestCli:
                       "--format", "pgm-dir", "--out", str(tmp_path / "o"))
         assert result.returncode == 3
         assert b"ingest error" in result.stderr
+
+    @pytest.mark.parametrize("case", ["empty-raw-file", "header-only-y4m-file",
+                                      "empty-raw-stdin", "y4m-4x4-stdin"])
+    def test_empty_or_undersized_source_exits_3(self, case, tmp_path):
+        video = tmp_path / "video"
+        stdin = None
+        if case == "empty-raw-file":
+            video.write_bytes(b"")
+            args = ["--input", str(video), "--format", "raw", "--width", "8", "--height", "8"]
+        elif case == "header-only-y4m-file":
+            video.write_bytes(make_y4m(8, 8, []))
+            args = ["--input", str(video), "--format", "y4m"]
+        elif case == "empty-raw-stdin":
+            stdin = b""
+            args = ["--input", "-", "--format", "raw", "--width", "8", "--height", "8"]
+        else:
+            stdin = make_y4m(4, 4, [np.zeros((4, 4), dtype=np.uint8)] * 3)
+            args = ["--input", "-", "--format", "y4m"]
+        result = _cli("extract", *args, "--out", str(tmp_path / "o"), input=stdin)
+        assert result.returncode == 3
+        assert b"ingest error" in result.stderr
+        assert b"Traceback" not in result.stderr
+
+    def test_unreadable_gt_exits_4(self, small_video, tmp_path):
+        root, _ = small_video
+        gt = tmp_path / "gt.txt"
+        gt.write_bytes(b"\xff\xfe total_frames=5\n")
+        result = _cli("extract", "--input", str(root / "frames"),
+                      "--format", "pgm-dir", "--out", str(tmp_path / "o"),
+                      "--gt", str(gt))
+        assert result.returncode == 4
+        assert b"evaluation error" in result.stderr
+        assert b"Traceback" not in result.stderr
 
     def test_empty_gt_exits_4(self, small_video, tmp_path):
         root, _ = small_video
