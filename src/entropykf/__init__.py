@@ -5,14 +5,14 @@ centre frame of each well-populated bin becomes a key-frame, and 64-segment
 local entropies eliminate near-duplicate key-frames across shots.
 """
 
-from .entropy import (Histogram, dissimilarity, entropy, frame_entropy,
-                      histogram, modified_entropy, segmented_entropies)
+from .entropy import (dissimilarity, frame_entropy, modified_entropy,
+                      segmented_entropies)
 from .evaluation import (EvalReport, EvaluationError, GroundTruth, Matching,
-                         evaluate, load_ground_truth, match_keyframes, metrics)
+                         evaluate, load_ground_truth, match_keyframes)
 from .extraction import (Elimination, EntropyBin, KeyFrame, bin_indexed_keys,
-                         dedup, dedup_detailed, select_keyframes)
+                         dedup_detailed, select_keyframes)
 from .ingest import (Frame, IngestError, SourceKind, SourceSpec, open_source,
-                     read_pgm, to_grayscale, write_pgm)
+                     read_pgm, write_pgm)
 from .pipeline import ConfigError, PipelineConfig, run_pipeline
 from .shots import Shot, correlation, detect_cuts, merge_short_shots
 
@@ -26,7 +26,6 @@ __all__ = [
     "EvaluationError",
     "Frame",
     "GroundTruth",
-    "Histogram",
     "IngestError",
     "KeyFrame",
     "Matching",
@@ -36,25 +35,20 @@ __all__ = [
     "SourceSpec",
     "bin_indexed_keys",
     "correlation",
-    "dedup",
     "dedup_detailed",
     "detect_cuts",
     "dissimilarity",
-    "entropy",
     "evaluate",
     "frame_entropy",
-    "histogram",
     "load_ground_truth",
     "match_keyframes",
     "merge_short_shots",
-    "metrics",
     "modified_entropy",
     "open_source",
     "read_pgm",
     "run_pipeline",
     "segmented_entropies",
     "select_keyframes",
-    "to_grayscale",
     "write_pgm",
     "__version__",
 ]

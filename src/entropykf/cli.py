@@ -45,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="PGM directory, raw/y4m file, or - for stdin")
     ex.add_argument("--format", required=True, choices=["pgm-dir", "raw", "y4m"],
                     help="how to interpret --input")
-    ex.add_argument("--width", type=int, help="frame width (required for raw)")
-    ex.add_argument("--height", type=int, help="frame height (required for raw)")
+    ex.add_argument("--width", type=int, help="frame width, 8..16384 (raw only, required)")
+    ex.add_argument("--height", type=int, help="frame height, 8..16384 (raw only, required)")
     ex.add_argument("--cut-threshold", type=float, default=DEFAULT_CUT_THRESHOLD,
                     help="correlation below this is a cut (default %(default)s)")
     ex.add_argument("--min-shot-len", type=int, default=DEFAULT_MIN_SHOT_LEN,

@@ -1,4 +1,4 @@
-"""Entropy primitives: frame histogram, Shannon entropy, the squared-entropy
+"""Entropy primitives: frame entropy (the global feature), the squared-entropy
 bin key, 64-segment local entropies, and the segment-difference dissimilarity.
 
 All functions are pure and thread-safe.  Entropy is base-2, so an 8-bit frame
@@ -8,7 +8,6 @@ lands in [0, 8] bits and the squared-entropy key in [0, 64].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,37 +27,12 @@ def _pixels_of(frame) -> np.ndarray:
     return px
 
 
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    """256 grey-level counts plus the pixel total they sum to."""
-
-    counts: np.ndarray  # (256,) int64
-    total: int
-
-    def __post_init__(self):
-        if self.counts.shape != (256,):
-            raise ValueError("histogram must have exactly 256 bins")
-        if self.total <= 0:
-            raise ValueError("histogram total must be positive")
-
-
-def histogram(frame) -> Histogram:
-    """Count how often each of the 256 grey levels occurs in the frame."""
-    px = _pixels_of(frame)
-    return Histogram(counts=kernels.histogram256(px), total=int(px.size))
-
-
-def entropy(hist: Histogram) -> float:
+def frame_entropy(frame) -> float:
     """Shannon entropy of the frame's grey-level distribution, in bits.
 
     Levels with zero probability contribute nothing; the result lies in
     [0, 8] for 8-bit frames.
     """
-    return kernels.entropy_from_counts(hist.counts, hist.total)
-
-
-def frame_entropy(frame) -> float:
-    """Entropy of a frame in one call (histogram + entropy)."""
     px = _pixels_of(frame)
     return kernels.entropy_from_counts(kernels.histogram256(px), px.size)
 

@@ -30,6 +30,9 @@ class GroundTruth:
     def __post_init__(self):
         if self.total_frames <= 0:
             raise EvaluationError("ground truth total_frames must be positive")
+        if not self.keyframe_indices:
+            raise EvaluationError("empty ground truth: it lists no key-frames, "
+                                  "so deviation is undefined")
         prev = -1
         for idx in self.keyframe_indices:
             if not 0 <= idx < self.total_frames:
@@ -89,7 +92,10 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
         raise EvaluationError(f"{path}: missing required header line 'total_frames=N'")
     if len(set(indices)) != len(indices):
         raise EvaluationError(f"{path}: duplicate ground-truth indices")
-    return GroundTruth(keyframe_indices=tuple(sorted(indices)), total_frames=total_frames)
+    try:
+        return GroundTruth(keyframe_indices=tuple(sorted(indices)), total_frames=total_frames)
+    except EvaluationError as exc:
+        raise EvaluationError(f"{path}: {exc}") from None
 
 
 def match_keyframes(detected: Sequence[int], gt: GroundTruth,
@@ -117,28 +123,23 @@ def match_keyframes(detected: Sequence[int], gt: GroundTruth,
                     missing=tuple(missing))
 
 
-def metrics(matching: Matching, gt: GroundTruth, detected_count: int) -> EvalReport:
-    """Fold a matching into the identified / redundant / missing report."""
-    if not gt.keyframe_indices:
-        raise EvaluationError("cannot evaluate against empty ground truth "
-                              "(deviation is undefined)")
+def evaluate(detected: Sequence[int], gt: GroundTruth,
+             window: int = DEFAULT_MATCH_WINDOW) -> EvalReport:
+    """Match detections to the ground truth and fold the matching into the
+    identified / redundant / missing report."""
+    matching = match_keyframes(detected, gt, window)
+    identified = len(detected)
     matched = len(matching.matched)
     redundant = len(matching.redundant)
     missing = len(matching.missing)
-    if matched + redundant != detected_count:
+    if matched + redundant != identified:
         raise ValueError(f"matching covers {matched + redundant} detections, "
-                         f"expected {detected_count}")
+                         f"expected {identified}")
     return EvalReport(
-        identified=detected_count,
+        identified=identified,
         matched=matched,
         redundant=redundant,
         missing=missing,
         deviation=missing / len(gt.keyframe_indices),
-        compactness=detected_count / gt.total_frames,
+        compactness=identified / gt.total_frames,
     )
-
-
-def evaluate(detected: Sequence[int], gt: GroundTruth,
-             window: int = DEFAULT_MATCH_WINDOW) -> EvalReport:
-    """Match and score in one step."""
-    return metrics(match_keyframes(detected, gt, window), gt, len(detected))

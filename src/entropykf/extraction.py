@@ -114,9 +114,3 @@ def dedup_detailed(candidates: Sequence[KeyFrame],
                                             kept=duplicate_of.frame_index,
                                             sd=sd_found))
     return survivors, eliminations
-
-
-def dedup(candidates: Sequence[KeyFrame],
-          sd_threshold: float = DEFAULT_SD_THRESHOLD) -> list[KeyFrame]:
-    """Drop later key-frames whose segment entropies duplicate an earlier one."""
-    return dedup_detailed(candidates, sd_threshold)[0]

@@ -5,7 +5,9 @@ is a single-pass stream of 8-bit grayscale ``Frame`` values with consecutive
 zero-based indices; ``read_frame(i)`` fetches frame i again once the stream
 has passed it, and ``close()`` releases the files.  Frame geometry is decided
 here: ``frames()`` yields at least one frame, all of one size and each at
-least ``MIN_DIMENSION`` pixels per side, or raises ``IngestError``.  A PGM
+least ``MIN_DIMENSION`` pixels per side, or raises ``IngestError``.  A size
+declared up front, by a raw ``SourceSpec`` or a Y4M header, must lie in
+``MIN_DIMENSION..MAX_DIMENSION``; only raw specs take one.  A PGM
 directory re-reads the i-th file.  Raw and Y4M streams share one
 random-access path: the parser records each frame's Y-plane byte offset, and
 ``read_frame`` seeks there in the input file, or, for stdin, in a spool file
@@ -34,6 +36,9 @@ class IngestError(Exception):
 
 # smallest frame width or height the 8x8 segment grid can split
 MIN_DIMENSION = 8
+# largest width or height a raw spec or a Y4M header may declare; bounds the
+# bytes read per frame
+MAX_DIMENSION = 16384
 
 
 class SourceKind(str, enum.Enum):
@@ -57,12 +62,16 @@ class SourceSpec:
     def __post_init__(self):
         kind = SourceKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if kind is SourceKind.RAW and (self.width is None or self.height is None):
+        if kind is not SourceKind.RAW:
+            if self.width is not None or self.height is not None:
+                raise ValueError(f"--width/--height apply to raw input only; "
+                                 f"{kind} carries its own frame size")
+        elif self.width is None or self.height is None:
             raise ValueError("raw sources need explicit --width and --height")
         for name, value in (("width", self.width), ("height", self.height)):
-            if value is not None and value < MIN_DIMENSION:
-                raise ValueError(f"{name} must be at least {MIN_DIMENSION} (got {value}) "
-                                 "to fill the segment grid")
+            if value is not None and not MIN_DIMENSION <= value <= MAX_DIMENSION:
+                raise ValueError(f"{name} must be in {MIN_DIMENSION}..{MAX_DIMENSION} (at least "
+                                 f"{MIN_DIMENSION} to fill the segment grid), got {value}")
         if self.path == "-" and kind is SourceKind.PGM_DIR:
             raise ValueError("a PGM directory cannot be read from stdin")
 
@@ -87,15 +96,6 @@ class Frame:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-
-def to_grayscale(r: int, g: int, b: int) -> int:
-    """BT.601 luma of an RGB triple, rounded half up and clamped to [0, 255]."""
-    for name, v in (("r", r), ("g", g), ("b", b)):
-        if not 0 <= v <= 255:
-            raise ValueError(f"{name}={v} outside [0, 255]")
-    y = int(0.299 * r + 0.587 * g + 0.114 * b + 0.5)
-    return min(255, max(0, y))
 
 
 # ---------------------------------------------------------------------------
@@ -236,31 +236,20 @@ def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, 
 # YUV4MPEG2
 # ---------------------------------------------------------------------------
 
-# largest W or H a Y4M header may declare; bounds the plane sizes read per frame
-MAX_Y4M_DIMENSION = 16384
 _DECIMAL = re.compile(rb"[0-9]+")
-
-_CHROMA_FACTORS = {
-    # plane bytes per frame beyond the Y plane, as a function of (w, h)
-    "420": lambda w, h: 2 * ((w + 1) // 2) * ((h + 1) // 2),
-    "422": lambda w, h: 2 * ((w + 1) // 2) * h,
-    "444": lambda w, h: 2 * w * h,
-    "mono": lambda w, h: 0,
-}
 
 
 def _chroma_bytes(colorspace: str, w: int, h: int) -> int:
+    """Plane bytes per frame beyond the Y plane."""
     if colorspace.startswith("420"):
-        key = "420"
-    elif colorspace in _CHROMA_FACTORS:
-        key = colorspace
-    elif colorspace.startswith("422"):
-        key = "422"
-    elif colorspace.startswith("444") and colorspace != "444alpha":
-        key = "444"
-    else:
-        raise IngestError(f"unsupported Y4M colorspace C{colorspace}")
-    return _CHROMA_FACTORS[key](w, h)
+        return 2 * ((w + 1) // 2) * ((h + 1) // 2)
+    if colorspace.startswith("422"):
+        return 2 * ((w + 1) // 2) * h
+    if colorspace.startswith("444") and colorspace != "444alpha":
+        return 2 * w * h
+    if colorspace == "mono":
+        return 0
+    raise IngestError(f"unsupported Y4M colorspace C{colorspace}")
 
 
 def _read_line(stream: BinaryIO, limit: int = 1024) -> bytes:
@@ -278,9 +267,9 @@ def _read_line(stream: BinaryIO, limit: int = 1024) -> bytes:
 
 def _y4m_dimension(param: bytes) -> int:
     value = param[1:]
-    if not _DECIMAL.fullmatch(value) or not MIN_DIMENSION <= int(value) <= MAX_Y4M_DIMENSION:
+    if not _DECIMAL.fullmatch(value) or not MIN_DIMENSION <= int(value) <= MAX_DIMENSION:
         raise IngestError(f"Y4M header parameter {param.decode('ascii', 'replace')!r} "
-                          f"is not a dimension in {MIN_DIMENSION}..{MAX_Y4M_DIMENSION}")
+                          f"is not a dimension in {MIN_DIMENSION}..{MAX_DIMENSION}")
     return int(value)
 
 

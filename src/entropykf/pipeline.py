@@ -149,8 +149,6 @@ def score(survivors: list[KeyFrame], total_frames: int, config: PipelineConfig) 
     if config.ground_truth is None:
         return None
     gt = load_ground_truth(config.ground_truth)
-    if not gt.keyframe_indices:
-        raise EvaluationError(f"{config.ground_truth}: ground truth lists no key-frames")
     if gt.total_frames != total_frames:
         raise EvaluationError(f"{config.ground_truth}: ground truth is for "
                               f"{gt.total_frames} frames, the video has {total_frames}")

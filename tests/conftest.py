@@ -40,14 +40,14 @@ def segment_slices(n: int) -> list[slice]:
 
 def segmented_oracle(pixels: np.ndarray) -> np.ndarray:
     """Materialise every grid segment as its own frame and recompute."""
-    from entropykf.entropy import entropy, histogram
+    from entropykf.entropy import frame_entropy
     rows = segment_slices(pixels.shape[0])
     cols = segment_slices(pixels.shape[1])
     out = np.empty(64)
     for sy in range(8):
         for sx in range(8):
             block = np.ascontiguousarray(pixels[rows[sy], cols[sx]])
-            out[sy * 8 + sx] = entropy(histogram(block))
+            out[sy * 8 + sx] = frame_entropy(block)
     return out
 
 

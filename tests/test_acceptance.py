@@ -12,9 +12,9 @@ import pytest
 
 from conftest import segmented_oracle
 from entropykf import synthetic
-from entropykf.entropy import (dissimilarity, entropy, frame_entropy, histogram,
-                               modified_entropy, segmented_entropies)
-from entropykf.extraction import (KeyFrame, bin_indexed_keys, dedup,
+from entropykf.entropy import (dissimilarity, frame_entropy, modified_entropy,
+                               segmented_entropies)
+from entropykf.extraction import (KeyFrame, bin_indexed_keys, dedup_detailed,
                                   select_keyframes)
 from entropykf.ingest import Frame, SourceKind, SourceSpec
 from entropykf.pipeline import PipelineConfig, run_pipeline
@@ -58,7 +58,7 @@ def test_criterion_1_entropy_oracle_equivalence():
             h = int(rng.integers(8, 129))
             levels = int(rng.integers(2, 257))
             px = rng.integers(0, levels, (h, w), dtype=np.uint8)
-            produced = entropy(histogram(px))
+            produced = frame_entropy(px)
             assert abs(produced - _entropy_summation_oracle(px)) <= 1e-12
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
@@ -227,8 +227,8 @@ def test_criterion_9_dedup_idempotence_and_order():
                 candidates.append(KeyFrame(frame_index=i * 2, shot=Shot(i * 2, i * 2 + 1),
                                            bin_key=0, global_entropy=0.0, segments=seg))
             threshold = float(rng.uniform(0.0, 0.3))
-            once = dedup(candidates, threshold)
-            twice = dedup(once, threshold)
+            once, _ = dedup_detailed(candidates, threshold)
+            twice, _ = dedup_detailed(once, threshold)
             assert [k.frame_index for k in twice] == [k.frame_index for k in once]
             survivors = [k.frame_index for k in once]
             assert all(a < b for a, b in zip(survivors, survivors[1:]))

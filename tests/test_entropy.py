@@ -5,68 +5,60 @@ import pytest
 
 from conftest import (entropy_oracle, histogram_oracle, rand_pixels,
                       segmented_oracle, uniform_level_pixels)
-from entropykf.entropy import (Histogram, dissimilarity, entropy,
-                               frame_entropy, histogram, modified_entropy,
+from entropykf import kernels
+from entropykf.entropy import (dissimilarity, frame_entropy, modified_entropy,
                                segment_bounds, segmented_entropies)
 
 
 class TestHistogram:
     def test_all_zero_frame(self):
-        h = histogram(np.zeros((4, 4), dtype=np.uint8))
-        assert h.counts[0] == 16
-        assert h.counts[1:].sum() == 0
-        assert h.total == 16
+        counts = kernels.histogram256(np.zeros((4, 4), dtype=np.uint8))
+        assert counts[0] == 16
+        assert counts[1:].sum() == 0
+        assert counts.sum() == 16
 
     def test_two_level_frame(self):
-        h = histogram(np.array([[0, 0], [255, 255]], dtype=np.uint8))
-        assert h.counts[0] == 2
-        assert h.counts[255] == 2
-        assert h.counts[1:255].sum() == 0
-        assert h.total == 4
+        counts = kernels.histogram256(np.array([[0, 0], [255, 255]], dtype=np.uint8))
+        assert counts[0] == 2
+        assert counts[255] == 2
+        assert counts[1:255].sum() == 0
+        assert counts.sum() == 4
 
     def test_matches_per_pixel_counting_oracle(self):
         rng = np.random.default_rng(42)
         px = rand_pixels(rng, 64, 64)
-        h = histogram(px)
-        assert h.counts.tolist() == histogram_oracle(px)
+        assert kernels.histogram256(px).tolist() == histogram_oracle(px)
 
     def test_counts_sum_to_total(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             px = rand_pixels(rng, int(rng.integers(8, 50)), int(rng.integers(8, 50)))
-            h = histogram(px)
-            assert int(h.counts.sum()) == h.total == px.size
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            Histogram(counts=np.zeros(255, dtype=np.int64), total=1)
-        with pytest.raises(ValueError):
-            Histogram(counts=np.zeros(256, dtype=np.int64), total=0)
+            assert int(kernels.histogram256(px).sum()) == px.size
 
 
 class TestEntropy:
     def test_single_level_is_zero(self):
         px = np.full((6, 6), 7, dtype=np.uint8)
-        assert entropy(histogram(px)) == 0.0
+        assert frame_entropy(px) == 0.0
 
     def test_fair_binary_source_is_one_bit(self):
         px = np.array([[0, 0], [255, 255]], dtype=np.uint8)
-        assert entropy(histogram(px)) == 1.0
+        assert frame_entropy(px) == 1.0
 
     def test_uniform_256_levels_is_eight_bits(self):
         px = uniform_level_pixels(16, 256)
-        assert entropy(histogram(px)) == 8.0
+        assert frame_entropy(px) == 8.0
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(7)
         px = rand_pixels(rng, 32, 32)
-        assert abs(entropy(histogram(px)) - entropy_oracle(px)) < 1e-12
+        assert abs(frame_entropy(px) - entropy_oracle(px)) < 1e-12
 
     def test_bounds_hold_for_random_frames(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             px = rand_pixels(rng, 16, 16, levels=int(rng.integers(2, 257)))
-            assert 0.0 <= entropy(histogram(px)) <= 8.0
+            assert 0.0 <= frame_entropy(px) <= 8.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -74,13 +66,14 @@ class TestEntropy:
         shuffled = px.ravel().copy()
         rng.shuffle(shuffled)
         shuffled = shuffled.reshape(px.shape)
-        assert entropy(histogram(px)) == entropy(histogram(shuffled))
+        assert frame_entropy(px) == frame_entropy(shuffled)
         assert modified_entropy(frame_entropy(px)) == modified_entropy(frame_entropy(shuffled))
 
     def test_frame_entropy_equals_composition(self):
         rng = np.random.default_rng(5)
         px = rand_pixels(rng, 20, 30)
-        assert frame_entropy(px) == entropy(histogram(px))
+        counts = kernels.histogram256(px)
+        assert frame_entropy(px) == kernels.entropy_from_counts(counts, px.size)
 
 
 class TestModifiedEntropy:

@@ -1,7 +1,7 @@
 import pytest
 
 from entropykf.evaluation import (EvaluationError, GroundTruth, evaluate,
-                                  load_ground_truth, match_keyframes, metrics)
+                                  load_ground_truth, match_keyframes)
 
 # Reference count table: per video, (total frames, manual key-frames) and the
 # (identified, redundant, missing) triples for both algorithms, with the
@@ -130,16 +130,14 @@ class TestMatchKeyframes:
 class TestMetrics:
     def test_table_row_english_news(self):
         gt = GroundTruth(keyframe_indices=tuple(range(22)), total_frames=3775)
-        m = match_keyframes(list(range(14)), gt, window=0)
-        report = metrics(m, gt, detected_count=14)
+        report = evaluate(list(range(14)), gt, window=0)
         assert report.missing == 8
         assert report.deviation == pytest.approx(8 / 22)
         assert abs(report.deviation - 0.37) <= 0.01
 
     def test_compactness_reference_ratio(self):
         gt = GroundTruth(keyframe_indices=tuple(range(22)), total_frames=3775)
-        m = match_keyframes(list(range(23)), gt, window=0)
-        report = metrics(m, gt, detected_count=23)
+        report = evaluate(list(range(23)), gt, window=0)
         assert report.identified == 23
         assert report.compactness == pytest.approx(23 / 3775)
         assert report.compactness == pytest.approx(0.00609, abs=1e-5)
@@ -152,10 +150,8 @@ class TestMetrics:
         assert report.matched == 2 and report.redundant == 1 and report.missing == 0
 
     def test_empty_ground_truth_errors(self):
-        gt = GroundTruth(keyframe_indices=(), total_frames=10)
-        m = match_keyframes([1], gt, window=0)
         with pytest.raises(EvaluationError, match="empty ground truth"):
-            metrics(m, gt, detected_count=1)
+            GroundTruth(keyframe_indices=(), total_frames=10)
 
     def test_deviation_reproduces_all_published_cells(self):
         for video, total, manual, ed, ed_dev, prop, prop_dev in REFERENCE_ROWS:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import entropy_oracle, frame, rand_pixels, uniform_level_pixels
 from entropykf.entropy import frame_entropy, modified_entropy
-from entropykf.extraction import (EntropyBin, KeyFrame, bin_indexed_keys, dedup,
+from entropykf.extraction import (EntropyBin, KeyFrame, bin_indexed_keys,
                                   dedup_detailed, fallback_pick, select_keyframes)
 from entropykf.ingest import SourceKind, SourceSpec, write_pgm
 from entropykf.pipeline import PipelineConfig, run_pipeline
@@ -150,7 +150,7 @@ class TestDedup:
     def test_all_distinct_unchanged(self):
         rng = np.random.default_rng(227)
         cands = [_keyframe(i * 10, rng.uniform(0, 8, 64)) for i in range(6)]
-        assert dedup(cands, 0.05) == cands
+        assert dedup_detailed(cands, 0.05) == (cands, [])
 
     def test_keep_earliest_of_triple(self):
         rng = np.random.default_rng(229)
@@ -158,7 +158,7 @@ class TestDedup:
         cands = [_keyframe(1, base),
                  _keyframe(2, base + rng.uniform(-0.001, 0.001, 64)),
                  _keyframe(3, base + rng.uniform(-0.001, 0.001, 64))]
-        survivors = dedup(cands, 0.01)
+        survivors, _ = dedup_detailed(cands, 0.01)
         assert [k.frame_index for k in survivors] == [1]
 
     def test_zero_threshold_removes_only_exact(self):
@@ -167,7 +167,7 @@ class TestDedup:
         near = base.copy()
         near[0] += 1e-9
         cands = [_keyframe(1, base), _keyframe(2, base.copy()), _keyframe(3, near)]
-        survivors = dedup(cands, 0.0)
+        survivors, _ = dedup_detailed(cands, 0.0)
         assert [k.frame_index for k in survivors] == [1, 3]
 
     def test_idempotent_and_increasing(self):
@@ -181,8 +181,8 @@ class TestDedup:
                 jitter = rng.uniform(-0.05, 0.05, 64) if rng.random() < 0.5 else 0.0
                 cands.append(_keyframe(i * 3, seg + jitter))
             threshold = float(rng.uniform(0, 0.3))
-            once = dedup(cands, threshold)
-            twice = dedup(once, threshold)
+            once, _ = dedup_detailed(cands, threshold)
+            twice, _ = dedup_detailed(once, threshold)
             assert [k.frame_index for k in twice] == [k.frame_index for k in once]
             indices = [k.frame_index for k in once]
             assert indices == sorted(set(indices))
@@ -190,7 +190,7 @@ class TestDedup:
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
-            dedup([], -0.1)
+            dedup_detailed([], -0.1)
 
 
 class TestBinIndexedKeys:

@@ -6,37 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import make_y4m, rand_pixels
-from entropykf.ingest import (Frame, IngestError, SourceKind, SourceSpec,
-                              _iter_raw, _iter_y4m, _parse_pgm, list_pgm_dir,
-                              open_source, read_pgm, to_grayscale, write_pgm)
+from entropykf.ingest import (MAX_DIMENSION, MIN_DIMENSION, Frame, IngestError,
+                              SourceKind, SourceSpec, _iter_raw, _iter_y4m, _parse_pgm,
+                              list_pgm_dir, open_source, read_pgm, write_pgm)
 from entropykf.pipeline import PipelineConfig, run_pipeline
-
-
-class TestToGrayscale:
-    def test_black_and_white(self):
-        assert to_grayscale(0, 0, 0) == 0
-        assert to_grayscale(255, 255, 255) == 255
-
-    def test_pure_red(self):
-        # round(0.299 * 255) = round(76.245)
-        assert to_grayscale(255, 0, 0) == 76
-
-    def test_idempotent_on_grey(self):
-        for v in range(256):
-            assert to_grayscale(v, v, v) == v
-
-    def test_matches_direct_arithmetic(self):
-        rng = np.random.default_rng(37)
-        for _ in range(200):
-            r, g, b = (int(v) for v in rng.integers(0, 256, 3))
-            expected = int(np.floor(0.299 * r + 0.587 * g + 0.114 * b + 0.5))
-            assert to_grayscale(r, g, b) == min(255, max(0, expected))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            to_grayscale(-1, 0, 0)
-        with pytest.raises(ValueError):
-            to_grayscale(0, 256, 0)
 
 
 class TestPgm:
@@ -129,6 +102,20 @@ class TestRawSource:
         with pytest.raises(ValueError, match="at least 8"):
             SourceSpec(kind=SourceKind.RAW, path="-", width=4, height=16)
 
+    def test_spec_rejects_huge_dimensions(self):
+        SourceSpec(kind=SourceKind.RAW, path="-", width=MAX_DIMENSION, height=MIN_DIMENSION)
+        with pytest.raises(ValueError, match="16384"):
+            SourceSpec(kind=SourceKind.RAW, path="-", width=16, height=MAX_DIMENSION + 1)
+        with pytest.raises(ValueError, match="16384"):
+            SourceSpec(kind=SourceKind.RAW, path="-", width=100_000_000, height=100_000_000)
+
+    @pytest.mark.parametrize("kind", [SourceKind.Y4M, SourceKind.PGM_DIR])
+    @pytest.mark.parametrize("size", [dict(width=999, height=777), dict(width=16),
+                                      dict(height=16)])
+    def test_only_raw_takes_dimensions(self, kind, size):
+        with pytest.raises(ValueError, match="raw input only"):
+            SourceSpec(kind=kind, path="video", **size)
+
     def test_missing_file_errors(self, tmp_path):
         spec = SourceSpec(kind=SourceKind.RAW, path=str(tmp_path / "nope.raw"),
                           width=8, height=8)
@@ -164,6 +151,25 @@ class TestY4mSource:
         header = b"YUV4MPEG2 W8 H8 C410\nFRAME\n" + bytes(64)
         with pytest.raises(IngestError, match="C410"):
             list(_iter_y4m(io.BytesIO(header)))
+
+    # chroma bytes per frame of a 9x9 video, counted by hand: 4:2:0 planes are
+    # 5x5, 4:2:2 planes 5x9, 4:4:4 planes 9x9 (two planes each); None: rejected
+    @pytest.mark.parametrize("colorspace,chroma", [("420", 50), ("420jpeg", 50),
+                                                   ("420paldv", 50), ("422", 90),
+                                                   ("444", 162), ("mono", 0),
+                                                   ("444alpha", None), ("411", None)])
+    def test_chroma_plane_sizes(self, colorspace, chroma):
+        first, second = bytes(range(81)), bytes(range(100, 181))
+        padding = bytes([7]) * (chroma or 0)
+        data = (f"YUV4MPEG2 W9 H9 C{colorspace}\n".encode()
+                + b"FRAME\n" + first + padding + b"FRAME\n" + second + padding)
+        if chroma is None:
+            with pytest.raises(IngestError, match=f"C{colorspace}"):
+                list(_iter_y4m(io.BytesIO(data)))
+            return
+        frames = [f for _, f in _iter_y4m(io.BytesIO(data))]
+        assert len(frames) == 2
+        assert frames[1].pixels.tobytes() == second
 
     @pytest.mark.parametrize("dims", [b"Wabc H16", b"W-16 H16", b"W100000000 H100000000",
                                       b"W4 H4"])
@@ -267,7 +273,9 @@ class TestFrameContract:
             spec = SourceSpec(kind=SourceKind.Y4M, path=str(path))
         else:
             _stdin(monkeypatch, b"")
-            spec = SourceSpec(kind=kind.split("-")[1], path="-", width=8, height=8)
+            fmt = kind.split("-")[1]
+            size = dict(width=8, height=8) if fmt == "raw" else {}
+            spec = SourceSpec(kind=fmt, path="-", **size)
         source = open_source(spec)
         try:
             with pytest.raises(IngestError):

@@ -341,6 +341,20 @@ class TestCli:
                       "--out", str(tmp_path / "o"), input=b"")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("fmt,size", [("y4m", "999x777"), ("raw", "100000000x100000000")])
+    def test_bad_frame_size_options_exit_2(self, fmt, size, tmp_path):
+        # --width/--height belong to raw input only, and a raw side is capped
+        video = tmp_path / "video"
+        video.write_bytes(make_y4m(32, 16, [np.zeros((16, 32), dtype=np.uint8)] * 2)
+                          if fmt == "y4m" else bytes(4096))
+        width, height = size.split("x")
+        result = _cli("extract", "--input", str(video), "--format", fmt,
+                      "--width", width, "--height", height, "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert b"bad configuration" in result.stderr
+        assert b"Traceback" not in result.stderr
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_missing_input_exits_3(self, tmp_path):
         result = _cli("extract", "--input", str(tmp_path / "absent"),
                       "--format", "pgm-dir", "--out", str(tmp_path / "o"))
