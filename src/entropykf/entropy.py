@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from . import kernels
+from .ingest import Frame
 
 SEGMENT_GRID = 8  # frames are split into an 8x8 grid, 64 segments
 
@@ -31,10 +32,11 @@ def frame_entropy(frame) -> float:
     """Shannon entropy of the frame's grey-level distribution, in bits.
 
     Levels with zero probability contribute nothing; the result lies in
-    [0, 8] for 8-bit frames.
+    [0, 8] for 8-bit frames.  A ``Frame`` reuses its cached histogram.
     """
     px = _pixels_of(frame)
-    return kernels.entropy_from_counts(kernels.histogram256(px), px.size)
+    counts = frame.counts if isinstance(frame, Frame) else kernels.histogram256(px)
+    return kernels.entropy_from_counts(counts, px.size)
 
 
 def modified_entropy(en: float) -> int:

@@ -4,10 +4,11 @@
 is a single-pass stream of 8-bit grayscale ``Frame`` values with consecutive
 zero-based indices; ``read_frame(i)`` fetches frame i again once the stream
 has passed it, and ``close()`` releases the files.  Frame geometry is decided
-here: ``frames()`` yields at least one frame, all of one size and each at
-least ``MIN_DIMENSION`` pixels per side, or raises ``IngestError``.  A size
-declared up front, by a raw ``SourceSpec`` or a Y4M header, must lie in
-``MIN_DIMENSION..MAX_DIMENSION``; only raw specs take one.  A PGM
+here: ``frames()`` yields at least one frame, all of one size and each
+side in ``MIN_DIMENSION..MAX_DIMENSION`` pixels, or raises ``IngestError``.
+A size declared up front, by a raw ``SourceSpec`` or a Y4M header, is
+checked against the same range before any frame is read; only raw specs
+take one.  Y4M input must have 8-bit samples.  A PGM
 directory re-reads the i-th file.  Raw and Y4M streams share one
 random-access path: the parser records each frame's Y-plane byte offset, and
 ``read_frame`` seeks there in the input file, or, for stdin, in a spool file
@@ -24,10 +25,13 @@ import sys
 import tempfile
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
 import numpy as np
+
+from . import kernels
 
 
 class IngestError(Exception):
@@ -36,8 +40,8 @@ class IngestError(Exception):
 
 # smallest frame width or height the 8x8 segment grid can split
 MIN_DIMENSION = 8
-# largest width or height a raw spec or a Y4M header may declare; bounds the
-# bytes read per frame
+# largest frame width or height; bounds the bytes read per frame and keeps
+# every pixel-product sum of a frame pair exact in float64 (kernels.pearson_sums)
 MAX_DIMENSION = 16384
 
 
@@ -96,6 +100,11 @@ class Frame:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The 256-bin histogram, computed once and shared by entropy and cut detection."""
+        return kernels.histogram256(self.pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +189,10 @@ class _PgmDirSource:
         for index, path in enumerate(self._paths):
             pixels = read_pgm(path)
             height, width = pixels.shape
-            if min(height, width) < MIN_DIMENSION:
-                raise IngestError(f"{path}: frame size {width}x{height} is below the "
-                                  f"{MIN_DIMENSION}x{MIN_DIMENSION} minimum")
+            if not MIN_DIMENSION <= min(height, width) <= max(height, width) <= MAX_DIMENSION:
+                raise IngestError(f"{path}: frame size {width}x{height} is not within the "
+                                  f"{MIN_DIMENSION}x{MIN_DIMENSION} minimum and the "
+                                  f"{MAX_DIMENSION}x{MAX_DIMENSION} maximum")
             if shape is not None and pixels.shape != shape:
                 raise IngestError(f"{path}: frame {index} is {width}x{height}, "
                                   f"expected {shape[1]}x{shape[0]}")
@@ -237,10 +247,14 @@ def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, 
 # ---------------------------------------------------------------------------
 
 _DECIMAL = re.compile(rb"[0-9]+")
+_HIGH_BIT_DEPTH = re.compile(r"(420|422|444)p[0-9]+")
 
 
 def _chroma_bytes(colorspace: str, w: int, h: int) -> int:
-    """Plane bytes per frame beyond the Y plane."""
+    """Plane bytes per frame beyond the Y plane; 8-bit colorspaces only."""
+    if _HIGH_BIT_DEPTH.fullmatch(colorspace):
+        raise IngestError(f"unsupported Y4M colorspace C{colorspace} "
+                          "(more than 8 bits per sample)")
     if colorspace.startswith("420"):
         return 2 * ((w + 1) // 2) * ((h + 1) // 2)
     if colorspace.startswith("422"):

@@ -1,8 +1,12 @@
 """Hot per-frame kernels: histogram, entropy, segment histograms, pixel correlation.
 
 Each kernel has one numpy implementation; ``perfbench/`` times every one of
-them inside a pipeline run.  Integer results (histogram counts, correlation
-sums) are exact; entropy uses numpy's pairwise summation and is deterministic.
+them inside a pipeline run.  A frame's 256-bin histogram is computed once and
+serves both its entropy and the correlation of the pairs it belongs to: the
+per-frame moments Σa and Σa² follow exactly from it, so a pair costs one
+float64 dot product for Σab over frames widened once each by ``widen``.
+Integer results (histogram counts, correlation sums) are exact; entropy uses
+numpy's pairwise summation and is deterministic.
 """
 
 from __future__ import annotations
@@ -44,11 +48,29 @@ def segment_histograms(pixels: np.ndarray, row_bounds: np.ndarray,
     return counts
 
 
-def pearson_sums(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int, int]:
-    """Exact integer moments (sum a, sum b, sum a^2, sum b^2, sum ab)."""
-    x = a.ravel().astype(np.int64)
-    y = b.ravel().astype(np.int64)
-    return int(x.sum()), int(y.sum()), int(x @ x), int(y @ y), int(x @ y)
+_LEVELS = np.arange(256, dtype=np.int64)
+_LEVELS_SQ = _LEVELS * _LEVELS
+
+
+def widen(pixels: np.ndarray) -> np.ndarray:
+    """The pixels as one flat float64 vector in row-major order, for ``pearson_sums``."""
+    return pixels.ravel().astype(np.float64)
+
+
+def pearson_sums(counts_a: np.ndarray, counts_b: np.ndarray,
+                 xa: np.ndarray, xb: np.ndarray) -> tuple[int, int, int, int, int]:
+    """Exact integer moments (sum a, sum b, sum a^2, sum b^2, sum ab) of two
+    equal-size 8-bit frames, from their ``histogram256`` counts and their
+    ``widen``-ed pixels.
+
+    Σa and Σa² are Σk·c_k and Σk²·c_k over the histogram, in int64.  Σab is
+    one float64 dot product, and it is exact: every product and every partial
+    sum is an integer of at most 255²·n, which for n <= ``ingest.MAX_DIMENSION``²
+    pixels is about 1.8e13, below 2**53, so no summation order a BLAS may
+    choose can round.
+    """
+    return (int(counts_a @ _LEVELS), int(counts_b @ _LEVELS),
+            int(counts_a @ _LEVELS_SQ), int(counts_b @ _LEVELS_SQ), int(xa @ xb))
 
 
 def correlation_from_sums(n: int, sums: tuple[int, int, int, int, int]) -> float:

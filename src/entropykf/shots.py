@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import kernels
 from .ingest import Frame
 
@@ -36,27 +38,35 @@ class Shot:
         return self.start <= index < self.end
 
 
-def correlation(a: Frame, b: Frame) -> float:
-    """Pearson correlation of co-located pixel intensities, in [-1, 1].
-
-    Flat (zero-variance) frames make the quotient undefined; they count as the
-    same shot (1.0) when their means are within one grey level, as a cut (0.0)
-    otherwise, and a flat frame never matches a textured one (0.0).
-    """
-    pa = getattr(a, "pixels", a)
-    pb = getattr(b, "pixels", b)
+def _check_same_size(pa: np.ndarray, pb: np.ndarray) -> None:
     if pa.shape != pb.shape:
         ha, wa = pa.shape
         hb, wb = pb.shape
         raise ValueError(f"frame dimensions differ: {wa}x{ha} vs {wb}x{hb}")
-    return kernels.correlation_from_sums(pa.size, kernels.pearson_sums(pa, pb))
+
+
+def correlation(a: Frame, b: Frame) -> float:
+    """Pearson correlation of co-located pixel intensities, in [-1, 1].
+
+    Takes two ``Frame`` values or two 2-D uint8 arrays of one size.  Flat
+    (zero-variance) frames make the quotient undefined; they count as the
+    same shot (1.0) when their means are within one grey level, as a cut (0.0)
+    otherwise, and a flat frame never matches a textured one (0.0).
+    """
+    a, b = (f if isinstance(f, Frame) else Frame(index=0, pixels=f) for f in (a, b))
+    _check_same_size(a.pixels, b.pixels)
+    sums = kernels.pearson_sums(a.counts, b.counts,
+                                kernels.widen(a.pixels), kernels.widen(b.pixels))
+    return kernels.correlation_from_sums(a.pixels.size, sums)
 
 
 def detect_cuts(frames: Iterable[Frame], threshold: float = DEFAULT_CUT_THRESHOLD) -> list[Shot]:
     """Split a frame stream into shots at every adjacent pair whose
-    correlation falls below the threshold.
+    correlation (as ``correlation`` computes it) falls below the threshold.
 
     Only two frames are held at a time; the stream is never materialised.
+    Each frame's histogram comes from ``Frame.counts`` and each frame is
+    widened once, then reused as the previous frame of the next pair.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"cut threshold must be in (0, 1], got {threshold}")
@@ -65,13 +75,17 @@ def detect_cuts(frames: Iterable[Frame], threshold: float = DEFAULT_CUT_THRESHOL
         prev = next(it)
     except StopIteration:
         raise ValueError("cannot segment an empty frame stream") from None
+    prev_x = kernels.widen(prev.pixels)
     shots: list[Shot] = []
     shot_start = prev.index
     for cur in it:
-        if correlation(prev, cur) < threshold:
+        _check_same_size(prev.pixels, cur.pixels)
+        cur_x = kernels.widen(cur.pixels)
+        sums = kernels.pearson_sums(prev.counts, cur.counts, prev_x, cur_x)
+        if kernels.correlation_from_sums(cur.pixels.size, sums) < threshold:
             shots.append(Shot(shot_start, cur.index))
             shot_start = cur.index
-        prev = cur
+        prev, prev_x = cur, cur_x
     shots.append(Shot(shot_start, prev.index + 1))
     return shots
 

@@ -82,6 +82,15 @@ class TestDirectorySource:
         second = [f.pixels.tobytes() for f in open_source(spec).frames()]
         assert first == second
 
+    def test_frame_sides_bounded_above(self, tmp_path):
+        # the widest accepted frame streams; one pixel wider is an ingest error
+        self._write(tmp_path, "f0.pgm", np.zeros((MIN_DIMENSION, MAX_DIMENSION), dtype=np.uint8))
+        spec = SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path))
+        assert [f.width for f in open_source(spec).frames()] == [MAX_DIMENSION]
+        (tmp_path / "f0.pgm").write_bytes(b"P5 20000 8 255\n" + bytes(20000 * 8))
+        with pytest.raises(IngestError, match="f0.pgm: frame size 20000x8.*16384x16384"):
+            list(open_source(spec).frames())
+
 
 class TestRawSource:
     def test_exact_multiple_yields_frames(self):
@@ -153,11 +162,14 @@ class TestY4mSource:
             list(_iter_y4m(io.BytesIO(header)))
 
     # chroma bytes per frame of a 9x9 video, counted by hand: 4:2:0 planes are
-    # 5x5, 4:2:2 planes 5x9, 4:4:4 planes 9x9 (two planes each); None: rejected
+    # 5x5, 4:2:2 planes 5x9, 4:4:4 planes 9x9 (two planes each); None: rejected,
+    # including the high-bit-depth "p<bits>" variants
     @pytest.mark.parametrize("colorspace,chroma", [("420", 50), ("420jpeg", 50),
-                                                   ("420paldv", 50), ("422", 90),
-                                                   ("444", 162), ("mono", 0),
-                                                   ("444alpha", None), ("411", None)])
+                                                   ("420paldv", 50), ("420mpeg2", 50),
+                                                   ("422", 90), ("444", 162), ("mono", 0),
+                                                   ("444alpha", None), ("411", None),
+                                                   ("420p10", None), ("422p12", None),
+                                                   ("444p16", None)])
     def test_chroma_plane_sizes(self, colorspace, chroma):
         first, second = bytes(range(81)), bytes(range(100, 181))
         padding = bytes([7]) * (chroma or 0)

@@ -12,7 +12,7 @@ import pytest
 
 import entropykf
 from conftest import make_y4m
-from entropykf import synthetic
+from entropykf import kernels, synthetic
 from entropykf.cli import build_parser
 from entropykf.evaluation import EvaluationError
 from entropykf.ingest import IngestError, SourceKind, SourceSpec, write_pgm
@@ -226,6 +226,30 @@ class TestRunPipeline:
         assert len(results[0]["eliminations"]) == 1
         assert all(r == results[0] for r in results[1:])
 
+    def test_one_histogram_and_one_widening_per_frame(self, tmp_path, monkeypatch):
+        # counters rebind the module attributes, as the benchmark's tracer does,
+        # so they also check that every caller looks the kernels up at call time
+        textures = synthetic.make_textures(np.random.default_rng(41), 3, 32, 16)
+        planes = [textures[t] for t in (0, 1, 2, 0) for _ in range(12)]
+        (tmp_path / "video.raw").write_bytes(b"".join(px.tobytes() for px in planes))
+        calls = {name: 0 for name in ("histogram256", "widen", "pearson_sums")}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+        report = run_pipeline(PipelineConfig(
+            source=SourceSpec(kind="raw", path=str(tmp_path / "video.raw"), width=32, height=16),
+            output_dir=tmp_path / "out"))
+        total = report["total_frames"]
+        assert total == len(planes)
+        assert len(report["shots"]) == 4
+        assert calls == {"histogram256": total, "widen": total, "pearson_sums": total - 1}
+
     def test_bad_threshold_is_config_error(self, small_video, tmp_path):
         root, _ = small_video
         with pytest.raises(ConfigError):
@@ -403,6 +427,17 @@ class TestCli:
                       "--gt", str(gt))
         assert result.returncode == 4
         assert b"evaluation error" in result.stderr
+
+    def test_oversized_pgm_frame_exits_3(self, tmp_path):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "f0.pgm").write_bytes(b"P5 20000 8 255\n" + bytes(20000 * 8))
+        result = _cli("extract", "--input", str(frames), "--format", "pgm-dir",
+                      "--out", str(tmp_path / "o"))
+        assert result.returncode == 3
+        assert b"ingest error" in result.stderr and b"20000x8" in result.stderr
+        assert b"Traceback" not in result.stderr
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_bad_y4m_dimensions_exit_3(self, tmp_path):
         result = _cli("extract", "--input", "-", "--format", "y4m",

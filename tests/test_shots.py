@@ -60,11 +60,29 @@ class TestCorrelation:
         assert correlation(frame(0, a), frame(1, shifted)) == \
             correlation(frame(0, a), frame(1, b))
 
+    def test_frames_and_arrays_agree_bit_for_bit(self):
+        # a Frame brings its cached histogram, a bare array is histogrammed here
+        rng = np.random.default_rng(137)
+        for width, height in [(9, 13), (32, 32), (64, 48)]:
+            a = rand_pixels(rng, width, height)
+            noise = rng.integers(-40, 41, a.shape)
+            b = np.clip(a.astype(np.int16) + noise, 0, 255).astype(np.uint8)
+            r = correlation(frame(0, a), frame(1, b))
+            assert r.hex() == correlation(a, b).hex()
+
     def test_dimension_mismatch_names_both(self):
         a = frame(0, np.zeros((24, 32), dtype=np.uint8))
         b = frame(1, np.zeros((16, 16), dtype=np.uint8))
         with pytest.raises(ValueError, match=r"32x24.*16x16"):
             correlation(a, b)
+        with pytest.raises(ValueError, match=r"32x24.*16x16"):
+            detect_cuts(iter([a, b]))
+
+    def test_arrays_must_be_8_bit(self):
+        # the kernels read 256-level histograms, so wider samples are refused
+        a = np.zeros((8, 8), dtype=np.int16)
+        with pytest.raises(ValueError, match="uint8"):
+            correlation(a, a)
 
 
 def _texture_stream(blocks):
