@@ -41,7 +41,7 @@ class IngestError(Exception):
 # smallest frame width or height the 8x8 segment grid can split
 MIN_DIMENSION = 8
 # largest frame width or height; bounds the bytes read per frame and keeps
-# every pixel-product sum of a frame pair exact in float64 (kernels.pearson_sums)
+# every pixel-product sum of a frame pair far below 2**64 (kernels.pearson_sums)
 MAX_DIMENSION = 16384
 
 

@@ -55,8 +55,7 @@ def correlation(a: Frame, b: Frame) -> float:
     """
     a, b = (f if isinstance(f, Frame) else Frame(index=0, pixels=f) for f in (a, b))
     _check_same_size(a.pixels, b.pixels)
-    sums = kernels.pearson_sums(a.counts, b.counts,
-                                kernels.widen(a.pixels), kernels.widen(b.pixels))
+    sums = kernels.pearson_sums(a.counts, b.counts, a.pixels, b.pixels)
     return kernels.correlation_from_sums(a.pixels.size, sums)
 
 
@@ -65,8 +64,8 @@ def detect_cuts(frames: Iterable[Frame], threshold: float = DEFAULT_CUT_THRESHOL
     correlation (as ``correlation`` computes it) falls below the threshold.
 
     Only two frames are held at a time; the stream is never materialised.
-    Each frame's histogram comes from ``Frame.counts`` and each frame is
-    widened once, then reused as the previous frame of the next pair.
+    Each frame's histogram comes from ``Frame.counts``, and each frame is kept
+    as the previous frame of the next pair.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"cut threshold must be in (0, 1], got {threshold}")
@@ -75,17 +74,15 @@ def detect_cuts(frames: Iterable[Frame], threshold: float = DEFAULT_CUT_THRESHOL
         prev = next(it)
     except StopIteration:
         raise ValueError("cannot segment an empty frame stream") from None
-    prev_x = kernels.widen(prev.pixels)
     shots: list[Shot] = []
     shot_start = prev.index
     for cur in it:
         _check_same_size(prev.pixels, cur.pixels)
-        cur_x = kernels.widen(cur.pixels)
-        sums = kernels.pearson_sums(prev.counts, cur.counts, prev_x, cur_x)
+        sums = kernels.pearson_sums(prev.counts, cur.counts, prev.pixels, cur.pixels)
         if kernels.correlation_from_sums(cur.pixels.size, sums) < threshold:
             shots.append(Shot(shot_start, cur.index))
             shot_start = cur.index
-        prev, prev_x = cur, cur_x
+        prev = cur
     shots.append(Shot(shot_start, prev.index + 1))
     return shots
 

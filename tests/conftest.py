@@ -3,7 +3,9 @@
 The oracles deliberately avoid the library's kernels: counting is done
 per-pixel in Python, entropy by direct summation with math.log2, correlation
 by the textbook two-pass covariance quotient, and segmented entropy by
-materialising each segment as its own little image.
+materialising each segment as its own little image.  The numpy kernels the
+library had before its C kernels are kept here as oracles for frames too
+large for Python loops.
 """
 
 from __future__ import annotations
@@ -20,6 +22,30 @@ def histogram_oracle(pixels: np.ndarray) -> list[int]:
     for v in pixels.ravel().tolist():
         counts[v] += 1
     return counts
+
+
+def bincount_histogram(pixels: np.ndarray) -> np.ndarray:
+    """``kernels.histogram256`` in numpy."""
+    return np.bincount(pixels.ravel(), minlength=256).astype(np.int64)
+
+
+def blockwise_segment_histograms(pixels: np.ndarray, row_bounds, col_bounds) -> np.ndarray:
+    """``kernels.segment_histograms`` in numpy, one ``bincount`` per grid cell."""
+    counts = np.zeros((64, 256), dtype=np.int64)
+    for sy in range(8):
+        for sx in range(8):
+            block = pixels[row_bounds[sy]:row_bounds[sy + 1],
+                           col_bounds[sx]:col_bounds[sx + 1]]
+            counts[sy * 8 + sx] = np.bincount(block.ravel(), minlength=256)
+    return counts
+
+
+def int64_sums(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int, int]:
+    """``kernels.pearson_sums`` in int64 numpy: the five moments of a frame pair."""
+    x = a.ravel().astype(np.int64)
+    y = b.ravel().astype(np.int64)
+    return (int(x.sum()), int(y.sum()), int((x * x).sum()), int((y * y).sum()),
+            int(x @ y))
 
 
 def entropy_oracle(pixels: np.ndarray) -> float:

@@ -1,0 +1,103 @@
+"""How the C kernels are built and shipped.
+
+Each build test imports a copy of the package in its own interpreter, so the
+compile on first import, the cached library and the missing-compiler error are
+those of a fresh checkout, whatever this process has already imported.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from entropykf import kernels
+
+PACKAGE = Path(kernels.__file__).resolve().parent
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+
+
+def _copy_package(tmp_path: Path) -> Path:
+    root = tmp_path / "checkout"
+    shutil.copytree(PACKAGE, root / "entropykf", ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def _import(root: Path, path_env: str, *, check: bool = True) -> subprocess.CompletedProcess:
+    """Import the copied kernels in a fresh interpreter with PATH set to ``path_env``."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import entropykf.kernels"],
+        env={"PYTHONPATH": str(root), "PATH": path_env}, capture_output=True, text=True,
+        timeout=120)
+    if check:
+        assert done.returncode == 0, done.stderr
+    return done
+
+
+def _cache(root: Path) -> list[str]:
+    return sorted(p.name for p in (root / "entropykf" / "__pycache__").iterdir()
+                  if p.name.startswith("_kernels"))
+
+
+def _without_cc(tmp_path: Path) -> str:
+    empty = tmp_path / "no-compiler"
+    empty.mkdir(exist_ok=True)
+    return str(empty)
+
+
+def test_fresh_copy_compiles_once_then_reuses_the_cache(tmp_path):
+    root = _copy_package(tmp_path)
+    _import(root, os.environ["PATH"])
+    built = _cache(root)
+    assert len(built) == 1 and built[0].endswith(".so"), built
+    library = root / "entropykf" / "__pycache__" / built[0]
+    stamp = library.stat().st_mtime_ns
+    _import(root, _without_cc(tmp_path))
+    assert _cache(root) == built
+    assert library.stat().st_mtime_ns == stamp
+
+
+def test_concurrent_first_imports_leave_one_whole_library(tmp_path):
+    root = _copy_package(tmp_path)
+    env = {"PYTHONPATH": str(root), "PATH": os.environ["PATH"]}
+    code = ("import numpy as np, entropykf.kernels as k; "
+            "print(k.histogram256(np.arange(3, dtype=np.uint8))[:4])")
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    outputs = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], outputs
+    assert all(out.split() == ["[1", "1", "1", "0]"] for out, _ in outputs), outputs
+    built = _cache(root)
+    assert len(built) == 1 and built[0].endswith(".so"), built
+
+
+def test_no_compiler_and_no_cache_is_a_clear_import_error(tmp_path):
+    root = _copy_package(tmp_path)
+    done = _import(root, _without_cc(tmp_path), check=False)
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:"), done.stderr
+    assert "'cc'" in last
+    assert str(root / "entropykf" / "__pycache__") in last
+    assert "FileNotFoundError" not in done.stderr
+    assert "subprocess.py" not in done.stderr
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    done = subprocess.run(
+        [*kernels._COMPILE, "-std=c99", "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernels.so"), str(kernels._SOURCE)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_every_data_file_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    listed = set(tomllib.loads(PYPROJECT.read_text())["tool"]["setuptools"]["package-data"]
+                 ["entropykf"])
+    data = {str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*")
+            if p.is_file() and p.suffix != ".py" and "__pycache__" not in p.parts}
+    assert "_kernels.c" in data
+    assert data <= listed

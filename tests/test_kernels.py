@@ -1,20 +1,31 @@
-"""The correlation kernels: degenerate and clamped cases of the quotient, and
-the exact moments of ``pearson_sums`` against sums taken without the kernels;
-the other kernels are checked against independent oracles in test_entropy.py."""
+"""The C kernels against independent oracles, and the degenerate and clamped
+cases of the correlation quotient.
+
+Each C kernel is compared with the numpy body it replaced (kept in conftest as
+an oracle), and ``pearson_sums`` also with sums in Python ints, on odd shapes,
+non-contiguous views, flat 0 and 255 frames, an all-255 megapixel frame and
+hypothesis-drawn frames.  The entropy kernel is checked in test_entropy.py."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_pixels
+from conftest import bincount_histogram, blockwise_segment_histograms, int64_sums, rand_pixels
 from entropykf import kernels
+from entropykf.entropy import segment_bounds
+
+SHAPES = [(1, 1), (9, 13), (13, 9), (17, 31)]  # (width, height)
+VIEWS = {
+    "contiguous": lambda a: a,
+    "every-other-column": lambda a: a[:, ::2],
+    "transposed": lambda a: a.T,
+}
 
 
 def _sums(a, b):
     """pearson_sums over the arguments the pipeline passes for frames a and b."""
-    return kernels.pearson_sums(kernels.histogram256(a), kernels.histogram256(b),
-                                kernels.widen(a), kernels.widen(b))
+    return kernels.pearson_sums(kernels.histogram256(a), kernels.histogram256(b), a, b)
 
 
 def _python_sums(a, b):
@@ -24,12 +35,94 @@ def _python_sums(a, b):
             sum(p * q for p, q in zip(x, y)))
 
 
-def _int64_sums(a, b):
-    """The five moments in int64 numpy, for frames too large for Python loops."""
-    x = a.ravel().astype(np.int64)
-    y = b.ravel().astype(np.int64)
-    return (int(x.sum()), int(y.sum()), int((x * x).sum()), int((y * y).sum()),
-            int((x * y).sum()))
+def _grid(px):
+    return segment_bounds(px.shape[0]), segment_bounds(px.shape[1])
+
+
+@st.composite
+def _frames(draw, max_side=64):
+    """An arbitrary uint8 frame of 1..max_side pixels a side."""
+    height, width = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    data = draw(st.binary(min_size=width * height, max_size=width * height))
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+
+
+class TestHistogram256:
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("width,height", SHAPES)
+    def test_matches_bincount(self, width, height, view):
+        rng = np.random.default_rng(height * 100 + width)
+        for _ in range(5):
+            px = VIEWS[view](rand_pixels(rng, width, height))
+            assert np.array_equal(kernels.histogram256(px), bincount_histogram(px))
+
+    @pytest.mark.parametrize("level", [0, 255])
+    @pytest.mark.parametrize("width,height", SHAPES)
+    def test_flat_frames(self, width, height, level):
+        px = np.full((height, width), level, dtype=np.uint8)
+        assert np.array_equal(kernels.histogram256(px), bincount_histogram(px))
+
+    def test_all_255_megapixel_frame(self):
+        px = np.full((1024, 1024), 255, dtype=np.uint8)
+        counts = kernels.histogram256(px)
+        assert counts[255] == 1024 * 1024
+        assert np.array_equal(counts, bincount_histogram(px))
+
+    def test_rejects_wider_pixels(self):
+        with pytest.raises(ValueError, match="uint8"):
+            kernels.histogram256(np.zeros((8, 8), dtype=np.uint16))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_frames())
+    def test_matches_bincount_on_arbitrary_frames(self, px):
+        assert np.array_equal(kernels.histogram256(px), bincount_histogram(px))
+
+
+class TestSegmentHistograms:
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("width,height", SHAPES)
+    def test_matches_blockwise_bincount(self, width, height, view):
+        rng = np.random.default_rng(height * 100 + width)
+        for _ in range(5):
+            px = VIEWS[view](rand_pixels(rng, width, height))
+            assert np.array_equal(kernels.segment_histograms(px, *_grid(px)),
+                                  blockwise_segment_histograms(px, *_grid(px)))
+
+    @pytest.mark.parametrize("level", [0, 255])
+    @pytest.mark.parametrize("width,height", SHAPES)
+    def test_flat_frames(self, width, height, level):
+        px = np.full((height, width), level, dtype=np.uint8)
+        assert np.array_equal(kernels.segment_histograms(px, *_grid(px)),
+                              blockwise_segment_histograms(px, *_grid(px)))
+
+    def test_all_255_megapixel_frame(self):
+        px = np.full((1024, 1024), 255, dtype=np.uint8)
+        counts = kernels.segment_histograms(px, *_grid(px))
+        assert (counts[:, 255] == 128 * 128).all()
+        assert np.array_equal(counts, blockwise_segment_histograms(px, *_grid(px)))
+
+    @pytest.mark.parametrize("rows", [
+        [0, 1, 2, 3, 4, 5, 6, 7],            # eight cut points, not nine
+        [0, 1, 2, 3, 5, 4, 6, 7, 8],         # decreasing
+        [0, 1, 2, 3, 4, 5, 6, 7, 9],         # past the last row
+        [-1, 1, 2, 3, 4, 5, 6, 7, 8],        # before the first row
+    ])
+    def test_rejects_cut_points_outside_the_frame(self, rows):
+        px = np.zeros((8, 8), dtype=np.uint8)
+        with pytest.raises(ValueError, match="cut points"):
+            kernels.segment_histograms(px, np.array(rows), segment_bounds(8))
+        with pytest.raises(ValueError, match="cut points"):
+            kernels.segment_histograms(px, segment_bounds(8), np.array(rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_blockwise_bincount_on_arbitrary_grids(self, data):
+        px = data.draw(_frames())
+        rows, cols = (np.array(sorted(data.draw(st.lists(st.integers(0, n), min_size=9,
+                                                         max_size=9))))
+                      for n in px.shape)
+        assert np.array_equal(kernels.segment_histograms(px, rows, cols),
+                              blockwise_segment_histograms(px, rows, cols))
 
 
 class TestCorrelationFromSums:
@@ -72,6 +165,15 @@ class TestPearsonSums:
             b = rand_pixels(rng, width, height)
             assert _sums(a, b) == _python_sums(a, b)
 
+    @pytest.mark.parametrize("view", [v for v in VIEWS if v != "contiguous"])
+    @pytest.mark.parametrize("width,height", SHAPES)
+    def test_views_match_python_ints(self, width, height, view):
+        rng = np.random.default_rng(width * 100 + height)
+        for _ in range(5):
+            a = VIEWS[view](rand_pixels(rng, width, height))
+            b = VIEWS[view](rand_pixels(rng, width, height))
+            assert _sums(a, b) == _python_sums(a, b)
+
     @pytest.mark.parametrize("va,vb", [(0, 0), (255, 255), (0, 255), (255, 0)])
     def test_flat_extremes_match_python_ints(self, va, vb):
         a = np.full((9, 13), va, dtype=np.uint8)
@@ -79,17 +181,30 @@ class TestPearsonSums:
         assert _sums(a, b) == _python_sums(a, b)
 
     def test_all_255_megapixel_pair_is_exact(self):
-        # the largest product per pixel, over a million pixels
+        # the largest product per pixel, over a million pixels: sixteen of the
+        # 65,536-product blocks in which Σab is summed
         a = np.full((1024, 1024), 255, dtype=np.uint8)
-        expected = _int64_sums(a, a)
+        expected = int64_sums(a, a)
         assert expected[4] == 255 * 255 * 1024 * 1024
         assert _sums(a, a) == expected
+
+    @pytest.mark.parametrize("width,height", [(256, 256), (257, 256), (255, 256)])
+    def test_all_255_pairs_at_a_block_edge_are_exact(self, width, height):
+        # exactly one block of Σab, one block and a tail, one block short
+        a = np.full((height, width), 255, dtype=np.uint8)
+        assert _sums(a, a) == int64_sums(a, a)
 
     def test_large_random_pair_matches_int64(self):
         rng = np.random.default_rng(131)
         a = rand_pixels(rng, 640, 480)
         b = rand_pixels(rng, 640, 480)
-        assert _sums(a, b) == _int64_sums(a, b)
+        assert _sums(a, b) == int64_sums(a, b)
+
+    def test_rejects_frames_of_different_sizes(self):
+        a = np.zeros((8, 8), dtype=np.uint8)
+        b = np.zeros((8, 9), dtype=np.uint8)
+        with pytest.raises(ValueError, match="differ in size"):
+            kernels.pearson_sums(kernels.histogram256(a), kernels.histogram256(b), a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 64), st.integers(1, 64), st.data())

@@ -226,13 +226,13 @@ class TestRunPipeline:
         assert len(results[0]["eliminations"]) == 1
         assert all(r == results[0] for r in results[1:])
 
-    def test_one_histogram_and_one_widening_per_frame(self, tmp_path, monkeypatch):
+    def test_one_kernel_call_per_frame_pair_and_candidate(self, tmp_path, monkeypatch):
         # counters rebind the module attributes, as the benchmark's tracer does,
         # so they also check that every caller looks the kernels up at call time
         textures = synthetic.make_textures(np.random.default_rng(41), 3, 32, 16)
         planes = [textures[t] for t in (0, 1, 2, 0) for _ in range(12)]
         (tmp_path / "video.raw").write_bytes(b"".join(px.tobytes() for px in planes))
-        calls = {name: 0 for name in ("histogram256", "widen", "pearson_sums")}
+        calls = {name: 0 for name in ("histogram256", "pearson_sums", "segment_histograms")}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -242,13 +242,16 @@ class TestRunPipeline:
 
         for name in calls:
             monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+        # 12-frame shots miss the bin gate, so the fallback gives each shot a candidate
         report = run_pipeline(PipelineConfig(
             source=SourceSpec(kind="raw", path=str(tmp_path / "video.raw"), width=32, height=16),
-            output_dir=tmp_path / "out"))
+            output_dir=tmp_path / "out", fallback_keyframe=True))
         total = report["total_frames"]
         assert total == len(planes)
         assert len(report["shots"]) == 4
-        assert calls == {"histogram256": total, "widen": total, "pearson_sums": total - 1}
+        assert len(report["candidates"]) == 4
+        assert calls == {"histogram256": total, "pearson_sums": total - 1,
+                         "segment_histograms": len(report["candidates"])}
 
     def test_bad_threshold_is_config_error(self, small_video, tmp_path):
         root, _ = small_video
