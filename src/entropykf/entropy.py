@@ -74,23 +74,36 @@ def segmented_entropies(frame) -> np.ndarray:
     rows = segment_bounds(h)
     cols = segment_bounds(w)
     counts = kernels.segment_histograms(px, rows, cols)
-    out = np.empty(64, dtype=np.float64)
-    for s in range(64):
-        sy, sx = divmod(s, SEGMENT_GRID)
-        n = int(rows[sy + 1] - rows[sy]) * int(cols[sx + 1] - cols[sx])
-        out[s] = kernels.entropy_from_counts(counts[s], n)
+    present = counts > 0
+    levels = np.count_nonzero(present, axis=1)
+    # One division and one log2 over the non-zero levels of all 64 cells.  In
+    # row-major order each cell's terms are one contiguous run, reduced on its
+    # own so that numpy's pairwise sum adds the same values in the same order
+    # as kernels.entropy_from_counts does for one histogram (np.add.reduceat
+    # sums in another order and differs in the last bits).
+    sizes = np.outer(np.diff(rows), np.diff(cols)).ravel()
+    p = np.extract(present, counts) / np.repeat(sizes, levels)
+    terms = p * np.log2(p)
+    ends = np.cumsum(levels).tolist()
+    out = -np.array([np.add.reduce(terms[start:end]) for start, end in zip([0, *ends], ends)])
+    out[out < 0.0] = 0.0
+    out[out > 8.0] = 8.0
     return out
 
 
-def dissimilarity(a: np.ndarray, b: np.ndarray) -> float:
+def dissimilarity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Standard deviation of the per-segment entropy differences b - a.
 
     Zero means the two frames differ by at most a uniform entropy shift;
     larger values mean the local entropy structure diverges.  Symmetric in
-    its arguments.
+    its arguments when both are 64-vectors.  ``a`` may also be a (k, 64)
+    stack, giving the k SDs of b against each row, each bit-identical to the
+    SD of that row alone.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != (64,) or b.shape != (64,):
-        raise ValueError(f"expected two 64-vectors, got shapes {a.shape} and {b.shape}")
-    return float(np.std(b - a))
+    if a.ndim not in (1, 2) or a.shape[-1] != 64 or b.shape != (64,):
+        raise ValueError(f"expected a 64-vector or a (k, 64) stack and a 64-vector, "
+                         f"got shapes {a.shape} and {b.shape}")
+    sd = np.std(b - a, axis=-1)
+    return float(sd) if a.ndim == 1 else sd

@@ -92,25 +92,26 @@ def dedup_detailed(candidates: Sequence[KeyFrame],
 
     Candidates must be sorted by frame index.  Each candidate is compared
     against the earlier survivors; if any dissimilarity is at or below the
-    threshold, the later frame is eliminated.  Comparing only against
-    survivors makes the scan idempotent.
+    threshold, the later frame is eliminated as a duplicate of the earliest
+    such survivor, at that survivor's SD.  One ``dissimilarity`` call per
+    candidate scores it against the whole survivor stack.  Comparing only
+    against survivors makes the scan idempotent.
     """
     if sd_threshold < 0:
         raise ValueError(f"sd threshold must be non-negative, got {sd_threshold}")
     survivors: list[KeyFrame] = []
     eliminations: list[Elimination] = []
+    # the survivors' segment vectors, row i for survivors[i]
+    kept = np.empty((len(candidates), 64), dtype=np.float64)
     for cand in candidates:
-        duplicate_of = None
-        sd_found = 0.0
-        for kept in survivors:
-            sd = dissimilarity(kept.segments, cand.segments)
-            if sd <= sd_threshold:
-                duplicate_of, sd_found = kept, sd
-                break
-        if duplicate_of is None:
-            survivors.append(cand)
-        else:
+        sds = dissimilarity(kept[:len(survivors)], cand.segments)
+        hits = np.flatnonzero(sds <= sd_threshold)
+        if hits.size:
+            first = hits[0]
             eliminations.append(Elimination(eliminated=cand.frame_index,
-                                            kept=duplicate_of.frame_index,
-                                            sd=sd_found))
+                                            kept=survivors[first].frame_index,
+                                            sd=float(sds[first])))
+        else:
+            kept[len(survivors)] = cand.segments
+            survivors.append(cand)
     return survivors, eliminations

@@ -367,7 +367,7 @@ class _StreamSource:
             self._shape = frame.pixels.shape
             if self._spool is not None:
                 offset = self._spool.tell()
-                self._spool.write(frame.pixels.tobytes())
+                self._spool.write(frame.pixels)
             self._offsets.append(offset)
             yield frame
         if not self._offsets:

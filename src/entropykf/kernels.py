@@ -100,8 +100,8 @@ def entropy_from_counts(counts: np.ndarray, total: int) -> float:
     Zero-count levels contribute nothing; the result is clamped to [0, 8] to
     absorb last-ulp summation noise at the boundaries.
     """
-    nz = counts[counts > 0]
-    en = float(-np.sum((nz / total) * np.log2(nz / total)))
+    p = counts[counts > 0] / total
+    en = float(-np.sum(p * np.log2(p)))
     if en < 0.0:
         return 0.0
     if en > 8.0:

@@ -15,6 +15,7 @@ report verifies.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import math
 import re
@@ -98,6 +99,16 @@ def _candidate_dict(kf: KeyFrame) -> dict:
 
 def load_report_schema() -> dict:
     return json.loads(resources.files("entropykf").joinpath("report_schema.json").read_text())
+
+
+@functools.cache
+def _report_validator() -> jsonschema.protocols.Validator:
+    """The report schema's validator, built and meta-schema checked once per
+    process, on first use rather than at import."""
+    schema = load_report_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def analyse(source, cut_threshold: float,
@@ -189,7 +200,7 @@ def write_report(config: PipelineConfig, out_dir: Path, results: dict) -> dict:
         "ground_truth": None if config.ground_truth is None else str(config.ground_truth),
     }
     report.update(results)
-    jsonschema.validate(report, load_report_schema())
+    _report_validator().validate(report)
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
 
