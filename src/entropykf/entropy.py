@@ -86,7 +86,7 @@ def segmented_entropies(frame) -> np.ndarray:
     terms = p * np.log2(p)
     ends = np.cumsum(levels).tolist()
     out = -np.array([np.add.reduce(terms[start:end]) for start, end in zip([0, *ends], ends)])
-    out[out < 0.0] = 0.0
+    out[out <= 0.0] = 0.0  # as in entropy_from_counts: no -0.0
     out[out > 8.0] = 8.0
     return out
 

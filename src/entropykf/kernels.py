@@ -98,11 +98,12 @@ def entropy_from_counts(counts: np.ndarray, total: int) -> float:
     """Shannon entropy in bits of the distribution counts/total.
 
     Zero-count levels contribute nothing; the result is clamped to [0, 8] to
-    absorb last-ulp summation noise at the boundaries.
+    absorb last-ulp summation noise at the boundaries, and a single-level
+    histogram, whose one term is 0.0, gives 0.0 rather than -0.0.
     """
     p = counts[counts > 0] / total
     en = float(-np.sum(p * np.log2(p)))
-    if en < 0.0:
+    if en <= 0.0:
         return 0.0
     if en > 8.0:
         return 8.0

@@ -3,9 +3,10 @@
 The oracles deliberately avoid the library's kernels: counting is done
 per-pixel in Python, entropy by direct summation with math.log2, correlation
 by the textbook two-pass covariance quotient, and segmented entropy by
-materialising each segment as its own little image.  The numpy kernels the
-library had before its C kernels are kept here as oracles for frames too
-large for Python loops.
+materialising each segment as its own little image, and dedup by one
+scalar SD per candidate-survivor pair.  The numpy kernels the library had
+before its C kernels are kept here as oracles for frames too large for
+Python loops.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from entropykf.extraction import Elimination
 from entropykf.ingest import Frame
 
 
@@ -75,6 +77,23 @@ def segmented_oracle(pixels: np.ndarray) -> np.ndarray:
             block = np.ascontiguousarray(pixels[rows[sy], cols[sx]])
             out[sy * 8 + sx] = frame_entropy(block)
     return out
+
+
+def dedup_oracle(candidates, sd_threshold: float):
+    """``extraction.dedup_detailed`` as one scalar SD per pair: each candidate
+    against each earlier survivor in turn, stopping at the first within the
+    threshold."""
+    survivors, eliminations = [], []
+    for cand in candidates:
+        for kept in survivors:
+            sd = float(np.std(np.asarray(cand.segments) - np.asarray(kept.segments)))
+            if sd <= sd_threshold:
+                eliminations.append(Elimination(eliminated=cand.frame_index,
+                                                kept=kept.frame_index, sd=sd))
+                break
+        else:
+            survivors.append(cand)
+    return survivors, eliminations
 
 
 def correlation_oracle(a: np.ndarray, b: np.ndarray) -> float:

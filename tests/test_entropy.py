@@ -41,6 +41,12 @@ class TestEntropy:
         px = np.full((6, 6), 7, dtype=np.uint8)
         assert frame_entropy(px) == 0.0
 
+    def test_flat_frame_is_positive_zero(self):
+        # the single non-zero term is 0.0, so the raw sum negates to -0.0
+        for level in (0, 7, 255):
+            en = frame_entropy(np.full((9, 11), level, dtype=np.uint8))
+            assert en == 0.0 and math.copysign(1.0, en) == 1.0
+
     def test_fair_binary_source_is_one_bit(self):
         px = np.array([[0, 0], [255, 255]], dtype=np.uint8)
         assert frame_entropy(px) == 1.0
@@ -123,6 +129,31 @@ class TestSegmentedEntropies:
         px = rand_pixels(rng, 100, 60)
         assert np.array_equal(segmented_entropies(px), segmented_oracle(px))
 
+    def test_flat_frame_segments_are_positive_zero(self):
+        seg = segmented_entropies(np.full((17, 23), 200, dtype=np.uint8))
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in seg.tolist())
+
+    @pytest.mark.parametrize("height,width", [(8, 8), (9, 8), (8, 15), (13, 21), (61, 45),
+                                              (120, 160), (255, 63)])
+    def test_bitwise_equal_to_oracle(self, height, width):
+        rng = np.random.default_rng(height * 1000 + width)
+        for levels in (1, 2, 5, 256):
+            px = rand_pixels(rng, width, height, levels=levels)
+            assert segmented_entropies(px).tobytes() == segmented_oracle(px).tobytes()
+
+    def test_bitwise_equal_to_oracle_with_flat_cells(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            h, w = (int(v) for v in rng.integers(8, 70, 2))
+            px = rand_pixels(rng, w, h, levels=int(rng.integers(2, 257)))
+            # flatten a random block of rows and columns, covering whole and part cells
+            y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+            px[y0:y0 + int(rng.integers(1, h)), x0:x0 + int(rng.integers(1, w))] = \
+                int(rng.integers(0, 256))
+            seg = segmented_entropies(px)
+            assert seg.tobytes() == segmented_oracle(px).tobytes()
+            assert np.all(seg >= 0.0) and np.all(seg <= 8.0)
+
     def test_non_divisible_dimensions_remainder_goes_last(self):
         bounds = segment_bounds(60)
         assert bounds.tolist() == [0, 7, 14, 21, 28, 35, 42, 49, 60]
@@ -183,3 +214,26 @@ class TestDissimilarity:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             dissimilarity(np.zeros(63), np.zeros(64))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((64,), (63,)), ((3, 63), (64,)), ((64,), (3, 64)), ((2, 3, 64), (64,)),
+        ((), (64,)), ((64, 3), (64,)), ((3, 64), (3, 64))])
+    def test_rejects_bad_shapes(self, a_shape, b_shape):
+        with pytest.raises(ValueError):
+            dissimilarity(np.zeros(a_shape), np.zeros(b_shape))
+
+    def test_stack_rows_equal_pairwise_calls_bitwise(self):
+        rng = np.random.default_rng(37)
+        for k in (1, 2, 7, 64, 400):
+            stack = rng.uniform(0, 8, (k, 64))
+            b = rng.uniform(0, 8, 64)
+            row = dissimilarity(stack, b)
+            assert row.shape == (k,) and row.dtype == np.float64
+            for i in range(k):
+                assert row[i].tobytes() == np.float64(dissimilarity(stack[i], b)).tobytes()
+
+    def test_empty_stack_gives_empty_row(self):
+        assert dissimilarity(np.empty((0, 64)), np.zeros(64)).shape == (0,)
+
+    def test_one_dimensional_pair_returns_float(self):
+        assert type(dissimilarity(np.zeros(64), np.ones(64))) is float

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import entropy_oracle, frame, rand_pixels, uniform_level_pixels
+from conftest import dedup_oracle, entropy_oracle, frame, rand_pixels, uniform_level_pixels
+from entropykf import extraction
 from entropykf.entropy import frame_entropy, modified_entropy
 from entropykf.extraction import (EntropyBin, KeyFrame, bin_indexed_keys,
                                   dedup_detailed, fallback_pick, select_keyframes)
@@ -191,6 +192,78 @@ class TestDedup:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
             dedup_detailed([], -0.1)
+
+
+def _assert_dedup_matches_oracle(cands, threshold):
+    """Same survivors (the very objects), same eliminations, same SD bits."""
+    survivors, eliminations = dedup_detailed(cands, threshold)
+    want_survivors, want_eliminations = dedup_oracle(cands, threshold)
+    assert [id(k) for k in survivors] == [id(k) for k in want_survivors]
+    assert [(e.eliminated, e.kept) for e in eliminations] == \
+        [(e.eliminated, e.kept) for e in want_eliminations]
+    assert [np.float64(e.sd).tobytes() for e in eliminations] == \
+        [np.float64(e.sd).tobytes() for e in want_eliminations]
+    return survivors, eliminations
+
+
+class TestDedupMatchesScalarOracle:
+    def test_zero_one_and_many_survivors(self):
+        rng = np.random.default_rng(241)
+        assert _assert_dedup_matches_oracle([], 0.15) == ([], [])
+        one = [_keyframe(0, rng.uniform(0, 8, 64))]
+        assert _assert_dedup_matches_oracle(one, 0.15) == (one, [])
+        distinct = [_keyframe(i, rng.uniform(0, 8, 64)) for i in range(80)]
+        survivors, _ = _assert_dedup_matches_oracle(distinct, 0.15)
+        assert len(survivors) == 80
+        # eighth-steps keep every shift exact, so each copy is at SD exactly 0
+        base = rng.integers(0, 60, 64) / 8.0
+        copies = [_keyframe(i, base + i / 8) for i in range(20)]
+        survivors, eliminations = _assert_dedup_matches_oracle(copies, 0.0)
+        assert len(survivors) == 1 and len(eliminations) == 19
+
+    def test_ties_at_the_threshold_are_eliminated(self):
+        rng = np.random.default_rng(251)
+        ties = 0
+        for _ in range(60):
+            pool = [rng.uniform(0, 8, 64) for _ in range(int(rng.integers(1, 8)))]
+            cands = []
+            for i in range(int(rng.integers(2, 40))):
+                seg = pool[int(rng.integers(0, len(pool)))]
+                if rng.random() < 0.6:
+                    seg = seg + rng.uniform(-0.2, 0.2, 64)
+                cands.append(_keyframe(i, seg))
+            # the threshold is the exact SD of one candidate pair, so that pair ties
+            i, j = (int(v) for v in rng.choice(len(cands), 2, replace=False))
+            threshold = float(np.std(cands[j].segments - cands[i].segments))
+            _, eliminations = _assert_dedup_matches_oracle(cands, threshold)
+            ties += sum(e.sd == threshold for e in eliminations)
+        assert ties > 0
+
+    def test_zero_threshold(self):
+        rng = np.random.default_rng(257)
+        for _ in range(30):
+            pool = [rng.uniform(0, 8, 64) for _ in range(3)]
+            cands = []
+            for i in range(25):
+                seg = pool[int(rng.integers(0, 3))].copy()
+                if rng.random() < 0.3:
+                    seg[int(rng.integers(0, 64))] += 1e-9
+                cands.append(_keyframe(i, seg))
+            _, eliminations = _assert_dedup_matches_oracle(cands, 0.0)
+            assert all(e.sd == 0.0 for e in eliminations)
+
+    def test_one_dissimilarity_call_per_candidate(self, monkeypatch):
+        # the scan looks dissimilarity up at call time, where a tracer can wrap it
+        rng = np.random.default_rng(263)
+        calls = []
+        real = extraction.dissimilarity
+        monkeypatch.setattr(extraction, "dissimilarity",
+                            lambda a, b: calls.append(len(a)) or real(a, b))
+        seg = rng.uniform(0, 8, 64)
+        cands = [_keyframe(i, seg + (i % 3) * rng.uniform(0, 1, 64)) for i in range(9)]
+        dedup_detailed(cands, 0.15)
+        assert len(calls) == 9
+        assert calls[0] == 0  # the first candidate meets an empty stack
 
 
 class TestBinIndexedKeys:

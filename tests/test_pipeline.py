@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,13 +12,13 @@ import numpy as np
 import pytest
 
 import entropykf
-from conftest import make_y4m
-from entropykf import kernels, synthetic
+from conftest import dedup_oracle, make_y4m, segmented_oracle
+from entropykf import kernels, pipeline, synthetic
 from entropykf.cli import build_parser
 from entropykf.evaluation import EvaluationError
 from entropykf.ingest import IngestError, SourceKind, SourceSpec, write_pgm
 from entropykf.pipeline import (ConfigError, PipelineConfig,
-                                load_report_schema, run_pipeline)
+                                load_report_schema, run_pipeline, write_report)
 
 
 def _config(src_dir, out_dir, **kwargs):
@@ -281,13 +282,77 @@ class TestRunPipeline:
             run_pipeline(_config(src, tmp_path / "out"))
 
 
-def _cli(*args, **kwargs):
-    # the CLI process imports the same entropykf as this one, however that was found
+def _recurring_raw(path: Path, width: int = 64, height: int = 48) -> SourceSpec:
+    """30 scenes of 24 frames from 10 textures, each texture at least once,
+    with 2 noise frames between scenes, as one raw file."""
+    rng = np.random.default_rng(3)
+    textures = synthetic.make_textures(rng, 10, width, height)
+    order = [*range(10), *(int(t) for t in rng.integers(0, 10, 20))]
+    rng.shuffle(order)
+    with open(path, "wb") as out:
+        for i, texture in enumerate(order):
+            if i:
+                out.write(rng.integers(0, 256, (2, height, width), dtype=np.uint8).tobytes())
+            out.write(textures[texture].tobytes() * 24)
+    return SourceSpec(kind=SourceKind.RAW, path=str(path), width=width, height=height)
+
+
+class TestReportExactness:
+    def test_report_bytes_equal_the_scalar_oracles(self, tmp_path, monkeypatch):
+        # a performance change to the candidate stage must leave every byte as it was
+        config = PipelineConfig(source=_recurring_raw(tmp_path / "video.raw"),
+                                output_dir=tmp_path / "out", seed_report=True)
+        report = run_pipeline(config)
+        assert len(report["candidates"]) >= 20 and len(report["eliminations"]) >= 10
+        shipped = (tmp_path / "out" / "report.json").read_bytes()
+        monkeypatch.setattr(pipeline, "segmented_entropies", segmented_oracle)
+        monkeypatch.setattr(pipeline, "dedup_detailed", dedup_oracle)
+        run_pipeline(config)
+        assert (tmp_path / "out" / "report.json").read_bytes() == shipped
+
+    def test_no_negative_zero_in_the_report(self, tmp_path):
+        report = run_pipeline(PipelineConfig(source=_recurring_raw(tmp_path / "video.raw"),
+                                             output_dir=tmp_path / "out", seed_report=True))
+        values = [v for kf in report["keyframes"] for v in (kf["global_entropy"], *kf["segments"])]
+        assert 0.0 in values
+        assert all(math.copysign(1.0, v) == 1.0 for v in values)
+
+
+class TestReportValidator:
+    def test_shipped_schema_passes_its_meta_schema(self):
+        schema = load_report_schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+        assert pipeline._report_validator().schema == schema
+
+    def test_one_validator_per_process(self):
+        assert pipeline._report_validator() is pipeline._report_validator()
+
+    def test_invalid_report_raises_and_writes_nothing(self, small_video, tmp_path):
+        root, _ = small_video
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(jsonschema.ValidationError):
+            write_report(_config(root / "frames", out), out, {"total_frames": -1})
+        assert not (out / "report.json").exists()
+
+    def test_import_does_not_build_the_validator(self):
+        code = ("import entropykf.pipeline as p, entropykf.cli\n"
+                "assert p._report_validator.cache_info().currsize == 0\n")
+        done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+
+def _src_env() -> dict:
+    # a child process imports the same entropykf as this one, however that was found
     src = str(Path(entropykf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "entropykf.cli", *args],
-                          capture_output=True, env=env, **kwargs)
+                          capture_output=True, env=_src_env(), **kwargs)
 
 
 class TestCli:
