@@ -201,7 +201,11 @@ def write_report(config: PipelineConfig, out_dir: Path, results: dict) -> dict:
     }
     report.update(results)
     _report_validator().validate(report)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    with open(out_dir / "report.json", "w") as out:
+        # streamed: a string of the whole report would add about six times
+        # its size to the peak memory of a run
+        json.dump(report, out, indent=2)
+        out.write("\n")
     return report
 
 

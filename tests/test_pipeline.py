@@ -305,6 +305,7 @@ class TestReportExactness:
         report = run_pipeline(config)
         assert len(report["candidates"]) >= 20 and len(report["eliminations"]) >= 10
         shipped = (tmp_path / "out" / "report.json").read_bytes()
+        assert shipped == (json.dumps(report, indent=2) + "\n").encode()
         monkeypatch.setattr(pipeline, "segmented_entropies", segmented_oracle)
         monkeypatch.setattr(pipeline, "dedup_detailed", dedup_oracle)
         run_pipeline(config)
