@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--frames-per-scene", type=int, default=997,
                      help="frames per scene segment (default 997)")
     gen.add_argument("--size", type=_parse_size, default=(320, 240),
-                     help="frame size as WxH (default 320x240)")
+                     help="frame size as WxH, each side 8..16384 (default 320x240)")
     gen.add_argument("--seed", type=int, default=0, help="RNG seed")
     gen.add_argument("--fade-frames", type=int, default=synthetic.DEFAULT_FADE_FRAMES,
                      help="noise frames between segments (default 4)")

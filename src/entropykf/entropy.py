@@ -12,31 +12,20 @@ import math
 import numpy as np
 
 from . import kernels
-from .ingest import Frame
+from .ingest import _as_frame
 
 SEGMENT_GRID = 8  # frames are split into an 8x8 grid, 64 segments
-
-
-def _pixels_of(frame) -> np.ndarray:
-    """Accept either a Frame or a bare 2-D uint8 array."""
-    px = getattr(frame, "pixels", frame)
-    px = np.asarray(px)
-    if px.ndim != 2:
-        raise ValueError(f"expected a 2-D intensity grid, got shape {px.shape}")
-    if px.dtype != np.uint8:
-        raise ValueError(f"expected uint8 intensities, got dtype {px.dtype}")
-    return px
 
 
 def frame_entropy(frame) -> float:
     """Shannon entropy of the frame's grey-level distribution, in bits.
 
     Levels with zero probability contribute nothing; the result lies in
-    [0, 8] for 8-bit frames.  A ``Frame`` reuses its cached histogram.
+    [0, 8] for 8-bit frames.  Takes a ``Frame``, whose cached histogram it
+    reuses, or a bare 2-D uint8 array.
     """
-    px = _pixels_of(frame)
-    counts = frame.counts if isinstance(frame, Frame) else kernels.histogram256(px)
-    return kernels.entropy_from_counts(counts, px.size)
+    frame = _as_frame(frame)
+    return kernels.entropy_from_counts(frame.counts, frame.pixels.size)
 
 
 def modified_entropy(en: float) -> int:
@@ -64,9 +53,9 @@ def segmented_entropies(frame) -> np.ndarray:
 
     Returns 64 values in row-major grid order.  Each segment's entropy is
     normalised by that segment's own pixel count.  Frames smaller than 8x8
-    cannot be segmented.
+    cannot be segmented.  Takes a ``Frame`` or a bare 2-D uint8 array.
     """
-    px = _pixels_of(frame)
+    px = _as_frame(frame).pixels
     h, w = px.shape
     if h < SEGMENT_GRID or w < SEGMENT_GRID:
         raise ValueError(f"frame {w}x{h} is below the {SEGMENT_GRID}x{SEGMENT_GRID} minimum "

@@ -9,11 +9,17 @@ is identified over total frames (smaller is better).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 DEFAULT_MATCH_WINDOW = 12
+
+# a ground-truth line: one frame index, or the "total_frames=N" header; 18
+# digits are more than any video needs and fewer than int() refuses, and a
+# minus sign is read so that GroundTruth names the value as out of range
+_GT_LINE = re.compile(r"(?P<header>total_frames\s*=\s*)?(?P<value>-?[0-9]{1,18})")
 
 
 class EvaluationError(Exception):
@@ -63,9 +69,10 @@ class EvalReport:
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
-    """Parse a ground-truth file: a "total_frames=N" header, then one frame
-    index per line.  Blank lines and #-comments are ignored; indices may
-    appear in any order but must be unique and inside the video."""
+    """Parse a ground-truth file: exactly one "total_frames=N" header and one
+    frame index per line, both ASCII decimals.  Blank lines and
+    #-comments are ignored; indices may appear in any order but must be unique
+    and inside the video."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -77,17 +84,16 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("total_frames"):
-            _, _, value = line.partition("=")
-            try:
-                total_frames = int(value.strip())
-            except ValueError:
-                raise EvaluationError(f"{path}:{lineno}: bad total_frames line {raw!r}") from None
-            continue
-        try:
-            indices.append(int(line))
-        except ValueError:
-            raise EvaluationError(f"{path}:{lineno}: expected a frame index, got {raw!r}") from None
+        entry = _GT_LINE.fullmatch(line)
+        if entry is None:
+            raise EvaluationError(f"{path}:{lineno}: expected a frame index or "
+                                  f"'total_frames=N' in ASCII decimals, got {raw!r}")
+        if entry["header"] is None:
+            indices.append(int(entry["value"]))
+        elif total_frames is None:
+            total_frames = int(entry["value"])
+        else:
+            raise EvaluationError(f"{path}:{lineno}: a second 'total_frames' line {raw!r}")
     if total_frames is None:
         raise EvaluationError(f"{path}: missing required header line 'total_frames=N'")
     if len(set(indices)) != len(indices):

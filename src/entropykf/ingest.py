@@ -8,13 +8,16 @@ here: ``frames()`` yields at least one frame, all of one size and each
 side in ``MIN_DIMENSION..MAX_DIMENSION`` pixels, or raises ``IngestError``.
 A size declared up front, by a raw ``SourceSpec`` or a Y4M header, is
 checked against the same range before any frame is read; only raw specs
-take one.  Y4M input must have 8-bit samples.  A PGM
-directory re-reads the i-th file.  Raw and Y4M streams share one
-random-access path: the parser records each frame's Y-plane byte offset, and
-``read_frame`` seeks there in the input file, or, for stdin, in a spool file
-of the Y planes written as they stream.  Container decoding is out of scope;
-compressed video is piped in as raw gray or Y4M (see README for the ffmpeg
-recipes).
+take one.  A PGM header may hold "#" comments, each running through its
+line end, between its fields and after maxval; exactly one whitespace byte
+then precedes the raster.  Y4M input must have 8-bit samples, and each
+frame opens with a line that is ``FRAME`` alone or ``FRAME``, a space and
+parameters.  A PGM directory re-reads the i-th file.  Raw and Y4M streams
+share one random-access path: the parser records each frame's Y-plane byte
+offset, and ``read_frame`` seeks there in the input file, or, for stdin, in
+a spool file of the Y planes written as they stream.  Container decoding
+is out of scope; compressed video is piped in as raw gray or Y4M (see
+README for the ffmpeg recipes).
 """
 
 from __future__ import annotations
@@ -107,46 +110,42 @@ class Frame:
         return kernels.histogram256(self.pixels)
 
 
+def _as_frame(frame: Frame | np.ndarray) -> Frame:
+    """frame itself, or a bare pixel array wrapped as frame 0, so that
+    ``Frame`` makes the one 2-D uint8 check."""
+    return frame if isinstance(frame, Frame) else Frame(index=0, pixels=np.asarray(frame))
+
+
 # ---------------------------------------------------------------------------
 # PGM (binary P5, maxval 255)
 # ---------------------------------------------------------------------------
 
+# header gaps are whitespace and "#" comments that run through their line end;
+# numbers have at most 18 digits, more than any frame needs and fewer than
+# int() refuses
+_PGM_GAP = rb"(?:\s|#[^\n\r]*[\n\r])+"
+_PGM_NUMBER = rb"([0-9]{1,18})"
+_PGM_HEADER = re.compile(rb"P5" + (_PGM_GAP + _PGM_NUMBER) * 3 + rb"(?:#[^\n\r]*[\n\r])*\s")
+
+
 def _parse_pgm(data: bytes, name: str) -> np.ndarray:
-    """Decode a binary P5 PGM.  Comments are allowed anywhere in the header."""
-    pos = 0
-    tokens: list[bytes] = []
-    while len(tokens) < 4:
-        if pos >= len(data):
-            raise IngestError(f"unsupported image file: {name} (truncated PGM header)")
-        c = data[pos:pos + 1]
-        if c == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        elif c.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace() and data[end:end + 1] != b"#":
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    if tokens[0] != b"P5":
-        raise IngestError(f"unsupported image file: {name} "
-                          f"(expected binary PGM magic P5, found {tokens[0]!r})")
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise IngestError(f"unsupported image file: {name} (malformed PGM header)") from None
+    """Decode a binary P5 PGM.  Its header is the magic, then width, height
+    and maxval as ASCII decimals, separated by whitespace and comments; more
+    comments may follow maxval, and then exactly one whitespace byte."""
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        problem = ("malformed PGM header" if data.startswith(b"P5") else
+                   f"expected binary PGM magic P5, found {data[:2]!r}")
+        raise IngestError(f"unsupported image file: {name} ({problem})")
+    width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise IngestError(f"unsupported image file: {name} (maxval {maxval}, only 255 supported)")
     if width <= 0 or height <= 0:
         raise IngestError(f"unsupported image file: {name} (bad dimensions {width}x{height})")
-    pos += 1  # single whitespace byte separates maxval from the raster
-    raster = data[pos:pos + width * height]
-    if len(raster) != width * height:
-        raise IngestError(f"unsupported image file: {name} "
-                          f"(raster holds {len(raster)} bytes, expected {width * height})")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if len(data) - header.end() < width * height:
+        raise IngestError(f"unsupported image file: {name} (raster holds "
+                          f"{len(data) - header.end()} bytes, expected {width * height})")
+    return np.frombuffer(data, np.uint8, width * height, header.end()).reshape(height, width)
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -268,15 +267,10 @@ def _chroma_bytes(colorspace: str, w: int, h: int) -> int:
 
 def _read_line(stream: BinaryIO, limit: int = 1024) -> bytes:
     """Read bytes up to and excluding a newline; bounded to catch garbage."""
-    out = bytearray()
-    while len(out) < limit:
-        c = stream.read(1)
-        if not c:
-            return bytes(out)
-        if c == b"\n":
-            return bytes(out)
-        out += c
-    raise IngestError("Y4M header line exceeds 1024 bytes; not a Y4M stream?")
+    line = stream.readline(limit + 1).removesuffix(b"\n")
+    if len(line) >= limit:
+        raise IngestError("Y4M header line exceeds 1024 bytes; not a Y4M stream?")
+    return line
 
 
 def _y4m_dimension(param: bytes) -> int:
@@ -314,7 +308,7 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
         marker = _read_line(stream)
         if not marker:
             return
-        if not marker.startswith(b"FRAME"):
+        if marker.partition(b" ")[0] != b"FRAME":  # FRAME, then parameters after a space
             raise IngestError(f"expected FRAME marker at byte offset {offset}, "
                               f"found {marker[:16]!r}")
         offset += len(marker) + 1

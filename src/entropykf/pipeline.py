@@ -149,7 +149,7 @@ def select_candidates(shots: list[Shot], entropies: list[float], source,
             candidates.append(KeyFrame(
                 frame_index=index, shot=shot, bin_key=b.key,
                 global_entropy=entropies[index],
-                segments=segmented_entropies(tracker.register(source.read_frame(index)).pixels),
+                segments=segmented_entropies(tracker.register(source.read_frame(index))),
                 fallback=used_fallback))
     candidates.sort(key=lambda kf: kf.frame_index)
     return shot_details, candidates

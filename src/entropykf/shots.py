@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from . import kernels
-from .ingest import Frame
+from .ingest import Frame, _as_frame
 
 DEFAULT_CUT_THRESHOLD = 0.9
 DEFAULT_MIN_SHOT_LEN = 10
@@ -38,13 +36,6 @@ class Shot:
         return self.start <= index < self.end
 
 
-def _check_same_size(pa: np.ndarray, pb: np.ndarray) -> None:
-    if pa.shape != pb.shape:
-        ha, wa = pa.shape
-        hb, wb = pb.shape
-        raise ValueError(f"frame dimensions differ: {wa}x{ha} vs {wb}x{hb}")
-
-
 def correlation(a: Frame, b: Frame) -> float:
     """Pearson correlation of co-located pixel intensities, in [-1, 1].
 
@@ -53,15 +44,16 @@ def correlation(a: Frame, b: Frame) -> float:
     same shot (1.0) when their means are within one grey level, as a cut (0.0)
     otherwise, and a flat frame never matches a textured one (0.0).
     """
-    a, b = (f if isinstance(f, Frame) else Frame(index=0, pixels=f) for f in (a, b))
-    _check_same_size(a.pixels, b.pixels)
+    a, b = _as_frame(a), _as_frame(b)
+    if a.pixels.shape != b.pixels.shape:
+        raise ValueError(f"frame dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}")
     sums = kernels.pearson_sums(a.counts, b.counts, a.pixels, b.pixels)
     return kernels.correlation_from_sums(a.pixels.size, sums)
 
 
 def detect_cuts(frames: Iterable[Frame], threshold: float = DEFAULT_CUT_THRESHOLD) -> list[Shot]:
     """Split a frame stream into shots at every adjacent pair whose
-    correlation (as ``correlation`` computes it) falls below the threshold.
+    ``correlation`` falls below the threshold.
 
     Only two frames are held at a time; the stream is never materialised.
     Each frame's histogram comes from ``Frame.counts``, and each frame is kept
@@ -77,9 +69,7 @@ def detect_cuts(frames: Iterable[Frame], threshold: float = DEFAULT_CUT_THRESHOL
     shots: list[Shot] = []
     shot_start = prev.index
     for cur in it:
-        _check_same_size(prev.pixels, cur.pixels)
-        sums = kernels.pearson_sums(prev.counts, cur.counts, prev.pixels, cur.pixels)
-        if kernels.correlation_from_sums(cur.pixels.size, sums) < threshold:
+        if correlation(prev, cur) < threshold:
             shots.append(Shot(shot_start, cur.index))
             shot_start = cur.index
         prev = cur

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import segment_bounds
-from .ingest import write_pgm
+from .ingest import MAX_DIMENSION, MIN_DIMENSION, write_pgm
 
 DEFAULT_FADE_FRAMES = 4
 _MIN_MASK_DISTANCE = 8  # grid cells two scene patterns must differ in
@@ -121,8 +121,9 @@ def generate(out_dir: str | Path, gt_out: str | Path | None,
     with fade_frames of noise between consecutive segments.  Ground truth
     holds the centre frame of each distinct scene (the repeat adds none).
     """
-    if width < 8 or height < 8:
-        raise ValueError("frames must be at least 8x8")
+    if not MIN_DIMENSION <= min(width, height) <= max(width, height) <= MAX_DIMENSION:
+        raise ValueError(f"frame sides must be in {MIN_DIMENSION}..{MAX_DIMENSION}, "
+                         f"got {width}x{height}")
     layout = plan_layout(scenes, frames_per_scene, width, height, seed,
                          fade_frames, repeat_first)
     rng = np.random.default_rng(seed)

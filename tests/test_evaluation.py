@@ -60,6 +60,29 @@ class TestLoadGroundTruth:
         with pytest.raises(EvaluationError, match="gt.txt:2"):
             load_ground_truth(path)
 
+    def test_second_header_errors(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("total_frames=10\n3\ntotal_frames=20\n")
+        with pytest.raises(EvaluationError, match="gt.txt:3: a second 'total_frames' line"):
+            load_ground_truth(path)
+
+    def test_header_key_is_exact(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("total_framesXYZ=10\n3\n")
+        with pytest.raises(EvaluationError, match="gt.txt:1: expected a frame index"):
+            load_ground_truth(path)
+
+    @pytest.mark.parametrize("text,lineno", [("total_frames=20\n1_0\n", 2),
+                                             ("total_frames=20\n+5\n", 2),
+                                             ("total_frames=20\n\u0663\n", 2),
+                                             ("total_frames=1_0\n5\n", 1)])
+    def test_numbers_are_plain_ascii_decimals(self, tmp_path, text, lineno):
+        # int() would read each of these as a number
+        path = tmp_path / "gt.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EvaluationError, match=f"gt.txt:{lineno}: expected a frame index"):
+            load_ground_truth(path)
+
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(EvaluationError):
             load_ground_truth(tmp_path / "absent.txt")

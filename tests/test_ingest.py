@@ -26,6 +26,14 @@ class TestPgm:
         assert px.shape == (2, 4)
         assert px.sum() == 0
 
+    def test_comment_after_maxval_needs_one_whitespace_byte(self):
+        # the comment runs through its newline; a raster byte cannot stand in
+        # for the whitespace byte that must follow
+        with pytest.raises(IngestError, match="malformed PGM header"):
+            _parse_pgm(b"P5 8 8 255#c\n" + bytes(range(64)), "inline")
+        px = _parse_pgm(b"P5 8 8 255#c\n\n" + bytes(range(64)), "inline")
+        assert px.ravel().tolist() == list(range(64))
+
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "ascii.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
@@ -182,6 +190,30 @@ class TestY4mSource:
         frames = [f for _, f in _iter_y4m(io.BytesIO(data))]
         assert len(frames) == 2
         assert frames[1].pixels.tobytes() == second
+
+    def test_frame_line_is_the_word_frame(self):
+        header = b"YUV4MPEG2 W8 H8 Cmono\n"
+        data = header + b"FRAME Ixyz\n" + bytes(64) + b"FRAMEjunk\n" + bytes(64)
+        with pytest.raises(IngestError, match=f"FRAME marker at byte offset {len(header) + 75}"):
+            list(_iter_y4m(io.BytesIO(data)))
+
+    @pytest.mark.parametrize("line", ["header", "frame"])
+    @pytest.mark.parametrize("length", [1023, 1024])
+    def test_line_length_limit(self, line, length):
+        # a header or FRAME line of 1,023 bytes before its newline parses; 1,024 do not
+        header, marker = b"YUV4MPEG2 W8 H8 Cmono", b"FRAME"
+        if line == "header":
+            header += b" X" + b"x" * (length - len(header) - 2)
+        else:
+            marker += b" X" + b"x" * (length - len(marker) - 2)
+        stream = io.BytesIO(header + b"\n" + marker + b"\n" + bytes(range(64)))
+        if length == 1024:
+            with pytest.raises(IngestError, match="exceeds 1024 bytes"):
+                list(_iter_y4m(stream))
+            return
+        [(offset, frame)] = list(_iter_y4m(stream))
+        assert offset == len(header) + len(marker) + 2
+        assert frame.pixels.ravel().tolist() == list(range(64))
 
     @pytest.mark.parametrize("dims", [b"Wabc H16", b"W-16 H16", b"W100000000 H100000000",
                                       b"W4 H4"])

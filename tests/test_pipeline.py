@@ -306,7 +306,8 @@ class TestReportExactness:
         assert len(report["candidates"]) >= 20 and len(report["eliminations"]) >= 10
         shipped = (tmp_path / "out" / "report.json").read_bytes()
         assert shipped == (json.dumps(report, indent=2) + "\n").encode()
-        monkeypatch.setattr(pipeline, "segmented_entropies", segmented_oracle)
+        monkeypatch.setattr(pipeline, "segmented_entropies",
+                            lambda frame: segmented_oracle(frame.pixels))
         monkeypatch.setattr(pipeline, "dedup_detailed", dedup_oracle)
         run_pipeline(config)
         assert (tmp_path / "out" / "report.json").read_bytes() == shipped
@@ -534,3 +535,12 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert len(list((tmp_path / "v").iterdir())) == 3 * 10 + 2 * 2
         assert (tmp_path / "gt.txt").read_text().startswith("total_frames=34")
+
+    @pytest.mark.parametrize("size", ["16385x8", "8x16385"])
+    def test_generate_synthetic_size_outside_frame_range_exits_2(self, size, tmp_path):
+        # extract would refuse such frames; the check runs before any pixels exist
+        result = _cli("generate-synthetic", "--size", size, "--frames-per-scene", "1",
+                      "--out", str(tmp_path / "v"), "--gt-out", str(tmp_path / "gt.txt"))
+        assert result.returncode == 2
+        assert b"bad configuration" in result.stderr and b"8..16384" in result.stderr
+        assert not (tmp_path / "v").exists() and not (tmp_path / "gt.txt").exists()

@@ -75,6 +75,34 @@ def test_parse_pgm_raises_only_ingest_error(data):
     assert pixels.ndim == 2 and pixels.size > 0
 
 
+_whitespace = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_comments = st.builds(lambda body, end: b"#" + body + end,
+                      st.binary(max_size=12).map(lambda b: b.translate(None, b"\n\r")),
+                      st.sampled_from([b"\n", b"\r"]))
+
+
+@st.composite
+def pgm_round_trips(draw) -> tuple[bytes, bytes, int, int]:
+    """A valid P5 file with random runs of whitespace and comments in every
+    header gap, comments after maxval, then exactly one whitespace byte."""
+    width, height = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    raster = draw(st.binary(min_size=width * height, max_size=width * height))
+    gaps = [b"".join(draw(st.lists(st.one_of(_whitespace, _comments), min_size=1, max_size=5)))
+            for _ in range(3)]
+    tail = b"".join(draw(st.lists(_comments, max_size=3))) + draw(_whitespace)
+    header = b"P5" + b"".join(gap + str(n).encode() for gap, n in zip(gaps, (width, height, 255)))
+    return header + tail + raster, raster, width, height
+
+
+@FUZZ
+@given(pgm_round_trips())
+def test_parse_pgm_round_trip(case):
+    data, raster, width, height = case
+    pixels = _parse_pgm(data, "frame.pgm")
+    assert pixels.shape == (height, width)
+    assert pixels.tobytes() == raster
+
+
 @FUZZ
 @given(y4m_streams())
 def test_iter_y4m_raises_only_ingest_error(data):
