@@ -8,21 +8,27 @@ here: ``frames()`` yields at least one frame, all of one size and each
 side in ``MIN_DIMENSION..MAX_DIMENSION`` pixels, or raises ``IngestError``.
 A size declared up front, by a raw ``SourceSpec`` or a Y4M header, is
 checked against the same range before any frame is read; only raw specs
-take one.  A PGM header may hold "#" comments, each running through its
-line end, between its fields and after maxval; exactly one whitespace byte
-then precedes the raster.  Y4M input must have 8-bit samples, and each
-frame opens with a line that is ``FRAME`` alone or ``FRAME``, a space and
-parameters.  A PGM directory re-reads the i-th file.  Raw and Y4M streams
-share one random-access path: the parser records each frame's Y-plane byte
-offset, and ``read_frame`` seeks there in the input file, or, for stdin, in
-a spool file of the Y planes written as they stream.  Container decoding
-is out of scope; compressed video is piped in as raw gray or Y4M (see
-README for the ffmpeg recipes).
+take one.  A PGM file holds exactly one image: its header may hold "#"
+comments, each running through its line end, between its fields and after
+maxval; exactly one whitespace byte then precedes the raster, and the
+raster ends the file.  A Y4M header starts with the word ``YUV4MPEG2`` and
+names an 8-bit colorspace (``_CHROMA``); each frame opens with a line that
+is ``FRAME`` alone or ``FRAME``, a space and parameters, so an empty line
+where a frame belongs is an error, not the end of the input.  Streams are
+buffered binary files (``open(path, "rb")``, ``sys.stdin.buffer``, a
+temporary file), whose ``read(n)`` returns fewer than n bytes only at end
+of input, so each plane is one ``read``.  A PGM directory re-reads the i-th
+file.  Raw and Y4M streams share one random-access path: the parser records
+each frame's Y-plane byte offset, and ``read_frame`` seeks there in the
+input file, or, for stdin, in a spool file of the Y planes written as they
+stream.  Container decoding is out of scope; compressed video is piped in
+as raw gray or Y4M (see README for the ffmpeg recipes).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 import sys
 import tempfile
@@ -131,7 +137,8 @@ _PGM_HEADER = re.compile(rb"P5" + (_PGM_GAP + _PGM_NUMBER) * 3 + rb"(?:#[^\n\r]*
 def _parse_pgm(data: bytes, name: str) -> np.ndarray:
     """Decode a binary P5 PGM.  Its header is the magic, then width, height
     and maxval as ASCII decimals, separated by whitespace and comments; more
-    comments may follow maxval, and then exactly one whitespace byte."""
+    comments may follow maxval, then exactly one whitespace byte, then a
+    raster of exactly width * height bytes."""
     header = _PGM_HEADER.match(data)
     if header is None:
         problem = ("malformed PGM header" if data.startswith(b"P5") else
@@ -142,10 +149,10 @@ def _parse_pgm(data: bytes, name: str) -> np.ndarray:
         raise IngestError(f"unsupported image file: {name} (maxval {maxval}, only 255 supported)")
     if width <= 0 or height <= 0:
         raise IngestError(f"unsupported image file: {name} (bad dimensions {width}x{height})")
-    if len(data) - header.end() < width * height:
+    if len(data) - header.end() != width * height:
         raise IngestError(f"unsupported image file: {name} (raster holds "
                           f"{len(data) - header.end()} bytes, expected {width * height})")
-    return np.frombuffer(data, np.uint8, width * height, header.end()).reshape(height, width)
+    return np.frombuffer(data, np.uint8, offset=header.end()).reshape(height, width)
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -209,25 +216,11 @@ class _PgmDirSource:
 # raw 8-bit luma stream
 # ---------------------------------------------------------------------------
 
-def _read_exact(stream: BinaryIO, n: int) -> bytes:
-    """Read exactly n bytes, tolerating the short reads pipes produce."""
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        chunk = stream.read(remaining)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, Frame]]:
     """(byte offset, frame) for each frame of a raw stream."""
     frame_size = width * height
-    index = 0
-    while True:
-        data = _read_exact(stream, frame_size)
+    for index in itertools.count():
+        data = stream.read(frame_size)
         if not data:
             return
         offset = index * frame_size
@@ -238,7 +231,6 @@ def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, 
                 f"(stream length is not a multiple of {width}x{height})")
         yield offset, Frame(index=index,
                             pixels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
-        index += 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,28 +238,19 @@ def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, 
 # ---------------------------------------------------------------------------
 
 _DECIMAL = re.compile(rb"[0-9]+")
-_HIGH_BIT_DEPTH = re.compile(r"(420|422|444)p[0-9]+")
+# the 8-bit colorspaces: (chroma planes, horizontal and vertical subsampling);
+# any other name, such as 420p10, 444alpha or 411, is refused
+_CHROMA = {"420": (2, 2, 2), "420jpeg": (2, 2, 2), "420paldv": (2, 2, 2),
+           "420mpeg2": (2, 2, 2), "422": (2, 2, 1), "444": (2, 1, 1), "mono": (0, 1, 1)}
 
 
-def _chroma_bytes(colorspace: str, w: int, h: int) -> int:
-    """Plane bytes per frame beyond the Y plane; 8-bit colorspaces only."""
-    if _HIGH_BIT_DEPTH.fullmatch(colorspace):
-        raise IngestError(f"unsupported Y4M colorspace C{colorspace} "
-                          "(more than 8 bits per sample)")
-    if colorspace.startswith("420"):
-        return 2 * ((w + 1) // 2) * ((h + 1) // 2)
-    if colorspace.startswith("422"):
-        return 2 * ((w + 1) // 2) * h
-    if colorspace.startswith("444") and colorspace != "444alpha":
-        return 2 * w * h
-    if colorspace == "mono":
-        return 0
-    raise IngestError(f"unsupported Y4M colorspace C{colorspace}")
-
-
-def _read_line(stream: BinaryIO, limit: int = 1024) -> bytes:
-    """Read bytes up to and excluding a newline; bounded to catch garbage."""
-    line = stream.readline(limit + 1).removesuffix(b"\n")
+def _read_line(stream: BinaryIO, limit: int = 1024) -> bytes | None:
+    """The next line without its newline, possibly empty, or None at end of
+    input; bounded to catch garbage."""
+    line = stream.readline(limit + 1)
+    if not line:
+        return None
+    line = line.removesuffix(b"\n")
     if len(line) >= limit:
         raise IngestError("Y4M header line exceeds 1024 bytes; not a Y4M stream?")
     return line
@@ -283,14 +266,13 @@ def _y4m_dimension(param: bytes) -> int:
 
 def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
     """(Y-plane byte offset, frame) for each frame of a Y4M stream."""
-    header = _read_line(stream)
-    if not header.startswith(b"YUV4MPEG2"):
+    header = _read_line(stream) or b""
+    signature, *params = header.split(b" ")
+    if signature != b"YUV4MPEG2":
         raise IngestError("missing YUV4MPEG2 signature at byte offset 0")
     width = height = None
     colorspace = "420"
-    for param in header.split(b" ")[1:]:
-        if not param:
-            continue
+    for param in params:
         tag = param[:1]
         if tag == b"W":
             width = _y4m_dimension(param)
@@ -300,31 +282,32 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
             colorspace = param[1:].decode("ascii", "replace")
     if not width or not height:
         raise IngestError("Y4M header lacks W/H dimensions")
+    if colorspace not in _CHROMA:
+        raise IngestError(f"unsupported Y4M colorspace C{colorspace} "
+                          f"(8-bit {', '.join(_CHROMA)} only)")
+    planes, sub_w, sub_h = _CHROMA[colorspace]
     y_size = width * height
-    skip = _chroma_bytes(colorspace, width, height)
+    skip = planes * -(-width // sub_w) * -(-height // sub_h)
     offset = len(header) + 1
-    index = 0
-    while True:
+    for index in itertools.count():
         marker = _read_line(stream)
-        if not marker:
+        if marker is None:
             return
         if marker.partition(b" ")[0] != b"FRAME":  # FRAME, then parameters after a space
             raise IngestError(f"expected FRAME marker at byte offset {offset}, "
                               f"found {marker[:16]!r}")
         offset += len(marker) + 1
-        data = _read_exact(stream, y_size)
+        data = stream.read(y_size)
         if len(data) != y_size:
             raise IngestError(f"Y4M stream truncated at byte offset {offset}: "
                               f"frame {index} Y plane has {len(data)} of {y_size} bytes")
-        if skip:
-            chroma = _read_exact(stream, skip)
-            if len(chroma) != skip:
-                raise IngestError(f"Y4M stream truncated at byte offset {offset + y_size}: "
-                                  f"frame {index} chroma has {len(chroma)} of {skip} bytes")
+        chroma = stream.read(skip)
+        if len(chroma) != skip:
+            raise IngestError(f"Y4M stream truncated at byte offset {offset + y_size}: "
+                              f"frame {index} chroma has {len(chroma)} of {skip} bytes")
         yield offset, Frame(index=index,
                             pixels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
         offset += y_size + skip
-        index += 1
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +355,7 @@ class _StreamSource:
         stream = self._input if self._spool is None else self._spool
         resume = stream.tell()  # where frames() goes on parsing or spooling
         stream.seek(self._offsets[index])
-        data = _read_exact(stream, height * width)
+        data = stream.read(height * width)
         stream.seek(resume)
         if len(data) != height * width:
             raise IngestError(f"{self._spec.path} ended before frame {index}")

@@ -4,12 +4,13 @@
 Pearson cuts), ``merge_short_shots``, ``select_candidates`` (per shot: the
 entropy bins, the gated bin centres and their segment entropies),
 ``dedup_detailed``, ``score`` (evaluation against ground truth),
-``write_keyframes`` and ``write_report``.  Frame geometry is ``ingest``'s
-contract.  During the pass the pipeline keeps only the per-frame entropies
-and the two frames under correlation; picked frames are fetched afterwards
-through the source's ``read_frame``.  Peak resident frame storage therefore
-stays constant in the video length, which ``peak_resident_frames`` in the
-report verifies.
+``write_keyframes`` and ``write_report``.  A ground-truth file is read and
+checked before the pass; only its frame count waits for ``score``.  Frame
+geometry is ``ingest``'s contract.  During the pass the pipeline keeps only
+the per-frame entropies and the two frames under correlation; picked frames
+are fetched afterwards through the source's ``read_frame``.  Peak resident
+frame storage therefore stays constant in the video length, which
+``peak_resident_frames`` in the report verifies.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator
 
 import jsonschema
 
-from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, evaluate,
+from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, GroundTruth, evaluate,
                          load_ground_truth)
 from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, KeyFrame,
                          bin_indexed_keys, dedup_detailed, fallback_pick, select_keyframes)
@@ -155,11 +156,11 @@ def select_candidates(shots: list[Shot], entropies: list[float], source,
     return shot_details, candidates
 
 
-def score(survivors: list[KeyFrame], total_frames: int, config: PipelineConfig) -> dict | None:
+def score(survivors: list[KeyFrame], total_frames: int, gt: GroundTruth | None,
+          config: PipelineConfig) -> dict | None:
     """The report's evaluation block, or None without ground truth."""
-    if config.ground_truth is None:
+    if gt is None:
         return None
-    gt = load_ground_truth(config.ground_truth)
     if gt.total_frames != total_frames:
         raise EvaluationError(f"{config.ground_truth}: ground truth is for "
                               f"{gt.total_frames} frames, the video has {total_frames}")
@@ -229,6 +230,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """
     config.validate()
     out_dir = _writable_dir(config.output_dir)
+    # a bad ground-truth file fails before the pass, not after a full decode
+    gt = None if config.ground_truth is None else load_ground_truth(config.ground_truth)
     tracker = _FrameWatermark()
     source = _open_access(config.source)
     try:
@@ -236,7 +239,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         shots = merge_short_shots(raw_shots, config.min_shot_len)
         shot_details, candidates = select_candidates(shots, entropies, source, config, tracker)
         survivors, eliminations = dedup_detailed(candidates, config.sd_threshold)
-        evaluation = score(survivors, len(entropies), config)
+        evaluation = score(survivors, len(entropies), gt, config)
         keyframes = write_keyframes(survivors, source, out_dir, tracker)
     finally:
         source.close()

@@ -52,6 +52,15 @@ class TestPgm:
         with pytest.raises(IngestError, match="short.pgm"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("extra,held", [(b"P5\n4 4\n255\n" + bytes(16), 43), (b"\n", 17)],
+                             ids=["second-image", "trailing-newline"])
+    def test_one_image_per_file(self, extra, held, tmp_path):
+        # a second image or trailing bytes are refused, not silently dropped
+        path = tmp_path / "two.pgm"
+        path.write_bytes(b"P5\n4 4\n255\n" + bytes(16) + extra)
+        with pytest.raises(IngestError, match=f"two.pgm .raster holds {held} bytes, expected 16"):
+            read_pgm(path)
+
 
 class TestDirectorySource:
     def _write(self, tmp_path, name, px):
@@ -159,6 +168,22 @@ class TestY4mSource:
         with pytest.raises(IngestError, match="YUV4MPEG2"):
             list(_iter_y4m(io.BytesIO(b"RIFF....")))
 
+    def test_signature_is_a_whole_word(self):
+        data = b"YUV4MPEG2junk W8 H8 Cmono\nFRAME\n" + bytes(64)
+        with pytest.raises(IngestError, match="missing YUV4MPEG2 signature"):
+            list(_iter_y4m(io.BytesIO(data)))
+
+    @pytest.mark.parametrize("tail", [b"\nFRAME\n" + bytes(64), b"\n"],
+                             ids=["between-frames", "at-end"])
+    def test_empty_line_is_not_end_of_input(self, tail):
+        # every frame opens with a FRAME line, so an empty line after a frame,
+        # the very last line included, is an error rather than the end of the input
+        header = b"YUV4MPEG2 W8 H8 Cmono\n"
+        data = header + b"FRAME\n" + bytes(64) + tail
+        with pytest.raises(IngestError,
+                           match=f"FRAME marker at byte offset {len(header) + 70}, found b''"):
+            list(_iter_y4m(io.BytesIO(data)))
+
     def test_truncated_frame_reports_offset(self):
         data = make_y4m(8, 8, [np.zeros((8, 8), dtype=np.uint8)])
         with pytest.raises(IngestError, match="truncated"):
@@ -171,13 +196,13 @@ class TestY4mSource:
 
     # chroma bytes per frame of a 9x9 video, counted by hand: 4:2:0 planes are
     # 5x5, 4:2:2 planes 5x9, 4:4:4 planes 9x9 (two planes each); None: rejected,
-    # including the high-bit-depth "p<bits>" variants
+    # including the high-bit-depth "p<bits>" variants and unknown 420 suffixes
     @pytest.mark.parametrize("colorspace,chroma", [("420", 50), ("420jpeg", 50),
                                                    ("420paldv", 50), ("420mpeg2", 50),
                                                    ("422", 90), ("444", 162), ("mono", 0),
                                                    ("444alpha", None), ("411", None),
                                                    ("420p10", None), ("422p12", None),
-                                                   ("444p16", None)])
+                                                   ("444p16", None), ("420junk", None)])
     def test_chroma_plane_sizes(self, colorspace, chroma):
         first, second = bytes(range(81)), bytes(range(100, 181))
         padding = bytes([7]) * (chroma or 0)

@@ -200,6 +200,18 @@ class TestRunPipeline:
         with pytest.raises(EvaluationError, match="10 frames.*252"):
             run_pipeline(_config(root / "frames", tmp_path / "out", ground_truth=gt))
 
+    def test_ground_truth_is_checked_before_the_pass(self, tmp_path):
+        # the truncated video would be an IngestError, had any frame been read
+        video = tmp_path / "video.raw"
+        video.write_bytes(bytes(100))
+        gt = tmp_path / "gt.txt"
+        gt.write_text("total_frames=abc\n5\n")
+        with pytest.raises(EvaluationError, match="gt.txt"):
+            run_pipeline(PipelineConfig(
+                source=SourceSpec(kind=SourceKind.RAW, path=str(video), width=8, height=8),
+                output_dir=tmp_path / "out", ground_truth=gt))
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_every_stream_format_gives_the_same_result(self, tmp_path, monkeypatch):
         textures = synthetic.make_textures(np.random.default_rng(31), 2, 32, 16)
         planes = [textures[t] for t in (0, 1, 0) for _ in range(25)]
@@ -516,6 +528,59 @@ class TestCli:
         assert result.returncode == 3
         assert b"ingest error" in result.stderr
         assert b"Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("case", ["empty-line-between-frames", "empty-line-at-end",
+                                      "junk-signature"])
+    def test_malformed_y4m_exits_3(self, case, tmp_path):
+        frame = b"FRAME\n" + bytes(64)
+        data = {"empty-line-between-frames": b"YUV4MPEG2 W8 H8 Cmono\n" + frame + b"\n" + frame,
+                "empty-line-at-end": b"YUV4MPEG2 W8 H8 Cmono\n" + frame + b"\n",
+                "junk-signature": b"YUV4MPEG2junk W8 H8 Cmono\n" + frame}[case]
+        result = _cli("extract", "--input", "-", "--format", "y4m",
+                      "--out", str(tmp_path / "o"), input=data)
+        assert result.returncode == 3
+        assert b"ingest error" in result.stderr
+        assert (b"FRAME marker" if case.startswith("empty") else b"YUV4MPEG2") in result.stderr
+        assert b"Traceback" not in result.stderr
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_pgm_with_two_images_exits_3(self, tmp_path):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        image = b"P5 8 8 255\n" + bytes(64)
+        (frames / "f0.pgm").write_bytes(image * 2)
+        result = _cli("extract", "--input", str(frames), "--format", "pgm-dir",
+                      "--out", str(tmp_path / "o"))
+        assert result.returncode == 3
+        assert b"f0.pgm" in result.stderr and b"raster holds 139 bytes" in result.stderr
+        assert b"Traceback" not in result.stderr
+
+    def test_y4m_through_a_pipe_equals_the_file(self, tmp_path):
+        # a child writes the video in 4,096-byte pieces, so each 76,800-byte
+        # Y plane, larger than a pipe's buffer, arrives over many short reads
+        textures = synthetic.make_textures(np.random.default_rng(37), 2, 320, 240)
+        y4m_path = tmp_path / "video.y4m"
+        y4m_path.write_bytes(make_y4m(320, 240, [t for t in textures for _ in range(25)]))
+        feed = ("import sys\n"
+                "data = open(sys.argv[1], 'rb').read()\n"
+                "for i in range(0, len(data), 4096):\n"
+                "    sys.stdout.buffer.write(data[i:i + 4096])\n"
+                "    sys.stdout.buffer.flush()\n")
+        with subprocess.Popen([sys.executable, "-c", feed, str(y4m_path)],
+                              stdout=subprocess.PIPE) as feeder:
+            piped = _cli("extract", "--input", "-", "--format", "y4m", "--seed-report",
+                         "--out", str(tmp_path / "piped"), stdin=feeder.stdout)
+        assert piped.returncode == 0, piped.stderr
+        assert feeder.returncode == 0
+        from_file = _cli("extract", "--input", str(y4m_path), "--format", "y4m",
+                         "--seed-report", "--out", str(tmp_path / "file"))
+        assert from_file.returncode == 0, from_file.stderr
+        reports = [json.loads((tmp_path / out / "report.json").read_text())
+                   for out in ("piped", "file")]
+        for report in reports:
+            del report["config"]  # input path and output directory differ
+        assert reports[0] == reports[1]
+        assert reports[0]["total_frames"] == 50 and len(reports[0]["keyframes"]) == 2
 
     def test_ground_truth_for_another_video_exits_4(self, small_video, tmp_path):
         root, _ = small_video
