@@ -21,12 +21,14 @@ import json
 import math
 import re
 import weakref
+from array import array
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
 import jsonschema
+import numpy as np
 
 from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, GroundTruth, evaluate,
                          load_ground_truth)
@@ -38,7 +40,7 @@ from .ingest import open_source as _open_access  # perfbench wraps this binding
 from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot,
                     detect_cuts, merge_short_shots)
 
-_KEYFRAME_NAME = re.compile(r"keyframe_\d{6}\.pgm$")
+_KEYFRAME_NAME = re.compile(r"keyframe_\d{6,}\.pgm$")
 
 
 class ConfigError(ValueError):
@@ -102,20 +104,73 @@ def load_report_schema() -> dict:
     return json.loads(resources.files("entropykf").joinpath("report_schema.json").read_text())
 
 
+def _segments_node(schema: dict) -> dict:
+    return schema["properties"]["keyframes"]["items"]["properties"]["segments"]
+
+
+def _inline_refs(node, defs: dict, seen: tuple = ()):
+    """``node`` with each ``$ref`` replaced by the ``$defs`` entry it names."""
+    if isinstance(node, list):
+        return [_inline_refs(v, defs, seen) for v in node]
+    if not isinstance(node, dict):
+        return node
+    if "$ref" not in node:
+        return {k: _inline_refs(v, defs, seen) for k, v in node.items()}
+    name = node["$ref"].removeprefix("#/$defs/")
+    if len(node) > 1 or name not in defs or name in seen or name == node["$ref"]:
+        raise jsonschema.SchemaError(f"cannot inline {node}: not a lone, acyclic #/$defs ref")
+    return _inline_refs(defs[name], defs, (*seen, name))
+
+
 @functools.cache
 def _report_validator() -> jsonschema.protocols.Validator:
-    """The report schema's validator, built and meta-schema checked once per
-    process, on first use rather than at import."""
+    """The validator of the report schema with its ``$ref``s inlined, less the
+    rule for each segment number, which ``_check_segments`` applies in bulk.
+    Both schemas are meta-schema checked once per process, on first use."""
     schema = load_report_schema()
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    defs = schema.pop("$defs", {})
+    derived = _inline_refs(schema, defs)
+    del _segments_node(derived)["items"]
+    cls.check_schema(derived)
+    return cls(derived)
+
+
+@functools.cache
+def _segment_bounds() -> tuple[float, float]:
+    rule = _segments_node(load_report_schema())["items"]
+    if rule.keys() != {"type", "minimum", "maximum"} or rule["type"] != "number":
+        raise jsonschema.SchemaError(f"the bulk segment check cannot apply {rule}")
+    return rule["minimum"], rule["maximum"]
+
+
+def _check_segments(report: dict) -> None:
+    """Range-check the key-frames' float64 segment vectors in one numpy pass, then
+    store them as lists for the validator and ``json.dump``.  NaN fails here,
+    though jsonschema's ``minimum`` and ``maximum`` let it through."""
+    keyframes = report.get("keyframes")
+    if not isinstance(keyframes, list) or not keyframes:
+        return  # no vectors; the validator judges the structure
+    rows = [kf.get("segments") if isinstance(kf, dict) else None for kf in keyframes]
+    if not all(isinstance(r, np.ndarray) and r.dtype == np.float64 and r.ndim == 1
+               and r.shape == rows[0].shape for r in rows):
+        raise jsonschema.ValidationError("keyframes[].segments: not float64 vectors of one length")
+    lo, hi = _segment_bounds()
+    stack = np.stack(rows)
+    bad = np.argwhere(~((stack >= lo) & (stack <= hi)))
+    if len(bad):
+        i, j = bad[0]
+        raise jsonschema.ValidationError(f"keyframes[{i}].segments[{j}] is {stack[i, j]}, "
+                                         f"not within [{lo}, {hi}]")
+    for kf, row in zip(keyframes, stack.tolist()):
+        kf["segments"] = row
 
 
 def analyse(source, cut_threshold: float,
-            tracker: _FrameWatermark) -> tuple[list[float], list[Shot]]:
+            tracker: _FrameWatermark) -> tuple[array, list[Shot]]:
     """Stream the source once: every frame's entropy and the raw shot cuts."""
-    entropies: list[float] = []
+    entropies = array("d")
 
     def tapped() -> Iterator[Frame]:
         for frame in source.frames():
@@ -127,7 +182,7 @@ def analyse(source, cut_threshold: float,
     return entropies, raw_shots
 
 
-def select_candidates(shots: list[Shot], entropies: list[float], source,
+def select_candidates(shots: list[Shot], entropies: array, source,
                       config: PipelineConfig,
                       tracker: _FrameWatermark) -> tuple[list[dict], list[KeyFrame]]:
     """Per shot, the report's bin details and the gated bin centres, by frame index."""
@@ -171,16 +226,16 @@ def score(survivors: list[KeyFrame], total_frames: int, gt: GroundTruth | None,
 
 def write_keyframes(survivors: list[KeyFrame], source, out_dir: Path,
                     tracker: _FrameWatermark) -> list[dict]:
-    """One PGM per survivor, replacing stale ones; returns the report entries."""
+    """One PGM per survivor, replacing stale ones and the report that named them;
+    returns the report entries."""
     for old in out_dir.iterdir():
-        if _KEYFRAME_NAME.fullmatch(old.name):
+        if _KEYFRAME_NAME.fullmatch(old.name) or old.name == "report.json":
             old.unlink()
     entries = []
     for kf in survivors:
         name = f"keyframe_{kf.frame_index:06d}.pgm"
         write_pgm(out_dir / name, tracker.register(source.read_frame(kf.frame_index)).pixels)
-        entries.append({**_candidate_dict(kf), "image": name,
-                        "segments": [float(v) for v in kf.segments]})
+        entries.append({**_candidate_dict(kf), "image": name, "segments": kf.segments})
     return entries
 
 
@@ -201,12 +256,18 @@ def write_report(config: PipelineConfig, out_dir: Path, results: dict) -> dict:
         "ground_truth": None if config.ground_truth is None else str(config.ground_truth),
     }
     report.update(results)
+    _check_segments(report)
     _report_validator().validate(report)
-    with open(out_dir / "report.json", "w") as out:
-        # streamed: a string of the whole report would add about six times
-        # its size to the peak memory of a run
-        json.dump(report, out, indent=2)
-        out.write("\n")
+    partial = out_dir / ".report.json.tmp"
+    try:
+        with open(partial, "w") as out:
+            # streamed: a string of the whole report would add about six times
+            # its size to the peak memory of a run
+            json.dump(report, out, indent=2)
+            out.write("\n")
+        partial.replace(out_dir / "report.json")
+    finally:
+        partial.unlink(missing_ok=True)
     return report
 
 

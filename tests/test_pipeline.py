@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -128,6 +130,7 @@ class TestRunPipeline:
         out = tmp_path / "out"
         out.mkdir()
         (out / "keyframe_999999.pgm").write_bytes(b"stale")
+        (out / "keyframe_1000000.pgm").write_bytes(b"stale")
         report = run_pipeline(_config(root / "frames", out))
         on_disk = {p.name for p in out.glob("keyframe_*.pgm")}
         assert on_disk == {k["image"] for k in report["keyframes"]}
@@ -336,7 +339,19 @@ class TestReportValidator:
     def test_shipped_schema_passes_its_meta_schema(self):
         schema = load_report_schema()
         jsonschema.validators.validator_for(schema).check_schema(schema)
-        assert pipeline._report_validator().schema == schema
+        # the validator's schema is the shipped one with its refs inlined, less
+        # the rule for each segment number, which write_report checks in bulk
+        derived = load_report_schema()
+        shot = derived["$defs"]["shot"]
+        candidate = derived.pop("$defs")["candidate"]
+        candidate["properties"]["shot"] = shot
+        props = derived["properties"]
+        props["shots"]["items"] = shot
+        props["shot_details"]["items"]["properties"]["shot"] = shot
+        props["candidates"]["items"] = candidate
+        props["keyframes"]["items"]["allOf"] = [candidate]
+        del props["keyframes"]["items"]["properties"]["segments"]["items"]
+        assert pipeline._report_validator().schema == derived
 
     def test_one_validator_per_process(self):
         assert pipeline._report_validator() is pipeline._report_validator()
@@ -349,12 +364,196 @@ class TestReportValidator:
             write_report(_config(root / "frames", out), out, {"total_frames": -1})
         assert not (out / "report.json").exists()
 
+    def test_failed_write_leaves_no_report(self, small_video, tmp_path, monkeypatch):
+        root, layout = small_video
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text("{}\n")  # an earlier run's
+
+        def dump_then_fail(obj, fp, **kwargs):
+            fp.write('{\n  "config": {')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="no space"):
+            run_pipeline(_config(root / "frames", out))
+        # the new images, and neither the old report nor a part of the new one
+        assert {p.name for p in out.iterdir()} == \
+            {f"keyframe_{i:06d}.pgm" for i in layout.gt_indices}
+
+    def test_runtime_check_rejects_what_the_schema_rejects(self, small_video, tmp_path):
+        # one mutation per rule the shipped schema states, so a rule added later
+        # is covered too; the runtime check must agree with the full validator
+        root, _ = small_video
+        config = _config(root / "frames", tmp_path / "run", ground_truth=root / "gt.txt")
+        report = run_pipeline(config)
+        schema = load_report_schema()
+        cases = list(_rule_violations(schema, schema, report))
+        assert len(cases) > 100
+
+        def nest(doc):  # (64, 1) arrays, whose list form holds lists, not numbers
+            for kf in doc["keyframes"]:
+                kf["segments"] = [[v] for v in kf["segments"]]
+        cases.append(("keyframes.*.segments", "items nested", nest))
+        for rule in ("minimum", "maximum", "minItems", "maxItems"):
+            assert any(where.startswith("keyframes.0.segments") and kw == rule
+                       for where, kw, _ in cases)
+        write_config = dataclasses.replace(config, seed_report=True)  # adds only "config"
+        out = tmp_path / "out"
+        out.mkdir()
+        disagree = []
+        for where, rule, mutate in cases:
+            mutated = copy.deepcopy(report)
+            mutate(mutated)
+            if _full_check_rejects({"config": report["config"], **mutated}) != \
+                    _runtime_check_rejects(write_config, out, mutated):
+                disagree.append(f"{where}: {rule}")
+        assert disagree == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_segments_are_rejected(self, small_video, tmp_path, value):
+        # stricter than the schema for NaN, which passes jsonschema's minimum
+        # and maximum and would be written as the non-JSON token NaN
+        root, _ = small_video
+        config = _config(root / "frames", tmp_path / "out", seed_report=True)
+        report = run_pipeline(config)
+        report["keyframes"][1]["segments"][5] = value
+        assert _full_check_rejects(report) == (not math.isnan(value))
+        (tmp_path / "out" / "report.json").unlink()
+        with pytest.raises(jsonschema.ValidationError, match=r"keyframes\[1\]\.segments\[5\]"):
+            write_report(config, tmp_path / "out", _with_segment_vectors(report))
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_segment_rule_the_bulk_check_cannot_apply_is_refused(self, monkeypatch):
+        schema = load_report_schema()
+        schema["properties"]["keyframes"]["items"]["properties"]["segments"]["items"][
+            "multipleOf"] = 0.5
+        monkeypatch.setattr(pipeline, "load_report_schema", lambda: schema)
+        pipeline._segment_bounds.cache_clear()
+        try:
+            with pytest.raises(jsonschema.SchemaError, match="multipleOf"):
+                pipeline._segment_bounds()
+        finally:
+            pipeline._segment_bounds.cache_clear()
+
+    @pytest.mark.parametrize("ref", [
+        {"$ref": "other.json#/$defs/leaf"},          # not local
+        {"$ref": "#/$defs/missing"},                 # names no definition
+        {"$ref": "#/$defs/leaf", "type": "object"},  # sibling keyword
+        {"$ref": "#/$defs/loop"},                    # cyclic
+    ])
+    def test_refs_that_cannot_be_inlined_are_refused(self, ref):
+        defs = {"leaf": {"type": "integer"}, "loop": {"items": {"$ref": "#/$defs/loop"}}}
+        assert pipeline._inline_refs({"items": {"$ref": "#/$defs/leaf"}}, defs) == \
+            {"items": {"type": "integer"}}
+        with pytest.raises(jsonschema.SchemaError):
+            pipeline._inline_refs({"properties": {"x": ref}}, defs)
+
     def test_import_does_not_build_the_validator(self):
         code = ("import entropykf.pipeline as p, entropykf.cli\n"
                 "assert p._report_validator.cache_info().currsize == 0\n")
         done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+# the keywords _rule_violations can violate or descend through; a new one fails it
+_SCHEMA_KEYWORDS = {"$schema", "title", "$defs", "$ref", "allOf", "properties", "items",
+                    "required", "additionalProperties", "type", "enum", "minimum",
+                    "exclusiveMinimum", "maximum", "minItems", "maxItems"}
+
+
+def _rule_violations(schema, node, report, path=()):
+    """Yield (where, rule, mutate) for each rule of the schema node at ``path``:
+    ``mutate`` breaks that one rule in a copy of ``report``.  Arrays are
+    entered at their first item; every property must be present."""
+    assert set(node) <= _SCHEMA_KEYWORDS, set(node) - _SCHEMA_KEYWORDS
+    instance = report
+    for key in path:
+        instance = instance[key]
+    where = ".".join(map(str, path))
+
+    def replace(value):
+        def mutate(doc):
+            for key in path[:-1]:
+                doc = doc[key]
+            doc[path[-1]] = value
+        return mutate
+
+    def at(edit):
+        def mutate(doc):
+            for key in path:
+                doc = doc[key]
+            edit(doc)
+        return mutate
+
+    if "$ref" in node:
+        yield from _rule_violations(schema, schema["$defs"][node["$ref"].split("/")[-1]],
+                                    report, path)
+    for sub in node.get("allOf", []):
+        yield from _rule_violations(schema, sub, report, path)
+    types = node.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    step = 1 if "integer" in types else 1e-9
+    if types and path:  # write_report builds the top-level object itself
+        yield where, "type", replace(0 if "string" in types else "x")
+    if "enum" in node:
+        yield where, "enum", replace("x" + "".join(map(str, node["enum"])))
+    if "minimum" in node:
+        yield where, "minimum", replace(node["minimum"] - step)
+    if "exclusiveMinimum" in node:
+        yield where, "exclusiveMinimum", replace(node["exclusiveMinimum"])
+    if "maximum" in node:
+        yield where, "maximum", replace(node["maximum"] + step)
+    if "minItems" in node:
+        yield where, "minItems", replace(instance[:node["minItems"] - 1])
+    if "maxItems" in node:
+        yield where, "maxItems", replace(instance + instance[:1] * (node["maxItems"] + 1
+                                                                     - len(instance)))
+    for key in node.get("required", []):
+        yield where, f"required {key}", at(lambda doc, key=key: doc.pop(key))
+    if node.get("additionalProperties") is False:
+        yield where, "additionalProperties", at(lambda doc: doc.update(unexpected=0))
+    for key, sub in node.get("properties", {}).items():
+        assert key in instance, f"the report has no {where}.{key} to mutate"
+        yield from _rule_violations(schema, sub, report, (*path, key))
+    if "items" in node:
+        assert instance, f"the report has no {where}[0] to mutate"
+        yield from _rule_violations(schema, node["items"], report, (*path, 0))
+
+
+@functools.cache
+def _full_validator():
+    # jsonschema.validate(report, load_report_schema()) without its
+    # meta-schema check on every call
+    schema = load_report_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _full_check_rejects(report: dict) -> bool:
+    return not _full_validator().is_valid(report)
+
+
+def _with_segment_vectors(report: dict) -> dict:
+    """``report`` as write_report receives it: every segments list as an array,
+    a float64 vector unless a mutation put a string or a nested list in it."""
+    report = copy.deepcopy(report)
+    keyframes = report.get("keyframes")
+    for kf in keyframes if isinstance(keyframes, list) else []:
+        segments = kf.get("segments") if isinstance(kf, dict) else None
+        if isinstance(segments, list):
+            kf["segments"] = np.array(segments)
+    return report
+
+
+def _runtime_check_rejects(config, out: Path, report: dict) -> bool:
+    try:
+        write_report(config, out, _with_segment_vectors(report))
+    except jsonschema.ValidationError:
+        assert list(out.iterdir()) == []
+        return True
+    (out / "report.json").unlink()
+    return False
 
 
 def _src_env() -> dict:
