@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--gt", help="ground-truth file enabling the evaluation block")
     ex.add_argument("--match-window", type=int, default=DEFAULT_MATCH_WINDOW,
                     help="max |detected - truth| distance for a match (default %(default)s)")
-    ex.add_argument("--out", required=True, help="output directory for images and report.json")
+    ex.add_argument("--out", required=True,
+                    help="output directory for images and report.json, not the pgm-dir input")
     ex.add_argument("--seed-report", action="store_true",
                     help="omit volatile fields (timestamp) so report.json bytes reproduce")
 
@@ -77,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="noise frames between segments (default 4)")
     gen.add_argument("--repeat-first", action=argparse.BooleanOptionalAction, default=True,
                      help="append a verbatim repeat of the first scene (default on)")
-    gen.add_argument("--out", required=True, help="directory for the PGM frames")
-    gen.add_argument("--gt-out", help="where to write the ground-truth file")
+    gen.add_argument("--out", required=True, help="new or empty directory for the PGM frames")
+    gen.add_argument("--gt-out", help="where to write the ground-truth file, outside --out")
     return parser
 
 

@@ -1,16 +1,16 @@
 """The extraction pipeline: one call per stage, in the paper's order.
 
-``run_pipeline`` runs ``analyse`` (one pass: each frame's entropy and the
-Pearson cuts), ``merge_short_shots``, ``select_candidates`` (per shot: the
+``analyse`` makes the one pass over the frames, holding two at a time, and
+returns two series: ``entropies[i]`` is frame i's entropy and
+``correlations[i]`` frame i + 1 against frame i.  The stages follow:
+``detect_cuts``, ``merge_short_shots``, ``select_candidates`` (per shot: the
 entropy bins, the gated bin centres and their segment entropies),
 ``dedup_detailed``, ``score`` (evaluation against ground truth),
-``write_keyframes`` and ``write_report``.  A ground-truth file is read and
-checked before the pass; only its frame count waits for ``score``.  Frame
-geometry is ``ingest``'s contract.  During the pass the pipeline keeps only
-the per-frame entropies and the two frames under correlation; picked frames
-are fetched afterwards through the source's ``read_frame``.  Peak resident
-frame storage therefore stays constant in the video length, which
-``peak_resident_frames`` in the report verifies.
+``write_keyframes`` and ``write_report``; they fetch picked frames through
+the source's ``read_frame``.  Peak resident frame storage therefore stays
+constant in the video length, which ``peak_resident_frames`` in the report
+verifies.  A ground-truth file is read and checked before the pass; only its
+frame count waits for ``score``.  Frame geometry is ``ingest``'s contract.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from array import array
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable
 
 import jsonschema
 import numpy as np
@@ -35,9 +35,9 @@ from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, GroundTruth, eva
 from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, KeyFrame,
                          bin_indexed_keys, dedup_detailed, fallback_pick, select_keyframes)
 from .entropy import frame_entropy, modified_entropy, segmented_entropies
-from .ingest import Frame, SourceSpec, write_pgm
+from .ingest import Frame, SourceKind, SourceSpec, write_pgm
 from .ingest import open_source as _open_access  # perfbench wraps this binding
-from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot,
+from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, correlation,
                     detect_cuts, merge_short_shots)
 
 _KEYFRAME_NAME = re.compile(r"keyframe_\d{6,}\.pgm$")
@@ -69,6 +69,10 @@ class PipelineConfig:
         if not (math.isfinite(self.sd_threshold) and self.sd_threshold >= 0):
             raise ConfigError(f"sd threshold must be finite and non-negative, "
                               f"got {self.sd_threshold}")
+        if (self.source.kind is SourceKind.PGM_DIR
+                and Path(self.output_dir).resolve() == Path(self.source.path).resolve()):
+            raise ConfigError(f"output directory {self.output_dir} is the input directory, "
+                              "where key-frames and report.json would be read as frames")
 
 
 class _FrameWatermark:
@@ -167,19 +171,19 @@ def _check_segments(report: dict) -> None:
         kf["segments"] = row
 
 
-def analyse(source, cut_threshold: float,
-            tracker: _FrameWatermark) -> tuple[array, list[Shot]]:
-    """Stream the source once: every frame's entropy and the raw shot cuts."""
-    entropies = array("d")
-
-    def tapped() -> Iterator[Frame]:
-        for frame in source.frames():
-            tracker.register(frame)
-            entropies.append(frame_entropy(frame))
-            yield frame
-
-    raw_shots = detect_cuts(tapped(), cut_threshold)
-    return entropies, raw_shots
+def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
+    """One pass over the frames: each frame's entropy, and as ``correlations[i]``
+    the correlation of frame i + 1 against frame i."""
+    entropies, correlations = array("d"), array("d")
+    prev = None
+    for frame in frames:
+        entropies.append(frame_entropy(frame))
+        if prev is not None:
+            correlations.append(correlation(prev, frame))
+        prev = frame
+    if not entropies:
+        raise ValueError("cannot analyse an empty frame stream")
+    return entropies, correlations
 
 
 def select_candidates(shots: list[Shot], entropies: array, source,
@@ -296,7 +300,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     tracker = _FrameWatermark()
     source = _open_access(config.source)
     try:
-        entropies, raw_shots = analyse(source, config.cut_threshold, tracker)
+        entropies, correlations = analyse(map(tracker.register, source.frames()))
+        raw_shots = detect_cuts(correlations, config.cut_threshold)
         shots = merge_short_shots(raw_shots, config.min_shot_len)
         shot_details, candidates = select_candidates(shots, entropies, source, config, tracker)
         survivors, eliminations = dedup_detailed(candidates, config.sd_threshold)

@@ -1,15 +1,17 @@
 """Shot segmentation by template-matching correlation of consecutive frames.
 
 A cut is declared wherever the Pearson correlation of co-located pixels in two
-consecutive frames drops below the threshold (0.9 by default).  Fades and
-dissolves leave trails of very short shots; those are absorbed by a minimum
-shot length rather than detected as boundaries of their own.
+consecutive frames drops below the threshold (0.9 by default).  ``detect_cuts``
+reads the series of ``pipeline.analyse``, where ``correlations[i]`` is frame
+i + 1 against frame i.  Fades and dissolves leave trails of very short shots;
+those are absorbed by a minimum shot length rather than detected as boundaries
+of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Sequence
 
 from . import kernels
 from .ingest import Frame, _as_frame
@@ -51,30 +53,14 @@ def correlation(a: Frame, b: Frame) -> float:
     return kernels.correlation_from_sums(a.pixels.size, sums)
 
 
-def detect_cuts(frames: Iterable[Frame], threshold: float = DEFAULT_CUT_THRESHOLD) -> list[Shot]:
-    """Split a frame stream into shots at every adjacent pair whose
-    ``correlation`` falls below the threshold.
-
-    Only two frames are held at a time; the stream is never materialised.
-    Each frame's histogram comes from ``Frame.counts``, and each frame is kept
-    as the previous frame of the next pair.
-    """
+def detect_cuts(correlations: Sequence[float],
+                threshold: float = DEFAULT_CUT_THRESHOLD) -> list[Shot]:
+    """Shots from the series ``correlations[i]``, frame i + 1 against frame i:
+    one starts at frame 0 and one after every entry below the threshold."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"cut threshold must be in (0, 1], got {threshold}")
-    it: Iterator[Frame] = iter(frames)
-    try:
-        prev = next(it)
-    except StopIteration:
-        raise ValueError("cannot segment an empty frame stream") from None
-    shots: list[Shot] = []
-    shot_start = prev.index
-    for cur in it:
-        if correlation(prev, cur) < threshold:
-            shots.append(Shot(shot_start, cur.index))
-            shot_start = cur.index
-        prev = cur
-    shots.append(Shot(shot_start, prev.index + 1))
-    return shots
+    starts = [0] + [i + 1 for i, r in enumerate(correlations) if r < threshold]
+    return [Shot(start, end) for start, end in zip(starts, starts[1:] + [len(correlations) + 1])]
 
 
 def merge_short_shots(shots: list[Shot], min_len: int = DEFAULT_MIN_SHOT_LEN) -> list[Shot]:

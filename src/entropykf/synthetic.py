@@ -120,6 +120,8 @@ def generate(out_dir: str | Path, gt_out: str | Path | None,
     The sequence is scene_1 .. scene_K, optionally followed by scene_1 again,
     with fade_frames of noise between consecutive segments.  Ground truth
     holds the centre frame of each distinct scene (the repeat adds none).
+    Every file in ``out_dir`` is read as a frame, so an ``out_dir`` that holds
+    a file, or a ``gt_out`` inside it, is refused before anything is written.
     """
     if not MIN_DIMENSION <= min(width, height) <= max(width, height) <= MAX_DIMENSION:
         raise ValueError(f"frame sides must be in {MIN_DIMENSION}..{MAX_DIMENSION}, "
@@ -130,6 +132,11 @@ def generate(out_dir: str | Path, gt_out: str | Path | None,
     textures = make_textures(rng, scenes, width, height)
 
     out_dir = Path(out_dir)
+    if out_dir.is_file() or out_dir.is_dir() and any(p.is_file() for p in out_dir.iterdir()):
+        raise ValueError(f"{out_dir} is a file or already holds files; "
+                         "the frames need a new or empty directory")
+    if gt_out is not None and Path(gt_out).resolve().parent == out_dir.resolve():
+        raise ValueError(f"ground truth {gt_out} would be a frame file in {out_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     scene_bytes = [header + t.tobytes() for t in textures]

@@ -85,6 +85,28 @@ class TestSyntheticLayout:
                           sorted((tmp_path / "b").iterdir())):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_generate_refuses_a_file_or_a_directory_holding_files(self, tmp_path):
+        # every file in the directory is read as a frame, so stale frames of
+        # an earlier, longer video would lengthen this one
+        kwargs = dict(scenes=1, frames_per_scene=6, width=16, height=16, seed=1,
+                      fade_frames=0, repeat_first=False)
+        (tmp_path / "empty" / "subdir").mkdir(parents=True)
+        synthetic.generate(tmp_path / "empty", None, **kwargs)
+        synthetic.generate(tmp_path / "v", None, **{**kwargs, "frames_per_scene": 9})
+        before = {p.name: p.read_bytes() for p in (tmp_path / "v").iterdir()}
+        (tmp_path / "file").write_bytes(b"")
+        for out_dir in (tmp_path / "v", tmp_path / "file"):
+            with pytest.raises(ValueError, match="already holds files"):
+                synthetic.generate(out_dir, tmp_path / "gt.txt", **kwargs)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "v").iterdir()} == before
+        assert not (tmp_path / "gt.txt").exists()
+
+    def test_generate_refuses_ground_truth_inside_the_frame_directory(self, tmp_path):
+        with pytest.raises(ValueError, match="would be a frame file"):
+            synthetic.generate(tmp_path / "v", tmp_path / "v" / ".." / "v" / "gt.txt",
+                               scenes=1, frames_per_scene=6, width=16, height=16)
+        assert not (tmp_path / "v").exists()
+
 
 @pytest.fixture(scope="module")
 def small_video(tmp_path_factory):
@@ -799,6 +821,33 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert len(list((tmp_path / "v").iterdir())) == 3 * 10 + 2 * 2
         assert (tmp_path / "gt.txt").read_text().startswith("total_frames=34")
+
+    def test_generate_synthetic_into_a_used_directory_exits_2(self, tmp_path):
+        args = ["generate-synthetic", "--scenes", "1", "--size", "16x16",
+                "--out", str(tmp_path / "v"), "--gt-out", str(tmp_path / "gt.txt")]
+        assert _cli(*args, "--frames-per-scene", "12").returncode == 0
+        result = _cli(*args, "--frames-per-scene", "10")
+        assert result.returncode == 2
+        assert b"bad configuration" in result.stderr and b"already holds files" in result.stderr
+        assert len(list((tmp_path / "v").iterdir())) == 2 * 12 + 4
+        assert (tmp_path / "gt.txt").read_text().startswith("total_frames=28")
+
+    @pytest.mark.parametrize("alias", ["same path", "symlink"])
+    def test_extract_out_set_to_the_pgm_input_exits_2(self, alias, tmp_path):
+        # a first run would write key-frames and report.json into the video,
+        # and every later run would read them as frames
+        texture = synthetic.make_textures(np.random.default_rng(31), 1, 16, 16)[0]
+        src = _write_run(tmp_path, texture, 12)
+        out = src
+        if alias == "symlink":
+            out = tmp_path / "link"
+            out.symlink_to(src, target_is_directory=True)
+        before = sorted(p.name for p in src.iterdir())
+        result = _cli("extract", "--input", str(src), "--format", "pgm-dir",
+                      "--out", str(out))
+        assert result.returncode == 2
+        assert b"bad configuration" in result.stderr and b"input directory" in result.stderr
+        assert sorted(p.name for p in src.iterdir()) == before
 
     @pytest.mark.parametrize("size", ["16385x8", "8x16385"])
     def test_generate_synthetic_size_outside_frame_range_exits_2(self, size, tmp_path):

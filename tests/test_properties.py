@@ -1,8 +1,10 @@
 """Property tests of the input boundary: arbitrary bytes and arguments end in
-the documented error types, never in a bare exception or an unbounded size."""
+the documented error types, never in a bare exception or an unbounded size.
+The shot stages are checked the same way on arbitrary correlation series."""
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from entropykf.evaluation import EvaluationError, load_ground_truth
 from entropykf.ingest import (MAX_DIMENSION, MIN_DIMENSION, IngestError, SourceKind,
                               SourceSpec, _iter_raw, _iter_y4m, _parse_pgm)
+from entropykf.shots import detect_cuts, merge_short_shots
 
 FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -170,3 +173,29 @@ def test_source_spec_raises_only_value_error(kind, path, width, height):
         assert MIN_DIMENSION <= spec.height <= MAX_DIMENSION
     else:
         assert spec.width is None and spec.height is None
+
+
+@st.composite
+def correlation_series(draw) -> tuple[list[float], float]:
+    """A threshold in (0, 1] and a series in [-1, 1] that often holds the
+    threshold itself and the float just below it."""
+    threshold = draw(st.floats(0.0, 1.0, exclude_min=True))
+    near = st.sampled_from([threshold, float(np.nextafter(threshold, 0.0))])
+    series = draw(st.lists(st.one_of(st.floats(-1.0, 1.0), near), max_size=60))
+    return series, threshold
+
+
+def _tiles(shots, end: int) -> bool:
+    return (shots[0].start == 0 and shots[-1].end == end
+            and all(a.end == b.start for a, b in zip(shots, shots[1:])))
+
+
+@FUZZ
+@given(correlation_series(), st.integers(0, 30))
+def test_detect_cuts_starts_a_shot_after_each_low_correlation(case, min_len):
+    correlations, threshold = case
+    shots = detect_cuts(correlations, threshold)
+    assert _tiles(shots, len(correlations) + 1)
+    assert [s.start - 1 for s in shots[1:]] == \
+        [i for i, r in enumerate(correlations) if r < threshold]
+    assert _tiles(merge_short_shots(shots, min_len), len(correlations) + 1)

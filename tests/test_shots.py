@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import correlation_oracle, frame, rand_pixels
+from entropykf.entropy import frame_entropy
+from entropykf.pipeline import analyse
 from entropykf.shots import Shot, correlation, detect_cuts, merge_short_shots
 
 
@@ -76,7 +78,7 @@ class TestCorrelation:
         with pytest.raises(ValueError, match=r"32x24.*16x16"):
             correlation(a, b)
         with pytest.raises(ValueError, match=r"32x24.*16x16"):
-            detect_cuts(iter([a, b]))
+            analyse(iter([a, b]))
 
     def test_arrays_must_be_8_bit(self):
         # the kernels read 256-level histograms, so wider samples are refused
@@ -98,7 +100,7 @@ class TestDetectCuts:
     def test_identical_frames_one_shot(self):
         rng = np.random.default_rng(83)
         px = rand_pixels(rng, 16, 16)
-        shots = detect_cuts(_texture_stream([(px, 100)]), 0.9)
+        shots = detect_cuts(analyse(_texture_stream([(px, 100)]))[1], 0.9)
         assert shots == [Shot(0, 100)]
 
     def test_two_textures_two_shots(self):
@@ -107,7 +109,7 @@ class TestDetectCuts:
         b = rand_pixels(rng, 32, 32)
         # seam correlation must be below threshold for the planted cut to exist
         assert correlation_oracle(a, b) < 0.9
-        shots = detect_cuts(_texture_stream([(a, 50), (b, 50)]), 0.9)
+        shots = detect_cuts(analyse(_texture_stream([(a, 50), (b, 50)]))[1], 0.9)
         assert shots == [Shot(0, 50), Shot(50, 100)]
 
     def test_alternating_textures_all_singletons(self):
@@ -115,23 +117,27 @@ class TestDetectCuts:
         a = rand_pixels(rng, 16, 16)
         b = rand_pixels(rng, 16, 16)
         frames = [frame(i, a if i % 2 == 0 else b) for i in range(8)]
-        shots = detect_cuts(iter(frames), 0.9)
+        shots = detect_cuts(analyse(iter(frames))[1], 0.9)
         assert shots == [Shot(i, i + 1) for i in range(8)]
 
     def test_single_frame_stream(self):
-        shots = detect_cuts(iter([frame(0, np.zeros((8, 8), dtype=np.uint8))]), 0.9)
+        shots = detect_cuts(analyse(iter([frame(0, np.zeros((8, 8), dtype=np.uint8))]))[1], 0.9)
         assert shots == [Shot(0, 1)]
 
-    def test_empty_stream_errors(self):
-        with pytest.raises(ValueError, match="empty"):
-            detect_cuts(iter([]), 0.9)
+    def test_empty_series_is_one_frame(self):
+        assert detect_cuts([], 0.9) == [Shot(0, 1)]
+
+    @pytest.mark.parametrize("threshold", [0.9, 0.5, 1.0, np.nextafter(0.0, 1.0)])
+    def test_correlation_equal_to_threshold_is_not_a_cut(self, threshold):
+        below = np.nextafter(threshold, 0.0)
+        assert detect_cuts([threshold, below, threshold], threshold) == \
+            [Shot(0, 2), Shot(2, 4)]
 
     def test_threshold_validated(self):
-        frames = [frame(0, np.zeros((8, 8), dtype=np.uint8))]
         with pytest.raises(ValueError):
-            detect_cuts(iter(frames), 0.0)
+            detect_cuts([1.0], 0.0)
         with pytest.raises(ValueError):
-            detect_cuts(iter(frames), 1.1)
+            detect_cuts([1.0], 1.1)
 
     def test_output_tiles_stream_range(self):
         rng = np.random.default_rng(99)
@@ -139,10 +145,26 @@ class TestDetectCuts:
         runs = [(textures[int(rng.integers(0, 4))], int(rng.integers(1, 12)))
                 for _ in range(10)]
         n = sum(c for _, c in runs)
-        shots = detect_cuts(_texture_stream(runs), 0.9)
+        shots = detect_cuts(analyse(_texture_stream(runs))[1], 0.9)
         assert shots[0].start == 0 and shots[-1].end == n
         for prev, cur in zip(shots, shots[1:]):
             assert prev.end == cur.start
+
+
+class TestAnalyse:
+    def test_empty_stream_errors(self):
+        with pytest.raises(ValueError, match="empty"):
+            analyse(iter([]))
+
+    def test_series_equal_the_per_frame_calls_bit_for_bit(self):
+        rng = np.random.default_rng(101)
+        a = rand_pixels(rng, 24, 16)
+        frames = [frame(i, rand_pixels(rng, 24, 16) if i % 3 else a) for i in range(10)]
+        entropies, correlations = analyse(iter(frames))
+        assert len(correlations) == len(entropies) - 1 == 9
+        assert [c.hex() for c in correlations] == \
+            [correlation(p, q).hex() for p, q in zip(frames, frames[1:])]
+        assert [e.hex() for e in entropies] == [frame_entropy(f).hex() for f in frames]
 
 
 class TestMergeShortShots:
