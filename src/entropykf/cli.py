@@ -79,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--repeat-first", action=argparse.BooleanOptionalAction, default=True,
                      help="append a verbatim repeat of the first scene (default on)")
     gen.add_argument("--out", required=True, help="new or empty directory for the PGM frames")
-    gen.add_argument("--gt-out", help="where to write the ground-truth file, outside --out")
+    gen.add_argument("--gt-out", help="where to write the ground-truth file: outside --out, "
+                                      "not a directory, in a directory that exists or "
+                                      "that --out creates")
     return parser
 
 

@@ -108,10 +108,6 @@ def load_report_schema() -> dict:
     return json.loads(resources.files("entropykf").joinpath("report_schema.json").read_text())
 
 
-def _segments_node(schema: dict) -> dict:
-    return schema["properties"]["keyframes"]["items"]["properties"]["segments"]
-
-
 def _inline_refs(node, defs: dict, seen: tuple = ()):
     """``node`` with each ``$ref`` replaced by the ``$defs`` entry it names."""
     if isinstance(node, list):
@@ -128,47 +124,35 @@ def _inline_refs(node, defs: dict, seen: tuple = ()):
 
 @functools.cache
 def _report_validator() -> jsonschema.protocols.Validator:
-    """The validator of the report schema with its ``$ref``s inlined, less the
-    rule for each segment number, which ``_check_segments`` applies in bulk.
-    Both schemas are meta-schema checked once per process, on first use."""
+    """The shipped report schema's validator, with its ``$ref``s inlined and its
+    class extended to take a numpy array as an array.  ``items`` checks a float64
+    vector in one numpy pass against the item rule, which must be exactly
+    ``type: number``, ``minimum`` and ``maximum``; the pass also fails NaN, which
+    jsonschema's ``minimum`` and ``maximum`` let through.  The schema is
+    meta-schema checked once per process, on first use."""
     schema = load_report_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
+    base = jsonschema.validators.validator_for(schema)
+    base.check_schema(schema)
+
+    def items(validator, rule, instance, node):
+        if not isinstance(instance, np.ndarray):
+            yield from base.VALIDATORS["items"](validator, rule, instance, node)
+        elif (not isinstance(rule, dict) or rule.keys() != {"type", "minimum", "maximum"}
+              or rule["type"] != "number"):
+            raise jsonschema.SchemaError(f"the bulk items check cannot apply {rule}")
+        elif instance.dtype != np.float64 or instance.ndim != 1:
+            yield jsonschema.ValidationError(f"{instance!r} is not a float64 vector")
+        else:
+            lo, hi = rule["minimum"], rule["maximum"]
+            bad = np.flatnonzero(~((instance >= lo) & (instance <= hi)))
+            if len(bad):
+                j = int(bad[0])
+                yield jsonschema.ValidationError(f"{instance[j]} is not in [{lo}, {hi}]", path=(j,))
+
+    cls = jsonschema.validators.extend(base, {"items": items}, type_checker=(
+        base.TYPE_CHECKER.redefine("array", lambda _, x: isinstance(x, (list, np.ndarray)))))
     defs = schema.pop("$defs", {})
-    derived = _inline_refs(schema, defs)
-    del _segments_node(derived)["items"]
-    cls.check_schema(derived)
-    return cls(derived)
-
-
-@functools.cache
-def _segment_bounds() -> tuple[float, float]:
-    rule = _segments_node(load_report_schema())["items"]
-    if rule.keys() != {"type", "minimum", "maximum"} or rule["type"] != "number":
-        raise jsonschema.SchemaError(f"the bulk segment check cannot apply {rule}")
-    return rule["minimum"], rule["maximum"]
-
-
-def _check_segments(report: dict) -> None:
-    """Range-check the key-frames' float64 segment vectors in one numpy pass, then
-    store them as lists for the validator and ``json.dump``.  NaN fails here,
-    though jsonschema's ``minimum`` and ``maximum`` let it through."""
-    keyframes = report.get("keyframes")
-    if not isinstance(keyframes, list) or not keyframes:
-        return  # no vectors; the validator judges the structure
-    rows = [kf.get("segments") if isinstance(kf, dict) else None for kf in keyframes]
-    if not all(isinstance(r, np.ndarray) and r.dtype == np.float64 and r.ndim == 1
-               and r.shape == rows[0].shape for r in rows):
-        raise jsonschema.ValidationError("keyframes[].segments: not float64 vectors of one length")
-    lo, hi = _segment_bounds()
-    stack = np.stack(rows)
-    bad = np.argwhere(~((stack >= lo) & (stack <= hi)))
-    if len(bad):
-        i, j = bad[0]
-        raise jsonschema.ValidationError(f"keyframes[{i}].segments[{j}] is {stack[i, j]}, "
-                                         f"not within [{lo}, {hi}]")
-    for kf, row in zip(keyframes, stack.tolist()):
-        kf["segments"] = row
+    return cls(_inline_refs(schema, defs))
 
 
 def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
@@ -260,8 +244,10 @@ def write_report(config: PipelineConfig, out_dir: Path, results: dict) -> dict:
         "ground_truth": None if config.ground_truth is None else str(config.ground_truth),
     }
     report.update(results)
-    _check_segments(report)
     _report_validator().validate(report)
+    for kf in report["keyframes"]:
+        if isinstance(kf["segments"], np.ndarray):
+            kf["segments"] = kf["segments"].tolist()  # json.dump writes lists, not arrays
     partial = out_dir / ".report.json.tmp"
     try:
         with open(partial, "w") as out:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .entropy import segment_bounds
 from .ingest import MAX_DIMENSION, MIN_DIMENSION, write_pgm
+from .pipeline import _writable_dir
 
 DEFAULT_FADE_FRAMES = 4
 _MIN_MASK_DISTANCE = 8  # grid cells two scene patterns must differ in
@@ -122,6 +123,9 @@ def generate(out_dir: str | Path, gt_out: str | Path | None,
     holds the centre frame of each distinct scene (the repeat adds none).
     Every file in ``out_dir`` is read as a frame, so an ``out_dir`` that holds
     a file, or a ``gt_out`` inside it, is refused before anything is written.
+    So are a ``gt_out`` that is or will be a directory, or whose parent is
+    neither a directory nor made with ``out_dir``, and an ``out_dir`` that
+    cannot be created and written.
     """
     if not MIN_DIMENSION <= min(width, height) <= max(width, height) <= MAX_DIMENSION:
         raise ValueError(f"frame sides must be in {MIN_DIMENSION}..{MAX_DIMENSION}, "
@@ -135,9 +139,15 @@ def generate(out_dir: str | Path, gt_out: str | Path | None,
     if out_dir.is_file() or out_dir.is_dir() and any(p.is_file() for p in out_dir.iterdir()):
         raise ValueError(f"{out_dir} is a file or already holds files; "
                          "the frames need a new or empty directory")
-    if gt_out is not None and Path(gt_out).resolve().parent == out_dir.resolve():
-        raise ValueError(f"ground truth {gt_out} would be a frame file in {out_dir}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if gt_out is not None:
+        gt, out = Path(gt_out).resolve(), out_dir.resolve()
+        if gt.parent == out:
+            raise ValueError(f"ground truth {gt_out} would be a frame file in {out_dir}")
+        if gt.is_dir() or gt in (out, *out.parents):
+            raise ValueError(f"ground truth {gt_out} is or will be a directory")
+        if not (gt.parent.is_dir() or gt.parent in out.parents):
+            raise ValueError(f"ground truth {gt_out} is not in a directory")
+    out_dir = _writable_dir(out_dir)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     scene_bytes = [header + t.tobytes() for t in textures]
 

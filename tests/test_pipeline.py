@@ -66,13 +66,15 @@ class TestSyntheticLayout:
                 assert dissimilarity(profiles[i], profiles[j]) > 0.5
 
     def test_generate_writes_frames_and_gt(self, tmp_path):
-        layout = synthetic.generate(tmp_path / "v", tmp_path / "gt.txt",
+        # the ground truth's directory may be one that making the frame directory makes
+        new = tmp_path / "new"
+        layout = synthetic.generate(new / "v", new / "gt.txt",
                                     scenes=2, frames_per_scene=12, width=32,
                                     height=24, seed=3, fade_frames=2)
-        files = sorted((tmp_path / "v").iterdir())
+        files = sorted((new / "v").iterdir())
         assert len(files) == layout.total_frames == 3 * 12 + 2 * 2
         from entropykf.evaluation import load_ground_truth
-        gt = load_ground_truth(tmp_path / "gt.txt")
+        gt = load_ground_truth(new / "gt.txt")
         assert gt.total_frames == layout.total_frames
         assert gt.keyframe_indices == layout.gt_indices
 
@@ -361,8 +363,8 @@ class TestReportValidator:
     def test_shipped_schema_passes_its_meta_schema(self):
         schema = load_report_schema()
         jsonschema.validators.validator_for(schema).check_schema(schema)
-        # the validator's schema is the shipped one with its refs inlined, less
-        # the rule for each segment number, which write_report checks in bulk
+        # the validator's schema is the shipped one with its refs inlined and
+        # nothing removed
         derived = load_report_schema()
         shot = derived["$defs"]["shot"]
         candidate = derived.pop("$defs")["candidate"]
@@ -372,7 +374,6 @@ class TestReportValidator:
         props["shot_details"]["items"]["properties"]["shot"] = shot
         props["candidates"]["items"] = candidate
         props["keyframes"]["items"]["allOf"] = [candidate]
-        del props["keyframes"]["items"]["properties"]["segments"]["items"]
         assert pipeline._report_validator().schema == derived
 
     def test_one_validator_per_process(self):
@@ -435,28 +436,40 @@ class TestReportValidator:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_segments_are_rejected(self, small_video, tmp_path, value):
         # stricter than the schema for NaN, which passes jsonschema's minimum
-        # and maximum and would be written as the non-JSON token NaN
+        # and maximum and would be written as the non-JSON token NaN; the last
+        # key-frame's last segment shows that the bulk pass sees every number
         root, _ = small_video
         config = _config(root / "frames", tmp_path / "out", seed_report=True)
         report = run_pipeline(config)
-        report["keyframes"][1]["segments"][5] = value
-        assert _full_check_rejects(report) == (not math.isnan(value))
         (tmp_path / "out" / "report.json").unlink()
-        with pytest.raises(jsonschema.ValidationError, match=r"keyframes\[1\]\.segments\[5\]"):
-            write_report(config, tmp_path / "out", _with_segment_vectors(report))
-        assert not (tmp_path / "out" / "report.json").exists()
+        last = len(report["keyframes"]) - 1
+        assert last > 1
+        for i, j in [(1, 5), (last, 63)]:
+            mutated = copy.deepcopy(report)
+            mutated["keyframes"][i]["segments"][j] = value
+            assert _full_check_rejects(mutated) == (not math.isnan(value))
+            with pytest.raises(jsonschema.ValidationError) as raised:
+                write_report(config, tmp_path / "out", _with_segment_vectors(mutated))
+            assert raised.value.json_path == f"$.keyframes[{i}].segments[{j}]"
+            assert not (tmp_path / "out" / "report.json").exists()
 
-    def test_segment_rule_the_bulk_check_cannot_apply_is_refused(self, monkeypatch):
+    def test_segment_rule_the_bulk_check_cannot_apply_is_refused(self, small_video, tmp_path,
+                                                                 monkeypatch):
+        root, _ = small_video
+        config = _config(root / "frames", tmp_path / "out", seed_report=True)
+        report = _with_segment_vectors(run_pipeline(config))
+        (tmp_path / "out" / "report.json").unlink()
         schema = load_report_schema()
         schema["properties"]["keyframes"]["items"]["properties"]["segments"]["items"][
             "multipleOf"] = 0.5
         monkeypatch.setattr(pipeline, "load_report_schema", lambda: schema)
-        pipeline._segment_bounds.cache_clear()
+        pipeline._report_validator.cache_clear()
         try:
             with pytest.raises(jsonschema.SchemaError, match="multipleOf"):
-                pipeline._segment_bounds()
+                write_report(config, tmp_path / "out", report)
         finally:
-            pipeline._segment_bounds.cache_clear()
+            pipeline._report_validator.cache_clear()
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("ref", [
         {"$ref": "other.json#/$defs/leaf"},          # not local
@@ -831,6 +844,23 @@ class TestCli:
         assert b"bad configuration" in result.stderr and b"already holds files" in result.stderr
         assert len(list((tmp_path / "v").iterdir())) == 2 * 12 + 4
         assert (tmp_path / "gt.txt").read_text().startswith("total_frames=28")
+
+    @pytest.mark.parametrize("case", ["gt-out is out", "gt-out is a directory",
+                                      "gt-out in no directory", "out below a file"])
+    def test_generate_synthetic_unusable_output_paths_exit_2(self, case, tmp_path):
+        # each is refused before any frame is written, not by a traceback after
+        d = tmp_path / "d"
+        (d / "dir").mkdir(parents=True)
+        (d / "file").write_bytes(b"")
+        out, gt = {"gt-out is out": (d / "v", d / "v"),
+                   "gt-out is a directory": (d / "v", d / "dir"),
+                   "gt-out in no directory": (d / "v", d / "nodir" / "gt.txt"),
+                   "out below a file": (d / "file" / "v", d / "gt.txt")}[case]
+        result = _cli("generate-synthetic", "--scenes", "1", "--frames-per-scene", "8",
+                      "--size", "16x16", "--out", str(out), "--gt-out", str(gt))
+        assert result.returncode == 2, result.stderr
+        assert b"bad configuration" in result.stderr and b"Traceback" not in result.stderr
+        assert [p for p in d.rglob("*") if p.is_file()] == [d / "file"]
 
     @pytest.mark.parametrize("alias", ["same path", "symlink"])
     def test_extract_out_set_to_the_pgm_input_exits_2(self, alias, tmp_path):
