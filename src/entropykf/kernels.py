@@ -1,53 +1,70 @@
 """Hot per-frame kernels: histogram, entropy, segment histograms, pixel correlation.
 
-The three loops over a frame's bytes, ``histogram256``, the Σab dot inside
+The three loops over a frame's bytes, ``histogram256``, the sums inside
 ``pearson_sums`` and ``segment_histograms``, are C functions in
-``_kernels.c``, called through ``ctypes`` (which releases the GIL for the
-call); the Python functions here check dtype, sizes and bounds and make the
-pixels contiguous before passing pointers.  ``perfbench/`` times every kernel
-inside a pipeline run.  A frame's 256-bin histogram is computed once and
-serves both its entropy and the correlation of the pairs it belongs to: the
-per-frame moments Σa and Σa² follow exactly from it, so a pair costs one pass
-for Σab over the two frames' uint8 bytes.  Integer results (histogram counts,
-correlation sums) are exact; entropy uses numpy's pairwise summation and is
-deterministic.
+``_kernels.c``, built as a CPython extension module whose ``METH_FASTCALL``
+entry points take the arrays through the buffer protocol and release the GIL
+around their loops.  The Python functions here check dtype, shape and
+contiguity of every array the C side reads or writes, and make the pixels
+contiguous, before the call.  ``perfbench/`` times every kernel inside a
+pipeline run.  A frame's 256-bin histogram is computed once and serves both
+its entropy and the correlation of the pairs it belongs to: the per-frame
+moments Σa and Σa² follow exactly from it, so a pair costs one C call that
+sums them from the two histograms and Σab over the two frames' uint8 bytes.
+Integer results (histogram counts, correlation sums) are exact; entropy uses
+numpy's pairwise summation and is deterministic.
 
-The first import compiles ``_kernels.c`` with ``cc -O3 -shared -fPIC`` into
-the ``__pycache__`` directory beside it, under a name keyed by a CRC of the
-source and the command; later imports load that library.  With no cached
-library and no ``cc`` on PATH, importing this module raises ``ImportError``.
+The first import compiles ``_kernels.c`` with ``cc -O3 -shared -fPIC`` and
+the interpreter's include directory into the ``__pycache__`` directory beside
+it, under a name keyed by a CRC of the source and of the compile flags and
+ending in the interpreter's extension suffix
+(``.cpython-311-x86_64-linux-gnu.so``), so interpreters of different ABIs
+sharing a checkout each build and load their own; later imports load that
+module.  With no cached module and no ``cc`` on PATH, importing this module
+raises ``ImportError``.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import zlib
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
+_MODULE = "entropykf._kernels"  # the C file's PyInit__kernels names the last part
+
+
+def _compile_command() -> tuple[str, ...]:
+    """The compile command, with the interpreter's ``Python.h`` on the include path."""
+    import sysconfig  # only a first import compiles
+
+    return (*_COMPILE, f"-I{sysconfig.get_paths()['include']}")
 
 
 def _library_path() -> Path:
     """Where the compiled kernels are cached; an edit to the source or the
-    command names a new file."""
+    flags names a new file, and so does another interpreter ABI."""
     key = zlib.crc32(" ".join(_COMPILE).encode(), zlib.crc32(_SOURCE.read_bytes()))
-    return _SOURCE.parent / "__pycache__" / f"_kernels-{key:08x}.so"
+    return _SOURCE.parent / "__pycache__" / f"_kernels-{key:08x}{EXTENSION_SUFFIXES[0]}"
 
 
 def _compile(lib: Path) -> None:
-    """Build the library into a temporary file and move it into place, so
-    processes importing concurrently each see a whole library or none."""
+    """Build the module into a temporary file and move it into place, so
+    processes importing concurrently each see a whole module or none."""
     import subprocess  # only a first import compiles
 
+    command = _compile_command()
     tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
     try:
         lib.parent.mkdir(exist_ok=True)
-        done = subprocess.run([*_COMPILE, "-o", str(tmp), str(_SOURCE)],
+        done = subprocess.run([*command, "-o", str(tmp), str(_SOURCE)],
                               capture_output=True, text=True)
     except FileNotFoundError:
         raise ImportError(f"entropykf builds its kernels with the C compiler '{_COMPILE[0]}' on "
@@ -57,23 +74,18 @@ def _compile(lib: Path) -> None:
         raise ImportError(f"cannot build the entropykf kernels into {lib}: {exc}") from None
     if done.returncode != 0:
         tmp.unlink(missing_ok=True)
-        raise ImportError(f"compiling {_SOURCE} with '{' '.join(_COMPILE)}' failed:\n{done.stderr}")
+        raise ImportError(f"compiling {_SOURCE} with '{' '.join(command)}' failed:\n{done.stderr}")
     os.replace(tmp, lib)
 
 
-def _load() -> ctypes.CDLL:
+def _load() -> ModuleType:
     lib = _library_path()
     if not lib.exists():
         _compile(lib)
-    c = ctypes.CDLL(str(lib))
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    c.histogram256.argtypes = (ptr, i64, ptr)
-    c.histogram256.restype = None
-    c.dot_u8.argtypes = (ptr, ptr, i64)
-    c.dot_u8.restype = ctypes.c_uint64
-    c.segment_histograms.argtypes = (ptr, i64, ptr, ptr, ptr)
-    c.segment_histograms.restype = None
-    return c
+    loader = ExtensionFileLoader(_MODULE, str(lib))
+    module = module_from_spec(spec_from_loader(_MODULE, loader))
+    loader.exec_module(module)
+    return module
 
 
 _C = _load()
@@ -90,7 +102,7 @@ def histogram256(pixels: np.ndarray) -> np.ndarray:
     """256-bin intensity histogram of an 8-bit image, as int64 counts."""
     px = _bytes_of(pixels)
     counts = np.empty(256, dtype=np.int64)
-    _C.histogram256(px.ctypes.data, px.size, counts.ctypes.data)
+    _C.histogram256(px, counts)
     return counts
 
 
@@ -102,7 +114,7 @@ def entropy_from_counts(counts: np.ndarray, total: int) -> float:
     histogram, whose one term is 0.0, gives 0.0 rather than -0.0.
     """
     p = counts[counts > 0] / total
-    en = float(-np.sum(p * np.log2(p)))
+    en = float(-np.add.reduce(p * np.log2(p)))
     if en <= 0.0:
         return 0.0
     if en > 8.0:
@@ -130,13 +142,14 @@ def segment_histograms(pixels: np.ndarray, row_bounds: np.ndarray,
     rows = _cut_points(row_bounds, px.shape[0])
     cols = _cut_points(col_bounds, px.shape[1])
     counts = np.empty((64, 256), dtype=np.int64)
-    _C.segment_histograms(px.ctypes.data, px.shape[1], rows.ctypes.data, cols.ctypes.data,
-                          counts.ctypes.data)
+    _C.segment_histograms(px, rows, cols, counts, px.shape[1])
     return counts
 
 
-_LEVELS = np.arange(256, dtype=np.int64)
-_LEVELS_SQ = _LEVELS * _LEVELS
+def _check_counts(counts: np.ndarray) -> None:
+    if counts.dtype != np.int64 or counts.shape != (256,) or not counts.flags.c_contiguous:
+        raise ValueError(f"expected C-contiguous int64 counts of shape (256,), got "
+                         f"{counts.dtype} of shape {counts.shape}")
 
 
 def pearson_sums(counts_a: np.ndarray, counts_b: np.ndarray,
@@ -144,18 +157,19 @@ def pearson_sums(counts_a: np.ndarray, counts_b: np.ndarray,
     """Exact integer moments (sum a, sum b, sum a^2, sum b^2, sum ab) of two
     equal-size 8-bit frames, from their ``histogram256`` counts and their pixels.
 
-    Σa and Σa² are Σk·c_k and Σk²·c_k over the histogram, in int64.  Σab is
-    summed over co-located pixels in row-major order, in uint32 partials of at
-    most 65,536 products (each below 255²·65536 < 2**32) added in uint64: the
-    total is at most 255²·n, about 1.8e13 for n = ``ingest.MAX_DIMENSION``²
-    pixels, far below 2**64, so nothing wraps.
+    All five come from one C call.  Σa and Σa² are Σk·c_k and Σk²·c_k over the
+    histogram, in int64.  Σab is summed over co-located pixels in row-major
+    order, in uint32 partials of at most 65,536 products (each below
+    255²·65536 < 2**32) added in uint64: the total is at most 255²·n, about
+    1.8e13 for n = ``ingest.MAX_DIMENSION``² pixels, far below 2**64, so
+    nothing wraps.
     """
     a, b = _bytes_of(pixels_a), _bytes_of(pixels_b)
     if a.size != b.size:
         raise ValueError(f"frames differ in size: {a.size} vs {b.size} pixels")
-    return (int(counts_a @ _LEVELS), int(counts_b @ _LEVELS),
-            int(counts_a @ _LEVELS_SQ), int(counts_b @ _LEVELS_SQ),
-            _C.dot_u8(a.ctypes.data, b.ctypes.data, a.size))
+    _check_counts(counts_a)
+    _check_counts(counts_b)
+    return _C.pearson_sums(counts_a, counts_b, a, b)
 
 
 def correlation_from_sums(n: int, sums: tuple[int, int, int, int, int]) -> float:

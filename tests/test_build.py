@@ -1,14 +1,16 @@
 """How the C kernels are built and shipped.
 
 Each build test imports a copy of the package in its own interpreter, so the
-compile on first import, the cached library and the missing-compiler error are
-those of a fresh checkout, whatever this process has already imported.
+compile on first import, the cached extension module and the missing-compiler
+error are those of a fresh checkout, whatever this process has already
+imported.
 """
 
 import os
 import shutil
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,17 @@ def test_fresh_copy_compiles_once_then_reuses_the_cache(tmp_path):
     assert library.stat().st_mtime_ns == stamp
 
 
+def test_cached_module_is_keyed_to_the_interpreter_abi(tmp_path):
+    # an extension module is bound to one CPython ABI, so interpreters sharing
+    # a checkout (3.10 and 3.11, say) must each build and load their own
+    root = _copy_package(tmp_path)
+    _import(root, os.environ["PATH"])
+    built = _cache(root)
+    assert len(built) == 1 and built[0].endswith(EXTENSION_SUFFIXES[0]), built
+    assert sys.implementation.cache_tag in built[0], built  # e.g. cpython-311
+    assert kernels._library_path().name.endswith(EXTENSION_SUFFIXES[0])
+
+
 def test_concurrent_first_imports_leave_one_whole_library(tmp_path):
     root = _copy_package(tmp_path)
     env = {"PYTHONPATH": str(root), "PATH": os.environ["PATH"]}
@@ -87,7 +100,7 @@ def test_no_compiler_and_no_cache_is_a_clear_import_error(tmp_path):
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
     done = subprocess.run(
-        [*kernels._COMPILE, "-std=c99", "-Wall", "-Wextra", "-Werror",
+        [*kernels._compile_command(), "-std=c99", "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "kernels.so"), str(kernels._SOURCE)],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

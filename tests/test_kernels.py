@@ -4,7 +4,14 @@ cases of the correlation quotient.
 Each C kernel is compared with the numpy body it replaced (kept in conftest as
 an oracle), and ``pearson_sums`` also with sums in Python ints, on odd shapes,
 non-contiguous views, flat 0 and 255 frames, an all-255 megapixel frame and
-hypothesis-drawn frames.  The entropy kernel is checked in test_entropy.py."""
+hypothesis-drawn frames.  The entropy kernel is checked in test_entropy.py.
+At the C boundary, arrays the C side cannot read as they are raise
+``ValueError`` rather than give a number, and every C entry point lets other
+Python threads run while it loops."""
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +213,23 @@ class TestPearsonSums:
         with pytest.raises(ValueError, match="differ in size"):
             kernels.pearson_sums(kernels.histogram256(a), kernels.histogram256(b), a, b)
 
+    @pytest.mark.parametrize("bad", {
+        "int32": lambda c: c.astype(np.int32),
+        # the same 2,048 bytes as the int64 counts, so only the dtype tells
+        "int32-view": lambda c: c.view(np.int32),
+        "length-255": lambda c: c[:255].copy(),
+        "strided": lambda c: np.repeat(c, 2)[::2],
+        "2-D": lambda c: c.reshape(16, 16),
+    }.items(), ids=lambda item: item[0])
+    def test_rejects_counts_the_c_side_cannot_read(self, bad):
+        _, make = bad
+        a = np.arange(64, dtype=np.uint8).reshape(8, 8)
+        counts = kernels.histogram256(a)
+        with pytest.raises(ValueError, match="int64 counts of shape"):
+            kernels.pearson_sums(make(counts), counts, a, a)
+        with pytest.raises(ValueError, match="int64 counts of shape"):
+            kernels.pearson_sums(counts, make(counts), a, a)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 64), st.integers(1, 64), st.data())
     def test_exact_on_arbitrary_frames(self, width, height, data):
@@ -213,3 +237,104 @@ class TestPearsonSums:
         a, b = (np.frombuffer(data.draw(frame_bytes), dtype=np.uint8).reshape(height, width)
                 for _ in range(2))
         assert _sums(a, b) == _python_sums(a, b)
+
+
+class TestCBoundary:
+    """The entry points of the compiled module check the buffers they get on
+    their own, whatever the Python wrappers let through."""
+
+    def test_wrong_byte_lengths_raise(self):
+        px = np.zeros((8, 8), dtype=np.uint8)
+        counts = np.zeros(256, dtype=np.int64)
+        cuts = segment_bounds(8)
+        with pytest.raises(ValueError, match="bytes, expected 2048"):
+            kernels._C.histogram256(px, np.zeros(255, dtype=np.int64))
+        with pytest.raises(ValueError, match="bytes, expected 2048"):
+            kernels._C.pearson_sums(counts, counts[:255].copy(), px, px)
+        with pytest.raises(ValueError, match="bytes, expected 72"):
+            kernels._C.segment_histograms(px, cuts[:8].copy(), cuts,
+                                          np.zeros((64, 256), dtype=np.int64), 8)
+        with pytest.raises(ValueError, match="bytes, expected 131072"):
+            kernels._C.segment_histograms(px, cuts, cuts,
+                                          np.zeros((63, 256), dtype=np.int64), 8)
+
+    def test_pixels_of_different_sizes_raise(self):
+        counts = np.zeros(256, dtype=np.int64)
+        with pytest.raises(ValueError, match="differ in size"):
+            kernels._C.pearson_sums(counts, counts, np.zeros(64, dtype=np.uint8),
+                                    np.zeros(65, dtype=np.uint8))
+
+    def test_non_contiguous_and_read_only_buffers_raise(self):
+        px = np.zeros((8, 16), dtype=np.uint8)
+        with pytest.raises(ValueError, match="contiguous"):
+            kernels._C.histogram256(px[:, ::2], np.zeros(256, dtype=np.int64))
+        frozen = np.zeros(256, dtype=np.int64)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            kernels._C.histogram256(px, frozen)
+
+    def test_wrong_argument_counts_raise(self):
+        with pytest.raises(TypeError, match="takes 2 arguments, got 1"):
+            kernels._C.histogram256(np.zeros(8, dtype=np.uint8))
+
+
+def _counter_advances_during(call) -> bool:
+    """Whether a Python loop in this thread advances while ``call`` runs in a
+    second thread.
+
+    The switch interval is raised far beyond the call's length, so the
+    interpreter never forces the second thread to hand over the GIL: this
+    thread runs during the call only if the C code releases the GIL.  The
+    call repeats a few times, so one late wake-up of this thread cannot fail
+    the test."""
+    counter = [0]
+    done = threading.Event()
+    advanced = []
+
+    def second():
+        try:
+            before = counter[0]
+            for _ in range(8):
+                call()
+                if counter[0] != before:
+                    break
+            advanced.append(counter[0] != before)
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(5.0)
+    try:
+        thread = threading.Thread(target=second)
+        thread.start()
+        deadline = time.monotonic() + 60
+        while not done.is_set() and time.monotonic() < deadline:
+            counter[0] += 1
+            time.sleep(0)  # hands the GIL back once the second thread wants it
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    return advanced == [True]
+
+
+@pytest.fixture(scope="module")
+def tall_frame():
+    return np.full((16384, 1024), 7, dtype=np.uint8)
+
+
+class TestGilRelease:
+    """Threads that run the pass over frame ranges need every C entry point to
+    release the GIL while it loops."""
+
+    def test_histogram256(self, tall_frame):
+        assert _counter_advances_during(lambda: kernels.histogram256(tall_frame))
+
+    def test_pearson_sums(self, tall_frame):
+        counts = kernels.histogram256(tall_frame)
+        assert _counter_advances_during(
+            lambda: kernels.pearson_sums(counts, counts, tall_frame, tall_frame))
+
+    def test_segment_histograms(self, tall_frame):
+        assert _counter_advances_during(
+            lambda: kernels.segment_histograms(tall_frame, *_grid(tall_frame)))
