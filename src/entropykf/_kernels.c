@@ -110,6 +110,17 @@ static void segment_histograms(const uint8_t *px, int64_t w, const int64_t *rows
     }
 }
 
+/* Whether the nine cut points rise, from 0 or more, to at most end. */
+static int cuts_within(const int64_t *cuts, int64_t end)
+{
+    int i;
+
+    for (i = 0; i < 8; i++)
+        if (cuts[i + 1] < cuts[i])
+            return 0;
+    return cuts[0] >= 0 && cuts[8] <= end;
+}
+
 static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t n)
 {
     if (nargs == n)
@@ -200,7 +211,7 @@ static PyObject *py_pearson_sums(PyObject *self, PyObject *const *args, Py_ssize
 }
 
 /* segment_histograms(pixels, rows, cols, out, width): the cell histograms of
- * the width-pixel-wide frame into out. */
+ * the width-pixel-wide frame into out; cut points outside the frame raise. */
 static PyObject *py_segment_histograms(PyObject *self, PyObject *const *args,
                                        Py_ssize_t nargs)
 {
@@ -214,8 +225,16 @@ static PyObject *py_segment_histograms(PyObject *self, PyObject *const *args,
     w = PyLong_AsSsize_t(args[4]);
     if (w == -1 && PyErr_Occurred())
         return NULL;
+    if (w <= 0)
+        return PyErr_Format(PyExc_ValueError, "segment_histograms: width %zd is not positive", w);
     if (get_buffers("segment_histograms", args, v, 4, 1, lens) < 0)
         return NULL;
+    if (!cuts_within(v[1].buf, v[0].len / w) || !cuts_within(v[2].buf, w)) {
+        PyErr_Format(PyExc_ValueError, "segment_histograms: cut points outside the %zdx%zd frame",
+                     w, v[0].len / w);
+        release_buffers(v, 4);
+        return NULL;
+    }
     Py_BEGIN_ALLOW_THREADS
     segment_histograms(v[0].buf, w, v[1].buf, v[2].buf, v[3].buf);
     Py_END_ALLOW_THREADS

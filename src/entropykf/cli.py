@@ -85,38 +85,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
+def _cmd_extract(args: argparse.Namespace) -> None:
     try:
         spec = SourceSpec(kind=args.format, path=args.input,
                           width=args.width, height=args.height)
-        config = PipelineConfig(
-            source=spec,
-            output_dir=Path(args.out),
-            cut_threshold=args.cut_threshold,
-            min_shot_len=args.min_shot_len,
-            min_bin_size=args.min_bin_size,
-            sd_threshold=args.sd_threshold,
-            match_window=args.match_window,
-            fallback_keyframe=args.fallback_keyframe,
-            ground_truth=None if args.gt is None else Path(args.gt),
-            seed_report=args.seed_report,
-        )
     except ValueError as exc:
-        print(f"entropykf: bad configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        report = run_pipeline(config)
-    except ConfigError as exc:
-        print(f"entropykf: bad configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IngestError as exc:
-        print(f"entropykf: ingest error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
-    except EvaluationError as exc:
-        print(f"entropykf: evaluation error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
-
+        raise ConfigError(str(exc)) from None
+    report = run_pipeline(PipelineConfig(
+        source=spec,
+        output_dir=Path(args.out),
+        cut_threshold=args.cut_threshold,
+        min_shot_len=args.min_shot_len,
+        min_bin_size=args.min_bin_size,
+        sd_threshold=args.sd_threshold,
+        match_window=args.match_window,
+        fallback_keyframe=args.fallback_keyframe,
+        ground_truth=None if args.gt is None else Path(args.gt),
+        seed_report=args.seed_report,
+    ))
     print(f"frames: {report['total_frames']}  shots: {len(report['shots'])}  "
           f"candidates: {len(report['candidates'])}  keyframes: {len(report['keyframes'])}  "
           f"eliminated: {len(report['eliminations'])}")
@@ -126,10 +112,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
               f"missing {ev['missing']}, deviation {ev['deviation']:.4f}, "
               f"compactness {ev['compactness']:.5f}")
     print(f"report: {Path(args.out) / 'report.json'}")
-    return EXIT_OK
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> None:
     width, height = args.size
     try:
         layout = synthetic.generate(
@@ -138,19 +123,27 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             width=width, height=height, seed=args.seed,
             fade_frames=args.fade_frames, repeat_first=args.repeat_first)
     except ValueError as exc:
-        print(f"entropykf: bad configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from None
     print(f"wrote {layout.total_frames} frames ({width}x{height}) to {args.out}")
     if args.gt_out:
         print(f"ground truth ({len(layout.gt_indices)} key-frames): {args.gt_out}")
-    return EXIT_OK
+
+
+# each failure a command may raise, with its exit code and stderr label
+_FAILURES = {ConfigError: (EXIT_CONFIG, "bad configuration"),
+             IngestError: (EXIT_INGEST, "ingest error"),
+             EvaluationError: (EXIT_EVALUATION, "evaluation error")}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "extract":
-        return _cmd_extract(args)
-    return _cmd_generate(args)
+    try:
+        (_cmd_extract if args.command == "extract" else _cmd_generate)(args)
+    except tuple(_FAILURES) as exc:
+        code, kind = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
+        print(f"entropykf: {kind}: {exc}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

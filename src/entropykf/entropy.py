@@ -13,8 +13,7 @@ import numpy as np
 
 from . import kernels
 from .ingest import _as_frame
-
-SEGMENT_GRID = 8  # frames are split into an 8x8 grid, 64 segments
+from .kernels import SEGMENT_GRID, segment_bounds
 
 
 def frame_entropy(frame) -> float:
@@ -39,15 +38,6 @@ def modified_entropy(en: float) -> int:
     return int(math.floor(en * en + 0.5))
 
 
-def segment_bounds(n: int) -> np.ndarray:
-    """Nine cut points splitting n pixels into 8 runs of floor(n/8), with the
-    remainder folded into the last run."""
-    step = n // SEGMENT_GRID
-    bounds = np.arange(SEGMENT_GRID + 1, dtype=np.int64) * step
-    bounds[SEGMENT_GRID] = n
-    return bounds
-
-
 def segmented_entropies(frame) -> np.ndarray:
     """Entropy of each cell of the frame's 8x8 segment grid.
 
@@ -60,9 +50,7 @@ def segmented_entropies(frame) -> np.ndarray:
     if h < SEGMENT_GRID or w < SEGMENT_GRID:
         raise ValueError(f"frame {w}x{h} is below the {SEGMENT_GRID}x{SEGMENT_GRID} minimum "
                          "for segmented entropy")
-    rows = segment_bounds(h)
-    cols = segment_bounds(w)
-    counts = kernels.segment_histograms(px, rows, cols)
+    counts = kernels.segment_histograms(px)
     present = counts > 0
     levels = np.count_nonzero(present, axis=1)
     # One division and one log2 over the non-zero levels of all 64 cells.  In
@@ -70,7 +58,7 @@ def segmented_entropies(frame) -> np.ndarray:
     # own so that numpy's pairwise sum adds the same values in the same order
     # as kernels.entropy_from_counts does for one histogram (np.add.reduceat
     # sums in another order and differs in the last bits).
-    sizes = np.outer(np.diff(rows), np.diff(cols)).ravel()
+    sizes = np.outer(np.diff(segment_bounds(h)), np.diff(segment_bounds(w))).ravel()
     p = np.extract(present, counts) / np.repeat(sizes, levels)
     terms = p * np.log2(p)
     ends = np.cumsum(levels).tolist()

@@ -132,20 +132,15 @@ def match_keyframes(detected: Sequence[int], gt: GroundTruth,
 def evaluate(detected: Sequence[int], gt: GroundTruth,
              window: int = DEFAULT_MATCH_WINDOW) -> EvalReport:
     """Match detections to the ground truth and fold the matching into the
-    identified / redundant / missing report."""
+    identified / redundant / missing report, in which matched + redundant
+    is identified: ``match_keyframes`` leaves each detection in one of them."""
     matching = match_keyframes(detected, gt, window)
-    identified = len(detected)
-    matched = len(matching.matched)
-    redundant = len(matching.redundant)
     missing = len(matching.missing)
-    if matched + redundant != identified:
-        raise ValueError(f"matching covers {matched + redundant} detections, "
-                         f"expected {identified}")
     return EvalReport(
-        identified=identified,
-        matched=matched,
-        redundant=redundant,
+        identified=len(detected),
+        matched=len(matching.matched),
+        redundant=len(matching.redundant),
         missing=missing,
         deviation=missing / len(gt.keyframe_indices),
-        compactness=identified / gt.total_frames,
+        compactness=len(detected) / gt.total_frames,
     )

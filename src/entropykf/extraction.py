@@ -97,8 +97,8 @@ def dedup_detailed(candidates: Sequence[KeyFrame],
     candidate scores it against the whole survivor stack.  Comparing only
     against survivors makes the scan idempotent.
     """
-    if sd_threshold < 0:
-        raise ValueError(f"sd threshold must be non-negative, got {sd_threshold}")
+    if not 0 <= sd_threshold < np.inf:
+        raise ValueError(f"sd threshold must be finite and non-negative, got {sd_threshold}")
     survivors: list[KeyFrame] = []
     eliminations: list[Elimination] = []
     # the survivors' segment vectors, row i for survivors[i]

@@ -19,9 +19,9 @@ the interpreter's include directory into the ``__pycache__`` directory beside
 it, under a name keyed by a CRC of the source and of the compile flags and
 ending in the interpreter's extension suffix
 (``.cpython-311-x86_64-linux-gnu.so``), so interpreters of different ABIs
-sharing a checkout each build and load their own; later imports load that
-module.  With no cached module and no ``cc`` on PATH, importing this module
-raises ``ImportError``.
+sharing a checkout each build and load their own; a build deletes the
+older builds of its ABI, and later imports load it.  With no cached module
+and no ``cc`` on PATH, importing this module raises ``ImportError``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ def _library_path() -> Path:
 
 def _compile(lib: Path) -> None:
     """Build the module into a temporary file and move it into place, so
-    processes importing concurrently each see a whole module or none."""
+    processes importing concurrently each see a whole module or none, then
+    delete the builds it replaces."""
     import subprocess  # only a first import compiles
 
     command = _compile_command()
@@ -76,6 +77,10 @@ def _compile(lib: Path) -> None:
         tmp.unlink(missing_ok=True)
         raise ImportError(f"compiling {_SOURCE} with '{' '.join(command)}' failed:\n{done.stderr}")
     os.replace(tmp, lib)
+    # older builds for this ABI, and the ABI-less builds of the former ctypes loader
+    for old in lib.parent.glob("_kernels-*.so"):
+        if old != lib and (old.name.endswith(EXTENSION_SUFFIXES[0]) or old.suffixes == [".so"]):
+            old.unlink(missing_ok=True)
 
 
 def _load() -> ModuleType:
@@ -122,27 +127,30 @@ def entropy_from_counts(counts: np.ndarray, total: int) -> float:
     return en
 
 
-def _cut_points(bounds: np.ndarray, n: int) -> np.ndarray:
-    cuts = np.ascontiguousarray(bounds, dtype=np.int64)
-    if cuts.shape != (9,) or cuts[0] < 0 or cuts[8] > n or np.any(cuts[1:] < cuts[:-1]):
-        raise ValueError(f"expected 9 non-decreasing cut points in 0..{n}, got {bounds}")
-    return cuts
+SEGMENT_GRID = 8  # frames are split into an 8x8 grid, 64 segments
 
 
-def segment_histograms(pixels: np.ndarray, row_bounds: np.ndarray,
-                       col_bounds: np.ndarray) -> np.ndarray:
+def segment_bounds(n: int) -> np.ndarray:
+    """Nine cut points splitting n pixels into 8 runs of floor(n/8), with the
+    remainder folded into the last run."""
+    step = n // SEGMENT_GRID
+    bounds = np.arange(SEGMENT_GRID + 1, dtype=np.int64) * step
+    bounds[SEGMENT_GRID] = n
+    return bounds
+
+
+def segment_histograms(pixels: np.ndarray) -> np.ndarray:
     """Histogram of each cell of the 8x8 segment grid, as a (64, 256) array.
 
-    Cell (sy, sx) covers rows ``row_bounds[sy]:row_bounds[sy + 1]`` and
-    columns ``col_bounds[sx]:col_bounds[sx + 1]``.
+    Cell (sy, sx) covers rows ``segment_bounds(height)[sy:sy + 2]`` and
+    columns ``segment_bounds(width)[sx:sx + 2]``, as half-open ranges.
     """
     px = _bytes_of(pixels)
     if px.ndim != 2:
         raise ValueError(f"expected a 2-D frame, got shape {px.shape}")
-    rows = _cut_points(row_bounds, px.shape[0])
-    cols = _cut_points(col_bounds, px.shape[1])
+    h, w = px.shape
     counts = np.empty((64, 256), dtype=np.int64)
-    _C.segment_histograms(px, rows, cols, counts, px.shape[1])
+    _C.segment_histograms(px, segment_bounds(h), segment_bounds(w), counts, w)
     return counts
 
 
@@ -157,16 +165,14 @@ def pearson_sums(counts_a: np.ndarray, counts_b: np.ndarray,
     """Exact integer moments (sum a, sum b, sum a^2, sum b^2, sum ab) of two
     equal-size 8-bit frames, from their ``histogram256`` counts and their pixels.
 
-    All five come from one C call.  Σa and Σa² are Σk·c_k and Σk²·c_k over the
-    histogram, in int64.  Σab is summed over co-located pixels in row-major
-    order, in uint32 partials of at most 65,536 products (each below
-    255²·65536 < 2**32) added in uint64: the total is at most 255²·n, about
-    1.8e13 for n = ``ingest.MAX_DIMENSION``² pixels, far below 2**64, so
-    nothing wraps.
+    All five come from one C call, which refuses frames of unequal size.  Σa
+    and Σa² are Σk·c_k and Σk²·c_k over the histogram, in int64.  Σab is
+    summed over co-located pixels in row-major order, in uint32 partials of
+    at most 65,536 products (each below 255²·65536 < 2**32) added in uint64:
+    the total is at most 255²·n, about 1.8e13 for n = ``ingest.MAX_DIMENSION``²
+    pixels, far below 2**64, so nothing wraps.
     """
     a, b = _bytes_of(pixels_a), _bytes_of(pixels_b)
-    if a.size != b.size:
-        raise ValueError(f"frames differ in size: {a.size} vs {b.size} pixels")
     _check_counts(counts_a)
     _check_counts(counts_b)
     return _C.pearson_sums(counts_a, counts_b, a, b)

@@ -85,30 +85,17 @@ def plan_layout(scenes: int, frames_per_scene: int, width: int, height: int,
         raise ValueError("frames_per_scene must be positive")
     if fade_frames < 0:
         raise ValueError("fade_frames must be non-negative")
-    classes = list(range(scenes)) + ([0] if repeat_first and scenes >= 1 else [])
+    classes = list(range(scenes)) + ([0] if repeat_first else [])
     n, f = frames_per_scene, fade_frames
-    segments = []
-    fades = []
-    pos = 0
-    for i, cls in enumerate(classes):
-        segments.append((cls, pos, pos + n))
-        pos += n
-        if i < len(classes) - 1:
-            if f:
-                fades.append((pos, pos + f))
-            pos += f
-    total = pos
+    segments = tuple((cls, i * (n + f), i * (n + f) + n) for i, cls in enumerate(classes))
+    fades = tuple((end, end + f) for _, _, end in segments[:-1]) if f else ()
     # fades are absorbed forward into the following scene's shot
-    expected = []
-    for i, (_, start, end) in enumerate(segments):
-        shot_start = start if i == 0 else start - f
-        expected.append((shot_start, end))
+    expected = tuple((max(start - f, 0), end) for _, start, end in segments)
     gt = tuple(start + n // 2 for cls, start, _ in segments[:scenes])
     return SyntheticLayout(
         width=width, height=height, scenes=scenes, frames_per_scene=n,
-        fade_frames=f, repeat_first=repeat_first, seed=seed, total_frames=total,
-        segments=tuple(segments), fades=tuple(fades),
-        expected_shots=tuple(expected), gt_indices=gt)
+        fade_frames=f, repeat_first=repeat_first, seed=seed, total_frames=segments[-1][2],
+        segments=segments, fades=fades, expected_shots=expected, gt_indices=gt)
 
 
 def generate(out_dir: str | Path, gt_out: str | Path | None,
@@ -148,15 +135,10 @@ def generate(out_dir: str | Path, gt_out: str | Path | None,
         if not (gt.parent.is_dir() or gt.parent in out.parents):
             raise ValueError(f"ground truth {gt_out} is not in a directory")
     out_dir = _writable_dir(out_dir)
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    scene_bytes = [header + t.tobytes() for t in textures]
-
     fade_starts = {start: end for start, end in layout.fades}
-    index = 0
-    for seg_pos, (cls, start, end) in enumerate(layout.segments):
-        body = scene_bytes[cls]
+    for cls, start, end in layout.segments:
         for index in range(start, end):
-            (out_dir / f"frame_{index:06d}.pgm").write_bytes(body)
+            write_pgm(out_dir / f"frame_{index:06d}.pgm", textures[cls])
         if end in fade_starts:
             for index in range(end, fade_starts[end]):
                 noise = rng.integers(0, 256, (height, width), dtype=np.uint8)

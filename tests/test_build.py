@@ -72,6 +72,26 @@ def test_cached_module_is_keyed_to_the_interpreter_abi(tmp_path):
     assert kernels._library_path().name.endswith(EXTENSION_SUFFIXES[0])
 
 
+def test_a_build_deletes_the_builds_it_replaces(tmp_path):
+    # an older source's build for this ABI and a build of the former ctypes
+    # loader, which had no ABI suffix, go; another ABI's build and a
+    # concurrent build's temporary file stay
+    root = _copy_package(tmp_path)
+    cache = root / "entropykf" / "__pycache__"
+    cache.mkdir()
+    suffix = EXTENSION_SUFFIXES[0]
+    other_abi = suffix.replace(sys.implementation.cache_tag, "cpython-399")
+    assert other_abi != suffix
+    stale = [f"_kernels-00000001{suffix}", "_kernels-7004e37d.so"]
+    kept = [f"_kernels-00000002{other_abi}", f"_kernels-00000003{suffix}.4321.tmp"]
+    for name in stale + kept:
+        (cache / name).write_bytes(b"")
+    _import(root, os.environ["PATH"])
+    built = [name for name in _cache(root) if name not in kept]
+    assert len(built) == 1 and built[0].endswith(suffix) and built[0] not in stale, built
+    assert _cache(root) == sorted(built + kept)
+
+
 def test_concurrent_first_imports_leave_one_whole_library(tmp_path):
     root = _copy_package(tmp_path)
     env = {"PYTHONPATH": str(root), "PATH": os.environ["PATH"]}

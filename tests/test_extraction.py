@@ -193,6 +193,14 @@ class TestDedup:
         with pytest.raises(ValueError):
             dedup_detailed([], -0.1)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_rejects_non_finite_threshold(self, threshold):
+        # nan compares false with every SD, so without the check three
+        # identical candidates would all survive
+        seg = np.random.default_rng(241).uniform(0, 8, 64)
+        with pytest.raises(ValueError, match="finite"):
+            dedup_detailed([_keyframe(i, seg.copy()) for i in range(3)], threshold)
+
 
 def _assert_dedup_matches_oracle(cands, threshold):
     """Same survivors (the very objects), same eliminations, same SD bits."""

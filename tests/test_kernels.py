@@ -92,44 +92,31 @@ class TestSegmentHistograms:
         rng = np.random.default_rng(height * 100 + width)
         for _ in range(5):
             px = VIEWS[view](rand_pixels(rng, width, height))
-            assert np.array_equal(kernels.segment_histograms(px, *_grid(px)),
+            assert np.array_equal(kernels.segment_histograms(px),
                                   blockwise_segment_histograms(px, *_grid(px)))
 
     @pytest.mark.parametrize("level", [0, 255])
     @pytest.mark.parametrize("width,height", SHAPES)
     def test_flat_frames(self, width, height, level):
         px = np.full((height, width), level, dtype=np.uint8)
-        assert np.array_equal(kernels.segment_histograms(px, *_grid(px)),
+        assert np.array_equal(kernels.segment_histograms(px),
                               blockwise_segment_histograms(px, *_grid(px)))
 
     def test_all_255_megapixel_frame(self):
         px = np.full((1024, 1024), 255, dtype=np.uint8)
-        counts = kernels.segment_histograms(px, *_grid(px))
+        counts = kernels.segment_histograms(px)
         assert (counts[:, 255] == 128 * 128).all()
         assert np.array_equal(counts, blockwise_segment_histograms(px, *_grid(px)))
 
-    @pytest.mark.parametrize("rows", [
-        [0, 1, 2, 3, 4, 5, 6, 7],            # eight cut points, not nine
-        [0, 1, 2, 3, 5, 4, 6, 7, 8],         # decreasing
-        [0, 1, 2, 3, 4, 5, 6, 7, 9],         # past the last row
-        [-1, 1, 2, 3, 4, 5, 6, 7, 8],        # before the first row
-    ])
-    def test_rejects_cut_points_outside_the_frame(self, rows):
-        px = np.zeros((8, 8), dtype=np.uint8)
-        with pytest.raises(ValueError, match="cut points"):
-            kernels.segment_histograms(px, np.array(rows), segment_bounds(8))
-        with pytest.raises(ValueError, match="cut points"):
-            kernels.segment_histograms(px, segment_bounds(8), np.array(rows))
-
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_matches_blockwise_bincount_on_arbitrary_grids(self, data):
-        px = data.draw(_frames())
-        rows, cols = (np.array(sorted(data.draw(st.lists(st.integers(0, n), min_size=9,
-                                                         max_size=9))))
-                      for n in px.shape)
-        assert np.array_equal(kernels.segment_histograms(px, rows, cols),
-                              blockwise_segment_histograms(px, rows, cols))
+    @given(_frames())
+    def test_matches_blockwise_bincount_on_arbitrary_frames(self, px):
+        assert np.array_equal(kernels.segment_histograms(px),
+                              blockwise_segment_histograms(px, *_grid(px)))
+
+    def test_rejects_a_frame_that_is_not_2d(self):
+        with pytest.raises(ValueError, match="2-D frame"):
+            kernels.segment_histograms(np.zeros(64, dtype=np.uint8))
 
 
 class TestCorrelationFromSums:
@@ -258,6 +245,38 @@ class TestCBoundary:
             kernels._C.segment_histograms(px, cuts, cuts,
                                           np.zeros((63, 256), dtype=np.int64), 8)
 
+    @pytest.mark.parametrize("cuts,message", [
+        ([0, 1, 2, 3, 4, 5, 6, 7], "bytes, expected 72"),  # eight cut points, not nine
+        ([0, 1, 2, 3, 5, 4, 6, 7, 8], "cut points"),       # decreasing
+        ([0, 1, 2, 3, 4, 5, 6, 7, 9], "cut points"),       # past the last row or column
+        ([-1, 1, 2, 3, 4, 5, 6, 7, 8], "cut points"),      # before the first
+    ], ids=["eight-cuts", "decreasing", "past-the-end", "below-zero"])
+    def test_rejects_cut_points_outside_the_frame(self, cuts, message):
+        # a frame of 8x8 bytes, whose histograms the C side would otherwise
+        # count from memory outside it
+        px = np.zeros((8, 8), dtype=np.uint8)
+        out = np.zeros((64, 256), dtype=np.int64)
+        cuts, grid = np.array(cuts, dtype=np.int64), segment_bounds(8)
+        with pytest.raises(ValueError, match=message):
+            kernels._C.segment_histograms(px, cuts, grid, out, 8)
+        with pytest.raises(ValueError, match=message):
+            kernels._C.segment_histograms(px, grid, cuts, out, 8)
+
+    def test_rows_are_whole_rows_of_the_buffer(self):
+        # 8 rows of width 8 hold 64 bytes; 68 bytes still hold only 8 whole rows
+        grid, out = segment_bounds(8), np.zeros((64, 256), dtype=np.int64)
+        kernels._C.segment_histograms(np.zeros(68, dtype=np.uint8), grid, grid, out, 8)
+        assert out.sum() == 64
+        with pytest.raises(ValueError, match="cut points"):
+            kernels._C.segment_histograms(np.zeros(63, dtype=np.uint8), grid, grid, out, 8)
+
+    @pytest.mark.parametrize("width", [0, -8])
+    def test_rejects_a_width_that_is_not_positive(self, width):
+        grid = segment_bounds(8)
+        with pytest.raises(ValueError, match="width"):
+            kernels._C.segment_histograms(np.zeros(64, dtype=np.uint8), grid, grid,
+                                          np.zeros((64, 256), dtype=np.int64), width)
+
     def test_pixels_of_different_sizes_raise(self):
         counts = np.zeros(256, dtype=np.int64)
         with pytest.raises(ValueError, match="differ in size"):
@@ -337,4 +356,4 @@ class TestGilRelease:
 
     def test_segment_histograms(self, tall_frame):
         assert _counter_advances_during(
-            lambda: kernels.segment_histograms(tall_frame, *_grid(tall_frame)))
+            lambda: kernels.segment_histograms(tall_frame))

@@ -879,6 +879,51 @@ class TestCli:
         assert b"bad configuration" in result.stderr and b"input directory" in result.stderr
         assert sorted(p.name for p in src.iterdir()) == before
 
+    @pytest.mark.parametrize("flag", ["--min-shot-len", "--min-bin-size", "--match-window"])
+    def test_negative_count_option_exits_2(self, flag, tmp_path):
+        video = tmp_path / "video.y4m"
+        video.write_bytes(make_y4m(8, 8, [np.zeros((8, 8), dtype=np.uint8)] * 2))
+        result = _cli("extract", "--input", str(video), "--format", "y4m",
+                      "--out", str(tmp_path / "o"), flag, "-1")
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"entropykf: bad configuration: ")
+        assert b"must be non-negative, got -1" in result.stderr
+        assert b"Traceback" not in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_out_below_a_regular_file_exits_2(self, tmp_path):
+        video = tmp_path / "video.y4m"
+        video.write_bytes(make_y4m(8, 8, [np.zeros((8, 8), dtype=np.uint8)] * 2))
+        (tmp_path / "file").write_bytes(b"")
+        result = _cli("extract", "--input", str(video), "--format", "y4m",
+                      "--out", str(tmp_path / "file" / "o"))
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"entropykf: bad configuration: output directory ")
+        assert b"is not writable" in result.stderr
+        assert b"Traceback" not in result.stderr
+
+    def test_y4m_cut_off_inside_chroma_exits_3(self, tmp_path):
+        # the Y plane is whole; the 4:2:0 chroma of 32 bytes stops after 10
+        video = tmp_path / "video.y4m"
+        video.write_bytes(make_y4m(8, 8, [np.zeros((8, 8), dtype=np.uint8)])[:-22])
+        result = _cli("extract", "--input", str(video), "--format", "y4m",
+                      "--out", str(tmp_path / "o"))
+        assert result.returncode == 3
+        assert result.stderr.startswith(b"entropykf: ingest error: Y4M stream truncated")
+        assert b"chroma has 10 of 32 bytes" in result.stderr
+        assert b"Traceback" not in result.stderr
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--scenes", "0"), ("--frames-per-scene", "0"),
+                                            ("--fade-frames", "-1")])
+    def test_generate_synthetic_empty_layout_exits_2(self, flag, value, tmp_path):
+        result = _cli("generate-synthetic", "--size", "16x16", "--frames-per-scene", "2",
+                      flag, value, "--out", str(tmp_path / "v"))
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"entropykf: bad configuration: ")
+        assert b"Traceback" not in result.stderr
+        assert not (tmp_path / "v").exists()
+
     @pytest.mark.parametrize("size", ["16385x8", "8x16385"])
     def test_generate_synthetic_size_outside_frame_range_exits_2(self, size, tmp_path):
         # extract would refuse such frames; the check runs before any pixels exist
