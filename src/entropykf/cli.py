@@ -16,7 +16,7 @@ from pathlib import Path
 from . import synthetic
 from .evaluation import DEFAULT_MATCH_WINDOW, EvaluationError
 from .extraction import DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD
-from .ingest import IngestError, SourceSpec
+from .ingest import MAX_DIMENSION, MIN_DIMENSION, IngestError, SourceSpec
 from .pipeline import ConfigError, PipelineConfig, run_pipeline
 from .shots import DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN
 
@@ -45,8 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="PGM directory, raw/y4m file, or - for stdin")
     ex.add_argument("--format", required=True, choices=["pgm-dir", "raw", "y4m"],
                     help="how to interpret --input")
-    ex.add_argument("--width", type=int, help="frame width, 8..16384 (raw only, required)")
-    ex.add_argument("--height", type=int, help="frame height, 8..16384 (raw only, required)")
+    sides = f"{MIN_DIMENSION}..{MAX_DIMENSION}"
+    ex.add_argument("--width", type=int, help=f"frame width, {sides} (raw only, required)")
+    ex.add_argument("--height", type=int, help=f"frame height, {sides} (raw only, required)")
     ex.add_argument("--cut-threshold", type=float, default=DEFAULT_CUT_THRESHOLD,
                     help="correlation below this is a cut (default %(default)s)")
     ex.add_argument("--min-shot-len", type=int, default=DEFAULT_MIN_SHOT_LEN,
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--frames-per-scene", type=int, default=997,
                      help="frames per scene segment (default 997)")
     gen.add_argument("--size", type=_parse_size, default=(320, 240),
-                     help="frame size as WxH, each side 8..16384 (default 320x240)")
+                     help=f"frame size as WxH, each side {sides} (default 320x240)")
     gen.add_argument("--seed", type=int, default=0, help="RNG seed")
     gen.add_argument("--fade-frames", type=int, default=synthetic.DEFAULT_FADE_FRAMES,
                      help="noise frames between segments (default 4)")

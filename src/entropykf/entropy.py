@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from . import kernels
-from .ingest import _as_frame
-from .kernels import SEGMENT_GRID, segment_bounds
+from .ingest import _as_frame, check_frame_size
+from .kernels import segment_bounds
 
 
 def frame_entropy(frame) -> float:
@@ -42,14 +42,12 @@ def segmented_entropies(frame) -> np.ndarray:
     """Entropy of each cell of the frame's 8x8 segment grid.
 
     Returns 64 values in row-major grid order.  Each segment's entropy is
-    normalised by that segment's own pixel count.  Frames smaller than 8x8
-    cannot be segmented.  Takes a ``Frame`` or a bare 2-D uint8 array.
+    normalised by that segment's own pixel count.  ``check_frame_size`` rules
+    out other sizes.  Takes a ``Frame`` or a bare 2-D uint8 array.
     """
     px = _as_frame(frame).pixels
     h, w = px.shape
-    if h < SEGMENT_GRID or w < SEGMENT_GRID:
-        raise ValueError(f"frame {w}x{h} is below the {SEGMENT_GRID}x{SEGMENT_GRID} minimum "
-                         "for segmented entropy")
+    check_frame_size(w, h)
     counts = kernels.segment_histograms(px)
     present = counts > 0
     levels = np.count_nonzero(present, axis=1)

@@ -46,8 +46,7 @@ class GroundTruth:
                     f"ground-truth index {idx} is outside the video "
                     f"of {self.total_frames} frames")
             if idx <= prev:
-                raise EvaluationError(
-                    f"ground-truth indices must be strictly increasing (at {idx})")
+                raise EvaluationError(f"ground-truth index {idx} is a duplicate or out of order")
             prev = idx
 
 
@@ -96,8 +95,6 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
             raise EvaluationError(f"{path}:{lineno}: a second 'total_frames' line {raw!r}")
     if total_frames is None:
         raise EvaluationError(f"{path}: missing required header line 'total_frames=N'")
-    if len(set(indices)) != len(indices):
-        raise EvaluationError(f"{path}: duplicate ground-truth indices")
     try:
         return GroundTruth(keyframe_indices=tuple(sorted(indices)), total_frames=total_frames)
     except EvaluationError as exc:

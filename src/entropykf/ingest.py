@@ -6,9 +6,8 @@ zero-based indices; ``read_frame(i)`` fetches frame i again once the stream
 has passed it, and ``close()`` releases the files.  Frame geometry is decided
 here: ``frames()`` yields at least one frame, all of one size and each
 side in ``MIN_DIMENSION..MAX_DIMENSION`` pixels, or raises ``IngestError``.
-A size declared up front, by a raw ``SourceSpec`` or a Y4M header, is
-checked against the same range before any frame is read; only raw specs
-take one.  A PGM file holds exactly one image: its header may hold "#"
+``check_frame_size`` is that range's one test: a size declared up front, by
+a raw ``SourceSpec`` or a Y4M header, meets it before any frame is read.  A PGM file holds exactly one image: its header may hold "#"
 comments, each running through its line end, between its fields and after
 maxval; exactly one whitespace byte then precedes the raster, and the
 raster ends the file.  A Y4M header starts with the word ``YUV4MPEG2`` and
@@ -43,15 +42,22 @@ import numpy as np
 from . import kernels
 
 
-class IngestError(Exception):
-    """A frame source could not be opened or decoded."""
+class IngestError(ValueError):
+    """A frame source could not be opened or decoded, or its frame size is out of range."""
 
 
-# smallest frame width or height the 8x8 segment grid can split
-MIN_DIMENSION = 8
+# smallest frame width or height: the 8x8 segment grid needs a pixel per cell
+MIN_DIMENSION = kernels.SEGMENT_GRID
 # largest frame width or height; bounds the bytes read per frame and keeps
 # every pixel-product sum of a frame pair far below 2**64 (kernels.pearson_sums)
 MAX_DIMENSION = 16384
+
+
+def check_frame_size(width: int, height: int, where: str = "") -> None:
+    """Raise ``IngestError``, its message prefixed by where, if a side is out of range."""
+    if not MIN_DIMENSION <= min(width, height) <= max(width, height) <= MAX_DIMENSION:
+        raise IngestError(f"{where}frame size {width}x{height} is outside "
+                          f"{MIN_DIMENSION}x{MIN_DIMENSION}..{MAX_DIMENSION}x{MAX_DIMENSION}")
 
 
 class SourceKind(str, enum.Enum):
@@ -81,10 +87,8 @@ class SourceSpec:
                                  f"{kind} carries its own frame size")
         elif self.width is None or self.height is None:
             raise ValueError("raw sources need explicit --width and --height")
-        for name, value in (("width", self.width), ("height", self.height)):
-            if value is not None and not MIN_DIMENSION <= value <= MAX_DIMENSION:
-                raise ValueError(f"{name} must be in {MIN_DIMENSION}..{MAX_DIMENSION} (at least "
-                                 f"{MIN_DIMENSION} to fill the segment grid), got {value}")
+        else:
+            check_frame_size(self.width, self.height)
         if self.path == "-" and kind is SourceKind.PGM_DIR:
             raise ValueError("a PGM directory cannot be read from stdin")
 
@@ -194,15 +198,12 @@ class _PgmDirSource:
         shape = None
         for index, path in enumerate(self._paths):
             pixels = read_pgm(path)
-            height, width = pixels.shape
-            if not MIN_DIMENSION <= min(height, width) <= max(height, width) <= MAX_DIMENSION:
-                raise IngestError(f"{path}: frame size {width}x{height} is not within the "
-                                  f"{MIN_DIMENSION}x{MIN_DIMENSION} minimum and the "
-                                  f"{MAX_DIMENSION}x{MAX_DIMENSION} maximum")
-            if shape is not None and pixels.shape != shape:
-                raise IngestError(f"{path}: frame {index} is {width}x{height}, "
+            if shape is None:  # later frames must match the first, so only it is range-checked
+                shape = pixels.shape
+                check_frame_size(shape[1], shape[0], f"{path}: ")
+            elif pixels.shape != shape:
+                raise IngestError(f"{path}: frame {index} is {pixels.shape[1]}x{pixels.shape[0]}, "
                                   f"expected {shape[1]}x{shape[0]}")
-            shape = pixels.shape
             yield Frame(index=index, pixels=pixels)
 
     def read_frame(self, index: int) -> Frame:
@@ -238,30 +239,30 @@ def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, 
 # ---------------------------------------------------------------------------
 
 _DECIMAL = re.compile(rb"[0-9]+")
+_MAX_LINE = 1024  # bytes a Y4M header or FRAME line may not reach, newline excluded
 # the 8-bit colorspaces: (chroma planes, horizontal and vertical subsampling);
 # any other name, such as 420p10, 444alpha or 411, is refused
 _CHROMA = {"420": (2, 2, 2), "420jpeg": (2, 2, 2), "420paldv": (2, 2, 2),
            "420mpeg2": (2, 2, 2), "422": (2, 2, 1), "444": (2, 1, 1), "mono": (0, 1, 1)}
 
 
-def _read_line(stream: BinaryIO, limit: int = 1024) -> bytes | None:
+def _read_line(stream: BinaryIO) -> bytes | None:
     """The next line without its newline, possibly empty, or None at end of
     input; bounded to catch garbage."""
-    line = stream.readline(limit + 1)
+    line = stream.readline(_MAX_LINE + 1)
     if not line:
         return None
     line = line.removesuffix(b"\n")
-    if len(line) >= limit:
-        raise IngestError("Y4M header line exceeds 1024 bytes; not a Y4M stream?")
+    if len(line) >= _MAX_LINE:
+        raise IngestError(f"Y4M header line exceeds {_MAX_LINE} bytes; not a Y4M stream?")
     return line
 
 
 def _y4m_dimension(param: bytes) -> int:
-    value = param[1:]
-    if not _DECIMAL.fullmatch(value) or not MIN_DIMENSION <= int(value) <= MAX_DIMENSION:
+    if not _DECIMAL.fullmatch(param[1:]):
         raise IngestError(f"Y4M header parameter {param.decode('ascii', 'replace')!r} "
-                          f"is not a dimension in {MIN_DIMENSION}..{MAX_DIMENSION}")
-    return int(value)
+                          "is not a dimension")
+    return int(param[1:])
 
 
 def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
@@ -280,8 +281,9 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
             height = _y4m_dimension(param)
         elif tag == b"C":
             colorspace = param[1:].decode("ascii", "replace")
-    if not width or not height:
+    if width is None or height is None:
         raise IngestError("Y4M header lacks W/H dimensions")
+    check_frame_size(width, height, "Y4M header: ")
     if colorspace not in _CHROMA:
         raise IngestError(f"unsupported Y4M colorspace C{colorspace} "
                           f"(8-bit {', '.join(_CHROMA)} only)")

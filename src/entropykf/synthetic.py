@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import segment_bounds
-from .ingest import MAX_DIMENSION, MIN_DIMENSION, write_pgm
+from .ingest import check_frame_size, write_pgm
 from .pipeline import _writable_dir
 
 DEFAULT_FADE_FRAMES = 4
@@ -114,9 +114,7 @@ def generate(out_dir: str | Path, gt_out: str | Path | None,
     neither a directory nor made with ``out_dir``, and an ``out_dir`` that
     cannot be created and written.
     """
-    if not MIN_DIMENSION <= min(width, height) <= max(width, height) <= MAX_DIMENSION:
-        raise ValueError(f"frame sides must be in {MIN_DIMENSION}..{MAX_DIMENSION}, "
-                         f"got {width}x{height}")
+    check_frame_size(width, height)
     layout = plan_layout(scenes, frames_per_scene, width, height, seed,
                          fade_frames, repeat_first)
     rng = np.random.default_rng(seed)

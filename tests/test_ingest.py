@@ -125,7 +125,7 @@ class TestRawSource:
             SourceSpec(kind=SourceKind.RAW, path="-")
 
     def test_spec_rejects_tiny_dimensions(self):
-        with pytest.raises(ValueError, match="at least 8"):
+        with pytest.raises(ValueError, match="frame size 4x16 is outside 8x8"):
             SourceSpec(kind=SourceKind.RAW, path="-", width=4, height=16)
 
     def test_spec_rejects_huge_dimensions(self):
@@ -240,12 +240,15 @@ class TestY4mSource:
         assert offset == len(header) + len(marker) + 2
         assert frame.pixels.ravel().tolist() == list(range(64))
 
-    @pytest.mark.parametrize("dims", [b"Wabc H16", b"W-16 H16", b"W100000000 H100000000",
-                                      b"W4 H4"])
+    _BAD_DIMENSIONS = {b"Wabc H16": "not a dimension", b"W-16 H16": "not a dimension",
+                       b"W100000000 H100000000": "frame size 100000000x100000000 is outside",
+                       b"W4 H4": "frame size 4x4 is outside 8x8"}
+
+    @pytest.mark.parametrize("dims", list(_BAD_DIMENSIONS))
     def test_bad_header_dimensions(self, dims):
         # rejected from the header alone, before any frame bytes are read
         data = b"YUV4MPEG2 " + dims + b" C420\nFRAME\n" + bytes(64)
-        with pytest.raises(IngestError, match="not a dimension"):
+        with pytest.raises(IngestError, match=self._BAD_DIMENSIONS[dims]):
             list(_iter_y4m(io.BytesIO(data)))
 
 

@@ -122,7 +122,7 @@ def test_iter_y4m_raises_only_ingest_error(data):
 def test_y4m_header_above_max_dimension_is_rejected(side, other, wide, tail):
     width, height = (side, other) if wide else (other, side)
     data = f"YUV4MPEG2 W{width} H{height} C420\nFRAME\n".encode() + tail
-    with pytest.raises(IngestError, match="not a dimension"):
+    with pytest.raises(IngestError, match=f"frame size {width}x{height} is outside"):
         next(_iter_y4m(io.BytesIO(data)))
 
 
