@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .ingest import _as_frame, check_frame_size
-from .kernels import segment_bounds
+from .kernels import segment_bounds  # re-exported for callers of this module
 
 
 def frame_entropy(frame) -> float:
@@ -23,8 +23,7 @@ def frame_entropy(frame) -> float:
     [0, 8] for 8-bit frames.  Takes a ``Frame``, whose cached histogram it
     reuses, or a bare 2-D uint8 array.
     """
-    frame = _as_frame(frame)
-    return kernels.entropy_from_counts(frame.counts, frame.pixels.size)
+    return float(kernels.entropy_from_counts(_as_frame(frame).counts[np.newaxis])[0])
 
 
 def modified_entropy(en: float) -> int:
@@ -46,24 +45,8 @@ def segmented_entropies(frame) -> np.ndarray:
     out other sizes.  Takes a ``Frame`` or a bare 2-D uint8 array.
     """
     px = _as_frame(frame).pixels
-    h, w = px.shape
-    check_frame_size(w, h)
-    counts = kernels.segment_histograms(px)
-    present = counts > 0
-    levels = np.count_nonzero(present, axis=1)
-    # One division and one log2 over the non-zero levels of all 64 cells.  In
-    # row-major order each cell's terms are one contiguous run, reduced on its
-    # own so that numpy's pairwise sum adds the same values in the same order
-    # as kernels.entropy_from_counts does for one histogram (np.add.reduceat
-    # sums in another order and differs in the last bits).
-    sizes = np.outer(np.diff(segment_bounds(h)), np.diff(segment_bounds(w))).ravel()
-    p = np.extract(present, counts) / np.repeat(sizes, levels)
-    terms = p * np.log2(p)
-    ends = np.cumsum(levels).tolist()
-    out = -np.array([np.add.reduce(terms[start:end]) for start, end in zip([0, *ends], ends)])
-    out[out <= 0.0] = 0.0  # as in entropy_from_counts: no -0.0
-    out[out > 8.0] = 8.0
-    return out
+    check_frame_size(px.shape[1], px.shape[0])
+    return kernels.entropy_from_counts(kernels.segment_histograms(px))
 
 
 def dissimilarity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

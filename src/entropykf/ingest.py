@@ -54,7 +54,9 @@ MAX_DIMENSION = 16384
 
 
 def check_frame_size(width: int, height: int, where: str = "") -> None:
-    """Raise ``IngestError``, its message prefixed by where, if a side is out of range."""
+    """Raise ``IngestError``, its message prefixed by where, unless both sides are ints in range."""
+    if not (isinstance(width, int) and isinstance(height, int)):
+        raise IngestError(f"{where}frame size {width!r}x{height!r} is not two integers")
     if not MIN_DIMENSION <= min(width, height) <= max(width, height) <= MAX_DIMENSION:
         raise IngestError(f"{where}frame size {width}x{height} is outside "
                           f"{MIN_DIMENSION}x{MIN_DIMENSION}..{MAX_DIMENSION}x{MAX_DIMENSION}")

@@ -11,8 +11,8 @@ pipeline run.  A frame's 256-bin histogram is computed once and serves both
 its entropy and the correlation of the pairs it belongs to: the per-frame
 moments Σa and Σa² follow exactly from it, so a pair costs one C call that
 sums them from the two histograms and Σab over the two frames' uint8 bytes.
-Integer results (histogram counts, correlation sums) are exact; entropy uses
-numpy's pairwise summation and is deterministic.
+Counts and sums are exact; ``entropy_from_counts`` gives each row of a stack
+of histograms, frames' or one frame's segments', the bits it would get alone.
 
 The first import compiles ``_kernels.c`` with ``cc -O3 -shared -fPIC`` and
 the interpreter's include directory into the ``__pycache__`` directory beside
@@ -111,20 +111,23 @@ def histogram256(pixels: np.ndarray) -> np.ndarray:
     return counts
 
 
-def entropy_from_counts(counts: np.ndarray, total: int) -> float:
-    """Shannon entropy in bits of the distribution counts/total.
+def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of a (k, 256) stack of histograms.
 
-    Zero-count levels contribute nothing; the result is clamped to [0, 8] to
-    absorb last-ulp summation noise at the boundaries, and a single-level
-    histogram, whose one term is 0.0, gives 0.0 rather than -0.0.
+    Each row is taken over its own total, and its run of non-zero terms is
+    summed by its own ``np.add.reduce``, so its bits do not depend on k
+    (``np.add.reduceat`` sums in another order).  Results are clamped to
+    [0, 8] against last-ulp noise; a single-level row gives 0.0, not -0.0.
     """
-    p = counts[counts > 0] / total
-    en = float(-np.add.reduce(p * np.log2(p)))
-    if en <= 0.0:
-        return 0.0
-    if en > 8.0:
-        return 8.0
-    return en
+    present = counts > 0
+    levels = np.count_nonzero(present, axis=1)
+    p = np.extract(present, counts) / np.repeat(counts.sum(axis=1), levels)
+    terms = p * np.log2(p)
+    ends = np.cumsum(levels).tolist()
+    out = -np.array([np.add.reduce(terms[start:end]) for start, end in zip([0, *ends], ends)])
+    out[out <= 0.0] = 0.0
+    out[out > 8.0] = 8.0
+    return out
 
 
 SEGMENT_GRID = 8  # frames are split into an 8x8 grid, 64 segments

@@ -22,7 +22,7 @@ import math
 import re
 import weakref
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -30,17 +30,21 @@ from typing import Iterable
 import jsonschema
 import numpy as np
 
+from . import kernels
 from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, GroundTruth, evaluate,
                          load_ground_truth)
 from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, KeyFrame,
                          bin_indexed_keys, dedup_detailed, fallback_pick, select_keyframes)
-from .entropy import frame_entropy, modified_entropy, segmented_entropies
+from .entropy import modified_entropy, segmented_entropies
 from .ingest import Frame, SourceKind, SourceSpec, write_pgm
 from .ingest import open_source as _open_access  # perfbench wraps this binding
 from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, correlation,
                     detect_cuts, merge_short_shots)
 
 _KEYFRAME_NAME = re.compile(r"keyframe_\d{6,}\.pgm$")
+_ENTROPY_BLOCK = 64  # histograms per entropy call in analyse: 128 KB of int64
+# the values each annotated field type admits; a bool only where the type is bool
+_FIELD_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 class ConfigError(ValueError):
@@ -61,11 +65,14 @@ class PipelineConfig:
     seed_report: bool = False  # omit volatile fields so report bytes reproduce
 
     def validate(self) -> None:
+        for field in fields(self):  # types first: a wrong type can pass a comparison
+            value, kinds = getattr(self, field.name), _FIELD_KINDS.get(field.type, (object,))
+            if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
+                raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
+            if field.type == "int" and value < 0:  # shot length, bin gate, match window
+                raise ConfigError(f"{field.name} must be non-negative, got {value}")
         if not 0.0 < self.cut_threshold <= 1.0:
             raise ConfigError(f"cut threshold must be in (0, 1], got {self.cut_threshold}")
-        for name in ("min_shot_len", "min_bin_size", "match_window"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not (math.isfinite(self.sd_threshold) and self.sd_threshold >= 0):
             raise ConfigError(f"sd threshold must be finite and non-negative, "
                               f"got {self.sd_threshold}")
@@ -157,16 +164,22 @@ def _report_validator() -> jsonschema.protocols.Validator:
 
 def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
     """One pass over the frames: each frame's entropy, and as ``correlations[i]``
-    the correlation of frame i + 1 against frame i."""
+    the correlation of frame i + 1 against frame i; entropies by blocks of histograms."""
     entropies, correlations = array("d"), array("d")
-    prev = None
+    block = np.empty((_ENTROPY_BLOCK, 256), dtype=np.int64)
+    n, prev = 0, None
     for frame in frames:
-        entropies.append(frame_entropy(frame))
+        block[n % _ENTROPY_BLOCK] = frame.counts
+        n += 1
+        if n % _ENTROPY_BLOCK == 0:
+            entropies.extend(kernels.entropy_from_counts(block).tolist())
         if prev is not None:
             correlations.append(correlation(prev, frame))
         prev = frame
-    if not entropies:
+    if not n:
         raise ValueError("cannot analyse an empty frame stream")
+    if n % _ENTROPY_BLOCK:
+        entropies.extend(kernels.entropy_from_counts(block[:n % _ENTROPY_BLOCK]).tolist())
     return entropies, correlations
 
 

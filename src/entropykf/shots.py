@@ -81,11 +81,7 @@ def merge_short_shots(shots: list[Shot], min_len: int = DEFAULT_MIN_SHOT_LEN) ->
         else:
             merged.append(Shot(start, shot.end))
             carry_start = None
-    if carry_start is not None:
-        end = shots[-1].end
-        if merged:
-            last = merged.pop()
-            merged.append(Shot(last.start, end))
-        else:
-            merged.append(Shot(carry_start, end))
+    if carry_start is not None:  # a short tail joins the last shot, or is the only one
+        start = merged.pop().start if merged else carry_start
+        merged.append(Shot(start, shots[-1].end))
     return merged

@@ -79,7 +79,28 @@ class TestEntropy:
         rng = np.random.default_rng(5)
         px = rand_pixels(rng, 20, 30)
         counts = kernels.histogram256(px)
-        assert frame_entropy(px) == kernels.entropy_from_counts(counts, px.size)
+        assert frame_entropy(px) == kernels.entropy_from_counts(counts[np.newaxis])[0]
+
+    def test_stacked_rows_equal_each_row_alone_and_the_oracle(self):
+        rng = np.random.default_rng(43)
+        skewed = rand_pixels(rng, 64, 48)
+        skewed.flat[:256] = np.arange(256)
+        # 1, 2, 255 and 256 non-zero levels, over different totals
+        frames = [np.full((9, 8), 200, dtype=np.uint8),
+                  np.array([[0] * 10 + [255] * 30], dtype=np.uint8),
+                  np.repeat(np.arange(255, dtype=np.uint8), 3).reshape(15, 51),
+                  skewed,
+                  uniform_level_pixels(32, 256)]
+        assert [int(np.count_nonzero(kernels.histogram256(px))) for px in frames] == \
+            [1, 2, 255, 256, 256]
+        stack = np.stack([kernels.histogram256(px) for px in frames])
+        assert len(set(stack.sum(axis=1).tolist())) == len(frames)
+        rows = kernels.entropy_from_counts(stack)
+        assert rows.shape == (len(frames),) and rows.dtype == np.float64
+        for px, row, en in zip(frames, stack, rows.tolist()):
+            assert en.hex() == kernels.entropy_from_counts(row[np.newaxis])[0].hex()
+            assert abs(en - entropy_oracle(px)) < 1e-12
+        assert rows[0] == 0.0 and math.copysign(1.0, rows[0]) == 1.0
 
 
 class TestModifiedEntropy:

@@ -320,6 +320,28 @@ class TestRunPipeline:
         with pytest.raises(IngestError, match="expected 16x16"):
             run_pipeline(_config(src, tmp_path / "out"))
 
+    # a value of a wrong type can pass the range checks and fail only after the
+    # pass has written key-frame images, or fail them with a TypeError
+    @pytest.mark.parametrize("field, value", [
+        ("min_shot_len", 10.0), ("min_bin_size", 2.5), ("min_bin_size", True),
+        ("match_window", "5"), ("match_window", np.int64(5)), ("cut_threshold", True),
+        ("cut_threshold", "0.9"), ("sd_threshold", None), ("fallback_keyframe", 1),
+        ("width", 16.0), ("height", np.int64(16))])
+    def test_wrong_type_is_refused_before_any_output(self, field, value, tmp_path):
+        textures = synthetic.make_textures(np.random.default_rng(7), 2, 16, 16)
+        video = tmp_path / "video.raw"
+        video.write_bytes(b"".join(t.tobytes() * 30 for t in textures))
+        out = tmp_path / "out"
+        sides = {"width": 16, "height": 16}
+        if field in sides:
+            with pytest.raises(IngestError, match="is not two integers"):
+                SourceSpec(kind="raw", path=str(video), **{**sides, field: value})
+        else:
+            spec = SourceSpec(kind="raw", path=str(video), **sides)
+            with pytest.raises(ConfigError, match=f"^{field} must be of type "):
+                run_pipeline(PipelineConfig(source=spec, output_dir=out, **{field: value}))
+        assert list(out.glob("*")) == []
+
 
 def _recurring_raw(path: Path, width: int = 64, height: int = 48) -> SourceSpec:
     """30 scenes of 24 frames from 10 textures, each texture at least once,

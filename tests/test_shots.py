@@ -156,12 +156,14 @@ class TestAnalyse:
         with pytest.raises(ValueError, match="empty"):
             analyse(iter([]))
 
-    def test_series_equal_the_per_frame_calls_bit_for_bit(self):
+    # 64 histograms make one entropy block in analyse
+    @pytest.mark.parametrize("count", [1, 10, 63, 64, 65, 130])
+    def test_series_equal_the_per_frame_calls_bit_for_bit(self, count):
         rng = np.random.default_rng(101)
         a = rand_pixels(rng, 24, 16)
-        frames = [frame(i, rand_pixels(rng, 24, 16) if i % 3 else a) for i in range(10)]
+        frames = [frame(i, rand_pixels(rng, 24, 16) if i % 3 else a) for i in range(count)]
         entropies, correlations = analyse(iter(frames))
-        assert len(correlations) == len(entropies) - 1 == 9
+        assert len(correlations) == len(entropies) - 1 == count - 1
         assert [c.hex() for c in correlations] == \
             [correlation(p, q).hex() for p, q in zip(frames, frames[1:])]
         assert [e.hex() for e in entropies] == [frame_entropy(f).hex() for f in frames]
