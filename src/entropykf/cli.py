@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import synthetic
@@ -58,10 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="segment-entropy SD at or below this is a duplicate (default %(default)s)")
     ex.add_argument("--fallback-keyframe", action="store_true",
                     help="emit the largest bin's centre when every bin misses the gate")
-    ex.add_argument("--gt", help="ground-truth file enabling the evaluation block")
+    ex.add_argument("--gt", dest="ground_truth", metavar="GT", type=Path,
+                    help="ground-truth file enabling the evaluation block")
     ex.add_argument("--match-window", type=int, default=DEFAULT_MATCH_WINDOW,
                     help="max |detected - truth| distance for a match (default %(default)s)")
-    ex.add_argument("--out", required=True,
+    ex.add_argument("--out", dest="output_dir", metavar="OUT", type=Path, required=True,
                     help="output directory for images and report.json, not the pgm-dir input")
     ex.add_argument("--seed-report", action="store_true",
                     help="omit volatile fields (timestamp) so report.json bytes reproduce")
@@ -92,18 +94,8 @@ def _cmd_extract(args: argparse.Namespace) -> None:
                           width=args.width, height=args.height)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    report = run_pipeline(PipelineConfig(
-        source=spec,
-        output_dir=Path(args.out),
-        cut_threshold=args.cut_threshold,
-        min_shot_len=args.min_shot_len,
-        min_bin_size=args.min_bin_size,
-        sd_threshold=args.sd_threshold,
-        match_window=args.match_window,
-        fallback_keyframe=args.fallback_keyframe,
-        ground_truth=None if args.gt is None else Path(args.gt),
-        seed_report=args.seed_report,
-    ))
+    report = run_pipeline(PipelineConfig(source=spec, **{
+        f.name: getattr(args, f.name) for f in fields(PipelineConfig) if f.name != "source"}))
     print(f"frames: {report['total_frames']}  shots: {len(report['shots'])}  "
           f"candidates: {len(report['candidates'])}  keyframes: {len(report['keyframes'])}  "
           f"eliminated: {len(report['eliminations'])}")
@@ -112,7 +104,7 @@ def _cmd_extract(args: argparse.Namespace) -> None:
         print(f"evaluation: matched {ev['matched']}, redundant {ev['redundant']}, "
               f"missing {ev['missing']}, deviation {ev['deviation']:.4f}, "
               f"compactness {ev['compactness']:.5f}")
-    print(f"report: {Path(args.out) / 'report.json'}")
+    print(f"report: {args.output_dir / 'report.json'}")
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import datetime
 import functools
 import json
-import math
 import re
 import weakref
 from array import array
@@ -51,16 +50,18 @@ class ConfigError(ValueError):
     """The pipeline configuration is structurally invalid."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class PipelineConfig:
+    """A run's settings, in the order report.json's ``config`` block lists them;
+    the block is every field but ``seed_report``, with the paths as strings."""
     source: SourceSpec
-    output_dir: Path
     cut_threshold: float = DEFAULT_CUT_THRESHOLD
     min_shot_len: int = DEFAULT_MIN_SHOT_LEN
     min_bin_size: int = DEFAULT_MIN_BIN_SIZE
     sd_threshold: float = DEFAULT_SD_THRESHOLD
     match_window: int = DEFAULT_MATCH_WINDOW
     fallback_keyframe: bool = False
+    output_dir: Path
     ground_truth: Path | None = None
     seed_report: bool = False  # omit volatile fields so report bytes reproduce
 
@@ -71,11 +72,11 @@ class PipelineConfig:
                 raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
             if field.type == "int" and value < 0:  # shot length, bin gate, match window
                 raise ConfigError(f"{field.name} must be non-negative, got {value}")
-        if not 0.0 < self.cut_threshold <= 1.0:
-            raise ConfigError(f"cut threshold must be in (0, 1], got {self.cut_threshold}")
-        if not (math.isfinite(self.sd_threshold) and self.sd_threshold >= 0):
-            raise ConfigError(f"sd threshold must be finite and non-negative, "
-                              f"got {self.sd_threshold}")
+        try:  # each stage checks its own threshold, here on empty input
+            detect_cuts((), self.cut_threshold)
+            dedup_detailed((), self.sd_threshold)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if (self.source.kind is SourceKind.PGM_DIR
                 and Path(self.output_dir).resolve() == Path(self.source.path).resolve()):
             raise ConfigError(f"output directory {self.output_dir} is the input directory, "
@@ -245,17 +246,9 @@ def write_report(config: PipelineConfig, out_dir: Path, results: dict) -> dict:
     report = {}
     if not config.seed_report:
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    report["config"] = {
-        "source": asdict(config.source),
-        "cut_threshold": config.cut_threshold,
-        "min_shot_len": config.min_shot_len,
-        "min_bin_size": config.min_bin_size,
-        "sd_threshold": config.sd_threshold,
-        "match_window": config.match_window,
-        "fallback_keyframe": config.fallback_keyframe,
-        "output_dir": str(config.output_dir),
-        "ground_truth": None if config.ground_truth is None else str(config.ground_truth),
-    }
+    report["config"] = {**asdict(config), "output_dir": str(config.output_dir), "ground_truth":
+                        None if config.ground_truth is None else str(config.ground_truth)}
+    del report["config"]["seed_report"]
     report.update(results)
     _report_validator().validate(report)
     for kf in report["keyframes"]:

@@ -2,11 +2,13 @@
 
 The oracles deliberately avoid the library's kernels: counting is done
 per-pixel in Python, entropy by direct summation with math.log2, correlation
-by the textbook two-pass covariance quotient, and segmented entropy by
+by the textbook two-pass covariance quotient, segmented entropy by
 materialising each segment as its own little image, and dedup by one
-scalar SD per candidate-survivor pair.  The numpy kernels the library had
-before its C kernels are kept here as oracles for frames too large for
-Python loops.
+scalar SD per candidate-survivor pair.  One exception is on purpose: the
+segmented oracle shares the library's entropy arithmetic
+(``kernels.entropy_from_counts``) so that its comparisons can be bit-exact.
+The numpy kernels the library had before its C kernels are kept here as
+oracles for frames too large for Python loops.
 """
 
 from __future__ import annotations
@@ -67,16 +69,14 @@ def segment_slices(n: int) -> list[slice]:
 
 
 def segmented_oracle(pixels: np.ndarray) -> np.ndarray:
-    """Materialise every grid segment as its own frame and recompute."""
-    from entropykf.entropy import frame_entropy
+    """Materialise every grid segment as its own frame and count it with
+    ``np.bincount``; the entropy arithmetic is the library's, shared on purpose
+    so that the oracle is bit-identical to ``segmented_entropies``."""
+    from entropykf.kernels import entropy_from_counts
     rows = segment_slices(pixels.shape[0])
     cols = segment_slices(pixels.shape[1])
-    out = np.empty(64)
-    for sy in range(8):
-        for sx in range(8):
-            block = np.ascontiguousarray(pixels[rows[sy], cols[sx]])
-            out[sy * 8 + sx] = frame_entropy(block)
-    return out
+    return entropy_from_counts(np.stack([bincount_histogram(pixels[r, c])
+                                         for r in rows for c in cols]))
 
 
 def dedup_oracle(candidates, sd_threshold: float):

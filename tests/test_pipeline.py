@@ -132,6 +132,18 @@ class TestRunPipeline:
         assert report["eliminations"] == []
         assert (tmp_path / "out" / "keyframe_000050.pgm").exists()
         assert "evaluation" not in report
+        assert report["config"]["ground_truth"] is None
+
+    def test_config_block_is_the_config_fields_in_order(self, small_video, tmp_path):
+        root, _ = small_video
+        report = run_pipeline(_config(root / "frames", tmp_path / "out",
+                                      ground_truth=root / "gt.txt", seed_report=True))
+        names = [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert list(report["config"]) == [name for name in names if name != "seed_report"]
+        assert report["config"]["output_dir"] == str(tmp_path / "out")
+        assert report["config"]["ground_truth"] == str(root / "gt.txt")
+        written = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+        assert written == report["config"]
 
     def test_multi_scene_with_dedup_and_eval(self, small_video, tmp_path):
         root, layout = small_video
@@ -693,10 +705,18 @@ class TestCli:
     def test_extract_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["extract", "--input", "-", "--format", "y4m",
                                           "--out", "o"])
-        defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
-        for name in ("cut_threshold", "min_shot_len", "min_bin_size", "sd_threshold",
-                     "match_window", "fallback_keyframe", "seed_report"):
-            assert getattr(args, name) == defaults[name], name
+        for f in dataclasses.fields(PipelineConfig):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(args, f.name) == f.default, f.name
+
+    def test_every_config_field_but_source_is_an_extract_option(self):
+        # _cmd_extract passes each field by name, so a field without an option
+        # fails here rather than in a run
+        args = build_parser().parse_args(["extract", "--input", "-", "--format", "y4m",
+                                          "--out", "o", "--gt", "gt.txt"])
+        names = {f.name for f in dataclasses.fields(PipelineConfig)} - {"source"}
+        assert names <= set(vars(args))
+        assert (args.output_dir, args.ground_truth) == (Path("o"), Path("gt.txt"))
 
     def test_raw_without_dimensions_exits_2(self, tmp_path):
         result = _cli("extract", "--input", "-", "--format", "raw",
