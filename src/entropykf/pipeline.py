@@ -16,8 +16,9 @@ frame count waits for ``score``.  Frame geometry is ``ingest``'s contract.
 from __future__ import annotations
 
 import datetime
-import functools
 import json
+import operator
+import os
 import re
 import weakref
 from array import array
@@ -26,7 +27,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-import jsonschema
 import numpy as np
 
 from . import kernels
@@ -43,7 +43,8 @@ from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, correlati
 _KEYFRAME_NAME = re.compile(r"keyframe_\d{6,}\.pgm$")
 _ENTROPY_BLOCK = 64  # histograms per entropy call in analyse: 128 KB of int64
 # the values each annotated field type admits; a bool only where the type is bool
-_FIELD_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_FIELD_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "SourceSpec": (SourceSpec,),
+                "Path": (str, os.PathLike), "Path | None": (str, os.PathLike, type(None))}
 
 
 class ConfigError(ValueError):
@@ -67,7 +68,7 @@ class PipelineConfig:
 
     def validate(self) -> None:
         for field in fields(self):  # types first: a wrong type can pass a comparison
-            value, kinds = getattr(self, field.name), _FIELD_KINDS.get(field.type, (object,))
+            value, kinds = getattr(self, field.name), _FIELD_KINDS[field.type]
             if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
                 raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
             if field.type == "int" and value < 0:  # shot length, bin gate, match window
@@ -116,51 +117,60 @@ def load_report_schema() -> dict:
     return json.loads(resources.files("entropykf").joinpath("report_schema.json").read_text())
 
 
-def _inline_refs(node, defs: dict, seen: tuple = ()):
-    """``node`` with each ``$ref`` replaced by the ``$defs`` entry it names."""
-    if isinstance(node, list):
-        return [_inline_refs(v, defs, seen) for v in node]
-    if not isinstance(node, dict):
-        return node
-    if "$ref" not in node:
-        return {k: _inline_refs(v, defs, seen) for k, v in node.items()}
-    name = node["$ref"].removeprefix("#/$defs/")
-    if len(node) > 1 or name not in defs or name in seen or name == node["$ref"]:
-        raise jsonschema.SchemaError(f"cannot inline {node}: not a lone, acyclic #/$defs ref")
-    return _inline_refs(defs[name], defs, (*seen, name))
+class ReportError(ValueError):
+    """A report value fails its schema rule, or the rule is one the check refuses."""
 
 
-@functools.cache
-def _report_validator() -> jsonschema.protocols.Validator:
-    """The shipped report schema's validator, with its ``$ref``s inlined and its
-    class extended to take a numpy array as an array.  ``items`` checks a float64
-    vector in one numpy pass against the item rule, which must be exactly
-    ``type: number``, ``minimum`` and ``maximum``; the pass also fails NaN, which
-    jsonschema's ``minimum`` and ``maximum`` let through.  The schema is
-    meta-schema checked once per process, on first use."""
-    schema = load_report_schema()
-    base = jsonschema.validators.validator_for(schema)
-    base.check_schema(schema)
+# the Python type of each JSON type but number and integer, which exclude bool
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+_BOUNDS = {"minimum": operator.ge, "maximum": operator.le, "exclusiveMinimum": operator.gt}
+_COUNTS = {"minItems": operator.ge, "maxItems": operator.le}
 
-    def items(validator, rule, instance, node):
-        if not isinstance(instance, np.ndarray):
-            yield from base.VALIDATORS["items"](validator, rule, instance, node)
-        elif (not isinstance(rule, dict) or rule.keys() != {"type", "minimum", "maximum"}
-              or rule["type"] != "number"):
-            raise jsonschema.SchemaError(f"the bulk items check cannot apply {rule}")
-        elif instance.dtype != np.float64 or instance.ndim != 1:
-            yield jsonschema.ValidationError(f"{instance!r} is not a float64 vector")
-        else:
-            lo, hi = rule["minimum"], rule["maximum"]
-            bad = np.flatnonzero(~((instance >= lo) & (instance <= hi)))
-            if len(bad):
-                j = int(bad[0])
-                yield jsonschema.ValidationError(f"{instance[j]} is not in [{lo}, {hi}]", path=(j,))
 
-    cls = jsonschema.validators.extend(base, {"items": items}, type_checker=(
-        base.TYPE_CHECKER.redefine("array", lambda _, x: isinstance(x, (list, np.ndarray)))))
-    defs = schema.pop("$defs", {})
-    return cls(_inline_refs(schema, defs))
+def _has_type(value, name: str) -> bool:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return name == "number" or name == "integer" and value % 1 == 0  # 1.0 is an integer
+    return isinstance(value, _JSON_TYPES.get(name, ()))
+
+
+def check_report(value, node: dict, defs: dict, path: str = "$") -> None:
+    """Raise ReportError, with the value's JSON path first, unless ``value`` meets
+    the schema ``node`` by the Draft 2020-12 meaning of the 14 keywords
+    report_schema.json uses; a ``$ref`` names an entry of ``defs``.  So that a
+    schema edit cannot silently weaken the check, it refuses any other keyword, an
+    ``additionalProperties`` other than false, and a ``$ref`` that is not a lone
+    ``#/$defs/<name>`` of a definition that is not a ``$ref``.  NaN fails every bound."""
+    for key, rule in node.items():
+        bad = False
+        if key == "type":
+            bad = not any(_has_type(value, t) for t in ([rule] if isinstance(rule, str) else rule))
+        elif key in _BOUNDS:
+            bad = _has_type(value, "number") and not _BOUNDS[key](value, rule)
+        elif key in _COUNTS:
+            bad = isinstance(value, list) and not _COUNTS[key](len(value), rule)
+        elif key == "required":
+            bad = isinstance(value, dict) and not value.keys() >= set(rule)
+        elif key == "additionalProperties" and rule is False:
+            bad = isinstance(value, dict) and not value.keys() <= node.get("properties", {}).keys()
+        elif key == "enum":
+            bad = value not in rule
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                check_report(item, rule, defs, f"{path}[{i}]")
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in rule.items():
+                if name in value:
+                    check_report(value[name], sub, defs, f"{path}.{name}")
+        elif key == "allOf":
+            for sub in rule:
+                check_report(value, sub, defs, path)
+        elif key == "$ref" and len(node) == 1 and rule.startswith("#/$defs/") and \
+                "$ref" not in defs.get(rule[8:], {"$ref": None}):  # the name after "#/$defs/"
+            check_report(value, defs[rule[8:]], defs, path)
+        elif key not in ("items", "properties", "$defs", "$schema", "title"):
+            raise ReportError(f"{path}: the report check cannot apply {key!r}: {rule!r}")
+        if bad:
+            raise ReportError(f"{path}: {value!r:.80} fails {key} {rule!r}")
 
 
 def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
@@ -237,7 +247,7 @@ def write_keyframes(survivors: list[KeyFrame], source, out_dir: Path,
     for kf in survivors:
         name = f"keyframe_{kf.frame_index:06d}.pgm"
         write_pgm(out_dir / name, tracker.register(source.read_frame(kf.frame_index)).pixels)
-        entries.append({**_candidate_dict(kf), "image": name, "segments": kf.segments})
+        entries.append({**_candidate_dict(kf), "image": name, "segments": kf.segments.tolist()})
     return entries
 
 
@@ -250,10 +260,8 @@ def write_report(config: PipelineConfig, out_dir: Path, results: dict) -> dict:
                         None if config.ground_truth is None else str(config.ground_truth)}
     del report["config"]["seed_report"]
     report.update(results)
-    _report_validator().validate(report)
-    for kf in report["keyframes"]:
-        if isinstance(kf["segments"], np.ndarray):
-            kf["segments"] = kf["segments"].tolist()  # json.dump writes lists, not arrays
+    schema = load_report_schema()
+    check_report(report, schema, schema["$defs"])
     partial = out_dir / ".report.json.tmp"
     try:
         with open(partial, "w") as out:

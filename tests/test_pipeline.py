@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from entropykf import kernels, pipeline, synthetic
 from entropykf.cli import build_parser
 from entropykf.evaluation import EvaluationError
 from entropykf.ingest import IngestError, SourceKind, SourceSpec, write_pgm
-from entropykf.pipeline import (ConfigError, PipelineConfig,
+from entropykf.pipeline import (ConfigError, PipelineConfig, ReportError,
                                 load_report_schema, run_pipeline, write_report)
 
 
@@ -338,7 +339,8 @@ class TestRunPipeline:
         ("min_shot_len", 10.0), ("min_bin_size", 2.5), ("min_bin_size", True),
         ("match_window", "5"), ("match_window", np.int64(5)), ("cut_threshold", True),
         ("cut_threshold", "0.9"), ("sd_threshold", None), ("fallback_keyframe", 1),
-        ("width", 16.0), ("height", np.int64(16))])
+        ("width", 16.0), ("height", np.int64(16)), ("source", "frames"), ("output_dir", 5),
+        ("ground_truth", 7)])
     def test_wrong_type_is_refused_before_any_output(self, field, value, tmp_path):
         textures = synthetic.make_textures(np.random.default_rng(7), 2, 16, 16)
         video = tmp_path / "video.raw"
@@ -351,7 +353,7 @@ class TestRunPipeline:
         else:
             spec = SourceSpec(kind="raw", path=str(video), **sides)
             with pytest.raises(ConfigError, match=f"^{field} must be of type "):
-                run_pipeline(PipelineConfig(source=spec, output_dir=out, **{field: value}))
+                run_pipeline(PipelineConfig(**{"source": spec, "output_dir": out, field: value}))
         assert list(out.glob("*")) == []
 
 
@@ -397,27 +399,12 @@ class TestReportValidator:
     def test_shipped_schema_passes_its_meta_schema(self):
         schema = load_report_schema()
         jsonschema.validators.validator_for(schema).check_schema(schema)
-        # the validator's schema is the shipped one with its refs inlined and
-        # nothing removed
-        derived = load_report_schema()
-        shot = derived["$defs"]["shot"]
-        candidate = derived.pop("$defs")["candidate"]
-        candidate["properties"]["shot"] = shot
-        props = derived["properties"]
-        props["shots"]["items"] = shot
-        props["shot_details"]["items"]["properties"]["shot"] = shot
-        props["candidates"]["items"] = candidate
-        props["keyframes"]["items"]["allOf"] = [candidate]
-        assert pipeline._report_validator().schema == derived
-
-    def test_one_validator_per_process(self):
-        assert pipeline._report_validator() is pipeline._report_validator()
 
     def test_invalid_report_raises_and_writes_nothing(self, small_video, tmp_path):
         root, _ = small_video
         out = tmp_path / "out"
         out.mkdir()
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ReportError, match=r"^\$: "):
             write_report(_config(root / "frames", out), out, {"total_frames": -1})
         assert not (out / "report.json").exists()
 
@@ -448,7 +435,7 @@ class TestReportValidator:
         cases = list(_rule_violations(schema, schema, report))
         assert len(cases) > 100
 
-        def nest(doc):  # (64, 1) arrays, whose list form holds lists, not numbers
+        def nest(doc):  # each segment number wrapped in a list
             for kf in doc["keyframes"]:
                 kf["segments"] = [[v] for v in kf["segments"]]
         cases.append(("keyframes.*.segments", "items nested", nest))
@@ -467,42 +454,86 @@ class TestReportValidator:
                 disagree.append(f"{where}: {rule}")
         assert disagree == []
 
+    def test_random_mutations_agree_with_a_plain_validator(self, tmp_path):
+        # seeded single-leaf mutations of a report with an evaluation, a fallback
+        # pick and an elimination: a value replaced, a key or item deleted, or a
+        # key added.  The check is stricter in one way, pinned here: it refuses
+        # NaN, which the plain validator's bounds let through.
+        report = _fallback_report(tmp_path)
+        schema = load_report_schema()
+        rng = random.Random(19)
+        values = [None, True, False, 0, -1, 1, 1.0, 1.5, -0.5, 8.0, 8.5, 64, 65.0, 1e-9,
+                  math.inf, -math.inf, math.nan, "x", "pgm-dir", [], [1], {}, {"start": 0}]
+        # paths grouped by schema position, so that the 192 segment numbers
+        # weigh as one place, like the one source kind
+        places, objects = {}, {(): [()]}
+        for path in _value_paths(report):
+            place = tuple("*" if isinstance(key, int) else key for key in path)
+            places.setdefault(place, []).append(path)
+            if isinstance(_at(report, path), dict):
+                objects.setdefault(place, []).append(path)
+        verdicts = {}
+        for _ in range(600):
+            mutated = copy.deepcopy(report)
+            edit = rng.choice(["value", "delete", "add"])
+            path = rng.choice(rng.choice(list((objects if edit == "add" else places).values())))
+            if edit == "value":
+                _at(mutated, path[:-1])[path[-1]] = value = rng.choice(values)
+            elif edit == "delete":
+                del _at(mutated, path[:-1])[path[-1]]
+            else:
+                _at(mutated, path)["unexpected"] = 0
+            try:
+                pipeline.check_report(mutated, schema, schema["$defs"])
+                rejected = False
+            except ReportError:
+                rejected = True
+            if edit == "value" and value != value:  # NaN
+                assert rejected, path
+            else:
+                assert rejected == _full_check_rejects(mutated), (path, edit)
+            verdicts[edit, rejected] = verdicts.get((edit, rejected), 0) + 1
+        assert all(verdicts.get((edit, rejected)) for edit in ("value", "delete", "add")
+                   for rejected in (False, True)), verdicts
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_segments_are_rejected(self, small_video, tmp_path, value):
         # stricter than the schema for NaN, which passes jsonschema's minimum
         # and maximum and would be written as the non-JSON token NaN; the last
-        # key-frame's last segment shows that the bulk pass sees every number
+        # key-frame's last segment shows that the check sees every number, and
+        # NaN fails every bound, not only a segment's
         root, _ = small_video
         config = _config(root / "frames", tmp_path / "out", seed_report=True)
         report = run_pipeline(config)
         (tmp_path / "out" / "report.json").unlink()
         last = len(report["keyframes"]) - 1
-        assert last > 1
-        for i, j in [(1, 5), (last, 63)]:
+        assert last > 1 and report["eliminations"]
+        for path in [("keyframes", 1, "segments", 5), ("keyframes", last, "segments", 63),
+                     ("candidates", 0, "global_entropy"), ("eliminations", 0, "sd")]:
             mutated = copy.deepcopy(report)
-            mutated["keyframes"][i]["segments"][j] = value
-            assert _full_check_rejects(mutated) == (not math.isnan(value))
-            with pytest.raises(jsonschema.ValidationError) as raised:
-                write_report(config, tmp_path / "out", _with_segment_vectors(mutated))
-            assert raised.value.json_path == f"$.keyframes[{i}].segments[{j}]"
+            _at(mutated, path[:-1])[path[-1]] = value
+            valid = path[-1] == "sd" and value == math.inf  # sd has no maximum
+            assert _full_check_rejects(mutated) == (not valid and not math.isnan(value))
+            if valid:
+                continue
+            where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+            with pytest.raises(ReportError) as raised:
+                write_report(config, tmp_path / "out", mutated)
+            assert str(raised.value).startswith(f"{where}: ")
             assert not (tmp_path / "out" / "report.json").exists()
 
-    def test_segment_rule_the_bulk_check_cannot_apply_is_refused(self, small_video, tmp_path,
-                                                                 monkeypatch):
+    def test_keyword_the_check_cannot_apply_is_refused(self, small_video, tmp_path,
+                                                       monkeypatch):
         root, _ = small_video
         config = _config(root / "frames", tmp_path / "out", seed_report=True)
-        report = _with_segment_vectors(run_pipeline(config))
+        report = run_pipeline(config)
         (tmp_path / "out" / "report.json").unlink()
         schema = load_report_schema()
         schema["properties"]["keyframes"]["items"]["properties"]["segments"]["items"][
             "multipleOf"] = 0.5
         monkeypatch.setattr(pipeline, "load_report_schema", lambda: schema)
-        pipeline._report_validator.cache_clear()
-        try:
-            with pytest.raises(jsonschema.SchemaError, match="multipleOf"):
-                write_report(config, tmp_path / "out", report)
-        finally:
-            pipeline._report_validator.cache_clear()
+        with pytest.raises(ReportError, match=r"^\$\.keyframes\[0\]\.segments\[0\]: .*multipleOf"):
+            write_report(config, tmp_path / "out", report)
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("ref", [
@@ -512,18 +543,29 @@ class TestReportValidator:
         {"$ref": "#/$defs/loop"},                    # cyclic
     ])
     def test_refs_that_cannot_be_inlined_are_refused(self, ref):
-        defs = {"leaf": {"type": "integer"}, "loop": {"items": {"$ref": "#/$defs/loop"}}}
-        assert pipeline._inline_refs({"items": {"$ref": "#/$defs/leaf"}}, defs) == \
-            {"items": {"type": "integer"}}
-        with pytest.raises(jsonschema.SchemaError):
-            pipeline._inline_refs({"properties": {"x": ref}}, defs)
+        # a ref cycle that passes through items ends with the instance; one from
+        # a definition that is itself a ref would never end
+        defs = {"leaf": {"type": "integer"}, "loop": {"$ref": "#/$defs/loop"},
+                "nest": {"items": {"$ref": "#/$defs/nest"}}}
+        pipeline.check_report([[[]], 1], {"items": {"$ref": "#/$defs/nest"}}, defs)
+        with pytest.raises(ReportError, match=r"^\$: '1' fails type 'integer'"):
+            pipeline.check_report("1", {"$ref": "#/$defs/leaf"}, defs)
+        with pytest.raises(ReportError, match=r"^\$\.x: the report check cannot apply '\$ref'"):
+            pipeline.check_report({"x": 1}, {"properties": {"x": ref}}, defs)
 
-    def test_import_does_not_build_the_validator(self):
-        code = ("import entropykf.pipeline as p, entropykf.cli\n"
-                "assert p._report_validator.cache_info().currsize == 0\n")
-        done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
-                              capture_output=True, text=True)
+    def test_extract_runs_with_jsonschema_unimportable(self, small_video, tmp_path):
+        root, _ = small_video
+        code = ("import sys\n"
+                "sys.modules['jsonschema'] = None  # any import of it raises ImportError\n"
+                "from entropykf import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "extract", "--input", str(root / "frames"),
+             "--format", "pgm-dir", "--out", str(tmp_path / "out"),
+             "--gt", str(root / "gt.txt"), "--fallback-keyframe"],
+            env=_src_env(), capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["evaluation"]
 
 
 # the keywords _rule_violations can violate or descend through; a new one fails it
@@ -603,26 +645,43 @@ def _full_check_rejects(report: dict) -> bool:
     return not _full_validator().is_valid(report)
 
 
-def _with_segment_vectors(report: dict) -> dict:
-    """``report`` as write_report receives it: every segments list as an array,
-    a float64 vector unless a mutation put a string or a nested list in it."""
-    report = copy.deepcopy(report)
-    keyframes = report.get("keyframes")
-    for kf in keyframes if isinstance(keyframes, list) else []:
-        segments = kf.get("segments") if isinstance(kf, dict) else None
-        if isinstance(segments, list):
-            kf["segments"] = np.array(segments)
-    return report
-
-
 def _runtime_check_rejects(config, out: Path, report: dict) -> bool:
     try:
-        write_report(config, out, _with_segment_vectors(report))
-    except jsonschema.ValidationError:
+        write_report(config, out, report)
+    except ReportError:
         assert list(out.iterdir()) == []
         return True
     (out / "report.json").unlink()
     return False
+
+
+def _value_paths(doc, path=()):
+    """The path of every value below ``doc``, through objects and arrays."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield (*path, key)
+            yield from _value_paths(value, (*path, key))
+
+
+def _at(doc, path):
+    return functools.reduce(lambda node, key: node[key], path, doc)
+
+
+def _fallback_report(tmp_path: Path) -> dict:
+    """The seed report of a small raw video: a 30-frame shot whose bin passes
+    the gate, a 12-frame shot that only the fallback picks from, and the first
+    shot again, eliminated as its duplicate; evaluated against ground truth."""
+    textures = synthetic.make_textures(np.random.default_rng(5), 2, 16, 16)
+    video = tmp_path / "video.raw"
+    video.write_bytes(b"".join(textures[t].tobytes() * n for t, n in ((0, 30), (1, 12), (0, 30))))
+    gt = tmp_path / "gt.txt"
+    gt.write_text("total_frames=72\n15\n36\n")
+    report = run_pipeline(PipelineConfig(
+        source=SourceSpec(kind=SourceKind.RAW, path=str(video), width=16, height=16),
+        output_dir=tmp_path / "out", fallback_keyframe=True, ground_truth=gt, seed_report=True))
+    assert [c["fallback"] for c in report["candidates"]] == [False, True, False]
+    assert report["eliminations"] and report["evaluation"]
+    return report
 
 
 def _src_env() -> dict:
