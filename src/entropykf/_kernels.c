@@ -5,7 +5,10 @@
  * contiguity before a call.  Each entry point here takes its arrays through
  * the buffer protocol, which refuses a non-contiguous array, checks the byte
  * length of every fixed-size buffer again, and releases the GIL around its
- * loops.  All results are exact integers.
+ * loops.  The histogram and moment results are exact integers; the two
+ * entropy steps repeat numpy's own float64 arithmetic, one IEEE division per
+ * probability and numpy's pairwise order of addition, so they give its bits.
+ * Neither needs -ffast-math, which would reorder the additions.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -110,6 +113,83 @@ static void segment_histograms(const uint8_t *px, int64_t w, const int64_t *rows
     }
 }
 
+/* The non-zero counts of each of rows 256-bin histograms, each divided by its
+ * row's total, packed row after row into p; levels[r] gets the number of
+ * non-zero counts of row r.  Returns the number of values written.  The
+ * division is numpy's int64 / int64 true_divide: both sides converted to
+ * double, exact for counts below 2^53, then one IEEE division.  Every count
+ * is divided and stored, and the write position moves past only a non-zero
+ * one, so the packing has no branch to mispredict on a row's pattern of empty
+ * levels.  The total is summed in uint64 so that any counts wrap, as numpy's
+ * int64 sum does, rather than overflow. */
+static int64_t probabilities(const int64_t *counts, int64_t rows, double *p, int64_t *levels)
+{
+    const int64_t *row;
+    uint64_t total;
+    double t;
+    int64_t r, written = 0, start;
+    int v;
+
+    for (r = 0; r < rows; r++) {
+        row = counts + r * 256;
+        total = 0;
+        for (v = 0; v < 256; v++)
+            total += (uint64_t)row[v];
+        t = (double)(int64_t)total;
+        start = written;
+        for (v = 0; v < 256; v++) {
+            p[written] = (double)row[v] / t;
+            written += row[v] > 0;
+        }
+        levels[r] = written - start;
+    }
+    return written;
+}
+
+/* The sum of a[0..n) in the order of numpy's pairwise_sum for float64
+ * (numpy/_core/src/umath/loops_utils.h.src), which np.add.reduce applies to a
+ * contiguous row: in sequence below 8 values, in eight interleaved partial
+ * sums up to 128, and split in two halves at a multiple of 8 above. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    double r[8], res;
+    int64_t i, half;
+    int k;
+
+    if (n < 8) {
+        res = 0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* out[r] is the sum of row r's run of levels[r] terms, the runs packed row
+ * after row in terms, as np.add.reduce gives it: 0.0 plus the pairwise sum. */
+static void row_sums(const double *terms, const int64_t *levels, int64_t rows, double *out)
+{
+    int64_t r;
+
+    for (r = 0; r < rows; r++) {
+        out[r] = 0.0 + pairwise_sum(terms, levels[r]);
+        terms += levels[r];
+    }
+}
+
 /* Whether the nine cut points rise, from 0 or more, to at most end. */
 static int cuts_within(const int64_t *cuts, int64_t end)
 {
@@ -119,6 +199,29 @@ static int cuts_within(const int64_t *cuts, int64_t end)
         if (cuts[i + 1] < cuts[i])
             return 0;
     return cuts[0] >= 0 && cuts[8] <= end;
+}
+
+/* Sets the ValueError of argument i of name, whose buffer does not have len
+ * bytes, and returns -1; returns 0 if it has. */
+static int check_len(const char *name, Py_ssize_t i, const Py_buffer *view, Py_ssize_t len)
+{
+    if (view->len == len)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "%s: argument %zd has %zd bytes, expected %zd",
+                 name, i + 1, view->len, len);
+    return -1;
+}
+
+/* The number of rows of size bytes each that argument i of name holds, or -1
+ * with a ValueError set if its buffer is not a whole number of them. */
+static Py_ssize_t count_rows(const char *name, Py_ssize_t i, const Py_buffer *view,
+                             Py_ssize_t size)
+{
+    if (view->len % size == 0)
+        return view->len / size;
+    PyErr_Format(PyExc_ValueError, "%s: argument %zd has %zd bytes, not a multiple of %zd",
+                 name, i + 1, view->len, size);
+    return -1;
 }
 
 static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t n)
@@ -142,9 +245,7 @@ static int get_buffers(const char *name, PyObject *const *args, Py_buffer *views
         if (PyObject_GetBuffer(args[i], &views[i],
                                i < n - n_out ? PyBUF_SIMPLE : PyBUF_WRITABLE) < 0)
             goto fail;
-        if (lens[i] >= 0 && views[i].len != lens[i]) {
-            PyErr_Format(PyExc_ValueError, "%s: argument %zd has %zd bytes, expected %zd",
-                         name, i + 1, views[i].len, lens[i]);
+        if (lens[i] >= 0 && check_len(name, i, &views[i], lens[i]) < 0) {
             i++;
             goto fail;
         }
@@ -242,6 +343,70 @@ static PyObject *py_segment_histograms(PyObject *self, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/* probabilities(counts, p, levels): the non-zero counts of each row of the
+ * (rows, 256) int64 stack over the row's total, packed into the rows * 256
+ * doubles of p, and each row's number of them into the rows int64 of levels;
+ * returns the number of doubles written. */
+static PyObject *py_probabilities(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const Py_ssize_t lens[3] = {-1, -1, -1};
+    Py_buffer v[3];
+    Py_ssize_t rows;
+    int64_t written;
+
+    (void)self;
+    if (check_nargs("probabilities", nargs, 3) < 0 ||
+        get_buffers("probabilities", args, v, 3, 2, lens) < 0)
+        return NULL;
+    if ((rows = count_rows("probabilities", 0, &v[0], COUNTS_BYTES)) < 0 ||
+        check_len("probabilities", 1, &v[1], rows * 256 * (Py_ssize_t)sizeof(double)) < 0 ||
+        check_len("probabilities", 2, &v[2], rows * (Py_ssize_t)sizeof(int64_t)) < 0) {
+        release_buffers(v, 3);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    written = probabilities(v[0].buf, rows, v[1].buf, v[2].buf);
+    Py_END_ALLOW_THREADS
+    release_buffers(v, 3);
+    return PyLong_FromLongLong((long long)written);
+}
+
+/* row_sums(terms, levels, out): each row's sum of its run of terms into the
+ * rows doubles of out; the rows int64 run lengths of levels must be
+ * non-negative and add up to the number of doubles in terms. */
+static PyObject *py_row_sums(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const Py_ssize_t lens[3] = {-1, -1, -1};
+    Py_buffer v[3];
+    Py_ssize_t rows, n, r, left;
+    const int64_t *levels;
+
+    (void)self;
+    if (check_nargs("row_sums", nargs, 3) < 0 ||
+        get_buffers("row_sums", args, v, 3, 1, lens) < 0)
+        return NULL;
+    if ((n = count_rows("row_sums", 0, &v[0], sizeof(double))) < 0 ||
+        (rows = count_rows("row_sums", 1, &v[1], sizeof(int64_t))) < 0 ||
+        check_len("row_sums", 2, &v[2], rows * (Py_ssize_t)sizeof(double)) < 0) {
+        release_buffers(v, 3);
+        return NULL;
+    }
+    levels = v[1].buf;
+    for (r = 0, left = n; r < rows && levels[r] >= 0 && levels[r] <= left; r++)
+        left -= levels[r];
+    if (r < rows || left != 0) {
+        PyErr_Format(PyExc_ValueError, "row_sums: the run lengths do not cover the %zd terms",
+                     n);
+        release_buffers(v, 3);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    row_sums(v[0].buf, levels, rows, v[2].buf);
+    Py_END_ALLOW_THREADS
+    release_buffers(v, 3);
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"histogram256", (PyCFunction)(void (*)(void))py_histogram256, METH_FASTCALL,
      "histogram256(pixels, out): 256-bin histogram of the pixel bytes into int64 out."},
@@ -249,6 +414,10 @@ static PyMethodDef kernel_methods[] = {
      "pearson_sums(counts_a, counts_b, a, b): (sum a, sum b, sum a^2, sum b^2, sum ab)."},
     {"segment_histograms", (PyCFunction)(void (*)(void))py_segment_histograms, METH_FASTCALL,
      "segment_histograms(pixels, rows, cols, out, width): 8x8 cell histograms into out."},
+    {"probabilities", (PyCFunction)(void (*)(void))py_probabilities, METH_FASTCALL,
+     "probabilities(counts, p, levels): each row's non-zero counts over its total into p."},
+    {"row_sums", (PyCFunction)(void (*)(void))py_row_sums, METH_FASTCALL,
+     "row_sums(terms, levels, out): each row's run of terms summed in numpy's pairwise order."},
     {NULL, NULL, 0, NULL}
 };
 

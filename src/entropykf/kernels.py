@@ -13,6 +13,11 @@ moments Σa and Σa² follow exactly from it, so a pair costs one C call that
 sums them from the two histograms and Σab over the two frames' uint8 bytes.
 Counts and sums are exact; ``entropy_from_counts`` gives each row of a stack
 of histograms, frames' or one frame's segments', the bits it would get alone.
+Its two loops over a stack are C as well: ``probabilities`` packs each row's
+non-zero counts over the row's total, and ``row_sums`` adds up each row's
+terms in the pairwise order of ``np.add.reduce``.  ``np.log2`` between them
+stays in numpy, so the entropies keep the bits of the numpy arithmetic they
+replaced.
 
 The first import compiles ``_kernels.c`` with ``cc -O3 -shared -fPIC`` and
 the interpreter's include directory into the ``__pycache__`` directory beside
@@ -114,17 +119,20 @@ def histogram256(pixels: np.ndarray) -> np.ndarray:
 def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits of each row of a (k, 256) stack of histograms.
 
-    Each row is taken over its own total, and its run of non-zero terms is
-    summed by its own ``np.add.reduce``, so its bits do not depend on k
-    (``np.add.reduceat`` sums in another order).  Results are clamped to
-    [0, 8] against last-ulp noise; a single-level row gives 0.0, not -0.0.
+    Each row is taken over its own total.  A C call packs every row's non-zero
+    counts, divided by the row's total, into one array; ``np.log2`` and the
+    products run over that array in numpy; a second C call sums each row's run
+    of terms in numpy's pairwise order, as ``np.add.reduce`` of the run alone
+    would, so a row's bits do not depend on k.  Results are clamped to [0, 8]
+    against last-ulp noise; a single-level row gives 0.0, not -0.0.
     """
-    present = counts > 0
-    levels = np.count_nonzero(present, axis=1)
-    p = np.extract(present, counts) / np.repeat(counts.sum(axis=1), levels)
-    terms = p * np.log2(p)
-    ends = np.cumsum(levels).tolist()
-    out = -np.array([np.add.reduce(terms[start:end]) for start, end in zip([0, *ends], ends)])
+    _check_counts(counts, stack=True)
+    p = np.empty(counts.size)
+    levels = np.empty(len(counts), dtype=np.int64)
+    p = p[:_C.probabilities(counts, p, levels)]
+    sums = np.empty(len(counts))
+    _C.row_sums(p * np.log2(p), levels, sums)
+    out = -sums
     out[out <= 0.0] = 0.0
     out[out > 8.0] = 8.0
     return out
@@ -157,10 +165,14 @@ def segment_histograms(pixels: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _check_counts(counts: np.ndarray) -> None:
-    if counts.dtype != np.int64 or counts.shape != (256,) or not counts.flags.c_contiguous:
-        raise ValueError(f"expected C-contiguous int64 counts of shape (256,), got "
-                         f"{counts.dtype} of shape {counts.shape}")
+def _check_counts(counts: np.ndarray, stack: bool = False) -> None:
+    """Refuse counts the C side cannot read: anything but one C-contiguous
+    int64 histogram of shape (256,), or with ``stack`` a (k, 256) stack of them."""
+    if counts.dtype != np.int64 or counts.ndim != 1 + stack or counts.shape[-1] != 256 or \
+            not counts.flags.c_contiguous:
+        raise ValueError(f"expected C-contiguous int64 counts of shape "
+                         f"{'(k, 256)' if stack else '(256,)'}, got {counts.dtype} of shape "
+                         f"{counts.shape}")
 
 
 def pearson_sums(counts_a: np.ndarray, counts_b: np.ndarray,

@@ -133,13 +133,17 @@ def _has_type(value, name: str) -> bool:
     return isinstance(value, _JSON_TYPES.get(name, ()))
 
 
-def check_report(value, node: dict, defs: dict, path: str = "$") -> None:
+def check_report(value, node: dict, defs: dict, path: str = "$",
+                 refs: frozenset = frozenset()) -> None:
     """Raise ReportError, with the value's JSON path first, unless ``value`` meets
     the schema ``node`` by the Draft 2020-12 meaning of the 14 keywords
     report_schema.json uses; a ``$ref`` names an entry of ``defs``.  So that a
     schema edit cannot silently weaken the check, it refuses any other keyword, an
     ``additionalProperties`` other than false, and a ``$ref`` that is not a lone
-    ``#/$defs/<name>`` of a definition that is not a ``$ref``.  NaN fails every bound."""
+    ``#/$defs/<name>`` of a definition.  ``refs`` holds the definitions followed
+    on this value, since the walk last stepped into ``items`` or ``properties``; a
+    ``$ref`` back to one of them would loop without end, and is refused too.
+    NaN fails every bound."""
     for key, rule in node.items():
         bad = False
         if key == "type":
@@ -163,10 +167,10 @@ def check_report(value, node: dict, defs: dict, path: str = "$") -> None:
                     check_report(value[name], sub, defs, f"{path}.{name}")
         elif key == "allOf":
             for sub in rule:
-                check_report(value, sub, defs, path)
+                check_report(value, sub, defs, path, refs)
         elif key == "$ref" and len(node) == 1 and rule.startswith("#/$defs/") and \
-                "$ref" not in defs.get(rule[8:], {"$ref": None}):  # the name after "#/$defs/"
-            check_report(value, defs[rule[8:]], defs, path)
+                rule[8:] in defs and rule[8:] not in refs:  # the name after "#/$defs/"
+            check_report(value, defs[rule[8:]], defs, path, refs | {rule[8:]})
         elif key not in ("items", "properties", "$defs", "$schema", "title"):
             raise ReportError(f"{path}: the report check cannot apply {key!r}: {rule!r}")
         if bad:

@@ -4,11 +4,12 @@ The oracles deliberately avoid the library's kernels: counting is done
 per-pixel in Python, entropy by direct summation with math.log2, correlation
 by the textbook two-pass covariance quotient, segmented entropy by
 materialising each segment as its own little image, and dedup by one
-scalar SD per candidate-survivor pair.  One exception is on purpose: the
-segmented oracle shares the library's entropy arithmetic
-(``kernels.entropy_from_counts``) so that its comparisons can be bit-exact.
-The numpy kernels the library had before its C kernels are kept here as
-oracles for frames too large for Python loops.
+scalar SD per candidate-survivor pair.  The numpy kernels the library had
+before its C kernels are kept here as oracles for frames too large for Python
+loops, and for bits: ``numpy_entropy_from_counts`` is the entropy arithmetic
+before its C steps, so the segmented oracle, which counts with
+``np.bincount`` and takes its entropies from it, is bit-identical to
+``segmented_entropies`` without calling the code under test.
 """
 
 from __future__ import annotations
@@ -52,6 +53,21 @@ def int64_sums(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int, int]:
             int(x @ y))
 
 
+def numpy_entropy_from_counts(counts: np.ndarray) -> np.ndarray:
+    """``kernels.entropy_from_counts`` in numpy: one division and one ``log2``
+    over the non-zero levels of all rows, each row's run of terms summed by its
+    own ``np.add.reduce``, then negated and clamped to [0, 8]."""
+    present = counts > 0
+    levels = np.count_nonzero(present, axis=1)
+    p = np.extract(present, counts) / np.repeat(counts.sum(axis=1), levels)
+    terms = p * np.log2(p)
+    ends = np.cumsum(levels).tolist()
+    out = -np.array([np.add.reduce(terms[start:end]) for start, end in zip([0, *ends], ends)])
+    out[out <= 0.0] = 0.0
+    out[out > 8.0] = 8.0
+    return out
+
+
 def entropy_oracle(pixels: np.ndarray) -> float:
     counts = histogram_oracle(pixels)
     total = pixels.size
@@ -69,14 +85,12 @@ def segment_slices(n: int) -> list[slice]:
 
 
 def segmented_oracle(pixels: np.ndarray) -> np.ndarray:
-    """Materialise every grid segment as its own frame and count it with
-    ``np.bincount``; the entropy arithmetic is the library's, shared on purpose
-    so that the oracle is bit-identical to ``segmented_entropies``."""
-    from entropykf.kernels import entropy_from_counts
+    """Materialise every grid segment as its own frame, count it with
+    ``np.bincount`` and take the entropies of the stack in numpy."""
     rows = segment_slices(pixels.shape[0])
     cols = segment_slices(pixels.shape[1])
-    return entropy_from_counts(np.stack([bincount_histogram(pixels[r, c])
-                                         for r in rows for c in cols]))
+    return numpy_entropy_from_counts(np.stack([bincount_histogram(pixels[r, c])
+                                               for r in rows for c in cols]))
 
 
 def dedup_oracle(candidates, sd_threshold: float):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (entropy_oracle, histogram_oracle, rand_pixels,
-                      segmented_oracle, uniform_level_pixels)
+from conftest import (entropy_oracle, histogram_oracle, numpy_entropy_from_counts,
+                      rand_pixels, segmented_oracle, uniform_level_pixels)
 from entropykf import kernels
 from entropykf.entropy import (dissimilarity, frame_entropy, modified_entropy,
                                segment_bounds, segmented_entropies)
@@ -97,10 +97,46 @@ class TestEntropy:
         assert len(set(stack.sum(axis=1).tolist())) == len(frames)
         rows = kernels.entropy_from_counts(stack)
         assert rows.shape == (len(frames),) and rows.dtype == np.float64
+        assert [en.hex() for en in rows.tolist()] == \
+            [en.hex() for en in numpy_entropy_from_counts(stack).tolist()]
         for px, row, en in zip(frames, stack, rows.tolist()):
             assert en.hex() == kernels.entropy_from_counts(row[np.newaxis])[0].hex()
             assert abs(en - entropy_oracle(px)) < 1e-12
         assert rows[0] == 0.0 and math.copysign(1.0, rows[0]) == 1.0
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_random_stacks_equal_the_numpy_oracle_bitwise(self, seed):
+        # one row for each number of non-zero levels, 0 (an all-zero row) to
+        # 256, so every run length meets the pairwise sum's steps at 8 and 128
+        # values; counts of up to 2**20 give totals from 1 to 2**28
+        rng = np.random.default_rng(seed)
+        stack = np.zeros((257, 256), dtype=np.int64)
+        for levels, row in enumerate(stack):
+            at = rng.choice(256, levels, replace=False)
+            row[at] = rng.integers(1, 2 ** int(rng.integers(0, 21)) + 1, levels)
+        stack[1, :] = 0
+        stack[1, 17] = 1
+        stack[256, :] = 2 ** 20
+        totals = stack.sum(axis=1)
+        assert totals[0] == 0 and totals[1] == 1 and totals.max() == 2 ** 28
+        for order in (stack, stack[::-1].copy()):
+            assert [en.hex() for en in kernels.entropy_from_counts(order).tolist()] == \
+                [en.hex() for en in numpy_entropy_from_counts(order).tolist()]
+
+    @pytest.mark.parametrize("bad", {
+        "int32": lambda s: s.astype(np.int32),
+        "float64": lambda s: s.astype(np.float64),
+        "one-row": lambda s: s[0],
+        "255-levels": lambda s: s[:, :255].copy(),
+        "3-D": lambda s: s[np.newaxis],
+        "every-other-row": lambda s: s[::2],
+        "fortran-order": np.asfortranarray,
+    }.items(), ids=lambda item: item[0])
+    def test_refuses_stacks_the_c_side_cannot_read(self, bad):
+        _, make = bad
+        stack = np.ones((4, 256), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"int64 counts of shape \(k, 256\)"):
+            kernels.entropy_from_counts(make(stack))
 
 
 class TestModifiedEntropy:

@@ -4,7 +4,8 @@ cases of the correlation quotient.
 Each C kernel is compared with the numpy body it replaced (kept in conftest as
 an oracle), and ``pearson_sums`` also with sums in Python ints, on odd shapes,
 non-contiguous views, flat 0 and 255 frames, an all-255 megapixel frame and
-hypothesis-drawn frames.  The entropy kernel is checked in test_entropy.py.
+hypothesis-drawn frames.  The entropy kernel is checked bit for bit against
+its former numpy body in test_entropy.py.
 At the C boundary, arrays the C side cannot read as they are raise
 ``ValueError`` rather than give a number, and every C entry point lets other
 Python threads run while it loops."""
@@ -292,6 +293,30 @@ class TestCBoundary:
         with pytest.raises(ValueError, match="read-only"):
             kernels._C.histogram256(px, frozen)
 
+    def test_entropy_steps_refuse_wrong_byte_lengths(self):
+        counts = np.ones((2, 256), dtype=np.int64)
+        p, levels = np.empty(512), np.empty(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="bytes, not a multiple of 2048"):
+            kernels._C.probabilities(counts.ravel()[:255].copy(), p, levels)
+        with pytest.raises(ValueError, match="argument 2 has 4088 bytes, expected 4096"):
+            kernels._C.probabilities(counts, p[:511].copy(), levels)
+        with pytest.raises(ValueError, match="argument 3 has 8 bytes, expected 16"):
+            kernels._C.probabilities(counts, p, levels[:1].copy())
+        assert kernels._C.probabilities(counts, p, levels) == 512
+        terms, out = np.ones(512), np.empty(2)
+        with pytest.raises(ValueError, match="argument 1 has 3 bytes, not a multiple of 8"):
+            kernels._C.row_sums(np.zeros(3, dtype=np.uint8), levels, out)
+        with pytest.raises(ValueError, match="argument 2 has 12 bytes, not a multiple of 8"):
+            kernels._C.row_sums(terms, np.zeros(3, dtype=np.int32), out)
+        with pytest.raises(ValueError, match="argument 3 has 24 bytes, expected 16"):
+            kernels._C.row_sums(terms, levels, np.empty(3))
+
+    @pytest.mark.parametrize("levels", [[256, 255], [256, 257], [-1, 513]],
+                             ids=["short", "long", "negative"])
+    def test_row_sums_refuses_runs_that_do_not_cover_the_terms(self, levels):
+        with pytest.raises(ValueError, match="run lengths do not cover the 512 terms"):
+            kernels._C.row_sums(np.ones(512), np.array(levels, dtype=np.int64), np.empty(2))
+
     def test_wrong_argument_counts_raise(self):
         with pytest.raises(TypeError, match="takes 2 arguments, got 1"):
             kernels._C.histogram256(np.zeros(8, dtype=np.uint8))
@@ -357,3 +382,16 @@ class TestGilRelease:
     def test_segment_histograms(self, tall_frame):
         assert _counter_advances_during(
             lambda: kernels.segment_histograms(tall_frame))
+
+    # the entropy steps are called on the compiled module, because the
+    # wrapper's np.log2 may release the GIL on its own over a large array
+
+    def test_probabilities(self):
+        counts = np.ones((8192, 256), dtype=np.int64)
+        p, levels = np.empty(counts.size), np.empty(8192, dtype=np.int64)
+        assert _counter_advances_during(lambda: kernels._C.probabilities(counts, p, levels))
+
+    def test_row_sums(self):
+        terms, levels = np.ones(8192 * 256), np.full(8192, 256, dtype=np.int64)
+        out = np.empty(8192)
+        assert _counter_advances_during(lambda: kernels._C.row_sums(terms, levels, out))

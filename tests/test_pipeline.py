@@ -541,15 +541,26 @@ class TestReportValidator:
         {"$ref": "#/$defs/missing"},                 # names no definition
         {"$ref": "#/$defs/leaf", "type": "object"},  # sibling keyword
         {"$ref": "#/$defs/loop"},                    # cyclic
+        {"$ref": "#/$defs/all"},                     # cyclic through allOf
+        {"$ref": "#/$defs/pair"},                    # cyclic through a second definition
     ])
     def test_refs_that_cannot_be_inlined_are_refused(self, ref):
-        # a ref cycle that passes through items ends with the instance; one from
-        # a definition that is itself a ref would never end
+        # a ref cycle that passes through items ends with the instance; one that
+        # stays on the same value would never end
         defs = {"leaf": {"type": "integer"}, "loop": {"$ref": "#/$defs/loop"},
-                "nest": {"items": {"$ref": "#/$defs/nest"}}}
+                "nest": {"items": {"$ref": "#/$defs/nest"}},
+                "all": {"allOf": [{"$ref": "#/$defs/all"}]},
+                "pair": {"allOf": [{"$ref": "#/$defs/chain"}]}, "chain": {"$ref": "#/$defs/pair"},
+                "to_leaf": {"$ref": "#/$defs/leaf"}}
         pipeline.check_report([[[]], 1], {"items": {"$ref": "#/$defs/nest"}}, defs)
+        pipeline.check_report({"x": 1, "y": [2]}, {"properties": {
+            "x": {"allOf": [{"$ref": "#/$defs/leaf"}, {"$ref": "#/$defs/leaf"}]},
+            "y": {"items": {"$ref": "#/$defs/to_leaf"}}}}, defs)
         with pytest.raises(ReportError, match=r"^\$: '1' fails type 'integer'"):
             pipeline.check_report("1", {"$ref": "#/$defs/leaf"}, defs)
+        with pytest.raises(ReportError, match=r"^\$\.y\[0\]: '2' fails type 'integer'"):
+            pipeline.check_report({"y": ["2"]}, {"properties": {
+                "y": {"items": {"$ref": "#/$defs/to_leaf"}}}}, defs)
         with pytest.raises(ReportError, match=r"^\$\.x: the report check cannot apply '\$ref'"):
             pipeline.check_report({"x": 1}, {"properties": {"x": ref}}, defs)
 
