@@ -2,20 +2,31 @@
  *
  * kernels.py compiles this file into a CPython extension module on first
  * import and loads it from its cache.  Its wrappers check dtype, shape and
- * contiguity before a call.  Each entry point here takes its arrays through
+ * contiguity before a call; frame_step has no wrapper and checks that its
+ * pixels are bytes itself.  Each entry point here takes its arrays through
  * the buffer protocol, which refuses a non-contiguous array, checks the byte
  * length of every fixed-size buffer again, and releases the GIL around its
  * loops.  The histogram and moment results are exact integers; the two
  * entropy steps repeat numpy's own float64 arithmetic, one IEEE division per
- * probability and numpy's pairwise order of addition, so they give its bits.
- * Neither needs -ffast-math, which would reorder the additions.
+ * probability and numpy's pairwise order of addition, so they give its bits,
+ * and frame_step's correlation repeats the exact integer and float steps of
+ * kernels.correlation_from_sums.  None needs -ffast-math, which would reorder
+ * the additions.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+/* frame_step's exact correlation needs a 128-bit integer type. */
+#ifndef __SIZEOF_INT128__
+#error "_kernels.c needs the __int128 type of gcc or clang"
+#endif
+typedef __int128 i128;
+typedef unsigned __int128 u128;
 
 /* Pixels counted between flushes of the uint32 lanes: one lane gets at most
  * a quarter of them (plus a three-pixel tail), so it cannot overflow. */
@@ -87,6 +98,65 @@ static void moments(const int64_t *counts, int64_t *s, int64_t *ss)
     }
     *s = (int64_t)s1;
     *ss = (int64_t)s2;
+}
+
+/* Whether counts[256] is the histogram of n pixels: every count in 0..n and
+ * their total n.  Such counts total at most 256 * n, which cannot wrap for a
+ * buffer that fits in memory. */
+static int is_histogram_of(const int64_t *counts, int64_t n)
+{
+    uint64_t total = 0;
+    int over = 0, v;
+
+    for (v = 0; v < 256; v++) {
+        over |= (uint64_t)counts[v] > (uint64_t)n;
+        total += (uint64_t)counts[v];
+    }
+    return !over && total == (uint64_t)n;
+}
+
+/* The 256-bit product of a and b, as hi * 2^128 + lo, from four 64x64-bit
+ * products; mid, the sum of the three terms of weight 2^64, stays below
+ * 3 * 2^64. */
+static void mul_256(u128 a, u128 b, u128 *hi, u128 *lo)
+{
+    u128 a0 = (uint64_t)a, a1 = a >> 64, b0 = (uint64_t)b, b1 = b >> 64;
+    u128 p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
+    u128 mid = (p00 >> 64) + (uint64_t)p01 + (uint64_t)p10;
+
+    *lo = (mid << 64) | (uint64_t)p00;
+    *hi = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
+}
+
+/* kernels.correlation_from_sums(n, (sa, sb, saa, sbb, sab)), bit for bit, for
+ * the moments of two histograms of n pixels each.  For such moments va, vb and
+ * num are at most 255^2 * n^2 in magnitude, and so are the products they are
+ * made of: below 2^72 for the largest allowed frame (n = 16384^2 = 2^28), and
+ * within int128 for any n below 2^55.  The Cauchy-Schwarz test num^2 == va*vb
+ * compares two exact 256-bit products.  (double) of an int128 rounds to
+ * nearest, as Python's float() of an int does, and the quotient then repeats
+ * Python's float arithmetic: one product, one sqrt, one division. */
+static double correlation(int64_t n, int64_t sa, int64_t sb, int64_t saa, int64_t sbb,
+                          uint64_t sab)
+{
+    i128 va = (i128)n * saa - (i128)sa * sa;
+    i128 vb = (i128)n * sbb - (i128)sb * sb;
+    i128 num;
+    u128 mag, num2_hi, num2_lo, vv_hi, vv_lo;
+    double r;
+
+    if (va == 0 && vb == 0)
+        return (sa > sb ? sa - sb : sb - sa) <= n ? 1.0 : 0.0;
+    if (va == 0 || vb == 0)
+        return 0.0;
+    num = (i128)n * (i128)sab - (i128)sa * sb;
+    mag = num < 0 ? -(u128)num : (u128)num;
+    mul_256(mag, mag, &num2_hi, &num2_lo);
+    mul_256((u128)va, (u128)vb, &vv_hi, &vv_lo);
+    if (num2_hi == vv_hi && num2_lo == vv_lo)
+        return num > 0 ? 1.0 : -1.0;
+    r = (double)num / sqrt((double)va * (double)vb);
+    return r > 1.0 ? 1.0 : r < -1.0 ? -1.0 : r;
 }
 
 /* Histograms of the 8x8 grid cells of a width-w frame into out[64][256], in
@@ -224,6 +294,17 @@ static Py_ssize_t count_rows(const char *name, Py_ssize_t i, const Py_buffer *vi
     return -1;
 }
 
+/* Sets the ValueError of argument i of name, whose buffer does not hold bytes
+ * (format "B", which a uint8 array has), and returns -1; returns 0 if it does. */
+static int check_bytes(const char *name, Py_ssize_t i, const Py_buffer *view)
+{
+    if (view->format == NULL || strcmp(view->format, "B") == 0)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "%s: argument %zd has format '%s', expected 'B'",
+                 name, i + 1, view->format);
+    return -1;
+}
+
 static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t n)
 {
     if (nargs == n)
@@ -232,9 +313,9 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t n)
     return -1;
 }
 
-/* Fills views[i] with the C-contiguous buffer of args[i] for i < n; the last
- * n_out of them must be writable, and a non-negative lens[i] is the byte
- * length that buffer must have.  On failure, sets an exception, releases what
+/* Fills views[i] with the C-contiguous buffer of args[i], and its format, for
+ * i < n; the last n_out of them must be writable, and a non-negative lens[i]
+ * is the byte length that buffer must have.  On failure, sets an exception, releases what
  * it acquired and returns -1. */
 static int get_buffers(const char *name, PyObject *const *args, Py_buffer *views,
                        Py_ssize_t n, Py_ssize_t n_out, const Py_ssize_t *lens)
@@ -243,7 +324,7 @@ static int get_buffers(const char *name, PyObject *const *args, Py_buffer *views
 
     for (i = 0; i < n; i++) {
         if (PyObject_GetBuffer(args[i], &views[i],
-                               i < n - n_out ? PyBUF_SIMPLE : PyBUF_WRITABLE) < 0)
+                               PyBUF_FORMAT | (i < n - n_out ? 0 : PyBUF_WRITABLE)) < 0)
             goto fail;
         if (lens[i] >= 0 && check_len(name, i, &views[i], lens[i]) < 0) {
             i++;
@@ -309,6 +390,68 @@ static PyObject *py_pearson_sums(PyObject *self, PyObject *const *args, Py_ssize
     release_buffers(v, 4);
     return Py_BuildValue("(LLLLK)", (long long)sa, (long long)sb, (long long)saa,
                          (long long)sbb, (unsigned long long)sab);
+}
+
+/* frame_step(pixels, prev_pixels, block, row, prev_row): the histogram of the
+ * pixel bytes into row row of the block of 256-int64 rows, and the
+ * correlation of prev_pixels against pixels, the histogram of prev_pixels
+ * being row prev_row.  row may equal prev_row.  The pixels must be bytes of
+ * one length, and row prev_row a histogram of that many pixels; nothing is
+ * written unless all holds.  The histogram and Σab stay two loops: one loop
+ * over both frames that counts and multiplies was slower. */
+static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const Py_ssize_t lens[3] = {-1, -1, -1};
+    Py_buffer v[3];
+    Py_ssize_t rows, row, prev_row, n;
+    int64_t *cur, *prev, sa, sb, saa, sbb;
+    double r = 0.0;
+    int ok;
+
+    (void)self;
+    if (check_nargs("frame_step", nargs, 5) < 0)
+        return NULL;
+    if ((row = PyLong_AsSsize_t(args[3])) == -1 && PyErr_Occurred())
+        return NULL;
+    if ((prev_row = PyLong_AsSsize_t(args[4])) == -1 && PyErr_Occurred())
+        return NULL;
+    if (get_buffers("frame_step", args, v, 3, 1, lens) < 0)
+        return NULL;
+    if (check_bytes("frame_step", 0, &v[0]) < 0 || check_bytes("frame_step", 1, &v[1]) < 0 ||
+        (rows = count_rows("frame_step", 2, &v[2], COUNTS_BYTES)) < 0)
+        goto fail;
+    if (v[0].len != v[1].len) {
+        PyErr_Format(PyExc_ValueError, "frames differ in size: %zd vs %zd pixels",
+                     v[1].len, v[0].len);
+        goto fail;
+    }
+    if (row < 0 || row >= rows || prev_row < 0 || prev_row >= rows) {
+        PyErr_Format(PyExc_ValueError, "frame_step: rows %zd and %zd are not both in 0..%zd",
+                     row, prev_row, rows - 1);
+        goto fail;
+    }
+    n = v[0].len;
+    cur = (int64_t *)v[2].buf + row * 256;
+    prev = (int64_t *)v[2].buf + prev_row * 256;
+    Py_BEGIN_ALLOW_THREADS
+    ok = prev_row == row || is_histogram_of(prev, n);
+    if (ok) {
+        histogram256(v[0].buf, n, cur);
+        moments(prev, &sa, &saa);
+        moments(cur, &sb, &sbb);
+        r = correlation(n, sa, sb, saa, sbb, dot_u8(v[1].buf, v[0].buf, n));
+    }
+    Py_END_ALLOW_THREADS
+    if (!ok) {
+        PyErr_Format(PyExc_ValueError, "frame_step: row %zd is not the histogram of %zd pixels",
+                     prev_row, n);
+        goto fail;
+    }
+    release_buffers(v, 3);
+    return PyFloat_FromDouble(r);
+fail:
+    release_buffers(v, 3);
+    return NULL;
 }
 
 /* segment_histograms(pixels, rows, cols, out, width): the cell histograms of
@@ -412,6 +555,9 @@ static PyMethodDef kernel_methods[] = {
      "histogram256(pixels, out): 256-bin histogram of the pixel bytes into int64 out."},
     {"pearson_sums", (PyCFunction)(void (*)(void))py_pearson_sums, METH_FASTCALL,
      "pearson_sums(counts_a, counts_b, a, b): (sum a, sum b, sum a^2, sum b^2, sum ab)."},
+    {"frame_step", (PyCFunction)(void (*)(void))py_frame_step, METH_FASTCALL,
+     "frame_step(pixels, prev_pixels, block, row, prev_row): the histogram into block[row], "
+     "and the correlation of prev_pixels against pixels."},
     {"segment_histograms", (PyCFunction)(void (*)(void))py_segment_histograms, METH_FASTCALL,
      "segment_histograms(pixels, rows, cols, out, width): 8x8 cell histograms into out."},
     {"probabilities", (PyCFunction)(void (*)(void))py_probabilities, METH_FASTCALL,

@@ -1,23 +1,31 @@
 """Hot per-frame kernels: histogram, entropy, segment histograms, pixel correlation.
 
-The three loops over a frame's bytes, ``histogram256``, the sums inside
-``pearson_sums`` and ``segment_histograms``, are C functions in
-``_kernels.c``, built as a CPython extension module whose ``METH_FASTCALL``
-entry points take the arrays through the buffer protocol and release the GIL
-around their loops.  The Python functions here check dtype, shape and
-contiguity of every array the C side reads or writes, and make the pixels
-contiguous, before the call.  ``perfbench/`` times every kernel inside a
-pipeline run.  A frame's 256-bin histogram is computed once and serves both
-its entropy and the correlation of the pairs it belongs to: the per-frame
-moments Σa and Σa² follow exactly from it, so a pair costs one C call that
-sums them from the two histograms and Σab over the two frames' uint8 bytes.
-Counts and sums are exact; ``entropy_from_counts`` gives each row of a stack
-of histograms, frames' or one frame's segments', the bits it would get alone.
-Its two loops over a stack are C as well: ``probabilities`` packs each row's
-non-zero counts over the row's total, and ``row_sums`` adds up each row's
-terms in the pairwise order of ``np.add.reduce``.  ``np.log2`` between them
-stays in numpy, so the entropies keep the bits of the numpy arithmetic they
-replaced.
+The loops over a frame's bytes, the histogram, the sum Σab of a frame pair
+and the segment histograms, are C functions in ``_kernels.c``, built as a
+CPython extension module whose ``METH_FASTCALL`` entry points take the arrays
+through the buffer protocol and release the GIL around their loops.
+``perfbench/`` times every kernel inside a pipeline run.  A frame's 256-bin
+histogram is computed once and serves both its entropy and the correlation
+of the pairs it belongs to: the per-frame moments Σa and Σa² follow exactly
+from it.  ``frame_step``, the C entry point itself with no Python wrapper, is
+the pass's one call per frame: it writes the frame's histogram into a row of
+a block of histograms and returns the frame's correlation with the previous
+one, from the moments of the two rows and Σab over the two frames' uint8
+bytes, with ``correlation_from_sums``'s arithmetic done exactly in C (see
+``correlation_from_sums``).  It checks its buffers itself: bytes of one
+length for the frames, whole 256-int64 rows for the writable block, both rows
+in range, and the previous row a histogram of as many pixels.
+``histogram256``, ``pearson_sums`` and ``correlation_from_sums`` do the same
+work in three steps; ``shots.correlation`` uses them, and the tests hold
+``frame_step`` to them bit for bit.  Their Python wrappers check dtype,
+shape and contiguity of every array the C side reads or writes, and make the
+pixels contiguous, before the call.  Counts and sums are exact;
+``entropy_from_counts`` gives each row of a stack of histograms, frames' or
+one frame's segments', the bits it would get alone.  Its two loops over a
+stack are C as well: ``probabilities`` packs each row's non-zero counts over
+the row's total, and ``row_sums`` adds up each row's terms in the pairwise
+order of ``np.add.reduce``.  ``np.log2`` between them stays in numpy, so the
+entropies keep the bits of the numpy arithmetic they replaced.
 
 The first import compiles ``_kernels.c`` with ``cc -O3 -shared -fPIC`` and
 the interpreter's include directory into the ``__pycache__`` directory beside
@@ -99,6 +107,7 @@ def _load() -> ModuleType:
 
 
 _C = _load()
+frame_step = _C.frame_step
 
 
 def _bytes_of(pixels: np.ndarray) -> np.ndarray:
@@ -199,6 +208,13 @@ def correlation_from_sums(n: int, sums: tuple[int, int, int, int, int]) -> float
     Degenerate cases (zero-variance frames) follow the shot-segmentation rule:
     two flat frames correlate 1.0 when their means differ by at most one grey
     level, else 0.0; a flat frame never correlates with a textured one.
+
+    ``frame_step`` repeats this in C bit for bit.  There ``va``, ``vb`` and
+    ``num`` are ``__int128``: each is at most 255²·n² in magnitude, as are the
+    products they are made of (n·Σa² ≤ 255²·n², (Σa)² ≤ 255²·n²), below 2**72
+    for the largest allowed frame, n = 2**28 pixels.  ``num * num == va * vb``
+    compares two exact 256-bit products, and both int-to-float conversions
+    round to nearest, as ``float()`` of an int does.
     """
     sa, sb, saa, sbb, sab = (int(v) for v in sums)
     va = n * saa - sa * sa

@@ -37,7 +37,7 @@ from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, KeyFrame,
 from .entropy import modified_entropy, segmented_entropies
 from .ingest import Frame, SourceKind, SourceSpec, write_pgm
 from .ingest import open_source as _open_access  # perfbench wraps this binding
-from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, correlation,
+from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, check_same_size,
                     detect_cuts, merge_short_shots)
 
 _KEYFRAME_NAME = re.compile(r"keyframe_\d{6,}\.pgm$")
@@ -179,20 +179,36 @@ def check_report(value, node: dict, defs: dict, path: str = "$",
 
 def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
     """One pass over the frames: each frame's entropy, and as ``correlations[i]``
-    the correlation of frame i + 1 against frame i; entropies by blocks of histograms."""
+    the correlation of frame i + 1 against frame i.
+
+    Each frame costs one ``kernels.frame_step`` call, which writes its
+    histogram into the next row of a block of histograms and returns its
+    correlation with the frame before, whose histogram is the row before; the
+    first frame is stepped against itself and that 1.0 dropped.  Each full
+    block of ``_ENTROPY_BLOCK`` rows, and the rest at the end, goes to one
+    ``kernels.entropy_from_counts`` call.  The frame before stays held as a
+    ``Frame``, so two frames are resident at a time.  Frames of two sizes
+    raise ``ValueError`` naming both.
+    """
+    step = kernels.frame_step
     entropies, correlations = array("d"), array("d")
     block = np.empty((_ENTROPY_BLOCK, 256), dtype=np.int64)
-    n, prev = 0, None
+    frames = iter(frames)
+    prev = next(frames, None)
+    if prev is None:
+        raise ValueError("cannot analyse an empty frame stream")
+    prev_pixels, row = np.ascontiguousarray(prev.pixels), 0
+    step(prev_pixels, prev_pixels, block, row, row)
+    n = 1
     for frame in frames:
-        block[n % _ENTROPY_BLOCK] = frame.counts
+        check_same_size(prev, frame)  # the C side sees only byte lengths
+        pixels = np.ascontiguousarray(frame.pixels)
+        prev_row, row = row, n % _ENTROPY_BLOCK
+        correlations.append(step(pixels, prev_pixels, block, row, prev_row))
         n += 1
         if n % _ENTROPY_BLOCK == 0:
             entropies.extend(kernels.entropy_from_counts(block).tolist())
-        if prev is not None:
-            correlations.append(correlation(prev, frame))
-        prev = frame
-    if not n:
-        raise ValueError("cannot analyse an empty frame stream")
+        prev, prev_pixels = frame, pixels
     if n % _ENTROPY_BLOCK:
         entropies.extend(kernels.entropy_from_counts(block[:n % _ENTROPY_BLOCK]).tolist())
     return entropies, correlations

@@ -38,6 +38,12 @@ class Shot:
         return self.start <= index < self.end
 
 
+def check_same_size(a: Frame, b: Frame) -> None:
+    """Raise ``ValueError``, naming both sizes, unless the frames have one shape."""
+    if a.pixels.shape != b.pixels.shape:
+        raise ValueError(f"frame dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}")
+
+
 def correlation(a: Frame, b: Frame) -> float:
     """Pearson correlation of co-located pixel intensities, in [-1, 1].
 
@@ -47,8 +53,7 @@ def correlation(a: Frame, b: Frame) -> float:
     otherwise, and a flat frame never matches a textured one (0.0).
     """
     a, b = _as_frame(a), _as_frame(b)
-    if a.pixels.shape != b.pixels.shape:
-        raise ValueError(f"frame dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}")
+    check_same_size(a, b)
     sums = kernels.pearson_sums(a.counts, b.counts, a.pixels, b.pixels)
     return kernels.correlation_from_sums(a.pixels.size, sums)
 

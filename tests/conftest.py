@@ -10,6 +10,9 @@ loops, and for bits: ``numpy_entropy_from_counts`` is the entropy arithmetic
 before its C steps, so the segmented oracle, which counts with
 ``np.bincount`` and takes its entropies from it, is bit-identical to
 ``segmented_entropies`` without calling the code under test.
+``analyse_oracle`` is the other kind: the pass of ``pipeline.analyse`` built
+from the three kernels ``kernels.frame_step`` fuses, called one by one, which
+the fused call must match bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 
 import numpy as np
 
+from entropykf import kernels
 from entropykf.extraction import Elimination
 from entropykf.ingest import Frame
 
@@ -116,6 +120,17 @@ def correlation_oracle(a: np.ndarray, b: np.ndarray) -> float:
     xc = x - x.mean()
     yc = y - y.mean()
     return float((xc * yc).mean() / (x.std() * y.std()))
+
+
+def analyse_oracle(frames) -> tuple[list[float], list[float]]:
+    """``pipeline.analyse`` from ``histogram256``, ``pearson_sums`` and
+    ``correlation_from_sums``: every frame's histogram, the entropies of their
+    stack, and each adjacent pair's correlation from its five exact sums."""
+    pixels = [f.pixels for f in frames]
+    counts = [kernels.histogram256(px) for px in pixels]
+    correlations = [kernels.correlation_from_sums(b.size, kernels.pearson_sums(ca, cb, a, b))
+                    for ca, cb, a, b in zip(counts, counts[1:], pixels, pixels[1:])]
+    return kernels.entropy_from_counts(np.stack(counts)).tolist(), correlations
 
 
 def rand_pixels(rng: np.random.Generator, width: int, height: int,

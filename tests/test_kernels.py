@@ -227,6 +227,98 @@ class TestPearsonSums:
         assert _sums(a, b) == _python_sums(a, b)
 
 
+def _stepped(a, b, rows=2, row=1, prev_row=0):
+    """frame_step of frame a, then of b against it, in a block of rows rows:
+    the two correlations and the block."""
+    block = np.zeros((rows, 256), dtype=np.int64)
+    first = kernels.frame_step(a, a, block, prev_row, prev_row)
+    return first, kernels.frame_step(b, a, block, row, prev_row), block
+
+
+def _three_step(a, b):
+    """The correlation of b against a by the kernels frame_step fuses."""
+    sums = kernels.pearson_sums(kernels.histogram256(a), kernels.histogram256(b), a, b)
+    return kernels.correlation_from_sums(a.size, sums)
+
+
+def _flat(level, width=13, height=9):
+    return np.full((height, width), level, dtype=np.uint8)
+
+
+_RNG = np.random.default_rng(149)
+_TEXTURE = rand_pixels(_RNG, 31, 17)
+_STEP_PAIRS = {
+    "random": (_TEXTURE, rand_pixels(_RNG, 31, 17)),
+    "noisy": (_TEXTURE, np.clip(_TEXTURE + _RNG.integers(-9, 10, _TEXTURE.shape), 0,
+                                255).astype(np.uint8)),
+    "flat-equal": (_flat(50), _flat(50)),
+    "flat-one-level-apart": (_flat(50), _flat(51)),
+    "flat-one-level-down": (_flat(51), _flat(50)),
+    "flat-two-levels-apart": (_flat(50), _flat(52)),
+    "flat-against-textured": (_flat(99, 31, 17), _TEXTURE),
+    "textured-against-flat": (_TEXTURE, _flat(99, 31, 17)),
+    "equal": (_TEXTURE, _TEXTURE.copy()),
+    "negated": (_TEXTURE, 255 - _TEXTURE),
+    "near-collinear": (_TEXTURE, _TEXTURE // 2 * 2),
+    "one-pixel": (_flat(3, 1, 1), _flat(200, 1, 1)),
+}
+
+
+class TestFrameStep:
+    """``frame_step`` against the three kernels it fuses, bit for bit."""
+
+    @pytest.mark.parametrize("pair", _STEP_PAIRS.items(), ids=lambda item: item[0])
+    def test_matches_the_three_kernels(self, pair):
+        _, (a, b) = pair
+        first, r, block = _stepped(a, b)
+        assert r.hex() == _three_step(a, b).hex()
+        assert first.hex() == _three_step(a, a).hex()
+        assert np.array_equal(block, np.stack([kernels.histogram256(a),
+                                               kernels.histogram256(b)]))
+
+    def test_degenerate_values(self):
+        assert _stepped(_flat(50), _flat(51))[1] == 1.0
+        assert _stepped(_flat(50), _flat(52))[1] == 0.0
+        assert _stepped(_flat(99, 31, 17), _TEXTURE)[1] == 0.0
+        assert _stepped(_TEXTURE, 255 - _TEXTURE)[1] == -1.0
+        assert _stepped(_TEXTURE, _TEXTURE // 2 * 2)[1] < 1.0
+
+    @pytest.mark.parametrize("kind", ["random", "negated", "one-bright-pixel"])
+    def test_tall_pair_matches_the_three_kernels(self, kind):
+        # 16384x1024: sums where va, vb and num pass 2**53, so both
+        # conversions to float round
+        rng = np.random.default_rng(151)
+        a = rand_pixels(rng, 1024, 16384)
+        if kind == "one-bright-pixel":
+            a = np.zeros((16384, 1024), dtype=np.uint8)
+            a[5, 7] = 255
+        b = {"random": lambda: rand_pixels(rng, 1024, 16384), "negated": lambda: 255 - a,
+             "one-bright-pixel": lambda: a // 255 * 254 + rand_pixels(rng, 1024, 16384, 2)}[kind]()
+        _, r, block = _stepped(a, b)
+        assert r.hex() == _three_step(a, b).hex()
+        assert np.array_equal(block[1], kernels.histogram256(b))
+
+    def test_rows_wrap_around_the_block(self):
+        # the pass writes row 0 of a block against row 63 of the block before
+        a, b = _STEP_PAIRS["noisy"]
+        _, r, block = _stepped(a, b, rows=64, row=0, prev_row=63)
+        assert r.hex() == _three_step(a, b).hex()
+        assert np.array_equal(block[0], kernels.histogram256(b))
+        assert not block[1:63].any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 48), st.integers(1, 48), st.data())
+    def test_matches_the_three_kernels_on_arbitrary_pairs(self, width, height, data):
+        levels = data.draw(st.sampled_from([2, 3, 16, 256]))
+        frame_bytes = st.binary(min_size=width * height, max_size=width * height)
+        a, b = ((np.frombuffer(data.draw(frame_bytes), dtype=np.uint8).astype(np.int16) % levels)
+                .astype(np.uint8).reshape(height, width) for _ in range(2))
+        if data.draw(st.booleans()):
+            b = np.clip(a.astype(np.int16) * data.draw(st.sampled_from([-1, 1, 2])) +
+                        b % 3, 0, 255).astype(np.uint8)
+        assert _stepped(a, b)[1].hex() == _three_step(a, b).hex()
+
+
 class TestCBoundary:
     """The entry points of the compiled module check the buffers they get on
     their own, whatever the Python wrappers let through."""
@@ -320,6 +412,77 @@ class TestCBoundary:
     def test_wrong_argument_counts_raise(self):
         with pytest.raises(TypeError, match="takes 2 arguments, got 1"):
             kernels._C.histogram256(np.zeros(8, dtype=np.uint8))
+        px, block = np.zeros(8, dtype=np.uint8), np.zeros((2, 256), dtype=np.int64)
+        with pytest.raises(TypeError, match="takes 5 arguments, got 4"):
+            kernels.frame_step(px, px, block, 0)
+        with pytest.raises(TypeError, match="takes 5 arguments, got 6"):
+            kernels.frame_step(px, px, block, 0, 0, 0)
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+class TestFrameStepBoundary:
+    """Every call ``frame_step`` cannot serve as it is raises, and writes nothing."""
+
+    PX = np.arange(64, dtype=np.uint8).reshape(8, 8)
+
+    @pytest.mark.parametrize("args,error,message", [
+        ((PX.astype(np.int16), PX, np.zeros((2, 256), dtype=np.int64), 1, 0),
+         ValueError, "argument 1 has format 'h', expected 'B'"),
+        ((PX, PX.astype(np.int16), np.zeros((2, 256), dtype=np.int64), 1, 0),
+         ValueError, "argument 2 has format 'h', expected 'B'"),
+        ((np.zeros((8, 16), dtype=np.uint8)[:, ::2], PX, np.zeros((2, 256), dtype=np.int64), 1,
+          0), ValueError, "contiguous"),
+        ((PX, PX.T, np.zeros((2, 256), dtype=np.int64), 1, 0), ValueError, "contiguous"),
+        ((PX, PX, _frozen(np.zeros((2, 256), dtype=np.int64)), 1, 0), ValueError, "read-only"),
+        ((PX, PX, bytes(4096), 1, 0), BufferError, "not writable"),
+        ((PX, PX, np.zeros(511, dtype=np.int64), 1, 0), ValueError,
+         "argument 3 has 4088 bytes, not a multiple of 2048"),
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 2, 0), ValueError, "not both in 0..1"),
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), -1, 0), ValueError, "not both in 0..1"),
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 1, 2), ValueError, "not both in 0..1"),
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 1, -1), ValueError, "not both in 0..1"),
+        ((PX, PX.ravel()[:63].copy(), np.zeros((2, 256), dtype=np.int64), 1, 0), ValueError,
+         "differ in size: 63 vs 64"),
+        ((PX, np.zeros(65, dtype=np.uint8), np.zeros((2, 256), dtype=np.int64), 1, 0),
+         ValueError, "differ in size: 65 vs 64"),
+    ], ids=["int16-pixels", "int16-prev-pixels", "strided-pixels", "transposed-prev-pixels",
+            "read-only-block", "bytes-block", "partial-row", "row-past-the-end", "row-below-0",
+            "prev-row-past-the-end", "prev-row-below-0", "shorter-prev-pixels",
+            "longer-prev-pixels"])
+    def test_refuses(self, args, error, message):
+        block = args[2]
+        before = bytes(block)
+        with pytest.raises(error, match=message):
+            kernels.frame_step(*args)
+        assert bytes(block) == before
+
+    @pytest.mark.parametrize("changes", {
+        "zeros": {level: -1 for level in range(64)},
+        "short-total": {3: -1},
+        "negative-count": {0: -2, 9: 2},
+        "wrapping-total": {level: 2**56 for level in range(256)},  # adds up to 2**64
+    }.items(), ids=lambda item: item[0])
+    def test_refuses_a_previous_row_that_is_no_histogram_of_the_frame(self, changes):
+        # a row of another frame size, or of no frame, whose moments would not
+        # be those of a frame of 64 pixels
+        block = np.zeros((2, 256), dtype=np.int64)
+        block[0, :64] = 1  # the histogram of PX, one pixel at each of levels 0..63
+        for level, change in changes[1].items():
+            block[0, level] += change
+        with pytest.raises(ValueError, match="row 0 is not the histogram of 64 pixels"):
+            kernels.frame_step(self.PX, self.PX, block, 1, 0)
+        assert not block[1].any()
+
+    def test_arguments_that_are_not_integers_raise(self):
+        block = np.zeros((2, 256), dtype=np.int64)
+        with pytest.raises(TypeError):
+            kernels.frame_step(self.PX, self.PX, block, 1.0, 0)
+        with pytest.raises(TypeError):
+            kernels.frame_step(self.PX, self.PX, block, 1, None)
 
 
 def _counter_advances_during(call) -> bool:
@@ -378,6 +541,12 @@ class TestGilRelease:
         counts = kernels.histogram256(tall_frame)
         assert _counter_advances_during(
             lambda: kernels.pearson_sums(counts, counts, tall_frame, tall_frame))
+
+    def test_frame_step(self, tall_frame):
+        block = np.zeros((2, 256), dtype=np.int64)
+        kernels.frame_step(tall_frame, tall_frame, block, 0, 0)
+        assert _counter_advances_during(
+            lambda: kernels.frame_step(tall_frame, tall_frame, block, 1, 0))
 
     def test_segment_histograms(self, tall_frame):
         assert _counter_advances_during(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import correlation_oracle, frame, rand_pixels
+from conftest import analyse_oracle, correlation_oracle, frame, rand_pixels
 from entropykf.entropy import frame_entropy
 from entropykf.pipeline import analyse
 from entropykf.shots import Shot, correlation, detect_cuts, merge_short_shots
@@ -151,6 +153,29 @@ class TestDetectCuts:
             assert prev.end == cur.start
 
 
+@st.composite
+def _videos(draw):
+    """Frames of up to 64x48 pixels in up to five runs of up to 40 frames.  A
+    run holds one texture, dissolves between two or ramps one's brightness,
+    and every frame gets its own noise, so the correlations sit away from +-1
+    and the histograms change from frame to frame."""
+    width, height = draw(st.integers(8, 64)), draw(st.integers(8, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    textures = [rand_pixels(rng, width, height).astype(np.float64) for _ in range(3)]
+    frames = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["still", "dissolve", "ramp"]))
+        length = draw(st.integers(1, 40))
+        a, b = (textures[draw(st.integers(0, 2))] for _ in range(2))
+        sigma = draw(st.sampled_from([0.5, 4.0, 30.0]))
+        for t in range(length):
+            base = {"still": a, "dissolve": a + (b - a) * t / length,
+                    "ramp": a + 6.0 * t - 60.0}[kind]
+            noisy = base + rng.normal(0.0, sigma, base.shape)
+            frames.append(frame(len(frames), np.clip(np.rint(noisy), 0, 255).astype(np.uint8)))
+    return frames
+
+
 class TestAnalyse:
     def test_empty_stream_errors(self):
         with pytest.raises(ValueError, match="empty"):
@@ -167,6 +192,31 @@ class TestAnalyse:
         assert [c.hex() for c in correlations] == \
             [correlation(p, q).hex() for p, q in zip(frames, frames[1:])]
         assert [e.hex() for e in entropies] == [frame_entropy(f).hex() for f in frames]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_videos())
+    def test_series_equal_the_three_kernel_oracle_bit_for_bit(self, frames):
+        entropies, correlations = analyse(iter(frames))
+        oracle_entropies, oracle_correlations = analyse_oracle(frames)
+        assert [e.hex() for e in entropies] == [e.hex() for e in oracle_entropies]
+        assert [c.hex() for c in correlations] == [c.hex() for c in oracle_correlations]
+
+    @pytest.mark.parametrize("view", {
+        "every-other-column": lambda a: a[:, ::2],
+        "every-other-row": lambda a: a[::2],
+        "transposed": lambda a: a.T,
+    }.items(), ids=lambda item: item[0])
+    def test_non_contiguous_frames_give_the_series_of_contiguous_copies(self, view):
+        _, make = view
+        rng = np.random.default_rng(139)
+        a = rand_pixels(rng, 48, 48)
+        planes = [make(rand_pixels(rng, 48, 48) if i % 4 == 3 else a // (1 + i % 3))
+                  for i in range(70)]
+        assert not planes[0].flags.c_contiguous
+        views = analyse(frame(i, px) for i, px in enumerate(planes))
+        copies = analyse(frame(i, np.ascontiguousarray(px)) for i, px in enumerate(planes))
+        assert [[v.hex() for v in series] for series in views] == \
+            [[v.hex() for v in series] for series in copies]
 
 
 class TestMergeShortShots:
