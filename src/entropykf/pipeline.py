@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import operator
 import os
 import re
@@ -24,6 +25,7 @@ import weakref
 from array import array
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -103,10 +105,17 @@ class _FrameWatermark:
         return frame
 
 
+def _record_dict(record) -> dict:
+    """``dataclasses.asdict`` of a flat record (a Shot, an Elimination, an
+    EvalReport) without its deep copy, at a tenth of its cost: a dataclass
+    instance without slots holds its fields, in order, in its ``__dict__``."""
+    return vars(record).copy()
+
+
 def _candidate_dict(kf: KeyFrame) -> dict:
     return {
         "frame_index": kf.frame_index,
-        "shot": asdict(kf.shot),
+        "shot": _record_dict(kf.shot),
         "bin_key": kf.bin_key,
         "global_entropy": kf.global_entropy,
         "fallback": kf.fallback,
@@ -123,6 +132,9 @@ class ReportError(ValueError):
 
 # the Python type of each JSON type but number and integer, which exclude bool
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+# the exact types that surely have a JSON type, for the check's fast path
+_EXACT_TYPES = {"number": (int, float), "integer": (int,), **{
+    name: (cls,) for name, cls in _JSON_TYPES.items()}}
 _BOUNDS = {"minimum": operator.ge, "maximum": operator.le, "exclusiveMinimum": operator.gt}
 _COUNTS = {"minItems": operator.ge, "maxItems": operator.le}
 
@@ -131,6 +143,182 @@ def _has_type(value, name: str) -> bool:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return name == "number" or name == "integer" and value % 1 == 0  # 1.0 is an integer
     return isinstance(value, _JSON_TYPES.get(name, ()))
+
+
+class _Failure(Exception):
+    """A failed check on its way out: the message after the path, and the
+    path's steps, appended innermost first as the failure unwinds."""
+
+    def __init__(self, detail: str):
+        super().__init__(detail)
+        self.detail, self.steps = detail, []
+
+
+def _fail(value, key: str, rule):
+    raise _Failure(f"{value!r:.80} fails {key} {rule!r}")
+
+
+def _refusal(key: str, rule):
+    def step(value):
+        raise _Failure(f"the report check cannot apply {key!r}: {rule!r}")
+    return step
+
+
+def _type_names(rule) -> list:
+    return [rule] if isinstance(rule, str) else rule
+
+
+def _exact_types(rule) -> frozenset:
+    return frozenset(cls for name in _type_names(rule) for cls in _EXACT_TYPES.get(name, ()))
+
+
+def _type_step(rule):
+    names, exact = _type_names(rule), _exact_types(rule)
+
+    def step(value):
+        if type(value) not in exact and not any(_has_type(value, name) for name in names):
+            _fail(value, "type", rule)
+    return step
+
+
+def _bound_step(key: str, rule):
+    holds = _BOUNDS[key]
+
+    def step(value):  # NaN holds no bound
+        if isinstance(value, (int, float)) and not holds(value, rule) \
+                and not isinstance(value, bool):
+            _fail(value, key, rule)
+    return step
+
+
+def _count_step(key: str, rule):
+    holds = _COUNTS[key]
+
+    def step(value):
+        if isinstance(value, list) and not holds(len(value), rule):
+            _fail(value, key, rule)
+    return step
+
+
+def _required_step(rule):
+    required = set(rule)
+
+    def step(value):
+        if isinstance(value, dict) and not value.keys() >= required:
+            _fail(value, "required", rule)
+    return step
+
+
+def _closed_step(node: dict):
+    allowed = set(node.get("properties", {}))
+
+    def step(value):
+        if isinstance(value, dict) and not value.keys() <= allowed:
+            _fail(value, "additionalProperties", False)
+    return step
+
+
+def _enum_step(rule):
+    def step(value):
+        if value not in rule:
+            _fail(value, "enum", rule)
+    return step
+
+
+def _items_step(check):
+    def step(value):
+        if isinstance(value, list):
+            index = 0
+            try:
+                for index, item in enumerate(value):
+                    check(item)
+            except _Failure as failure:
+                failure.steps.append(f"[{index}]")
+                raise
+    return step
+
+
+def _properties_step(checks: tuple):
+    def step(value):
+        if isinstance(value, dict):
+            name = ""
+            try:
+                for name, check in checks:
+                    if name in value:
+                        check(value[name])
+            except _Failure as failure:
+                failure.steps.append(f".{name}")
+                raise
+    return step
+
+
+def _ref_step(name: str, defs: dict, refs: frozenset, memo: dict):
+    """A step that compiles definition ``name`` the first time a value reaches
+    it, once per set of definitions followed on the value before."""
+    key = name, refs
+
+    def step(value):
+        check = memo.get(key)
+        if check is None:
+            check = memo[key] = _compile(defs[name], defs, refs | {name}, memo)
+        check(value)
+    return step
+
+
+def _compile(node: dict, defs: dict, refs: frozenset, memo: dict):
+    """One function that checks a value against ``node``, raising _Failure;
+    ``refs`` are the definitions followed on the value, as in check_report."""
+    steps = []
+    for key, rule in node.items():
+        if key == "type":
+            steps.append(_type_step(rule))
+        elif key in _BOUNDS:
+            steps.append(_bound_step(key, rule))
+        elif key in _COUNTS:
+            steps.append(_count_step(key, rule))
+        elif key == "required":
+            steps.append(_required_step(rule))
+        elif key == "additionalProperties" and rule is False:
+            steps.append(_closed_step(node))
+        elif key == "enum":
+            steps.append(_enum_step(rule))
+        elif key == "items":
+            steps.append(_items_step(_compile(rule, defs, frozenset(), memo)))
+        elif key == "properties":
+            steps.append(_properties_step(tuple(
+                (name, _compile(sub, defs, frozenset(), memo)) for name, sub in rule.items())))
+        elif key == "allOf":
+            steps.extend(_compile(sub, defs, refs, memo) for sub in rule)
+        elif key == "$ref" and len(node) == 1 and rule.startswith("#/$defs/") and \
+                rule[8:] in defs and rule[8:] not in refs:  # the name after "#/$defs/"
+            steps.append(_ref_step(rule[8:], defs, refs, memo))
+        elif key not in ("items", "properties", "$defs", "$schema", "title"):
+            steps.append(_refusal(key, rule))
+    if "type" in node and node.keys() <= {"type", "minimum", "maximum"}:
+        return _leaf_check(node, steps)
+    if len(steps) == 1:
+        return steps[0]
+
+    def check(value):
+        for step in steps:
+            step(value)
+    return check
+
+
+def _leaf_check(node: dict, steps: list):
+    """A node of ``type`` and inclusive bounds: a value of an exact type the
+    type admits, within the bounds if a number, passes in one test; any other
+    value runs the steps, which fail it or pass it."""
+    exact = _exact_types(node["type"])
+    numbers, others = exact & {int, float}, exact - {int, float}
+    low, high = node.get("minimum", -math.inf), node.get("maximum", math.inf)
+
+    def check(value):
+        cls = type(value)
+        if not (cls in others or cls in numbers and low <= value <= high):
+            for step in steps:
+                step(value)
+    return check
 
 
 def check_report(value, node: dict, defs: dict, path: str = "$",
@@ -143,38 +331,87 @@ def check_report(value, node: dict, defs: dict, path: str = "$",
     ``#/$defs/<name>`` of a definition.  ``refs`` holds the definitions followed
     on this value, since the walk last stepped into ``items`` or ``properties``; a
     ``$ref`` back to one of them would loop without end, and is refused too.
-    NaN fails every bound."""
-    for key, rule in node.items():
-        bad = False
-        if key == "type":
-            bad = not any(_has_type(value, t) for t in ([rule] if isinstance(rule, str) else rule))
-        elif key in _BOUNDS:
-            bad = _has_type(value, "number") and not _BOUNDS[key](value, rule)
-        elif key in _COUNTS:
-            bad = isinstance(value, list) and not _COUNTS[key](len(value), rule)
-        elif key == "required":
-            bad = isinstance(value, dict) and not value.keys() >= set(rule)
-        elif key == "additionalProperties" and rule is False:
-            bad = isinstance(value, dict) and not value.keys() <= node.get("properties", {}).keys()
-        elif key == "enum":
-            bad = value not in rule
-        elif key == "items" and isinstance(value, list):
-            for i, item in enumerate(value):
-                check_report(item, rule, defs, f"{path}[{i}]")
-        elif key == "properties" and isinstance(value, dict):
-            for name, sub in rule.items():
-                if name in value:
-                    check_report(value[name], sub, defs, f"{path}.{name}")
-        elif key == "allOf":
-            for sub in rule:
-                check_report(value, sub, defs, path, refs)
-        elif key == "$ref" and len(node) == 1 and rule.startswith("#/$defs/") and \
-                rule[8:] in defs and rule[8:] not in refs:  # the name after "#/$defs/"
-            check_report(value, defs[rule[8:]], defs, path, refs | {rule[8:]})
-        elif key not in ("items", "properties", "$defs", "$schema", "title"):
-            raise ReportError(f"{path}: the report check cannot apply {key!r}: {rule!r}")
-        if bad:
-            raise ReportError(f"{path}: {value!r:.80} fails {key} {rule!r}")
+    NaN fails every bound.
+
+    The schema is first compiled into one function per node, each a sequence
+    of steps, one per keyword; a step that refuses a keyword raises only when a
+    value reaches it, and a definition is compiled when a value first reaches
+    its ``$ref``.  The JSON path is put together only on failure."""
+    try:
+        _compile(node, defs, refs, {})(value)
+    except _Failure as failure:
+        raise ReportError(f"{path}{''.join(reversed(failure.steps))}: {failure.detail}") from None
+
+
+def _json_scalar(value) -> str | None:
+    """A str, number, bool or None as ``json.dumps`` writes it, else None."""
+    if isinstance(value, float):  # NaN and the infinities as json writes them
+        return float.__repr__(value) if math.isfinite(value) else \
+            "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return None
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    text = _json_scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return f'"{text}"'
+
+
+def _write_json(value, write, newline: str = "\n") -> None:
+    """Write ``value`` in pieces to ``write`` exactly as ``json.dumps(value,
+    indent=2)`` writes it, which for indent uses json's pure-Python encoder: a
+    tuple as a list, and TypeError for what json refuses.  A container is
+    written item by item, an array of scalars with one join."""
+    scalar = _json_scalar(value)
+    if scalar is not None:
+        write(scalar)
+        return
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        scalars = [*map(_json_scalar, value)]
+        if not value:
+            write("[]")
+        elif None not in scalars:
+            write(f"[{inner}{(',' + inner).join(scalars)}{newline}]")
+        else:
+            separator = "[" + inner
+            for item, scalar in zip(value, scalars):
+                if scalar is None:
+                    write(separator)
+                    _write_json(item, write, inner)
+                else:
+                    write(separator + scalar)
+                separator = "," + inner
+            write(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        separator = "{" + inner
+        for key, item in value.items():
+            scalar = _json_scalar(item)
+            if scalar is None:
+                write(f"{separator}{_json_key(key)}: ")
+                _write_json(item, write, inner)
+            else:
+                write(f"{separator}{_json_key(key)}: {scalar}")
+            separator = "," + inner
+        write(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
@@ -229,7 +466,7 @@ def select_candidates(shots: list[Shot], entropies: array, source,
             picks = [fallback_pick(bins)]
         chosen = {id(b): index for b, index in picks}
         shot_details.append({
-            "shot": asdict(shot),
+            "shot": _record_dict(shot),
             "bins": [{"key": b.key, "size": len(b.members),
                       "selected": chosen.get(id(b))} for b in bins],
         })
@@ -252,7 +489,7 @@ def score(survivors: list[KeyFrame], total_frames: int, gt: GroundTruth | None,
         raise EvaluationError(f"{config.ground_truth}: ground truth is for "
                               f"{gt.total_frames} frames, the video has {total_frames}")
     result = evaluate([kf.frame_index for kf in survivors], gt, config.match_window)
-    return {**asdict(result), "window": config.match_window,
+    return {**_record_dict(result), "window": config.match_window,
             "gt_count": len(gt.keyframe_indices), "gt_total_frames": gt.total_frames}
 
 
@@ -287,7 +524,7 @@ def write_report(config: PipelineConfig, out_dir: Path, results: dict) -> dict:
         with open(partial, "w") as out:
             # streamed: a string of the whole report would add about six times
             # its size to the peak memory of a run
-            json.dump(report, out, indent=2)
+            _write_json(report, out.write)
             out.write("\n")
         partial.replace(out_dir / "report.json")
     finally:
@@ -331,11 +568,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
         source.close()
     return write_report(config, out_dir, {
         "total_frames": len(entropies),
-        "shots": [asdict(s) for s in shots],
+        "shots": [_record_dict(s) for s in shots],
         "shot_details": shot_details,
         "candidates": [_candidate_dict(kf) for kf in candidates],
         "keyframes": keyframes,
-        "eliminations": [asdict(e) for e in eliminations],
+        "eliminations": [_record_dict(e) for e in eliminations],
         **({} if evaluation is None else {"evaluation": evaluation}),
         "stats": {"raw_shot_count": len(raw_shots), "peak_resident_frames": tracker.peak},
     })

@@ -12,18 +12,23 @@ before its C steps, so the segmented oracle, which counts with
 ``segmented_entropies`` without calling the code under test.
 ``analyse_oracle`` is the other kind: the pass of ``pipeline.analyse`` built
 from the three kernels ``kernels.frame_step`` fuses, called one by one, which
-the fused call must match bit for bit.
+the fused call must match bit for bit.  ``check_report_oracle`` is the
+report check as one recursive walk over the schema and the value together,
+building each value's JSON path on the way down; ``pipeline.check_report``,
+which compiles the schema first, must give the same verdict and message.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from entropykf import kernels
 from entropykf.extraction import Elimination
 from entropykf.ingest import Frame
+from entropykf.pipeline import ReportError
 
 
 def histogram_oracle(pixels: np.ndarray) -> list[int]:
@@ -131,6 +136,58 @@ def analyse_oracle(frames) -> tuple[list[float], list[float]]:
     correlations = [kernels.correlation_from_sums(b.size, kernels.pearson_sums(ca, cb, a, b))
                     for ca, cb, a, b in zip(counts, counts[1:], pixels, pixels[1:])]
     return kernels.entropy_from_counts(np.stack(counts)).tolist(), correlations
+
+
+# the Python type of each JSON type but number and integer, which exclude bool
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+_BOUNDS = {"minimum": operator.ge, "maximum": operator.le, "exclusiveMinimum": operator.gt}
+_COUNTS = {"minItems": operator.ge, "maxItems": operator.le}
+
+
+def _has_type(value, name: str) -> bool:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return name == "number" or name == "integer" and value % 1 == 0  # 1.0 is an integer
+    return isinstance(value, _JSON_TYPES.get(name, ()))
+
+
+def check_report_oracle(value, node: dict, defs: dict, path: str = "$",
+                        refs: frozenset = frozenset()) -> None:
+    """``pipeline.check_report`` as one recursive walk: each keyword of ``node``
+    in order on ``value``, ``items`` and ``properties`` recursing with the
+    value's path, ``allOf`` and ``$ref`` on the same value, where ``refs`` holds
+    the definitions followed since the walk last stepped into ``items`` or
+    ``properties``."""
+    for key, rule in node.items():
+        bad = False
+        if key == "type":
+            bad = not any(_has_type(value, t) for t in ([rule] if isinstance(rule, str) else rule))
+        elif key in _BOUNDS:
+            bad = _has_type(value, "number") and not _BOUNDS[key](value, rule)
+        elif key in _COUNTS:
+            bad = isinstance(value, list) and not _COUNTS[key](len(value), rule)
+        elif key == "required":
+            bad = isinstance(value, dict) and not value.keys() >= set(rule)
+        elif key == "additionalProperties" and rule is False:
+            bad = isinstance(value, dict) and not value.keys() <= node.get("properties", {}).keys()
+        elif key == "enum":
+            bad = value not in rule
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                check_report_oracle(item, rule, defs, f"{path}[{i}]")
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in rule.items():
+                if name in value:
+                    check_report_oracle(value[name], sub, defs, f"{path}.{name}")
+        elif key == "allOf":
+            for sub in rule:
+                check_report_oracle(value, sub, defs, path, refs)
+        elif key == "$ref" and len(node) == 1 and rule.startswith("#/$defs/") and \
+                rule[8:] in defs and rule[8:] not in refs:  # the name after "#/$defs/"
+            check_report_oracle(value, defs[rule[8:]], defs, path, refs | {rule[8:]})
+        elif key not in ("items", "properties", "$defs", "$schema", "title"):
+            raise ReportError(f"{path}: the report check cannot apply {key!r}: {rule!r}")
+        if bad:
+            raise ReportError(f"{path}: {value!r:.80} fails {key} {rule!r}")
 
 
 def rand_pixels(rng: np.random.Generator, width: int, height: int,

@@ -6,16 +6,20 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entropykf
-from conftest import dedup_oracle, make_y4m, segmented_oracle
+from conftest import check_report_oracle, dedup_oracle, make_y4m, segmented_oracle
 from entropykf import kernels, pipeline, synthetic
 from entropykf.cli import build_parser
 from entropykf.evaluation import EvaluationError
@@ -417,11 +421,11 @@ class TestReportValidator:
         out.mkdir()
         (out / "report.json").write_text("{}\n")  # an earlier run's
 
-        def dump_then_fail(obj, fp, **kwargs):
-            fp.write('{\n  "config": {')
+        def write_then_fail(value, write, newline="\n"):
+            write('{\n  "config": {')
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(json, "dump", dump_then_fail)
+        monkeypatch.setattr(pipeline, "_write_json", write_then_fail)
         with pytest.raises(OSError, match="no space"):
             run_pipeline(_config(root / "frames", out))
         # the new images, and neither the old report nor a part of the new one
@@ -464,28 +468,8 @@ class TestReportValidator:
         # NaN, which the plain validator's bounds let through.
         report = _fallback_report(tmp_path)
         schema = load_report_schema()
-        rng = random.Random(19)
-        values = [None, True, False, 0, -1, 1, 1.0, 1.5, -0.5, 8.0, 8.5, 64, 65.0, 1e-9,
-                  math.inf, -math.inf, math.nan, "x", "pgm-dir", [], [1], {}, {"start": 0}]
-        # paths grouped by schema position, so that the 192 segment numbers
-        # weigh as one place, like the one source kind
-        places, objects = {}, {(): [()]}
-        for path in _value_paths(report):
-            place = tuple("*" if isinstance(key, int) else key for key in path)
-            places.setdefault(place, []).append(path)
-            if isinstance(_at(report, path), dict):
-                objects.setdefault(place, []).append(path)
         verdicts = {}
-        for _ in range(600):
-            mutated = copy.deepcopy(report)
-            edit = rng.choice(["value", "delete", "add"])
-            path = rng.choice(rng.choice(list((objects if edit == "add" else places).values())))
-            if edit == "value":
-                _at(mutated, path[:-1])[path[-1]] = value = rng.choice(values)
-            elif edit == "delete":
-                del _at(mutated, path[:-1])[path[-1]]
-            else:
-                _at(mutated, path)["unexpected"] = 0
+        for edit, path, value, mutated in _random_mutations(report):
             try:
                 pipeline.check_report(mutated, schema, schema["$defs"])
                 rejected = False
@@ -498,6 +482,40 @@ class TestReportValidator:
             verdicts[edit, rejected] = verdicts.get((edit, rejected), 0) + 1
         assert all(verdicts.get((edit, rejected)) for edit in ("value", "delete", "add")
                    for rejected in (False, True)), verdicts
+
+    def test_compiled_check_agrees_with_the_recursive_oracle(self, small_video, tmp_path):
+        # in verdict and in message, on every per-rule mutation of a report
+        # with an evaluation block and on the 600 random ones, and on the
+        # refused and recursive $refs
+        root, _ = small_video
+        report = run_pipeline(_config(root / "frames", tmp_path / "run",
+                                      ground_truth=root / "gt.txt"))
+        schema = load_report_schema()
+        cases = [(schema, report)]
+        for _, _, mutate in _rule_violations(schema, schema, report):
+            mutated = copy.deepcopy(report)
+            mutate(mutated)
+            cases.append((schema, mutated))
+        cases += [(schema, mutated)
+                  for *_, mutated in _random_mutations(_fallback_report(tmp_path))]
+        defs = {"leaf": {"type": "integer"}, "loop": {"$ref": "#/$defs/loop"},
+                "nest": {"items": {"$ref": "#/$defs/nest"}},
+                "all": {"allOf": [{"$ref": "#/$defs/all"}]}}
+        for name in defs:
+            node = {"$defs": defs, "items": {"$ref": f"#/$defs/{name}"}}
+            cases += [(node, [[[]], 1]), (node, [[[1], ["2"]]]), (node, ["1"])]
+        messages = set()
+        for node, value in cases:
+            verdicts = []
+            for check in (pipeline.check_report, check_report_oracle):
+                try:
+                    check(value, node, node["$defs"])
+                    verdicts.append(None)
+                except ReportError as exc:
+                    verdicts.append(str(exc))
+            assert verdicts[0] == verdicts[1]
+            messages.add(verdicts[0])
+        assert len(messages) > 100
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_segments_are_rejected(self, small_video, tmp_path, value):
@@ -580,6 +598,54 @@ class TestReportValidator:
             env=_src_env(), capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert json.loads((tmp_path / "out" / "report.json").read_text())["evaluation"]
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2 ** 64, -2 ** 100, 10 ** 300, *SourceKind]),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e300, math.nan, math.inf, -math.inf]),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e300, math.nan, math.inf, -math.inf]).map(np.float64),
+    st.text(), st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aé\u2028\U0001f600')))
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+                       st.sampled_from(list(SourceKind)))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_JSON_KEYS, children, max_size=4)), max_leaves=24)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_writer_writes_what_json_dumps_writes(self, value):
+        out = io.StringIO()
+        pipeline._write_json(value, out.write)
+        assert out.getvalue() == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [np.int64(1), Path("report.json"), [1, {"a": [np.int64(2)]}],
+                                       {"a": 1, (1, 2): 2}, {"a": {Path("x"): 1}}])
+    def test_writer_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError) as refused:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(refused.value))}$"):
+            pipeline._write_json(value, io.StringIO().write)
+
+    def test_report_is_streamed_to_its_file(self, tmp_path):
+        # a writer that joined the whole report into one string before writing
+        # it would peak at more than the file's size; the key-frames are
+        # repeated so that the report, about 500 KB like the benchmark's
+        # recurring-raw one, outweighs the check's fixed 0.1 MB
+        config = PipelineConfig(source=_recurring_raw(tmp_path / "video.raw"),
+                                output_dir=tmp_path / "out", seed_report=True)
+        results = run_pipeline(config)
+        results["keyframes"] *= 32
+        tracemalloc.start()
+        try:
+            write_report(config, tmp_path / "out", results)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "out" / "report.json").stat().st_size / 2
 
 
 # the keywords _rule_violations can violate or descend through; a new one fails it
@@ -667,6 +733,34 @@ def _runtime_check_rejects(config, out: Path, report: dict) -> bool:
         return True
     (out / "report.json").unlink()
     return False
+
+
+def _random_mutations(report: dict):
+    """600 seeded single-place mutations of ``report``, as (edit, path,
+    value, mutated): a value replaced (by ``value``), a key or item deleted, or
+    a key added."""
+    rng = random.Random(19)
+    values = [None, True, False, 0, -1, 1, 1.0, 1.5, -0.5, 8.0, 8.5, 64, 65.0, 1e-9,
+              math.inf, -math.inf, math.nan, "x", "pgm-dir", [], [1], {}, {"start": 0}]
+    # paths grouped by schema position, so that the 192 segment numbers
+    # weigh as one place, like the one source kind
+    places, objects = {}, {(): [()]}
+    for path in _value_paths(report):
+        place = tuple("*" if isinstance(key, int) else key for key in path)
+        places.setdefault(place, []).append(path)
+        if isinstance(_at(report, path), dict):
+            objects.setdefault(place, []).append(path)
+    for _ in range(600):
+        mutated, value = copy.deepcopy(report), None
+        edit = rng.choice(["value", "delete", "add"])
+        path = rng.choice(rng.choice(list((objects if edit == "add" else places).values())))
+        if edit == "value":
+            _at(mutated, path[:-1])[path[-1]] = value = rng.choice(values)
+        elif edit == "delete":
+            del _at(mutated, path[:-1])[path[-1]]
+        else:
+            _at(mutated, path)["unexpected"] = 0
+        yield edit, path, value, mutated
 
 
 def _value_paths(doc, path=()):
