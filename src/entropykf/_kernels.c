@@ -33,20 +33,22 @@ typedef unsigned __int128 u128;
 #define HIST_BLOCK ((int64_t)1 << 32)
 /* Pixels per uint32 partial of the dot: 255 * 255 * 65536 < 2^32. */
 #define DOT_BLOCK ((int64_t)1 << 16)
+/* Bytes per memcmp when frame_step looks for the run of equal bytes two
+ * frames start with. */
+#define PREFIX_BLOCK ((int64_t)1 << 12)
 
 #define COUNTS_BYTES ((Py_ssize_t)(256 * sizeof(int64_t)))
 #define CUTS_BYTES ((Py_ssize_t)(9 * sizeof(int64_t)))
 #define SEGMENT_COUNTS_BYTES ((Py_ssize_t)(64 * 256 * sizeof(int64_t)))
 
-/* 256-bin histogram of n pixels into out[256].  Four interleaved count lanes
- * keep runs of equal pixels from stalling on one counter. */
-static void histogram256(const uint8_t *px, int64_t n, int64_t *out)
+/* Adds the 256-bin histogram of n pixels to out[256].  Four interleaved count
+ * lanes keep runs of equal pixels from stalling on one counter. */
+static void add_histogram(const uint8_t *px, int64_t n, int64_t *out)
 {
     uint32_t lanes[4][256];
     int64_t start, i, end;
     int v;
 
-    memset(out, 0, 256 * sizeof(int64_t));
     for (start = 0; start < n; start += HIST_BLOCK) {
         end = n - start < HIST_BLOCK ? n : start + HIST_BLOCK;
         memset(lanes, 0, sizeof(lanes));
@@ -61,6 +63,21 @@ static void histogram256(const uint8_t *px, int64_t n, int64_t *out)
         for (v = 0; v < 256; v++)
             out[v] += (int64_t)lanes[0][v] + lanes[1][v] + lanes[2][v] + lanes[3][v];
     }
+}
+
+/* The length of a run of equal bytes that a[0..n) and b[0..n) start with:
+ * n when they are equal, else a multiple of PREFIX_BLOCK no greater than the
+ * index of their first difference. */
+static int64_t equal_prefix(const uint8_t *a, const uint8_t *b, int64_t n)
+{
+    int64_t k, len;
+
+    for (k = 0; k < n; k += len) {
+        len = n - k < PREFIX_BLOCK ? n - k : PREFIX_BLOCK;
+        if (memcmp(a + k, b + k, len) != 0)
+            break;
+    }
+    return k;
 }
 
 /* Sum over i of a[i] * b[i].  Each block of at most DOT_BLOCK products is
@@ -357,7 +374,8 @@ static PyObject *py_histogram256(PyObject *self, PyObject *const *args, Py_ssize
         get_buffers("histogram256", args, v, 2, 1, lens) < 0)
         return NULL;
     Py_BEGIN_ALLOW_THREADS
-    histogram256(v[0].buf, v[0].len, v[1].buf);
+    memset(v[1].buf, 0, COUNTS_BYTES);
+    add_histogram(v[0].buf, v[0].len, v[1].buf);
     Py_END_ALLOW_THREADS
     release_buffers(v, 2);
     Py_RETURN_NONE;
@@ -398,13 +416,29 @@ static PyObject *py_pearson_sums(PyObject *self, PyObject *const *args, Py_ssize
  * being row prev_row.  row may equal prev_row.  The pixels must be bytes of
  * one length, and row prev_row a histogram of that many pixels; nothing is
  * written unless all holds.  The histogram and Σab stay two loops: one loop
- * over both frames that counts and multiplies was slower. */
+ * over both frames that counts and multiplies was slower.
+ *
+ * memcmp first finds the run of bytes the two frames start with in common,
+ * where a = b, so that Σab over it is Σb², which the histogram of that run
+ * holds exactly: the dot runs over the rest alone.  The caller guarantees
+ * more than is checked: row prev_row is the histogram of prev_pixels itself,
+ * not only of as many pixels.  So when the frames are equal byte for byte
+ * and row differs from prev_row, the memcmp stands in for both loops: row
+ * prev_row is copied into row row, and Σab is that row's Σa².  These are the
+ * integers the loops would give, so the correlation has the same bits.
+ * row == prev_row, the first frame stepped against itself, always counts,
+ * since that row is not yet a histogram of anything.  A pair that differs
+ * pays the memcmp up to its first difference in place of the dot over the
+ * same bytes: at worst, when only its last byte differs, one pass at memcmp
+ * speed in place of one at the dot's. */
 static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     static const Py_ssize_t lens[3] = {-1, -1, -1};
     Py_buffer v[3];
     Py_ssize_t rows, row, prev_row, n;
-    int64_t *cur, *prev, sa, sb, saa, sbb;
+    int64_t *cur, *prev, sa, sb, saa, sbb, k;
+    const uint8_t *px, *prev_px;
+    uint64_t sab;
     double r = 0.0;
     int ok;
 
@@ -431,15 +465,29 @@ static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t
         goto fail;
     }
     n = v[0].len;
+    px = v[0].buf;
+    prev_px = v[1].buf;
     cur = (int64_t *)v[2].buf + row * 256;
     prev = (int64_t *)v[2].buf + prev_row * 256;
     Py_BEGIN_ALLOW_THREADS
     ok = prev_row == row || is_histogram_of(prev, n);
     if (ok) {
-        histogram256(v[0].buf, n, cur);
-        moments(prev, &sa, &saa);
+        k = equal_prefix(px, prev_px, n);
+        if (k == n && prev_row != row) {
+            memcpy(cur, prev, COUNTS_BYTES);
+        } else {
+            memset(cur, 0, COUNTS_BYTES);
+            add_histogram(px, k, cur);
+        }
         moments(cur, &sb, &sbb);
-        r = correlation(n, sa, sb, saa, sbb, dot_u8(v[1].buf, v[0].buf, n));
+        sab = (uint64_t)sbb; /* Σab over the equal run is its Σb² */
+        if (k < n) {
+            add_histogram(px + k, n - k, cur);
+            moments(cur, &sb, &sbb);
+            sab += dot_u8(prev_px + k, px + k, n - k);
+        }
+        moments(prev, &sa, &saa);
+        r = correlation(n, sa, sb, saa, sbb, sab);
     }
     Py_END_ALLOW_THREADS
     if (!ok) {

@@ -162,10 +162,13 @@ def _parse_pgm(data: bytes, name: str) -> np.ndarray:
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Read one binary PGM file into a (height, width) uint8 array."""
-    path = Path(path)
+    """Read one binary PGM file into a (height, width) uint8 array, in one
+    unbuffered read of the whole file."""
+    if not isinstance(path, Path):
+        path = Path(path)  # a str is named in messages as its Path
     try:
-        data = path.read_bytes()
+        with open(path, "rb", buffering=0) as file:
+            data = file.readall()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     return _parse_pgm(data, str(path))

@@ -14,7 +14,19 @@ one, from the moments of the two rows and Σab over the two frames' uint8
 bytes, with ``correlation_from_sums``'s arithmetic done exactly in C (see
 ``correlation_from_sums``).  It checks its buffers itself: bytes of one
 length for the frames, whole 256-int64 rows for the writable block, both rows
-in range, and the previous row a histogram of as many pixels.
+in range, and the previous row a histogram of as many pixels.  A ``memcmp``
+first finds the run of bytes the two frames start with in common; Σab over
+that run is its Σb², taken from its histogram, so the dot runs over the rest
+alone.  The caller guarantees more than the check on the previous row: it is
+the histogram of the previous frame itself, as ``pipeline.analyse`` keeps it.
+On that promise a frame equal byte for byte to the one before, in another
+row, costs the ``memcmp`` alone: its row is a copy of the previous one, and
+Σab is that row's Σa².  These are the integers the loops would give, so the
+correlation keeps its bits.  The first frame, stepped against itself in one
+row, is always counted.  A frame that differs pays the compare up to its
+first difference in place of the dot over those bytes: at worst, when only
+its last byte differs, one pass at ``memcmp`` speed in place of one at the
+dot's.
 ``histogram256``, ``pearson_sums`` and ``correlation_from_sums`` do the same
 work in three steps; ``shots.correlation`` uses them, and the tests hold
 ``frame_step`` to them bit for bit.  Their Python wrappers check dtype,

@@ -158,9 +158,9 @@ def _fail(value, key: str, rule):
     raise _Failure(f"{value!r:.80} fails {key} {rule!r}")
 
 
-def _refusal(key: str, rule):
+def _refusal(what: str):
     def step(value):
-        raise _Failure(f"the report check cannot apply {key!r}: {rule!r}")
+        raise _Failure(f"the report check cannot apply {what}")
     return step
 
 
@@ -268,6 +268,8 @@ def _ref_step(name: str, defs: dict, refs: frozenset, memo: dict):
 def _compile(node: dict, defs: dict, refs: frozenset, memo: dict):
     """One function that checks a value against ``node``, raising _Failure;
     ``refs`` are the definitions followed on the value, as in check_report."""
+    if not isinstance(node, dict):  # a boolean schema, or no schema at all
+        return _refusal(f"the schema {node!r}")
     steps = []
     for key, rule in node.items():
         if key == "type":
@@ -289,11 +291,12 @@ def _compile(node: dict, defs: dict, refs: frozenset, memo: dict):
                 (name, _compile(sub, defs, frozenset(), memo)) for name, sub in rule.items())))
         elif key == "allOf":
             steps.extend(_compile(sub, defs, refs, memo) for sub in rule)
-        elif key == "$ref" and len(node) == 1 and rule.startswith("#/$defs/") and \
+        elif key == "$ref" and len(node) == 1 and isinstance(rule, str) and \
+                rule.startswith("#/$defs/") and \
                 rule[8:] in defs and rule[8:] not in refs:  # the name after "#/$defs/"
             steps.append(_ref_step(rule[8:], defs, refs, memo))
         elif key not in ("items", "properties", "$defs", "$schema", "title"):
-            steps.append(_refusal(key, rule))
+            steps.append(_refusal(f"{key!r}: {rule!r}"))
     if "type" in node and node.keys() <= {"type", "minimum", "maximum"}:
         return _leaf_check(node, steps)
     if len(steps) == 1:
@@ -326,11 +329,12 @@ def check_report(value, node: dict, defs: dict, path: str = "$",
     """Raise ReportError, with the value's JSON path first, unless ``value`` meets
     the schema ``node`` by the Draft 2020-12 meaning of the 14 keywords
     report_schema.json uses; a ``$ref`` names an entry of ``defs``.  So that a
-    schema edit cannot silently weaken the check, it refuses any other keyword, an
-    ``additionalProperties`` other than false, and a ``$ref`` that is not a lone
-    ``#/$defs/<name>`` of a definition.  ``refs`` holds the definitions followed
-    on this value, since the walk last stepped into ``items`` or ``properties``; a
-    ``$ref`` back to one of them would loop without end, and is refused too.
+    schema edit cannot silently weaken the check, it refuses any other keyword, a
+    boolean schema, an ``additionalProperties`` other than false, and a ``$ref``
+    that is not a lone ``#/$defs/<name>`` string of a definition.  ``refs`` holds
+    the definitions followed on this value, since the walk last stepped into
+    ``items`` or ``properties``; a ``$ref`` back to one of them would loop
+    without end, and is refused too.
     NaN fails every bound.
 
     The schema is first compiled into one function per node, each a sequence

@@ -157,6 +157,8 @@ def check_report_oracle(value, node: dict, defs: dict, path: str = "$",
     value's path, ``allOf`` and ``$ref`` on the same value, where ``refs`` holds
     the definitions followed since the walk last stepped into ``items`` or
     ``properties``."""
+    if not isinstance(node, dict):
+        raise ReportError(f"{path}: the report check cannot apply the schema {node!r}")
     for key, rule in node.items():
         bad = False
         if key == "type":
@@ -181,7 +183,8 @@ def check_report_oracle(value, node: dict, defs: dict, path: str = "$",
         elif key == "allOf":
             for sub in rule:
                 check_report_oracle(value, sub, defs, path, refs)
-        elif key == "$ref" and len(node) == 1 and rule.startswith("#/$defs/") and \
+        elif key == "$ref" and len(node) == 1 and isinstance(rule, str) and \
+                rule.startswith("#/$defs/") and \
                 rule[8:] in defs and rule[8:] not in refs:  # the name after "#/$defs/"
             check_report_oracle(value, defs[rule[8:]], defs, path, refs | {rule[8:]})
         elif key not in ("items", "properties", "$defs", "$schema", "title"):

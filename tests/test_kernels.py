@@ -245,6 +245,13 @@ def _flat(level, width=13, height=9):
     return np.full((height, width), level, dtype=np.uint8)
 
 
+def _changed_at(a, index):
+    """A copy of frame a with the byte at flat index ``index`` changed."""
+    b = a.copy()
+    b.flat[index] ^= 1
+    return b
+
+
 _RNG = np.random.default_rng(149)
 _TEXTURE = rand_pixels(_RNG, 31, 17)
 _STEP_PAIRS = {
@@ -258,6 +265,10 @@ _STEP_PAIRS = {
     "flat-against-textured": (_flat(99, 31, 17), _TEXTURE),
     "textured-against-flat": (_TEXTURE, _flat(99, 31, 17)),
     "equal": (_TEXTURE, _TEXTURE.copy()),
+    "same-buffer": (_TEXTURE, _TEXTURE),
+    "first-byte-differs": (_TEXTURE, _changed_at(_TEXTURE, 0)),
+    "last-byte-differs": (_TEXTURE, _changed_at(_TEXTURE, -1)),
+    "flat-last-byte-differs": (_flat(50), _changed_at(_flat(50), -1)),
     "negated": (_TEXTURE, 255 - _TEXTURE),
     "near-collinear": (_TEXTURE, _TEXTURE // 2 * 2),
     "one-pixel": (_flat(3, 1, 1), _flat(200, 1, 1)),
@@ -296,6 +307,42 @@ class TestFrameStep:
              "one-bright-pixel": lambda: a // 255 * 254 + rand_pixels(rng, 1024, 16384, 2)}[kind]()
         _, r, block = _stepped(a, b)
         assert r.hex() == _three_step(a, b).hex()
+        assert np.array_equal(block[1], kernels.histogram256(b))
+
+    def test_the_first_frame_is_counted_though_it_equals_itself(self):
+        # row == prev_row: the row holds no histogram yet, so the pair, equal
+        # byte for byte, must not be copied from the row onto itself
+        block = np.random.default_rng(157).integers(-2**62, 2**62, (2, 256))
+        r = kernels.frame_step(_TEXTURE, _TEXTURE.copy(), block, 1, 1)
+        assert np.array_equal(block[1], kernels.histogram256(_TEXTURE))
+        assert r.hex() == _three_step(_TEXTURE, _TEXTURE).hex()
+
+    @pytest.mark.parametrize("index", [0, 4095, 4096, 4097, 8191, 10000, 19198, 19199])
+    def test_pairs_that_start_with_a_run_of_equal_bytes(self, index):
+        # a 160x120 pair equal up to byte index, in the middle of or at the
+        # edges of the 4,096-byte blocks that the compare steps by: Σab over
+        # the equal run comes from its histogram, the dot covers the rest
+        a = rand_pixels(np.random.default_rng(163), 160, 120)
+        b = _changed_at(a, index)
+        _, r, block = _stepped(a, b)
+        assert r.hex() == _three_step(a, b).hex()
+        assert np.array_equal(block[1], kernels.histogram256(b))
+        b.flat[index:] = rand_pixels(np.random.default_rng(167), 160, 120).flat[index:]
+        _, r, block = _stepped(a, b)
+        assert r.hex() == _three_step(a, b).hex()
+        assert np.array_equal(block[1], kernels.histogram256(b))
+
+    def test_an_equal_frame_in_another_row_copies_the_previous_row(self):
+        # the previous row is trusted to be the previous frame's histogram,
+        # beyond the check that it is a histogram of as many pixels: handed
+        # another frame's, an equal pair copies it, and a pair that differs,
+        # if only in its last byte, is counted
+        a, other = _STEP_PAIRS["random"]
+        block = np.stack([kernels.histogram256(other), np.zeros(256, dtype=np.int64)])
+        assert kernels.frame_step(a, a.copy(), block, 1, 0) == 1.0
+        assert np.array_equal(block[1], block[0])
+        b = _changed_at(a, -1)
+        kernels.frame_step(b, a, block, 1, 0)
         assert np.array_equal(block[1], kernels.histogram256(b))
 
     def test_rows_wrap_around_the_block(self):
@@ -543,10 +590,21 @@ class TestGilRelease:
             lambda: kernels.pearson_sums(counts, counts, tall_frame, tall_frame))
 
     def test_frame_step(self, tall_frame):
+        # only the last pixel differs, so the call compares the whole pair,
+        # then counts the frame
+        other = _changed_at(tall_frame, -1)
         block = np.zeros((2, 256), dtype=np.int64)
         kernels.frame_step(tall_frame, tall_frame, block, 0, 0)
         assert _counter_advances_during(
-            lambda: kernels.frame_step(tall_frame, tall_frame, block, 1, 0))
+            lambda: kernels.frame_step(other, tall_frame, block, 1, 0))
+
+    def test_frame_step_on_an_equal_pair(self, tall_frame):
+        # equal byte for byte: the call only compares the pair and copies a row
+        other = tall_frame.copy()
+        block = np.zeros((2, 256), dtype=np.int64)
+        kernels.frame_step(tall_frame, tall_frame, block, 0, 0)
+        assert _counter_advances_during(
+            lambda: kernels.frame_step(other, tall_frame, block, 1, 0))
 
     def test_segment_histograms(self, tall_frame):
         assert _counter_advances_during(

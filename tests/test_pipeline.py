@@ -504,6 +504,11 @@ class TestReportValidator:
         for name in defs:
             node = {"$defs": defs, "items": {"$ref": f"#/$defs/{name}"}}
             cases += [(node, [[[]], 1]), (node, [[[1], ["2"]]]), (node, ["1"])]
+        # schemas outside the dict form: boolean subschemas and a $ref that is no string
+        for node in ({"items": True}, {"items": {"$ref": 5}}, {"properties": {"x": False}},
+                     {"items": {"$ref": "#/$defs/yes"}}, {"allOf": [True]}):
+            node = {"$defs": {"yes": True}, **node}
+            cases += [(node, []), (node, [1]), (node, {"x": 1}), (node, 1)]
         messages = set()
         for node, value in cases:
             verdicts = []
@@ -584,6 +589,20 @@ class TestReportValidator:
                 "y": {"items": {"$ref": "#/$defs/to_leaf"}}}}, defs)
         with pytest.raises(ReportError, match=r"^\$\.x: the report check cannot apply '\$ref'"):
             pipeline.check_report({"x": 1}, {"properties": {"x": ref}}, defs)
+
+    @pytest.mark.parametrize("value,node,message", [
+        ([1], {"items": True}, r"^\$\[0\]: the report check cannot apply the schema True$"),
+        ({"x": 1}, {"properties": {"x": False}},
+         r"^\$\.x: the report check cannot apply the schema False$"),
+        (1, {"$ref": 5}, r"^\$: the report check cannot apply '\$ref': 5$"),
+    ], ids=["items-true", "property-false", "ref-not-a-string"])
+    def test_schemas_outside_the_dict_form_are_refused(self, value, node, message):
+        # valid Draft 2020-12, but outside the forms of the 14 keywords the
+        # check applies; a value that never reaches the subschema passes
+        with pytest.raises(ReportError, match=message):
+            pipeline.check_report(value, node, {})
+        if "items" in node:
+            pipeline.check_report([], node, {})
 
     def test_extract_runs_with_jsonschema_unimportable(self, small_video, tmp_path):
         root, _ = small_video

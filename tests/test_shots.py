@@ -176,6 +176,44 @@ def _videos(draw):
     return frames
 
 
+@st.composite
+def _repeating_videos(draw):
+    """Frames of up to 96x64 pixels, some longer than the 4,096-byte blocks
+    ``frame_step`` compares by, that repeat the frame before byte for byte, as
+    a copy or as the same array, in each of these runs in a drawn order: a run
+    of repeats, a cut to a new texture repeated at once, a repeated flat
+    frame, and a frame that differs from the one before only in its last byte;
+    noisy frames then fill the video up to frame 63, which frame 64 repeats
+    across the wrap of ``analyse``'s 64-row block."""
+    width, height = draw(st.integers(1, 96)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = [rand_pixels(rng, width, height)]
+
+    def repeat(count):
+        for _ in range(count):
+            frames.append(frames[-1] if draw(st.booleans()) else frames[-1].copy())
+
+    for run in draw(st.permutations(["repeats", "cut", "flat", "last-byte"])):
+        if run == "repeats":
+            repeat(draw(st.integers(1, 20)))
+        elif run == "cut":
+            frames.append(rand_pixels(rng, width, height))
+            repeat(draw(st.integers(1, 3)))
+        elif run == "flat":
+            frames.append(np.full((height, width), draw(st.integers(0, 255)), dtype=np.uint8))
+            repeat(draw(st.integers(1, 5)))
+        else:
+            changed = frames[-1].copy()
+            changed.flat[-1] ^= draw(st.integers(1, 255))
+            frames.append(changed)
+            repeat(draw(st.integers(0, 2)))
+    while len(frames) < 64:
+        noise = rng.integers(-3, 4, (height, width))
+        frames.append(np.clip(frames[-1] + noise, 0, 255).astype(np.uint8))
+    frames.insert(64, frames[63].copy())
+    return [frame(i, px) for i, px in enumerate(frames)]
+
+
 class TestAnalyse:
     def test_empty_stream_errors(self):
         with pytest.raises(ValueError, match="empty"):
@@ -193,8 +231,8 @@ class TestAnalyse:
             [correlation(p, q).hex() for p, q in zip(frames, frames[1:])]
         assert [e.hex() for e in entropies] == [frame_entropy(f).hex() for f in frames]
 
-    @settings(max_examples=40, deadline=None)
-    @given(_videos())
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_videos(), _repeating_videos()))
     def test_series_equal_the_three_kernel_oracle_bit_for_bit(self, frames):
         entropies, correlations = analyse(iter(frames))
         oracle_entropies, oracle_correlations = analyse_oracle(frames)
