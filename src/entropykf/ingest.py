@@ -16,18 +16,23 @@ is ``FRAME`` alone or ``FRAME``, a space and parameters, so an empty line
 where a frame belongs is an error, not the end of the input.  Streams are
 buffered binary files (``open(path, "rb")``, ``sys.stdin.buffer``, a
 temporary file), whose ``read(n)`` returns fewer than n bytes only at end
-of input, so each plane is one ``read``.  A PGM directory re-reads the i-th
-file.  Raw and Y4M streams share one random-access path: the parser records
-each frame's Y-plane byte offset, and ``read_frame`` seeks there in the
-input file, or, for stdin, in a spool file of the Y planes written as they
-stream.  Container decoding is out of scope; compressed video is piped in
+of input, so each plane is one ``read``.  A PGM directory is listed once, with
+one ``os.scandir``, and ``read_frame`` re-reads the i-th file.  Raw and Y4M
+streams share one random-access path: the parser records each frame's
+Y-plane byte offset, and ``read_frame`` seeks there in the input file, or,
+for stdin, in a spool file of the Y planes written as they stream.  The
+spool holds one plane per run of equal planes: a plane equal byte for byte
+to the one before is not written again, and its frame takes the earlier
+offset.  Container decoding is out of scope; compressed video is piped in
 as raw gray or Y4M (see README for the ffmpeg recipes).
 """
 
 from __future__ import annotations
 
 import enum
+import errno
 import itertools
+import os
 import re
 import sys
 import tempfile
@@ -166,12 +171,18 @@ def read_pgm(path: str | Path) -> np.ndarray:
     unbuffered read of the whole file."""
     if not isinstance(path, Path):
         path = Path(path)  # a str is named in messages as its Path
+    return _read_pgm(str(path))
+
+
+def _read_pgm(name: str) -> np.ndarray:
+    """``read_pgm`` of a path already in the form ``str(Path(name))`` gives,
+    as ``list_pgm_dir`` lists it, without building a Path."""
     try:
-        with open(path, "rb", buffering=0) as file:
+        with open(name, "rb", buffering=0) as file:
             data = file.readall()
     except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    return _parse_pgm(data, str(path))
+        raise IngestError(f"cannot read {name}: {exc}") from exc
+    return _parse_pgm(data, name)
 
 
 def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
@@ -184,15 +195,36 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
     Path(path).write_bytes(header + pixels.tobytes())
 
 
-def list_pgm_dir(path: str | Path) -> list[Path]:
-    """Files of a frame directory in strict lexicographic filename order."""
-    path = Path(path)
-    if not path.is_dir():
-        raise IngestError(f"not a readable directory: {path}")
-    files = sorted((p for p in path.iterdir() if p.is_file()), key=lambda p: p.name)
-    if not files:
-        raise IngestError(f"no frame files in directory: {path}")
-    return files
+# the errors of following a symlink that Path.is_file reads as "not a file":
+# a dangling symlink, a symlink through a file, a symlink loop
+_NOT_A_FILE = {errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP}
+
+
+def _is_file(entry: os.DirEntry, prefix: str) -> bool:
+    """Whether entry is a regular file once symlinks are followed."""
+    try:
+        return entry.is_file()
+    except OSError as exc:
+        if exc.errno in _NOT_A_FILE:
+            return False
+        raise IngestError(f"cannot read {prefix}{entry.name}: {exc}") from exc
+
+
+def list_pgm_dir(path: str | Path) -> list[str]:
+    """Paths of a frame directory's files in strict code-point filename order,
+    each the string ``Path(path) / name`` gives.  One ``os.scandir`` lists
+    them; an entry's file type comes from the directory entry, so most file
+    systems need no ``stat`` per file."""
+    root = str(Path(path))
+    prefix = "" if root == "." else os.path.join(root, "")  # Path(".") / name is name
+    try:
+        with os.scandir(root) as entries:
+            names = sorted(entry.name for entry in entries if _is_file(entry, prefix))
+    except OSError as exc:
+        raise IngestError(f"not a readable directory: {root}") from exc
+    if not names:
+        raise IngestError(f"no frame files in directory: {root}")
+    return [prefix + name for name in names]
 
 
 class _PgmDirSource:
@@ -202,7 +234,7 @@ class _PgmDirSource:
     def frames(self) -> Iterator[Frame]:
         shape = None
         for index, path in enumerate(self._paths):
-            pixels = read_pgm(path)
+            pixels = _read_pgm(path)
             if shape is None:  # later frames must match the first, so only it is range-checked
                 shape = pixels.shape
                 check_frame_size(shape[1], shape[0], f"{path}: ")
@@ -212,7 +244,7 @@ class _PgmDirSource:
             yield Frame(index=index, pixels=pixels)
 
     def read_frame(self, index: int) -> Frame:
-        return Frame(index=index, pixels=read_pgm(self._paths[index]))
+        return Frame(index=index, pixels=_read_pgm(self._paths[index]))
 
     def close(self) -> None:
         pass
@@ -221,6 +253,12 @@ class _PgmDirSource:
 # ---------------------------------------------------------------------------
 # raw 8-bit luma stream
 # ---------------------------------------------------------------------------
+
+def _plane_frame(index: int, plane: bytes, height: int, width: int) -> Frame:
+    """Frame index over a Y plane of exactly height * width bytes, which stay
+    its pixels' ``base``, so the stdin spool can compare planes as bytes."""
+    return Frame(index=index, pixels=np.ndarray((height, width), np.uint8, buffer=plane))
+
 
 def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, Frame]]:
     """(byte offset, frame) for each frame of a raw stream."""
@@ -235,8 +273,7 @@ def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, 
                 f"raw stream truncated at byte offset {offset}: frame {index} "
                 f"has {len(data)} of {frame_size} bytes "
                 f"(stream length is not a multiple of {width}x{height})")
-        yield offset, Frame(index=index,
-                            pixels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
+        yield offset, _plane_frame(index, data, height, width)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +349,7 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
         if len(chroma) != skip:
             raise IngestError(f"Y4M stream truncated at byte offset {offset + y_size}: "
                               f"frame {index} chroma has {len(chroma)} of {skip} bytes")
-        yield offset, Frame(index=index,
-                            pixels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
+        yield offset, _plane_frame(index, data, height, width)
         offset += y_size + skip
 
 
@@ -336,7 +372,8 @@ class _StreamSource:
     def __init__(self, spec: SourceSpec):
         self._spec = spec
         self._input = _open_binary(spec.path)
-        # stdin cannot seek, so its Y planes are copied aside as they stream
+        # stdin cannot seek, so its Y planes are copied aside as they stream,
+        # each run of equal planes once
         self._spool = (tempfile.TemporaryFile(prefix="entropykf_spool_")
                        if spec.path == "-" else None)
         self._offsets = array("q")  # 8 bytes per frame
@@ -347,11 +384,17 @@ class _StreamSource:
             parsed = _iter_raw(self._input, self._spec.width, self._spec.height)
         else:
             parsed = _iter_y4m(self._input)
+        previous = None  # the plane before, held anyway as the frame before
         for offset, frame in parsed:
             self._shape = frame.pixels.shape
             if self._spool is not None:
-                offset = self._spool.tell()
-                self._spool.write(frame.pixels)
+                plane = frame.pixels.base  # the parser's bytes (_plane_frame)
+                if plane == previous:  # one memcmp; a repeat takes the earlier offset
+                    offset = self._offsets[-1]
+                else:
+                    offset = self._spool.tell()
+                    self._spool.write(plane)
+                previous = plane
             self._offsets.append(offset)
             yield frame
         if not self._offsets:
@@ -366,8 +409,7 @@ class _StreamSource:
         stream.seek(resume)
         if len(data) != height * width:
             raise IngestError(f"{self._spec.path} ended before frame {index}")
-        return Frame(index=index,
-                     pixels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
+        return _plane_frame(index, data, height, width)
 
     def close(self) -> None:
         if self._spool is not None:

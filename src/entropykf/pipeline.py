@@ -139,6 +139,20 @@ _BOUNDS = {"minimum": operator.ge, "maximum": operator.le, "exclusiveMinimum": o
 _COUNTS = {"minItems": operator.ge, "maxItems": operator.le}
 
 
+def _is_strings(rule) -> bool:
+    return isinstance(rule, list) and all(isinstance(item, str) for item in rule)
+
+
+# the form Draft 2020-12 gives each keyword's value; a value of another form
+# is refused where a report value reaches it, as a boolean subschema is
+_FORMS = {"type": lambda rule: isinstance(rule, str) or _is_strings(rule),
+          **dict.fromkeys(_BOUNDS, lambda rule: _has_type(rule, "number")),
+          **dict.fromkeys(_COUNTS, lambda rule: type(rule) is int and rule >= 0),
+          "required": _is_strings, "enum": lambda rule: isinstance(rule, list),
+          "allOf": lambda rule: isinstance(rule, list),
+          "properties": lambda rule: isinstance(rule, dict)}
+
+
 def _has_type(value, name: str) -> bool:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return name == "number" or name == "integer" and value % 1 == 0  # 1.0 is an integer
@@ -210,7 +224,8 @@ def _required_step(rule):
 
 
 def _closed_step(node: dict):
-    allowed = set(node.get("properties", {}))
+    properties = node.get("properties")
+    allowed = set(properties) if isinstance(properties, dict) else set()
 
     def step(value):
         if isinstance(value, dict) and not value.keys() <= allowed:
@@ -272,7 +287,9 @@ def _compile(node: dict, defs: dict, refs: frozenset, memo: dict):
         return _refusal(f"the schema {node!r}")
     steps = []
     for key, rule in node.items():
-        if key == "type":
+        if key in _FORMS and not _FORMS[key](rule):
+            steps.append(_refusal(f"{key!r}: {rule!r}"))
+        elif key == "type":
             steps.append(_type_step(rule))
         elif key in _BOUNDS:
             steps.append(_bound_step(key, rule))
@@ -297,7 +314,8 @@ def _compile(node: dict, defs: dict, refs: frozenset, memo: dict):
             steps.append(_ref_step(rule[8:], defs, refs, memo))
         elif key not in ("items", "properties", "$defs", "$schema", "title"):
             steps.append(_refusal(f"{key!r}: {rule!r}"))
-    if "type" in node and node.keys() <= {"type", "minimum", "maximum"}:
+    if "type" in node and node.keys() <= {"type", "minimum", "maximum"} and \
+            all(_FORMS[key](rule) for key, rule in node.items()):
         return _leaf_check(node, steps)
     if len(steps) == 1:
         return steps[0]
@@ -330,7 +348,8 @@ def check_report(value, node: dict, defs: dict, path: str = "$",
     the schema ``node`` by the Draft 2020-12 meaning of the 14 keywords
     report_schema.json uses; a ``$ref`` names an entry of ``defs``.  So that a
     schema edit cannot silently weaken the check, it refuses any other keyword, a
-    boolean schema, an ``additionalProperties`` other than false, and a ``$ref``
+    boolean schema, a keyword whose value has a form other than the draft's
+    (``_FORMS``), an ``additionalProperties`` other than false, and a ``$ref``
     that is not a lone ``#/$defs/<name>`` string of a definition.  ``refs`` holds
     the definitions followed on this value, since the walk last stepped into
     ``items`` or ``properties``; a ``$ref`` back to one of them would loop

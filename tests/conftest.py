@@ -150,6 +150,19 @@ def _has_type(value, name: str) -> bool:
     return isinstance(value, _JSON_TYPES.get(name, ()))
 
 
+def _well_formed(key: str, rule) -> bool:
+    """Whether a keyword's value has the form Draft 2020-12 gives it."""
+    if key == "type":
+        rule = [rule] if isinstance(rule, str) else rule
+    if key in ("type", "required"):
+        return isinstance(rule, list) and all(isinstance(name, str) for name in rule)
+    if key in _BOUNDS:
+        return _has_type(rule, "number")
+    if key in _COUNTS:
+        return _has_type(rule, "integer") and isinstance(rule, int) and rule >= 0
+    return isinstance(rule, {"enum": list, "allOf": list, "properties": dict}.get(key, object))
+
+
 def check_report_oracle(value, node: dict, defs: dict, path: str = "$",
                         refs: frozenset = frozenset()) -> None:
     """``pipeline.check_report`` as one recursive walk: each keyword of ``node``
@@ -161,6 +174,8 @@ def check_report_oracle(value, node: dict, defs: dict, path: str = "$",
         raise ReportError(f"{path}: the report check cannot apply the schema {node!r}")
     for key, rule in node.items():
         bad = False
+        if not _well_formed(key, rule):
+            raise ReportError(f"{path}: the report check cannot apply {key!r}: {rule!r}")
         if key == "type":
             bad = not any(_has_type(value, t) for t in ([rule] if isinstance(rule, str) else rule))
         elif key in _BOUNDS:
@@ -170,7 +185,9 @@ def check_report_oracle(value, node: dict, defs: dict, path: str = "$",
         elif key == "required":
             bad = isinstance(value, dict) and not value.keys() >= set(rule)
         elif key == "additionalProperties" and rule is False:
-            bad = isinstance(value, dict) and not value.keys() <= node.get("properties", {}).keys()
+            allowed = node.get("properties")
+            bad = isinstance(value, dict) and not value.keys() <= (
+                allowed.keys() if isinstance(allowed, dict) else set())
         elif key == "enum":
             bad = value not in rule
         elif key == "items" and isinstance(value, list):

@@ -1,11 +1,15 @@
+import contextlib
 import io
+import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_y4m, rand_pixels
+from entropykf import cli
 from entropykf.ingest import (MAX_DIMENSION, MIN_DIMENSION, Frame, IngestError,
                               SourceKind, SourceSpec, _iter_raw, _iter_y4m, _parse_pgm,
                               list_pgm_dir, open_source, read_pgm, write_pgm)
@@ -89,6 +93,105 @@ class TestDirectorySource:
     def test_missing_directory_errors(self, tmp_path):
         with pytest.raises(IngestError):
             list_pgm_dir(tmp_path / "nope")
+
+    def test_order_is_code_point_order(self, tmp_path):
+        # not case-folded and not numeric: "B" < "a" and "f10" < "f9"
+        for value, name in enumerate(["f9.pgm", "a.pgm", "f10.pgm", "B.pgm"]):
+            self._write(tmp_path, name, np.full((8, 8), value, dtype=np.uint8))
+        assert list_pgm_dir(tmp_path) == [str(tmp_path / name) for name in
+                                          ["B.pgm", "a.pgm", "f10.pgm", "f9.pgm"]]
+        spec = SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path))
+        assert [int(f.pixels[0, 0]) for f in open_source(spec).frames()] == [3, 1, 2, 0]
+
+    def test_only_regular_files_are_frames(self, tmp_path):
+        # symlinks are followed; an entry that is then no regular file is
+        # skipped, a dangling symlink and a symlink loop included
+        frames, elsewhere = tmp_path / "frames", tmp_path / "elsewhere"
+        frames.mkdir()
+        elsewhere.mkdir()
+        self._write(frames, "a.pgm", np.zeros((8, 8), dtype=np.uint8))
+        self._write(elsewhere, "linked.pgm", np.full((8, 8), 9, dtype=np.uint8))
+        (frames / "b.pgm").symlink_to(elsewhere / "linked.pgm")
+        (frames / "c.pgm").symlink_to(tmp_path / "missing.pgm")
+        (frames / "d.pgm").symlink_to(frames / "d.pgm")
+        (frames / "e.pgm").mkdir()
+        (frames / "f.pgm").symlink_to(elsewhere)
+        (frames / "g.pgm").symlink_to(frames / "a.pgm" / "child")
+        assert list_pgm_dir(frames) == [str(frames / "a.pgm"), str(frames / "b.pgm")]
+        spec = SourceSpec(kind=SourceKind.PGM_DIR, path=str(frames))
+        assert [int(f.pixels[0, 0]) for f in open_source(spec).frames()] == [0, 9]
+
+    def test_unlistable_directory_is_ingest_error(self, tmp_path, monkeypatch, capsys):
+        # tests run as root, so the permission error is raised by a stand-in
+        self._write(tmp_path, "a.pgm", np.zeros((8, 8), dtype=np.uint8))
+        scandir = os.scandir
+
+        def refuse(path="."):
+            if os.fspath(path) == str(tmp_path):
+                raise PermissionError(13, "Permission denied", path)
+            return scandir(path)
+        monkeypatch.setattr(os, "scandir", refuse)
+        with pytest.raises(IngestError, match=f"^not a readable directory: {tmp_path}$"):
+            list_pgm_dir(tmp_path)
+        code = cli.main(["extract", "--input", str(tmp_path), "--format", "pgm-dir",
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_INGEST
+        assert capsys.readouterr().err == \
+            f"entropykf: ingest error: not a readable directory: {tmp_path}\n"
+
+    def test_entry_that_cannot_be_followed_is_named(self, tmp_path, monkeypatch):
+        # a symlink into a directory the run may not search: the listing
+        # cannot tell whether it is a frame, so it names the entry
+        class Entry:
+            name = "b.pgm"
+
+            def is_file(self):
+                raise PermissionError(13, "Permission denied")
+
+        @contextlib.contextmanager
+        def scandir(path):
+            yield iter([Entry()])
+        monkeypatch.setattr(os, "scandir", scandir)
+        with pytest.raises(IngestError,
+                           match=f"^cannot read {tmp_path}/b.pgm: .Errno 13. Permission denied$"):
+            list_pgm_dir(tmp_path)
+
+    @pytest.mark.parametrize("given", ["./frames/", "frames", "."])
+    def test_messages_name_files_as_the_path_join_does(self, given, tmp_path, monkeypatch):
+        # each file is named as str(Path(given) / name), whichever way the
+        # directory is spelled
+        monkeypatch.chdir(tmp_path)
+        frames = tmp_path / "frames" if given != "." else tmp_path
+        frames.mkdir(exist_ok=True)
+        spec = SourceSpec(kind=SourceKind.PGM_DIR, path=given)
+        named = {name: str(Path(given) / name) for name in ("a.pgm", "b.pgm", "c.png")}
+        assert named["a.pgm"] == {"./frames/": "frames/a.pgm", "frames": "frames/a.pgm",
+                                  ".": "a.pgm"}[given]
+        with pytest.raises(IngestError, match=f"^no frame files in directory: {Path(given)}$"):
+            list_pgm_dir(given)
+        write_pgm(frames / "a.pgm", np.zeros((8, 4), dtype=np.uint8))
+        with pytest.raises(IngestError) as raised:
+            list(open_source(spec).frames())
+        assert str(raised.value) == f"{named['a.pgm']}: frame size 4x8 is outside 8x8..16384x16384"
+        write_pgm(frames / "a.pgm", np.zeros((8, 8), dtype=np.uint8))
+        write_pgm(frames / "b.pgm", np.zeros((8, 16), dtype=np.uint8))
+        with pytest.raises(IngestError) as raised:
+            list(open_source(spec).frames())
+        assert str(raised.value) == f"{named['b.pgm']}: frame 1 is 16x8, expected 8x8"
+        (frames / "b.pgm").unlink()
+        (frames / "c.png").write_bytes(b"\x89PNG")
+        with pytest.raises(IngestError) as raised:
+            list(open_source(spec).frames())
+        assert str(raised.value) == (f"unsupported image file: {named['c.png']} "
+                                     "(expected binary PGM magic P5, found b'\\x89P')")
+        source = open_source(spec)
+        (frames / "a.pgm").unlink()
+        with pytest.raises(IngestError) as raised:
+            source.read_frame(0)
+        assert str(raised.value).startswith(f"cannot read {named['a.pgm']}: ")
+        if given != ".":
+            with pytest.raises(IngestError, match="^not a readable directory: nope$"):
+                list_pgm_dir(given.replace("frames", "nope"))
 
     def test_reopening_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(43)
@@ -261,6 +364,29 @@ def _stdin(monkeypatch, data: bytes) -> None:
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
 
 
+class _RecordedSpool:
+    """A spool file whose whole contents are kept when it closes."""
+
+    def __init__(self, file, contents: list):
+        self._file, self._contents = file, contents
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+    def close(self):
+        self._file.seek(0)
+        self._contents.append(self._file.read())
+        self._file.close()
+
+
+def _record_spools(monkeypatch) -> list:
+    """The contents of each spool file made from here on, appended as it closes."""
+    make_spool, contents = tempfile.TemporaryFile, []
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: _RecordedSpool(
+        make_spool(*args, **kwargs), contents))
+    return contents
+
+
 class TestRandomAccess:
     """``read_frame(i)`` returns the i-th frame of ``frames()`` on every source."""
 
@@ -317,17 +443,43 @@ class TestRandomAccess:
         from_file = run_pipeline(PipelineConfig(
             source=SourceSpec(kind=SourceKind.Y4M, path=str(path)), **config))
 
-        spools = []
-
-        def record(*args, **kwargs):
-            spools.append(make_spool(*args, **kwargs))
-            return spools[-1]
-        monkeypatch.setattr(tempfile, "TemporaryFile", record)
+        monkeypatch.setattr(tempfile, "TemporaryFile", make_spool)
+        spools = _record_spools(monkeypatch)
         _stdin(monkeypatch, data)
         from_stdin = run_pipeline(PipelineConfig(
             source=SourceSpec(kind=SourceKind.Y4M, path="-"), **config))
-        assert len(spools) == 1
+        # no two planes are equal, so each is spooled
+        assert spools == [b"".join(px.tobytes() for px in planes)]
         assert from_stdin["keyframes"] == from_file["keyframes"] != []
+
+    @pytest.mark.parametrize("fmt", ["raw", "y4m"])
+    def test_spool_holds_each_run_of_equal_planes_once(self, fmt, monkeypatch):
+        rng = np.random.default_rng(61)
+        a, b, c, e = (rand_pixels(rng, 16, 8) for _ in range(4))
+        d = a.copy()
+        d[-1, -1] ^= 1  # differs from a in its last byte only
+        # an equal first pair, runs of three and two, a repeat right after a
+        # change, a last-byte change and a run of one at the end
+        planes = [a, a, a, b, b, c, a, a, d, d, e]
+        spooled = [a, b, c, a, d, e]
+        if fmt == "raw":
+            _stdin(monkeypatch, b"".join(px.tobytes() for px in planes))
+            spec = SourceSpec(kind=SourceKind.RAW, path="-", width=16, height=8)
+        else:
+            _stdin(monkeypatch, make_y4m(16, 8, planes, frame_params=_frame_params))
+            spec = SourceSpec(kind=SourceKind.Y4M, path="-")
+        spools = _record_spools(monkeypatch)
+        source = open_source(spec)
+        try:
+            for f in source.frames():
+                assert f.pixels.tobytes() == planes[f.index].tobytes()
+                for i in range(f.index + 1):  # every frame so far, while the stream runs
+                    assert source.read_frame(i).pixels.tobytes() == planes[i].tobytes()
+            assert [source.read_frame(i).pixels.tobytes() for i in reversed(range(len(planes)))] \
+                == [px.tobytes() for px in reversed(planes)]
+        finally:
+            source.close()
+        assert spools == [b"".join(px.tobytes() for px in spooled)]
 
 
 class TestFrameContract:

@@ -283,6 +283,37 @@ class TestRunPipeline:
         assert len(results[0]["eliminations"]) == 1
         assert all(r == results[0] for r in results[1:])
 
+    @pytest.mark.parametrize("fmt", ["raw", "y4m"])
+    def test_seed_report_from_stdin_equals_the_file_s(self, fmt, tmp_path, monkeypatch):
+        # the stdin spool holds each run of equal planes once, and every key
+        # frame re-read from it still has its own bytes
+        textures = synthetic.make_textures(np.random.default_rng(37), 3, 32, 16)
+        last = textures[1].copy()
+        last[-1, -1] ^= 1  # differs from textures[1] in its last byte only
+        runs = [(textures[0], 2), (textures[0], 25), (textures[1], 1), (last, 24),
+                (textures[1], 3), (textures[2], 30), (textures[0], 26)]
+        planes = [px for px, count in runs for _ in range(count)]
+        data = (b"".join(px.tobytes() for px in planes) if fmt == "raw"
+                else make_y4m(32, 16, planes))
+        video = tmp_path / f"video.{fmt}"
+        video.write_bytes(data)
+        size = dict(width=32, height=16) if fmt == "raw" else {}
+        out = tmp_path / "out"
+        written = []
+        for path in (str(video), "-"):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            run_pipeline(PipelineConfig(source=SourceSpec(kind=fmt, path=path, **size),
+                                        output_dir=out, fallback_keyframe=True, seed_report=True))
+            written.append({file.name: file.read_bytes() for file in out.iterdir()})
+            for file in out.iterdir():
+                file.unlink()
+        from_file, from_stdin = written
+        assert len(from_file) >= 4  # report.json and three key frames
+        report = from_file["report.json"]
+        from_file["report.json"] = report.replace(json.dumps(str(video)).encode(), b'"-"', 1)
+        assert from_file["report.json"] != report
+        assert from_stdin == from_file
+
     def test_one_kernel_call_per_frame_pair_and_candidate(self, tmp_path, monkeypatch):
         # counters rebind the module attributes, as the benchmark's tracer does,
         # so they also check that every caller looks the kernels up at call time
@@ -504,9 +535,17 @@ class TestReportValidator:
         for name in defs:
             node = {"$defs": defs, "items": {"$ref": f"#/$defs/{name}"}}
             cases += [(node, [[[]], 1]), (node, [[[1], ["2"]]]), (node, ["1"])]
-        # schemas outside the dict form: boolean subschemas and a $ref that is no string
+        # schemas outside the dict form: boolean subschemas, a $ref that is no
+        # string, and keywords whose value has the wrong form, alone, on a leaf
+        # and beside the keyword that reads them
         for node in ({"items": True}, {"items": {"$ref": 5}}, {"properties": {"x": False}},
-                     {"items": {"$ref": "#/$defs/yes"}}, {"allOf": [True]}):
+                     {"items": {"$ref": "#/$defs/yes"}}, {"allOf": [True]},
+                     {"properties": 5}, {"required": 5}, {"enum": 5}, {"allOf": 5}, {"type": 5},
+                     {"minimum": "x"}, {"minItems": "x"}, {"items": {"type": [5]}},
+                     {"items": {"type": "number", "minimum": "x"}}, {"required": [1]},
+                     {"maxItems": -1}, {"minItems": True}, {"exclusiveMinimum": None},
+                     {"additionalProperties": False, "properties": 5},
+                     {"properties": {"x": {"type": "integer", "maximum": [2]}}}):
             node = {"$defs": {"yes": True}, **node}
             cases += [(node, []), (node, [1]), (node, {"x": 1}), (node, 1)]
         messages = set()
@@ -595,10 +634,20 @@ class TestReportValidator:
         ({"x": 1}, {"properties": {"x": False}},
          r"^\$\.x: the report check cannot apply the schema False$"),
         (1, {"$ref": 5}, r"^\$: the report check cannot apply '\$ref': 5$"),
-    ], ids=["items-true", "property-false", "ref-not-a-string"])
+        ({"a": 1}, {"properties": 5}, r"^\$: the report check cannot apply 'properties': 5$"),
+        ({"a": 1}, {"required": 5}, r"^\$: the report check cannot apply 'required': 5$"),
+        (1, {"enum": 5}, r"^\$: the report check cannot apply 'enum': 5$"),
+        (1, {"allOf": 5}, r"^\$: the report check cannot apply 'allOf': 5$"),
+        (1, {"type": 5}, r"^\$: the report check cannot apply 'type': 5$"),
+        (1, {"minimum": "x"}, r"^\$: the report check cannot apply 'minimum': 'x'$"),
+        ([[1]], {"items": {"minItems": "x"}},
+         r"^\$\[0\]: the report check cannot apply 'minItems': 'x'$"),
+    ], ids=["items-true", "property-false", "ref-not-a-string", "properties-5", "required-5",
+            "enum-5", "allOf-5", "type-5", "minimum-x", "minItems-x"])
     def test_schemas_outside_the_dict_form_are_refused(self, value, node, message):
-        # valid Draft 2020-12, but outside the forms of the 14 keywords the
-        # check applies; a value that never reaches the subschema passes
+        # outside the forms of the 14 keywords the check applies: valid Draft
+        # 2020-12 (a boolean subschema, a $ref that is no string) or a value the
+        # draft's meta-schema rejects; a value that never reaches it passes
         with pytest.raises(ReportError, match=message):
             pipeline.check_report(value, node, {})
         if "items" in node:
