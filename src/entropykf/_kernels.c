@@ -3,15 +3,16 @@
  * kernels.py compiles this file into a CPython extension module on first
  * import and loads it from its cache.  Its wrappers check dtype, shape and
  * contiguity before a call; frame_step has no wrapper and checks that its
- * pixels are bytes itself.  Each entry point here takes its arrays through
- * the buffer protocol, which refuses a non-contiguous array, checks the byte
- * length of every fixed-size buffer again, and releases the GIL around its
- * loops.  The histogram and moment results are exact integers; the two
- * entropy steps repeat numpy's own float64 arithmetic, one IEEE division per
- * probability and numpy's pairwise order of addition, so they give its bits,
- * and frame_step's correlation repeats the exact integer and float steps of
- * kernels.correlation_from_sums.  None needs -ffast-math, which would reorder
- * the additions.
+ * pixels are bytes itself, and sd_rows' caller, entropy.dissimilarity, makes
+ * its arrays contiguous float64.  Each entry point here takes its arrays
+ * through the buffer protocol, which refuses a non-contiguous array, checks
+ * the byte length of every fixed-size buffer again, and releases the GIL
+ * around its loops.  The histogram and moment results are exact integers; the
+ * two entropy steps and sd_rows repeat numpy's own float64 arithmetic, one
+ * IEEE operation per value and numpy's pairwise order of addition, so they
+ * give its bits, and frame_step's correlation repeats the exact integer and
+ * float steps of kernels.correlation_from_sums.  None needs -ffast-math,
+ * which would reorder the additions.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -40,6 +41,7 @@ typedef unsigned __int128 u128;
 #define COUNTS_BYTES ((Py_ssize_t)(256 * sizeof(int64_t)))
 #define CUTS_BYTES ((Py_ssize_t)(9 * sizeof(int64_t)))
 #define SEGMENT_COUNTS_BYTES ((Py_ssize_t)(64 * 256 * sizeof(int64_t)))
+#define SEGMENT_ROW_BYTES ((Py_ssize_t)(64 * sizeof(double)))
 
 /* Adds the 256-bin histogram of n pixels to out[256].  Four interleaved count
  * lanes keep runs of equal pixels from stalling on one counter. */
@@ -274,6 +276,30 @@ static void row_sums(const double *terms, const int64_t *levels, int64_t rows, d
     for (r = 0; r < rows; r++) {
         out[r] = 0.0 + pairwise_sum(terms, levels[r]);
         terms += levels[r];
+    }
+}
+
+/* out[r] is the standard deviation of b[0..64) - a[r][0..64), each of the
+ * rows rows of a being 64 doubles, as np.std(b - a, axis=-1) gives it: the
+ * differences; their mean, 0.0 plus their pairwise sum, divided by 64; each
+ * difference minus the mean, squared; and the square root of 0.0 plus the
+ * pairwise sum of the squares, divided by 64.  Each step is one IEEE
+ * operation per value, as numpy's, so the bits are numpy's. */
+static void sd_rows(const double *a, const double *b, int64_t rows, double *out)
+{
+    double d[64], mean;
+    int64_t r;
+    int j;
+
+    for (r = 0; r < rows; r++, a += 64) {
+        for (j = 0; j < 64; j++)
+            d[j] = b[j] - a[j];
+        mean = (0.0 + pairwise_sum(d, 64)) / 64;
+        for (j = 0; j < 64; j++) {
+            d[j] -= mean;
+            d[j] *= d[j];
+        }
+        out[r] = sqrt((0.0 + pairwise_sum(d, 64)) / 64);
     }
 }
 
@@ -598,6 +624,29 @@ static PyObject *py_row_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
     Py_RETURN_NONE;
 }
 
+/* sd_rows(stack, b, out): the SD of b minus each row of the (rows, 64)
+ * float64 stack into the rows doubles of out; b holds 64 doubles. */
+static PyObject *py_sd_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const Py_ssize_t lens[3] = {-1, SEGMENT_ROW_BYTES, -1};
+    Py_buffer v[3];
+    Py_ssize_t rows;
+
+    (void)self;
+    if (check_nargs("sd_rows", nargs, 3) < 0 || get_buffers("sd_rows", args, v, 3, 1, lens) < 0)
+        return NULL;
+    if ((rows = count_rows("sd_rows", 0, &v[0], SEGMENT_ROW_BYTES)) < 0 ||
+        check_len("sd_rows", 2, &v[2], rows * (Py_ssize_t)sizeof(double)) < 0) {
+        release_buffers(v, 3);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    sd_rows(v[0].buf, v[1].buf, rows, v[2].buf);
+    Py_END_ALLOW_THREADS
+    release_buffers(v, 3);
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"histogram256", (PyCFunction)(void (*)(void))py_histogram256, METH_FASTCALL,
      "histogram256(pixels, out): 256-bin histogram of the pixel bytes into int64 out."},
@@ -612,6 +661,8 @@ static PyMethodDef kernel_methods[] = {
      "probabilities(counts, p, levels): each row's non-zero counts over its total into p."},
     {"row_sums", (PyCFunction)(void (*)(void))py_row_sums, METH_FASTCALL,
      "row_sums(terms, levels, out): each row's run of terms summed in numpy's pairwise order."},
+    {"sd_rows", (PyCFunction)(void (*)(void))py_sd_rows, METH_FASTCALL,
+     "sd_rows(stack, b, out): np.std(b - stack, axis=-1) of a (rows, 64) float64 stack into out."},
     {NULL, NULL, 0, NULL}
 };
 

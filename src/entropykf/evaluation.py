@@ -101,6 +101,12 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
         raise EvaluationError(f"{path}: {exc}") from None
 
 
+def check_match_window(window: int) -> None:
+    """The match window's one rule: a count of frames, 0 or more."""
+    if window < 0:
+        raise ValueError(f"match_window must be non-negative, got {window}")
+
+
 def match_keyframes(detected: Sequence[int], gt: GroundTruth,
                     window: int = DEFAULT_MATCH_WINDOW) -> Matching:
     """Greedy one-to-one matching of ground truth to detections.
@@ -109,8 +115,7 @@ def match_keyframes(detected: Sequence[int], gt: GroundTruth,
     unclaimed detected frame within +/- window; distance ties go to the
     earlier detected frame.
     """
-    if window < 0:
-        raise ValueError(f"match window must be non-negative, got {window}")
+    check_match_window(window)
     remaining = sorted(detected)
     matched: list[tuple[int, int]] = []
     missing: list[int] = []

@@ -13,18 +13,25 @@ maxval; exactly one whitespace byte then precedes the raster, and the
 raster ends the file.  A Y4M header starts with the word ``YUV4MPEG2`` and
 names an 8-bit colorspace (``_CHROMA``); each frame opens with a line that
 is ``FRAME`` alone or ``FRAME``, a space and parameters, so an empty line
-where a frame belongs is an error, not the end of the input.  Streams are
-buffered binary files (``open(path, "rb")``, ``sys.stdin.buffer``, a
-temporary file), whose ``read(n)`` returns fewer than n bytes only at end
-of input, so each plane is one ``read``.  A PGM directory is listed once, with
-one ``os.scandir``, and ``read_frame`` re-reads the i-th file.  Raw and Y4M
+where a frame belongs is an error, not the end of the input.  A raw file is
+read unbuffered (``open(path, "rb", buffering=0)``), a plane at a time; Y4M
+files, whose FRAME lines need ``readline``, stdin and the spool are buffered.
+Each plane is one ``read``: a buffered ``read(n)`` returns fewer than n
+bytes only at end of input, and where an unbuffered one stops short,
+``_read_plane`` reads on until the plane is whole or the input ends.  A PGM
+directory is listed once, with one ``os.scandir``, and ``read_frame``
+re-reads the i-th file.  Raw and Y4M
 streams share one random-access path: the parser records each frame's
 Y-plane byte offset, and ``read_frame`` seeks there in the input file, or,
 for stdin, in a spool file of the Y planes written as they stream.  The
 spool holds one plane per run of equal planes: a plane equal byte for byte
 to the one before is not written again, and its frame takes the earlier
-offset.  Container decoding is out of scope; compressed video is piped in
-as raw gray or Y4M (see README for the ffmpeg recipes).
+offset.  ``read_frame`` serves only the frames a source can: a stream's
+frames read so far, a directory's listed files; any other index, a negative
+one too, is an ``IngestError`` naming it and the count.  Frames made here
+skip ``Frame``'s checks, which their parsed planes meet by construction.
+Container decoding is out of scope; compressed video is piped in as raw gray
+or Y4M (see README for the ffmpeg recipes).
 """
 
 from __future__ import annotations
@@ -131,6 +138,16 @@ def _as_frame(frame: Frame | np.ndarray) -> Frame:
     """frame itself, or a bare pixel array wrapped as frame 0, so that
     ``Frame`` makes the one 2-D uint8 check."""
     return frame if isinstance(frame, Frame) else Frame(index=0, pixels=np.asarray(frame))
+
+
+def _frame(index: int, pixels: np.ndarray) -> Frame:
+    """``Frame(index=index, pixels=pixels)`` without the dataclass ``__init__``
+    and its checks, for the frames ingest makes: their parsed 2-D uint8
+    pixels and indices of 0 or more meet the checks by construction."""
+    frame = object.__new__(Frame)
+    fields = frame.__dict__
+    fields["index"], fields["pixels"] = index, pixels
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +258,12 @@ class _PgmDirSource:
             elif pixels.shape != shape:
                 raise IngestError(f"{path}: frame {index} is {pixels.shape[1]}x{pixels.shape[0]}, "
                                   f"expected {shape[1]}x{shape[0]}")
-            yield Frame(index=index, pixels=pixels)
+            yield _frame(index, pixels)
 
     def read_frame(self, index: int) -> Frame:
-        return Frame(index=index, pixels=_read_pgm(self._paths[index]))
+        if not 0 <= index < len(self._paths):
+            raise IngestError(f"frame {index} is outside the {len(self._paths)} frames listed")
+        return _frame(index, _read_pgm(self._paths[index]))
 
     def close(self) -> None:
         pass
@@ -254,17 +273,27 @@ class _PgmDirSource:
 # raw 8-bit luma stream
 # ---------------------------------------------------------------------------
 
-def _plane_frame(index: int, plane: bytes, height: int, width: int) -> Frame:
-    """Frame index over a Y plane of exactly height * width bytes, which stay
-    its pixels' ``base``, so the stdin spool can compare planes as bytes."""
-    return Frame(index=index, pixels=np.ndarray((height, width), np.uint8, buffer=plane))
+def _plane_frame(index: int, plane: bytes, shape: tuple[int, int]) -> Frame:
+    """Frame index over a Y plane of shape (height, width), whose height *
+    width bytes stay its pixels' ``base``, so the stdin spool can compare
+    planes as bytes."""
+    return _frame(index, np.ndarray(shape, np.uint8, plane))
+
+
+def _read_plane(stream: BinaryIO, size: int) -> bytes:
+    """size bytes of stream, fewer only at end of input: one ``read``, repeated
+    only after a short one, which an unbuffered file may return early."""
+    data = stream.read(size)
+    while 0 < len(data) < size and (more := stream.read(size - len(data))):
+        data += more
+    return data
 
 
 def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, Frame]]:
     """(byte offset, frame) for each frame of a raw stream."""
-    frame_size = width * height
+    frame_size, shape = width * height, (height, width)
     for index in itertools.count():
-        data = stream.read(frame_size)
+        data = _read_plane(stream, frame_size)
         if not data:
             return
         offset = index * frame_size
@@ -273,7 +302,7 @@ def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, 
                 f"raw stream truncated at byte offset {offset}: frame {index} "
                 f"has {len(data)} of {frame_size} bytes "
                 f"(stream length is not a multiple of {width}x{height})")
-        yield offset, _plane_frame(index, data, height, width)
+        yield offset, _plane_frame(index, data, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +359,7 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
         raise IngestError(f"unsupported Y4M colorspace C{colorspace} "
                           f"(8-bit {', '.join(_CHROMA)} only)")
     planes, sub_w, sub_h = _CHROMA[colorspace]
-    y_size = width * height
+    y_size, shape = width * height, (height, width)
     skip = planes * -(-width // sub_w) * -(-height // sub_h)
     offset = len(header) + 1
     for index in itertools.count():
@@ -349,7 +378,7 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
         if len(chroma) != skip:
             raise IngestError(f"Y4M stream truncated at byte offset {offset + y_size}: "
                               f"frame {index} chroma has {len(chroma)} of {skip} bytes")
-        yield offset, _plane_frame(index, data, height, width)
+        yield offset, _plane_frame(index, data, shape)
         offset += y_size + skip
 
 
@@ -357,13 +386,13 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _open_binary(path: str) -> BinaryIO:
-    if path == "-":
+def _open_binary(spec: SourceSpec) -> BinaryIO:
+    if spec.path == "-":
         return sys.stdin.buffer
-    try:
-        return open(path, "rb")
+    try:  # a raw file is read only a plane at a time, which needs no buffer
+        return open(spec.path, "rb", buffering=0 if spec.kind is SourceKind.RAW else -1)
     except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
+        raise IngestError(f"cannot read {spec.path}: {exc}") from exc
 
 
 class _StreamSource:
@@ -371,7 +400,7 @@ class _StreamSource:
 
     def __init__(self, spec: SourceSpec):
         self._spec = spec
-        self._input = _open_binary(spec.path)
+        self._input = _open_binary(spec)
         # stdin cannot seek, so its Y planes are copied aside as they stream,
         # each run of equal planes once
         self._spool = (tempfile.TemporaryFile(prefix="entropykf_spool_")
@@ -401,15 +430,18 @@ class _StreamSource:
             raise IngestError(f"source {self._spec.path} yielded no frames")
 
     def read_frame(self, index: int) -> Frame:
-        height, width = self._shape
+        if not 0 <= index < len(self._offsets):
+            raise IngestError(f"frame {index} is outside the {len(self._offsets)} frames "
+                              f"read so far from {self._spec.path}")
+        size = self._shape[0] * self._shape[1]
         stream = self._input if self._spool is None else self._spool
         resume = stream.tell()  # where frames() goes on parsing or spooling
         stream.seek(self._offsets[index])
-        data = stream.read(height * width)
+        data = _read_plane(stream, size)
         stream.seek(resume)
-        if len(data) != height * width:
+        if len(data) != size:
             raise IngestError(f"{self._spec.path} ended before frame {index}")
-        return _plane_frame(index, data, height, width)
+        return _plane_frame(index, data, self._shape)
 
     def close(self) -> None:
         if self._spool is not None:

@@ -37,7 +37,10 @@ one frame's segments', the bits it would get alone.  Its two loops over a
 stack are C as well: ``probabilities`` packs each row's non-zero counts over
 the row's total, and ``row_sums`` adds up each row's terms in the pairwise
 order of ``np.add.reduce``.  ``np.log2`` between them stays in numpy, so the
-entropies keep the bits of the numpy arithmetic they replaced.
+entropies keep the bits of the numpy arithmetic they replaced.  ``sd_rows``,
+the C entry point itself like ``frame_step``, is ``entropy.dissimilarity``'s
+one call: the standard deviation of a 64-vector minus each row of a stack,
+in ``np.std``'s steps and ``pairwise_sum``'s order, so with numpy's bits.
 
 The first import compiles ``_kernels.c`` with ``cc -O3 -shared -fPIC`` and
 the interpreter's include directory into the ``__pycache__`` directory beside
@@ -120,6 +123,7 @@ def _load() -> ModuleType:
 
 _C = _load()
 frame_step = _C.frame_step
+sd_rows = _C.sd_rows
 
 
 def _bytes_of(pixels: np.ndarray) -> np.ndarray:

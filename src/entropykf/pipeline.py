@@ -32,11 +32,11 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, GroundTruth, evaluate,
-                         load_ground_truth)
+from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, GroundTruth,
+                         check_match_window, evaluate, load_ground_truth)
 from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, KeyFrame,
                          bin_indexed_keys, dedup_detailed, fallback_pick, select_keyframes)
-from .entropy import modified_entropy, segmented_entropies
+from .entropy import modified_entropies, segmented_entropies
 from .ingest import Frame, SourceKind, SourceSpec, write_pgm
 from .ingest import open_source as _open_access  # perfbench wraps this binding
 from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, check_same_size,
@@ -73,11 +73,12 @@ class PipelineConfig:
             value, kinds = getattr(self, field.name), _FIELD_KINDS[field.type]
             if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
                 raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
-            if field.type == "int" and value < 0:  # shot length, bin gate, match window
+            if field.name in ("min_shot_len", "min_bin_size") and value < 0:
                 raise ConfigError(f"{field.name} must be non-negative, got {value}")
-        try:  # each stage checks its own threshold, here on empty input
+        try:  # each stage checks its own setting, here on empty input
             detect_cuts((), self.cut_threshold)
             dedup_detailed((), self.sd_threshold)
+            check_match_window(self.match_window)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if (self.source.kind is SourceKind.PGM_DIR
@@ -89,17 +90,20 @@ class PipelineConfig:
 class _FrameWatermark:
     """High-water mark of simultaneously live Frame objects.
 
-    CPython's refcounting drops a frame from the WeakSet the moment the
-    pipeline lets go of it, so the peak reflects real residency.
+    A frame is held as a weak reference whose callback, the set's ``discard``,
+    drops it the moment CPython's refcounting frees the frame, running no
+    Python, so the peak reflects real residency; a frame registered twice
+    equals its live reference and counts once.
     """
 
     def __init__(self):
-        self._live: weakref.WeakSet = weakref.WeakSet()
+        self._live: set[weakref.ref] = set()
         self.peak = 0
 
     def register(self, frame: Frame) -> Frame:
-        self._live.add(frame)
-        n = len(self._live)
+        live = self._live
+        live.add(weakref.ref(frame, live.discard))
+        n = len(live)
         if n > self.peak:
             self.peak = n
         return frame
@@ -480,9 +484,9 @@ def select_candidates(shots: list[Shot], entropies: array, source,
     """Per shot, the report's bin details and the gated bin centres, by frame index."""
     shot_details: list[dict] = []
     candidates: list[KeyFrame] = []
+    keys = modified_entropies(entropies)  # every frame's bin key, in one pass
     for shot in shots:
-        keyed = ((i, modified_entropy(entropies[i])) for i in range(shot.start, shot.end))
-        bins = bin_indexed_keys(keyed)
+        bins = bin_indexed_keys(zip(range(shot.start, shot.end), keys[shot.start:shot.end]))
         picks = select_keyframes(bins, config.min_bin_size)
         used_fallback = not picks and config.fallback_keyframe
         if used_fallback:

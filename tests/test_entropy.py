@@ -2,12 +2,43 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (entropy_oracle, histogram_oracle, numpy_entropy_from_counts,
                       rand_pixels, segmented_oracle, uniform_level_pixels)
 from entropykf import kernels
-from entropykf.entropy import (dissimilarity, frame_entropy, modified_entropy,
-                               segment_bounds, segmented_entropies)
+from entropykf.entropy import (dissimilarity, frame_entropy, modified_entropies,
+                               modified_entropy, segment_bounds, segmented_entropies)
+
+# the two ends of the entropy range, subnormals, the smallest normal, and -0.0
+_SPECIAL = np.array([0.0, 8.0, 5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -0.0, 4.0])
+
+
+@st.composite
+def _stacks(draw):
+    """A (k, 64) stack of 0 to 200 rows and a 64-vector: random rows, rows
+    equal to the vector or a uniform shift of it, rows a hair from it, and
+    rows of the special values, which the vector may hold too."""
+    k = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.choice(_SPECIAL, 64) if draw(st.booleans()) else rng.uniform(0.0, 8.0, 64)
+    stack = rng.uniform(0.0, 8.0, (k, 64))
+    kinds = rng.integers(0, 5, k)
+    stack[kinds == 1] = b
+    stack[kinds == 2] = b + rng.uniform(-1.0, 1.0, ((kinds == 2).sum(), 1))
+    stack[kinds == 3] = b + rng.uniform(-1e-12, 1e-12, ((kinds == 3).sum(), 64))
+    stack[kinds == 4] = rng.choice(_SPECIAL, ((kinds == 4).sum(), 64))
+    return stack, b
+
+
+def _key_series():
+    """Entropies at each key's rounding point sqrt(k + 0.5), one ulp either
+    side of it, and anywhere in [0, 8]."""
+    points = [math.sqrt(k + 0.5) for k in range(64)]
+    edges = [v for p in points for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 9.0))]
+    return st.lists(st.one_of(st.sampled_from(edges + [0.0, -0.0, 8.0, 5e-324]),
+                              st.floats(0.0, 8.0)), max_size=300)
 
 
 class TestHistogram:
@@ -164,6 +195,27 @@ class TestModifiedEntropy:
         with pytest.raises(ValueError):
             modified_entropy(8.01)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_key_series())
+    def test_one_pass_keys_equal_the_scalar_keys(self, entropies):
+        keys = modified_entropies(entropies)
+        assert keys == [modified_entropy(e) for e in entropies]
+        assert all(type(key) is int for key in keys)
+
+    def test_one_pass_keys_at_every_rounding_point(self):
+        points = np.sqrt(np.arange(64) + 0.5)
+        series = np.concatenate([np.nextafter(points, 0.0), points, np.nextafter(points, 9.0)])
+        assert modified_entropies(series) == [modified_entropy(float(e)) for e in series]
+
+    @pytest.mark.parametrize("bad", [-0.01, 8.01, -5e-324, math.inf, math.nan])
+    def test_one_pass_keys_refuse_as_the_scalar_key_does(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            modified_entropy(bad)
+        # the first entropy outside [0, 8] is the one named
+        with pytest.raises(ValueError) as batch:
+            modified_entropies([1.0, bad, 9.0, 2.0])
+        assert str(batch.value) == str(scalar.value)
+
 
 class TestSegmentedEntropies:
     def test_all_zero_frame(self):
@@ -294,3 +346,24 @@ class TestDissimilarity:
 
     def test_one_dimensional_pair_returns_float(self):
         assert type(dissimilarity(np.zeros(64), np.ones(64))) is float
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks())
+    def test_stack_equals_numpy_std_bitwise(self, pair):
+        stack, b = pair
+        got = dissimilarity(stack, b)
+        want = np.std(b - stack, axis=-1)
+        assert got.shape == want.shape == (len(stack),)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        if len(stack):  # a row alone, as a 64-vector, gives a float of the same bits
+            row = dissimilarity(stack[-1], b)
+            assert type(row) is float and row.hex() == float(np.std(b - stack[-1])).hex()
+
+    def test_stacks_that_are_views_or_another_dtype(self):
+        rng = np.random.default_rng(71)
+        wide = rng.uniform(0.0, 8.0, (12, 128))
+        b = rng.uniform(0.0, 8.0, 64)
+        view, as_float32 = wide[::2, ::2], wide[:, :64].astype(np.float32)
+        for stack in (view, as_float32, wide[:, :64].tolist()):
+            want = np.std(b - np.asarray(stack, dtype=np.float64), axis=-1)
+            assert dissimilarity(stack, b).tobytes() == want.tobytes()

@@ -1,7 +1,9 @@
 import pytest
 
-from entropykf.evaluation import (EvaluationError, GroundTruth, evaluate,
+from entropykf.evaluation import (EvaluationError, GroundTruth, check_match_window, evaluate,
                                   load_ground_truth, match_keyframes)
+from entropykf.ingest import SourceSpec
+from entropykf.pipeline import ConfigError, PipelineConfig
 
 # Reference count table: per video, (total frames, manual key-frames) and the
 # (identified, redundant, missing) triples for both algorithms, with the
@@ -101,6 +103,18 @@ class TestLoadGroundTruth:
 
 
 class TestMatchKeyframes:
+    @pytest.mark.parametrize("window", [-1, -12])
+    def test_negative_window_is_refused_alike_by_match_and_config(self, window, tmp_path):
+        message = f"^match_window must be non-negative, got {window}$"
+        with pytest.raises(ValueError, match=message):
+            check_match_window(window)
+        gt = GroundTruth(keyframe_indices=(5,), total_frames=30)
+        with pytest.raises(ValueError, match=message):
+            match_keyframes([5], gt, window=window)
+        spec = SourceSpec(kind="raw", path=str(tmp_path / "v.raw"), width=16, height=16)
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(source=spec, output_dir=tmp_path, match_window=window).validate()
+
     def test_exact_match_window_zero(self):
         gt = GroundTruth(keyframe_indices=(5, 10, 20), total_frames=30)
         m = match_keyframes([5, 10, 20], gt, window=0)

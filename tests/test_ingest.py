@@ -404,6 +404,9 @@ class TestRandomAccess:
         if kind == "raw-stdin":
             _stdin(monkeypatch, raw)
             return SourceSpec(kind=SourceKind.RAW, path="-", width=16, height=8)
+        if kind == "y4m-stdin":
+            _stdin(monkeypatch, make_y4m(16, 8, planes, frame_params=_frame_params))
+            return SourceSpec(kind=SourceKind.Y4M, path="-")
         path = tmp_path / "video"
         if kind == "raw-file":
             path.write_bytes(raw)
@@ -480,6 +483,111 @@ class TestRandomAccess:
         finally:
             source.close()
         assert spools == [b"".join(px.tobytes() for px in spooled)]
+
+
+    @pytest.mark.parametrize("kind", ["raw-file", "y4m-file", "raw-stdin", "y4m-stdin"])
+    def test_a_stream_serves_only_the_frames_it_has_streamed(self, kind, planes, tmp_path,
+                                                             monkeypatch):
+        source = open_source(self._spec(kind, planes, tmp_path, monkeypatch))
+        try:
+            for index in (0, -1):  # before frames() starts
+                with pytest.raises(IngestError, match=f"frame {index} is outside the 0 frames "):
+                    source.read_frame(index)
+            stream = source.frames()
+            for _ in range(3):
+                next(stream)
+            assert source.read_frame(2).pixels.tobytes() == planes[2].tobytes()
+            for index in (3, 4, -1, -3):  # not streamed yet, or negative
+                with pytest.raises(IngestError, match=f"frame {index} is outside the 3 frames "):
+                    source.read_frame(index)
+            assert len(list(stream)) == len(planes) - 3
+            with pytest.raises(IngestError, match="frame 7 is outside the 7 frames "):
+                source.read_frame(7)
+            assert source.read_frame(6).pixels.tobytes() == planes[6].tobytes()
+        finally:
+            source.close()
+
+    def test_a_pgm_directory_serves_its_listed_files(self, planes, tmp_path, monkeypatch):
+        source = open_source(self._spec("pgm-dir", planes, tmp_path, monkeypatch))
+        # the files are listed when the source opens, so any of them can be read first
+        assert source.read_frame(6).pixels.tobytes() == planes[6].tobytes()
+        for index in (7, 8, -1, -7):
+            with pytest.raises(IngestError, match=f"frame {index} is outside the 7 frames listed"):
+                source.read_frame(index)
+
+    @pytest.mark.parametrize("kind", ["pgm-dir", "raw-file", "raw-stdin", "y4m-file",
+                                      "y4m-stdin"])
+    def test_ingest_frames_are_frames_as_the_constructor_builds_them(self, kind, planes,
+                                                                     tmp_path, monkeypatch):
+        source = open_source(self._spec(kind, planes, tmp_path, monkeypatch))
+        try:
+            made = [*source.frames()]
+            made += [source.read_frame(i) for i in range(len(planes))]
+            for frame in made:
+                built = Frame(index=frame.index, pixels=frame.pixels.copy())
+                assert type(frame) is Frame and type(frame.index) is int
+                assert vars(frame).keys() == vars(built).keys() == {"index", "pixels"}
+                assert frame.index == built.index
+                assert frame.pixels.tobytes() == built.pixels.tobytes()
+                assert frame.pixels.tobytes() == planes[frame.index].tobytes()
+                assert frame.pixels.shape == built.pixels.shape == (8, 16)
+                assert frame.pixels.dtype == built.pixels.dtype == np.uint8
+                assert frame.counts.tobytes() == built.counts.tobytes()
+                if kind != "pgm-dir":  # the plane's bytes, which the stdin spool compares
+                    assert type(frame.pixels.base) is bytes
+                    assert frame.pixels.base == planes[frame.index].tobytes()
+        finally:
+            source.close()
+
+    @pytest.mark.parametrize("kind, reader", [("raw-file", io.FileIO),
+                                              ("y4m-file", io.BufferedReader)])
+    def test_only_raw_files_are_read_unbuffered(self, kind, reader, planes, tmp_path,
+                                                monkeypatch):
+        # a Y4M file needs the buffer for its FRAME lines; stdin keeps its own
+        source = open_source(self._spec(kind, planes, tmp_path, monkeypatch))
+        try:
+            assert type(source._input) is reader
+        finally:
+            source.close()
+
+
+class _ShortReads(io.RawIOBase):
+    """An unbuffered stream whose reads return at most limit bytes."""
+
+    def __init__(self, data: bytes, limit: int):
+        self._data, self._pos, self._limit = data, 0, limit
+        self.reads = 0
+
+    def readable(self):
+        return True
+
+    def read(self, size=-1):
+        self.reads += 1
+        chunk = self._data[self._pos:self._pos + min(size, self._limit)]
+        self._pos += len(chunk)
+        return chunk
+
+
+class TestShortReads:
+    """A plane is one ``read``, repeated only after a short one."""
+
+    def test_frames_are_whole_across_short_reads(self):
+        rng = np.random.default_rng(67)
+        planes = [rand_pixels(rng, 16, 8) for _ in range(3)]
+        stream = _ShortReads(b"".join(px.tobytes() for px in planes), limit=50)
+        frames = [f for _, f in _iter_raw(stream, 16, 8)]
+        assert [f.pixels.tobytes() for f in frames] == [px.tobytes() for px in planes]
+        assert stream.reads == 3 * 3 + 1  # 50 + 50 + 28 bytes a plane, then the end
+
+    def test_one_read_a_plane_when_reads_are_whole(self):
+        stream = _ShortReads(bytes(16 * 8 * 4), limit=1 << 20)
+        assert len(list(_iter_raw(stream, 16, 8))) == 4
+        assert stream.reads == 4 + 1
+
+    def test_truncation_is_counted_across_short_reads(self):
+        stream = _ShortReads(bytes(16 * 8 + 100), limit=30)
+        with pytest.raises(IngestError, match="frame 1 has 100 of 128 bytes"):
+            list(_iter_raw(stream, 16, 8))
 
 
 class TestFrameContract:

@@ -450,6 +450,23 @@ class TestCBoundary:
         with pytest.raises(ValueError, match="argument 3 has 24 bytes, expected 16"):
             kernels._C.row_sums(terms, levels, np.empty(3))
 
+    def test_sd_rows_refuses_wrong_byte_lengths(self):
+        stack, b, out = np.ones((3, 64)), np.ones(64), np.empty(3)
+        with pytest.raises(ValueError, match="argument 1 has 1528 bytes, not a multiple of 512"):
+            kernels.sd_rows(stack.ravel()[:-1].copy(), b, out)
+        with pytest.raises(ValueError, match="argument 2 has 504 bytes, expected 512"):
+            kernels.sd_rows(stack, b[:63].copy(), out)
+        with pytest.raises(ValueError, match="argument 3 has 16 bytes, expected 24"):
+            kernels.sd_rows(stack, b, out[:2].copy())
+        with pytest.raises(ValueError, match="read-only"):
+            kernels.sd_rows(stack, b, _frozen(out))
+        with pytest.raises(TypeError, match="takes 3 arguments, got 2"):
+            kernels.sd_rows(stack, b)
+        out = np.full(3, np.nan)
+        kernels.sd_rows(stack, b, out)
+        assert out.tolist() == [0.0, 0.0, 0.0]
+        kernels.sd_rows(np.empty((0, 64)), b, np.empty(0))  # no rows, nothing to write
+
     @pytest.mark.parametrize("levels", [[256, 255], [256, 257], [-1, 513]],
                              ids=["short", "long", "negative"])
     def test_row_sums_refuses_runs_that_do_not_cover_the_terms(self, levels):
@@ -622,3 +639,7 @@ class TestGilRelease:
         terms, levels = np.ones(8192 * 256), np.full(8192, 256, dtype=np.int64)
         out = np.empty(8192)
         assert _counter_advances_during(lambda: kernels._C.row_sums(terms, levels, out))
+
+    def test_sd_rows(self):
+        stack, b, out = np.ones((32768, 64)), np.zeros(64), np.empty(32768)
+        assert _counter_advances_during(lambda: kernels.sd_rows(stack, b, out))

@@ -371,6 +371,16 @@ class TestRunPipeline:
         with pytest.raises(IngestError, match="expected 16x16"):
             run_pipeline(_config(src, tmp_path / "out"))
 
+    def test_validate_takes_the_match_window_rule_from_evaluation(self, tmp_path, monkeypatch):
+        spec = SourceSpec(kind="raw", path=str(tmp_path / "video.raw"), width=16, height=16)
+        config = PipelineConfig(source=spec, output_dir=tmp_path / "out", match_window=0)
+        config.validate()  # a window of 0 frames is exact matching
+        seen = []
+        monkeypatch.setattr(pipeline, "check_match_window", seen.append)
+        config.match_window = -1
+        config.validate()  # validate states no window rule of its own
+        assert seen == [-1]
+
     # a value of a wrong type can pass the range checks and fail only after the
     # pass has written key-frame images, or fail them with a TypeError
     @pytest.mark.parametrize("field, value", [
@@ -393,6 +403,44 @@ class TestRunPipeline:
             with pytest.raises(ConfigError, match=f"^{field} must be of type "):
                 run_pipeline(PipelineConfig(**{"source": spec, "output_dir": out, field: value}))
         assert list(out.glob("*")) == []
+
+
+class TestFrameWatermark:
+    """The peak count of live frames, from weak references that leave the set
+    as their frames die."""
+
+    @staticmethod
+    def _frames(n):
+        return [entropykf.Frame(index=i, pixels=np.zeros((8, 8), dtype=np.uint8))
+                for i in range(n)]
+
+    def test_frames_held_together_give_their_number(self):
+        tracker = pipeline._FrameWatermark()
+        held = [tracker.register(f) for f in self._frames(5)]
+        assert tracker.peak == 5 and len(tracker._live) == len(held)
+
+    def test_dropped_frames_leave_and_the_peak_stays(self):
+        tracker = pipeline._FrameWatermark()
+        held = [tracker.register(f) for f in self._frames(5)]
+        del held
+        assert len(tracker._live) == 0
+        one = tracker.register(self._frames(1)[0])
+        assert len(tracker._live) == 1 and tracker.peak == 5
+        del one
+        assert len(tracker._live) == 0
+
+    def test_a_frame_registered_twice_counts_once(self):
+        tracker = pipeline._FrameWatermark()
+        frame, other = self._frames(2)
+        assert tracker.register(frame) is frame
+        tracker.register(frame)
+        assert tracker.peak == 1 and len(tracker._live) == 1
+        tracker.register(other)
+        assert tracker.peak == 2
+        del frame
+        assert len(tracker._live) == 1
+        tracker.register(other)
+        assert tracker.peak == 2 and len(tracker._live) == 1
 
 
 def _recurring_raw(path: Path, width: int = 64, height: int = 48) -> SourceSpec:
