@@ -95,6 +95,9 @@ class SourceSpec:
     def __post_init__(self):
         kind = SourceKind(self.kind)
         object.__setattr__(self, "kind", kind)
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise ValueError(f"source path must be a str or an os.PathLike, got {self.path!r}")
+        object.__setattr__(self, "path", os.fspath(self.path))
         if kind is not SourceKind.RAW:
             if self.width is not None or self.height is not None:
                 raise ValueError(f"--width/--height apply to raw input only; "

@@ -5,9 +5,10 @@ returns two series: ``entropies[i]`` is frame i's entropy and
 ``correlations[i]`` frame i + 1 against frame i.  The stages follow:
 ``detect_cuts``, ``merge_short_shots``, ``select_candidates`` (per shot: the
 entropy bins, the gated bin centres and their segment entropies),
-``dedup_detailed``, ``score`` (evaluation against ground truth),
-``write_keyframes`` and ``write_report``; they fetch picked frames through
-the source's ``read_frame``.  Peak resident frame storage therefore stays
+``dedup_detailed``, ``score`` (evaluation against ground truth), then
+``write_report``, which checks the whole report before ``write_keyframes``
+changes the output directory; picked frames are fetched again through the
+source's ``read_frame``.  Peak resident frame storage therefore stays
 constant in the video length, which ``peak_resident_frames`` in the report
 verifies.  A ground-truth file is read and checked before the pass; only its
 frame count waits for ``score``.  Frame geometry is ``ingest``'s contract.
@@ -131,36 +132,28 @@ def load_report_schema() -> dict:
 
 
 class ReportError(ValueError):
-    """A report value fails its schema rule, or the rule is one the check refuses."""
+    """A report value fails its schema rule, or reaches a keyword the check does
+    not apply; a run raises it before the output directory changes."""
 
 
 # the Python type of each JSON type but number and integer, which exclude bool
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
-# the exact types that surely have a JSON type, for the check's fast path
+# the exact types that surely have a JSON type, for the check's fast paths
 _EXACT_TYPES = {"number": (int, float), "integer": (int,), **{
     name: (cls,) for name, cls in _JSON_TYPES.items()}}
 _BOUNDS = {"minimum": operator.ge, "maximum": operator.le, "exclusiveMinimum": operator.gt}
 _COUNTS = {"minItems": operator.ge, "maxItems": operator.le}
 
 
-def _is_strings(rule) -> bool:
-    return isinstance(rule, list) and all(isinstance(item, str) for item in rule)
-
-
-# the form Draft 2020-12 gives each keyword's value; a value of another form
-# is refused where a report value reaches it, as a boolean subschema is
-_FORMS = {"type": lambda rule: isinstance(rule, str) or _is_strings(rule),
-          **dict.fromkeys(_BOUNDS, lambda rule: _has_type(rule, "number")),
-          **dict.fromkeys(_COUNTS, lambda rule: type(rule) is int and rule >= 0),
-          "required": _is_strings, "enum": lambda rule: isinstance(rule, list),
-          "allOf": lambda rule: isinstance(rule, list),
-          "properties": lambda rule: isinstance(rule, dict)}
-
-
 def _has_type(value, name: str) -> bool:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return name == "number" or name == "integer" and value % 1 == 0  # 1.0 is an integer
     return isinstance(value, _JSON_TYPES.get(name, ()))
+
+
+def _exact_types(rule) -> frozenset:
+    return frozenset(cls for name in ([rule] if isinstance(rule, str) else rule)
+                     for cls in _EXACT_TYPES.get(name, ()))
 
 
 class _Failure(Exception):
@@ -172,273 +165,185 @@ class _Failure(Exception):
         self.detail, self.steps = detail, []
 
 
-def _fail(value, key: str, rule):
-    raise _Failure(f"{value!r:.80} fails {key} {rule!r}")
+def _fails(key: str, rule, node: dict):
+    """Whether a value fails ``key``, a keyword on the value itself rather than
+    on its items or properties; a keyword the check does not apply raises for
+    every value that reaches it."""
+    if key == "type":
+        names, exact = [rule] if isinstance(rule, str) else rule, _exact_types(rule)
+        return lambda value: type(value) not in exact and \
+            not any(_has_type(value, name) for name in names)
+    if key in _BOUNDS:  # NaN holds no bound
+        holds = _BOUNDS[key]
+        return lambda value: isinstance(value, (int, float)) and not holds(value, rule) \
+            and not isinstance(value, bool)
+    if key in _COUNTS:
+        holds = _COUNTS[key]
+        return lambda value: isinstance(value, list) and not holds(len(value), rule)
+    if key == "required":
+        return lambda value: isinstance(value, dict) and not value.keys() >= set(rule)
+    if key == "additionalProperties" and rule is False:
+        allowed = set(node.get("properties", ()))
+        return lambda value: isinstance(value, dict) and not value.keys() <= allowed
+    if key == "enum":
+        return lambda value: value not in rule
+
+    def refuse(value):
+        raise _Failure(f"the report check cannot apply {key!r}: {rule!r}")
+    return refuse
 
 
-def _refusal(what: str):
-    def step(value):
-        raise _Failure(f"the report check cannot apply {what}")
-    return step
+def _gather(node: dict, defs: dict, tests: list, items: list, properties: dict) -> None:
+    """Sort the keywords of ``node``, following ``allOf`` and ``$ref`` in place,
+    into the tests of the value, in order, and the schemas of its items and of
+    each of its properties."""
+    for key, rule in node.items():
+        if key == "allOf":
+            for sub in rule:
+                _gather(sub, defs, tests, items, properties)
+        elif key == "$ref":
+            _gather(defs[rule[8:]], defs, tests, items, properties)  # after "#/$defs/"
+        elif key == "items":
+            items.append(rule)
+        elif key == "properties":
+            for name, sub in rule.items():
+                properties.setdefault(name, []).append(sub)
+        elif key not in ("$defs", "$schema", "title"):
+            tests.append((key, rule, _fails(key, rule, node)))
 
 
-def _type_names(rule) -> list:
-    return [rule] if isinstance(rule, str) else rule
+def _compile(nodes: list, defs: dict):
+    """The walk of a value that every schema of ``nodes`` describes: a function
+    ``emit(value, write, prefix, newline)`` that checks the value, raising
+    _Failure, and writes ``prefix`` and then the value as ``json.dumps(indent=2)``
+    writes it at the indent ``newline`` ends in; ``emit.check`` checks a scalar
+    alone, or is None.  The value's own keywords are tested first; the schemas
+    of its items and properties are compiled when a value first reaches them,
+    so a ``$ref`` that recurses through ``items`` ends with the value."""
+    tests, items, properties = [], [], {}
+    for node in nodes:
+        _gather(node, defs, tests, items, properties)
 
+    def check(value):
+        for key, rule, fails in tests:
+            if fails(value):
+                raise _Failure(f"{value!r:.80} fails {key} {rule!r}")
+    if len(nodes) == 1 and "type" in nodes[0] and nodes[0].keys() <= {"type", "minimum", "maximum"}:
+        # one test passes a value of an exact type the type admits, in bounds
+        exact = _exact_types(nodes[0]["type"])
+        numbers, others = exact & {int, float}, exact - {int, float}
+        low, high = nodes[0].get("minimum", -math.inf), nodes[0].get("maximum", math.inf)
 
-def _exact_types(rule) -> frozenset:
-    return frozenset(cls for name in _type_names(rule) for cls in _EXACT_TYPES.get(name, ()))
+        def check(value, full=check):
+            cls = type(value)
+            if not (cls in others or cls in numbers and low <= value <= high):
+                full(value)
+    item = keyed = None
 
-
-def _type_step(rule):
-    names, exact = _type_names(rule), _exact_types(rule)
-
-    def step(value):
-        if type(value) not in exact and not any(_has_type(value, name) for name in names):
-            _fail(value, "type", rule)
-    return step
-
-
-def _bound_step(key: str, rule):
-    holds = _BOUNDS[key]
-
-    def step(value):  # NaN holds no bound
-        if isinstance(value, (int, float)) and not holds(value, rule) \
-                and not isinstance(value, bool):
-            _fail(value, key, rule)
-    return step
-
-
-def _count_step(key: str, rule):
-    holds = _COUNTS[key]
-
-    def step(value):
-        if isinstance(value, list) and not holds(len(value), rule):
-            _fail(value, key, rule)
-    return step
-
-
-def _required_step(rule):
-    required = set(rule)
-
-    def step(value):
-        if isinstance(value, dict) and not value.keys() >= required:
-            _fail(value, "required", rule)
-    return step
-
-
-def _closed_step(node: dict):
-    properties = node.get("properties")
-    allowed = set(properties) if isinstance(properties, dict) else set()
-
-    def step(value):
-        if isinstance(value, dict) and not value.keys() <= allowed:
-            _fail(value, "additionalProperties", False)
-    return step
-
-
-def _enum_step(rule):
-    def step(value):
-        if value not in rule:
-            _fail(value, "enum", rule)
-    return step
-
-
-def _items_step(check):
-    def step(value):
-        if isinstance(value, list):
-            index = 0
-            try:
-                for index, item in enumerate(value):
-                    check(item)
-            except _Failure as failure:
-                failure.steps.append(f"[{index}]")
-                raise
-    return step
-
-
-def _properties_step(checks: tuple):
-    def step(value):
+    def emit(value, write, prefix, newline):
+        nonlocal item, keyed
+        if tests:
+            check(value)
+        inner = newline + "  "
         if isinstance(value, dict):
-            name = ""
+            if not value:
+                write(prefix + "{}")
+                return
+            if keyed is None:
+                keyed = {name: (encode_basestring_ascii(name) + ": ", _compile(subs, defs))
+                         for name, subs in properties.items()}
+            separator = prefix + "{" + inner
             try:
-                for name, check in checks:
-                    if name in value:
-                        check(value[name])
+                for name, element in value.items():
+                    key, member = keyed.get(name) or (_json_key(name) + ": ", _any)
+                    text = _SCALAR_TEXT.get(type(element))
+                    if text is None:  # a container, or no exact scalar type
+                        member(element, write, separator + key, inner)
+                    else:
+                        if member.check is not None:
+                            member.check(element)
+                        write(separator + key + text(element))
+                    separator = "," + inner
             except _Failure as failure:
                 failure.steps.append(f".{name}")
                 raise
-    return step
+            write(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                write(prefix + "[]")
+                return
+            if item is None:
+                item = _compile(items, defs) if items else _any
+            member = item if isinstance(value, list) else _any  # items apply to a list
+            try:
+                if set(map(type, value)) <= _SCALAR_TEXT.keys():  # json's C encoder
+                    if member.check is not None:
+                        for index, element in enumerate(value):
+                            member.check(element)
+                    write(f"{prefix}[{inner}{json.dumps(value, separators=(',' + inner, ''))[1:-1]}"
+                          f"{newline}]")
+                    return
+                separator = prefix + "[" + inner
+                for index, element in enumerate(value):
+                    member(element, write, separator, inner)
+                    separator = "," + inner
+            except _Failure as failure:
+                failure.steps.append(f"[{index}]")
+                raise
+            write(newline + "]")
+        else:
+            write(prefix + _json_scalar(value))
+    emit.check = check if tests else None
+    return emit
 
 
-def _ref_step(name: str, defs: dict, refs: frozenset, memo: dict):
-    """A step that compiles definition ``name`` the first time a value reaches
-    it, once per set of definitions followed on the value before."""
-    key = name, refs
-
-    def step(value):
-        check = memo.get(key)
-        if check is None:
-            check = memo[key] = _compile(defs[name], defs, refs | {name}, memo)
-        check(value)
-    return step
+def _float_text(value: float) -> str:  # NaN and the infinities as json writes them
+    return float.__repr__(value) if math.isfinite(value) else \
+        "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
 
-def _compile(node: dict, defs: dict, refs: frozenset, memo: dict):
-    """One function that checks a value against ``node``, raising _Failure;
-    ``refs`` are the definitions followed on the value, as in check_report."""
-    if not isinstance(node, dict):  # a boolean schema, or no schema at all
-        return _refusal(f"the schema {node!r}")
-    steps = []
-    for key, rule in node.items():
-        if key in _FORMS and not _FORMS[key](rule):
-            steps.append(_refusal(f"{key!r}: {rule!r}"))
-        elif key == "type":
-            steps.append(_type_step(rule))
-        elif key in _BOUNDS:
-            steps.append(_bound_step(key, rule))
-        elif key in _COUNTS:
-            steps.append(_count_step(key, rule))
-        elif key == "required":
-            steps.append(_required_step(rule))
-        elif key == "additionalProperties" and rule is False:
-            steps.append(_closed_step(node))
-        elif key == "enum":
-            steps.append(_enum_step(rule))
-        elif key == "items":
-            steps.append(_items_step(_compile(rule, defs, frozenset(), memo)))
-        elif key == "properties":
-            steps.append(_properties_step(tuple(
-                (name, _compile(sub, defs, frozenset(), memo)) for name, sub in rule.items())))
-        elif key == "allOf":
-            steps.extend(_compile(sub, defs, refs, memo) for sub in rule)
-        elif key == "$ref" and len(node) == 1 and isinstance(rule, str) and \
-                rule.startswith("#/$defs/") and \
-                rule[8:] in defs and rule[8:] not in refs:  # the name after "#/$defs/"
-            steps.append(_ref_step(rule[8:], defs, refs, memo))
-        elif key not in ("items", "properties", "$defs", "$schema", "title"):
-            steps.append(_refusal(f"{key!r}: {rule!r}"))
-    if "type" in node and node.keys() <= {"type", "minimum", "maximum"} and \
-            all(_FORMS[key](rule) for key, rule in node.items()):
-        return _leaf_check(node, steps)
-    if len(steps) == 1:
-        return steps[0]
-
-    def check(value):
-        for step in steps:
-            step(value)
-    return check
+# json.dumps's text of a value of each exact scalar type
+_SCALAR_TEXT = {int: int.__repr__, float: _float_text, str: encode_basestring_ascii,
+                bool: lambda value: "true" if value else "false", type(None): lambda value: "null"}
 
 
-def _leaf_check(node: dict, steps: list):
-    """A node of ``type`` and inclusive bounds: a value of an exact type the
-    type admits, within the bounds if a number, passes in one test; any other
-    value runs the steps, which fail it or pass it."""
-    exact = _exact_types(node["type"])
-    numbers, others = exact & {int, float}, exact - {int, float}
-    low, high = node.get("minimum", -math.inf), node.get("maximum", math.inf)
-
-    def check(value):
-        cls = type(value)
-        if not (cls in others or cls in numbers and low <= value <= high):
-            for step in steps:
-                step(value)
-    return check
-
-
-def check_report(value, node: dict, defs: dict, path: str = "$",
-                 refs: frozenset = frozenset()) -> None:
-    """Raise ReportError, with the value's JSON path first, unless ``value`` meets
-    the schema ``node`` by the Draft 2020-12 meaning of the 14 keywords
-    report_schema.json uses; a ``$ref`` names an entry of ``defs``.  So that a
-    schema edit cannot silently weaken the check, it refuses any other keyword, a
-    boolean schema, a keyword whose value has a form other than the draft's
-    (``_FORMS``), an ``additionalProperties`` other than false, and a ``$ref``
-    that is not a lone ``#/$defs/<name>`` string of a definition.  ``refs`` holds
-    the definitions followed on this value, since the walk last stepped into
-    ``items`` or ``properties``; a ``$ref`` back to one of them would loop
-    without end, and is refused too.
-    NaN fails every bound.
-
-    The schema is first compiled into one function per node, each a sequence
-    of steps, one per keyword; a step that refuses a keyword raises only when a
-    value reaches it, and a definition is compiled when a value first reaches
-    its ``$ref``.  The JSON path is put together only on failure."""
-    try:
-        _compile(node, defs, refs, {})(value)
-    except _Failure as failure:
-        raise ReportError(f"{path}{''.join(reversed(failure.steps))}: {failure.detail}") from None
-
-
-def _json_scalar(value) -> str | None:
-    """A str, number, bool or None as ``json.dumps`` writes it, else None."""
-    if isinstance(value, float):  # NaN and the infinities as json writes them
-        return float.__repr__(value) if math.isfinite(value) else \
-            "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return None
+def _json_scalar(value) -> str:
+    """A str, number, bool or None, or an instance of a subclass, as
+    ``json.dumps`` writes it; json's TypeError for any other value."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    for cls in (str, int, float):  # json's order
+        if isinstance(value, cls):
+            return _SCALAR_TEXT[cls](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_key(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
-    text = _json_scalar(key)
-    if text is None:
+    if not isinstance(key, (int, float)) and key is not None:
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return f'"{text}"'
+    return f'"{_json_scalar(key)}"'
 
 
-def _write_json(value, write, newline: str = "\n") -> None:
-    """Write ``value`` in pieces to ``write`` exactly as ``json.dumps(value,
-    indent=2)`` writes it, which for indent uses json's pure-Python encoder: a
-    tuple as a list, and TypeError for what json refuses.  A container is
-    written item by item, an array of scalars with one join."""
-    scalar = _json_scalar(value)
-    if scalar is not None:
-        write(scalar)
-        return
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        scalars = [*map(_json_scalar, value)]
-        if not value:
-            write("[]")
-        elif None not in scalars:
-            write(f"[{inner}{(',' + inner).join(scalars)}{newline}]")
-        else:
-            separator = "[" + inner
-            for item, scalar in zip(value, scalars):
-                if scalar is None:
-                    write(separator)
-                    _write_json(item, write, inner)
-                else:
-                    write(separator + scalar)
-                separator = "," + inner
-            write(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        separator = "{" + inner
-        for key, item in value.items():
-            scalar = _json_scalar(item)
-            if scalar is None:
-                write(f"{separator}{_json_key(key)}: ")
-                _write_json(item, write, inner)
-            else:
-                write(f"{separator}{_json_key(key)}: {scalar}")
-            separator = "," + inner
-        write(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+_any = _compile([], {})  # the walk of a value no schema describes: json.dumps alone
+
+
+def check_report(value, node: dict, defs: dict, write=lambda text: None) -> None:
+    """Raise ReportError, with the value's JSON path first, unless ``value`` meets
+    the schema ``node`` by the Draft 2020-12 meaning of the 14 keywords
+    report_schema.json uses; a ``$ref`` names an entry of ``defs``.  Any other
+    keyword, and an ``additionalProperties`` other than false, fails every
+    value that reaches it, so a schema edit cannot silently weaken the check.
+    NaN fails every bound.  The walk writes the value's ``json.dumps(indent=2)``
+    text to ``write`` as it goes.  That the schema has the forms it reads (dict
+    subschemas, lone local ``$ref``s, no cycle that skips ``items`` and
+    ``properties``) is a test's to hold."""
+    try:
+        _compile([node], defs)(value, write, "", "\n")
+    except _Failure as failure:
+        raise ReportError(f"${''.join(reversed(failure.steps))}: {failure.detail}") from None
 
 
 def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
@@ -520,39 +425,37 @@ def score(survivors: list[KeyFrame], total_frames: int, gt: GroundTruth | None,
             "gt_count": len(gt.keyframe_indices), "gt_total_frames": gt.total_frames}
 
 
-def write_keyframes(survivors: list[KeyFrame], source, out_dir: Path,
-                    tracker: _FrameWatermark) -> list[dict]:
-    """One PGM per survivor, replacing stale ones and the report that named them;
-    returns the report entries."""
+def write_keyframes(keyframes: list[dict], source, out_dir: Path) -> None:
+    """The PGM each report entry names, replacing stale ones and the report that
+    named them; one frame at a time, within the peak the report states."""
     for old in out_dir.iterdir():
         if _KEYFRAME_NAME.fullmatch(old.name) or old.name == "report.json":
             old.unlink()
-    entries = []
-    for kf in survivors:
-        name = f"keyframe_{kf.frame_index:06d}.pgm"
-        write_pgm(out_dir / name, tracker.register(source.read_frame(kf.frame_index)).pixels)
-        entries.append({**_candidate_dict(kf), "image": name, "segments": kf.segments.tolist()})
-    return entries
+    for entry in keyframes:
+        write_pgm(out_dir / entry["image"], source.read_frame(entry["frame_index"]).pixels)
 
 
-def write_report(config: PipelineConfig, out_dir: Path, results: dict) -> dict:
-    """Prefix the run's results with the config, check the schema, write report.json."""
+def write_report(config: PipelineConfig, out_dir: Path, results: dict,
+                 before_rename=lambda: None) -> dict:
+    """Prefix the run's results with the config and write report.json through
+    ``check_report`` into a temporary file; once the whole report has passed,
+    ``before_rename`` runs and the file is renamed into place."""
     report = {}
     if not config.seed_report:
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    report["config"] = {**asdict(config), "output_dir": str(config.output_dir), "ground_truth":
-                        None if config.ground_truth is None else str(config.ground_truth)}
+    report["config"] = {**asdict(config), "output_dir": os.fspath(config.output_dir),
+                        "ground_truth": config.ground_truth and os.fspath(config.ground_truth)}
     del report["config"]["seed_report"]
     report.update(results)
     schema = load_report_schema()
-    check_report(report, schema, schema["$defs"])
     partial = out_dir / ".report.json.tmp"
     try:
         with open(partial, "w") as out:
             # streamed: a string of the whole report would add about six times
             # its size to the peak memory of a run
-            _write_json(report, out.write)
+            check_report(report, schema, schema["$defs"], out.write)
             out.write("\n")
+        before_rename()
         partial.replace(out_dir / "report.json")
     finally:
         partial.unlink(missing_ok=True)
@@ -590,16 +493,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
         shot_details, candidates = select_candidates(shots, entropies, source, config, tracker)
         survivors, eliminations = dedup_detailed(candidates, config.sd_threshold)
         evaluation = score(survivors, len(entropies), gt, config)
-        keyframes = write_keyframes(survivors, source, out_dir, tracker)
+        keyframes = [{**_candidate_dict(kf), "image": f"keyframe_{kf.frame_index:06d}.pgm",
+                      "segments": kf.segments.tolist()} for kf in survivors]
+        # the whole report passes its check before out_dir loses a file
+        return write_report(config, out_dir, {
+            "total_frames": len(entropies),
+            "shots": [_record_dict(s) for s in shots],
+            "shot_details": shot_details,
+            "candidates": [_candidate_dict(kf) for kf in candidates],
+            "keyframes": keyframes,
+            "eliminations": [_record_dict(e) for e in eliminations],
+            **({} if evaluation is None else {"evaluation": evaluation}),
+            "stats": {"raw_shot_count": len(raw_shots), "peak_resident_frames": tracker.peak},
+        }, lambda: write_keyframes(keyframes, source, out_dir))
     finally:
         source.close()
-    return write_report(config, out_dir, {
-        "total_frames": len(entropies),
-        "shots": [_record_dict(s) for s in shots],
-        "shot_details": shot_details,
-        "candidates": [_candidate_dict(kf) for kf in candidates],
-        "keyframes": keyframes,
-        "eliminations": [_record_dict(e) for e in eliminations],
-        **({} if evaluation is None else {"evaluation": evaluation}),
-        "stats": {"raw_shot_count": len(raw_shots), "peak_resident_frames": tracker.peak},
-    })

@@ -245,6 +245,14 @@ class TestRawSource:
         with pytest.raises(ValueError, match="raw input only"):
             SourceSpec(kind=kind, path="video", **size)
 
+    def test_spec_stores_its_path_as_os_fspath_gives_it(self):
+        assert SourceSpec(kind=SourceKind.Y4M, path=Path("clips/video.y4m")).path == \
+            "clips/video.y4m"
+        for path in (5, b"video.y4m"):
+            with pytest.raises(ValueError, match=r"^source path must be a str or an "
+                                                 r"os.PathLike, got "):
+                SourceSpec(kind=SourceKind.Y4M, path=path)
+
     def test_missing_file_errors(self, tmp_path):
         spec = SourceSpec(kind=SourceKind.RAW, path=str(tmp_path / "nope.raw"),
                           width=8, height=8)

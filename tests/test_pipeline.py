@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import entropykf
 from conftest import check_report_oracle, dedup_oracle, make_y4m, segmented_oracle
-from entropykf import kernels, pipeline, synthetic
+from entropykf import cli, kernels, pipeline, synthetic
 from entropykf.cli import build_parser
 from entropykf.evaluation import EvaluationError
 from entropykf.ingest import IngestError, SourceKind, SourceSpec, write_pgm
@@ -149,6 +149,20 @@ class TestRunPipeline:
         assert report["config"]["ground_truth"] == str(root / "gt.txt")
         written = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
         assert written == report["config"]
+
+    def test_path_fields_are_written_as_the_cli_writes_them(self, small_video, tmp_path):
+        # a Path in each of the three path fields gives the report the strings
+        # the CLI's str arguments give it
+        root, _ = small_video
+        out = tmp_path / "out"
+        assert cli.main(["extract", "--input", str(root / "frames"), "--format", "pgm-dir",
+                         "--out", str(out), "--gt", str(root / "gt.txt")]) == 0
+        from_cli = json.loads((out / "report.json").read_text())["config"]
+        report = run_pipeline(PipelineConfig(
+            source=SourceSpec(kind=SourceKind.PGM_DIR, path=root / "frames"),
+            output_dir=out, ground_truth=root / "gt.txt"))
+        assert report["config"] == from_cli
+        assert json.loads((out / "report.json").read_text())["config"] == from_cli
 
     def test_multi_scene_with_dedup_and_eval(self, small_video, tmp_path):
         root, layout = small_video
@@ -495,21 +509,37 @@ class TestReportValidator:
         assert not (out / "report.json").exists()
 
     def test_failed_write_leaves_no_report(self, small_video, tmp_path, monkeypatch):
-        root, layout = small_video
+        root, _ = small_video
         out = tmp_path / "out"
         out.mkdir()
         (out / "report.json").write_text("{}\n")  # an earlier run's
+        (out / "keyframe_000007.pgm").write_bytes(b"old")
+        before = _tree(out)
 
-        def write_then_fail(value, write, newline="\n"):
+        def write_then_fail(value, node, defs, write):
             write('{\n  "config": {')
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(pipeline, "_write_json", write_then_fail)
+        monkeypatch.setattr(pipeline, "check_report", write_then_fail)
         with pytest.raises(OSError, match="no space"):
             run_pipeline(_config(root / "frames", out))
-        # the new images, and neither the old report nor a part of the new one
-        assert {p.name for p in out.iterdir()} == \
-            {f"keyframe_{i:06d}.pgm" for i in layout.gt_indices}
+        # the report is written before the images: the earlier run's files,
+        # and no part of the new report
+        assert _tree(out) == before
+
+    def test_failed_check_leaves_the_directory_as_it_was(self, small_video, tmp_path,
+                                                         monkeypatch):
+        root, _ = small_video
+        out = tmp_path / "out"
+        run_pipeline(_config(root / "frames", out, min_shot_len=1))  # the earlier run
+        before = _tree(out)
+        assert len(before) > 2
+        schema = load_report_schema()
+        schema["properties"]["keyframes"]["maxItems"] = 1
+        monkeypatch.setattr(pipeline, "load_report_schema", lambda: schema)
+        with pytest.raises(ReportError, match=r"^\$\.keyframes: .* fails maxItems 1$"):
+            run_pipeline(_config(root / "frames", out))
+        assert _tree(out) == before
 
     def test_runtime_check_rejects_what_the_schema_rejects(self, small_video, tmp_path):
         # one mutation per rule the shipped schema states, so a rule added later
@@ -564,8 +594,8 @@ class TestReportValidator:
 
     def test_compiled_check_agrees_with_the_recursive_oracle(self, small_video, tmp_path):
         # in verdict and in message, on every per-rule mutation of a report
-        # with an evaluation block and on the 600 random ones, and on the
-        # refused and recursive $refs
+        # with an evaluation block and on the 600 random ones, and on a $ref
+        # that recurses through items
         root, _ = small_video
         report = run_pipeline(_config(root / "frames", tmp_path / "run",
                                       ground_truth=root / "gt.txt"))
@@ -577,25 +607,11 @@ class TestReportValidator:
             cases.append((schema, mutated))
         cases += [(schema, mutated)
                   for *_, mutated in _random_mutations(_fallback_report(tmp_path))]
-        defs = {"leaf": {"type": "integer"}, "loop": {"$ref": "#/$defs/loop"},
-                "nest": {"items": {"$ref": "#/$defs/nest"}},
-                "all": {"allOf": [{"$ref": "#/$defs/all"}]}}
+        defs = {"leaf": {"type": "integer"}, "nest": {"items": {"$ref": "#/$defs/nest"}}}
         for name in defs:
             node = {"$defs": defs, "items": {"$ref": f"#/$defs/{name}"}}
+            assert _schema_refusals(node) == []
             cases += [(node, [[[]], 1]), (node, [[[1], ["2"]]]), (node, ["1"])]
-        # schemas outside the dict form: boolean subschemas, a $ref that is no
-        # string, and keywords whose value has the wrong form, alone, on a leaf
-        # and beside the keyword that reads them
-        for node in ({"items": True}, {"items": {"$ref": 5}}, {"properties": {"x": False}},
-                     {"items": {"$ref": "#/$defs/yes"}}, {"allOf": [True]},
-                     {"properties": 5}, {"required": 5}, {"enum": 5}, {"allOf": 5}, {"type": 5},
-                     {"minimum": "x"}, {"minItems": "x"}, {"items": {"type": [5]}},
-                     {"items": {"type": "number", "minimum": "x"}}, {"required": [1]},
-                     {"maxItems": -1}, {"minItems": True}, {"exclusiveMinimum": None},
-                     {"additionalProperties": False, "properties": 5},
-                     {"properties": {"x": {"type": "integer", "maximum": [2]}}}):
-            node = {"$defs": {"yes": True}, **node}
-            cases += [(node, []), (node, [1]), (node, {"x": 1}), (node, 1)]
         messages = set()
         for node, value in cases:
             verdicts = []
@@ -659,7 +675,8 @@ class TestReportValidator:
     ])
     def test_refs_that_cannot_be_inlined_are_refused(self, ref):
         # a ref cycle that passes through items ends with the instance; one that
-        # stays on the same value would never end
+        # stays on the same value would never end.  The walk follows the refs
+        # the schema test admits, and that test refuses the others
         defs = {"leaf": {"type": "integer"}, "loop": {"$ref": "#/$defs/loop"},
                 "nest": {"items": {"$ref": "#/$defs/nest"}},
                 "all": {"allOf": [{"$ref": "#/$defs/all"}]},
@@ -674,32 +691,27 @@ class TestReportValidator:
         with pytest.raises(ReportError, match=r"^\$\.y\[0\]: '2' fails type 'integer'"):
             pipeline.check_report({"y": ["2"]}, {"properties": {
                 "y": {"items": {"$ref": "#/$defs/to_leaf"}}}}, defs)
-        with pytest.raises(ReportError, match=r"^\$\.x: the report check cannot apply '\$ref'"):
-            pipeline.check_report({"x": 1}, {"properties": {"x": ref}}, defs)
+        assert _schema_refusals({"$defs": defs, "properties": {"x": {"$ref": "#/$defs/nest"}}}) \
+            == []
+        assert _schema_refusals({"$defs": defs, "properties": {"x": ref}}) != []
 
-    @pytest.mark.parametrize("value,node,message", [
-        ([1], {"items": True}, r"^\$\[0\]: the report check cannot apply the schema True$"),
-        ({"x": 1}, {"properties": {"x": False}},
-         r"^\$\.x: the report check cannot apply the schema False$"),
-        (1, {"$ref": 5}, r"^\$: the report check cannot apply '\$ref': 5$"),
-        ({"a": 1}, {"properties": 5}, r"^\$: the report check cannot apply 'properties': 5$"),
-        ({"a": 1}, {"required": 5}, r"^\$: the report check cannot apply 'required': 5$"),
-        (1, {"enum": 5}, r"^\$: the report check cannot apply 'enum': 5$"),
-        (1, {"allOf": 5}, r"^\$: the report check cannot apply 'allOf': 5$"),
-        (1, {"type": 5}, r"^\$: the report check cannot apply 'type': 5$"),
-        (1, {"minimum": "x"}, r"^\$: the report check cannot apply 'minimum': 'x'$"),
-        ([[1]], {"items": {"minItems": "x"}},
-         r"^\$\[0\]: the report check cannot apply 'minItems': 'x'$"),
+    def test_shipped_schema_has_only_the_forms_the_walk_applies(self):
+        assert _schema_refusals(load_report_schema()) == []
+
+    @pytest.mark.parametrize("node", [
+        {"items": True}, {"properties": {"x": False}}, {"$ref": 5}, {"properties": 5},
+        {"required": 5}, {"enum": 5}, {"allOf": 5}, {"type": 5}, {"minimum": "x"},
+        {"items": {"minItems": "x"}},
     ], ids=["items-true", "property-false", "ref-not-a-string", "properties-5", "required-5",
             "enum-5", "allOf-5", "type-5", "minimum-x", "minItems-x"])
-    def test_schemas_outside_the_dict_form_are_refused(self, value, node, message):
-        # outside the forms of the 14 keywords the check applies: valid Draft
-        # 2020-12 (a boolean subschema, a $ref that is no string) or a value the
-        # draft's meta-schema rejects; a value that never reaches it passes
-        with pytest.raises(ReportError, match=message):
-            pipeline.check_report(value, node, {})
-        if "items" in node:
-            pipeline.check_report([], node, {})
+    def test_schemas_outside_the_dict_form_are_refused(self, node):
+        # outside the forms of the 14 keywords the walk applies: valid Draft
+        # 2020-12 (a boolean subschema) or a value the draft's meta-schema
+        # rejects; the schema test refuses each, as it would in the shipped one
+        assert _schema_refusals(node) != []
+        shipped = load_report_schema()
+        shipped["$defs"]["extra"] = node
+        assert _schema_refusals(shipped) != []
 
     def test_extract_runs_with_jsonschema_unimportable(self, small_video, tmp_path):
         root, _ = small_video
@@ -735,7 +747,7 @@ class TestReportWriter:
     @given(_JSON_VALUES)
     def test_writer_writes_what_json_dumps_writes(self, value):
         out = io.StringIO()
-        pipeline._write_json(value, out.write)
+        pipeline.check_report(value, {}, {}, out.write)
         assert out.getvalue() == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("value", [np.int64(1), Path("report.json"), [1, {"a": [np.int64(2)]}],
@@ -744,7 +756,7 @@ class TestReportWriter:
         with pytest.raises(TypeError) as refused:
             json.dumps(value, indent=2)
         with pytest.raises(TypeError, match=f"^{re.escape(str(refused.value))}$"):
-            pipeline._write_json(value, io.StringIO().write)
+            pipeline.check_report(value, {}, {}, io.StringIO().write)
 
     def test_report_is_streamed_to_its_file(self, tmp_path):
         # a writer that joined the whole report into one string before writing
@@ -768,6 +780,66 @@ class TestReportWriter:
 _SCHEMA_KEYWORDS = {"$schema", "title", "$defs", "$ref", "allOf", "properties", "items",
                     "required", "additionalProperties", "type", "enum", "minimum",
                     "exclusiveMinimum", "maximum", "minItems", "maxItems"}
+
+
+def _schema_refusals(schema) -> list[str]:
+    """What keeps the report walk from applying ``schema`` with its Draft 2020-12
+    meaning: an error against the draft's meta-schema, a keyword outside
+    _SCHEMA_KEYWORDS, a subschema that is no dict, an ``additionalProperties``
+    other than false, a ``$ref`` that is not a lone ``#/$defs/<name>`` naming a
+    definition, or a chain of ``$ref`` and ``allOf`` from the root that comes
+    back to a definition without passing through ``items`` or ``properties``,
+    which the walk would follow without end."""
+    meta = jsonschema.Draft202012Validator(jsonschema.Draft202012Validator.META_SCHEMA)
+    refusals = [error.message for error in meta.iter_errors(schema)]
+    defs = schema.get("$defs", {}) if isinstance(schema, dict) else {}
+
+    def local(ref):
+        return isinstance(ref, str) and ref.startswith("#/$defs/") and ref[8:] in defs
+
+    def visit(node, where):
+        if not isinstance(node, dict):
+            refusals.append(f"{where}: the subschema {node!r}")
+            return
+        refusals.extend(f"{where}: {key}" for key in node.keys() - _SCHEMA_KEYWORDS)
+        if node.get("additionalProperties", False) is not False:
+            refusals.append(f"{where}: additionalProperties {node['additionalProperties']!r}")
+        if "$ref" in node and not (len(node) == 1 and local(node["$ref"])):
+            refusals.append(f"{where}: $ref {node['$ref']!r} in {node!r}")
+        if "items" in node:
+            visit(node["items"], f"{where}.items")
+        for key in ("properties", "$defs"):
+            for name, sub in (node[key] if isinstance(node.get(key), dict) else {}).items():
+                visit(sub, f"{where}.{key}.{name}")
+        for i, sub in enumerate(node["allOf"] if isinstance(node.get("allOf"), list) else []):
+            visit(sub, f"{where}.allOf[{i}]")
+
+    def same_value(node, followed, values):  # ``followed``: the definitions on one value
+        if not isinstance(node, dict):
+            return
+        values += [node["items"]] if "items" in node else []
+        values += node["properties"].values() if isinstance(node.get("properties"), dict) else []
+        if local(node.get("$ref")):
+            name = node["$ref"][8:]
+            if name in followed:
+                refusals.append(f"$ref cycle through {sorted(followed)}")
+                return
+            same_value(defs[name], followed | {name}, values)
+        for sub in node["allOf"] if isinstance(node.get("allOf"), list) else []:
+            same_value(sub, followed, values)
+
+    visit(schema, "$")
+    values, seen = [schema], set()  # the schemas the walk starts a value at
+    while values:
+        node = values.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            same_value(node, frozenset(), values)
+    return refusals
+
+
+def _tree(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
 def _rule_violations(schema, node, report, path=()):
