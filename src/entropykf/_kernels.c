@@ -10,9 +10,9 @@
  * around its loops.  The histogram and moment results are exact integers; the
  * two entropy steps and sd_rows repeat numpy's own float64 arithmetic, one
  * IEEE operation per value and numpy's pairwise order of addition, so they
- * give its bits, and frame_step's correlation repeats the exact integer and
- * float steps of kernels.correlation_from_sums.  None needs -ffast-math,
- * which would reorder the additions.
+ * give its bits, and frame_step's correlation takes Python's float steps on
+ * the exact integer moments.  None needs -ffast-math, which would reorder the
+ * additions.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -147,14 +147,17 @@ static void mul_256(u128 a, u128 b, u128 *hi, u128 *lo)
     *hi = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
 }
 
-/* kernels.correlation_from_sums(n, (sa, sb, saa, sbb, sab)), bit for bit, for
- * the moments of two histograms of n pixels each.  For such moments va, vb and
- * num are at most 255^2 * n^2 in magnitude, and so are the products they are
- * made of: below 2^72 for the largest allowed frame (n = 16384^2 = 2^28), and
- * within int128 for any n below 2^55.  The Cauchy-Schwarz test num^2 == va*vb
- * compares two exact 256-bit products.  (double) of an int128 rounds to
- * nearest, as Python's float() of an int does, and the quotient then repeats
- * Python's float arithmetic: one product, one sqrt, one division. */
+/* The Pearson correlation of two frames of n pixels each from their exact
+ * moments.  Flat frames follow the shot rule: two correlate 1.0 when their
+ * means differ by at most one grey level, else 0.0, and a flat frame never
+ * correlates with a textured one.  For the moments of two histograms of n
+ * pixels, va, vb and num are at most 255^2 * n^2 in magnitude, and so are the
+ * products they are made of: below 2^72 for the largest allowed frame
+ * (n = 16384^2 = 2^28), and within int128 for any n below 2^55.  The
+ * Cauchy-Schwarz test num^2 == va*vb, which gives an exact +-1, compares two
+ * exact 256-bit products.  (double) of an int128 rounds to nearest, as
+ * Python's float() of an int does, and the quotient then repeats Python's
+ * float arithmetic: one product, one sqrt, one division. */
 static double correlation(int64_t n, int64_t sa, int64_t sb, int64_t saa, int64_t sbb,
                           uint64_t sab)
 {
@@ -389,53 +392,6 @@ static void release_buffers(Py_buffer *views, Py_ssize_t n)
         PyBuffer_Release(&views[i]);
 }
 
-/* histogram256(pixels, out): the histogram of the pixel bytes into out. */
-static PyObject *py_histogram256(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    static const Py_ssize_t lens[2] = {-1, COUNTS_BYTES};
-    Py_buffer v[2];
-
-    (void)self;
-    if (check_nargs("histogram256", nargs, 2) < 0 ||
-        get_buffers("histogram256", args, v, 2, 1, lens) < 0)
-        return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    memset(v[1].buf, 0, COUNTS_BYTES);
-    add_histogram(v[0].buf, v[0].len, v[1].buf);
-    Py_END_ALLOW_THREADS
-    release_buffers(v, 2);
-    Py_RETURN_NONE;
-}
-
-/* pearson_sums(counts_a, counts_b, a, b): (Σa, Σb, Σa², Σb², Σab), the first
- * four from the histograms, Σab over the pixel bytes. */
-static PyObject *py_pearson_sums(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    static const Py_ssize_t lens[4] = {COUNTS_BYTES, COUNTS_BYTES, -1, -1};
-    Py_buffer v[4];
-    int64_t sa, sb, saa, sbb;
-    uint64_t sab;
-
-    (void)self;
-    if (check_nargs("pearson_sums", nargs, 4) < 0 ||
-        get_buffers("pearson_sums", args, v, 4, 0, lens) < 0)
-        return NULL;
-    if (v[2].len != v[3].len) {
-        PyErr_Format(PyExc_ValueError, "frames differ in size: %zd vs %zd pixels",
-                     v[2].len, v[3].len);
-        release_buffers(v, 4);
-        return NULL;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    moments(v[0].buf, &sa, &saa);
-    moments(v[1].buf, &sb, &sbb);
-    sab = dot_u8(v[2].buf, v[3].buf, v[2].len);
-    Py_END_ALLOW_THREADS
-    release_buffers(v, 4);
-    return Py_BuildValue("(LLLLK)", (long long)sa, (long long)sb, (long long)saa,
-                         (long long)sbb, (unsigned long long)sab);
-}
-
 /* frame_step(pixels, prev_pixels, block, row, prev_row): the histogram of the
  * pixel bytes into row row of the block of 256-int64 rows, and the
  * correlation of prev_pixels against pixels, the histogram of prev_pixels
@@ -648,10 +604,6 @@ static PyObject *py_sd_rows(PyObject *self, PyObject *const *args, Py_ssize_t na
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"histogram256", (PyCFunction)(void (*)(void))py_histogram256, METH_FASTCALL,
-     "histogram256(pixels, out): 256-bin histogram of the pixel bytes into int64 out."},
-    {"pearson_sums", (PyCFunction)(void (*)(void))py_pearson_sums, METH_FASTCALL,
-     "pearson_sums(counts_a, counts_b, a, b): (sum a, sum b, sum a^2, sum b^2, sum ab)."},
     {"frame_step", (PyCFunction)(void (*)(void))py_frame_step, METH_FASTCALL,
      "frame_step(pixels, prev_pixels, block, row, prev_row): the histogram into block[row], "
      "and the correlation of prev_pixels against pixels."},

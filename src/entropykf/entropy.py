@@ -13,17 +13,20 @@ import numpy as np
 
 from . import kernels
 from .ingest import _as_frame, check_frame_size
-from .kernels import segment_bounds  # re-exported for callers of this module
 
 
 def frame_entropy(frame) -> float:
     """Shannon entropy of the frame's grey-level distribution, in bits.
 
     Levels with zero probability contribute nothing; the result lies in
-    [0, 8] for 8-bit frames.  Takes a ``Frame``, whose cached histogram it
-    reuses, or a bare 2-D uint8 array.
+    [0, 8] for 8-bit frames.  Takes a ``Frame`` or a bare 2-D uint8 array,
+    and counts it with one ``kernels.frame_step`` call, the frame against
+    itself into a one-row block, as the pass counts its first frame.
     """
-    return float(kernels.entropy_from_counts(_as_frame(frame).counts[np.newaxis])[0])
+    px = np.ascontiguousarray(_as_frame(frame).pixels)
+    counts = np.empty((1, 256), dtype=np.int64)
+    kernels.frame_step(px, px, counts, 0, 0)
+    return float(kernels.entropy_from_counts(counts)[0])
 
 
 def modified_entropy(en: float) -> int:

@@ -45,7 +45,6 @@ import sys
 import tempfile
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -61,7 +60,7 @@ class IngestError(ValueError):
 # smallest frame width or height: the 8x8 segment grid needs a pixel per cell
 MIN_DIMENSION = kernels.SEGMENT_GRID
 # largest frame width or height; bounds the bytes read per frame and keeps
-# every pixel-product sum of a frame pair far below 2**64 (kernels.pearson_sums)
+# the pixel-product sum Σab of a frame pair far below 2**64 (kernels.frame_step)
 MAX_DIMENSION = 16384
 
 
@@ -130,11 +129,6 @@ class Frame:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        """The 256-bin histogram, computed once and shared by entropy and cut detection."""
-        return kernels.histogram256(self.pixels)
 
 
 def _as_frame(frame: Frame | np.ndarray) -> Frame:

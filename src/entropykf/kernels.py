@@ -8,39 +8,37 @@ through the buffer protocol and release the GIL around their loops.
 histogram is computed once and serves both its entropy and the correlation
 of the pairs it belongs to: the per-frame moments Σa and Σa² follow exactly
 from it.  ``frame_step``, the C entry point itself with no Python wrapper, is
-the pass's one call per frame: it writes the frame's histogram into a row of
-a block of histograms and returns the frame's correlation with the previous
-one, from the moments of the two rows and Σab over the two frames' uint8
-bytes, with ``correlation_from_sums``'s arithmetic done exactly in C (see
-``correlation_from_sums``).  It checks its buffers itself: bytes of one
-length for the frames, whole 256-int64 rows for the writable block, both rows
-in range, and the previous row a histogram of as many pixels.  A ``memcmp``
-first finds the run of bytes the two frames start with in common; Σab over
-that run is its Σb², taken from its histogram, so the dot runs over the rest
-alone.  The caller guarantees more than the check on the previous row: it is
-the histogram of the previous frame itself, as ``pipeline.analyse`` keeps it.
-On that promise a frame equal byte for byte to the one before, in another
-row, costs the ``memcmp`` alone: its row is a copy of the previous one, and
-Σab is that row's Σa².  These are the integers the loops would give, so the
-correlation keeps its bits.  The first frame, stepped against itself in one
-row, is always counted.  A frame that differs pays the compare up to its
-first difference in place of the dot over those bytes: at worst, when only
-its last byte differs, one pass at ``memcmp`` speed in place of one at the
-dot's.
-``histogram256``, ``pearson_sums`` and ``correlation_from_sums`` do the same
-work in three steps; ``shots.correlation`` uses them, and the tests hold
-``frame_step`` to them bit for bit.  Their Python wrappers check dtype,
-shape and contiguity of every array the C side reads or writes, and make the
-pixels contiguous, before the call.  Counts and sums are exact;
-``entropy_from_counts`` gives each row of a stack of histograms, frames' or
-one frame's segments', the bits it would get alone.  Its two loops over a
-stack are C as well: ``probabilities`` packs each row's non-zero counts over
-the row's total, and ``row_sums`` adds up each row's terms in the pairwise
-order of ``np.add.reduce``.  ``np.log2`` between them stays in numpy, so the
-entropies keep the bits of the numpy arithmetic they replaced.  ``sd_rows``,
-the C entry point itself like ``frame_step``, is ``entropy.dissimilarity``'s
-one call: the standard deviation of a 64-vector minus each row of a stack,
-in ``np.std``'s steps and ``pairwise_sum``'s order, so with numpy's bits.
+the one histogram and correlation route: the pass's one call per frame, and
+the step that ``shots.correlation`` and ``entropy.frame_entropy`` take.  It
+writes the frame's histogram into a row of a block of histograms and returns
+the frame's correlation with the previous one, from the exact integer
+moments of the two rows and Σab over the two frames' uint8 bytes.  It checks
+its buffers itself: bytes of one length for the frames, whole 256-int64 rows
+for the writable block, both rows in range, and the previous row a histogram
+of as many pixels.  A ``memcmp`` first finds the run of bytes the two frames
+start with in common; Σab over that run is its Σb², taken from its
+histogram, so the dot runs over the rest alone.  The caller guarantees more
+than the check on the previous row: it is the histogram of the previous
+frame itself, as ``pipeline.analyse`` keeps it.  On that promise a frame
+equal byte for byte to the one before, in another row, costs the ``memcmp``
+alone: its row is a copy of the previous one, and Σab is that row's Σa².
+These are the integers the loops would give, so the correlation keeps its
+bits.  The first frame, stepped against itself in one row, is always
+counted.  A frame that differs pays the compare up to its first difference
+in place of the dot over those bytes: at worst, when only its last byte
+differs, one pass at ``memcmp`` speed in place of one at the dot's.
+The other kernels' Python wrappers check dtype, shape and contiguity of every
+array the C side reads or writes, and make the pixels contiguous, before the
+call.  Counts and sums are exact; ``entropy_from_counts`` gives each row of a
+stack of histograms, frames' or one frame's segments', the bits it would get
+alone.  Its two loops over a stack are C as well: ``probabilities`` packs
+each row's non-zero counts over the row's total, and ``row_sums`` adds up
+each row's terms in the pairwise order of ``np.add.reduce``.  ``np.log2``
+between them stays in numpy, so the entropies keep the bits of the numpy
+arithmetic they replaced.  ``sd_rows``, the C entry point itself like
+``frame_step``, is ``entropy.dissimilarity``'s one call: the standard
+deviation of a 64-vector minus each row of a stack, in ``np.std``'s steps
+and ``pairwise_sum``'s order, so with numpy's bits.
 
 The first import compiles ``_kernels.c`` with ``cc -O3 -shared -fPIC`` and
 the interpreter's include directory into the ``__pycache__`` directory beside
@@ -54,7 +52,6 @@ and no ``cc`` on PATH, importing this module raises ``ImportError``.
 
 from __future__ import annotations
 
-import math
 import os
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -133,14 +130,6 @@ def _bytes_of(pixels: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pixels)
 
 
-def histogram256(pixels: np.ndarray) -> np.ndarray:
-    """256-bin intensity histogram of an 8-bit image, as int64 counts."""
-    px = _bytes_of(pixels)
-    counts = np.empty(256, dtype=np.int64)
-    _C.histogram256(px, counts)
-    return counts
-
-
 def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits of each row of a (k, 256) stack of histograms.
 
@@ -151,7 +140,7 @@ def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     would, so a row's bits do not depend on k.  Results are clamped to [0, 8]
     against last-ulp noise; a single-level row gives 0.0, not -0.0.
     """
-    _check_counts(counts, stack=True)
+    _check_counts(counts)
     p = np.empty(counts.size)
     levels = np.empty(len(counts), dtype=np.int64)
     p = p[:_C.probabilities(counts, p, levels)]
@@ -190,58 +179,10 @@ def segment_histograms(pixels: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _check_counts(counts: np.ndarray, stack: bool = False) -> None:
-    """Refuse counts the C side cannot read: anything but one C-contiguous
-    int64 histogram of shape (256,), or with ``stack`` a (k, 256) stack of them."""
-    if counts.dtype != np.int64 or counts.ndim != 1 + stack or counts.shape[-1] != 256 or \
+def _check_counts(counts: np.ndarray) -> None:
+    """Refuse counts the C side cannot read: anything but a C-contiguous
+    (k, 256) stack of int64 histograms."""
+    if counts.dtype != np.int64 or counts.ndim != 2 or counts.shape[1] != 256 or \
             not counts.flags.c_contiguous:
-        raise ValueError(f"expected C-contiguous int64 counts of shape "
-                         f"{'(k, 256)' if stack else '(256,)'}, got {counts.dtype} of shape "
-                         f"{counts.shape}")
-
-
-def pearson_sums(counts_a: np.ndarray, counts_b: np.ndarray,
-                 pixels_a: np.ndarray, pixels_b: np.ndarray) -> tuple[int, int, int, int, int]:
-    """Exact integer moments (sum a, sum b, sum a^2, sum b^2, sum ab) of two
-    equal-size 8-bit frames, from their ``histogram256`` counts and their pixels.
-
-    All five come from one C call, which refuses frames of unequal size.  Σa
-    and Σa² are Σk·c_k and Σk²·c_k over the histogram, in int64.  Σab is
-    summed over co-located pixels in row-major order, in uint32 partials of
-    at most 65,536 products (each below 255²·65536 < 2**32) added in uint64:
-    the total is at most 255²·n, about 1.8e13 for n = ``ingest.MAX_DIMENSION``²
-    pixels, far below 2**64, so nothing wraps.
-    """
-    a, b = _bytes_of(pixels_a), _bytes_of(pixels_b)
-    _check_counts(counts_a)
-    _check_counts(counts_b)
-    return _C.pearson_sums(counts_a, counts_b, a, b)
-
-
-def correlation_from_sums(n: int, sums: tuple[int, int, int, int, int]) -> float:
-    """Pearson correlation from exact integer moments of two equal-size images.
-
-    Degenerate cases (zero-variance frames) follow the shot-segmentation rule:
-    two flat frames correlate 1.0 when their means differ by at most one grey
-    level, else 0.0; a flat frame never correlates with a textured one.
-
-    ``frame_step`` repeats this in C bit for bit.  There ``va``, ``vb`` and
-    ``num`` are ``__int128``: each is at most 255²·n² in magnitude, as are the
-    products they are made of (n·Σa² ≤ 255²·n², (Σa)² ≤ 255²·n²), below 2**72
-    for the largest allowed frame, n = 2**28 pixels.  ``num * num == va * vb``
-    compares two exact 256-bit products, and both int-to-float conversions
-    round to nearest, as ``float()`` of an int does.
-    """
-    sa, sb, saa, sbb, sab = (int(v) for v in sums)
-    va = n * saa - sa * sa
-    vb = n * sbb - sb * sb
-    if va == 0 and vb == 0:
-        return 1.0 if abs(sa - sb) <= n else 0.0
-    if va == 0 or vb == 0:
-        return 0.0
-    num = n * sab - sa * sb
-    if num * num == va * vb:
-        # Cauchy-Schwarz equality: exact +/-1 without float noise
-        return 1.0 if num > 0 else -1.0
-    r = num / math.sqrt(float(va) * float(vb))
-    return max(-1.0, min(1.0, r))
+        raise ValueError(f"expected C-contiguous int64 counts of shape (k, 256), got "
+                         f"{counts.dtype} of shape {counts.shape}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import kernels
 from .ingest import Frame, _as_frame
 
@@ -50,12 +52,16 @@ def correlation(a: Frame, b: Frame) -> float:
     Takes two ``Frame`` values or two 2-D uint8 arrays of one size.  Flat
     (zero-variance) frames make the quotient undefined; they count as the
     same shot (1.0) when their means are within one grey level, as a cut (0.0)
-    otherwise, and a flat frame never matches a textured one (0.0).
+    otherwise, and a flat frame never matches a textured one (0.0).  Two
+    ``kernels.frame_step`` calls give it, with the pass's bits: a against
+    itself into row 0 of a block, then b against a into row 1.
     """
     a, b = _as_frame(a), _as_frame(b)
     check_same_size(a, b)
-    sums = kernels.pearson_sums(a.counts, b.counts, a.pixels, b.pixels)
-    return kernels.correlation_from_sums(a.pixels.size, sums)
+    pa, pb = np.ascontiguousarray(a.pixels), np.ascontiguousarray(b.pixels)
+    block = np.empty((2, 256), dtype=np.int64)
+    kernels.frame_step(pa, pa, block, 0, 0)
+    return kernels.frame_step(pb, pa, block, 1, 0)
 
 
 def detect_cuts(correlations: Sequence[float],

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import segment_bounds
 from .ingest import check_frame_size, write_pgm
+from .kernels import segment_bounds
 from .pipeline import _writable_dir
 
 DEFAULT_FADE_FRAMES = 4

@@ -11,7 +11,8 @@ before its C steps, so the segmented oracle, which counts with
 ``np.bincount`` and takes its entropies from it, is bit-identical to
 ``segmented_entropies`` without calling the code under test.
 ``analyse_oracle`` is the other kind: the pass of ``pipeline.analyse`` built
-from the three kernels ``kernels.frame_step`` fuses, called one by one, which
+from the three steps ``kernels.frame_step`` fuses, taken one by one here
+(``bincount_histogram``, ``int64_sums`` and ``correlation_from_sums``), which
 the fused call must match bit for bit.  ``check_report_oracle`` is the
 report check as one recursive walk over the schema and the value together,
 building each value's JSON path on the way down; ``pipeline.check_report``,
@@ -25,7 +26,6 @@ import operator
 
 import numpy as np
 
-from entropykf import kernels
 from entropykf.extraction import Elimination
 from entropykf.ingest import Frame
 from entropykf.pipeline import ReportError
@@ -39,7 +39,7 @@ def histogram_oracle(pixels: np.ndarray) -> list[int]:
 
 
 def bincount_histogram(pixels: np.ndarray) -> np.ndarray:
-    """``kernels.histogram256`` in numpy."""
+    """A frame's 256-bin histogram, as ``kernels.frame_step`` writes it, in numpy."""
     return np.bincount(pixels.ravel(), minlength=256).astype(np.int64)
 
 
@@ -55,11 +55,39 @@ def blockwise_segment_histograms(pixels: np.ndarray, row_bounds, col_bounds) -> 
 
 
 def int64_sums(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int, int]:
-    """``kernels.pearson_sums`` in int64 numpy: the five moments of a frame pair."""
-    x = a.ravel().astype(np.int64)
-    y = b.ravel().astype(np.int64)
-    return (int(x.sum()), int(y.sum()), int((x * x).sum()), int((y * y).sum()),
-            int(x @ y))
+    """The five moments (Σa, Σb, Σa², Σb², Σab) of a frame pair in int64 numpy:
+    the first four from the ``bincount_histogram`` of each frame, Σab a block
+    of 2**20 pixels at a time, so a frame of 16M pixels needs no 128 MB copy."""
+    levels = np.arange(256, dtype=np.int64)
+    ca, cb = bincount_histogram(a), bincount_histogram(b)
+    x, y = a.ravel(), b.ravel()
+    sab = sum(int(x[i:i + 2**20].astype(np.int64) @ y[i:i + 2**20].astype(np.int64))
+              for i in range(0, x.size, 2**20))
+    return (int(levels @ ca), int(levels @ cb), int(levels * levels @ ca),
+            int(levels * levels @ cb), sab)
+
+
+def correlation_from_sums(n: int, sums: tuple[int, int, int, int, int]) -> float:
+    """Pearson correlation from exact integer moments of two images of n pixels,
+    in Python integers: the quotient ``kernels.frame_step`` takes in C.
+
+    Degenerate cases (zero-variance frames) follow the shot-segmentation rule:
+    two flat frames correlate 1.0 when their means differ by at most one grey
+    level, else 0.0; a flat frame never correlates with a textured one.
+    """
+    sa, sb, saa, sbb, sab = (int(v) for v in sums)
+    va = n * saa - sa * sa
+    vb = n * sbb - sb * sb
+    if va == 0 and vb == 0:
+        return 1.0 if abs(sa - sb) <= n else 0.0
+    if va == 0 or vb == 0:
+        return 0.0
+    num = n * sab - sa * sb
+    if num * num == va * vb:
+        # Cauchy-Schwarz equality: exact +/-1 without float noise
+        return 1.0 if num > 0 else -1.0
+    r = num / math.sqrt(float(va) * float(vb))
+    return max(-1.0, min(1.0, r))
 
 
 def numpy_entropy_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -128,14 +156,15 @@ def correlation_oracle(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def analyse_oracle(frames) -> tuple[list[float], list[float]]:
-    """``pipeline.analyse`` from ``histogram256``, ``pearson_sums`` and
+    """``pipeline.analyse`` from ``bincount_histogram``, ``int64_sums`` and
     ``correlation_from_sums``: every frame's histogram, the entropies of their
-    stack, and each adjacent pair's correlation from its five exact sums."""
+    stack in numpy, and each adjacent pair's correlation from its five exact
+    sums."""
     pixels = [f.pixels for f in frames]
-    counts = [kernels.histogram256(px) for px in pixels]
-    correlations = [kernels.correlation_from_sums(b.size, kernels.pearson_sums(ca, cb, a, b))
-                    for ca, cb, a, b in zip(counts, counts[1:], pixels, pixels[1:])]
-    return kernels.entropy_from_counts(np.stack(counts)).tolist(), correlations
+    correlations = [correlation_from_sums(b.size, int64_sums(a, b))
+                    for a, b in zip(pixels, pixels[1:])]
+    counts = np.stack([bincount_histogram(px) for px in pixels])
+    return numpy_entropy_from_counts(counts).tolist(), correlations
 
 
 # the Python type of each JSON type but number and integer, which exclude bool

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (entropy_oracle, histogram_oracle, numpy_entropy_from_counts,
-                      rand_pixels, segmented_oracle, uniform_level_pixels)
+from conftest import (bincount_histogram, entropy_oracle, histogram_oracle,
+                      numpy_entropy_from_counts, rand_pixels, segmented_oracle,
+                      uniform_level_pixels)
 from entropykf import kernels
 from entropykf.entropy import (dissimilarity, frame_entropy, modified_entropies,
-                               modified_entropy, segment_bounds, segmented_entropies)
+                               modified_entropy, segmented_entropies)
+from entropykf.kernels import segment_bounds
 
 # the two ends of the entropy range, subnormals, the smallest normal, and -0.0
 _SPECIAL = np.array([0.0, 8.0, 5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -0.0, 4.0])
@@ -41,15 +43,24 @@ def _key_series():
                               st.floats(0.0, 8.0)), max_size=300)
 
 
+def _histogram(px):
+    """The histogram ``kernels.frame_step`` counts for a frame stepped against itself."""
+    block = np.empty((1, 256), dtype=np.int64)
+    kernels.frame_step(px, px, block, 0, 0)
+    return block[0]
+
+
 class TestHistogram:
+    """The one histogram route, a ``kernels.frame_step`` row."""
+
     def test_all_zero_frame(self):
-        counts = kernels.histogram256(np.zeros((4, 4), dtype=np.uint8))
+        counts = _histogram(np.zeros((4, 4), dtype=np.uint8))
         assert counts[0] == 16
         assert counts[1:].sum() == 0
         assert counts.sum() == 16
 
     def test_two_level_frame(self):
-        counts = kernels.histogram256(np.array([[0, 0], [255, 255]], dtype=np.uint8))
+        counts = _histogram(np.array([[0, 0], [255, 255]], dtype=np.uint8))
         assert counts[0] == 2
         assert counts[255] == 2
         assert counts[1:255].sum() == 0
@@ -58,13 +69,13 @@ class TestHistogram:
     def test_matches_per_pixel_counting_oracle(self):
         rng = np.random.default_rng(42)
         px = rand_pixels(rng, 64, 64)
-        assert kernels.histogram256(px).tolist() == histogram_oracle(px)
+        assert _histogram(px).tolist() == histogram_oracle(px)
 
     def test_counts_sum_to_total(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             px = rand_pixels(rng, int(rng.integers(8, 50)), int(rng.integers(8, 50)))
-            assert int(kernels.histogram256(px).sum()) == px.size
+            assert int(_histogram(px).sum()) == px.size
 
 
 class TestEntropy:
@@ -109,7 +120,7 @@ class TestEntropy:
     def test_frame_entropy_equals_composition(self):
         rng = np.random.default_rng(5)
         px = rand_pixels(rng, 20, 30)
-        counts = kernels.histogram256(px)
+        counts = bincount_histogram(px)
         assert frame_entropy(px) == kernels.entropy_from_counts(counts[np.newaxis])[0]
 
     def test_stacked_rows_equal_each_row_alone_and_the_oracle(self):
@@ -122,9 +133,9 @@ class TestEntropy:
                   np.repeat(np.arange(255, dtype=np.uint8), 3).reshape(15, 51),
                   skewed,
                   uniform_level_pixels(32, 256)]
-        assert [int(np.count_nonzero(kernels.histogram256(px))) for px in frames] == \
+        assert [int(np.count_nonzero(bincount_histogram(px))) for px in frames] == \
             [1, 2, 255, 256, 256]
-        stack = np.stack([kernels.histogram256(px) for px in frames])
+        stack = np.stack([bincount_histogram(px) for px in frames])
         assert len(set(stack.sum(axis=1).tolist())) == len(frames)
         rows = kernels.entropy_from_counts(stack)
         assert rows.shape == (len(frames),) and rows.dtype == np.float64

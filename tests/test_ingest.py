@@ -540,7 +540,6 @@ class TestRandomAccess:
                 assert frame.pixels.tobytes() == planes[frame.index].tobytes()
                 assert frame.pixels.shape == built.pixels.shape == (8, 16)
                 assert frame.pixels.dtype == built.pixels.dtype == np.uint8
-                assert frame.counts.tobytes() == built.counts.tobytes()
                 if kind != "pgm-dir":  # the plane's bytes, which the stdin spool compares
                     assert type(frame.pixels.base) is bytes
                     assert frame.pixels.base == planes[frame.index].tobytes()

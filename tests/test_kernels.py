@@ -2,13 +2,18 @@
 cases of the correlation quotient.
 
 Each C kernel is compared with the numpy body it replaced (kept in conftest as
-an oracle), and ``pearson_sums`` also with sums in Python ints, on odd shapes,
-non-contiguous views, flat 0 and 255 frames, an all-255 megapixel frame and
-hypothesis-drawn frames.  The entropy kernel is checked bit for bit against
-its former numpy body in test_entropy.py.
+an oracle).  ``frame_step``, the one histogram and correlation route, is
+compared with the three steps it fuses, taken one by one in conftest: the
+``np.bincount`` histogram, the five moments in integers, and their quotient in
+Python integers.  It is called directly and through ``shots.correlation`` and
+``entropy.frame_entropy``, on odd shapes, non-contiguous views, flat 0 and 255
+frames, all-255 pairs up to a megapixel and hypothesis-drawn frames.  The
+entropy kernel is checked bit for bit against its former numpy body in
+test_entropy.py.
 At the C boundary, arrays the C side cannot read as they are raise
-``ValueError`` rather than give a number, and every C entry point lets other
-Python threads run while it loops."""
+``ValueError`` rather than give a number, every C entry point lets other
+Python threads run while it loops, and the compiled module has no entry point
+that nothing in ``src/`` calls."""
 
 import sys
 import threading
@@ -19,9 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bincount_histogram, blockwise_segment_histograms, int64_sums, rand_pixels
+from conftest import (bincount_histogram, blockwise_segment_histograms, correlation_from_sums,
+                      int64_sums, numpy_entropy_from_counts, rand_pixels)
 from entropykf import kernels
-from entropykf.entropy import segment_bounds
+from entropykf.entropy import frame_entropy
+from entropykf.kernels import segment_bounds
+from entropykf.shots import correlation
 
 SHAPES = [(1, 1), (9, 13), (13, 9), (17, 31)]  # (width, height)
 VIEWS = {
@@ -31,16 +39,38 @@ VIEWS = {
 }
 
 
-def _sums(a, b):
-    """pearson_sums over the arguments the pipeline passes for frames a and b."""
-    return kernels.pearson_sums(kernels.histogram256(a), kernels.histogram256(b), a, b)
-
-
 def _python_sums(a, b):
     """The five moments in Python ints, pixel by pixel."""
     x, y = a.ravel().tolist(), b.ravel().tolist()
     return (sum(x), sum(y), sum(p * p for p in x), sum(q * q for q in y),
             sum(p * q for p, q in zip(x, y)))
+
+
+def _oracle(a, b, sums=int64_sums):
+    """The correlation of b against a, the quotient of their five moments in
+    Python integers."""
+    return correlation_from_sums(a.size, sums(a, b))
+
+
+def _exact_correlation(a, b):
+    """``shots.correlation`` of the pair, which must equal the quotient of its
+    moments summed in Python ints, by ``.hex()``."""
+    r = correlation(a, b)
+    assert r.hex() == _oracle(a, b, _python_sums).hex()
+    return r
+
+
+def _histogram(px):
+    """The row ``frame_step`` counts for the frame, made contiguous, stepped
+    against itself."""
+    px = np.ascontiguousarray(px)
+    block = np.empty((1, 256), dtype=np.int64)
+    kernels.frame_step(px, px, block, 0, 0)
+    return block[0]
+
+
+def _entropy(counts):
+    return numpy_entropy_from_counts(counts[np.newaxis])[0]
 
 
 def _grid(px):
@@ -56,34 +86,40 @@ def _frames(draw, max_side=64):
 
 
 class TestHistogram256:
+    """The 256-bin histogram of the one route: the row ``frame_step`` writes,
+    and ``frame_entropy``, which makes views contiguous and steps them."""
+
     @pytest.mark.parametrize("view", VIEWS)
     @pytest.mark.parametrize("width,height", SHAPES)
     def test_matches_bincount(self, width, height, view):
         rng = np.random.default_rng(height * 100 + width)
         for _ in range(5):
             px = VIEWS[view](rand_pixels(rng, width, height))
-            assert np.array_equal(kernels.histogram256(px), bincount_histogram(px))
+            counts = bincount_histogram(px)
+            assert np.array_equal(_histogram(px), counts)
+            assert frame_entropy(px).hex() == _entropy(counts).hex()
 
     @pytest.mark.parametrize("level", [0, 255])
     @pytest.mark.parametrize("width,height", SHAPES)
     def test_flat_frames(self, width, height, level):
         px = np.full((height, width), level, dtype=np.uint8)
-        assert np.array_equal(kernels.histogram256(px), bincount_histogram(px))
+        assert np.array_equal(_histogram(px), bincount_histogram(px))
+        assert frame_entropy(px) == 0.0
 
     def test_all_255_megapixel_frame(self):
         px = np.full((1024, 1024), 255, dtype=np.uint8)
-        counts = kernels.histogram256(px)
+        counts = _histogram(px)
         assert counts[255] == 1024 * 1024
         assert np.array_equal(counts, bincount_histogram(px))
 
     def test_rejects_wider_pixels(self):
         with pytest.raises(ValueError, match="uint8"):
-            kernels.histogram256(np.zeros((8, 8), dtype=np.uint16))
+            frame_entropy(np.zeros((8, 8), dtype=np.uint16))
 
     @settings(max_examples=200, deadline=None)
     @given(_frames())
     def test_matches_bincount_on_arbitrary_frames(self, px):
-        assert np.array_equal(kernels.histogram256(px), bincount_histogram(px))
+        assert np.array_equal(_histogram(px), bincount_histogram(px))
 
 
 class TestSegmentHistograms:
@@ -121,25 +157,27 @@ class TestSegmentHistograms:
 
 
 class TestCorrelationFromSums:
+    """The quotient's degenerate and clamped cases, through ``shots.correlation``."""
+
     def test_both_flat_equal_means(self):
         a = np.full((8, 8), 50, dtype=np.uint8)
-        assert kernels.correlation_from_sums(a.size, _sums(a, a)) == 1.0
+        assert _exact_correlation(a, a) == 1.0
 
     def test_both_flat_one_level_apart(self):
         a = np.full((8, 8), 50, dtype=np.uint8)
         b = np.full((8, 8), 51, dtype=np.uint8)
-        assert kernels.correlation_from_sums(a.size, _sums(a, b)) == 1.0
+        assert _exact_correlation(a, b) == 1.0
 
     def test_both_flat_far_apart(self):
         a = np.full((8, 8), 10, dtype=np.uint8)
         b = np.full((8, 8), 200, dtype=np.uint8)
-        assert kernels.correlation_from_sums(a.size, _sums(a, b)) == 0.0
+        assert _exact_correlation(a, b) == 0.0
 
     def test_one_flat_one_textured(self):
         rng = np.random.default_rng(113)
         a = np.full((8, 8), 99, dtype=np.uint8)
         b = rand_pixels(rng, 8, 8)
-        assert kernels.correlation_from_sums(a.size, _sums(a, b)) == 0.0
+        assert _exact_correlation(a, b) == 0.0
 
     def test_result_clamped_to_unit_interval(self):
         rng = np.random.default_rng(127)
@@ -147,18 +185,33 @@ class TestCorrelationFromSums:
             a = rand_pixels(rng, 16, 16)
             noise = rng.integers(-3, 4, a.shape)
             b = np.clip(a.astype(np.int16) + noise, 0, 255).astype(np.uint8)
-            r = kernels.correlation_from_sums(a.size, _sums(a, b))
-            assert -1.0 <= r <= 1.0
+            assert -1.0 <= _exact_correlation(a, b) <= 1.0
+
+
+def _all_255_pair(width, height):
+    """Two frames of 255 but for a's first byte, 254, and b's last, 0: neither
+    is flat, the pair differs from its first byte on, so the dot runs over
+    every pixel, and nearly every product is the largest, 255 * 255."""
+    a = np.full((height, width), 255, dtype=np.uint8)
+    b = a.copy()
+    a.flat[0], b.flat[-1] = 254, 0
+    return a, b
 
 
 class TestPearsonSums:
+    """The five exact moments behind the correlation, which only ``frame_step``
+    sums, seen in the correlation it gives directly and through
+    ``shots.correlation``: the quotient of the moments in Python ints, by
+    ``.hex()``.  An all-255 pair correlates about -1/n, so an error of any
+    size in one of its sums changes the bits."""
+
     @pytest.mark.parametrize("width,height", [(9, 13), (13, 9), (1, 1), (17, 31), (64, 3)])
     def test_random_pairs_match_python_ints(self, width, height):
         rng = np.random.default_rng(width * 100 + height)
         for _ in range(5):
             a = rand_pixels(rng, width, height)
             b = rand_pixels(rng, width, height)
-            assert _sums(a, b) == _python_sums(a, b)
+            assert _exact_correlation(a, b).hex() == _stepped(a, b)[1].hex()
 
     @pytest.mark.parametrize("view", [v for v in VIEWS if v != "contiguous"])
     @pytest.mark.parametrize("width,height", SHAPES)
@@ -167,56 +220,44 @@ class TestPearsonSums:
         for _ in range(5):
             a = VIEWS[view](rand_pixels(rng, width, height))
             b = VIEWS[view](rand_pixels(rng, width, height))
-            assert _sums(a, b) == _python_sums(a, b)
+            _exact_correlation(a, b)
 
     @pytest.mark.parametrize("va,vb", [(0, 0), (255, 255), (0, 255), (255, 0)])
     def test_flat_extremes_match_python_ints(self, va, vb):
         a = np.full((9, 13), va, dtype=np.uint8)
         b = np.full((9, 13), vb, dtype=np.uint8)
-        assert _sums(a, b) == _python_sums(a, b)
+        _exact_correlation(a, b)
+        _, _, block = _stepped(a, b)
+        assert np.array_equal(block, np.stack([bincount_histogram(a), bincount_histogram(b)]))
 
     def test_all_255_megapixel_pair_is_exact(self):
-        # the largest product per pixel, over a million pixels: sixteen of the
-        # 65,536-product blocks in which Σab is summed
-        a = np.full((1024, 1024), 255, dtype=np.uint8)
-        expected = int64_sums(a, a)
-        assert expected[4] == 255 * 255 * 1024 * 1024
-        assert _sums(a, a) == expected
+        # sixteen of the 65,536-product blocks in which Σab is summed, each
+        # sum near 255² * 65536, just below 2**32
+        a, b = _all_255_pair(1024, 1024)
+        sums = int64_sums(a, b)
+        assert sums[4] == 255 * 255 * (1024 * 1024 - 2) + 254 * 255
+        expected = correlation_from_sums(a.size, sums).hex()
+        assert _stepped(a, b)[1].hex() == correlation(a, b).hex() == expected
+        flat = np.full((1024, 1024), 255, dtype=np.uint8)
+        assert _stepped(flat, flat.copy())[1].hex() == _oracle(flat, flat).hex()
 
     @pytest.mark.parametrize("width,height", [(256, 256), (257, 256), (255, 256)])
     def test_all_255_pairs_at_a_block_edge_are_exact(self, width, height):
         # exactly one block of Σab, one block and a tail, one block short
-        a = np.full((height, width), 255, dtype=np.uint8)
-        assert _sums(a, a) == int64_sums(a, a)
+        a, b = _all_255_pair(width, height)
+        assert _stepped(a, b)[1].hex() == _exact_correlation(a, b).hex()
 
     def test_large_random_pair_matches_int64(self):
         rng = np.random.default_rng(131)
         a = rand_pixels(rng, 640, 480)
         b = rand_pixels(rng, 640, 480)
-        assert _sums(a, b) == int64_sums(a, b)
+        assert correlation(a, b).hex() == _oracle(a, b).hex()
 
     def test_rejects_frames_of_different_sizes(self):
         a = np.zeros((8, 8), dtype=np.uint8)
         b = np.zeros((8, 9), dtype=np.uint8)
-        with pytest.raises(ValueError, match="differ in size"):
-            kernels.pearson_sums(kernels.histogram256(a), kernels.histogram256(b), a, b)
-
-    @pytest.mark.parametrize("bad", {
-        "int32": lambda c: c.astype(np.int32),
-        # the same 2,048 bytes as the int64 counts, so only the dtype tells
-        "int32-view": lambda c: c.view(np.int32),
-        "length-255": lambda c: c[:255].copy(),
-        "strided": lambda c: np.repeat(c, 2)[::2],
-        "2-D": lambda c: c.reshape(16, 16),
-    }.items(), ids=lambda item: item[0])
-    def test_rejects_counts_the_c_side_cannot_read(self, bad):
-        _, make = bad
-        a = np.arange(64, dtype=np.uint8).reshape(8, 8)
-        counts = kernels.histogram256(a)
-        with pytest.raises(ValueError, match="int64 counts of shape"):
-            kernels.pearson_sums(make(counts), counts, a, a)
-        with pytest.raises(ValueError, match="int64 counts of shape"):
-            kernels.pearson_sums(counts, make(counts), a, a)
+        with pytest.raises(ValueError, match="frame dimensions differ"):
+            correlation(a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 64), st.integers(1, 64), st.data())
@@ -224,7 +265,7 @@ class TestPearsonSums:
         frame_bytes = st.binary(min_size=width * height, max_size=width * height)
         a, b = (np.frombuffer(data.draw(frame_bytes), dtype=np.uint8).reshape(height, width)
                 for _ in range(2))
-        assert _sums(a, b) == _python_sums(a, b)
+        assert _exact_correlation(a, b).hex() == _stepped(a, b)[1].hex()
 
 
 def _stepped(a, b, rows=2, row=1, prev_row=0):
@@ -233,12 +274,6 @@ def _stepped(a, b, rows=2, row=1, prev_row=0):
     block = np.zeros((rows, 256), dtype=np.int64)
     first = kernels.frame_step(a, a, block, prev_row, prev_row)
     return first, kernels.frame_step(b, a, block, row, prev_row), block
-
-
-def _three_step(a, b):
-    """The correlation of b against a by the kernels frame_step fuses."""
-    sums = kernels.pearson_sums(kernels.histogram256(a), kernels.histogram256(b), a, b)
-    return kernels.correlation_from_sums(a.size, sums)
 
 
 def _flat(level, width=13, height=9):
@@ -276,16 +311,17 @@ _STEP_PAIRS = {
 
 
 class TestFrameStep:
-    """``frame_step`` against the three kernels it fuses, bit for bit."""
+    """``frame_step`` against the three steps it fuses, taken one by one in
+    conftest, bit for bit."""
 
     @pytest.mark.parametrize("pair", _STEP_PAIRS.items(), ids=lambda item: item[0])
     def test_matches_the_three_kernels(self, pair):
         _, (a, b) = pair
         first, r, block = _stepped(a, b)
-        assert r.hex() == _three_step(a, b).hex()
-        assert first.hex() == _three_step(a, a).hex()
-        assert np.array_equal(block, np.stack([kernels.histogram256(a),
-                                               kernels.histogram256(b)]))
+        assert r.hex() == _oracle(a, b).hex()
+        assert first.hex() == _oracle(a, a).hex()
+        assert np.array_equal(block, np.stack([bincount_histogram(a),
+                                               bincount_histogram(b)]))
 
     def test_degenerate_values(self):
         assert _stepped(_flat(50), _flat(51))[1] == 1.0
@@ -306,16 +342,16 @@ class TestFrameStep:
         b = {"random": lambda: rand_pixels(rng, 1024, 16384), "negated": lambda: 255 - a,
              "one-bright-pixel": lambda: a // 255 * 254 + rand_pixels(rng, 1024, 16384, 2)}[kind]()
         _, r, block = _stepped(a, b)
-        assert r.hex() == _three_step(a, b).hex()
-        assert np.array_equal(block[1], kernels.histogram256(b))
+        assert r.hex() == _oracle(a, b).hex()
+        assert np.array_equal(block[1], bincount_histogram(b))
 
     def test_the_first_frame_is_counted_though_it_equals_itself(self):
         # row == prev_row: the row holds no histogram yet, so the pair, equal
         # byte for byte, must not be copied from the row onto itself
         block = np.random.default_rng(157).integers(-2**62, 2**62, (2, 256))
         r = kernels.frame_step(_TEXTURE, _TEXTURE.copy(), block, 1, 1)
-        assert np.array_equal(block[1], kernels.histogram256(_TEXTURE))
-        assert r.hex() == _three_step(_TEXTURE, _TEXTURE).hex()
+        assert np.array_equal(block[1], bincount_histogram(_TEXTURE))
+        assert r.hex() == _oracle(_TEXTURE, _TEXTURE).hex()
 
     @pytest.mark.parametrize("index", [0, 4095, 4096, 4097, 8191, 10000, 19198, 19199])
     def test_pairs_that_start_with_a_run_of_equal_bytes(self, index):
@@ -325,12 +361,12 @@ class TestFrameStep:
         a = rand_pixels(np.random.default_rng(163), 160, 120)
         b = _changed_at(a, index)
         _, r, block = _stepped(a, b)
-        assert r.hex() == _three_step(a, b).hex()
-        assert np.array_equal(block[1], kernels.histogram256(b))
+        assert r.hex() == _oracle(a, b).hex()
+        assert np.array_equal(block[1], bincount_histogram(b))
         b.flat[index:] = rand_pixels(np.random.default_rng(167), 160, 120).flat[index:]
         _, r, block = _stepped(a, b)
-        assert r.hex() == _three_step(a, b).hex()
-        assert np.array_equal(block[1], kernels.histogram256(b))
+        assert r.hex() == _oracle(a, b).hex()
+        assert np.array_equal(block[1], bincount_histogram(b))
 
     def test_an_equal_frame_in_another_row_copies_the_previous_row(self):
         # the previous row is trusted to be the previous frame's histogram,
@@ -338,19 +374,19 @@ class TestFrameStep:
         # another frame's, an equal pair copies it, and a pair that differs,
         # if only in its last byte, is counted
         a, other = _STEP_PAIRS["random"]
-        block = np.stack([kernels.histogram256(other), np.zeros(256, dtype=np.int64)])
+        block = np.stack([bincount_histogram(other), np.zeros(256, dtype=np.int64)])
         assert kernels.frame_step(a, a.copy(), block, 1, 0) == 1.0
         assert np.array_equal(block[1], block[0])
         b = _changed_at(a, -1)
         kernels.frame_step(b, a, block, 1, 0)
-        assert np.array_equal(block[1], kernels.histogram256(b))
+        assert np.array_equal(block[1], bincount_histogram(b))
 
     def test_rows_wrap_around_the_block(self):
         # the pass writes row 0 of a block against row 63 of the block before
         a, b = _STEP_PAIRS["noisy"]
         _, r, block = _stepped(a, b, rows=64, row=0, prev_row=63)
-        assert r.hex() == _three_step(a, b).hex()
-        assert np.array_equal(block[0], kernels.histogram256(b))
+        assert r.hex() == _oracle(a, b).hex()
+        assert np.array_equal(block[0], bincount_histogram(b))
         assert not block[1:63].any()
 
     @settings(max_examples=300, deadline=None)
@@ -363,7 +399,7 @@ class TestFrameStep:
         if data.draw(st.booleans()):
             b = np.clip(a.astype(np.int16) * data.draw(st.sampled_from([-1, 1, 2])) +
                         b % 3, 0, 255).astype(np.uint8)
-        assert _stepped(a, b)[1].hex() == _three_step(a, b).hex()
+        assert _stepped(a, b)[1].hex() == _oracle(a, b).hex()
 
 
 class TestCBoundary:
@@ -372,12 +408,7 @@ class TestCBoundary:
 
     def test_wrong_byte_lengths_raise(self):
         px = np.zeros((8, 8), dtype=np.uint8)
-        counts = np.zeros(256, dtype=np.int64)
         cuts = segment_bounds(8)
-        with pytest.raises(ValueError, match="bytes, expected 2048"):
-            kernels._C.histogram256(px, np.zeros(255, dtype=np.int64))
-        with pytest.raises(ValueError, match="bytes, expected 2048"):
-            kernels._C.pearson_sums(counts, counts[:255].copy(), px, px)
         with pytest.raises(ValueError, match="bytes, expected 72"):
             kernels._C.segment_histograms(px, cuts[:8].copy(), cuts,
                                           np.zeros((64, 256), dtype=np.int64), 8)
@@ -416,21 +447,6 @@ class TestCBoundary:
         with pytest.raises(ValueError, match="width"):
             kernels._C.segment_histograms(np.zeros(64, dtype=np.uint8), grid, grid,
                                           np.zeros((64, 256), dtype=np.int64), width)
-
-    def test_pixels_of_different_sizes_raise(self):
-        counts = np.zeros(256, dtype=np.int64)
-        with pytest.raises(ValueError, match="differ in size"):
-            kernels._C.pearson_sums(counts, counts, np.zeros(64, dtype=np.uint8),
-                                    np.zeros(65, dtype=np.uint8))
-
-    def test_non_contiguous_and_read_only_buffers_raise(self):
-        px = np.zeros((8, 16), dtype=np.uint8)
-        with pytest.raises(ValueError, match="contiguous"):
-            kernels._C.histogram256(px[:, ::2], np.zeros(256, dtype=np.int64))
-        frozen = np.zeros(256, dtype=np.int64)
-        frozen.flags.writeable = False
-        with pytest.raises(ValueError, match="read-only"):
-            kernels._C.histogram256(px, frozen)
 
     def test_entropy_steps_refuse_wrong_byte_lengths(self):
         counts = np.ones((2, 256), dtype=np.int64)
@@ -474,13 +490,16 @@ class TestCBoundary:
             kernels._C.row_sums(np.ones(512), np.array(levels, dtype=np.int64), np.empty(2))
 
     def test_wrong_argument_counts_raise(self):
-        with pytest.raises(TypeError, match="takes 2 arguments, got 1"):
-            kernels._C.histogram256(np.zeros(8, dtype=np.uint8))
         px, block = np.zeros(8, dtype=np.uint8), np.zeros((2, 256), dtype=np.int64)
         with pytest.raises(TypeError, match="takes 5 arguments, got 4"):
             kernels.frame_step(px, px, block, 0)
         with pytest.raises(TypeError, match="takes 5 arguments, got 6"):
             kernels.frame_step(px, px, block, 0, 0, 0)
+
+    def test_the_entry_points_are_the_kernels_src_calls(self):
+        # a C kernel that the program stops calling fails here, so it cannot linger
+        assert {name for name in dir(kernels._C) if not name.startswith("_")} == {
+            "frame_step", "segment_histograms", "probabilities", "row_sums", "sd_rows"}
 
 
 def _frozen(array):
@@ -597,14 +616,6 @@ def tall_frame():
 class TestGilRelease:
     """Threads that run the pass over frame ranges need every C entry point to
     release the GIL while it loops."""
-
-    def test_histogram256(self, tall_frame):
-        assert _counter_advances_during(lambda: kernels.histogram256(tall_frame))
-
-    def test_pearson_sums(self, tall_frame):
-        counts = kernels.histogram256(tall_frame)
-        assert _counter_advances_during(
-            lambda: kernels.pearson_sums(counts, counts, tall_frame, tall_frame))
 
     def test_frame_step(self, tall_frame):
         # only the last pixel differs, so the call compares the whole pair,

@@ -334,8 +334,7 @@ class TestRunPipeline:
         textures = synthetic.make_textures(np.random.default_rng(41), 3, 32, 16)
         planes = [textures[t] for t in (0, 1, 2, 0) for _ in range(12)]
         (tmp_path / "video.raw").write_bytes(b"".join(px.tobytes() for px in planes))
-        calls = {name: 0 for name in ("frame_step", "histogram256", "pearson_sums",
-                                      "segment_histograms")}
+        calls = {name: 0 for name in ("frame_step", "segment_histograms")}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -354,9 +353,8 @@ class TestRunPipeline:
         assert len(report["shots"]) == 4
         assert len(report["candidates"]) == 4
         # one crossing per frame gives its histogram and its correlation with
-        # the frame before; the three-step kernels stay off the pass
-        assert calls == {"frame_step": total, "histogram256": 0, "pearson_sums": 0,
-                         "segment_histograms": len(report["candidates"])}
+        # the frame before
+        assert calls == {"frame_step": total, "segment_histograms": len(report["candidates"])}
 
     def test_bad_threshold_is_config_error(self, small_video, tmp_path):
         root, _ = small_video
