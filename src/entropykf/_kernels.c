@@ -1,17 +1,17 @@
 /* The per-frame kernels of entropykf, over 8-bit pixels in row-major order.
  *
  * kernels.py compiles this file into a CPython extension module on first
- * import and loads it from its cache.  Its wrappers check dtype, shape and
- * contiguity before a call; frame_step has no wrapper and checks that its
- * pixels are bytes itself, and sd_rows' caller, entropy.dissimilarity, makes
- * its arrays contiguous float64.  Each entry point here takes its arrays
- * through the buffer protocol, which refuses a non-contiguous array, checks
- * the byte length of every fixed-size buffer again, and releases the GIL
- * around its loops.  The histogram and moment results are exact integers; the
- * two entropy steps and sd_rows repeat numpy's own float64 arithmetic, one
- * IEEE operation per value and numpy's pairwise order of addition, so they
- * give its bits, and frame_step's correlation takes Python's float steps on
- * the exact integer moments.  None needs -ffast-math, which would reorder the
+ * import and loads it from its cache.  Each entry point lists its arguments
+ * once, and parse_args checks every call against that list: the count, and
+ * each buffer's format, writability and byte length, so this file is the one
+ * place that says which arrays a kernel reads and writes.  The buffer
+ * protocol refuses a non-contiguous array.  Python keeps shapes, which a
+ * buffer does not carry, and conversion.  Every loop runs with the GIL
+ * released.  The histogram and moment results are exact integers; the
+ * entropy steps and sd_rows repeat numpy's own float64 arithmetic, one IEEE
+ * operation per value and numpy's pairwise order of addition, so they give
+ * its bits, and frame_step's correlation takes Python's float steps on the
+ * exact integer moments.  None needs -ffast-math, which would reorder the
  * additions.
  */
 
@@ -270,15 +270,25 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
 
-/* out[r] is the sum of row r's run of levels[r] terms, the runs packed row
- * after row in terms, as np.add.reduce gives it: 0.0 plus the pairwise sum. */
-static void row_sums(const double *terms, const int64_t *levels, int64_t rows, double *out)
+/* out[r] is the entropy of row r, -Σ p·lg over its run of levels[r] values,
+ * the runs packed row after row in p and lg, as numpy gives it from the
+ * packed arrays: each product p * lg; 0.0 plus their pairwise sum, as
+ * np.add.reduce of the run; its negation, clamped to [0, 8], so that -0.0
+ * and last-ulp noise below 0 become 0.0.  Every run holds at most 256
+ * values. */
+static void entropy_rows(const double *p, const double *lg, const int64_t *levels,
+                         int64_t rows, double *out)
 {
-    int64_t r;
+    double terms[256], h;
+    int64_t r, j;
 
     for (r = 0; r < rows; r++) {
-        out[r] = 0.0 + pairwise_sum(terms, levels[r]);
-        terms += levels[r];
+        for (j = 0; j < levels[r]; j++)
+            terms[j] = p[j] * lg[j];
+        h = -(0.0 + pairwise_sum(terms, levels[r]));
+        out[r] = h <= 0.0 ? 0.0 : h > 8.0 ? 8.0 : h;
+        p += levels[r];
+        lg += levels[r];
     }
 }
 
@@ -317,6 +327,16 @@ static int cuts_within(const int64_t *cuts, int64_t end)
     return cuts[0] >= 0 && cuts[8] <= end;
 }
 
+/* One argument of an entry point.  kind is 'B' for bytes, 'q' for 8-byte
+ * integers, 'd' for doubles, or 'n' for an index, a Python int.  out is set
+ * for a buffer the call writes.  A buffer must have len bytes when len is
+ * set, and a whole number of rows of row bytes when row is; else any
+ * length. */
+struct arg {
+    char kind, out;
+    Py_ssize_t len, row;
+};
+
 /* Sets the ValueError of argument i of name, whose buffer does not have len
  * bytes, and returns -1; returns 0 if it has. */
 static int check_len(const char *name, Py_ssize_t i, const Py_buffer *view, Py_ssize_t len)
@@ -328,60 +348,18 @@ static int check_len(const char *name, Py_ssize_t i, const Py_buffer *view, Py_s
     return -1;
 }
 
-/* The number of rows of size bytes each that argument i of name holds, or -1
- * with a ValueError set if its buffer is not a whole number of them. */
-static Py_ssize_t count_rows(const char *name, Py_ssize_t i, const Py_buffer *view,
-                             Py_ssize_t size)
+/* Whether the buffer holds values of kind: a format of one type code, kind
+ * itself or, for 'q', numpy's 'l', with an item of 1 byte for 'B' and 8 for
+ * the others, in native byte order (no prefix, '@', '=' or the native one of
+ * '<' and '>').  A NULL format is bytes. */
+static int has_kind(const Py_buffer *view, char kind)
 {
-    if (view->len % size == 0)
-        return view->len / size;
-    PyErr_Format(PyExc_ValueError, "%s: argument %zd has %zd bytes, not a multiple of %zd",
-                 name, i + 1, view->len, size);
-    return -1;
-}
+    const char *f = view->format == NULL ? "B" : view->format;
 
-/* Sets the ValueError of argument i of name, whose buffer does not hold bytes
- * (format "B", which a uint8 array has), and returns -1; returns 0 if it does. */
-static int check_bytes(const char *name, Py_ssize_t i, const Py_buffer *view)
-{
-    if (view->format == NULL || strcmp(view->format, "B") == 0)
-        return 0;
-    PyErr_Format(PyExc_ValueError, "%s: argument %zd has format '%s', expected 'B'",
-                 name, i + 1, view->format);
-    return -1;
-}
-
-static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t n)
-{
-    if (nargs == n)
-        return 0;
-    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", name, n, nargs);
-    return -1;
-}
-
-/* Fills views[i] with the C-contiguous buffer of args[i], and its format, for
- * i < n; the last n_out of them must be writable, and a non-negative lens[i]
- * is the byte length that buffer must have.  On failure, sets an exception, releases what
- * it acquired and returns -1. */
-static int get_buffers(const char *name, PyObject *const *args, Py_buffer *views,
-                       Py_ssize_t n, Py_ssize_t n_out, const Py_ssize_t *lens)
-{
-    Py_ssize_t i, j;
-
-    for (i = 0; i < n; i++) {
-        if (PyObject_GetBuffer(args[i], &views[i],
-                               PyBUF_FORMAT | (i < n - n_out ? 0 : PyBUF_WRITABLE)) < 0)
-            goto fail;
-        if (lens[i] >= 0 && check_len(name, i, &views[i], lens[i]) < 0) {
-            i++;
-            goto fail;
-        }
-    }
-    return 0;
-fail:
-    for (j = 0; j < i; j++)
-        PyBuffer_Release(&views[j]);
-    return -1;
+    if (*f == '@' || *f == '=' || *f == (PY_LITTLE_ENDIAN ? '<' : '>'))
+        f++;
+    return f[0] != '\0' && f[1] == '\0' && (f[0] == kind || (kind == 'q' && f[0] == 'l')) &&
+           view->itemsize == (kind == 'B' ? 1 : 8);
 }
 
 static void release_buffers(Py_buffer *views, Py_ssize_t n)
@@ -390,6 +368,53 @@ static void release_buffers(Py_buffer *views, Py_ssize_t n)
 
     for (i = 0; i < n; i++)
         PyBuffer_Release(&views[i]);
+}
+
+/* Reads the nargs arguments of the entry point name against the n that spec
+ * lists.  A buffer goes into views[i]: C-contiguous, writable if out, of its
+ * kind and length; sizes[i] gets its number of rows, or of items when it has
+ * no row size.  An index goes into sizes[i].  views starts zeroed, so a
+ * PyBuffer_Release of any of the n is safe; on failure this sets an exception,
+ * releases them all and returns -1, and on success the caller releases them. */
+static int parse_args(const char *name, const struct arg *spec, Py_ssize_t n,
+                      PyObject *const *args, Py_ssize_t nargs, Py_buffer *views,
+                      Py_ssize_t *sizes)
+{
+    Py_buffer *v;
+    Py_ssize_t i;
+
+    memset(views, 0, n * sizeof(*views));
+    if (nargs != n) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", name, n, nargs);
+        return -1;
+    }
+    for (i = 0; i < n; i++) {
+        v = &views[i];
+        if (spec[i].kind == 'n') {
+            if ((sizes[i] = PyLong_AsSsize_t(args[i])) == -1 && PyErr_Occurred())
+                goto fail;
+            continue;
+        }
+        if (PyObject_GetBuffer(args[i], v, PyBUF_FORMAT | (spec[i].out ? PyBUF_WRITABLE : 0)) < 0)
+            goto fail;
+        if (!has_kind(v, spec[i].kind)) {
+            PyErr_Format(PyExc_ValueError, "%s: argument %zd has format '%s', expected '%c'", name,
+                         i + 1, v->format == NULL ? "B" : v->format, spec[i].kind);
+            goto fail;
+        }
+        if (spec[i].len > 0 && check_len(name, i, v, spec[i].len) < 0)
+            goto fail;
+        if (spec[i].row > 0 && v->len % spec[i].row != 0) {
+            PyErr_Format(PyExc_ValueError, "%s: argument %zd has %zd bytes, not a multiple of %zd",
+                         name, i + 1, v->len, spec[i].row);
+            goto fail;
+        }
+        sizes[i] = v->len / (spec[i].row > 0 ? spec[i].row : v->itemsize);
+    }
+    return 0;
+fail:
+    release_buffers(views, n);
+    return -1;
 }
 
 /* frame_step(pixels, prev_pixels, block, row, prev_row): the histogram of the
@@ -415,38 +440,33 @@ static void release_buffers(Py_buffer *views, Py_ssize_t n)
  * speed in place of one at the dot's. */
 static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const Py_ssize_t lens[3] = {-1, -1, -1};
-    Py_buffer v[3];
-    Py_ssize_t rows, row, prev_row, n;
+    static const struct arg spec[5] = {
+        {.kind = 'B'}, {.kind = 'B'}, {.kind = 'q', .out = 1, .row = COUNTS_BYTES},
+        {.kind = 'n'}, {.kind = 'n'}};
+    Py_buffer v[5];
+    Py_ssize_t s[5], row, prev_row, n;
     int64_t *cur, *prev, sa, sb, saa, sbb, k;
     const uint8_t *px, *prev_px;
     uint64_t sab;
+    PyObject *result = NULL;
     double r = 0.0;
     int ok;
 
     (void)self;
-    if (check_nargs("frame_step", nargs, 5) < 0)
+    if (parse_args("frame_step", spec, 5, args, nargs, v, s) < 0)
         return NULL;
-    if ((row = PyLong_AsSsize_t(args[3])) == -1 && PyErr_Occurred())
-        return NULL;
-    if ((prev_row = PyLong_AsSsize_t(args[4])) == -1 && PyErr_Occurred())
-        return NULL;
-    if (get_buffers("frame_step", args, v, 3, 1, lens) < 0)
-        return NULL;
-    if (check_bytes("frame_step", 0, &v[0]) < 0 || check_bytes("frame_step", 1, &v[1]) < 0 ||
-        (rows = count_rows("frame_step", 2, &v[2], COUNTS_BYTES)) < 0)
-        goto fail;
-    if (v[0].len != v[1].len) {
-        PyErr_Format(PyExc_ValueError, "frames differ in size: %zd vs %zd pixels",
-                     v[1].len, v[0].len);
-        goto fail;
-    }
-    if (row < 0 || row >= rows || prev_row < 0 || prev_row >= rows) {
-        PyErr_Format(PyExc_ValueError, "frame_step: rows %zd and %zd are not both in 0..%zd",
-                     row, prev_row, rows - 1);
-        goto fail;
-    }
     n = v[0].len;
+    row = s[3];
+    prev_row = s[4];
+    if (v[1].len != n) {
+        PyErr_Format(PyExc_ValueError, "frames differ in size: %zd vs %zd pixels", v[1].len, n);
+        goto done;
+    }
+    if (row < 0 || row >= s[2] || prev_row < 0 || prev_row >= s[2]) {
+        PyErr_Format(PyExc_ValueError, "frame_step: rows %zd and %zd are not both in 0..%zd",
+                     row, prev_row, s[2] - 1);
+        goto done;
+    }
     px = v[0].buf;
     prev_px = v[1].buf;
     cur = (int64_t *)v[2].buf + row * 256;
@@ -472,16 +492,14 @@ static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t
         r = correlation(n, sa, sb, saa, sbb, sab);
     }
     Py_END_ALLOW_THREADS
-    if (!ok) {
+    if (ok)
+        result = PyFloat_FromDouble(r);
+    else
         PyErr_Format(PyExc_ValueError, "frame_step: row %zd is not the histogram of %zd pixels",
                      prev_row, n);
-        goto fail;
-    }
-    release_buffers(v, 3);
-    return PyFloat_FromDouble(r);
-fail:
-    release_buffers(v, 3);
-    return NULL;
+done:
+    release_buffers(v, 5);
+    return result;
 }
 
 /* segment_histograms(pixels, rows, cols, out, width): the cell histograms of
@@ -489,31 +507,32 @@ fail:
 static PyObject *py_segment_histograms(PyObject *self, PyObject *const *args,
                                        Py_ssize_t nargs)
 {
-    static const Py_ssize_t lens[4] = {-1, CUTS_BYTES, CUTS_BYTES, SEGMENT_COUNTS_BYTES};
-    Py_buffer v[4];
-    Py_ssize_t w;
+    static const struct arg spec[5] = {
+        {.kind = 'B'}, {.kind = 'q', .len = CUTS_BYTES}, {.kind = 'q', .len = CUTS_BYTES},
+        {.kind = 'q', .out = 1, .len = SEGMENT_COUNTS_BYTES}, {.kind = 'n'}};
+    Py_buffer v[5];
+    Py_ssize_t s[5], w;
+    PyObject *result = NULL;
 
     (void)self;
-    if (check_nargs("segment_histograms", nargs, 5) < 0)
+    if (parse_args("segment_histograms", spec, 5, args, nargs, v, s) < 0)
         return NULL;
-    w = PyLong_AsSsize_t(args[4]);
-    if (w == -1 && PyErr_Occurred())
-        return NULL;
-    if (w <= 0)
-        return PyErr_Format(PyExc_ValueError, "segment_histograms: width %zd is not positive", w);
-    if (get_buffers("segment_histograms", args, v, 4, 1, lens) < 0)
-        return NULL;
+    if ((w = s[4]) <= 0) {
+        PyErr_Format(PyExc_ValueError, "segment_histograms: width %zd is not positive", w);
+        goto done;
+    }
     if (!cuts_within(v[1].buf, v[0].len / w) || !cuts_within(v[2].buf, w)) {
         PyErr_Format(PyExc_ValueError, "segment_histograms: cut points outside the %zdx%zd frame",
                      w, v[0].len / w);
-        release_buffers(v, 4);
-        return NULL;
+        goto done;
     }
     Py_BEGIN_ALLOW_THREADS
     segment_histograms(v[0].buf, w, v[1].buf, v[2].buf, v[3].buf);
     Py_END_ALLOW_THREADS
-    release_buffers(v, 4);
-    Py_RETURN_NONE;
+    result = Py_NewRef(Py_None);
+done:
+    release_buffers(v, 5);
+    return result;
 }
 
 /* probabilities(counts, p, levels): the non-zero counts of each row of the
@@ -522,85 +541,90 @@ static PyObject *py_segment_histograms(PyObject *self, PyObject *const *args,
  * returns the number of doubles written. */
 static PyObject *py_probabilities(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const Py_ssize_t lens[3] = {-1, -1, -1};
+    static const struct arg spec[3] = {
+        {.kind = 'q', .row = COUNTS_BYTES}, {.kind = 'd', .out = 1}, {.kind = 'q', .out = 1}};
     Py_buffer v[3];
-    Py_ssize_t rows;
+    Py_ssize_t s[3];
+    PyObject *result = NULL;
     int64_t written;
 
     (void)self;
-    if (check_nargs("probabilities", nargs, 3) < 0 ||
-        get_buffers("probabilities", args, v, 3, 2, lens) < 0)
+    if (parse_args("probabilities", spec, 3, args, nargs, v, s) < 0)
         return NULL;
-    if ((rows = count_rows("probabilities", 0, &v[0], COUNTS_BYTES)) < 0 ||
-        check_len("probabilities", 1, &v[1], rows * 256 * (Py_ssize_t)sizeof(double)) < 0 ||
-        check_len("probabilities", 2, &v[2], rows * (Py_ssize_t)sizeof(int64_t)) < 0) {
-        release_buffers(v, 3);
-        return NULL;
+    if (check_len("probabilities", 1, &v[1], s[0] * 256 * (Py_ssize_t)sizeof(double)) == 0 &&
+        check_len("probabilities", 2, &v[2], s[0] * (Py_ssize_t)sizeof(int64_t)) == 0) {
+        Py_BEGIN_ALLOW_THREADS
+        written = probabilities(v[0].buf, s[0], v[1].buf, v[2].buf);
+        Py_END_ALLOW_THREADS
+        result = PyLong_FromLongLong((long long)written);
     }
-    Py_BEGIN_ALLOW_THREADS
-    written = probabilities(v[0].buf, rows, v[1].buf, v[2].buf);
-    Py_END_ALLOW_THREADS
     release_buffers(v, 3);
-    return PyLong_FromLongLong((long long)written);
+    return result;
 }
 
-/* row_sums(terms, levels, out): each row's sum of its run of terms into the
- * rows doubles of out; the rows int64 run lengths of levels must be
- * non-negative and add up to the number of doubles in terms. */
-static PyObject *py_row_sums(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* entropy_rows(p, lg, levels, out): each row's entropy from its run of p and
+ * of lg, the log2 of p, into the rows doubles of out; the rows int64 run
+ * lengths of levels must each be in 0..256 and add up to the number of
+ * doubles in p, and lg must be as long as p. */
+static PyObject *py_entropy_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const Py_ssize_t lens[3] = {-1, -1, -1};
-    Py_buffer v[3];
-    Py_ssize_t rows, n, r, left;
+    static const struct arg spec[4] = {
+        {.kind = 'd'}, {.kind = 'd'}, {.kind = 'q'}, {.kind = 'd', .out = 1}};
+    Py_buffer v[4];
+    Py_ssize_t s[4], r, left;
     const int64_t *levels;
+    PyObject *result = NULL;
 
     (void)self;
-    if (check_nargs("row_sums", nargs, 3) < 0 ||
-        get_buffers("row_sums", args, v, 3, 1, lens) < 0)
+    if (parse_args("entropy_rows", spec, 4, args, nargs, v, s) < 0)
         return NULL;
-    if ((n = count_rows("row_sums", 0, &v[0], sizeof(double))) < 0 ||
-        (rows = count_rows("row_sums", 1, &v[1], sizeof(int64_t))) < 0 ||
-        check_len("row_sums", 2, &v[2], rows * (Py_ssize_t)sizeof(double)) < 0) {
-        release_buffers(v, 3);
-        return NULL;
+    if (check_len("entropy_rows", 1, &v[1], v[0].len) < 0 ||
+        check_len("entropy_rows", 3, &v[3], s[2] * (Py_ssize_t)sizeof(double)) < 0)
+        goto done;
+    levels = v[2].buf;
+    for (r = 0, left = s[0]; r < s[2]; left -= levels[r++]) {
+        if (levels[r] < 0 || levels[r] > 256) {
+            PyErr_Format(PyExc_ValueError, "entropy_rows: run %zd has length %lld, outside 0..256",
+                         r, (long long)levels[r]);
+            goto done;
+        }
     }
-    levels = v[1].buf;
-    for (r = 0, left = n; r < rows && levels[r] >= 0 && levels[r] <= left; r++)
-        left -= levels[r];
-    if (r < rows || left != 0) {
-        PyErr_Format(PyExc_ValueError, "row_sums: the run lengths do not cover the %zd terms",
-                     n);
-        release_buffers(v, 3);
-        return NULL;
+    if (left != 0) {
+        PyErr_Format(PyExc_ValueError, "entropy_rows: the run lengths do not cover the %zd values",
+                     s[0]);
+        goto done;
     }
     Py_BEGIN_ALLOW_THREADS
-    row_sums(v[0].buf, levels, rows, v[2].buf);
+    entropy_rows(v[0].buf, v[1].buf, levels, s[2], v[3].buf);
     Py_END_ALLOW_THREADS
-    release_buffers(v, 3);
-    Py_RETURN_NONE;
+    result = Py_NewRef(Py_None);
+done:
+    release_buffers(v, 4);
+    return result;
 }
 
 /* sd_rows(stack, b, out): the SD of b minus each row of the (rows, 64)
  * float64 stack into the rows doubles of out; b holds 64 doubles. */
 static PyObject *py_sd_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const Py_ssize_t lens[3] = {-1, SEGMENT_ROW_BYTES, -1};
+    static const struct arg spec[3] = {
+        {.kind = 'd', .row = SEGMENT_ROW_BYTES}, {.kind = 'd', .len = SEGMENT_ROW_BYTES},
+        {.kind = 'd', .out = 1}};
     Py_buffer v[3];
-    Py_ssize_t rows;
+    Py_ssize_t s[3];
+    PyObject *result = NULL;
 
     (void)self;
-    if (check_nargs("sd_rows", nargs, 3) < 0 || get_buffers("sd_rows", args, v, 3, 1, lens) < 0)
+    if (parse_args("sd_rows", spec, 3, args, nargs, v, s) < 0)
         return NULL;
-    if ((rows = count_rows("sd_rows", 0, &v[0], SEGMENT_ROW_BYTES)) < 0 ||
-        check_len("sd_rows", 2, &v[2], rows * (Py_ssize_t)sizeof(double)) < 0) {
-        release_buffers(v, 3);
-        return NULL;
+    if (check_len("sd_rows", 2, &v[2], s[0] * (Py_ssize_t)sizeof(double)) == 0) {
+        Py_BEGIN_ALLOW_THREADS
+        sd_rows(v[0].buf, v[1].buf, s[0], v[2].buf);
+        Py_END_ALLOW_THREADS
+        result = Py_NewRef(Py_None);
     }
-    Py_BEGIN_ALLOW_THREADS
-    sd_rows(v[0].buf, v[1].buf, rows, v[2].buf);
-    Py_END_ALLOW_THREADS
     release_buffers(v, 3);
-    Py_RETURN_NONE;
+    return result;
 }
 
 static PyMethodDef kernel_methods[] = {
@@ -611,8 +635,8 @@ static PyMethodDef kernel_methods[] = {
      "segment_histograms(pixels, rows, cols, out, width): 8x8 cell histograms into out."},
     {"probabilities", (PyCFunction)(void (*)(void))py_probabilities, METH_FASTCALL,
      "probabilities(counts, p, levels): each row's non-zero counts over its total into p."},
-    {"row_sums", (PyCFunction)(void (*)(void))py_row_sums, METH_FASTCALL,
-     "row_sums(terms, levels, out): each row's run of terms summed in numpy's pairwise order."},
+    {"entropy_rows", (PyCFunction)(void (*)(void))py_entropy_rows, METH_FASTCALL,
+     "entropy_rows(p, lg, levels, out): each row's entropy, -sum(p * lg) over its run, into out."},
     {"sd_rows", (PyCFunction)(void (*)(void))py_sd_rows, METH_FASTCALL,
      "sd_rows(stack, b, out): np.std(b - stack, axis=-1) of a (rows, 64) float64 stack into out."},
     {NULL, NULL, 0, NULL}

@@ -73,8 +73,7 @@ def test_cached_module_is_keyed_to_the_interpreter_abi(tmp_path):
 
 
 def test_a_build_deletes_the_builds_it_replaces(tmp_path):
-    # an older source's build for this ABI and a build of the former ctypes
-    # loader, which had no ABI suffix, go; another ABI's build and a
+    # an older source's build for this ABI goes; another ABI's build and a
     # concurrent build's temporary file stay
     root = _copy_package(tmp_path)
     cache = root / "entropykf" / "__pycache__"
@@ -82,7 +81,7 @@ def test_a_build_deletes_the_builds_it_replaces(tmp_path):
     suffix = EXTENSION_SUFFIXES[0]
     other_abi = suffix.replace(sys.implementation.cache_tag, "cpython-399")
     assert other_abi != suffix
-    stale = [f"_kernels-00000001{suffix}", "_kernels-7004e37d.so"]
+    stale = [f"_kernels-00000001{suffix}"]
     kept = [f"_kernels-00000002{other_abi}", f"_kernels-00000003{suffix}.4321.tmp"]
     for name in stale + kept:
         (cache / name).write_bytes(b"")

@@ -166,19 +166,25 @@ class TestEntropy:
                 [en.hex() for en in numpy_entropy_from_counts(order).tolist()]
 
     @pytest.mark.parametrize("bad", {
-        "int32": lambda s: s.astype(np.int32),
-        "float64": lambda s: s.astype(np.float64),
-        "one-row": lambda s: s[0],
-        "255-levels": lambda s: s[:, :255].copy(),
-        "3-D": lambda s: s[np.newaxis],
-        "every-other-row": lambda s: s[::2],
-        "fortran-order": np.asfortranarray,
+        "int32": (lambda s: s.astype(np.int32), "argument 1 has format 'i', expected 'q'"),
+        "float64": (lambda s: s.astype(np.float64), "argument 1 has format 'd', expected 'q'"),
+        "one-row": (lambda s: s[0], r"shape \(k, 256\), got shape \(256,\)"),
+        "255-levels": (lambda s: s[:, :255].copy(), r"shape \(k, 256\), got shape \(4, 255\)"),
+        "3-D": (lambda s: s[np.newaxis], r"shape \(k, 256\), got shape \(1, 4, 256\)"),
+        "every-other-row": (lambda s: s[::2], "not C-contiguous"),
+        "fortran-order": (np.asfortranarray, "not C-contiguous"),
     }.items(), ids=lambda item: item[0])
     def test_refuses_stacks_the_c_side_cannot_read(self, bad):
-        _, make = bad
+        # the shape in Python, the dtype in the C entry point, and the layout
+        # in the buffer protocol
+        _, (make, message) = bad
         stack = np.ones((4, 256), dtype=np.int64)
-        with pytest.raises(ValueError, match=r"int64 counts of shape \(k, 256\)"):
+        with pytest.raises(ValueError, match=message):
             kernels.entropy_from_counts(make(stack))
+
+    def test_an_empty_stack_gives_no_entropies(self):
+        rows = kernels.entropy_from_counts(np.zeros((0, 256), dtype=np.int64))
+        assert rows.shape == (0,) and rows.dtype == np.float64
 
 
 class TestModifiedEntropy:

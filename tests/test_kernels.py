@@ -15,6 +15,8 @@ At the C boundary, arrays the C side cannot read as they are raise
 Python threads run while it loops, and the compiled module has no entry point
 that nothing in ``src/`` calls."""
 
+import array
+import ctypes
 import sys
 import threading
 import time
@@ -458,13 +460,13 @@ class TestCBoundary:
         with pytest.raises(ValueError, match="argument 3 has 8 bytes, expected 16"):
             kernels._C.probabilities(counts, p, levels[:1].copy())
         assert kernels._C.probabilities(counts, p, levels) == 512
-        terms, out = np.ones(512), np.empty(2)
-        with pytest.raises(ValueError, match="argument 1 has 3 bytes, not a multiple of 8"):
-            kernels._C.row_sums(np.zeros(3, dtype=np.uint8), levels, out)
-        with pytest.raises(ValueError, match="argument 2 has 12 bytes, not a multiple of 8"):
-            kernels._C.row_sums(terms, np.zeros(3, dtype=np.int32), out)
-        with pytest.raises(ValueError, match="argument 3 has 24 bytes, expected 16"):
-            kernels._C.row_sums(terms, levels, np.empty(3))
+        lg, out = np.log2(p), np.empty(2)
+        with pytest.raises(ValueError, match="argument 2 has 4088 bytes, expected 4096"):
+            kernels._C.entropy_rows(p, lg[:511].copy(), levels, out)
+        with pytest.raises(ValueError, match="argument 4 has 24 bytes, expected 16"):
+            kernels._C.entropy_rows(p, lg, levels, np.empty(3))
+        kernels._C.entropy_rows(p, lg, levels, out)
+        assert out.tolist() == [8.0, 8.0]
 
     def test_sd_rows_refuses_wrong_byte_lengths(self):
         stack, b, out = np.ones((3, 64)), np.ones(64), np.empty(3)
@@ -483,11 +485,80 @@ class TestCBoundary:
         assert out.tolist() == [0.0, 0.0, 0.0]
         kernels.sd_rows(np.empty((0, 64)), b, np.empty(0))  # no rows, nothing to write
 
-    @pytest.mark.parametrize("levels", [[256, 255], [256, 257], [-1, 513]],
-                             ids=["short", "long", "negative"])
-    def test_row_sums_refuses_runs_that_do_not_cover_the_terms(self, levels):
-        with pytest.raises(ValueError, match="run lengths do not cover the 512 terms"):
-            kernels._C.row_sums(np.ones(512), np.array(levels, dtype=np.int64), np.empty(2))
+    @pytest.mark.parametrize("levels,values", [([256, 255], 512), ([256, 256], 511)],
+                             ids=["short", "long"])
+    def test_entropy_rows_refuses_runs_that_do_not_cover_the_terms(self, levels, values):
+        out = np.full(2, np.nan)
+        with pytest.raises(ValueError, match=f"run lengths do not cover the {values} values"):
+            kernels._C.entropy_rows(np.ones(values), np.zeros(values),
+                                    np.array(levels, dtype=np.int64), out)
+        assert np.isnan(out).all()
+
+    @pytest.mark.parametrize("levels,message", [
+        ([256, 257, 0], "run 1 has length 257, outside 0..256"),
+        ([-1, 256, 258], "run 0 has length -1, outside 0..256"),
+    ], ids=["257", "negative"])
+    def test_entropy_rows_refuses_a_run_outside_0_to_256(self, levels, message):
+        # each row's products go into a buffer of 256 doubles, so a longer
+        # run is refused before the loop, even where the runs cover the values
+        out = np.full(3, np.nan)
+        with pytest.raises(ValueError, match=message):
+            kernels._C.entropy_rows(np.ones(513), np.zeros(513),
+                                    np.array(levels, dtype=np.int64), out)
+        assert np.isnan(out).all()
+
+    # a buffer of the right byte length and the wrong format: the entry point
+    # names the argument and both formats, and writes nothing
+    @pytest.mark.parametrize("case", {
+        "frame_step-int32-block": lambda px, cuts: (
+            kernels.frame_step, (px, px, np.zeros((2, 512), dtype=np.int32), 0, 0),
+            "frame_step: argument 3 has format 'i', expected 'q'"),
+        "frame_step-float64-block": lambda px, cuts: (
+            kernels.frame_step, (px, px, np.zeros((2, 256)), 0, 0),
+            "frame_step: argument 3 has format 'd', expected 'q'"),
+        "frame_step-big-endian-block": lambda px, cuts: (
+            kernels.frame_step, (px, px, np.zeros((2, 256), dtype=">i8"), 0, 0),
+            "frame_step: argument 3 has format '>q', expected 'q'"),
+        "segment_histograms-int32-out": lambda px, cuts: (
+            kernels._C.segment_histograms,
+            (px, cuts, cuts, np.zeros((64, 512), dtype=np.int32), 8),
+            "segment_histograms: argument 4 has format 'i', expected 'q'"),
+        "segment_histograms-float64-cuts": lambda px, cuts: (
+            kernels._C.segment_histograms,
+            (px, cuts.astype(np.float64), cuts, np.zeros((64, 256), dtype=np.int64), 8),
+            "segment_histograms: argument 2 has format 'd', expected 'q'"),
+        "probabilities-float64-counts": lambda px, cuts: (
+            kernels._C.probabilities,
+            (np.ones((2, 256)), np.zeros(512), np.zeros(2, dtype=np.int64)),
+            "probabilities: argument 1 has format 'd', expected 'q'"),
+        "entropy_rows-float32-p": lambda px, cuts: (
+            kernels._C.entropy_rows,
+            (np.full(8, 0.5, dtype=np.float32), np.full(4, -1.0), np.array([2, 2]),
+             np.zeros(2)),
+            "entropy_rows: argument 1 has format 'f', expected 'd'"),
+        "sd_rows-float32-stack": lambda px, cuts: (
+            kernels.sd_rows, (np.ones((1, 128), dtype=np.float32), np.ones(64), np.zeros(1)),
+            "sd_rows: argument 1 has format 'f', expected 'd'"),
+    }.items(), ids=lambda item: item[0])
+    def test_refuses_a_buffer_of_the_right_length_and_the_wrong_format(self, case):
+        call, args, message = case[1](np.zeros((8, 8), dtype=np.uint8), segment_bounds(8))
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        before = [(a.tobytes(), sys.getrefcount(a)) for a in arrays]
+        with pytest.raises(ValueError, match=message):
+            call(*args)
+        # the bytes unchanged, and no buffer left held by a reference
+        assert [(a.tobytes(), sys.getrefcount(a)) for a in arrays] == before
+
+    def test_native_formats_of_other_exporters_are_read(self):
+        # array's 'q' and ctypes' '<q' (on a little-endian host) are int64 in
+        # native byte order, as numpy's 'l' is
+        px = np.arange(64, dtype=np.uint8)
+        blocks = [array.array("q", bytes(2048))]
+        if sys.byteorder == "little":
+            blocks.append((ctypes.c_int64 * 256)())
+        for block in blocks:
+            assert kernels.frame_step(px, px, block, 0, 0) == 1.0
+            assert list(block[:65]) == [1] * 64 + [0]
 
     def test_wrong_argument_counts_raise(self):
         px, block = np.zeros(8, dtype=np.uint8), np.zeros((2, 256), dtype=np.int64)
@@ -499,7 +570,7 @@ class TestCBoundary:
     def test_the_entry_points_are_the_kernels_src_calls(self):
         # a C kernel that the program stops calling fails here, so it cannot linger
         assert {name for name in dir(kernels._C) if not name.startswith("_")} == {
-            "frame_step", "segment_histograms", "probabilities", "row_sums", "sd_rows"}
+            "frame_step", "segment_histograms", "probabilities", "entropy_rows", "sd_rows"}
 
 
 def _frozen(array):
@@ -646,10 +717,10 @@ class TestGilRelease:
         p, levels = np.empty(counts.size), np.empty(8192, dtype=np.int64)
         assert _counter_advances_during(lambda: kernels._C.probabilities(counts, p, levels))
 
-    def test_row_sums(self):
-        terms, levels = np.ones(8192 * 256), np.full(8192, 256, dtype=np.int64)
-        out = np.empty(8192)
-        assert _counter_advances_during(lambda: kernels._C.row_sums(terms, levels, out))
+    def test_entropy_rows(self):
+        p, lg = np.full(8192 * 256, 1 / 256), np.full(8192 * 256, -8.0)
+        levels, out = np.full(8192, 256, dtype=np.int64), np.empty(8192)
+        assert _counter_advances_during(lambda: kernels._C.entropy_rows(p, lg, levels, out))
 
     def test_sd_rows(self):
         stack, b, out = np.ones((32768, 64)), np.zeros(64), np.empty(32768)
