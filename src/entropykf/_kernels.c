@@ -7,12 +7,13 @@
  * place that says which arrays a kernel reads and writes.  The buffer
  * protocol refuses a non-contiguous array.  Python keeps shapes, which a
  * buffer does not carry, and conversion.  Every loop runs with the GIL
- * released.  The histogram and moment results are exact integers; the
- * entropy steps and sd_rows repeat numpy's own float64 arithmetic, one IEEE
- * operation per value and numpy's pairwise order of addition, so they give
- * its bits, and frame_step's correlation takes Python's float steps on the
- * exact integer moments.  None needs -ffast-math, which would reorder the
- * additions.
+ * released.  The histogram and moment results are exact integers; entropy
+ * takes its log2 from exponent bits and IEEE + - * / alone (log2_parts), so
+ * its bits depend on no libm and no CPU; sd_rows repeats numpy's float64
+ * steps and pairwise order, so it gives numpy's bits; frame_step's
+ * correlation takes Python's float steps on the exact integer moments.  The
+ * build passes -ffp-contract=off, so no product and sum fuse into one
+ * rounding; -ffast-math would reorder the additions.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -205,39 +206,6 @@ static void segment_histograms(const uint8_t *px, int64_t w, const int64_t *rows
     }
 }
 
-/* The non-zero counts of each of rows 256-bin histograms, each divided by its
- * row's total, packed row after row into p; levels[r] gets the number of
- * non-zero counts of row r.  Returns the number of values written.  The
- * division is numpy's int64 / int64 true_divide: both sides converted to
- * double, exact for counts below 2^53, then one IEEE division.  Every count
- * is divided and stored, and the write position moves past only a non-zero
- * one, so the packing has no branch to mispredict on a row's pattern of empty
- * levels.  The total is summed in uint64 so that any counts wrap, as numpy's
- * int64 sum does, rather than overflow. */
-static int64_t probabilities(const int64_t *counts, int64_t rows, double *p, int64_t *levels)
-{
-    const int64_t *row;
-    uint64_t total;
-    double t;
-    int64_t r, written = 0, start;
-    int v;
-
-    for (r = 0; r < rows; r++) {
-        row = counts + r * 256;
-        total = 0;
-        for (v = 0; v < 256; v++)
-            total += (uint64_t)row[v];
-        t = (double)(int64_t)total;
-        start = written;
-        for (v = 0; v < 256; v++) {
-            p[written] = (double)row[v] / t;
-            written += row[v] > 0;
-        }
-        levels[r] = written - start;
-    }
-    return written;
-}
-
 /* The sum of a[0..n) in the order of numpy's pairwise_sum for float64
  * (numpy/_core/src/umath/loops_utils.h.src), which np.add.reduce applies to a
  * contiguous row: in sequence below 8 values, in eight interleaved partial
@@ -270,26 +238,93 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
 
-/* out[r] is the entropy of row r, -Σ p·lg over its run of levels[r] values,
- * the runs packed row after row in p and lg, as numpy gives it from the
- * packed arrays: each product p * lg; 0.0 plus their pairwise sum, as
- * np.add.reduce of the run; its negation, clamped to [0, 8], so that -0.0
- * and last-ulp noise below 0 become 0.0.  Every run holds at most 256
- * values. */
-static void entropy_rows(const double *p, const double *lg, const int64_t *levels,
-                         int64_t rows, double *out)
-{
-    double terms[256], h;
-    int64_t r, j;
+/* 2 / ln 2 and sqrt(2), each rounded to the nearest double, and the size
+ * of the table of log2_parts of small counts. */
+#define TWO_LOG2_E 0x1.71547652b82fep+1
+#define SQRT2 0x1.6a09e667f3bcdp+0
+#define LOG2_TABLE 4096
 
-    for (r = 0; r < rows; r++) {
-        for (j = 0; j < levels[r]; j++)
-            terms[j] = p[j] * lg[j];
-        h = -(0.0 + pairwise_sum(terms, levels[r]));
-        out[r] = h <= 0.0 ? 0.0 : h > 8.0 ? 8.0 : h;
-        p += levels[r];
-        lg += levels[r];
+/* log2 x = e + f for a double x >= 1, from the exponent bits and IEEE
+ * + - * / only: e is x's exponent with its mantissa m taken in [sqrt(1/2),
+ * sqrt(2)), and f = log2 m = (2 / ln 2) atanh s, s = (m - 1) / (m + 1), by
+ * atanh's odd series to s^21 in Horner's order (|s| < 0.1716, a remainder
+ * below 2^-60 of f).  Counts in a power-of-2 ratio share m, so f cancels. */
+static void log2_parts(double x, double *e, double *f)
+{
+    uint64_t bits;
+    double m, s, s2, q = 0.0;
+    int k;
+
+    memcpy(&bits, &x, sizeof(bits));
+    *e = (double)((int)(bits >> 52) - 1023);
+    bits = (bits & (((uint64_t)1 << 52) - 1)) | (uint64_t)1023 << 52;
+    memcpy(&m, &bits, sizeof(m));
+    if (m >= SQRT2) {
+        m *= 0.5;
+        *e += 1.0;
     }
+    s = (m - 1.0) / (m + 1.0);
+    s2 = s * s;
+    for (k = 21; k >= 1; k -= 2)
+        q = q * s2 + 1.0 / k;
+    *f = TWO_LOG2_E * (s * q);
+}
+
+/* log2_parts of 1..LOG2_TABLE - 1, filled once at module init. */
+static double table_e[LOG2_TABLE], table_f[LOG2_TABLE];
+
+/* log2_parts of a count, from the table below LOG2_TABLE (0 reads zeros). */
+static void log2_count(uint64_t c, double *e, double *f)
+{
+    if (c < LOG2_TABLE) {
+        *e = table_e[c];
+        *f = table_f[c];
+    } else {
+        log2_parts((double)c, e, f);
+    }
+}
+
+/* The entropy in bits of a 256-bin row of counts c >= 0 with total T:
+ * -Σ p·log2 p over the non-zero c, p = c / T by one IEEE division and
+ * log2 p = (e_c - e_T) + (f_c - f_T), the terms summed in pairwise_sum's
+ * order, negated and clamped to [0, 8], so -0.0 and noise below 0 give 0.0;
+ * T = 0 gives 0.0.  Every term is stored and only a non-zero count's kept,
+ * with no branch.  T sums in uint64, so any counts wrap, not overflow. */
+static double row_entropy(const int64_t *row)
+{
+    double terms[256], t, e, f, et, ft, h;
+    uint64_t total = 0;
+    int64_t n = 0;
+    int v;
+
+    for (v = 0; v < 256; v++)
+        total += (uint64_t)row[v];
+    if (total == 0)
+        return 0.0;
+    t = (double)total;
+    log2_count(total, &et, &ft);
+    for (v = 0; v < 256; v++) {
+        log2_count((uint64_t)row[v], &e, &f);
+        terms[n] = (double)row[v] / t * ((e - et) + (f - ft));
+        n += row[v] > 0;
+    }
+    h = -pairwise_sum(terms, n);
+    return h <= 0.0 ? 0.0 : h > 8.0 ? 8.0 : h;
+}
+
+/* The first of rows 256-bin rows that holds a negative count, or -1. */
+static int64_t negative_row(const int64_t *counts, int64_t rows)
+{
+    int64_t r, any;
+    int v;
+
+    for (r = 0; r < rows; r++, counts += 256) {
+        for (any = 0, v = 0; v < 256; v++)
+            any |= counts[v];
+        if (any < 0)
+            return r;
+    }
+    return -1;
 }
 
 /* out[r] is the standard deviation of b[0..64) - a[r][0..64), each of the
@@ -535,71 +570,33 @@ done:
     return result;
 }
 
-/* probabilities(counts, p, levels): the non-zero counts of each row of the
- * (rows, 256) int64 stack over the row's total, packed into the rows * 256
- * doubles of p, and each row's number of them into the rows int64 of levels;
- * returns the number of doubles written. */
-static PyObject *py_probabilities(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    static const struct arg spec[3] = {
-        {.kind = 'q', .row = COUNTS_BYTES}, {.kind = 'd', .out = 1}, {.kind = 'q', .out = 1}};
-    Py_buffer v[3];
-    Py_ssize_t s[3];
-    PyObject *result = NULL;
-    int64_t written;
-
-    (void)self;
-    if (parse_args("probabilities", spec, 3, args, nargs, v, s) < 0)
-        return NULL;
-    if (check_len("probabilities", 1, &v[1], s[0] * 256 * (Py_ssize_t)sizeof(double)) == 0 &&
-        check_len("probabilities", 2, &v[2], s[0] * (Py_ssize_t)sizeof(int64_t)) == 0) {
-        Py_BEGIN_ALLOW_THREADS
-        written = probabilities(v[0].buf, s[0], v[1].buf, v[2].buf);
-        Py_END_ALLOW_THREADS
-        result = PyLong_FromLongLong((long long)written);
-    }
-    release_buffers(v, 3);
-    return result;
-}
-
-/* entropy_rows(p, lg, levels, out): each row's entropy from its run of p and
- * of lg, the log2 of p, into the rows doubles of out; the rows int64 run
- * lengths of levels must each be in 0..256 and add up to the number of
- * doubles in p, and lg must be as long as p. */
+/* entropy_rows(counts, out): the entropy of each row of the (rows, 256) int64
+ * stack into the rows doubles of out; a negative count raises, writing none. */
 static PyObject *py_entropy_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const struct arg spec[4] = {
-        {.kind = 'd'}, {.kind = 'd'}, {.kind = 'q'}, {.kind = 'd', .out = 1}};
-    Py_buffer v[4];
-    Py_ssize_t s[4], r, left;
-    const int64_t *levels;
+    static const struct arg spec[2] = {
+        {.kind = 'q', .row = COUNTS_BYTES}, {.kind = 'd', .out = 1}};
+    Py_buffer v[2];
+    Py_ssize_t s[2];
     PyObject *result = NULL;
+    int64_t bad, r;
 
     (void)self;
-    if (parse_args("entropy_rows", spec, 4, args, nargs, v, s) < 0)
+    if (parse_args("entropy_rows", spec, 2, args, nargs, v, s) < 0)
         return NULL;
-    if (check_len("entropy_rows", 1, &v[1], v[0].len) < 0 ||
-        check_len("entropy_rows", 3, &v[3], s[2] * (Py_ssize_t)sizeof(double)) < 0)
-        goto done;
-    levels = v[2].buf;
-    for (r = 0, left = s[0]; r < s[2]; left -= levels[r++]) {
-        if (levels[r] < 0 || levels[r] > 256) {
-            PyErr_Format(PyExc_ValueError, "entropy_rows: run %zd has length %lld, outside 0..256",
-                         r, (long long)levels[r]);
-            goto done;
-        }
+    if (check_len("entropy_rows", 1, &v[1], s[0] * (Py_ssize_t)sizeof(double)) == 0) {
+        Py_BEGIN_ALLOW_THREADS
+        bad = negative_row(v[0].buf, s[0]);
+        for (r = 0; bad < 0 && r < s[0]; r++)
+            ((double *)v[1].buf)[r] = row_entropy((const int64_t *)v[0].buf + r * 256);
+        Py_END_ALLOW_THREADS
+        if (bad < 0)
+            result = Py_NewRef(Py_None);
+        else
+            PyErr_Format(PyExc_ValueError, "entropy_rows: row %lld holds a negative count",
+                         (long long)bad);
     }
-    if (left != 0) {
-        PyErr_Format(PyExc_ValueError, "entropy_rows: the run lengths do not cover the %zd values",
-                     s[0]);
-        goto done;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    entropy_rows(v[0].buf, v[1].buf, levels, s[2], v[3].buf);
-    Py_END_ALLOW_THREADS
-    result = Py_NewRef(Py_None);
-done:
-    release_buffers(v, 4);
+    release_buffers(v, 2);
     return result;
 }
 
@@ -633,10 +630,8 @@ static PyMethodDef kernel_methods[] = {
      "and the correlation of prev_pixels against pixels."},
     {"segment_histograms", (PyCFunction)(void (*)(void))py_segment_histograms, METH_FASTCALL,
      "segment_histograms(pixels, rows, cols, out, width): 8x8 cell histograms into out."},
-    {"probabilities", (PyCFunction)(void (*)(void))py_probabilities, METH_FASTCALL,
-     "probabilities(counts, p, levels): each row's non-zero counts over its total into p."},
     {"entropy_rows", (PyCFunction)(void (*)(void))py_entropy_rows, METH_FASTCALL,
-     "entropy_rows(p, lg, levels, out): each row's entropy, -sum(p * lg) over its run, into out."},
+     "entropy_rows(counts, out): the entropy in bits of each row of a (rows, 256) int64 stack."},
     {"sd_rows", (PyCFunction)(void (*)(void))py_sd_rows, METH_FASTCALL,
      "sd_rows(stack, b, out): np.std(b - stack, axis=-1) of a (rows, 64) float64 stack into out."},
     {NULL, NULL, 0, NULL}
@@ -649,5 +644,9 @@ static struct PyModuleDef kernel_module = {
 
 PyMODINIT_FUNC PyInit__kernels(void)
 {
+    int c;
+
+    for (c = 1; c < LOG2_TABLE; c++)
+        log2_parts((double)c, &table_e[c], &table_f[c]);
     return PyModule_Create(&kernel_module);
 }

@@ -200,10 +200,12 @@ def _read_pgm(name: str) -> np.ndarray:
 
 
 def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
-    """Write a (height, width) uint8 array as a binary PGM with maxval 255."""
-    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
-    if pixels.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {pixels.shape}")
+    """Write a (height, width) uint8 array as a binary PGM with maxval 255; refuse
+    what ``read_pgm`` could not read back, another dtype or a side of 0."""
+    pixels = np.ascontiguousarray(pixels)
+    if pixels.dtype != np.uint8 or pixels.ndim != 2 or 0 in pixels.shape:
+        raise ValueError(f"expected a 2-D uint8 array with no side of 0, got {pixels.dtype} "
+                         f"of shape {pixels.shape}")
     h, w = pixels.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())

@@ -1,7 +1,7 @@
 """Hot per-frame kernels: histogram, entropy, segment histograms, pixel correlation.
 
 The loops over a frame's bytes and over stacks of histograms are C functions
-in ``_kernels.c``, built as a CPython extension module whose five
+in ``_kernels.c``, built as a CPython extension module whose four
 ``METH_FASTCALL`` entry points take arrays through the buffer protocol and
 release the GIL around their loops.  ``perfbench/`` times every kernel
 inside a pipeline run.  Each entry point declares its arguments in one list
@@ -17,21 +17,19 @@ that ``shots.correlation`` and ``entropy.frame_entropy`` take.  It writes the
 frame's histogram into a row of a block of histograms and returns the
 frame's correlation with the previous row's frame from exact integer moments;
 ``_kernels.c`` says how bytes the two frames share spare it work.
-``entropy_from_counts`` gives each row of a stack of histograms the bits
-it would get alone, and the bits of the numpy arithmetic it replaced:
-``probabilities`` packs each row's non-zero counts over the row's total,
-``np.log2`` of them is the one numpy step, and ``entropy_rows`` forms the
-products, sums each row's run in the pairwise order of ``np.add.reduce``,
-negates and clamps.  ``sd_rows``, the C entry point itself like
-``frame_step``, is ``entropy.dissimilarity``'s one call: ``np.std(b - a,
-axis=-1)`` of a stack, with numpy's bits.
+``entropy_from_counts`` is one ``entropy_rows`` call, which gives each row of
+a stack of histograms the bits it would get alone.  Its log2 is C's own,
+from exponent bits and IEEE arithmetic compiled with ``-ffp-contract=off``,
+so entropy bits depend on no libm, numpy build or CPU.  ``sd_rows``, the C
+entry point itself like ``frame_step``, is ``entropy.dissimilarity``'s one
+call: ``np.std(b - a, axis=-1)`` of a stack, with numpy's bits.
 
-The first import compiles ``_kernels.c`` with ``cc -O3 -shared -fPIC`` and
-the interpreter's include directory into the ``__pycache__`` directory beside
-it, under a name keyed by a CRC of the source and of the compile flags and
-ending in the interpreter's extension suffix
-(``.cpython-311-x86_64-linux-gnu.so``), so interpreters of different ABIs
-sharing a checkout each build and load their own; a build deletes the
+The first import compiles ``_kernels.c`` with ``cc -O3 -ffp-contract=off
+-shared -fPIC`` and the interpreter's include directory into the
+``__pycache__`` directory beside it, under a name keyed by a CRC of the
+source and of the compile flags and ending in the interpreter's extension
+suffix (``.cpython-311-x86_64-linux-gnu.so``), so interpreters of different
+ABIs sharing a checkout each build and load their own; a build deletes the
 older builds of its ABI, and later imports load it.  With no cached module
 and no ``cc`` on PATH, importing this module raises ``ImportError``.
 """
@@ -48,7 +46,7 @@ from types import ModuleType
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
-_COMPILE = ("cc", "-O3", "-shared", "-fPIC")
+_COMPILE = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _MODULE = "entropykf._kernels"  # the C file's PyInit__kernels names the last part
 
 
@@ -111,18 +109,16 @@ sd_rows = _C.sd_rows
 def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits of each row of a (k, 256) stack of histograms.
 
-    Each row is taken over its own total.  A C call packs every row's non-zero
-    counts, divided by the row's total, into one array, and ``np.log2`` runs
-    over it; a second C call sums each row's products ``p * log2(p)`` in
-    numpy's pairwise order, as ``np.add.reduce`` of the run alone would, so a
-    row's bits do not depend on k.  Results are negated and clamped to [0, 8]
-    against last-ulp noise; a single-level row gives 0.0, not -0.0.
+    Each row is taken over its own total, in one C call (``entropy_rows``)
+    that gives a row the same bits whatever k is, and on every host: its
+    log2 is its own, not numpy's or libm's.  Results are clamped to [0, 8];
+    a single-level or all-zero row gives 0.0, not -0.0, and a negative count
+    raises ``ValueError``.
     """
     if counts.ndim != 2 or counts.shape[1] != 256:
         raise ValueError(f"expected counts of shape (k, 256), got shape {counts.shape}")
-    p, out, levels = np.empty(counts.size), np.empty(len(counts)), np.empty(len(counts), np.int64)
-    p = p[:_C.probabilities(counts, p, levels)]
-    _C.entropy_rows(p, np.log2(p), levels, out)
+    out = np.empty(len(counts))
+    _C.entropy_rows(counts, out)
     return out
 
 

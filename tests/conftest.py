@@ -6,10 +6,14 @@ by the textbook two-pass covariance quotient, segmented entropy by
 materialising each segment as its own little image, and dedup by one
 scalar SD per candidate-survivor pair.  The numpy kernels the library had
 before its C kernels are kept here as oracles for frames too large for Python
-loops, and for bits: ``numpy_entropy_from_counts`` is the entropy arithmetic
-before its C steps, so the segmented oracle, which counts with
-``np.bincount`` and takes its entropies from it, is bit-identical to
-``segmented_entropies`` without calling the code under test.
+loops.  Entropy has two: ``exact_entropy_from_counts`` transcribes the C
+entropy's steps into Python floats (its log2 from ``math.frexp`` and the
+same series, its sum in the same pairwise order), so it gives the kernel's
+bits without calling it, and ``numpy_entropy_from_counts``, the entropy
+arithmetic before its C steps, with numpy's ``log2``, is the independent
+reference that every entropy must lie within 1e-12 of.  The segmented
+oracle counts with ``np.bincount`` and takes its entropies from the exact
+oracle, so it is bit-identical to ``segmented_entropies``.
 ``analyse_oracle`` is the other kind: the pass of ``pipeline.analyse`` built
 from the three steps ``kernels.frame_step`` fuses, taken one by one here
 (``bincount_histogram``, ``int64_sums`` and ``correlation_from_sums``), which
@@ -21,6 +25,7 @@ which compiles the schema first, must give the same verdict and message.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -91,9 +96,10 @@ def correlation_from_sums(n: int, sums: tuple[int, int, int, int, int]) -> float
 
 
 def numpy_entropy_from_counts(counts: np.ndarray) -> np.ndarray:
-    """``kernels.entropy_from_counts`` in numpy: one division and one ``log2``
-    over the non-zero levels of all rows, each row's run of terms summed by its
-    own ``np.add.reduce``, then negated and clamped to [0, 8]."""
+    """Each row's entropy in numpy: one division and one ``np.log2`` over the
+    non-zero levels of all rows, each row's run of terms summed by its own
+    ``np.add.reduce``, then negated and clamped to [0, 8].  Its last bits can
+    follow numpy's build and CPU dispatch."""
     present = counts > 0
     levels = np.count_nonzero(present, axis=1)
     p = np.extract(present, counts) / np.repeat(counts.sum(axis=1), levels)
@@ -103,6 +109,111 @@ def numpy_entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     out[out <= 0.0] = 0.0
     out[out > 8.0] = 8.0
     return out
+
+
+_TWO_LOG2_E = float.fromhex("0x1.71547652b82fep+1")  # 2 / ln 2, as _kernels.c rounds it
+_SQRT2 = float.fromhex("0x1.6a09e667f3bcdp+0")
+
+
+@functools.lru_cache(maxsize=None)
+def log2_parts(x: float) -> tuple[float, float]:
+    """log2 x = e + f for x >= 1, in the steps ``_kernels.c``'s ``log2_parts``
+    takes: the exponent from ``math.frexp``, with the mantissa m taken in
+    [sqrt(1/2), sqrt(2)), and f = (2 / ln 2) atanh((m - 1) / (m + 1)) from the
+    odd series to s**21 in Horner's order, one Python float operation each."""
+    m, e = math.frexp(x)  # m in [0.5, 1)
+    m, e = m * 2.0, e - 1
+    if m >= _SQRT2:
+        m, e = m * 0.5, e + 1
+    s = (m - 1.0) / (m + 1.0)
+    s2 = s * s
+    q = 0.0
+    for k in range(21, 0, -2):
+        q = q * s2 + 1.0 / k
+    return float(e), _TWO_LOG2_E * (s * q)
+
+
+def pairwise_sum(a: list[float]) -> float:
+    """numpy's pairwise summation order for float64, which ``_kernels.c``
+    repeats: in sequence below 8 values, in eight interleaved partial sums up
+    to 128, and split in two halves at a multiple of 8 above.  (Python's
+    ``sum`` of floats compensates, so it is not used.)"""
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(a[:half]) + pairwise_sum(a[half:])
+    res = 0.0
+    if n >= 8:
+        r = a[:8]
+        for i in range(8, n - n % 8, 8):
+            for k in range(8):
+                r[k] += a[i + k]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        a = a[n - n % 8:]
+    for v in a:
+        res += v
+    return res
+
+
+def exact_entropy_from_counts(counts) -> np.ndarray:
+    """``kernels.entropy_from_counts`` in Python floats, with no kernel call:
+    per row, each non-zero count c over the total T, times
+    ``(e_c - e_T) + (f_c - f_T)`` from ``log2_parts``; the terms' pairwise sum
+    negated and clamped to [0, 8].  Each value is also held to within 1e-12
+    of ``numpy_entropy_from_counts``, the independent reference."""
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1, 256)
+    out = []
+    for row in counts.tolist():
+        if min(row) < 0:
+            raise ValueError("negative count")
+        total = sum(row)
+        if total == 0:
+            out.append(0.0)
+            continue
+        t = float(total)
+        et, ft = log2_parts(t)
+        terms = []
+        for c in row:
+            if c:
+                e, f = log2_parts(float(c))
+                terms.append(c / t * ((e - et) + (f - ft)))
+        h = -pairwise_sum(terms)
+        out.append(0.0 if h <= 0.0 else min(h, 8.0))
+    out = np.array(out, dtype=np.float64)
+    assert np.abs(out - numpy_entropy_from_counts(counts)).max(initial=0.0) <= 1e-12
+    return out
+
+
+def pinned_entropy_stack() -> np.ndarray:
+    """A (20, 256) stack whose entropies test_entropy pins by ``.hex()``, built
+    by integer arithmetic alone: the histograms of five frames and of eight
+    grid cells, four rows of large counts and three rows of 2**k equally
+    filled levels (k = 1, 3, 8).  Rows 15 and 16 are two of the few whose
+    numpy entropy (``numpy_entropy_from_counts``) moves when numpy's AVX-512
+    loops are off."""
+    def scrambled(n, seed=12345):  # an LCG's high bits
+        return (np.arange(n, dtype=np.int64) * 1103515245 + seed) % 2**31 >> 16
+
+    noise = (scrambled(120 * 160) % 256).astype(np.uint8).reshape(120, 160)
+    ramp = (np.add.outer(np.arange(120), np.arange(160)) % 256).astype(np.uint8)
+    flat = noise.copy()
+    flat[:, 32:] = 128  # one flat level of 15,360 pixels beside a band of noise
+    frames = [noise, ramp, flat, noise[:48, :64],
+              (scrambled(480 * 640) % 251).astype(np.uint8).reshape(480, 640)]
+    rows, cols = segment_slices(120), segment_slices(160)
+    stack = np.zeros((20, 256), dtype=np.int64)
+    stack[:5] = [bincount_histogram(px) for px in frames]
+    stack[5:13] = [bincount_histogram(px[rows[i // 8], cols[i % 8]])
+                   for px, cells in ((noise, (0, 9, 36, 63)), (flat, (0, 63)), (ramp, (0, 63)))
+                   for i in cells]
+    stack[13, :4] = [2**24 - 1, 4096, 4095, 1]
+    stack[14, :3] = [2**40, 3, 2**33 + 1]
+    stack[15] = scrambled(256, 601845) % 5000 + 1  # about a fifth of them above 4,096
+    stack[16] = scrambled(256, 380113) % 300 + 1
+    stack[17, [0, 255]] = 4096
+    stack[18, 8:16] = 5
+    stack[19] = 4097
+    return stack
 
 
 def entropy_oracle(pixels: np.ndarray) -> float:
@@ -123,10 +234,10 @@ def segment_slices(n: int) -> list[slice]:
 
 def segmented_oracle(pixels: np.ndarray) -> np.ndarray:
     """Materialise every grid segment as its own frame, count it with
-    ``np.bincount`` and take the entropies of the stack in numpy."""
+    ``np.bincount`` and take the entropies of the stack in Python floats."""
     rows = segment_slices(pixels.shape[0])
     cols = segment_slices(pixels.shape[1])
-    return numpy_entropy_from_counts(np.stack([bincount_histogram(pixels[r, c])
+    return exact_entropy_from_counts(np.stack([bincount_histogram(pixels[r, c])
                                                for r in rows for c in cols]))
 
 
@@ -158,13 +269,13 @@ def correlation_oracle(a: np.ndarray, b: np.ndarray) -> float:
 def analyse_oracle(frames) -> tuple[list[float], list[float]]:
     """``pipeline.analyse`` from ``bincount_histogram``, ``int64_sums`` and
     ``correlation_from_sums``: every frame's histogram, the entropies of their
-    stack in numpy, and each adjacent pair's correlation from its five exact
-    sums."""
+    stack in Python floats, and each adjacent pair's correlation from its five
+    exact sums."""
     pixels = [f.pixels for f in frames]
     correlations = [correlation_from_sums(b.size, int64_sums(a, b))
                     for a, b in zip(pixels, pixels[1:])]
     counts = np.stack([bincount_histogram(px) for px in pixels])
-    return numpy_entropy_from_counts(counts).tolist(), correlations
+    return exact_entropy_from_counts(counts).tolist(), correlations
 
 
 # the Python type of each JSON type but number and integer, which exclude bool

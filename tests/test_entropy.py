@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bincount_histogram, entropy_oracle, histogram_oracle,
-                      numpy_entropy_from_counts, rand_pixels, segmented_oracle,
-                      uniform_level_pixels)
+from conftest import (bincount_histogram, entropy_oracle, exact_entropy_from_counts,
+                      histogram_oracle, numpy_entropy_from_counts, pinned_entropy_stack,
+                      rand_pixels, segmented_oracle, uniform_level_pixels)
 from entropykf import kernels
 from entropykf.entropy import (dissimilarity, frame_entropy, modified_entropies,
                                modified_entropy, segmented_entropies)
@@ -140,14 +144,15 @@ class TestEntropy:
         rows = kernels.entropy_from_counts(stack)
         assert rows.shape == (len(frames),) and rows.dtype == np.float64
         assert [en.hex() for en in rows.tolist()] == \
-            [en.hex() for en in numpy_entropy_from_counts(stack).tolist()]
+            [en.hex() for en in exact_entropy_from_counts(stack).tolist()]
+        assert np.abs(rows - numpy_entropy_from_counts(stack)).max() <= 1e-12
         for px, row, en in zip(frames, stack, rows.tolist()):
             assert en.hex() == kernels.entropy_from_counts(row[np.newaxis])[0].hex()
             assert abs(en - entropy_oracle(px)) < 1e-12
         assert rows[0] == 0.0 and math.copysign(1.0, rows[0]) == 1.0
 
     @pytest.mark.parametrize("seed", [101, 102, 103])
-    def test_random_stacks_equal_the_numpy_oracle_bitwise(self, seed):
+    def test_random_stacks_equal_the_exact_oracle_bitwise(self, seed):
         # one row for each number of non-zero levels, 0 (an all-zero row) to
         # 256, so every run length meets the pairwise sum's steps at 8 and 128
         # values; counts of up to 2**20 give totals from 1 to 2**28
@@ -162,8 +167,10 @@ class TestEntropy:
         totals = stack.sum(axis=1)
         assert totals[0] == 0 and totals[1] == 1 and totals.max() == 2 ** 28
         for order in (stack, stack[::-1].copy()):
-            assert [en.hex() for en in kernels.entropy_from_counts(order).tolist()] == \
-                [en.hex() for en in numpy_entropy_from_counts(order).tolist()]
+            rows = kernels.entropy_from_counts(order)
+            assert [en.hex() for en in rows.tolist()] == \
+                [en.hex() for en in exact_entropy_from_counts(order).tolist()]
+            assert np.abs(rows - numpy_entropy_from_counts(order)).max() <= 1e-12
 
     @pytest.mark.parametrize("bad", {
         "int32": (lambda s: s.astype(np.int32), "argument 1 has format 'i', expected 'q'"),
@@ -185,6 +192,81 @@ class TestEntropy:
     def test_an_empty_stack_gives_no_entropies(self):
         rows = kernels.entropy_from_counts(np.zeros((0, 256), dtype=np.int64))
         assert rows.shape == (0,) and rows.dtype == np.float64
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_a_negative_count_is_refused_naming_its_row(self, row):
+        stack = np.ones((3, 256), dtype=np.int64)
+        stack[row, :3] = [-5, 10, 0]
+        with pytest.raises(ValueError, match=f"entropy_rows: row {row} holds a negative count"):
+            kernels.entropy_from_counts(stack)
+        out = np.full(3, np.nan)  # the rows before it are not written either
+        with pytest.raises(ValueError, match=f"row {row} "):
+            kernels._C.entropy_rows(stack, out)
+        assert np.isnan(out).all()
+
+    def test_an_all_zero_row_gives_zero(self):
+        rows = kernels.entropy_from_counts(np.zeros((2, 256), dtype=np.int64))
+        assert rows.tolist() == [0.0, 0.0] and math.copysign(1.0, rows[0]) == 1.0
+        # a frame with no pixels counts an all-zero row
+        for shape in ((0, 5), (5, 0)):
+            en = frame_entropy(np.zeros(shape, dtype=np.uint8))
+            assert en == 0.0 and math.copysign(1.0, en) == 1.0
+
+    @pytest.mark.parametrize("counts", [[2**24 - 1, 1], [4095, 4096, 4097], [2**24 - 1, 4096],
+                                        [2**40, 3, 2**33 + 1], [2**53 + 1, 2**53 - 1]])
+    def test_counts_above_the_table_take_the_series(self, counts):
+        # the kernel reads log2 of counts below 4,096 from a table filled at
+        # import; above it, and for every total here, it runs the series,
+        # which the exact oracle runs for every count
+        stack = np.zeros((1, 256), dtype=np.int64)
+        stack[0, 7:7 + len(counts)] = counts
+        assert kernels.entropy_from_counts(stack)[0].hex() == \
+            exact_entropy_from_counts(stack)[0].hex()
+
+
+# the .hex() of each row of conftest.pinned_entropy_stack, as the kernel gives
+# it on any host; the last three rows are 2**k equally filled levels
+_PINNED_BITS = [
+    "0x1.fffb564ed6e8fp+2", "0x1.f5d78053ebc34p+2", "0x1.27e47f09b6895p+1",
+    "0x1.ffa29ea080858p+2", "0x1.fe2cc570e6ac2p+2",  # frames
+    "0x1.d6fddd9dc7f0fp+2", "0x1.da4f0aa53435ep+2", "0x1.db44448a75f02p+2",
+    "0x1.d6fddd9dc7f10p+2", "0x1.d6fddd9dc7f0fp+2", "0x0.0p+0",
+    "0x1.36efa0804500dp+2", "0x1.36efa0804500cp+2",  # grid cells
+    "0x1.ae052378d85b4p-8", "0x1.0c401a83984efp-4", "0x1.eeb8a536a92b2p+2",
+    "0x1.ef91114bd5fccp+2",  # large counts
+    "0x1.0000000000000p+0", "0x1.8000000000000p+1", "0x1.0000000000000p+3",
+]
+
+
+def _pinned_bits(env: dict) -> list[str]:
+    """The entropies of the pinned stack, computed in a fresh interpreter."""
+    tests, src = Path(__file__).parent, Path(kernels.__file__).parents[1]
+    code = ("from conftest import pinned_entropy_stack\n"
+            "from entropykf.kernels import entropy_from_counts\n"
+            "print(*(v.hex() for v in entropy_from_counts(pinned_entropy_stack()).tolist()))")
+    path = os.pathsep.join(filter(None, [str(tests), str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=path), check=True)
+    return done.stdout.split()
+
+
+class TestEntropyBits:
+    """Entropy bits depend on no numpy build, libm or CPU dispatch: the kernel's
+    log2 is its own."""
+
+    def test_the_pinned_table_is_the_exact_oracle_s(self):
+        stack = pinned_entropy_stack()
+        assert [v.hex() for v in kernels.entropy_from_counts(stack).tolist()] == _PINNED_BITS
+        assert [v.hex() for v in exact_entropy_from_counts(stack).tolist()] == _PINNED_BITS
+        assert _PINNED_BITS[-3:] == [v.hex() for v in (1.0, 3.0, 8.0)]
+
+    @pytest.mark.parametrize("disabled", [None, "X86_V4 AVX512_ICL AVX512_SPR"],
+                             ids=["default", "avx512-off"])
+    def test_the_pinned_table_holds_whichever_loops_numpy_takes(self, disabled):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        assert _pinned_bits(env) == _PINNED_BITS
 
 
 class TestModifiedEntropy:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -23,6 +24,23 @@ class TestPgm:
         path = tmp_path / "frame.pgm"
         write_pgm(path, px)
         assert np.array_equal(read_pgm(path), px)
+
+    @pytest.mark.parametrize("pixels", [np.full((2, 3), 300, dtype=np.int16),
+                                        np.full((2, 3), 0.9), np.full((2, 3), -1)],
+                             ids=["int16-300", "float-0.9", "int-minus-1"])
+    def test_write_refuses_pixels_that_are_not_uint8(self, tmp_path, pixels):
+        # a cast would write 300 as 44, 0.9 as 0 and -1 as 255
+        with pytest.raises(ValueError, match=f"uint8 array .* got {pixels.dtype}"):
+            write_pgm(tmp_path / "frame.pgm", pixels)
+        assert not (tmp_path / "frame.pgm").exists()
+
+    @pytest.mark.parametrize("shape", [(0, 8), (8, 0)])
+    def test_write_refuses_a_side_of_0(self, tmp_path, shape):
+        # read_pgm refuses a width or height of 0 ("bad dimensions")
+        message = re.escape(f"no side of 0, got uint8 of shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            write_pgm(tmp_path / "frame.pgm", np.zeros(shape, dtype=np.uint8))
+        assert not (tmp_path / "frame.pgm").exists()
 
     def test_header_comments_allowed(self):
         data = b"P5\n# a comment\n4 2\n# another\n255\n" + bytes(8)

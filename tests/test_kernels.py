@@ -8,8 +8,8 @@ compared with the three steps it fuses, taken one by one in conftest: the
 Python integers.  It is called directly and through ``shots.correlation`` and
 ``entropy.frame_entropy``, on odd shapes, non-contiguous views, flat 0 and 255
 frames, all-255 pairs up to a megapixel and hypothesis-drawn frames.  The
-entropy kernel is checked bit for bit against its former numpy body in
-test_entropy.py.
+entropy kernel is checked bit for bit against conftest's exact oracle, a
+Python transcription of its steps, here and in test_entropy.py.
 At the C boundary, arrays the C side cannot read as they are raise
 ``ValueError`` rather than give a number, every C entry point lets other
 Python threads run while it loops, and the compiled module has no entry point
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bincount_histogram, blockwise_segment_histograms, correlation_from_sums,
-                      int64_sums, numpy_entropy_from_counts, rand_pixels)
+                      exact_entropy_from_counts, int64_sums, rand_pixels)
 from entropykf import kernels
 from entropykf.entropy import frame_entropy
 from entropykf.kernels import segment_bounds
@@ -72,7 +72,7 @@ def _histogram(px):
 
 
 def _entropy(counts):
-    return numpy_entropy_from_counts(counts[np.newaxis])[0]
+    return exact_entropy_from_counts(counts[np.newaxis])[0]
 
 
 def _grid(px):
@@ -451,21 +451,19 @@ class TestCBoundary:
                                           np.zeros((64, 256), dtype=np.int64), width)
 
     def test_entropy_steps_refuse_wrong_byte_lengths(self):
-        counts = np.ones((2, 256), dtype=np.int64)
-        p, levels = np.empty(512), np.empty(2, dtype=np.int64)
-        with pytest.raises(ValueError, match="bytes, not a multiple of 2048"):
-            kernels._C.probabilities(counts.ravel()[:255].copy(), p, levels)
-        with pytest.raises(ValueError, match="argument 2 has 4088 bytes, expected 4096"):
-            kernels._C.probabilities(counts, p[:511].copy(), levels)
-        with pytest.raises(ValueError, match="argument 3 has 8 bytes, expected 16"):
-            kernels._C.probabilities(counts, p, levels[:1].copy())
-        assert kernels._C.probabilities(counts, p, levels) == 512
-        lg, out = np.log2(p), np.empty(2)
-        with pytest.raises(ValueError, match="argument 2 has 4088 bytes, expected 4096"):
-            kernels._C.entropy_rows(p, lg[:511].copy(), levels, out)
-        with pytest.raises(ValueError, match="argument 4 has 24 bytes, expected 16"):
-            kernels._C.entropy_rows(p, lg, levels, np.empty(3))
-        kernels._C.entropy_rows(p, lg, levels, out)
+        counts, out = np.ones((2, 256), dtype=np.int64), np.full(2, np.nan)
+        with pytest.raises(ValueError, match="argument 1 has 2040 bytes, not a multiple of 2048"):
+            kernels._C.entropy_rows(counts.ravel()[:255].copy(), out[:0].copy())
+        with pytest.raises(ValueError, match="argument 2 has 8 bytes, expected 16"):
+            kernels._C.entropy_rows(counts, out[:1].copy())
+        with pytest.raises(ValueError, match="argument 2 has 24 bytes, expected 16"):
+            kernels._C.entropy_rows(counts, np.empty(3))
+        with pytest.raises(ValueError, match="read-only"):
+            kernels._C.entropy_rows(counts, _frozen(out.copy()))
+        with pytest.raises(TypeError, match="takes 2 arguments, got 4"):
+            kernels._C.entropy_rows(counts, out, counts, out)
+        assert np.isnan(out).all()
+        kernels._C.entropy_rows(counts, out)
         assert out.tolist() == [8.0, 8.0]
 
     def test_sd_rows_refuses_wrong_byte_lengths(self):
@@ -484,28 +482,6 @@ class TestCBoundary:
         kernels.sd_rows(stack, b, out)
         assert out.tolist() == [0.0, 0.0, 0.0]
         kernels.sd_rows(np.empty((0, 64)), b, np.empty(0))  # no rows, nothing to write
-
-    @pytest.mark.parametrize("levels,values", [([256, 255], 512), ([256, 256], 511)],
-                             ids=["short", "long"])
-    def test_entropy_rows_refuses_runs_that_do_not_cover_the_terms(self, levels, values):
-        out = np.full(2, np.nan)
-        with pytest.raises(ValueError, match=f"run lengths do not cover the {values} values"):
-            kernels._C.entropy_rows(np.ones(values), np.zeros(values),
-                                    np.array(levels, dtype=np.int64), out)
-        assert np.isnan(out).all()
-
-    @pytest.mark.parametrize("levels,message", [
-        ([256, 257, 0], "run 1 has length 257, outside 0..256"),
-        ([-1, 256, 258], "run 0 has length -1, outside 0..256"),
-    ], ids=["257", "negative"])
-    def test_entropy_rows_refuses_a_run_outside_0_to_256(self, levels, message):
-        # each row's products go into a buffer of 256 doubles, so a longer
-        # run is refused before the loop, even where the runs cover the values
-        out = np.full(3, np.nan)
-        with pytest.raises(ValueError, match=message):
-            kernels._C.entropy_rows(np.ones(513), np.zeros(513),
-                                    np.array(levels, dtype=np.int64), out)
-        assert np.isnan(out).all()
 
     # a buffer of the right byte length and the wrong format: the entry point
     # names the argument and both formats, and writes nothing
@@ -527,15 +503,13 @@ class TestCBoundary:
             kernels._C.segment_histograms,
             (px, cuts.astype(np.float64), cuts, np.zeros((64, 256), dtype=np.int64), 8),
             "segment_histograms: argument 2 has format 'd', expected 'q'"),
-        "probabilities-float64-counts": lambda px, cuts: (
-            kernels._C.probabilities,
-            (np.ones((2, 256)), np.zeros(512), np.zeros(2, dtype=np.int64)),
-            "probabilities: argument 1 has format 'd', expected 'q'"),
-        "entropy_rows-float32-p": lambda px, cuts: (
+        "entropy_rows-float64-counts": lambda px, cuts: (
+            kernels._C.entropy_rows, (np.ones((2, 256)), np.zeros(2)),
+            "entropy_rows: argument 1 has format 'd', expected 'q'"),
+        "entropy_rows-float32-out": lambda px, cuts: (
             kernels._C.entropy_rows,
-            (np.full(8, 0.5, dtype=np.float32), np.full(4, -1.0), np.array([2, 2]),
-             np.zeros(2)),
-            "entropy_rows: argument 1 has format 'f', expected 'd'"),
+            (np.ones((2, 256), dtype=np.int64), np.zeros(4, dtype=np.float32)),
+            "entropy_rows: argument 2 has format 'f', expected 'd'"),
         "sd_rows-float32-stack": lambda px, cuts: (
             kernels.sd_rows, (np.ones((1, 128), dtype=np.float32), np.ones(64), np.zeros(1)),
             "sd_rows: argument 1 has format 'f', expected 'd'"),
@@ -570,7 +544,7 @@ class TestCBoundary:
     def test_the_entry_points_are_the_kernels_src_calls(self):
         # a C kernel that the program stops calling fails here, so it cannot linger
         assert {name for name in dir(kernels._C) if not name.startswith("_")} == {
-            "frame_step", "segment_histograms", "probabilities", "entropy_rows", "sd_rows"}
+            "frame_step", "segment_histograms", "entropy_rows", "sd_rows"}
 
 
 def _frozen(array):
@@ -709,18 +683,10 @@ class TestGilRelease:
         assert _counter_advances_during(
             lambda: kernels.segment_histograms(tall_frame))
 
-    # the entropy steps are called on the compiled module, because the
-    # wrapper's np.log2 may release the GIL on its own over a large array
-
-    def test_probabilities(self):
-        counts = np.ones((8192, 256), dtype=np.int64)
-        p, levels = np.empty(counts.size), np.empty(8192, dtype=np.int64)
-        assert _counter_advances_during(lambda: kernels._C.probabilities(counts, p, levels))
-
     def test_entropy_rows(self):
-        p, lg = np.full(8192 * 256, 1 / 256), np.full(8192 * 256, -8.0)
-        levels, out = np.full(8192, 256, dtype=np.int64), np.empty(8192)
-        assert _counter_advances_during(lambda: kernels._C.entropy_rows(p, lg, levels, out))
+        # counts above the table's 4,096, so each row also runs the series
+        counts, out = np.full((8192, 256), 5000, dtype=np.int64), np.empty(8192)
+        assert _counter_advances_during(lambda: kernels._C.entropy_rows(counts, out))
 
     def test_sd_rows(self):
         stack, b, out = np.ones((32768, 64)), np.zeros(64), np.empty(32768)

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entropykf
-from conftest import check_report_oracle, dedup_oracle, make_y4m, segmented_oracle
+from conftest import (check_report_oracle, dedup_oracle, make_y4m, numpy_entropy_from_counts,
+                      segmented_oracle)
 from entropykf import cli, kernels, pipeline, synthetic
 from entropykf.cli import build_parser
 from entropykf.evaluation import EvaluationError
@@ -491,6 +492,62 @@ class TestReportExactness:
         values = [v for kf in report["keyframes"] for v in (kf["global_entropy"], *kf["segments"])]
         assert 0.0 in values
         assert all(math.copysign(1.0, v) == 1.0 for v in values)
+
+
+def _contrast_step_raw(path: Path, width: int = 64, height: int = 48) -> SourceSpec:
+    """Three shots of 30, 60 and 30 frames as one raw file: a texture, a noise
+    frame whose second 30 frames are its pixels // 2, and another texture.
+    Halving the contrast keeps the correlation above 0.9, so the middle shot
+    has no cut, and drops its entropy by about a bit, so it has two bins."""
+    rng = np.random.default_rng(9)
+    first, last = synthetic.make_textures(rng, 2, width, height)
+    noise = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    path.write_bytes(b"".join(px.tobytes() * 30 for px in (first, noise, noise // 2, last)))
+    return SourceSpec(kind=SourceKind.RAW, path=str(path), width=width, height=height)
+
+
+def _decisions(report: dict) -> dict:
+    """What a run decides, without the entropies and SDs it decides from."""
+    return {"shots": report["shots"], "shot_details": report["shot_details"],
+            "candidates": [{k: v for k, v in c.items() if k != "global_entropy"}
+                           for c in report["candidates"]],
+            "keyframes": [kf["frame_index"] for kf in report["keyframes"]],
+            "eliminations": [(e["eliminated"], e["kept"]) for e in report["eliminations"]],
+            "evaluation": report.get("evaluation")}
+
+
+def _numbers(report: dict) -> np.ndarray:
+    """Every entropy and SD in the report, in order."""
+    return np.array([*(c["global_entropy"] for c in report["candidates"]),
+                     *(v for kf in report["keyframes"] for v in kf["segments"]),
+                     *(e["sd"] for e in report["eliminations"])])
+
+
+class TestEntropyRoute:
+    @pytest.mark.parametrize("video", ["recurring", "fallback", "contrast-step"])
+    def test_numpy_s_log2_moves_no_decision(self, video, tmp_path, monkeypatch):
+        # the same run with every entropy taken by numpy's log2 in place of
+        # the kernel's own decides the same shots, bins, picks and survivors
+        def run():
+            if video == "fallback":
+                return _fallback_report(tmp_path)
+            make = _recurring_raw if video == "recurring" else _contrast_step_raw
+            return run_pipeline(PipelineConfig(source=make(tmp_path / "video.raw"),
+                                               output_dir=tmp_path / "out", seed_report=True))
+
+        shipped = run()
+        calls = []
+        monkeypatch.setattr(kernels, "entropy_from_counts",
+                            lambda counts: calls.append(len(counts)) or
+                            numpy_entropy_from_counts(counts))
+        reference = run()
+        assert calls and len(calls) > len(reference["candidates"])  # the pass and the segments
+        assert _decisions(shipped) == _decisions(reference)
+        assert np.abs(_numbers(shipped) - _numbers(reference)).max() <= 1e-12
+        if video == "contrast-step":
+            bins = shipped["shot_details"][1]["bins"]
+            assert shipped["shots"][1] == {"start": 30, "end": 90}
+            assert [b["size"] for b in bins] == [30, 30] and bins[0]["key"] - bins[1]["key"] > 9
 
 
 class TestReportValidator:
