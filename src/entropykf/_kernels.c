@@ -1,19 +1,21 @@
 /* The per-frame kernels of entropykf, over 8-bit pixels in row-major order.
  *
  * kernels.py compiles this file into a CPython extension module on first
- * import and loads it from its cache.  Each entry point lists its arguments
- * once, and parse_args checks every call against that list: the count, and
- * each buffer's format, writability and byte length, so this file is the one
- * place that says which arrays a kernel reads and writes.  The buffer
- * protocol refuses a non-contiguous array.  Python keeps shapes, which a
- * buffer does not carry, and conversion.  Every loop runs with the GIL
- * released.  The histogram and moment results are exact integers; entropy
- * takes its log2 from exponent bits and IEEE + - * / alone (log2_parts), so
- * its bits depend on no libm and no CPU; sd_rows repeats numpy's float64
- * steps and pairwise order, so it gives numpy's bits; frame_step's
- * correlation takes Python's float steps on the exact integer moments.  The
- * build passes -ffp-contract=off, so no product and sum fuse into one
- * rounding; -ffast-math would reorder the additions.
+ * import and loads it from its cache.  The arguments are Python buffers:
+ * bytes, array.array, memoryview, or anything else with the buffer protocol,
+ * numpy arrays among them, but nothing here needs numpy.  Each entry point
+ * lists its arguments once, and parse_args checks every call against that
+ * list: the count, and each buffer's format, writability and byte length, so
+ * this file is the one place that says which buffers a kernel reads and
+ * writes.  The buffer protocol refuses a non-contiguous buffer.  Python keeps
+ * shapes, which this file does not read, and allocation.  Every loop runs
+ * with the GIL released.  The histogram and moment results are exact
+ * integers; entropy takes its log2 from exponent bits and IEEE + - * / alone
+ * (log2_parts), so its bits depend on no libm and no CPU; sd_rows repeats
+ * numpy's float64 steps and pairwise order, so it gives numpy's bits;
+ * frame_step's correlation takes Python's float steps on the exact integer
+ * moments.  The build passes -ffp-contract=off, so no product and sum fuse
+ * into one rounding; -ffast-math would reorder the additions.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -284,12 +286,12 @@ static void log2_count(uint64_t c, double *e, double *f)
     }
 }
 
-/* The entropy in bits of a 256-bin row of counts c >= 0 with total T:
- * -Σ p·log2 p over the non-zero c, p = c / T by one IEEE division and
- * log2 p = (e_c - e_T) + (f_c - f_T), the terms summed in pairwise_sum's
- * order, negated and clamped to [0, 8], so -0.0 and noise below 0 give 0.0;
- * T = 0 gives 0.0.  Every term is stored and only a non-zero count's kept,
- * with no branch.  T sums in uint64, so any counts wrap, not overflow. */
+/* The entropy in bits of a 256-bin row of counts c >= 0 with total T below
+ * 2^64 (bad_row refuses the others): -Σ p·log2 p over the non-zero c,
+ * p = c / T by one IEEE division and log2 p = (e_c - e_T) + (f_c - f_T), the
+ * terms summed in pairwise_sum's order, negated and clamped to [0, 8], so
+ * -0.0 and noise below 0 give 0.0; T = 0 gives 0.0.  Every term is stored
+ * and only a non-zero count's kept, with no branch. */
 static double row_entropy(const int64_t *row)
 {
     double terms[256], t, e, f, et, ft, h;
@@ -312,16 +314,24 @@ static double row_entropy(const int64_t *row)
     return h <= 0.0 ? 0.0 : h > 8.0 ? 8.0 : h;
 }
 
-/* The first of rows 256-bin rows that holds a negative count, or -1. */
-static int64_t negative_row(const int64_t *counts, int64_t rows)
+/* The first of rows 256-bin rows that holds a negative count, or whose
+ * counts total 2^64 or more, which uint64 cannot hold, or -1; *negative says
+ * which fault it holds.  The total is summed as its high and low 32-bit
+ * halves, neither of which can wrap, so the loop needs no carry test. */
+static int64_t bad_row(const int64_t *counts, int64_t rows, int *negative)
 {
+    uint64_t hi, lo;
     int64_t r, any;
     int v;
 
     for (r = 0; r < rows; r++, counts += 256) {
-        for (any = 0, v = 0; v < 256; v++)
+        for (any = 0, hi = 0, lo = 0, v = 0; v < 256; v++) {
             any |= counts[v];
-        if (any < 0)
+            hi += (uint64_t)counts[v] >> 32;
+            lo += (uint64_t)counts[v] & 0xffffffffu;
+        }
+        *negative = any < 0;
+        if (*negative || hi + (lo >> 32) >= (uint64_t)1 << 32)
             return r;
     }
     return -1;
@@ -430,7 +440,9 @@ static int parse_args(const char *name, const struct arg *spec, Py_ssize_t n,
                 goto fail;
             continue;
         }
-        if (PyObject_GetBuffer(args[i], v, PyBUF_FORMAT | (spec[i].out ? PyBUF_WRITABLE : 0)) < 0)
+        /* PyBUF_ND: a memoryview gives no format to a request without it */
+        if (PyObject_GetBuffer(args[i], v, PyBUF_FORMAT | PyBUF_ND |
+                               (spec[i].out ? PyBUF_WRITABLE : 0)) < 0)
             goto fail;
         if (!has_kind(v, spec[i].kind)) {
             PyErr_Format(PyExc_ValueError, "%s: argument %zd has format '%s', expected '%c'", name,
@@ -571,7 +583,8 @@ done:
 }
 
 /* entropy_rows(counts, out): the entropy of each row of the (rows, 256) int64
- * stack into the rows doubles of out; a negative count raises, writing none. */
+ * stack into the rows doubles of out; a negative count, or a row total of
+ * 2^64 or more, raises, writing none. */
 static PyObject *py_entropy_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     static const struct arg spec[2] = {
@@ -580,20 +593,24 @@ static PyObject *py_entropy_rows(PyObject *self, PyObject *const *args, Py_ssize
     Py_ssize_t s[2];
     PyObject *result = NULL;
     int64_t bad, r;
+    int negative = 0;
 
     (void)self;
     if (parse_args("entropy_rows", spec, 2, args, nargs, v, s) < 0)
         return NULL;
     if (check_len("entropy_rows", 1, &v[1], s[0] * (Py_ssize_t)sizeof(double)) == 0) {
         Py_BEGIN_ALLOW_THREADS
-        bad = negative_row(v[0].buf, s[0]);
+        bad = bad_row(v[0].buf, s[0], &negative);
         for (r = 0; bad < 0 && r < s[0]; r++)
             ((double *)v[1].buf)[r] = row_entropy((const int64_t *)v[0].buf + r * 256);
         Py_END_ALLOW_THREADS
         if (bad < 0)
             result = Py_NewRef(Py_None);
-        else
+        else if (negative)
             PyErr_Format(PyExc_ValueError, "entropy_rows: row %lld holds a negative count",
+                         (long long)bad);
+        else
+            PyErr_Format(PyExc_ValueError, "entropy_rows: row %lld's counts total 2**64 or more",
                          (long long)bad);
     }
     release_buffers(v, 2);

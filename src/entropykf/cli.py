@@ -14,7 +14,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import synthetic
 from .evaluation import DEFAULT_MATCH_WINDOW, EvaluationError
 from .extraction import DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD
 from .ingest import MAX_DIMENSION, MIN_DIMENSION, IngestError, SourceSpec
@@ -77,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--size", type=_parse_size, default=(320, 240),
                      help=f"frame size as WxH, each side {sides} (default 320x240)")
     gen.add_argument("--seed", type=int, default=0, help="RNG seed")
-    gen.add_argument("--fade-frames", type=int, default=synthetic.DEFAULT_FADE_FRAMES,
+    gen.add_argument("--fade-frames", type=int,
                      help="noise frames between segments (default 4)")
     gen.add_argument("--repeat-first", action=argparse.BooleanOptionalAction, default=True,
                      help="append a verbatim repeat of the first scene (default on)")
@@ -108,13 +107,16 @@ def _cmd_extract(args: argparse.Namespace) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
+    from . import synthetic  # numpy's seeded RNG makes the frames; only this command needs it
+
     width, height = args.size
+    fade_frames = synthetic.DEFAULT_FADE_FRAMES if args.fade_frames is None else args.fade_frames
     try:
         layout = synthetic.generate(
             out_dir=args.out, gt_out=args.gt_out,
             scenes=args.scenes, frames_per_scene=args.frames_per_scene,
             width=width, height=height, seed=args.seed,
-            fade_frames=args.fade_frames, repeat_first=args.repeat_first)
+            fade_frames=fade_frames, repeat_first=args.repeat_first)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     print(f"wrote {layout.total_frames} frames ({width}x{height}) to {args.out}")

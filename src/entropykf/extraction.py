@@ -9,10 +9,10 @@ are dropped.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .entropy import dissimilarity
 from .shots import Shot
@@ -41,7 +41,7 @@ class KeyFrame:
     shot: Shot
     bin_key: int
     global_entropy: float
-    segments: np.ndarray  # 64 per-segment entropies
+    segments: array  # 64 per-segment entropies, an array("d")
     fallback: bool = False
 
 
@@ -97,21 +97,23 @@ def dedup_detailed(candidates: Sequence[KeyFrame],
     candidate scores it against the whole survivor stack.  Comparing only
     against survivors makes the scan idempotent.
     """
-    if not 0 <= sd_threshold < np.inf:
+    if not 0 <= sd_threshold < math.inf:
         raise ValueError(f"sd threshold must be finite and non-negative, got {sd_threshold}")
     survivors: list[KeyFrame] = []
     eliminations: list[Elimination] = []
-    # the survivors' segment vectors, row i for survivors[i]
-    kept = np.empty((len(candidates), 64), dtype=np.float64)
+    # row i holds survivors[i]'s segments; one row more than the candidates,
+    # as a memoryview cannot be cast to a shape with a 0 in it
+    kept = array("d", bytes(512 * (len(candidates) + 1)))
+    stack = memoryview(kept).cast("B").cast("d", (len(candidates) + 1, 64))
     for cand in candidates:
-        sds = dissimilarity(kept[:len(survivors)], cand.segments)
-        hits = np.flatnonzero(sds <= sd_threshold)
-        if hits.size:
-            first = hits[0]
+        sds = dissimilarity(stack[:len(survivors)], cand.segments)
+        first = next((i for i, sd in enumerate(sds) if sd <= sd_threshold), None)
+        if first is not None:
             eliminations.append(Elimination(eliminated=cand.frame_index,
                                             kept=survivors[first].frame_index,
-                                            sd=float(sds[first])))
+                                            sd=sds[first]))
         else:
-            kept[len(survivors)] = cand.segments
+            row = 64 * len(survivors)
+            kept[row:row + 64] = array("d", cand.segments)
             survivors.append(cand)
     return survivors, eliminations

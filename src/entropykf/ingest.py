@@ -18,7 +18,8 @@ read unbuffered (``open(path, "rb", buffering=0)``), a plane at a time; Y4M
 files, whose FRAME lines need ``readline``, stdin and the spool are buffered.
 Each plane is one ``read``: a buffered ``read(n)`` returns fewer than n
 bytes only at end of input, and where an unbuffered one stops short,
-``_read_plane`` reads on until the plane is whole or the input ends.  A PGM
+``_read_plane`` reads on until the plane is whole or the input ends.  Y4M
+chroma is read into one ``bytearray`` per stream and dropped.  A PGM
 directory is listed once, with one ``os.scandir``, and ``read_frame``
 re-reads the i-th file.  Raw and Y4M
 streams share one random-access path: the parser records each frame's
@@ -47,8 +48,6 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
-
-import numpy as np
 
 from . import kernels
 
@@ -114,13 +113,12 @@ class Frame:
     """One 8-bit grayscale frame with its position in the stream."""
 
     index: int
-    pixels: np.ndarray  # (height, width) uint8, row-major
+    pixels: memoryview  # (height, width) bytes, row-major (kernels.frame_view)
 
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("frame index must be non-negative")
-        if self.pixels.ndim != 2 or self.pixels.dtype != np.uint8:
-            raise ValueError("pixels must be a 2-D uint8 array")
+        object.__setattr__(self, "pixels", kernels.frame_view(self.pixels))
 
     @property
     def height(self) -> int:
@@ -131,16 +129,16 @@ class Frame:
         return self.pixels.shape[1]
 
 
-def _as_frame(frame: Frame | np.ndarray) -> Frame:
-    """frame itself, or a bare pixel array wrapped as frame 0, so that
+def _as_frame(frame) -> Frame:
+    """frame itself, or a bare 2-D pixel buffer wrapped as frame 0, so that
     ``Frame`` makes the one 2-D uint8 check."""
-    return frame if isinstance(frame, Frame) else Frame(index=0, pixels=np.asarray(frame))
+    return frame if isinstance(frame, Frame) else Frame(index=0, pixels=frame)
 
 
-def _frame(index: int, pixels: np.ndarray) -> Frame:
+def _frame(index: int, pixels: memoryview) -> Frame:
     """``Frame(index=index, pixels=pixels)`` without the dataclass ``__init__``
-    and its checks, for the frames ingest makes: their parsed 2-D uint8
-    pixels and indices of 0 or more meet the checks by construction."""
+    and its checks, for the frames ingest makes: their parsed 2-D memoryviews
+    of bytes and indices of 0 or more meet the checks by construction."""
     frame = object.__new__(Frame)
     fields = frame.__dict__
     fields["index"], fields["pixels"] = index, pixels
@@ -159,7 +157,7 @@ _PGM_NUMBER = rb"([0-9]{1,18})"
 _PGM_HEADER = re.compile(rb"P5" + (_PGM_GAP + _PGM_NUMBER) * 3 + rb"(?:#[^\n\r]*[\n\r])*\s")
 
 
-def _parse_pgm(data: bytes, name: str) -> np.ndarray:
+def _parse_pgm(data: bytes, name: str) -> memoryview:
     """Decode a binary P5 PGM.  Its header is the magic, then width, height
     and maxval as ASCII decimals, separated by whitespace and comments; more
     comments may follow maxval, then exactly one whitespace byte, then a
@@ -177,18 +175,18 @@ def _parse_pgm(data: bytes, name: str) -> np.ndarray:
     if len(data) - header.end() != width * height:
         raise IngestError(f"unsupported image file: {name} (raster holds "
                           f"{len(data) - header.end()} bytes, expected {width * height})")
-    return np.frombuffer(data, np.uint8, offset=header.end()).reshape(height, width)
+    return memoryview(data)[header.end():].cast("B", (height, width))
 
 
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read one binary PGM file into a (height, width) uint8 array, in one
-    unbuffered read of the whole file."""
+def read_pgm(path: str | Path) -> memoryview:
+    """Read one binary PGM file into a (height, width) memoryview of its raster
+    bytes, in one unbuffered read of the whole file."""
     if not isinstance(path, Path):
         path = Path(path)  # a str is named in messages as its Path
     return _read_pgm(str(path))
 
 
-def _read_pgm(name: str) -> np.ndarray:
+def _read_pgm(name: str) -> memoryview:
     """``read_pgm`` of a path already in the form ``str(Path(name))`` gives,
     as ``list_pgm_dir`` lists it, without building a Path."""
     try:
@@ -199,16 +197,15 @@ def _read_pgm(name: str) -> np.ndarray:
     return _parse_pgm(data, name)
 
 
-def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
-    """Write a (height, width) uint8 array as a binary PGM with maxval 255; refuse
-    what ``read_pgm`` could not read back, another dtype or a side of 0."""
-    pixels = np.ascontiguousarray(pixels)
-    if pixels.dtype != np.uint8 or pixels.ndim != 2 or 0 in pixels.shape:
-        raise ValueError(f"expected a 2-D uint8 array with no side of 0, got {pixels.dtype} "
-                         f"of shape {pixels.shape}")
-    h, w = pixels.shape
+def write_pgm(path: str | Path, pixels) -> None:
+    """Write a (height, width) uint8 buffer as a binary PGM with maxval 255; refuse
+    what ``read_pgm`` could not read back, another item format or a side of 0."""
+    view = kernels.frame_view(pixels)
+    if 0 in view.shape:
+        raise ValueError(f"expected a frame with no side of 0, got shape {view.shape}")
+    h, w = view.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
+    Path(path).write_bytes(header + view.tobytes())
 
 
 # the errors of following a symlink that Path.is_file reads as "not a file":
@@ -274,9 +271,9 @@ class _PgmDirSource:
 
 def _plane_frame(index: int, plane: bytes, shape: tuple[int, int]) -> Frame:
     """Frame index over a Y plane of shape (height, width), whose height *
-    width bytes stay its pixels' ``base``, so the stdin spool can compare
+    width bytes stay its pixels' ``obj``, so the stdin spool can compare
     planes as bytes."""
-    return _frame(index, np.ndarray(shape, np.uint8, plane))
+    return _frame(index, memoryview(plane).cast("B", shape))
 
 
 def _read_plane(stream: BinaryIO, size: int) -> bytes:
@@ -360,6 +357,7 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
     planes, sub_w, sub_h = _CHROMA[colorspace]
     y_size, shape = width * height, (height, width)
     skip = planes * -(-width // sub_w) * -(-height // sub_h)
+    chroma = bytearray(skip)  # each frame's chroma is read into it and dropped
     offset = len(header) + 1
     for index in itertools.count():
         marker = _read_line(stream)
@@ -373,10 +371,10 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
         if len(data) != y_size:
             raise IngestError(f"Y4M stream truncated at byte offset {offset}: "
                               f"frame {index} Y plane has {len(data)} of {y_size} bytes")
-        chroma = stream.read(skip)
-        if len(chroma) != skip:
+        got = stream.readinto(chroma)
+        if got != skip:
             raise IngestError(f"Y4M stream truncated at byte offset {offset + y_size}: "
-                              f"frame {index} chroma has {len(chroma)} of {skip} bytes")
+                              f"frame {index} chroma has {got} of {skip} bytes")
         yield offset, _plane_frame(index, data, shape)
         offset += y_size + skip
 
@@ -416,7 +414,7 @@ class _StreamSource:
         for offset, frame in parsed:
             self._shape = frame.pixels.shape
             if self._spool is not None:
-                plane = frame.pixels.base  # the parser's bytes (_plane_frame)
+                plane = frame.pixels.obj  # the parser's bytes (_plane_frame)
                 if plane == previous:  # one memcmp; a repeat takes the earlier offset
                     offset = self._offsets[-1]
                 else:

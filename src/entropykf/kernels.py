@@ -2,14 +2,15 @@
 
 The loops over a frame's bytes and over stacks of histograms are C functions
 in ``_kernels.c``, built as a CPython extension module whose four
-``METH_FASTCALL`` entry points take arrays through the buffer protocol and
-release the GIL around their loops.  ``perfbench/`` times every kernel
+``METH_FASTCALL`` entry points take Python buffers, numpy arrays among them,
+and release the GIL around their loops.  ``perfbench/`` times every kernel
 inside a pipeline run.  Each entry point declares its arguments in one list
-and checks every buffer against it, its format (the dtype), writability and
-byte length, and the buffer protocol refuses a non-contiguous array, so a
-wrong array raises ``ValueError`` and nothing is written.  Python keeps only
-what C cannot see, shapes, and conversion: contiguous pixels and the output
-arrays.
+and checks every buffer against it, its format, writability and byte
+length, and the buffer protocol refuses a non-contiguous buffer, so a wrong
+buffer raises ``ValueError`` and nothing is written.  Python keeps only what
+C cannot see, shapes, and allocation, with no numpy: 2-D memoryviews of
+pixels (``frame_view``), (k, 256) int64 blocks (``counts_block``) and
+``array("d")`` outputs.
 
 ``frame_step``, the C entry point itself with no Python wrapper, is the one
 histogram and correlation route: the pass's one call per frame, and the step
@@ -38,12 +39,11 @@ from __future__ import annotations
 
 import os
 import zlib
+from array import array
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
 from types import ModuleType
-
-import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _COMPILE = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
@@ -106,18 +106,36 @@ frame_step = _C.frame_step
 sd_rows = _C.sd_rows
 
 
-def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each row of a (k, 256) stack of histograms.
+def frame_view(pixels) -> memoryview:
+    """pixels, a 2-D buffer of bytes, as a C-contiguous memoryview of its shape:
+    viewed, or copied once if it is not contiguous.  Any other buffer raises
+    ``ValueError`` naming its format and shape."""
+    view = memoryview(pixels)
+    if view.ndim != 2 or view.format != "B":
+        raise ValueError(f"expected a 2-D frame of uint8 pixels, got format "
+                         f"'{view.format}' of shape {view.shape}")
+    return view if view.c_contiguous else memoryview(view.tobytes()).cast("B", view.shape)
+
+
+def counts_block(rows: int) -> memoryview:
+    """A zeroed (rows, 256) block of int64 histogram counts, rows > 0."""
+    return memoryview(bytearray(2048 * rows)).cast("q", (rows, 256))
+
+
+def entropy_from_counts(counts) -> array:
+    """Shannon entropy in bits of each row of a (k, 256) int64 stack of
+    histograms, as an ``array("d")`` of k values.
 
     Each row is taken over its own total, in one C call (``entropy_rows``)
     that gives a row the same bits whatever k is, and on every host: its
     log2 is its own, not numpy's or libm's.  Results are clamped to [0, 8];
-    a single-level or all-zero row gives 0.0, not -0.0, and a negative count
-    raises ``ValueError``.
+    a single-level or all-zero row gives 0.0, not -0.0, and a negative count,
+    or counts that total 2**64 or more, raise ``ValueError``.
     """
-    if counts.ndim != 2 or counts.shape[1] != 256:
-        raise ValueError(f"expected counts of shape (k, 256), got shape {counts.shape}")
-    out = np.empty(len(counts))
+    shape = memoryview(counts).shape
+    if len(shape) != 2 or shape[1] != 256:
+        raise ValueError(f"expected counts of shape (k, 256), got shape {shape}")
+    out = array("d", bytes(8 * shape[0]))
     _C.entropy_rows(counts, out)
     return out
 
@@ -125,25 +143,21 @@ def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
 SEGMENT_GRID = 8  # frames are split into an 8x8 grid, 64 segments
 
 
-def segment_bounds(n: int) -> np.ndarray:
-    """Nine cut points splitting n pixels into 8 runs of floor(n/8), with the
-    remainder folded into the last run."""
+def segment_bounds(n: int) -> array:
+    """Nine cut points, an ``array("q")``, splitting n pixels into 8 runs of
+    floor(n/8), with the remainder folded into the last run."""
     step = n // SEGMENT_GRID
-    bounds = np.arange(SEGMENT_GRID + 1, dtype=np.int64) * step
-    bounds[SEGMENT_GRID] = n
-    return bounds
+    return array("q", [i * step for i in range(SEGMENT_GRID)] + [n])
 
 
-def segment_histograms(pixels: np.ndarray) -> np.ndarray:
-    """Histogram of each cell of the 8x8 segment grid, as a (64, 256) array.
+def segment_histograms(pixels) -> memoryview:
+    """Histogram of each cell of the 8x8 segment grid, as a (64, 256) block.
 
     Cell (sy, sx) covers rows ``segment_bounds(height)[sy:sy + 2]`` and
     columns ``segment_bounds(width)[sx:sx + 2]``, as half-open ranges.
     """
-    px = np.ascontiguousarray(pixels)
-    if px.ndim != 2:
-        raise ValueError(f"expected a 2-D frame, got shape {px.shape}")
+    px = frame_view(pixels)
     h, w = px.shape
-    counts = np.empty((64, 256), dtype=np.int64)
+    counts = counts_block(64)
     _C.segment_histograms(px, segment_bounds(h), segment_bounds(w), counts, w)
     return counts

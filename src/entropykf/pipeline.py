@@ -25,12 +25,9 @@ import re
 import weakref
 from array import array
 from dataclasses import asdict, dataclass, fields
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
-
-import numpy as np
 
 from . import kernels
 from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, GroundTruth,
@@ -128,7 +125,7 @@ def _candidate_dict(kf: KeyFrame) -> dict:
 
 
 def load_report_schema() -> dict:
-    return json.loads(resources.files("entropykf").joinpath("report_schema.json").read_text())
+    return json.loads(Path(__file__).with_name("report_schema.json").read_text())
 
 
 class ReportError(ValueError):
@@ -361,25 +358,25 @@ def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
     """
     step = kernels.frame_step
     entropies, correlations = array("d"), array("d")
-    block = np.empty((_ENTROPY_BLOCK, 256), dtype=np.int64)
+    block = kernels.counts_block(_ENTROPY_BLOCK)
     frames = iter(frames)
     prev = next(frames, None)
     if prev is None:
         raise ValueError("cannot analyse an empty frame stream")
-    prev_pixels, row = np.ascontiguousarray(prev.pixels), 0
+    prev_pixels, row = prev.pixels, 0
     step(prev_pixels, prev_pixels, block, row, row)
     n = 1
     for frame in frames:
         check_same_size(prev, frame)  # the C side sees only byte lengths
-        pixels = np.ascontiguousarray(frame.pixels)
+        pixels = frame.pixels
         prev_row, row = row, n % _ENTROPY_BLOCK
         correlations.append(step(pixels, prev_pixels, block, row, prev_row))
         n += 1
         if n % _ENTROPY_BLOCK == 0:
-            entropies.extend(kernels.entropy_from_counts(block).tolist())
+            entropies.extend(kernels.entropy_from_counts(block))
         prev, prev_pixels = frame, pixels
     if n % _ENTROPY_BLOCK:
-        entropies.extend(kernels.entropy_from_counts(block[:n % _ENTROPY_BLOCK]).tolist())
+        entropies.extend(kernels.entropy_from_counts(block[:n % _ENTROPY_BLOCK]))
     return entropies, correlations
 
 

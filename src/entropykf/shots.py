@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import kernels
 from .ingest import Frame, _as_frame
 
@@ -49,7 +47,7 @@ def check_same_size(a: Frame, b: Frame) -> None:
 def correlation(a: Frame, b: Frame) -> float:
     """Pearson correlation of co-located pixel intensities, in [-1, 1].
 
-    Takes two ``Frame`` values or two 2-D uint8 arrays of one size.  Flat
+    Takes two ``Frame`` values or two 2-D uint8 buffers of one size.  Flat
     (zero-variance) frames make the quotient undefined; they count as the
     same shot (1.0) when their means are within one grey level, as a cut (0.0)
     otherwise, and a flat frame never matches a textured one (0.0).  Two
@@ -58,10 +56,9 @@ def correlation(a: Frame, b: Frame) -> float:
     """
     a, b = _as_frame(a), _as_frame(b)
     check_same_size(a, b)
-    pa, pb = np.ascontiguousarray(a.pixels), np.ascontiguousarray(b.pixels)
-    block = np.empty((2, 256), dtype=np.int64)
-    kernels.frame_step(pa, pa, block, 0, 0)
-    return kernels.frame_step(pb, pa, block, 1, 0)
+    block = kernels.counts_block(2)
+    kernels.frame_step(a.pixels, a.pixels, block, 0, 0)
+    return kernels.frame_step(b.pixels, a.pixels, block, 1, 0)
 
 
 def detect_cuts(correlations: Sequence[float],

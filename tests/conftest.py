@@ -36,9 +36,9 @@ from entropykf.ingest import Frame
 from entropykf.pipeline import ReportError
 
 
-def histogram_oracle(pixels: np.ndarray) -> list[int]:
+def histogram_oracle(pixels) -> list[int]:
     counts = [0] * 256
-    for v in pixels.ravel().tolist():
+    for v in np.asarray(pixels).ravel().tolist():
         counts[v] += 1
     return counts
 
@@ -100,6 +100,7 @@ def numpy_entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     non-zero levels of all rows, each row's run of terms summed by its own
     ``np.add.reduce``, then negated and clamped to [0, 8].  Its last bits can
     follow numpy's build and CPU dispatch."""
+    counts = np.asarray(counts)
     present = counts > 0
     levels = np.count_nonzero(present, axis=1)
     p = np.extract(present, counts) / np.repeat(counts.sum(axis=1), levels)
@@ -216,9 +217,9 @@ def pinned_entropy_stack() -> np.ndarray:
     return stack
 
 
-def entropy_oracle(pixels: np.ndarray) -> float:
+def entropy_oracle(pixels) -> float:
     counts = histogram_oracle(pixels)
-    total = pixels.size
+    total = np.asarray(pixels).size
     en = 0.0
     for c in counts:
         if c:
@@ -235,6 +236,7 @@ def segment_slices(n: int) -> list[slice]:
 def segmented_oracle(pixels: np.ndarray) -> np.ndarray:
     """Materialise every grid segment as its own frame, count it with
     ``np.bincount`` and take the entropies of the stack in Python floats."""
+    pixels = np.asarray(pixels)
     rows = segment_slices(pixels.shape[0])
     cols = segment_slices(pixels.shape[1])
     return exact_entropy_from_counts(np.stack([bincount_histogram(pixels[r, c])
@@ -271,7 +273,7 @@ def analyse_oracle(frames) -> tuple[list[float], list[float]]:
     ``correlation_from_sums``: every frame's histogram, the entropies of their
     stack in Python floats, and each adjacent pair's correlation from its five
     exact sums."""
-    pixels = [f.pixels for f in frames]
+    pixels = [np.asarray(f.pixels) for f in frames]
     correlations = [correlation_from_sums(b.size, int64_sums(a, b))
                     for a, b in zip(pixels, pixels[1:])]
     counts = np.stack([bincount_histogram(px) for px in pixels])

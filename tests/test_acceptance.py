@@ -39,9 +39,9 @@ class _criterion:
         return False
 
 
-def _entropy_summation_oracle(pixels: np.ndarray) -> float:
+def _entropy_summation_oracle(pixels) -> float:
     """Independent second code path: stdlib byte counting + math.log2."""
-    total = pixels.size
+    total = pixels.nbytes
     en = 0.0
     for count in Counter(pixels.tobytes()).values():
         p = count / total

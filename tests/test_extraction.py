@@ -37,7 +37,7 @@ class TestBinFrames:
         for i in range(35):
             px = two_bits if i % 3 == 2 and i < 30 else three_bits
             frames.append(frame(i, px))
-        assert sum(1 for f in frames if f.pixels is two_bits) == 10
+        assert sum(1 for f in frames if f.pixels.obj is two_bits) == 10
         bins = _bin(frames)
         assert [(b.key, len(b.members)) for b in bins] == [(9, 25), (4, 10)]
 

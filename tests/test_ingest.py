@@ -30,14 +30,15 @@ class TestPgm:
                              ids=["int16-300", "float-0.9", "int-minus-1"])
     def test_write_refuses_pixels_that_are_not_uint8(self, tmp_path, pixels):
         # a cast would write 300 as 44, 0.9 as 0 and -1 as 255
-        with pytest.raises(ValueError, match=f"uint8 array .* got {pixels.dtype}"):
+        fmt = {np.int16: "h", np.float64: "d", np.int64: "l"}[pixels.dtype.type]
+        with pytest.raises(ValueError, match=f"uint8 pixels, got format '{fmt}'"):
             write_pgm(tmp_path / "frame.pgm", pixels)
         assert not (tmp_path / "frame.pgm").exists()
 
     @pytest.mark.parametrize("shape", [(0, 8), (8, 0)])
     def test_write_refuses_a_side_of_0(self, tmp_path, shape):
         # read_pgm refuses a width or height of 0 ("bad dimensions")
-        message = re.escape(f"no side of 0, got uint8 of shape {shape}")
+        message = re.escape(f"no side of 0, got shape {shape}")
         with pytest.raises(ValueError, match=message):
             write_pgm(tmp_path / "frame.pgm", np.zeros(shape, dtype=np.uint8))
         assert not (tmp_path / "frame.pgm").exists()
@@ -46,7 +47,7 @@ class TestPgm:
         data = b"P5\n# a comment\n4 2\n# another\n255\n" + bytes(8)
         px = _parse_pgm(data, "inline")
         assert px.shape == (2, 4)
-        assert px.sum() == 0
+        assert px.tobytes() == bytes(8)
 
     def test_comment_after_maxval_needs_one_whitespace_byte(self):
         # the comment runs through its newline; a raster byte cannot stand in
@@ -54,7 +55,7 @@ class TestPgm:
         with pytest.raises(IngestError, match="malformed PGM header"):
             _parse_pgm(b"P5 8 8 255#c\n" + bytes(range(64)), "inline")
         px = _parse_pgm(b"P5 8 8 255#c\n\n" + bytes(range(64)), "inline")
-        assert px.ravel().tolist() == list(range(64))
+        assert px.tobytes() == bytes(range(64))
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "ascii.pgm"
@@ -318,6 +319,52 @@ class TestY4mSource:
         with pytest.raises(IngestError, match="truncated"):
             list(_iter_y4m(io.BytesIO(data[:-40])))
 
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    @pytest.mark.parametrize("cut, where, part", [(10, 64, "chroma has 22 of 32"),
+                                                  (42, 0, "Y plane has 54 of 64")],
+                             ids=["chroma", "y-plane"])
+    def test_truncation_names_the_offset_and_the_bytes_read(self, via, cut, where, part,
+                                                            tmp_path, monkeypatch):
+        # two 8x8 4:2:0 frames of 6 + 64 + 32 bytes, the second cut short by cut bytes
+        data = make_y4m(8, 8, [np.zeros((8, 8), dtype=np.uint8)] * 2)
+        header = data.index(b"FRAME")
+        message = (f"Y4M stream truncated at byte offset {header + 102 + 6 + where}: "
+                   f"frame 1 {part} bytes")
+        with contextlib.ExitStack() as stack:
+            if via == "file":
+                (tmp_path / "video.y4m").write_bytes(data[:-cut])
+                spec = SourceSpec(kind=SourceKind.Y4M, path=str(tmp_path / "video.y4m"))
+            else:  # a pipe, as a decoder feeds stdin, read through a buffered reader
+                read_end, write_end = os.pipe()
+                os.write(write_end, data[:-cut])
+                os.close(write_end)
+                pipe = stack.enter_context(io.TextIOWrapper(open(read_end, "rb")))
+                monkeypatch.setattr(sys, "stdin", pipe)
+                spec = SourceSpec(kind=SourceKind.Y4M, path="-")
+            source = open_source(spec)
+            stack.callback(source.close)
+            with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+                list(source.frames())
+
+    def test_chroma_is_read_into_one_buffer_for_the_whole_stream(self):
+        # chroma is read and dropped: never a new bytes object per frame
+        class Recording(io.BytesIO):
+            def __init__(self, data):
+                super().__init__(data)
+                self.reads, self.buffers = [], set()
+
+            def read(self, size=-1):
+                self.reads.append(size)
+                return super().read(size)
+
+            def readinto(self, buffer):
+                self.buffers.add(id(buffer))
+                return super().readinto(buffer)
+
+        stream = Recording(make_y4m(8, 8, [np.zeros((8, 8), dtype=np.uint8)] * 3))
+        assert len([f for _, f in _iter_y4m(stream)]) == 3
+        assert stream.reads == [64] * 3 and len(stream.buffers) == 1
+
     def test_unknown_colorspace(self):
         header = b"YUV4MPEG2 W8 H8 C410\nFRAME\n" + bytes(64)
         with pytest.raises(IngestError, match="C410"):
@@ -367,7 +414,7 @@ class TestY4mSource:
             return
         [(offset, frame)] = list(_iter_y4m(stream))
         assert offset == len(header) + len(marker) + 2
-        assert frame.pixels.ravel().tolist() == list(range(64))
+        assert frame.pixels.tobytes() == bytes(range(64))
 
     _BAD_DIMENSIONS = {b"Wabc H16": "not a dimension", b"W-16 H16": "not a dimension",
                        b"W100000000 H100000000": "frame size 100000000x100000000 is outside",
@@ -550,17 +597,18 @@ class TestRandomAccess:
             made = [*source.frames()]
             made += [source.read_frame(i) for i in range(len(planes))]
             for frame in made:
-                built = Frame(index=frame.index, pixels=frame.pixels.copy())
+                built = Frame(index=frame.index, pixels=np.array(frame.pixels))
                 assert type(frame) is Frame and type(frame.index) is int
                 assert vars(frame).keys() == vars(built).keys() == {"index", "pixels"}
                 assert frame.index == built.index
                 assert frame.pixels.tobytes() == built.pixels.tobytes()
                 assert frame.pixels.tobytes() == planes[frame.index].tobytes()
                 assert frame.pixels.shape == built.pixels.shape == (8, 16)
-                assert frame.pixels.dtype == built.pixels.dtype == np.uint8
+                assert type(frame.pixels) is type(built.pixels) is memoryview
+                assert frame.pixels.format == built.pixels.format == "B"
                 if kind != "pgm-dir":  # the plane's bytes, which the stdin spool compares
-                    assert type(frame.pixels.base) is bytes
-                    assert frame.pixels.base == planes[frame.index].tobytes()
+                    assert type(frame.pixels.obj) is bytes
+                    assert frame.pixels.obj == planes[frame.index].tobytes()
         finally:
             source.close()
 
