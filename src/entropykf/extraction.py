@@ -2,9 +2,9 @@
 
 Frames of a shot are classed into bins by their squared-entropy key; the
 centre frame of every sufficiently populated bin becomes a key-frame
-candidate.  Candidates from all shots are then compared pairwise on their
-64-segment entropy vectors, and later near-duplicates of an earlier survivor
-are dropped.
+candidate.  Each candidate, shot by shot in frame order, is then compared on
+its 64-segment entropy vector with the survivors before it, and a later
+near-duplicate of an earlier survivor is dropped.
 """
 
 from __future__ import annotations
@@ -85,35 +85,49 @@ def fallback_pick(bins: Sequence[EntropyBin]) -> tuple[EntropyBin, int]:
     return best, best.center_member()
 
 
+@dataclass
+class DedupScan:
+    """What a keep-earliest scan has taken, kept and dropped, and as ``rows`` the
+    kept segments' float64 bytes, 64 a row, and a spare row (a cast takes no 0 in a shape)."""
+
+    candidates: list[KeyFrame] = field(default_factory=list)
+    survivors: list[KeyFrame] = field(default_factory=list)
+    eliminations: list[Elimination] = field(default_factory=list)
+    rows: bytearray = field(default_factory=lambda: bytearray(512))
+
+
 def dedup_detailed(candidates: Sequence[KeyFrame],
                    sd_threshold: float = DEFAULT_SD_THRESHOLD,
+                   scan: DedupScan | None = None,
                    ) -> tuple[list[KeyFrame], list[Elimination]]:
     """Keep-earliest duplicate elimination with a log of what was dropped.
 
-    Candidates must be sorted by frame index.  Each candidate is compared
-    against the earlier survivors; if any dissimilarity is at or below the
-    threshold, the later frame is eliminated as a duplicate of the earliest
-    such survivor, at that survivor's SD.  One ``dissimilarity`` call per
-    candidate scores it against the whole survivor stack.  Comparing only
-    against survivors makes the scan idempotent.
+    Each candidate is compared against the earlier survivors; if any
+    dissimilarity is at or below the threshold, the later frame is eliminated
+    as a duplicate of the earliest such survivor, at that survivor's SD.  One
+    ``dissimilarity`` call per candidate scores it against the whole survivor
+    stack.  Comparing only against survivors makes the scan idempotent.
+    The candidates continue ``scan`` (by default a new one), whose survivors and
+    eliminations are returned: a list cut anywhere gives what one call gives.
+    A frame index not above the one before, across calls too, raises ``ValueError``.
     """
     if not 0 <= sd_threshold < math.inf:
         raise ValueError(f"sd threshold must be finite and non-negative, got {sd_threshold}")
-    survivors: list[KeyFrame] = []
-    eliminations: list[Elimination] = []
-    # row i holds survivors[i]'s segments; one row more than the candidates,
-    # as a memoryview cannot be cast to a shape with a 0 in it
-    kept = array("d", bytes(512 * (len(candidates) + 1)))
-    stack = memoryview(kept).cast("B").cast("d", (len(candidates) + 1, 64))
+    scan = DedupScan() if scan is None else scan
+    taken, survivors, rows = scan.candidates, scan.survivors, scan.rows
     for cand in candidates:
-        sds = dissimilarity(stack[:len(survivors)], cand.segments)
-        first = next((i for i, sd in enumerate(sds) if sd <= sd_threshold), None)
-        if first is not None:
-            eliminations.append(Elimination(eliminated=cand.frame_index,
-                                            kept=survivors[first].frame_index,
-                                            sd=sds[first]))
-        else:
-            row = 64 * len(survivors)
-            kept[row:row + 64] = array("d", cand.segments)
+        if taken and cand.frame_index <= taken[-1].frame_index:
+            raise ValueError(f"candidates must be in increasing frame order: frame "
+                             f"{cand.frame_index} follows frame {taken[-1].frame_index}")
+        sds = dissimilarity(memoryview(rows).cast("d", (len(rows) // 512, 64))[:-1], cand.segments)
+        for first, sd in enumerate(sds):
+            if sd <= sd_threshold:
+                scan.eliminations.append(Elimination(eliminated=cand.frame_index,
+                                                     kept=survivors[first].frame_index, sd=sd))
+                break
+        else:  # the segments fill the spare row, and a new spare row follows
+            rows[-512:] = array("d", cand.segments)
+            rows += bytes(512)
             survivors.append(cand)
-    return survivors, eliminations
+        taken.append(cand)
+    return survivors, scan.eliminations

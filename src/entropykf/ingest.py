@@ -181,9 +181,7 @@ def _parse_pgm(data: bytes, name: str) -> memoryview:
 def read_pgm(path: str | Path) -> memoryview:
     """Read one binary PGM file into a (height, width) memoryview of its raster
     bytes, in one unbuffered read of the whole file."""
-    if not isinstance(path, Path):
-        path = Path(path)  # a str is named in messages as its Path
-    return _read_pgm(str(path))
+    return _read_pgm(str(Path(path)))  # a str is named in messages as its Path
 
 
 def _read_pgm(name: str) -> memoryview:

@@ -3,12 +3,12 @@
 ``analyse`` makes the one pass over the frames, holding two at a time, and
 returns two series: ``entropies[i]`` is frame i's entropy and
 ``correlations[i]`` frame i + 1 against frame i.  The stages follow:
-``detect_cuts``, ``merge_short_shots``, ``select_candidates`` (per shot: the
-entropy bins, the gated bin centres and their segment entropies),
-``dedup_detailed``, ``score`` (evaluation against ground truth), then
-``write_report``, which checks the whole report before ``write_keyframes``
-changes the output directory; picked frames are fetched again through the
-source's ``read_frame``.  Peak resident frame storage therefore stays
+``detect_cuts``, ``merge_short_shots``, ``close_shot`` per merged shot (the
+entropy bins, the gated bin centres, their segment entropies, and in frame
+order one ``dedup_detailed`` scan), ``score`` (evaluation against ground
+truth), then ``write_report``, which checks the whole report before
+``write_keyframes`` changes the output directory; picked frames are fetched
+again through the source's ``read_frame``.  Peak resident frame storage stays
 constant in the video length, which ``peak_resident_frames`` in the report
 verifies.  A ground-truth file is read and checked before the pass; only its
 frame count waits for ``score``.  Frame geometry is ``ingest``'s contract.
@@ -32,7 +32,7 @@ from typing import Iterable
 from . import kernels
 from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, GroundTruth,
                          check_match_window, evaluate, load_ground_truth)
-from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, KeyFrame,
+from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, DedupScan, KeyFrame,
                          bin_indexed_keys, dedup_detailed, fallback_pick, select_keyframes)
 from .entropy import modified_entropies, segmented_entropies
 from .ingest import Frame, SourceKind, SourceSpec, write_pgm
@@ -114,14 +114,9 @@ def _record_dict(record) -> dict:
     return vars(record).copy()
 
 
-def _candidate_dict(kf: KeyFrame) -> dict:
-    return {
-        "frame_index": kf.frame_index,
-        "shot": _record_dict(kf.shot),
-        "bin_key": kf.bin_key,
-        "global_entropy": kf.global_entropy,
-        "fallback": kf.fallback,
-    }
+def _candidate_dict(kf: KeyFrame) -> dict:  # a KeyFrame's fields but its segments
+    return {name: _record_dict(value) if name == "shot" else value
+            for name, value in vars(kf).items() if name != "segments"}
 
 
 def load_report_schema() -> dict:
@@ -380,33 +375,25 @@ def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
     return entropies, correlations
 
 
-def select_candidates(shots: list[Shot], entropies: array, source,
-                      config: PipelineConfig,
-                      tracker: _FrameWatermark) -> tuple[list[dict], list[KeyFrame]]:
-    """Per shot, the report's bin details and the gated bin centres, by frame index."""
-    shot_details: list[dict] = []
-    candidates: list[KeyFrame] = []
-    keys = modified_entropies(entropies)  # every frame's bin key, in one pass
-    for shot in shots:
-        bins = bin_indexed_keys(zip(range(shot.start, shot.end), keys[shot.start:shot.end]))
-        picks = select_keyframes(bins, config.min_bin_size)
-        used_fallback = not picks and config.fallback_keyframe
-        if used_fallback:
-            picks = [fallback_pick(bins)]
-        chosen = {id(b): index for b, index in picks}
-        shot_details.append({
-            "shot": _record_dict(shot),
-            "bins": [{"key": b.key, "size": len(b.members),
-                      "selected": chosen.get(id(b))} for b in bins],
-        })
-        for b, index in picks:
-            candidates.append(KeyFrame(
-                frame_index=index, shot=shot, bin_key=b.key,
-                global_entropy=entropies[index],
-                segments=segmented_entropies(tracker.register(source.read_frame(index))),
-                fallback=used_fallback))
-    candidates.sort(key=lambda kf: kf.frame_index)
-    return shot_details, candidates
+def close_shot(shot: Shot, keys: list[int], entropies: array, source, config: PipelineConfig,
+               tracker: _FrameWatermark, scan: DedupScan) -> dict:
+    """Bin a merged shot, pick its gated bin centres or the fallback, and continue
+    the dedup scan with their key frames in frame order; returns its shot_details entry."""
+    bins = bin_indexed_keys(zip(range(shot.start, shot.end), keys[shot.start:shot.end]))
+    picks = select_keyframes(bins, config.min_bin_size)
+    used_fallback = not picks and config.fallback_keyframe
+    if used_fallback:
+        picks = [fallback_pick(bins)]
+    picks.sort(key=operator.itemgetter(1))
+    dedup_detailed([KeyFrame(frame_index=index, shot=shot, bin_key=b.key,
+                             global_entropy=entropies[index], fallback=used_fallback,
+                             segments=segmented_entropies(
+                                 tracker.register(source.read_frame(index))))
+                    for b, index in picks], config.sd_threshold, scan)
+    chosen = {id(b): index for b, index in picks}
+    return {"shot": _record_dict(shot),
+            "bins": [{"key": b.key, "size": len(b.members), "selected": chosen.get(id(b))}
+                     for b in bins]}
 
 
 def score(survivors: list[KeyFrame], total_frames: int, gt: GroundTruth | None,
@@ -487,19 +474,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
         entropies, correlations = analyse(map(tracker.register, source.frames()))
         raw_shots = detect_cuts(correlations, config.cut_threshold)
         shots = merge_short_shots(raw_shots, config.min_shot_len)
-        shot_details, candidates = select_candidates(shots, entropies, source, config, tracker)
-        survivors, eliminations = dedup_detailed(candidates, config.sd_threshold)
-        evaluation = score(survivors, len(entropies), gt, config)
+        keys, scan = modified_entropies(entropies), DedupScan()
+        shot_details = [close_shot(shot, keys, entropies, source, config, tracker, scan)
+                        for shot in shots]
+        evaluation = score(scan.survivors, len(entropies), gt, config)
         keyframes = [{**_candidate_dict(kf), "image": f"keyframe_{kf.frame_index:06d}.pgm",
-                      "segments": kf.segments.tolist()} for kf in survivors]
+                      "segments": kf.segments.tolist()} for kf in scan.survivors]
         # the whole report passes its check before out_dir loses a file
         return write_report(config, out_dir, {
             "total_frames": len(entropies),
             "shots": [_record_dict(s) for s in shots],
             "shot_details": shot_details,
-            "candidates": [_candidate_dict(kf) for kf in candidates],
+            "candidates": [_candidate_dict(kf) for kf in scan.candidates],
             "keyframes": keyframes,
-            "eliminations": [_record_dict(e) for e in eliminations],
+            "eliminations": [_record_dict(e) for e in scan.eliminations],
             **({} if evaluation is None else {"evaluation": evaluation}),
             "stats": {"raw_shot_count": len(raw_shots), "peak_resident_frames": tracker.peak},
         }, lambda: write_keyframes(keyframes, source, out_dir))

@@ -31,7 +31,7 @@ import operator
 
 import numpy as np
 
-from entropykf.extraction import Elimination
+from entropykf.extraction import DedupScan, Elimination
 from entropykf.ingest import Frame
 from entropykf.pipeline import ReportError
 
@@ -243,21 +243,23 @@ def segmented_oracle(pixels: np.ndarray) -> np.ndarray:
                                                for r in rows for c in cols]))
 
 
-def dedup_oracle(candidates, sd_threshold: float):
+def dedup_oracle(candidates, sd_threshold: float, scan: DedupScan | None = None):
     """``extraction.dedup_detailed`` as one scalar SD per pair: each candidate
     against each earlier survivor in turn, stopping at the first within the
-    threshold."""
-    survivors, eliminations = [], []
+    threshold.  Like it, the candidates continue ``scan``'s survivors and
+    eliminations, or a new scan's; the oracle keeps no segment rows."""
+    scan = DedupScan() if scan is None else scan
     for cand in candidates:
-        for kept in survivors:
+        for kept in scan.survivors:
             sd = float(np.std(np.asarray(cand.segments) - np.asarray(kept.segments)))
             if sd <= sd_threshold:
-                eliminations.append(Elimination(eliminated=cand.frame_index,
-                                                kept=kept.frame_index, sd=sd))
+                scan.eliminations.append(Elimination(eliminated=cand.frame_index,
+                                                     kept=kept.frame_index, sd=sd))
                 break
         else:
-            survivors.append(cand)
-    return survivors, eliminations
+            scan.survivors.append(cand)
+        scan.candidates.append(cand)
+    return scan.survivors, scan.eliminations
 
 
 def correlation_oracle(a: np.ndarray, b: np.ndarray) -> float:

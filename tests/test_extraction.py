@@ -4,7 +4,7 @@ import pytest
 from conftest import dedup_oracle, entropy_oracle, frame, rand_pixels, uniform_level_pixels
 from entropykf import extraction
 from entropykf.entropy import frame_entropy, modified_entropy
-from entropykf.extraction import (EntropyBin, KeyFrame, bin_indexed_keys,
+from entropykf.extraction import (DedupScan, EntropyBin, KeyFrame, bin_indexed_keys,
                                   dedup_detailed, fallback_pick, select_keyframes)
 from entropykf.ingest import SourceKind, SourceSpec, write_pgm
 from entropykf.pipeline import PipelineConfig, run_pipeline
@@ -272,6 +272,84 @@ class TestDedupMatchesScalarOracle:
         dedup_detailed(cands, 0.15)
         assert len(calls) == 9
         assert calls[0] == 0  # the first candidate meets an empty stack
+
+
+def _cut(cands, rng):
+    """cands cut at random points, empty pieces among them."""
+    cuts = sorted(int(c) for c in rng.integers(0, len(cands) + 1, int(rng.integers(0, 6))))
+    return [cands[a:b] for a, b in zip([0, *cuts], [*cuts, len(cands)])]
+
+
+class TestDedupContinues:
+    def test_pieces_of_one_scan_give_what_one_call_gives(self, monkeypatch):
+        rng = np.random.default_rng(269)
+        calls = []
+        real = extraction.dissimilarity
+        monkeypatch.setattr(extraction, "dissimilarity",
+                            lambda a, b: calls.append(len(a)) or real(a, b))
+        for _ in range(60):
+            pool = [rng.uniform(0, 8, 64) for _ in range(int(rng.integers(1, 8)))]
+            cands = []
+            for i in np.sort(rng.choice(500, int(rng.integers(0, 40)), replace=False)):
+                seg = pool[int(rng.integers(0, len(pool)))]
+                if rng.random() < 0.5:
+                    seg = seg + rng.uniform(-0.1, 0.1, 64)
+                cands.append(_keyframe(int(i), seg))
+            threshold = float(rng.uniform(0, 0.2))
+            survivors, eliminations = _assert_dedup_matches_oracle(cands, threshold)
+            calls.clear()
+            scan = DedupScan()
+            for piece in _cut(cands, rng):
+                assert dedup_detailed(piece, threshold, scan) == (scan.survivors,
+                                                                  scan.eliminations)
+            assert len(calls) == len(cands)
+            assert [id(k) for k in scan.candidates] == [id(k) for k in cands]
+            assert [id(k) for k in scan.survivors] == [id(k) for k in survivors]
+            assert [(e.eliminated, e.kept) for e in scan.eliminations] == \
+                [(e.eliminated, e.kept) for e in eliminations]
+            assert [np.float64(e.sd).tobytes() for e in scan.eliminations] == \
+                [np.float64(e.sd).tobytes() for e in eliminations]
+            # the oracle continues a scan the same way
+            oracle = DedupScan()
+            for piece in _cut(cands, rng):
+                dedup_oracle(piece, threshold, oracle)
+            assert [id(k) for k in oracle.survivors] == [id(k) for k in survivors]
+            assert oracle.eliminations == eliminations
+
+    def test_the_scan_keeps_one_row_per_survivor(self):
+        rng = np.random.default_rng(271)
+        base = rng.uniform(0, 8, 64)
+        scan = DedupScan()
+        dedup_detailed([_keyframe(0, base), _keyframe(1, base.copy())], 0.15, scan)
+        dedup_detailed([_keyframe(2, rng.uniform(0, 8, 64))], 0.15, scan)
+        assert [k.frame_index for k in scan.survivors] == [0, 2]
+        rows = memoryview(scan.rows).cast("d").tolist()
+        assert rows == [*base, *scan.survivors[1].segments, *[0.0] * 64]  # and the spare row
+
+
+class TestDedupRefusesOutOfOrderCandidates:
+    @pytest.mark.parametrize("indices", [(5, 3), (5, 5), (1, 7, 2)])
+    def test_an_index_not_above_the_one_before(self, indices):
+        # before the check, [kf(5), kf(3)] eliminated frame 3 as a duplicate of
+        # the later frame 5, and [kf(5), kf(5)] frame 5 as one of itself
+        seg = np.random.default_rng(277).uniform(0, 8, 64)
+        *_, before, after = indices
+        with pytest.raises(ValueError, match=f"frame {after} follows frame {before}"):
+            dedup_detailed([_keyframe(i, seg.copy()) for i in indices], 0.15)
+
+    def test_across_continued_calls(self):
+        seg = np.random.default_rng(281).uniform(0, 8, 64)
+        scan = DedupScan()
+        first = _keyframe(5, seg)
+        dedup_detailed([first], 0.15, scan)
+        for index in (3, 5):
+            with pytest.raises(ValueError, match=f"frame {index} follows frame 5"):
+                dedup_detailed([_keyframe(index, seg.copy())], 0.15, scan)
+        # a refused candidate is not taken
+        assert [id(k) for k in scan.candidates + scan.survivors] == [id(first)] * 2
+        assert scan.eliminations == []
+        dedup_detailed([_keyframe(6, seg.copy())], 0.15, scan)
+        assert [e.eliminated for e in scan.eliminations] == [6]
 
 
 class TestBinIndexedKeys:

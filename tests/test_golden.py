@@ -153,27 +153,35 @@ _INPUTS = {
 }
 # report.json's, per input form: the forms differ only in the config block
 _REPORTS = {
-    "multi": {"pgm-dir": "2a582e6d343cfcabdc3b6dbb44b32fc7c3c78361f1ed0280daea29462880ead5",
-              "raw": "79d2ad51976d48f7d7988384a57d2b1e4f6c51d313fe562cf24da09a63d944f4",
-              "y4m": "95232921cc4795ae284ec7f355681c228f9c8de65aa68e1d47bc105e4eb17f85",
-              "raw-stdin": "0fe06a3b73a16f856ae9d1f841b0b099ede0f0eeb66ce3294269834fb7b00a43",
-              "y4m-stdin": "a1b703780331e0ec3261b1c4caa91989f875d613bd247bc113ac4b2abc323123"},
-    "odd": {"pgm-dir": "77a4b438d16b6719f46e81f79167cfdf2189d5dd78db6b1e8f581258ce393717",
-            "raw": "873efb384d4af390d9f6f82fc193f32d1f83d8fb3239b5fb8510459fa434fce6",
-            "y4m": "7afe4d7d9cbbcebda6b92cee0e6aea79d453d055fd3621f79565f8fb478c215d",
-            "raw-stdin": "a575ef06ced4cd0a64296ba93b9b474b36fac3b89fc9642f11e61f6d9927151e",
-            "y4m-stdin": "8567d44407f939e0365de20cdbdc11c49ef0f973ea92faf743a7636d28992362"},
+    "multi": {
+        "pgm-dir": "2a582e6d343cfcabdc3b6dbb44b32fc7c3c78361f1ed0280daea29462880ead5",
+        "raw": "79d2ad51976d48f7d7988384a57d2b1e4f6c51d313fe562cf24da09a63d944f4",
+        "y4m": "95232921cc4795ae284ec7f355681c228f9c8de65aa68e1d47bc105e4eb17f85",
+        "raw-stdin": "0fe06a3b73a16f856ae9d1f841b0b099ede0f0eeb66ce3294269834fb7b00a43",
+        "y4m-stdin": "a1b703780331e0ec3261b1c4caa91989f875d613bd247bc113ac4b2abc323123",
+    },
+    "odd": {
+        "pgm-dir": "77a4b438d16b6719f46e81f79167cfdf2189d5dd78db6b1e8f581258ce393717",
+        "raw": "873efb384d4af390d9f6f82fc193f32d1f83d8fb3239b5fb8510459fa434fce6",
+        "y4m": "7afe4d7d9cbbcebda6b92cee0e6aea79d453d055fd3621f79565f8fb478c215d",
+        "raw-stdin": "a575ef06ced4cd0a64296ba93b9b474b36fac3b89fc9642f11e61f6d9927151e",
+        "y4m-stdin": "8567d44407f939e0365de20cdbdc11c49ef0f973ea92faf743a7636d28992362",
+    },
 }
 # each key-frame image's, the same in every form
 _IMAGES = {
-    "multi": {"keyframe_000022.pgm": "1349a8e4a13d3356f698b268318cf2c546f82497c5d9a446f12bd0d77524e0fa",
-              "keyframe_000037.pgm": "f196ec14b21e8a7023118f48d7e138ff5ea002532bf39112529dac9d2fd86406",
-              "keyframe_000060.pgm": "cbdb95938652f315f8305d890b5a1a8d4ea8686e234f357cbb62c02ee471f338",
-              "keyframe_000106.pgm": "f1a7a38416e1a342f767d963b42775eb44081fb61dd9338f5b3cb87cd3571567",
-              "keyframe_000155.pgm": "f3bbf0997aca5d3317ba2226da5d4510fe7cab5a652fe4699d31c8908380a7d0",
-              "keyframe_000177.pgm": "d82cddcec96c406b333bfd04fd52e77b624b83585ef56fe2f634fb3e1deae4ae"},
-    "odd": {"keyframe_000015.pgm": "b495ad2c5fa459527be0038e52d8ef8b8d47cd44d67701cee734e53ca70f089a",
-            "keyframe_000079.pgm": "dee9e0d2f35319bc275f209fad3d758c29edc4fbf5a56d377d8ee4e83708fb79"},
+    "multi": {
+        "keyframe_000022.pgm": "1349a8e4a13d3356f698b268318cf2c546f82497c5d9a446f12bd0d77524e0fa",
+        "keyframe_000037.pgm": "f196ec14b21e8a7023118f48d7e138ff5ea002532bf39112529dac9d2fd86406",
+        "keyframe_000060.pgm": "cbdb95938652f315f8305d890b5a1a8d4ea8686e234f357cbb62c02ee471f338",
+        "keyframe_000106.pgm": "f1a7a38416e1a342f767d963b42775eb44081fb61dd9338f5b3cb87cd3571567",
+        "keyframe_000155.pgm": "f3bbf0997aca5d3317ba2226da5d4510fe7cab5a652fe4699d31c8908380a7d0",
+        "keyframe_000177.pgm": "d82cddcec96c406b333bfd04fd52e77b624b83585ef56fe2f634fb3e1deae4ae",
+    },
+    "odd": {
+        "keyframe_000015.pgm": "b495ad2c5fa459527be0038e52d8ef8b8d47cd44d67701cee734e53ca70f089a",
+        "keyframe_000079.pgm": "dee9e0d2f35319bc275f209fad3d758c29edc4fbf5a56d377d8ee4e83708fb79",
+    },
 }
 
 

@@ -473,18 +473,25 @@ def _recurring_raw(path: Path, width: int = 64, height: int = 48) -> SourceSpec:
 
 class TestReportExactness:
     def test_report_bytes_equal_the_scalar_oracles(self, tmp_path, monkeypatch):
-        # a performance change to the candidate stage must leave every byte as it was
+        # a performance change to the candidate stage must leave every byte as it was;
+        # the oracle checks the threshold with no scan, then continues the run's
+        # one scan, a call per shot
         config = PipelineConfig(source=_recurring_raw(tmp_path / "video.raw"),
                                 output_dir=tmp_path / "out", seed_report=True)
         report = run_pipeline(config)
         assert len(report["candidates"]) >= 20 and len(report["eliminations"]) >= 10
         shipped = (tmp_path / "out" / "report.json").read_bytes()
         assert shipped == (json.dumps(report, indent=2) + "\n").encode()
+        scans = []
         monkeypatch.setattr(pipeline, "segmented_entropies",
                             lambda frame: segmented_oracle(frame.pixels))
-        monkeypatch.setattr(pipeline, "dedup_detailed", dedup_oracle)
+        monkeypatch.setattr(pipeline, "dedup_detailed",
+                            lambda cands, threshold, scan=None: scans.append(scan)
+                            or dedup_oracle(cands, threshold, scan))
         run_pipeline(config)
         assert (tmp_path / "out" / "report.json").read_bytes() == shipped
+        assert scans[0] is None and len(scans) == 1 + len(report["shots"])
+        assert len({id(scan) for scan in scans[1:]}) == 1
 
     def test_no_negative_zero_in_the_report(self, tmp_path):
         report = run_pipeline(PipelineConfig(source=_recurring_raw(tmp_path / "video.raw"),
