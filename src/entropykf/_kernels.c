@@ -8,14 +8,15 @@
  * list: the count, and each buffer's format, writability and byte length, so
  * this file is the one place that says which buffers a kernel reads and
  * writes.  The buffer protocol refuses a non-contiguous buffer.  Python keeps
- * shapes, which this file does not read, and allocation.  Every loop runs
- * with the GIL released.  The histogram and moment results are exact
- * integers; entropy takes its log2 from exponent bits and IEEE + - * / alone
- * (log2_parts), so its bits depend on no libm and no CPU; sd_rows repeats
- * numpy's float64 steps and pairwise order, so it gives numpy's bits;
- * frame_step's correlation takes Python's float steps on the exact integer
- * moments.  The build passes -ffp-contract=off, so no product and sum fuse
- * into one rounding; -ffast-math would reorder the additions.
+ * shapes and allocation, but segment_entropies takes a frame's width and owns
+ * the 8x8 segment grid.  Every loop runs with the GIL released.  The
+ * histogram and moment results are exact integers; entropy takes its log2
+ * from exponent bits and IEEE + - * / alone (log2_parts), so its bits depend
+ * on no libm and no CPU; sd_rows repeats numpy's float64 steps and pairwise
+ * order, so it gives numpy's bits; frame_step's correlation takes Python's
+ * float steps on the exact integer moments.  The build passes
+ * -ffp-contract=off, so no product and sum fuse into one rounding;
+ * -ffast-math would reorder the additions.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -42,8 +43,6 @@ typedef unsigned __int128 u128;
 #define PREFIX_BLOCK ((int64_t)1 << 12)
 
 #define COUNTS_BYTES ((Py_ssize_t)(256 * sizeof(int64_t)))
-#define CUTS_BYTES ((Py_ssize_t)(9 * sizeof(int64_t)))
-#define SEGMENT_COUNTS_BYTES ((Py_ssize_t)(64 * 256 * sizeof(int64_t)))
 #define SEGMENT_ROW_BYTES ((Py_ssize_t)(64 * sizeof(double)))
 
 /* Adds the 256-bin histogram of n pixels to out[256].  Four interleaved count
@@ -184,30 +183,6 @@ static double correlation(int64_t n, int64_t sa, int64_t sb, int64_t saa, int64_
     return r > 1.0 ? 1.0 : r < -1.0 ? -1.0 : r;
 }
 
-/* Histograms of the 8x8 grid cells of a width-w frame into out[64][256], in
- * one pass over rows rows[0]..rows[8].  Cell (sy, sx) holds rows
- * rows[sy]..rows[sy + 1] and columns cols[sx]..cols[sx + 1]. */
-static void segment_histograms(const uint8_t *px, int64_t w, const int64_t *rows,
-                               const int64_t *cols, int64_t *out)
-{
-    const uint8_t *line;
-    int64_t *cell;
-    int64_t y, x;
-    int sy, sx;
-
-    memset(out, 0, 64 * 256 * sizeof(int64_t));
-    for (sy = 0; sy < 8; sy++) {
-        for (y = rows[sy]; y < rows[sy + 1]; y++) {
-            line = px + y * w;
-            for (sx = 0; sx < 8; sx++) {
-                cell = out + (sy * 8 + sx) * 256;
-                for (x = cols[sx]; x < cols[sx + 1]; x++)
-                    cell[line[x]]++;
-            }
-        }
-    }
-}
-
 /* The sum of a[0..n) in the order of numpy's pairwise_sum for float64
  * (numpy/_core/src/umath/loops_utils.h.src), which np.add.reduce applies to a
  * contiguous row: in sequence below 8 values, in eight interleaved partial
@@ -314,6 +289,35 @@ static double row_entropy(const int64_t *row)
     return h <= 0.0 ? 0.0 : h > 8.0 ? 8.0 : h;
 }
 
+/* The entropies of the 8x8 grid cells of a w-pixel-wide frame of h rows into
+ * out[64], in row-major grid order.  Rows and columns each split into 8 runs
+ * of n/8, the remainder in the last.  Each band of 8 cells is counted in one
+ * pass over its rows into uint32 cells, which hold a frame of fewer than 2^32
+ * pixels, and each cell is then widened into an int64 row for row_entropy,
+ * so an entropy has the bits entropy_rows gives the same counts. */
+static void segment_entropies(const uint8_t *px, int64_t w, int64_t h, double *out)
+{
+    uint32_t cells[8][256];
+    int64_t row[256], rstep = h / 8, cstep = w / 8, y, x;
+    const uint8_t *line;
+    int sy, sx, v;
+
+    for (sy = 0; sy < 8; sy++) {
+        memset(cells, 0, sizeof(cells));
+        for (y = sy * rstep; y < (sy == 7 ? h : (sy + 1) * rstep); y++) {
+            line = px + y * w;
+            for (sx = 0; sx < 8; sx++)
+                for (x = sx * cstep; x < (sx == 7 ? w : (sx + 1) * cstep); x++)
+                    cells[sx][line[x]]++;
+        }
+        for (sx = 0; sx < 8; sx++) {
+            for (v = 0; v < 256; v++)
+                row[v] = cells[sx][v];
+            out[sy * 8 + sx] = row_entropy(row);
+        }
+    }
+}
+
 /* The first of rows 256-bin rows that holds a negative count, or whose
  * counts total 2^64 or more, which uint64 cannot hold, or -1; *negative says
  * which fault it holds.  The total is summed as its high and low 32-bit
@@ -359,17 +363,6 @@ static void sd_rows(const double *a, const double *b, int64_t rows, double *out)
         }
         out[r] = sqrt((0.0 + pairwise_sum(d, 64)) / 64);
     }
-}
-
-/* Whether the nine cut points rise, from 0 or more, to at most end. */
-static int cuts_within(const int64_t *cuts, int64_t end)
-{
-    int i;
-
-    for (i = 0; i < 8; i++)
-        if (cuts[i + 1] < cuts[i])
-            return 0;
-    return cuts[0] >= 0 && cuts[8] <= end;
 }
 
 /* One argument of an entry point.  kind is 'B' for bytes, 'q' for 8-byte
@@ -549,36 +542,32 @@ done:
     return result;
 }
 
-/* segment_histograms(pixels, rows, cols, out, width): the cell histograms of
- * the width-pixel-wide frame into out; cut points outside the frame raise. */
-static PyObject *py_segment_histograms(PyObject *self, PyObject *const *args,
-                                       Py_ssize_t nargs)
+/* segment_entropies(pixels, width, out): the 64 segment entropies of the
+ * frame of width-pixel rows into the 64 doubles of out.  A width that is not
+ * positive, pixels that are not whole rows, or 2^32 pixels or more, which a
+ * uint32 cell might not count, raise, writing nothing. */
+static PyObject *py_segment_entropies(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const struct arg spec[5] = {
-        {.kind = 'B'}, {.kind = 'q', .len = CUTS_BYTES}, {.kind = 'q', .len = CUTS_BYTES},
-        {.kind = 'q', .out = 1, .len = SEGMENT_COUNTS_BYTES}, {.kind = 'n'}};
-    Py_buffer v[5];
-    Py_ssize_t s[5], w;
+    static const struct arg spec[3] = {
+        {.kind = 'B'}, {.kind = 'n'}, {.kind = 'd', .out = 1, .len = SEGMENT_ROW_BYTES}};
+    Py_buffer v[3];
+    Py_ssize_t s[3], w;
     PyObject *result = NULL;
 
     (void)self;
-    if (parse_args("segment_histograms", spec, 5, args, nargs, v, s) < 0)
+    if (parse_args("segment_entropies", spec, 3, args, nargs, v, s) < 0)
         return NULL;
-    if ((w = s[4]) <= 0) {
-        PyErr_Format(PyExc_ValueError, "segment_histograms: width %zd is not positive", w);
-        goto done;
-    }
-    if (!cuts_within(v[1].buf, v[0].len / w) || !cuts_within(v[2].buf, w)) {
-        PyErr_Format(PyExc_ValueError, "segment_histograms: cut points outside the %zdx%zd frame",
-                     w, v[0].len / w);
+    if ((w = s[1]) <= 0 || v[0].len % w != 0 || (uint64_t)v[0].len > UINT32_MAX) {
+        PyErr_Format(PyExc_ValueError, "segment_entropies: %zd bytes are not whole rows of "
+                     "width %zd, fewer than 2**32 in all", v[0].len, w);
         goto done;
     }
     Py_BEGIN_ALLOW_THREADS
-    segment_histograms(v[0].buf, w, v[1].buf, v[2].buf, v[3].buf);
+    segment_entropies(v[0].buf, w, v[0].len / w, v[2].buf);
     Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 done:
-    release_buffers(v, 5);
+    release_buffers(v, 3);
     return result;
 }
 
@@ -645,8 +634,8 @@ static PyMethodDef kernel_methods[] = {
     {"frame_step", (PyCFunction)(void (*)(void))py_frame_step, METH_FASTCALL,
      "frame_step(pixels, prev_pixels, block, row, prev_row): the histogram into block[row], "
      "and the correlation of prev_pixels against pixels."},
-    {"segment_histograms", (PyCFunction)(void (*)(void))py_segment_histograms, METH_FASTCALL,
-     "segment_histograms(pixels, rows, cols, out, width): 8x8 cell histograms into out."},
+    {"segment_entropies", (PyCFunction)(void (*)(void))py_segment_entropies, METH_FASTCALL,
+     "segment_entropies(pixels, width, out): the entropies of the 8x8 grid cells into out."},
     {"entropy_rows", (PyCFunction)(void (*)(void))py_entropy_rows, METH_FASTCALL,
      "entropy_rows(counts, out): the entropy in bits of each row of a (rows, 256) int64 stack."},
     {"sd_rows", (PyCFunction)(void (*)(void))py_sd_rows, METH_FASTCALL,

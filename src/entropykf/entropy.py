@@ -52,12 +52,16 @@ def segmented_entropies(frame) -> array:
     """Entropy of each cell of the frame's 8x8 segment grid.
 
     Returns an ``array("d")`` of 64 values in row-major grid order, each
-    segment's entropy over its own pixel count.  ``check_frame_size`` rules
+    segment's entropy over its own pixel count, from one
+    ``kernels.segment_entropies`` call: rows and columns split into 8 runs of
+    floor(n/8) pixels, the remainder in the last.  ``check_frame_size`` rules
     out other sizes.  Takes a ``Frame`` or a bare 2-D uint8 buffer.
     """
     px = _as_frame(frame).pixels
     check_frame_size(px.shape[1], px.shape[0])
-    return kernels.entropy_from_counts(kernels.segment_histograms(px))
+    out = array("d", bytes(512))
+    kernels.segment_entropies(px, px.shape[1], out)
+    return out
 
 
 def _doubles(values) -> memoryview:

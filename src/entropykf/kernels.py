@@ -1,4 +1,4 @@
-"""Hot per-frame kernels: histogram, entropy, segment histograms, pixel correlation.
+"""Hot per-frame kernels: histogram, entropy, segment entropies, pixel correlation.
 
 The loops over a frame's bytes and over stacks of histograms are C functions
 in ``_kernels.c``, built as a CPython extension module whose four
@@ -24,6 +24,9 @@ from exponent bits and IEEE arithmetic compiled with ``-ffp-contract=off``,
 so entropy bits depend on no libm, numpy build or CPU.  ``sd_rows``, the C
 entry point itself like ``frame_step``, is ``entropy.dissimilarity``'s one
 call: ``np.std(b - a, axis=-1)`` of a stack, with numpy's bits.
+``segment_entropies``, also the C entry point itself, owns the paper's 8x8
+grid: ``entropy.segmented_entropies``'s one call, it writes each cell's
+entropy with the bits ``entropy_rows`` gives the cell's histogram.
 
 The first import compiles ``_kernels.c`` with ``cc -O3 -ffp-contract=off
 -shared -fPIC`` and the interpreter's include directory into the
@@ -103,6 +106,7 @@ def _load() -> ModuleType:
 
 _C = _load()
 frame_step = _C.frame_step
+segment_entropies = _C.segment_entropies
 sd_rows = _C.sd_rows
 
 
@@ -140,24 +144,4 @@ def entropy_from_counts(counts) -> array:
     return out
 
 
-SEGMENT_GRID = 8  # frames are split into an 8x8 grid, 64 segments
-
-
-def segment_bounds(n: int) -> array:
-    """Nine cut points, an ``array("q")``, splitting n pixels into 8 runs of
-    floor(n/8), with the remainder folded into the last run."""
-    step = n // SEGMENT_GRID
-    return array("q", [i * step for i in range(SEGMENT_GRID)] + [n])
-
-
-def segment_histograms(pixels) -> memoryview:
-    """Histogram of each cell of the 8x8 segment grid, as a (64, 256) block.
-
-    Cell (sy, sx) covers rows ``segment_bounds(height)[sy:sy + 2]`` and
-    columns ``segment_bounds(width)[sx:sx + 2]``, as half-open ranges.
-    """
-    px = frame_view(pixels)
-    h, w = px.shape
-    counts = counts_block(64)
-    _C.segment_histograms(px, segment_bounds(h), segment_bounds(w), counts, w)
-    return counts
+SEGMENT_GRID = 8  # _kernels.c splits frames into an 8x8 grid, 64 segments

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import check_frame_size, write_pgm
-from .kernels import segment_bounds
 from .pipeline import _writable_dir
 
 DEFAULT_FADE_FRAMES = 4
@@ -53,11 +52,16 @@ def _draw_mask(rng: np.random.Generator, existing: list[np.ndarray]) -> np.ndarr
             return mask
 
 
+def _segment_bounds(n: int) -> list[int]:
+    """The extractor grid's nine cut points: 8 runs of n // 8, the remainder in the last."""
+    return [i * (n // 8) for i in range(8)] + [n]
+
+
 def make_textures(rng: np.random.Generator, count: int,
                   width: int, height: int) -> list[np.ndarray]:
     """Build count scene textures with pairwise-distant entropy profiles."""
-    rows = segment_bounds(height)
-    cols = segment_bounds(width)
+    rows = _segment_bounds(height)
+    cols = _segment_bounds(width)
     masks: list[np.ndarray] = []
     textures = []
     for _ in range(count):

@@ -48,15 +48,13 @@ def bincount_histogram(pixels: np.ndarray) -> np.ndarray:
     return np.bincount(pixels.ravel(), minlength=256).astype(np.int64)
 
 
-def blockwise_segment_histograms(pixels: np.ndarray, row_bounds, col_bounds) -> np.ndarray:
-    """``kernels.segment_histograms`` in numpy, one ``bincount`` per grid cell."""
-    counts = np.zeros((64, 256), dtype=np.int64)
-    for sy in range(8):
-        for sx in range(8):
-            block = pixels[row_bounds[sy]:row_bounds[sy + 1],
-                           col_bounds[sx]:col_bounds[sx + 1]]
-            counts[sy * 8 + sx] = np.bincount(block.ravel(), minlength=256)
-    return counts
+def blockwise_segment_histograms(pixels) -> np.ndarray:
+    """The (64, 256) histograms of the 8x8 grid's cells, which
+    ``kernels.segment_entropies`` counts, one ``bincount`` per cell of
+    ``segment_slices``' grid."""
+    pixels = np.asarray(pixels)
+    return np.stack([bincount_histogram(pixels[r, c]) for r in segment_slices(pixels.shape[0])
+                     for c in segment_slices(pixels.shape[1])])
 
 
 def int64_sums(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int, int]:
@@ -233,14 +231,10 @@ def segment_slices(n: int) -> list[slice]:
     return [slice(i * step, n if i == 7 else (i + 1) * step) for i in range(8)]
 
 
-def segmented_oracle(pixels: np.ndarray) -> np.ndarray:
+def segmented_oracle(pixels) -> np.ndarray:
     """Materialise every grid segment as its own frame, count it with
     ``np.bincount`` and take the entropies of the stack in Python floats."""
-    pixels = np.asarray(pixels)
-    rows = segment_slices(pixels.shape[0])
-    cols = segment_slices(pixels.shape[1])
-    return exact_entropy_from_counts(np.stack([bincount_histogram(pixels[r, c])
-                                               for r in rows for c in cols]))
+    return exact_entropy_from_counts(blockwise_segment_histograms(pixels))
 
 
 def dedup_oracle(candidates, sd_threshold: float, scan: DedupScan | None = None):

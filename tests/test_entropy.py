@@ -15,7 +15,6 @@ from conftest import (bincount_histogram, entropy_oracle, exact_entropy_from_cou
 from entropykf import kernels
 from entropykf.entropy import (dissimilarity, frame_entropy, modified_entropies,
                                modified_entropy, segmented_entropies)
-from entropykf.kernels import segment_bounds
 
 # the two ends of the entropy range, subnormals, the smallest normal, and -0.0
 _SPECIAL = np.array([0.0, 8.0, 5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -0.0, 4.0])
@@ -376,10 +375,18 @@ class TestSegmentedEntropies:
             assert np.all(seg >= 0.0) and np.all(seg <= 8.0)
 
     def test_non_divisible_dimensions_remainder_goes_last(self):
-        bounds = segment_bounds(60)
-        assert bounds.tolist() == [0, 7, 14, 21, 28, 35, 42, 49, 60]
-        bounds = segment_bounds(64)
-        assert bounds.tolist() == [0, 8, 16, 24, 32, 40, 48, 56, 64]
+        # 60 rows split 7 each but the last run, rows 49-59, whose 11 levels
+        # 1..11 fill each cell of the last grid row with 8 pixels apiece; the
+        # same frame transposed does so for the last grid column
+        px = np.zeros((60, 64), dtype=np.uint8)
+        px[49:] = np.arange(1, 12, dtype=np.uint8)[:, np.newaxis]
+        hot = exact_entropy_from_counts(np.bincount(np.repeat(np.arange(1, 12), 8),
+                                                    minlength=256)[np.newaxis])[0]
+        for frame, cells in ((px, slice(56, 64)), (px.T, slice(7, 64, 8))):
+            seg = np.asarray(segmented_entropies(frame))
+            assert (seg[cells] == hot).all() and math.isclose(hot, math.log2(11))
+            seg[cells] = 0.0
+            assert not seg.any()
 
     def test_rejects_frames_below_grid_minimum(self):
         with pytest.raises(ValueError, match="8x8"):

@@ -26,11 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bincount_histogram, blockwise_segment_histograms, correlation_from_sums,
-                      exact_entropy_from_counts, int64_sums, rand_pixels)
+from conftest import (bincount_histogram, correlation_from_sums, exact_entropy_from_counts,
+                      int64_sums, rand_pixels, segmented_oracle)
 from entropykf import kernels
-from entropykf.entropy import frame_entropy
-from entropykf.kernels import segment_bounds
+from entropykf.entropy import frame_entropy, segmented_entropies
 from entropykf.shots import correlation
 
 SHAPES = [(1, 1), (9, 13), (13, 9), (17, 31)]  # (width, height)
@@ -75,8 +74,13 @@ def _entropy(counts):
     return exact_entropy_from_counts(counts[np.newaxis])[0]
 
 
-def _grid(px):
-    return segment_bounds(px.shape[0]), segment_bounds(px.shape[1])
+def _segment_entropies(px):
+    """``kernels.segment_entropies`` of the frame, made contiguous as ``Frame``
+    makes it, into 64 doubles."""
+    view = kernels.frame_view(px)
+    out = array.array("d", bytes(512))
+    kernels.segment_entropies(view, view.shape[1], out)
+    return out
 
 
 @st.composite
@@ -125,37 +129,53 @@ class TestHistogram256:
 
 
 class TestSegmentHistograms:
+    """The 8x8 cell histograms ``segment_entropies`` counts, seen through the
+    64 entropies it writes, bit for bit against conftest's ``segmented_oracle``:
+    each cell of its own grid counted alone, and its entropy in Python floats."""
+
     @pytest.mark.parametrize("view", VIEWS)
     @pytest.mark.parametrize("width,height", SHAPES)
     def test_matches_blockwise_bincount(self, width, height, view):
         rng = np.random.default_rng(height * 100 + width)
         for _ in range(5):
             px = VIEWS[view](rand_pixels(rng, width, height))
-            assert np.array_equal(kernels.segment_histograms(px),
-                                  blockwise_segment_histograms(px, *_grid(px)))
+            assert _segment_entropies(px).tobytes() == segmented_oracle(px).tobytes()
+
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("width,height", [(17, 31), (31, 17)])  # each view 8x8 or more
+    def test_views_through_segmented_entropies(self, width, height, view):
+        rng = np.random.default_rng(height * 100 + width)
+        px = VIEWS[view](rand_pixels(rng, width, height))
+        assert segmented_entropies(px).tobytes() == segmented_oracle(px).tobytes()
 
     @pytest.mark.parametrize("level", [0, 255])
     @pytest.mark.parametrize("width,height", SHAPES)
     def test_flat_frames(self, width, height, level):
         px = np.full((height, width), level, dtype=np.uint8)
-        assert np.array_equal(kernels.segment_histograms(px),
-                              blockwise_segment_histograms(px, *_grid(px)))
+        assert _segment_entropies(px).tobytes() == segmented_oracle(px).tobytes() == bytes(512)
 
     def test_all_255_megapixel_frame(self):
         px = np.full((1024, 1024), 255, dtype=np.uint8)
-        counts = np.asarray(kernels.segment_histograms(px))
-        assert (counts[:, 255] == 128 * 128).all()
-        assert np.array_equal(counts, blockwise_segment_histograms(px, *_grid(px)))
+        assert _segment_entropies(px).tobytes() == segmented_oracle(px).tobytes() == bytes(512)
+
+    def test_one_pixel_per_cell_of_a_4096_frame(self):
+        # each cell holds 262,143 equal pixels: above 2**16, so a narrower
+        # count wraps, and above the kernel's log2 table of small counts
+        px = np.full((4096, 4096), 9, dtype=np.uint8)
+        px[::512, ::512] = np.arange(64, dtype=np.uint8).reshape(8, 8) * 3 + 10
+        seg = _segment_entropies(px)
+        assert seg.tobytes() == segmented_oracle(px).tobytes()
+        assert set(seg) == {exact_entropy_from_counts(
+            np.bincount([9] * 262143 + [10], minlength=256)[np.newaxis])[0]}
 
     @settings(max_examples=200, deadline=None)
     @given(_frames())
     def test_matches_blockwise_bincount_on_arbitrary_frames(self, px):
-        assert np.array_equal(kernels.segment_histograms(px),
-                              blockwise_segment_histograms(px, *_grid(px)))
+        assert _segment_entropies(px).tobytes() == segmented_oracle(px).tobytes()
 
     def test_rejects_a_frame_that_is_not_2d(self):
         with pytest.raises(ValueError, match="2-D frame"):
-            kernels.segment_histograms(np.zeros(64, dtype=np.uint8))
+            segmented_entropies(np.zeros(64, dtype=np.uint8))
 
 
 class TestCorrelationFromSums:
@@ -409,46 +429,27 @@ class TestCBoundary:
     their own, whatever the Python wrappers let through."""
 
     def test_wrong_byte_lengths_raise(self):
-        px = np.zeros((8, 8), dtype=np.uint8)
-        cuts = segment_bounds(8)
-        with pytest.raises(ValueError, match="bytes, expected 72"):
-            kernels._C.segment_histograms(px, cuts[:8], cuts,
-                                          np.zeros((64, 256), dtype=np.int64), 8)
-        with pytest.raises(ValueError, match="bytes, expected 131072"):
-            kernels._C.segment_histograms(px, cuts, cuts,
-                                          np.zeros((63, 256), dtype=np.int64), 8)
-
-    @pytest.mark.parametrize("cuts,message", [
-        ([0, 1, 2, 3, 4, 5, 6, 7], "bytes, expected 72"),  # eight cut points, not nine
-        ([0, 1, 2, 3, 5, 4, 6, 7, 8], "cut points"),       # decreasing
-        ([0, 1, 2, 3, 4, 5, 6, 7, 9], "cut points"),       # past the last row or column
-        ([-1, 1, 2, 3, 4, 5, 6, 7, 8], "cut points"),      # before the first
-    ], ids=["eight-cuts", "decreasing", "past-the-end", "below-zero"])
-    def test_rejects_cut_points_outside_the_frame(self, cuts, message):
-        # a frame of 8x8 bytes, whose histograms the C side would otherwise
-        # count from memory outside it
-        px = np.zeros((8, 8), dtype=np.uint8)
-        out = np.zeros((64, 256), dtype=np.int64)
-        cuts, grid = np.array(cuts, dtype=np.int64), segment_bounds(8)
-        with pytest.raises(ValueError, match=message):
-            kernels._C.segment_histograms(px, cuts, grid, out, 8)
-        with pytest.raises(ValueError, match=message):
-            kernels._C.segment_histograms(px, grid, cuts, out, 8)
+        out = np.full(63, np.nan)
+        with pytest.raises(ValueError, match="argument 3 has 504 bytes, expected 512"):
+            kernels.segment_entropies(np.zeros(64, dtype=np.uint8), 8, out)
+        assert np.isnan(out).all()
 
     def test_rows_are_whole_rows_of_the_buffer(self):
-        # 8 rows of width 8 hold 64 bytes; 68 bytes still hold only 8 whole rows
-        grid, out = segment_bounds(8), np.zeros((64, 256), dtype=np.int64)
-        kernels._C.segment_histograms(np.zeros(68, dtype=np.uint8), grid, grid, out, 8)
-        assert out.sum() == 64
-        with pytest.raises(ValueError, match="cut points"):
-            kernels._C.segment_histograms(np.zeros(63, dtype=np.uint8), grid, grid, out, 8)
+        # 64 bytes are 8 rows of width 8; 63 and 68 are not whole rows
+        out = np.full(64, np.nan)
+        for size in (63, 68):
+            with pytest.raises(ValueError, match=f"{size} bytes are not whole rows of width 8"):
+                kernels.segment_entropies(np.zeros(size, dtype=np.uint8), 8, out)
+        assert np.isnan(out).all()
+        kernels.segment_entropies(np.zeros(64, dtype=np.uint8), 8, out)
+        assert out.tolist() == [0.0] * 64
 
     @pytest.mark.parametrize("width", [0, -8])
     def test_rejects_a_width_that_is_not_positive(self, width):
-        grid = segment_bounds(8)
-        with pytest.raises(ValueError, match="width"):
-            kernels._C.segment_histograms(np.zeros(64, dtype=np.uint8), grid, grid,
-                                          np.zeros((64, 256), dtype=np.int64), width)
+        out = np.full(64, np.nan)
+        with pytest.raises(ValueError, match=f"not whole rows of width {width}"):
+            kernels.segment_entropies(np.zeros(64, dtype=np.uint8), width, out)
+        assert np.isnan(out).all()
 
     def test_entropy_steps_refuse_wrong_byte_lengths(self):
         counts, out = np.ones((2, 256), dtype=np.int64), np.full(2, np.nan)
@@ -486,36 +487,34 @@ class TestCBoundary:
     # a buffer of the right byte length and the wrong format: the entry point
     # names the argument and both formats, and writes nothing
     @pytest.mark.parametrize("case", {
-        "frame_step-int32-block": lambda px, cuts: (
+        "frame_step-int32-block": lambda px: (
             kernels.frame_step, (px, px, np.zeros((2, 512), dtype=np.int32), 0, 0),
             "frame_step: argument 3 has format 'i', expected 'q'"),
-        "frame_step-float64-block": lambda px, cuts: (
+        "frame_step-float64-block": lambda px: (
             kernels.frame_step, (px, px, np.zeros((2, 256)), 0, 0),
             "frame_step: argument 3 has format 'd', expected 'q'"),
-        "frame_step-big-endian-block": lambda px, cuts: (
+        "frame_step-big-endian-block": lambda px: (
             kernels.frame_step, (px, px, np.zeros((2, 256), dtype=">i8"), 0, 0),
             "frame_step: argument 3 has format '>q', expected 'q'"),
-        "segment_histograms-int32-out": lambda px, cuts: (
-            kernels._C.segment_histograms,
-            (px, cuts, cuts, np.zeros((64, 512), dtype=np.int32), 8),
-            "segment_histograms: argument 4 has format 'i', expected 'q'"),
-        "segment_histograms-float64-cuts": lambda px, cuts: (
-            kernels._C.segment_histograms,
-            (px, np.asarray(cuts, dtype=np.float64), cuts, np.zeros((64, 256), dtype=np.int64), 8),
-            "segment_histograms: argument 2 has format 'd', expected 'q'"),
-        "entropy_rows-float64-counts": lambda px, cuts: (
+        "segment_entropies-float32-out": lambda px: (
+            kernels.segment_entropies, (px, 8, np.zeros(128, dtype=np.float32)),
+            "segment_entropies: argument 3 has format 'f', expected 'd'"),
+        "segment_entropies-int64-pixels": lambda px: (
+            kernels.segment_entropies, (px.astype(np.int64), 64, np.zeros(64)),
+            "segment_entropies: argument 1 has format 'l', expected 'B'"),
+        "entropy_rows-float64-counts": lambda px: (
             kernels._C.entropy_rows, (np.ones((2, 256)), np.zeros(2)),
             "entropy_rows: argument 1 has format 'd', expected 'q'"),
-        "entropy_rows-float32-out": lambda px, cuts: (
+        "entropy_rows-float32-out": lambda px: (
             kernels._C.entropy_rows,
             (np.ones((2, 256), dtype=np.int64), np.zeros(4, dtype=np.float32)),
             "entropy_rows: argument 2 has format 'f', expected 'd'"),
-        "sd_rows-float32-stack": lambda px, cuts: (
+        "sd_rows-float32-stack": lambda px: (
             kernels.sd_rows, (np.ones((1, 128), dtype=np.float32), np.ones(64), np.zeros(1)),
             "sd_rows: argument 1 has format 'f', expected 'd'"),
     }.items(), ids=lambda item: item[0])
     def test_refuses_a_buffer_of_the_right_length_and_the_wrong_format(self, case):
-        call, args, message = case[1](np.zeros((8, 8), dtype=np.uint8), segment_bounds(8))
+        call, args, message = case[1](np.zeros((8, 8), dtype=np.uint8))
         arrays = [a for a in args if isinstance(a, np.ndarray)]
         before = [(a.tobytes(), sys.getrefcount(a)) for a in arrays]
         with pytest.raises(ValueError, match=message):
@@ -544,7 +543,7 @@ class TestCBoundary:
     def test_the_entry_points_are_the_kernels_src_calls(self):
         # a C kernel that the program stops calling fails here, so it cannot linger
         assert {name for name in dir(kernels._C) if not name.startswith("_")} == {
-            "frame_step", "segment_histograms", "entropy_rows", "sd_rows"}
+            "frame_step", "segment_entropies", "entropy_rows", "sd_rows"}
 
 
 def _frozen(array):
@@ -679,9 +678,10 @@ class TestGilRelease:
         assert _counter_advances_during(
             lambda: kernels.frame_step(other, tall_frame, block, 1, 0))
 
-    def test_segment_histograms(self, tall_frame):
+    def test_segment_entropies(self, tall_frame):
+        out = np.empty(64)
         assert _counter_advances_during(
-            lambda: kernels.segment_histograms(tall_frame))
+            lambda: kernels.segment_entropies(tall_frame, 1024, out))
 
     def test_entropy_rows(self):
         # counts above the table's 4,096, so each row also runs the series

@@ -1,3 +1,4 @@
+import array
 import copy
 import dataclasses
 import functools
@@ -19,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entropykf
-from conftest import (check_report_oracle, dedup_oracle, make_y4m, numpy_entropy_from_counts,
-                      segmented_oracle)
+from conftest import (blockwise_segment_histograms, check_report_oracle, dedup_oracle, make_y4m,
+                      numpy_entropy_from_counts, segmented_oracle)
 from entropykf import cli, kernels, pipeline, synthetic
 from entropykf.cli import build_parser
 from entropykf.evaluation import EvaluationError
@@ -335,7 +336,7 @@ class TestRunPipeline:
         textures = synthetic.make_textures(np.random.default_rng(41), 3, 32, 16)
         planes = [textures[t] for t in (0, 1, 2, 0) for _ in range(12)]
         (tmp_path / "video.raw").write_bytes(b"".join(px.tobytes() for px in planes))
-        calls = {name: 0 for name in ("frame_step", "segment_histograms")}
+        calls = {name: 0 for name in ("frame_step", "segment_entropies")}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -355,7 +356,7 @@ class TestRunPipeline:
         assert len(report["candidates"]) == 4
         # one crossing per frame gives its histogram and its correlation with
         # the frame before
-        assert calls == {"frame_step": total, "segment_histograms": len(report["candidates"])}
+        assert calls == {"frame_step": total, "segment_entropies": len(report["candidates"])}
 
     def test_bad_threshold_is_config_error(self, small_video, tmp_path):
         root, _ = small_video
@@ -542,11 +543,17 @@ class TestEntropyRoute:
             return run_pipeline(PipelineConfig(source=make(tmp_path / "video.raw"),
                                                output_dir=tmp_path / "out", seed_report=True))
 
+        def numpy_segment_entropies(pixels, width, out):
+            cells = blockwise_segment_histograms(np.asarray(pixels).reshape(-1, width))
+            calls.append(len(cells))
+            out[:] = array.array("d", numpy_entropy_from_counts(cells).tolist())
+
         shipped = run()
         calls = []
         monkeypatch.setattr(kernels, "entropy_from_counts",
                             lambda counts: calls.append(len(counts)) or
                             numpy_entropy_from_counts(counts))
+        monkeypatch.setattr(kernels, "segment_entropies", numpy_segment_entropies)
         reference = run()
         assert calls and len(calls) > len(reference["candidates"])  # the pass and the segments
         assert _decisions(shipped) == _decisions(reference)
