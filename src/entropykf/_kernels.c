@@ -262,7 +262,7 @@ static void log2_count(uint64_t c, double *e, double *f)
 }
 
 /* The entropy in bits of a 256-bin row of counts c >= 0 with total T below
- * 2^64 (bad_row refuses the others): -Σ p·log2 p over the non-zero c,
+ * 2^64, as every histogram counted here has: -Σ p·log2 p over the non-zero c,
  * p = c / T by one IEEE division and log2 p = (e_c - e_T) + (f_c - f_T), the
  * terms summed in pairwise_sum's order, negated and clamped to [0, 8], so
  * -0.0 and noise below 0 give 0.0; T = 0 gives 0.0.  Every term is stored
@@ -294,7 +294,7 @@ static double row_entropy(const int64_t *row)
  * of n/8, the remainder in the last.  Each band of 8 cells is counted in one
  * pass over its rows into uint32 cells, which hold a frame of fewer than 2^32
  * pixels, and each cell is then widened into an int64 row for row_entropy,
- * so an entropy has the bits entropy_rows gives the same counts. */
+ * so an entropy has the bits frame_step gives a frame of the same counts. */
 static void segment_entropies(const uint8_t *px, int64_t w, int64_t h, double *out)
 {
     uint32_t cells[8][256];
@@ -316,29 +316,6 @@ static void segment_entropies(const uint8_t *px, int64_t w, int64_t h, double *o
             out[sy * 8 + sx] = row_entropy(row);
         }
     }
-}
-
-/* The first of rows 256-bin rows that holds a negative count, or whose
- * counts total 2^64 or more, which uint64 cannot hold, or -1; *negative says
- * which fault it holds.  The total is summed as its high and low 32-bit
- * halves, neither of which can wrap, so the loop needs no carry test. */
-static int64_t bad_row(const int64_t *counts, int64_t rows, int *negative)
-{
-    uint64_t hi, lo;
-    int64_t r, any;
-    int v;
-
-    for (r = 0; r < rows; r++, counts += 256) {
-        for (any = 0, hi = 0, lo = 0, v = 0; v < 256; v++) {
-            any |= counts[v];
-            hi += (uint64_t)counts[v] >> 32;
-            lo += (uint64_t)counts[v] & 0xffffffffu;
-        }
-        *negative = any < 0;
-        if (*negative || hi + (lo >> 32) >= (uint64_t)1 << 32)
-            return r;
-    }
-    return -1;
 }
 
 /* out[r] is the standard deviation of b[0..64) - a[r][0..64), each of the
@@ -458,9 +435,10 @@ fail:
 }
 
 /* frame_step(pixels, prev_pixels, block, row, prev_row): the histogram of the
- * pixel bytes into row row of the block of 256-int64 rows, and the
- * correlation of prev_pixels against pixels, the histogram of prev_pixels
- * being row prev_row.  row may equal prev_row.  The pixels must be bytes of
+ * pixel bytes into row row of the block of 256-int64 rows, and the pair
+ * (correlation of prev_pixels against pixels, entropy of pixels), the
+ * histogram of prev_pixels being row prev_row and the entropy row_entropy of
+ * the row just written.  row may equal prev_row.  The pixels must be bytes of
  * one length, and row prev_row a histogram of that many pixels; nothing is
  * written unless all holds.  The histogram and Σab stay two loops: one loop
  * over both frames that counts and multiplies was slower.
@@ -489,7 +467,7 @@ static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t
     const uint8_t *px, *prev_px;
     uint64_t sab;
     PyObject *result = NULL;
-    double r = 0.0;
+    double r = 0.0, h = 0.0;
     int ok;
 
     (void)self;
@@ -530,10 +508,11 @@ static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t
         }
         moments(prev, &sa, &saa);
         r = correlation(n, sa, sb, saa, sbb, sab);
+        h = row_entropy(cur);
     }
     Py_END_ALLOW_THREADS
     if (ok)
-        result = PyFloat_FromDouble(r);
+        result = Py_BuildValue("(dd)", r, h);
     else
         PyErr_Format(PyExc_ValueError, "frame_step: row %zd is not the histogram of %zd pixels",
                      prev_row, n);
@@ -571,41 +550,6 @@ done:
     return result;
 }
 
-/* entropy_rows(counts, out): the entropy of each row of the (rows, 256) int64
- * stack into the rows doubles of out; a negative count, or a row total of
- * 2^64 or more, raises, writing none. */
-static PyObject *py_entropy_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    static const struct arg spec[2] = {
-        {.kind = 'q', .row = COUNTS_BYTES}, {.kind = 'd', .out = 1}};
-    Py_buffer v[2];
-    Py_ssize_t s[2];
-    PyObject *result = NULL;
-    int64_t bad, r;
-    int negative = 0;
-
-    (void)self;
-    if (parse_args("entropy_rows", spec, 2, args, nargs, v, s) < 0)
-        return NULL;
-    if (check_len("entropy_rows", 1, &v[1], s[0] * (Py_ssize_t)sizeof(double)) == 0) {
-        Py_BEGIN_ALLOW_THREADS
-        bad = bad_row(v[0].buf, s[0], &negative);
-        for (r = 0; bad < 0 && r < s[0]; r++)
-            ((double *)v[1].buf)[r] = row_entropy((const int64_t *)v[0].buf + r * 256);
-        Py_END_ALLOW_THREADS
-        if (bad < 0)
-            result = Py_NewRef(Py_None);
-        else if (negative)
-            PyErr_Format(PyExc_ValueError, "entropy_rows: row %lld holds a negative count",
-                         (long long)bad);
-        else
-            PyErr_Format(PyExc_ValueError, "entropy_rows: row %lld's counts total 2**64 or more",
-                         (long long)bad);
-    }
-    release_buffers(v, 2);
-    return result;
-}
-
 /* sd_rows(stack, b, out): the SD of b minus each row of the (rows, 64)
  * float64 stack into the rows doubles of out; b holds 64 doubles. */
 static PyObject *py_sd_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -633,11 +577,9 @@ static PyObject *py_sd_rows(PyObject *self, PyObject *const *args, Py_ssize_t na
 static PyMethodDef kernel_methods[] = {
     {"frame_step", (PyCFunction)(void (*)(void))py_frame_step, METH_FASTCALL,
      "frame_step(pixels, prev_pixels, block, row, prev_row): the histogram into block[row], "
-     "and the correlation of prev_pixels against pixels."},
+     "and (correlation of prev_pixels against pixels, entropy of pixels)."},
     {"segment_entropies", (PyCFunction)(void (*)(void))py_segment_entropies, METH_FASTCALL,
      "segment_entropies(pixels, width, out): the entropies of the 8x8 grid cells into out."},
-    {"entropy_rows", (PyCFunction)(void (*)(void))py_entropy_rows, METH_FASTCALL,
-     "entropy_rows(counts, out): the entropy in bits of each row of a (rows, 256) int64 stack."},
     {"sd_rows", (PyCFunction)(void (*)(void))py_sd_rows, METH_FASTCALL,
      "sd_rows(stack, b, out): np.std(b - stack, axis=-1) of a (rows, 64) float64 stack into out."},
     {NULL, NULL, 0, NULL}

@@ -20,13 +20,11 @@ def frame_entropy(frame) -> float:
 
     Levels with zero probability contribute nothing; the result lies in
     [0, 8] for 8-bit frames.  Takes a ``Frame`` or a bare 2-D uint8 buffer,
-    and counts it with one ``kernels.frame_step`` call, the frame against
-    itself into a one-row block, as the pass counts its first frame.
+    and takes it from one ``kernels.frame_step`` call, the frame against
+    itself into a one-row block, as the pass takes its first frame's.
     """
     px = _as_frame(frame).pixels
-    counts = kernels.counts_block(1)
-    kernels.frame_step(px, px, counts, 0, 0)
-    return kernels.entropy_from_counts(counts)[0]
+    return kernels.frame_step(px, px, kernels.counts_block(1), 0, 0)[1]
 
 
 def modified_entropy(en: float) -> int:

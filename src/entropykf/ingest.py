@@ -7,32 +7,33 @@ has passed it, and ``close()`` releases the files.  Frame geometry is decided
 here: ``frames()`` yields at least one frame, all of one size and each
 side in ``MIN_DIMENSION..MAX_DIMENSION`` pixels, or raises ``IngestError``.
 ``check_frame_size`` is that range's one test: a size declared up front, by
-a raw ``SourceSpec`` or a Y4M header, meets it before any frame is read.  A PGM file holds exactly one image: its header may hold "#"
-comments, each running through its line end, between its fields and after
-maxval; exactly one whitespace byte then precedes the raster, and the
-raster ends the file.  A Y4M header starts with the word ``YUV4MPEG2`` and
-names an 8-bit colorspace (``_CHROMA``); each frame opens with a line that
-is ``FRAME`` alone or ``FRAME``, a space and parameters, so an empty line
-where a frame belongs is an error, not the end of the input.  A raw file is
-read unbuffered (``open(path, "rb", buffering=0)``), a plane at a time; Y4M
-files, whose FRAME lines need ``readline``, stdin and the spool are buffered.
-Each plane is one ``read``: a buffered ``read(n)`` returns fewer than n
-bytes only at end of input, and where an unbuffered one stops short,
+a raw ``SourceSpec`` or a Y4M header, meets it before any frame is read.  A
+PGM file holds exactly one image: its header may hold "#" comments, each
+running through its line end, between its fields and after maxval; exactly
+one whitespace byte then precedes the raster, and the raster ends the file.
+A Y4M header starts with the word ``YUV4MPEG2`` and names an 8-bit
+colorspace (``_CHROMA``); each frame opens with a line that is ``FRAME``
+alone or ``FRAME``, a space and parameters, so an empty line where a frame
+belongs is an error, not the end of the input.  A raw file is read
+unbuffered (``open(path, "rb", buffering=0)``), a plane at a time; Y4M
+files, whose FRAME lines need ``readline``, stdin and the spool are
+buffered.  Each plane is one ``read``: a buffered ``read(n)`` returns fewer
+than n bytes only at end of input, and where an unbuffered one stops short,
 ``_read_plane`` reads on until the plane is whole or the input ends.  Y4M
 chroma is read into one ``bytearray`` per stream and dropped.  A PGM
 directory is listed once, with one ``os.scandir``, and ``read_frame``
-re-reads the i-th file.  Raw and Y4M
-streams share one random-access path: the parser records each frame's
-Y-plane byte offset, and ``read_frame`` seeks there in the input file, or,
-for stdin, in a spool file of the Y planes written as they stream.  The
-spool holds one plane per run of equal planes: a plane equal byte for byte
-to the one before is not written again, and its frame takes the earlier
-offset.  ``read_frame`` serves only the frames a source can: a stream's
-frames read so far, a directory's listed files; any other index, a negative
-one too, is an ``IngestError`` naming it and the count.  Frames made here
-skip ``Frame``'s checks, which their parsed planes meet by construction.
-Container decoding is out of scope; compressed video is piped in as raw gray
-or Y4M (see README for the ffmpeg recipes).
+re-reads the i-th file, an ``IngestError`` if it no longer holds a frame of
+the first frame's size.  Raw and Y4M streams share one random-access path:
+the parser records each frame's Y-plane byte offset, and ``read_frame``
+seeks there in the input file, or, for stdin, in a spool file of the Y
+planes written as they stream.  The spool holds one plane per run of equal
+planes: a plane equal byte for byte to the one before is not written again,
+and its frame takes the earlier offset.  ``read_frame`` serves only the
+frames a source can: a stream's frames read so far, a directory's listed
+files; any other index, a negative one too, is an ``IngestError`` naming it
+and the count.  Frames made here skip ``Frame``'s checks, which their parsed
+planes meet by construction.  Container decoding is out of scope; compressed
+video is piped in as raw gray or Y4M (see README for the ffmpeg recipes).
 """
 
 from __future__ import annotations
@@ -241,23 +242,28 @@ def list_pgm_dir(path: str | Path) -> list[str]:
 class _PgmDirSource:
     def __init__(self, spec: SourceSpec):
         self._paths = list_pgm_dir(spec.path)
+        self._shape = None  # the first frame's (height, width), once frames() reads it
 
     def frames(self) -> Iterator[Frame]:
-        shape = None
         for index, path in enumerate(self._paths):
             pixels = _read_pgm(path)
-            if shape is None:  # later frames must match the first, so only it is range-checked
-                shape = pixels.shape
-                check_frame_size(shape[1], shape[0], f"{path}: ")
-            elif pixels.shape != shape:
-                raise IngestError(f"{path}: frame {index} is {pixels.shape[1]}x{pixels.shape[0]}, "
-                                  f"expected {shape[1]}x{shape[0]}")
-            yield _frame(index, pixels)
+            if index == 0:  # later frames must match the first, so only it is range-checked
+                check_frame_size(pixels.shape[1], pixels.shape[0], f"{path}: ")
+                self._shape = pixels.shape
+            yield self._frame(index, path, pixels)
 
     def read_frame(self, index: int) -> Frame:
         if not 0 <= index < len(self._paths):
             raise IngestError(f"frame {index} is outside the {len(self._paths)} frames listed")
-        return _frame(index, _read_pgm(self._paths[index]))
+        return self._frame(index, self._paths[index], _read_pgm(self._paths[index]))
+
+    def _frame(self, index: int, path: str, pixels: memoryview) -> Frame:
+        """Frame index of the file at path, unless the first frame's size is known
+        and the file, since read again or replaced, holds another."""
+        if self._shape not in (None, pixels.shape):
+            raise IngestError(f"{path}: frame {index} is {pixels.shape[1]}x{pixels.shape[0]}, "
+                              f"expected {self._shape[1]}x{self._shape[0]}")
+        return _frame(index, pixels)
 
     def close(self) -> None:
         pass

@@ -1,32 +1,32 @@
 """Hot per-frame kernels: histogram, entropy, segment entropies, pixel correlation.
 
-The loops over a frame's bytes and over stacks of histograms are C functions
-in ``_kernels.c``, built as a CPython extension module whose four
-``METH_FASTCALL`` entry points take Python buffers, numpy arrays among them,
-and release the GIL around their loops.  ``perfbench/`` times every kernel
-inside a pipeline run.  Each entry point declares its arguments in one list
-and checks every buffer against it, its format, writability and byte
-length, and the buffer protocol refuses a non-contiguous buffer, so a wrong
-buffer raises ``ValueError`` and nothing is written.  Python keeps only what
-C cannot see, shapes, and allocation, with no numpy: 2-D memoryviews of
-pixels (``frame_view``), (k, 256) int64 blocks (``counts_block``) and
-``array("d")`` outputs.
+The loops over a frame's bytes are C functions in ``_kernels.c``, built as a
+CPython extension module whose three ``METH_FASTCALL`` entry points take
+Python buffers, numpy arrays among them, and release the GIL around their
+loops.  Each is bound here as the C function itself, with no Python wrapper.
+Each declares its arguments in one list and checks every buffer against it,
+its format, writability and byte length, and the buffer protocol refuses a
+non-contiguous buffer, so a wrong buffer raises ``ValueError`` and nothing is
+written.  Python keeps only what C cannot see, shapes, and allocation, with
+no numpy: 2-D memoryviews of pixels (``frame_view``), (k, 256) int64 blocks
+of histograms (``counts_block``) and ``array("d")`` outputs.
 
-``frame_step``, the C entry point itself with no Python wrapper, is the one
-histogram and correlation route: the pass's one call per frame, and the step
-that ``shots.correlation`` and ``entropy.frame_entropy`` take.  It writes the
-frame's histogram into a row of a block of histograms and returns the
-frame's correlation with the previous row's frame from exact integer moments;
-``_kernels.c`` says how bytes the two frames share spare it work.
-``entropy_from_counts`` is one ``entropy_rows`` call, which gives each row of
-a stack of histograms the bits it would get alone.  Its log2 is C's own,
-from exponent bits and IEEE arithmetic compiled with ``-ffp-contract=off``,
-so entropy bits depend on no libm, numpy build or CPU.  ``sd_rows``, the C
-entry point itself like ``frame_step``, is ``entropy.dissimilarity``'s one
-call: ``np.std(b - a, axis=-1)`` of a stack, with numpy's bits.
-``segment_entropies``, also the C entry point itself, owns the paper's 8x8
-grid: ``entropy.segmented_entropies``'s one call, it writes each cell's
-entropy with the bits ``entropy_rows`` gives the cell's histogram.
+``frame_step`` is the one histogram, entropy and correlation route: the
+pass's one call per frame, and the step that ``shots.correlation`` and
+``entropy.frame_entropy`` take.  It writes the frame's histogram into a row
+of a block of histograms and returns the pair (correlation with the previous
+row's frame, from exact integer moments; entropy of the row just written);
+``_kernels.c`` says how bytes the two frames share spare it work.  The
+entropy's log2 is C's own, from exponent bits and IEEE arithmetic compiled
+with ``-ffp-contract=off``, so entropy bits depend on no libm, numpy build or
+CPU.  ``segment_entropies`` owns the paper's 8x8 grid:
+``entropy.segmented_entropies``'s one call, it writes each cell's entropy
+with the bits ``frame_step`` gives a frame of the cell's histogram.
+``sd_rows`` is ``entropy.dissimilarity``'s one call: ``np.std(b - a,
+axis=-1)`` of a stack, with numpy's bits.  ``perfbench/`` spans none of the
+three: ``segment_entropies`` and ``sd_rows`` run inside its spans of
+``segmented_entropies`` and ``dedup_detailed``, and ``frame_step`` inside
+``pipeline.run_pipeline``'s own time.
 
 The first import compiles ``_kernels.c`` with ``cc -O3 -ffp-contract=off
 -shared -fPIC`` and the interpreter's include directory into the
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import os
 import zlib
-from array import array
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
@@ -124,24 +123,6 @@ def frame_view(pixels) -> memoryview:
 def counts_block(rows: int) -> memoryview:
     """A zeroed (rows, 256) block of int64 histogram counts, rows > 0."""
     return memoryview(bytearray(2048 * rows)).cast("q", (rows, 256))
-
-
-def entropy_from_counts(counts) -> array:
-    """Shannon entropy in bits of each row of a (k, 256) int64 stack of
-    histograms, as an ``array("d")`` of k values.
-
-    Each row is taken over its own total, in one C call (``entropy_rows``)
-    that gives a row the same bits whatever k is, and on every host: its
-    log2 is its own, not numpy's or libm's.  Results are clamped to [0, 8];
-    a single-level or all-zero row gives 0.0, not -0.0, and a negative count,
-    or counts that total 2**64 or more, raise ``ValueError``.
-    """
-    shape = memoryview(counts).shape
-    if len(shape) != 2 or shape[1] != 256:
-        raise ValueError(f"expected counts of shape (k, 256), got shape {shape}")
-    out = array("d", bytes(8 * shape[0]))
-    _C.entropy_rows(counts, out)
-    return out
 
 
 SEGMENT_GRID = 8  # _kernels.c splits frames into an 8x8 grid, 64 segments

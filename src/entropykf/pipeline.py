@@ -41,7 +41,6 @@ from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, check_sam
                     detect_cuts, merge_short_shots)
 
 _KEYFRAME_NAME = re.compile(r"keyframe_\d{6,}\.pgm$")
-_ENTROPY_BLOCK = 64  # histograms per entropy call in analyse: 128 KB of int64
 # the values each annotated field type admits; a bool only where the type is bool
 _FIELD_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "SourceSpec": (SourceSpec,),
                 "Path": (str, os.PathLike), "Path | None": (str, os.PathLike, type(None))}
@@ -343,35 +342,30 @@ def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
     the correlation of frame i + 1 against frame i.
 
     Each frame costs one ``kernels.frame_step`` call, which writes its
-    histogram into the next row of a block of histograms and returns its
-    correlation with the frame before, whose histogram is the row before; the
-    first frame is stepped against itself and that 1.0 dropped.  Each full
-    block of ``_ENTROPY_BLOCK`` rows, and the rest at the end, goes to one
-    ``kernels.entropy_from_counts`` call.  The frame before stays held as a
-    ``Frame``, so two frames are resident at a time.  Frames of two sizes
-    raise ``ValueError`` naming both.
+    histogram into one row of a two-row block, the rows taking turns, and
+    returns its correlation with the frame before, whose histogram is the
+    other row, and its own entropy; the first frame is stepped against itself
+    and that 1.0 dropped.  The frame before stays held as a ``Frame``, so two
+    frames are resident at a time.  Frames of two sizes raise ``ValueError``
+    naming both.
     """
     step = kernels.frame_step
     entropies, correlations = array("d"), array("d")
-    block = kernels.counts_block(_ENTROPY_BLOCK)
+    block = kernels.counts_block(2)
     frames = iter(frames)
     prev = next(frames, None)
     if prev is None:
         raise ValueError("cannot analyse an empty frame stream")
     prev_pixels, row = prev.pixels, 0
-    step(prev_pixels, prev_pixels, block, row, row)
-    n = 1
+    entropies.append(step(prev_pixels, prev_pixels, block, row, row)[1])
     for frame in frames:
         check_same_size(prev, frame)  # the C side sees only byte lengths
         pixels = frame.pixels
-        prev_row, row = row, n % _ENTROPY_BLOCK
-        correlations.append(step(pixels, prev_pixels, block, row, prev_row))
-        n += 1
-        if n % _ENTROPY_BLOCK == 0:
-            entropies.extend(kernels.entropy_from_counts(block))
+        row ^= 1
+        r, en = step(pixels, prev_pixels, block, row, row ^ 1)
+        correlations.append(r)
+        entropies.append(en)
         prev, prev_pixels = frame, pixels
-    if n % _ENTROPY_BLOCK:
-        entropies.extend(kernels.entropy_from_counts(block[:n % _ENTROPY_BLOCK]))
     return entropies, correlations
 
 

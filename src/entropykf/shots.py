@@ -58,7 +58,7 @@ def correlation(a: Frame, b: Frame) -> float:
     check_same_size(a, b)
     block = kernels.counts_block(2)
     kernels.frame_step(a.pixels, a.pixels, block, 0, 0)
-    return kernels.frame_step(b.pixels, a.pixels, block, 1, 0)
+    return kernels.frame_step(b.pixels, a.pixels, block, 1, 0)[0]
 
 
 def detect_cuts(correlations: Sequence[float],

@@ -155,8 +155,9 @@ def pairwise_sum(a: list[float]) -> float:
 
 
 def exact_entropy_from_counts(counts) -> np.ndarray:
-    """``kernels.entropy_from_counts`` in Python floats, with no kernel call:
-    per row, each non-zero count c over the total T, times
+    """The entropy ``kernels.frame_step`` returns for each row of counts, in
+    Python floats, with no kernel call: per row, each non-zero count c over
+    the total T, times
     ``(e_c - e_T) + (f_c - f_T)`` from ``log2_parts``; the terms' pairwise sum
     negated and clamped to [0, 8].  Each value is also held to within 1e-12
     of ``numpy_entropy_from_counts``, the independent reference."""
@@ -183,13 +184,20 @@ def exact_entropy_from_counts(counts) -> np.ndarray:
     return out
 
 
+def counts_frame(counts) -> np.ndarray:
+    """The 1-row frame whose histogram is the 256 counts: each level repeated
+    its count, in level order."""
+    return np.repeat(np.arange(256, dtype=np.uint8), counts)[None]
+
+
 def pinned_entropy_stack() -> np.ndarray:
-    """A (20, 256) stack whose entropies test_entropy pins by ``.hex()``, built
+    """A (19, 256) stack whose entropies test_entropy pins by ``.hex()``, built
     by integer arithmetic alone: the histograms of five frames and of eight
-    grid cells, four rows of large counts and three rows of 2**k equally
-    filled levels (k = 1, 3, 8).  Rows 15 and 16 are two of the few whose
-    numpy entropy (``numpy_entropy_from_counts``) moves when numpy's AVX-512
-    loops are off."""
+    grid cells, three rows of large counts and three rows of 2**k equally
+    filled levels (k = 1, 3, 8).  Each row totals at most 2**24 + 4096, so
+    ``counts_frame`` holds it.  Rows 14 and 15 are two of the few whose numpy
+    entropy (``numpy_entropy_from_counts``) moves when numpy's AVX-512 loops
+    are off."""
     def scrambled(n, seed=12345):  # an LCG's high bits
         return (np.arange(n, dtype=np.int64) * 1103515245 + seed) % 2**31 >> 16
 
@@ -200,18 +208,17 @@ def pinned_entropy_stack() -> np.ndarray:
     frames = [noise, ramp, flat, noise[:48, :64],
               (scrambled(480 * 640) % 251).astype(np.uint8).reshape(480, 640)]
     rows, cols = segment_slices(120), segment_slices(160)
-    stack = np.zeros((20, 256), dtype=np.int64)
+    stack = np.zeros((19, 256), dtype=np.int64)
     stack[:5] = [bincount_histogram(px) for px in frames]
     stack[5:13] = [bincount_histogram(px[rows[i // 8], cols[i % 8]])
                    for px, cells in ((noise, (0, 9, 36, 63)), (flat, (0, 63)), (ramp, (0, 63)))
                    for i in cells]
     stack[13, :4] = [2**24 - 1, 4096, 4095, 1]
-    stack[14, :3] = [2**40, 3, 2**33 + 1]
-    stack[15] = scrambled(256, 601845) % 5000 + 1  # about a fifth of them above 4,096
-    stack[16] = scrambled(256, 380113) % 300 + 1
-    stack[17, [0, 255]] = 4096
-    stack[18, 8:16] = 5
-    stack[19] = 4097
+    stack[14] = scrambled(256, 601845) % 5000 + 1  # about a fifth of them above 4,096
+    stack[15] = scrambled(256, 380113) % 300 + 1
+    stack[16, [0, 255]] = 4096
+    stack[17, 8:16] = 5
+    stack[18] = 4097
     return stack
 
 

@@ -21,12 +21,14 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # already missing, and the tracer has not followed yet: PGM reads moved into
 # ``entropykf.ingest``, the three kernels below are deleted, replaced by
-# kernels.frame_step, and kernels.segment_histograms is deleted, replaced by
-# kernels.segment_entropies; the tracer spans neither replacement yet (the
-# entropy.segmented_entropies span still times the whole candidate step)
+# kernels.frame_step, kernels.segment_histograms is deleted, replaced by
+# kernels.segment_entropies, and kernels.entropy_from_counts is deleted, each
+# frame's entropy now coming back from its kernels.frame_step call; the tracer
+# spans neither replacement yet (the entropy.segmented_entropies span still
+# times the whole candidate step)
 KNOWN_MISSING = {"entropykf.pipeline.read_pgm", "entropykf.kernels.histogram256",
                  "entropykf.kernels.pearson_sums", "entropykf.kernels.correlation_from_sums",
-                 "entropykf.kernels.segment_histograms"}
+                 "entropykf.kernels.segment_histograms", "entropykf.kernels.entropy_from_counts"}
 # bound but not called: pipeline.check_report checks the report, and the
 # program no longer imports jsonschema
 KNOWN_UNCALLED = {"jsonschema.validate"}

@@ -588,6 +588,19 @@ class TestRandomAccess:
             with pytest.raises(IngestError, match=f"frame {index} is outside the 7 frames listed"):
                 source.read_frame(index)
 
+    def test_a_pgm_file_of_another_size_is_refused_when_read_again(self, planes, tmp_path,
+                                                                   monkeypatch):
+        # a frame file replaced after the pass by an image of another size is
+        # not handed on as its frame
+        source = open_source(self._spec("pgm-dir", planes, tmp_path, monkeypatch))
+        assert len(list(source.frames())) == len(planes)
+        path = tmp_path / "f1.pgm"
+        write_pgm(path, np.zeros((16, 32), dtype=np.uint8))
+        with pytest.raises(IngestError) as raised:
+            source.read_frame(1)
+        assert str(raised.value) == f"{path}: frame 1 is 32x16, expected 16x8"
+        assert source.read_frame(2).pixels.tobytes() == planes[2].tobytes()
+
     @pytest.mark.parametrize("kind", ["pgm-dir", "raw-file", "raw-stdin", "y4m-file",
                                       "y4m-stdin"])
     def test_ingest_frames_are_frames_as_the_constructor_builds_them(self, kind, planes,

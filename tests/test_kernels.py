@@ -290,12 +290,20 @@ class TestPearsonSums:
         assert _exact_correlation(a, b).hex() == _stepped(a, b)[1].hex()
 
 
+def _step(pixels, prev_pixels, block, row, prev_row):
+    """frame_step's correlation, once its entropy is held by ``.hex()`` to the
+    exact oracle's of the row the call wrote."""
+    r, en = kernels.frame_step(pixels, prev_pixels, block, row, prev_row)
+    assert en.hex() == _entropy(np.asarray(block)[row]).hex()
+    return r
+
+
 def _stepped(a, b, rows=2, row=1, prev_row=0):
     """frame_step of frame a, then of b against it, in a block of rows rows:
     the two correlations and the block."""
     block = np.zeros((rows, 256), dtype=np.int64)
-    first = kernels.frame_step(a, a, block, prev_row, prev_row)
-    return first, kernels.frame_step(b, a, block, row, prev_row), block
+    first = _step(a, a, block, prev_row, prev_row)
+    return first, _step(b, a, block, row, prev_row), block
 
 
 def _flat(level, width=13, height=9):
@@ -334,7 +342,8 @@ _STEP_PAIRS = {
 
 class TestFrameStep:
     """``frame_step`` against the three steps it fuses, taken one by one in
-    conftest, bit for bit."""
+    conftest, and its entropy against the exact oracle's of the row it wrote,
+    bit for bit."""
 
     @pytest.mark.parametrize("pair", _STEP_PAIRS.items(), ids=lambda item: item[0])
     def test_matches_the_three_kernels(self, pair):
@@ -371,7 +380,7 @@ class TestFrameStep:
         # row == prev_row: the row holds no histogram yet, so the pair, equal
         # byte for byte, must not be copied from the row onto itself
         block = np.random.default_rng(157).integers(-2**62, 2**62, (2, 256))
-        r = kernels.frame_step(_TEXTURE, _TEXTURE.copy(), block, 1, 1)
+        r = _step(_TEXTURE, _TEXTURE.copy(), block, 1, 1)
         assert np.array_equal(block[1], bincount_histogram(_TEXTURE))
         assert r.hex() == _oracle(_TEXTURE, _TEXTURE).hex()
 
@@ -397,14 +406,15 @@ class TestFrameStep:
         # if only in its last byte, is counted
         a, other = _STEP_PAIRS["random"]
         block = np.stack([bincount_histogram(other), np.zeros(256, dtype=np.int64)])
-        assert kernels.frame_step(a, a.copy(), block, 1, 0) == 1.0
+        assert _step(a, a.copy(), block, 1, 0) == 1.0
         assert np.array_equal(block[1], block[0])
         b = _changed_at(a, -1)
-        kernels.frame_step(b, a, block, 1, 0)
+        _step(b, a, block, 1, 0)
         assert np.array_equal(block[1], bincount_histogram(b))
 
     def test_rows_wrap_around_the_block(self):
-        # the pass writes row 0 of a block against row 63 of the block before
+        # a row below the previous frame's, as when the pass's two rows take
+        # turns and it writes row 0 against row 1
         a, b = _STEP_PAIRS["noisy"]
         _, r, block = _stepped(a, b, rows=64, row=0, prev_row=63)
         assert r.hex() == _oracle(a, b).hex()
@@ -451,22 +461,6 @@ class TestCBoundary:
             kernels.segment_entropies(np.zeros(64, dtype=np.uint8), width, out)
         assert np.isnan(out).all()
 
-    def test_entropy_steps_refuse_wrong_byte_lengths(self):
-        counts, out = np.ones((2, 256), dtype=np.int64), np.full(2, np.nan)
-        with pytest.raises(ValueError, match="argument 1 has 2040 bytes, not a multiple of 2048"):
-            kernels._C.entropy_rows(counts.ravel()[:255].copy(), out[:0].copy())
-        with pytest.raises(ValueError, match="argument 2 has 8 bytes, expected 16"):
-            kernels._C.entropy_rows(counts, out[:1].copy())
-        with pytest.raises(ValueError, match="argument 2 has 24 bytes, expected 16"):
-            kernels._C.entropy_rows(counts, np.empty(3))
-        with pytest.raises(ValueError, match="read-only"):
-            kernels._C.entropy_rows(counts, _frozen(out.copy()))
-        with pytest.raises(TypeError, match="takes 2 arguments, got 4"):
-            kernels._C.entropy_rows(counts, out, counts, out)
-        assert np.isnan(out).all()
-        kernels._C.entropy_rows(counts, out)
-        assert out.tolist() == [8.0, 8.0]
-
     def test_sd_rows_refuses_wrong_byte_lengths(self):
         stack, b, out = np.ones((3, 64)), np.ones(64), np.empty(3)
         with pytest.raises(ValueError, match="argument 1 has 1528 bytes, not a multiple of 512"):
@@ -502,13 +496,6 @@ class TestCBoundary:
         "segment_entropies-int64-pixels": lambda px: (
             kernels.segment_entropies, (px.astype(np.int64), 64, np.zeros(64)),
             "segment_entropies: argument 1 has format 'l', expected 'B'"),
-        "entropy_rows-float64-counts": lambda px: (
-            kernels._C.entropy_rows, (np.ones((2, 256)), np.zeros(2)),
-            "entropy_rows: argument 1 has format 'd', expected 'q'"),
-        "entropy_rows-float32-out": lambda px: (
-            kernels._C.entropy_rows,
-            (np.ones((2, 256), dtype=np.int64), np.zeros(4, dtype=np.float32)),
-            "entropy_rows: argument 2 has format 'f', expected 'd'"),
         "sd_rows-float32-stack": lambda px: (
             kernels.sd_rows, (np.ones((1, 128), dtype=np.float32), np.ones(64), np.zeros(1)),
             "sd_rows: argument 1 has format 'f', expected 'd'"),
@@ -530,7 +517,7 @@ class TestCBoundary:
         if sys.byteorder == "little":
             blocks.append((ctypes.c_int64 * 256)())
         for block in blocks:
-            assert kernels.frame_step(px, px, block, 0, 0) == 1.0
+            assert kernels.frame_step(px, px, block, 0, 0) == (1.0, 6.0)
             assert list(block[:65]) == [1] * 64 + [0]
 
     def test_wrong_argument_counts_raise(self):
@@ -543,7 +530,7 @@ class TestCBoundary:
     def test_the_entry_points_are_the_kernels_src_calls(self):
         # a C kernel that the program stops calling fails here, so it cannot linger
         assert {name for name in dir(kernels._C) if not name.startswith("_")} == {
-            "frame_step", "segment_entropies", "entropy_rows", "sd_rows"}
+            "frame_step", "segment_entropies", "sd_rows"}
 
 
 def _frozen(array):
@@ -682,11 +669,6 @@ class TestGilRelease:
         out = np.empty(64)
         assert _counter_advances_during(
             lambda: kernels.segment_entropies(tall_frame, 1024, out))
-
-    def test_entropy_rows(self):
-        # counts above the table's 4,096, so each row also runs the series
-        counts, out = np.full((8192, 256), 5000, dtype=np.int64), np.empty(8192)
-        assert _counter_advances_during(lambda: kernels._C.entropy_rows(counts, out))
 
     def test_sd_rows(self):
         stack, b, out = np.ones((32768, 64)), np.zeros(64), np.empty(32768)

@@ -548,11 +548,14 @@ class TestEntropyRoute:
             calls.append(len(cells))
             out[:] = array.array("d", numpy_entropy_from_counts(cells).tolist())
 
+        def numpy_frame_step(pixels, prev_pixels, block, row, prev_row):
+            r, _ = step(pixels, prev_pixels, block, row, prev_row)
+            calls.append(1)
+            return r, float(numpy_entropy_from_counts(np.asarray(block)[row:row + 1])[0])
+
         shipped = run()
-        calls = []
-        monkeypatch.setattr(kernels, "entropy_from_counts",
-                            lambda counts: calls.append(len(counts)) or
-                            numpy_entropy_from_counts(counts))
+        calls, step = [], kernels.frame_step
+        monkeypatch.setattr(kernels, "frame_step", numpy_frame_step)
         monkeypatch.setattr(kernels, "segment_entropies", numpy_segment_entropies)
         reference = run()
         assert calls and len(calls) > len(reference["candidates"])  # the pass and the segments
