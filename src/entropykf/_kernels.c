@@ -17,12 +17,24 @@
  * float steps on the exact integer moments.  The build passes
  * -ffp-contract=off, so no product and sum fuse into one rounding;
  * -ffast-math would reorder the additions.
+ *
+ * A frame equal byte for byte to the one before costs frame_step one memcmp:
+ * the caller passes the entropy frame_step returned for that frame, and the
+ * call returns it with a correlation of 1.0 (see py_frame_step).  Pixels may
+ * be a window of a mapped file, which a shrinking file leaves partly
+ * unbacked: a read there raises SIGBUS.  So frame_step and
+ * segment_entropies run their loops under a guard (guarded): a SIGBUS in a
+ * guarded loop jumps back out of it, and the call raises BusError, not the
+ * ValueError of a refused argument.  A SIGBUS outside a guarded loop goes to
+ * the action installed before this module, by default death by the signal.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <math.h>
+#include <setjmp.h>
+#include <signal.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -265,25 +277,29 @@ static void log2_count(uint64_t c, double *e, double *f)
  * 2^64, as every histogram counted here has: -Σ p·log2 p over the non-zero c,
  * p = c / T by one IEEE division and log2 p = (e_c - e_T) + (f_c - f_T), the
  * terms summed in pairwise_sum's order, negated and clamped to [0, 8], so
- * -0.0 and noise below 0 give 0.0; T = 0 gives 0.0.  Every term is stored
- * and only a non-zero count's kept, with no branch. */
+ * -0.0 and noise below 0 give 0.0; T = 0 gives 0.0.  The non-zero levels are
+ * first listed in order with no branch, every level stored and only a
+ * non-zero one's kept, so terms are taken for those levels alone. */
 static double row_entropy(const int64_t *row)
 {
     double terms[256], t, e, f, et, ft, h;
     uint64_t total = 0;
-    int64_t n = 0;
+    int64_t n = 0, i;
+    uint8_t levels[256];
     int v;
 
-    for (v = 0; v < 256; v++)
+    for (v = 0; v < 256; v++) {
         total += (uint64_t)row[v];
+        levels[n] = (uint8_t)v;
+        n += row[v] > 0;
+    }
     if (total == 0)
         return 0.0;
     t = (double)total;
     log2_count(total, &et, &ft);
-    for (v = 0; v < 256; v++) {
-        log2_count((uint64_t)row[v], &e, &f);
-        terms[n] = (double)row[v] / t * ((e - et) + (f - ft));
-        n += row[v] > 0;
+    for (i = 0; i < n; i++) {
+        log2_count((uint64_t)row[levels[i]], &e, &f);
+        terms[i] = (double)row[levels[i]] / t * ((e - et) + (f - ft));
     }
     h = -pairwise_sum(terms, n);
     return h <= 0.0 ? 0.0 : h > 8.0 ? 8.0 : h;
@@ -342,14 +358,78 @@ static void sd_rows(const double *a, const double *b, int64_t rows, double *out)
     }
 }
 
+/* The guard of the guarded call running in this thread, or NULL outside
+ * one.  __thread, not C11's _Thread_local, which C99 lacks; initial-exec,
+ * so that the handler reads it at a fixed offset, where a dlopen'ed
+ * module's default TLS access may allocate, which a handler must not. */
+static __thread sigjmp_buf *guard __attribute__((tls_model("initial-exec")));
+/* The SIGBUS action in place before this module installed on_sigbus. */
+static struct sigaction chained;
+/* What a guarded call raises when a SIGBUS cuts its loops short. */
+static PyObject *BusError;
+
+/* The SIGBUS handler, installed once at module init with SA_SIGINFO |
+ * SA_NODEFER.  Inside a guarded call it jumps back to the call's guard.
+ * Outside one it hands the signal to the chained action: a handler is
+ * called, and the default or ignore action is put back and the signal
+ * raised again, so that it ends the process as it would have without this
+ * module (an ignored fault is fatal too: the fault repeats on return, and
+ * the kernel then applies the default). */
+static void on_sigbus(int sig, siginfo_t *info, void *context)
+{
+    if (guard != NULL)
+        siglongjmp(*guard, 1);
+    if (chained.sa_flags & SA_SIGINFO) {
+        chained.sa_sigaction(sig, info, context);
+    } else if (chained.sa_handler != SIG_DFL && chained.sa_handler != SIG_IGN) {
+        chained.sa_handler(sig);
+    } else {
+        sigaction(SIGBUS, &chained, NULL);
+        raise(sig);
+    }
+}
+
+/* Runs task(job) under this thread's guard; returns 0, or -1 if a SIGBUS cut
+ * it short, leaving what it writes undefined.  sigsetjmp has this frame to
+ * itself: task and job are not changed after it, and no local of an entry
+ * point, Py_BEGIN_ALLOW_THREADS' saved thread state among them, lives across
+ * it, so the jump clobbers nothing.  The signal mask is not saved, as
+ * SA_NODEFER leaves SIGBUS unblocked in the handler. */
+static int guarded(void (*task)(void *), void *job)
+{
+    sigjmp_buf jump;
+
+    if (sigsetjmp(jump, 0) != 0) {
+        guard = NULL;
+        return -1;
+    }
+    guard = &jump;
+    task(job);
+    guard = NULL;
+    return 0;
+}
+
+/* Sets BusError for the entry point name, whose loops a SIGBUS cut short. */
+static void set_bus_error(const char *name)
+{
+    PyErr_Format(BusError, "%s: SIGBUS while reading the pixels: their memory is no longer "
+                 "backed, as when a mapped file shrinks", name);
+}
+
 /* One argument of an entry point.  kind is 'B' for bytes, 'q' for 8-byte
- * integers, 'd' for doubles, or 'n' for an index, a Python int.  out is set
- * for a buffer the call writes.  A buffer must have len bytes when len is
- * set, and a whole number of rows of row bytes when row is; else any
- * length. */
+ * integers, 'd' for doubles, 'n' for an index, a Python int, or 'f' for a
+ * real, a Python float.  out is set for a buffer the call writes.  A buffer
+ * must have len bytes when len is set, and a whole number of rows of row
+ * bytes when row is; else any length. */
 struct arg {
     char kind, out;
     Py_ssize_t len, row;
+};
+
+/* A parsed argument: a buffer's size or an index as n, a real as f. */
+union value {
+    Py_ssize_t n;
+    double f;
 };
 
 /* Sets the ValueError of argument i of name, whose buffer does not have len
@@ -387,13 +467,14 @@ static void release_buffers(Py_buffer *views, Py_ssize_t n)
 
 /* Reads the nargs arguments of the entry point name against the n that spec
  * lists.  A buffer goes into views[i]: C-contiguous, writable if out, of its
- * kind and length; sizes[i] gets its number of rows, or of items when it has
- * no row size.  An index goes into sizes[i].  views starts zeroed, so a
- * PyBuffer_Release of any of the n is safe; on failure this sets an exception,
- * releases them all and returns -1, and on success the caller releases them. */
+ * kind and length; values[i].n gets its number of rows, or of items when it
+ * has no row size.  An index goes into values[i].n, a real into values[i].f.
+ * views starts zeroed, so a PyBuffer_Release of any of the n is safe; on
+ * failure this sets an exception, releases them all and returns -1, and on
+ * success the caller releases them. */
 static int parse_args(const char *name, const struct arg *spec, Py_ssize_t n,
                       PyObject *const *args, Py_ssize_t nargs, Py_buffer *views,
-                      Py_ssize_t *sizes)
+                      union value *values)
 {
     Py_buffer *v;
     Py_ssize_t i;
@@ -406,7 +487,12 @@ static int parse_args(const char *name, const struct arg *spec, Py_ssize_t n,
     for (i = 0; i < n; i++) {
         v = &views[i];
         if (spec[i].kind == 'n') {
-            if ((sizes[i] = PyLong_AsSsize_t(args[i])) == -1 && PyErr_Occurred())
+            if ((values[i].n = PyLong_AsSsize_t(args[i])) == -1 && PyErr_Occurred())
+                goto fail;
+            continue;
+        }
+        if (spec[i].kind == 'f') {
+            if ((values[i].f = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred())
                 goto fail;
             continue;
         }
@@ -426,7 +512,7 @@ static int parse_args(const char *name, const struct arg *spec, Py_ssize_t n,
                          name, i + 1, v->len, spec[i].row);
             goto fail;
         }
-        sizes[i] = v->len / (spec[i].row > 0 ? spec[i].row : v->itemsize);
+        values[i].n = v->len / (spec[i].row > 0 ? spec[i].row : v->itemsize);
     }
     return 0;
 fail:
@@ -434,117 +520,161 @@ fail:
     return -1;
 }
 
-/* frame_step(pixels, prev_pixels, block, row, prev_row): the histogram of the
- * pixel bytes into row row of the block of 256-int64 rows, and the pair
- * (correlation of prev_pixels against pixels, entropy of pixels), the
- * histogram of prev_pixels being row prev_row and the entropy row_entropy of
- * the row just written.  row may equal prev_row.  The pixels must be bytes of
- * one length, and row prev_row a histogram of that many pixels; nothing is
- * written unless all holds.  The histogram and Σab stay two loops: one loop
- * over both frames that counts and multiplies was slower.
+/* The loops of one frame_step call, and its results r and h. */
+struct step {
+    const uint8_t *px, *prev_px;
+    int64_t *cur, *prev, n;
+    double prev_h, r, h;
+};
+
+static void step_loops(void *job)
+{
+    struct step *s = job;
+    int64_t sa, sb, saa, sbb, k;
+    uint64_t sab;
+
+    k = equal_prefix(s->px, s->prev_px, s->n);
+    if (k == s->n && s->cur != s->prev) { /* an equal pair: row prev's counts and entropy */
+        memcpy(s->cur, s->prev, COUNTS_BYTES);
+        s->r = 1.0;
+        s->h = s->prev_h;
+        return;
+    }
+    memset(s->cur, 0, COUNTS_BYTES);
+    add_histogram(s->px, k, s->cur);
+    moments(s->cur, &sb, &sbb);
+    sab = (uint64_t)sbb; /* Σab over the equal run is its Σb² */
+    if (k < s->n) {
+        add_histogram(s->px + k, s->n - k, s->cur);
+        moments(s->cur, &sb, &sbb);
+        sab += dot_u8(s->prev_px + k, s->px + k, s->n - k);
+    }
+    moments(s->prev, &sa, &saa);
+    s->r = correlation(s->n, sa, sb, saa, sbb, sab);
+    s->h = row_entropy(s->cur);
+}
+
+/* frame_step(pixels, prev_pixels, block, row, prev_row, prev_entropy): the
+ * histogram of the pixel bytes into row row of the block of 256-int64 rows,
+ * and the pair (correlation of prev_pixels against pixels, entropy of
+ * pixels), the histogram of prev_pixels being row prev_row and the entropy
+ * row_entropy of the row just written.  row may equal prev_row; prev_entropy
+ * is then ignored.  The pixels must be bytes of one length, and row prev_row
+ * a histogram of that many pixels; nothing is written unless all holds.  The
+ * histogram and Σab stay two loops: one loop over both frames that counts
+ * and multiplies was slower.
  *
  * memcmp first finds the run of bytes the two frames start with in common,
  * where a = b, so that Σab over it is Σb², which the histogram of that run
  * holds exactly: the dot runs over the rest alone.  The caller guarantees
  * more than is checked: row prev_row is the histogram of prev_pixels itself,
- * not only of as many pixels.  So when the frames are equal byte for byte
- * and row differs from prev_row, the memcmp stands in for both loops: row
- * prev_row is copied into row row, and Σab is that row's Σa².  These are the
- * integers the loops would give, so the correlation has the same bits.
+ * not only of as many pixels, and prev_entropy is the entropy frame_step
+ * returned for that row.  So when the frames are equal byte for byte and row
+ * differs from prev_row, the memcmp stands in for every other step: row
+ * prev_row is copied into row row, and the call returns (1.0, prev_entropy).
+ * Those are the results the loops would give.  The copied row's entropy is
+ * the bits row_entropy gave that row; and the correlation of an equal pair
+ * is exactly 1.0: a flat pair's means differ by 0 <= n, and otherwise Σab =
+ * Σa², so the numerator equals both variances and its square their product.
  * row == prev_row, the first frame stepped against itself, always counts,
  * since that row is not yet a histogram of anything.  A pair that differs
  * pays the memcmp up to its first difference in place of the dot over the
  * same bytes: at worst, when only its last byte differs, one pass at memcmp
- * speed in place of one at the dot's. */
+ * speed in place of one at the dot's.  The loops run guarded: a SIGBUS in
+ * them raises BusError and leaves row row undefined. */
 static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const struct arg spec[5] = {
+    static const struct arg spec[6] = {
         {.kind = 'B'}, {.kind = 'B'}, {.kind = 'q', .out = 1, .row = COUNTS_BYTES},
-        {.kind = 'n'}, {.kind = 'n'}};
-    Py_buffer v[5];
-    Py_ssize_t s[5], row, prev_row, n;
-    int64_t *cur, *prev, sa, sb, saa, sbb, k;
-    const uint8_t *px, *prev_px;
-    uint64_t sab;
+        {.kind = 'n'}, {.kind = 'n'}, {.kind = 'f'}};
+    Py_buffer v[6];
+    union value s[6];
+    Py_ssize_t row, prev_row, n;
+    struct step job;
     PyObject *result = NULL;
-    double r = 0.0, h = 0.0;
-    int ok;
+    int ok, faulted = 0;
 
     (void)self;
-    if (parse_args("frame_step", spec, 5, args, nargs, v, s) < 0)
+    if (parse_args("frame_step", spec, 6, args, nargs, v, s) < 0)
         return NULL;
     n = v[0].len;
-    row = s[3];
-    prev_row = s[4];
+    row = s[3].n;
+    prev_row = s[4].n;
     if (v[1].len != n) {
         PyErr_Format(PyExc_ValueError, "frames differ in size: %zd vs %zd pixels", v[1].len, n);
         goto done;
     }
-    if (row < 0 || row >= s[2] || prev_row < 0 || prev_row >= s[2]) {
+    if (row < 0 || row >= s[2].n || prev_row < 0 || prev_row >= s[2].n) {
         PyErr_Format(PyExc_ValueError, "frame_step: rows %zd and %zd are not both in 0..%zd",
-                     row, prev_row, s[2] - 1);
+                     row, prev_row, s[2].n - 1);
         goto done;
     }
-    px = v[0].buf;
-    prev_px = v[1].buf;
-    cur = (int64_t *)v[2].buf + row * 256;
-    prev = (int64_t *)v[2].buf + prev_row * 256;
+    job = (struct step){.px = v[0].buf, .prev_px = v[1].buf, .n = n, .prev_h = s[5].f,
+                        .cur = (int64_t *)v[2].buf + row * 256,
+                        .prev = (int64_t *)v[2].buf + prev_row * 256};
     Py_BEGIN_ALLOW_THREADS
-    ok = prev_row == row || is_histogram_of(prev, n);
-    if (ok) {
-        k = equal_prefix(px, prev_px, n);
-        if (k == n && prev_row != row) {
-            memcpy(cur, prev, COUNTS_BYTES);
-        } else {
-            memset(cur, 0, COUNTS_BYTES);
-            add_histogram(px, k, cur);
-        }
-        moments(cur, &sb, &sbb);
-        sab = (uint64_t)sbb; /* Σab over the equal run is its Σb² */
-        if (k < n) {
-            add_histogram(px + k, n - k, cur);
-            moments(cur, &sb, &sbb);
-            sab += dot_u8(prev_px + k, px + k, n - k);
-        }
-        moments(prev, &sa, &saa);
-        r = correlation(n, sa, sb, saa, sbb, sab);
-        h = row_entropy(cur);
-    }
-    Py_END_ALLOW_THREADS
+    ok = prev_row == row || is_histogram_of(job.prev, n);
     if (ok)
-        result = Py_BuildValue("(dd)", r, h);
-    else
+        faulted = guarded(step_loops, &job);
+    Py_END_ALLOW_THREADS
+    if (!ok)
         PyErr_Format(PyExc_ValueError, "frame_step: row %zd is not the histogram of %zd pixels",
                      prev_row, n);
+    else if (faulted)
+        set_bus_error("frame_step");
+    else
+        result = Py_BuildValue("(dd)", job.r, job.h);
 done:
-    release_buffers(v, 5);
+    release_buffers(v, 6);
     return result;
+}
+
+/* The loops of one segment_entropies call. */
+struct segments {
+    const uint8_t *px;
+    int64_t w, h;
+    double *out;
+};
+
+static void segment_loops(void *job)
+{
+    struct segments *s = job;
+
+    segment_entropies(s->px, s->w, s->h, s->out);
 }
 
 /* segment_entropies(pixels, width, out): the 64 segment entropies of the
  * frame of width-pixel rows into the 64 doubles of out.  A width that is not
  * positive, pixels that are not whole rows, or 2^32 pixels or more, which a
- * uint32 cell might not count, raise, writing nothing. */
+ * uint32 cell might not count, raise, writing nothing.  The loops run
+ * guarded: a SIGBUS in them raises BusError and leaves out undefined. */
 static PyObject *py_segment_entropies(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     static const struct arg spec[3] = {
         {.kind = 'B'}, {.kind = 'n'}, {.kind = 'd', .out = 1, .len = SEGMENT_ROW_BYTES}};
     Py_buffer v[3];
-    Py_ssize_t s[3], w;
+    union value s[3];
+    Py_ssize_t w;
+    struct segments job;
     PyObject *result = NULL;
+    int faulted;
 
     (void)self;
     if (parse_args("segment_entropies", spec, 3, args, nargs, v, s) < 0)
         return NULL;
-    if ((w = s[1]) <= 0 || v[0].len % w != 0 || (uint64_t)v[0].len > UINT32_MAX) {
+    if ((w = s[1].n) <= 0 || v[0].len % w != 0 || (uint64_t)v[0].len > UINT32_MAX) {
         PyErr_Format(PyExc_ValueError, "segment_entropies: %zd bytes are not whole rows of "
                      "width %zd, fewer than 2**32 in all", v[0].len, w);
         goto done;
     }
+    job = (struct segments){.px = v[0].buf, .w = w, .h = v[0].len / w, .out = v[2].buf};
     Py_BEGIN_ALLOW_THREADS
-    segment_entropies(v[0].buf, w, v[0].len / w, v[2].buf);
+    faulted = guarded(segment_loops, &job);
     Py_END_ALLOW_THREADS
-    result = Py_NewRef(Py_None);
+    if (faulted)
+        set_bus_error("segment_entropies");
+    else
+        result = Py_NewRef(Py_None);
 done:
     release_buffers(v, 3);
     return result;
@@ -558,15 +688,15 @@ static PyObject *py_sd_rows(PyObject *self, PyObject *const *args, Py_ssize_t na
         {.kind = 'd', .row = SEGMENT_ROW_BYTES}, {.kind = 'd', .len = SEGMENT_ROW_BYTES},
         {.kind = 'd', .out = 1}};
     Py_buffer v[3];
-    Py_ssize_t s[3];
+    union value s[3];
     PyObject *result = NULL;
 
     (void)self;
     if (parse_args("sd_rows", spec, 3, args, nargs, v, s) < 0)
         return NULL;
-    if (check_len("sd_rows", 2, &v[2], s[0] * (Py_ssize_t)sizeof(double)) == 0) {
+    if (check_len("sd_rows", 2, &v[2], s[0].n * (Py_ssize_t)sizeof(double)) == 0) {
         Py_BEGIN_ALLOW_THREADS
-        sd_rows(v[0].buf, v[1].buf, s[0], v[2].buf);
+        sd_rows(v[0].buf, v[1].buf, s[0].n, v[2].buf);
         Py_END_ALLOW_THREADS
         result = Py_NewRef(Py_None);
     }
@@ -576,8 +706,8 @@ static PyObject *py_sd_rows(PyObject *self, PyObject *const *args, Py_ssize_t na
 
 static PyMethodDef kernel_methods[] = {
     {"frame_step", (PyCFunction)(void (*)(void))py_frame_step, METH_FASTCALL,
-     "frame_step(pixels, prev_pixels, block, row, prev_row): the histogram into block[row], "
-     "and (correlation of prev_pixels against pixels, entropy of pixels)."},
+     "frame_step(pixels, prev_pixels, block, row, prev_row, prev_entropy): the histogram "
+     "into block[row], and (correlation of prev_pixels against pixels, entropy of pixels)."},
     {"segment_entropies", (PyCFunction)(void (*)(void))py_segment_entropies, METH_FASTCALL,
      "segment_entropies(pixels, width, out): the entropies of the 8x8 grid cells into out."},
     {"sd_rows", (PyCFunction)(void (*)(void))py_sd_rows, METH_FASTCALL,
@@ -590,11 +720,32 @@ static struct PyModuleDef kernel_module = {
     kernel_methods, NULL, NULL, NULL, NULL
 };
 
+/* Fills the log2 table; the first init in a process also makes BusError and
+ * installs on_sigbus, so that a second, of another interpreter, cannot chain
+ * the handler to itself. */
 PyMODINIT_FUNC PyInit__kernels(void)
 {
+    struct sigaction action;
+    PyObject *module;
     int c;
 
     for (c = 1; c < LOG2_TABLE; c++)
         log2_parts((double)c, &table_e[c], &table_f[c]);
-    return PyModule_Create(&kernel_module);
+    if (BusError == NULL) {
+        memset(&action, 0, sizeof(action));
+        action.sa_sigaction = on_sigbus;
+        action.sa_flags = SA_SIGINFO | SA_NODEFER;
+        sigemptyset(&action.sa_mask);
+        BusError = PyErr_NewException("entropykf._kernels.BusError", PyExc_OSError, NULL);
+        if (BusError == NULL)
+            return NULL;
+        if (sigaction(SIGBUS, &action, &chained) != 0) {
+            Py_CLEAR(BusError);
+            return PyErr_SetFromErrno(PyExc_OSError);
+        }
+    }
+    module = PyModule_Create(&kernel_module);
+    if (module != NULL && PyModule_AddObjectRef(module, "BusError", BusError) < 0)
+        Py_CLEAR(module);
+    return module;
 }

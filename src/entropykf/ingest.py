@@ -14,9 +14,20 @@ one whitespace byte then precedes the raster, and the raster ends the file.
 A Y4M header starts with the word ``YUV4MPEG2`` and names an 8-bit
 colorspace (``_CHROMA``); each frame opens with a line that is ``FRAME``
 alone or ``FRAME``, a space and parameters, so an empty line where a frame
-belongs is an error, not the end of the input.  A raw file is read
+belongs is an error, not the end of the input.  A raw regular file is
+mapped, not read: ``frames()`` maps it read-only in windows of whole frames,
+512 KiB or one frame if a frame is larger, each at an offset aligned to
+``mmap.ALLOCATIONGRANULARITY``, and a frame's pixels are a slice of its
+window (``pixels.obj`` is the ``mmap``).  A window is unmapped when its last
+frame dies, so a pass that holds two frames holds at most two windows.  At
+the end of the size it knew, the pass looks at the file's size again: frames
+appended since are read, a trailing partial frame is the truncation error a
+read would give, and a file that shrank below the frames already given is an
+``IngestError``.  Where a shrunken file leaves a mapped frame unbacked, the
+kernels that read it raise ``kernels.BusError``, which ``pipeline.analyse``
+turns into an ``IngestError``.  Any other raw input, a pipe say, is read
 unbuffered (``open(path, "rb", buffering=0)``), a plane at a time; Y4M
-files, whose FRAME lines need ``readline``, stdin and the spool are
+inputs, whose FRAME lines need ``readline``, stdin and the spool are
 buffered.  Each plane is one ``read``: a buffered ``read(n)`` returns fewer
 than n bytes only at end of input, and where an unbuffered one stops short,
 ``_read_plane`` reads on until the plane is whole or the input ends.  Y4M
@@ -25,15 +36,17 @@ directory is listed once, with one ``os.scandir``, and ``read_frame``
 re-reads the i-th file, an ``IngestError`` if it no longer holds a frame of
 the first frame's size.  Raw and Y4M streams share one random-access path:
 the parser records each frame's Y-plane byte offset, and ``read_frame``
-seeks there in the input file, or, for stdin, in a spool file of the Y
-planes written as they stream.  The spool holds one plane per run of equal
-planes: a plane equal byte for byte to the one before is not written again,
-and its frame takes the earlier offset.  ``read_frame`` serves only the
-frames a source can: a stream's frames read so far, a directory's listed
-files; any other index, a negative one too, is an ``IngestError`` naming it
-and the count.  Frames made here skip ``Frame``'s checks, which their parsed
-planes meet by construction.  Container decoding is out of scope; compressed
-video is piped in as raw gray or Y4M (see README for the ffmpeg recipes).
+seeks there and reads in the input file, or, for an input that cannot seek
+(stdin, a named pipe, ``/dev/fd/N`` of a process substitution), in a spool
+file of the Y planes written as they stream.  The spool holds one plane per
+run of equal planes: a plane equal byte for byte to the one before is not
+written again, and its frame takes the earlier offset.  ``read_frame``
+serves only the frames a source can: a stream's frames read so far, a
+directory's listed files; any other index, a negative one too, is an
+``IngestError`` naming it and the count.  Frames made here skip
+``Frame``'s checks, which their parsed planes meet by construction.
+Container decoding is out of scope; compressed video is piped in as raw gray
+or Y4M (see README for the ffmpeg recipes).
 """
 
 from __future__ import annotations
@@ -41,8 +54,10 @@ from __future__ import annotations
 import enum
 import errno
 import itertools
+import mmap
 import os
 import re
+import stat
 import sys
 import tempfile
 from array import array
@@ -275,7 +290,7 @@ class _PgmDirSource:
 
 def _plane_frame(index: int, plane: bytes, shape: tuple[int, int]) -> Frame:
     """Frame index over a Y plane of shape (height, width), whose height *
-    width bytes stay its pixels' ``obj``, so the stdin spool can compare
+    width bytes stay its pixels' ``obj``, so the spool can compare
     planes as bytes."""
     return _frame(index, memoryview(plane).cast("B", shape))
 
@@ -289,6 +304,13 @@ def _read_plane(stream: BinaryIO, size: int) -> bytes:
     return data
 
 
+def _raw_truncated(index: int, got: int, width: int, height: int) -> IngestError:
+    """The error of a raw stream whose frame index has only got bytes."""
+    return IngestError(f"raw stream truncated at byte offset {index * width * height}: frame "
+                       f"{index} has {got} of {width * height} bytes "
+                       f"(stream length is not a multiple of {width}x{height})")
+
+
 def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, Frame]]:
     """(byte offset, frame) for each frame of a raw stream."""
     frame_size, shape = width * height, (height, width)
@@ -296,13 +318,48 @@ def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, 
         data = _read_plane(stream, frame_size)
         if not data:
             return
-        offset = index * frame_size
         if len(data) != frame_size:
-            raise IngestError(
-                f"raw stream truncated at byte offset {offset}: frame {index} "
-                f"has {len(data)} of {frame_size} bytes "
-                f"(stream length is not a multiple of {width}x{height})")
-        yield offset, _plane_frame(index, data, shape)
+            raise _raw_truncated(index, len(data), width, height)
+        yield index * frame_size, _plane_frame(index, data, shape)
+
+
+# bytes of whole frames a raw file maps at a time, or one frame if larger
+_WINDOW = 512 * 1024
+
+
+def _iter_mapped(fd: int, name: str, width: int, height: int) -> Iterator[tuple[int, Frame]]:
+    """(byte offset, frame) for each frame of a raw regular file, read in place:
+    its pixels are a slice of a read-only map of a window of whole frames,
+    which is unmapped when its last frame dies.  At the end of the size known,
+    an ``fstat`` looks again, for frames appended since and for a file that
+    shrank below the frames already given: a cut inside the map's last page
+    faults nowhere, as the rest of that page reads as zeros."""
+    frame_size, shape = width * height, (height, width)
+    per_window = max(1, _WINDOW // frame_size)
+    offset = size = 0
+    while True:
+        if size - offset < frame_size:
+            size = os.fstat(fd).st_size
+            if size < offset:
+                raise IngestError(f"{name} shrank to {size} bytes while it was mapped: frame "
+                                  f"{size // frame_size} and those after it are gone")
+            if size - offset < frame_size:
+                if size > offset:
+                    raise _raw_truncated(offset // frame_size, size - offset, width, height)
+                return
+        count = min(per_window, (size - offset) // frame_size)
+        start = offset - offset % mmap.ALLOCATIONGRANULARITY
+        try:
+            window = memoryview(mmap.mmap(fd, offset - start + count * frame_size,
+                                          access=mmap.ACCESS_READ, offset=start))
+        except ValueError:  # the file shrank since the fstat
+            size = offset
+            continue
+        for at in range(offset - start, len(window), frame_size):
+            yield offset, _frame(offset // frame_size,
+                                 window[at:at + frame_size].cast("B", shape))
+            offset += frame_size
+        del window  # it lives on only in its frames
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +447,7 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
 def _open_binary(spec: SourceSpec) -> BinaryIO:
     if spec.path == "-":
         return sys.stdin.buffer
-    try:  # a raw file is read only a plane at a time, which needs no buffer
+    try:  # a raw file is mapped or read a plane at a time, which needs no buffer
         return open(spec.path, "rb", buffering=0 if spec.kind is SourceKind.RAW else -1)
     except OSError as exc:
         raise IngestError(f"cannot read {spec.path}: {exc}") from exc
@@ -402,16 +459,21 @@ class _StreamSource:
     def __init__(self, spec: SourceSpec):
         self._spec = spec
         self._input = _open_binary(spec)
-        # stdin cannot seek, so its Y planes are copied aside as they stream,
-        # each run of equal planes once
+        # stdin and pipes cannot seek, so their Y planes are copied aside as
+        # they stream, each run of equal planes once
         self._spool = (tempfile.TemporaryFile(prefix="entropykf_spool_")
-                       if spec.path == "-" else None)
+                       if spec.path == "-" or not self._input.seekable() else None)
+        self._mapped = (spec.kind is SourceKind.RAW and self._spool is None
+                        and stat.S_ISREG(os.fstat(self._input.fileno()).st_mode))
         self._offsets = array("q")  # 8 bytes per frame
         self._shape: tuple[int, int] | None = None
 
     def frames(self) -> Iterator[Frame]:
-        if self._spec.kind is SourceKind.RAW:
-            parsed = _iter_raw(self._input, self._spec.width, self._spec.height)
+        spec = self._spec
+        if self._mapped:
+            parsed = _iter_mapped(self._input.fileno(), spec.path, spec.width, spec.height)
+        elif spec.kind is SourceKind.RAW:
+            parsed = _iter_raw(self._input, spec.width, spec.height)
         else:
             parsed = _iter_y4m(self._input)
         previous = None  # the plane before, held anyway as the frame before
@@ -447,7 +509,7 @@ class _StreamSource:
     def close(self) -> None:
         if self._spool is not None:
             self._spool.close()
-        else:
+        if self._spec.path != "-":
             self._input.close()
 
 

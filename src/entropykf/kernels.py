@@ -16,7 +16,12 @@ pass's one call per frame, and the step that ``shots.correlation`` and
 ``entropy.frame_entropy`` take.  It writes the frame's histogram into a row
 of a block of histograms and returns the pair (correlation with the previous
 row's frame, from exact integer moments; entropy of the row just written);
-``_kernels.c`` says how bytes the two frames share spare it work.  The
+``_kernels.c`` says how bytes the two frames share spare it work.  Its sixth
+argument, ``prev_entropy``, is the entropy ``frame_step`` returned for the
+previous row; the caller guarantees it, as it guarantees that the previous
+row is the previous frame's histogram, and a frame equal byte for byte to the
+previous one returns ``(1.0, prev_entropy)`` after one ``memcmp`` and a row
+copy.  A frame stepped against itself into one row ignores it.  The
 entropy's log2 is C's own, from exponent bits and IEEE arithmetic compiled
 with ``-ffp-contract=off``, so entropy bits depend on no libm, numpy build or
 CPU.  ``segment_entropies`` owns the paper's 8x8 grid:
@@ -27,6 +32,14 @@ axis=-1)`` of a stack, with numpy's bits.  ``perfbench/`` spans none of the
 three: ``segment_entropies`` and ``sd_rows`` run inside its spans of
 ``segmented_entropies`` and ``dedup_detailed``, and ``frame_step`` inside
 ``pipeline.run_pipeline``'s own time.
+
+Pixels may be a window of a mapped file (``ingest``), and a file that shrinks
+leaves part of its map unbacked, where a read raises SIGBUS.  ``frame_step``
+and ``segment_entropies`` run their loops under a SIGBUS guard that the
+module installs at import: a fault in them raises ``BusError``, an
+``OSError``, rather than ending the process, and ``pipeline.analyse`` turns
+it into an ``IngestError``.  A SIGBUS anywhere else goes to the action
+installed before, by default the end of the process.
 
 The first import compiles ``_kernels.c`` with ``cc -O3 -ffp-contract=off
 -shared -fPIC`` and the interpreter's include directory into the
@@ -107,6 +120,7 @@ _C = _load()
 frame_step = _C.frame_step
 segment_entropies = _C.segment_entropies
 sd_rows = _C.sd_rows
+BusError = _C.BusError
 
 
 def frame_view(pixels) -> memoryview:

@@ -4,11 +4,12 @@ pinned for small seeded videos in each input form.
 The videos come from splitmix64 over Python integers, so their bytes depend
 on no library version, and their SHA-256 is pinned too: a changed generator
 fails as a changed input, not as a changed result.  Each video runs through
-``python -m entropykf.cli extract --seed-report`` in a subprocess in five
-forms: a PGM directory, a raw file, a Y4M file, and raw and Y4M through
-stdin.  ``--input`` and ``--out`` are relative to the run's working
-directory, so the report's ``config`` block reads the same in every
-checkout.  A change that moves report bytes on purpose updates the digests
+``python -m entropykf.cli extract --seed-report`` in a subprocess in seven
+forms: a PGM directory, a raw file, a Y4M file, raw and Y4M through stdin,
+and raw and Y4M through a named pipe of the file's name, which a thread here
+feeds and which must give the file's bytes.  ``--input`` and ``--out`` are
+relative to the run's working directory, so the report's ``config`` block
+reads the same in every checkout.  A change that moves report bytes on purpose updates the digests
 here and says why.
 """
 
@@ -19,6 +20,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -82,7 +84,7 @@ _VIDEOS = {
     "odd": (2, 37, 29, [(0, "full", 30), (1, "full", 12), (0, "half", 24),
                         (2, "flicker", 26), (0, "full", 23)], [], None),
 }
-_FORMS = ("pgm-dir", "raw", "y4m", "raw-stdin", "y4m-stdin")
+_FORMS = ("pgm-dir", "raw", "y4m", "raw-stdin", "y4m-stdin", "raw-fifo", "y4m-fifo")
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,9 +102,9 @@ def _planes(name: str) -> tuple[bytes, ...]:
     return tuple(planes)
 
 
-def _write_input(name: str, form: str, cwd: Path) -> tuple[list[str], Path | None]:
-    """Write the video in one input form: extract's input options for it, and
-    the file to pipe into its stdin, if any."""
+def _write_input(name: str, form: str, cwd: Path) -> tuple[list[str], Path | None, bytes]:
+    """Write the video in one input form: extract's input options for it, the
+    file to pipe into its stdin, if any, and the bytes to feed its named pipe."""
     _, width, height, _, _, _ = _VIDEOS[name]
     planes = _planes(name)
     if form == "pgm-dir":
@@ -110,20 +112,36 @@ def _write_input(name: str, form: str, cwd: Path) -> tuple[list[str], Path | Non
         for index, plane in enumerate(planes):
             (cwd / "frames" / f"frame_{index:06d}.pgm").write_bytes(
                 b"P5\n%d %d\n255\n" % (width, height) + plane)
-        return ["--input", "frames", "--format", "pgm-dir"], None
-    kind = form.removesuffix("-stdin")
+        return ["--input", "frames", "--format", "pgm-dir"], None, b""
+    kind, _, path = form.partition("-")
     if kind == "raw":
-        (cwd / "video.raw").write_bytes(b"".join(planes))
+        data = b"".join(planes)
         options = ["--format", "raw", "--width", str(width), "--height", str(height)]
     else:
         chroma = bytes([128]) * (2 * -(-width // 2) * -(-height // 2))
-        (cwd / "video.y4m").write_bytes(
-            b"YUV4MPEG2 W%d H%d F25:1 Ip A1:1 C420\n" % (width, height)
-            + b"".join(b"FRAME\n" + plane + chroma for plane in planes))
+        data = (b"YUV4MPEG2 W%d H%d F25:1 Ip A1:1 C420\n" % (width, height)
+                + b"".join(b"FRAME\n" + plane + chroma for plane in planes))
         options = ["--format", "y4m"]
-    if form.endswith("-stdin"):
-        return ["--input", "-", *options], cwd / f"video.{kind}"
-    return ["--input", f"video.{kind}", *options], None
+    if path == "fifo":
+        os.mkfifo(cwd / f"video.{kind}")
+        return ["--input", f"video.{kind}", *options], None, data
+    (cwd / f"video.{kind}").write_bytes(data)
+    if path == "stdin":
+        return ["--input", "-", *options], cwd / f"video.{kind}", b""
+    return ["--input", f"video.{kind}", *options], None, b""
+
+
+def _feed(fifo: Path, data: bytes) -> threading.Thread:
+    """A thread that writes data into the named pipe once a reader opens it."""
+    def write():
+        try:
+            with open(fifo, "wb") as pipe:
+                pipe.write(data)
+        except BrokenPipeError:  # the reader stopped early; its exit code says why
+            pass
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    return thread
 
 
 def _digest(data: bytes) -> str:
@@ -133,7 +151,8 @@ def _digest(data: bytes) -> str:
 def _extract(name: str, form: str, cwd: Path) -> dict[str, str]:
     """Run extract on one form of the video; the digest of each file it wrote."""
     *_, options, gt = _VIDEOS[name]
-    args, piped = _write_input(name, form, cwd)
+    args, piped, fed = _write_input(name, form, cwd)
+    feeder = _feed(cwd / args[1], fed) if fed else None
     if gt is not None:
         (cwd / "gt.txt").write_text(gt)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
@@ -142,6 +161,10 @@ def _extract(name: str, form: str, cwd: Path) -> dict[str, str]:
         done = subprocess.run([sys.executable, "-m", "entropykf.cli", "extract", *args,
                                *options, "--out", "out", "--seed-report"],
                               cwd=cwd, env=env, stdin=stdin, capture_output=True, text=True)
+    if feeder is not None:
+        os.close(os.open(cwd / args[1], os.O_RDONLY | os.O_NONBLOCK))  # frees a blocked writer
+        feeder.join(timeout=60)
+        assert not feeder.is_alive()
     assert done.returncode == 0, done.stderr
     return {path.name: _digest(path.read_bytes()) for path in sorted((cwd / "out").iterdir())}
 
@@ -194,5 +217,6 @@ def test_the_videos_are_the_pinned_inputs(name):
 @pytest.mark.parametrize("name", _VIDEOS)
 def test_report_and_images_are_the_pinned_bytes(name, form, tmp_path):
     written = _extract(name, form, tmp_path)
-    assert written.pop("report.json") == _REPORTS[name][form]
+    # a named pipe has the file's name, so its report is the file's
+    assert written.pop("report.json") == _REPORTS[name][form.removesuffix("-fifo")]
     assert written == _IMAGES[name]

@@ -1,9 +1,11 @@
 import contextlib
 import io
+import mmap
 import os
 import re
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -609,7 +611,7 @@ class TestRandomAccess:
         try:
             made = [*source.frames()]
             made += [source.read_frame(i) for i in range(len(planes))]
-            for frame in made:
+            for position, frame in enumerate(made):
                 built = Frame(index=frame.index, pixels=np.array(frame.pixels))
                 assert type(frame) is Frame and type(frame.index) is int
                 assert vars(frame).keys() == vars(built).keys() == {"index", "pixels"}
@@ -619,7 +621,9 @@ class TestRandomAccess:
                 assert frame.pixels.shape == built.pixels.shape == (8, 16)
                 assert type(frame.pixels) is type(built.pixels) is memoryview
                 assert frame.pixels.format == built.pixels.format == "B"
-                if kind != "pgm-dir":  # the plane's bytes, which the stdin spool compares
+                if kind == "raw-file" and position < len(planes):  # read in place
+                    assert type(frame.pixels.obj) is mmap.mmap
+                elif kind != "pgm-dir":  # the plane's bytes, which the stdin spool compares
                     assert type(frame.pixels.obj) is bytes
                     assert frame.pixels.obj == planes[frame.index].tobytes()
         finally:
@@ -674,6 +678,102 @@ class TestShortReads:
         stream = _ShortReads(bytes(16 * 8 + 100), limit=30)
         with pytest.raises(IngestError, match="frame 1 has 100 of 128 bytes"):
             list(_iter_raw(stream, 16, 8))
+
+
+def _raw_file(path: Path, planes) -> SourceSpec:
+    path.write_bytes(b"".join(px.tobytes() for px in planes))
+    height, width = planes[0].shape
+    return SourceSpec(kind=SourceKind.RAW, path=str(path), width=width, height=height)
+
+
+class TestMappedRawFile:
+    """A raw regular file is read in place: each frame a slice of a read-only
+    map of a window of whole frames, at most two windows alive in a pass."""
+
+    def test_a_pass_holds_at_most_two_windows(self, tmp_path):
+        # 5,000 frames of 1 KiB, 512 to a window: a pass that holds the frame
+        # before, as analyse does, keeps that frame's window and the current one
+        rng = np.random.default_rng(71)
+        planes = [rand_pixels(rng, 32, 32, 4) for _ in range(50)] * 100
+        source = open_source(_raw_file(tmp_path / "video.raw", planes))
+        live, peak, windows, prev = weakref.WeakSet(), 0, 0, None
+        try:
+            for frame in source.frames():
+                window = frame.pixels.obj
+                assert type(window) is mmap.mmap
+                windows += prev is None or window is not prev.pixels.obj
+                live.add(window)
+                peak = max(peak, len(live))
+                prev, window = frame, None  # the frame before is held as the pass holds it
+        finally:
+            source.close()
+        assert windows == 10
+        assert peak == 2
+
+    @pytest.mark.parametrize("width, height, count", [(40, 24, 600), (1024, 1024, 3)],
+                             ids=["unaligned-windows", "frames-larger-than-a-window"])
+    def test_frames_are_the_file_bytes(self, width, height, count, tmp_path):
+        # 960-byte frames put the second window's first frame off the page
+        # grid, so its map starts on the page below; a 1 MiB frame is a
+        # window of its own
+        rng = np.random.default_rng(73)
+        planes = [rand_pixels(rng, width, height) for _ in range(count)]
+        source = open_source(_raw_file(tmp_path / "video.raw", planes))
+        try:
+            for frame in source.frames():
+                assert frame.pixels.shape == (height, width)
+                assert frame.pixels.tobytes() == planes[frame.index].tobytes()
+            assert frame.index == count - 1
+            for index in (0, count // 2, count - 1):
+                assert source.read_frame(index).pixels.tobytes() == planes[index].tobytes()
+        finally:
+            source.close()
+
+    def test_frames_appended_during_the_pass_are_read(self, tmp_path):
+        planes = [np.full((8, 8), level, dtype=np.uint8) for level in range(5)]
+        path = tmp_path / "video.raw"
+        source = open_source(_raw_file(path, planes[:3]))
+        try:
+            frames = source.frames()
+            assert next(frames).index == 0
+            with open(path, "ab") as video:
+                video.write(b"".join(px.tobytes() for px in planes[3:]))
+            assert [frame.pixels[0, 0] for frame in frames] == [1, 2, 3, 4]
+        finally:
+            source.close()
+
+    def test_a_trailing_partial_frame_is_the_stream_error(self, tmp_path):
+        path = tmp_path / "video.raw"
+        path.write_bytes(bytes(16 * 8 + 100))
+        message = re.escape(str(pytest.raises(IngestError, list, _iter_raw(
+            io.BytesIO(path.read_bytes()), 16, 8)).value))
+        source = open_source(SourceSpec(kind=SourceKind.RAW, path=str(path), width=16, height=8))
+        try:
+            with pytest.raises(IngestError, match=f"^{message}$"):
+                list(source.frames())
+        finally:
+            source.close()
+
+    @pytest.mark.parametrize("side, count, size, lost", [(8, 100, 4196, 65),
+                                                         (64, 300, 50 * 4096, 50)],
+                             ids=["inside-the-last-page", "before-the-next-window"])
+    def test_a_file_that_shrinks_under_its_map_is_an_ingest_error(self, side, count, size,
+                                                                  lost, tmp_path):
+        # no byte is read here.  Cut inside the map's last page, past frame
+        # 65's start, the frames after it would read as zeros, not fault, so
+        # the end of the pass looks at the file's size again; cut before the
+        # second window of 4 KiB frames, that window cannot be mapped
+        path = tmp_path / "video.raw"
+        source = open_source(_raw_file(path, [np.full((side, side), 9, dtype=np.uint8)] * count))
+        try:
+            frames = source.frames()
+            next(frames)
+            os.truncate(path, size)
+            with pytest.raises(IngestError, match=f"^{re.escape(str(path))} shrank to {size} "
+                                                  f"bytes while it was mapped: frame {lost} and "):
+                list(frames)
+        finally:
+            source.close()
 
 
 class TestFrameContract:

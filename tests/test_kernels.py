@@ -17,9 +17,13 @@ that nothing in ``src/`` calls."""
 
 import array
 import ctypes
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +70,7 @@ def _histogram(px):
     against itself."""
     px = np.ascontiguousarray(px)
     block = np.empty((1, 256), dtype=np.int64)
-    kernels.frame_step(px, px, block, 0, 0)
+    kernels.frame_step(px, px, block, 0, 0, 0.0)
     return block[0]
 
 
@@ -292,8 +296,10 @@ class TestPearsonSums:
 
 def _step(pixels, prev_pixels, block, row, prev_row):
     """frame_step's correlation, once its entropy is held by ``.hex()`` to the
-    exact oracle's of the row the call wrote."""
-    r, en = kernels.frame_step(pixels, prev_pixels, block, row, prev_row)
+    exact oracle's of the row the call wrote; the previous entropy it is passed
+    is the exact oracle's of row prev_row, which frame_step returned for it."""
+    prev_entropy = 0.0 if row == prev_row else _entropy(np.asarray(block)[prev_row])
+    r, en = kernels.frame_step(pixels, prev_pixels, block, row, prev_row, prev_entropy)
     assert en.hex() == _entropy(np.asarray(block)[row]).hex()
     return r
 
@@ -434,6 +440,93 @@ class TestFrameStep:
         assert _stepped(a, b)[1].hex() == _oracle(a, b).hex()
 
 
+_EQUAL_FRAMES = {
+    "flat": _flat(77),
+    "textured": _TEXTURE,
+    "all-256-levels": np.tile(np.arange(256, dtype=np.uint8), 3).reshape(24, 32),
+    "0-pixel": np.empty((0, 8), dtype=np.uint8),
+}
+
+
+class TestEqualFramePath:
+    """A frame equal byte for byte to the previous one, in another row, is one
+    memcmp and a row copy: the call returns the entropy it is passed."""
+
+    @pytest.mark.parametrize("name", _EQUAL_FRAMES)
+    def test_returns_one_and_the_previous_entropy(self, name):
+        a = _EQUAL_FRAMES[name]
+        block = np.full((2, 256), -1, dtype=np.int64)
+        r, en = kernels.frame_step(a, a, block, 0, 0, 0.0)
+        assert (r, en) == (1.0, _entropy(bincount_histogram(a)))
+        copy = a.copy()  # equal bytes in another buffer
+        result = kernels.frame_step(copy, a, block, 1, 0, en)
+        assert result == (1.0, en) and result[1].hex() == en.hex()
+        assert np.array_equal(block[1], bincount_histogram(a))
+        # the entropy comes from the argument, not from the row: a value no
+        # row gives comes back as it is
+        assert kernels.frame_step(copy, a, block, 1, 0, 3.25) == (1.0, 3.25)
+        assert np.array_equal(block[1], bincount_histogram(a))
+
+    @pytest.mark.parametrize("name", _EQUAL_FRAMES)
+    def test_the_same_row_still_counts_and_ignores_the_entropy(self, name):
+        a = _EQUAL_FRAMES[name]
+        block = np.full((1, 256), -1, dtype=np.int64)
+        r, en = kernels.frame_step(a.copy(), a, block, 0, 0, 3.25)
+        assert np.array_equal(block[0], bincount_histogram(a))
+        assert en.hex() == _entropy(block[0]).hex()
+        assert r == _oracle(a, a)
+
+
+# maps a 16 KiB file, cuts it to its first page, and reads the pixels the cut
+# left unbacked with each guarded entry point, in this thread and in another;
+# then reads them from Python, which no guard covers
+_SIGBUS = """
+import mmap, os, sys, tempfile, threading
+from entropykf import kernels
+
+fd, path = tempfile.mkstemp()
+os.unlink(path)
+os.write(fd, bytes(range(256)) * 64)
+view = memoryview(mmap.mmap(fd, 16384, access=mmap.ACCESS_READ))
+os.ftruncate(fd, 4096)
+block, out = kernels.counts_block(2), memoryview(bytearray(512)).cast("d")
+calls = [lambda: kernels.frame_step(view, view, block, 0, 0, 0.0),
+         lambda: kernels.frame_step(view[:4096], view[:4096], block, 0, 0, 0.0)[1],
+         lambda: kernels.frame_step(view[4096:8192], view[:4096], block, 1, 0, 8.0),
+         lambda: kernels.frame_step(view[:4096], view[4096:8192], block, 1, 0, 8.0),
+         lambda: kernels.segment_entropies(view, 128, out)]
+
+def run(call):
+    try:
+        print(call())
+    except kernels.BusError as exc:
+        print(type(exc).__name__, isinstance(exc, OSError), str(exc).split(":")[0])
+
+for call in calls:
+    run(call)
+thread = threading.Thread(target=run, args=(calls[0],))
+thread.start()
+thread.join()
+sys.stdout.flush()
+view[8192]
+print("survived")
+"""
+
+
+def test_a_sigbus_in_a_guarded_loop_raises_bus_error(tmp_path):
+    # in a child process: a guard that failed would end it, not this one
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(kernels.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _SIGBUS], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines() == [
+        "BusError True frame_step", "8.0", "BusError True frame_step",
+        "BusError True frame_step", "BusError True segment_entropies",
+        "BusError True frame_step"], done.stderr
+    # outside a guarded call the fault goes to the default action
+    assert done.returncode == -signal.SIGBUS, done.stderr
+
+
 class TestCBoundary:
     """The entry points of the compiled module check the buffers they get on
     their own, whatever the Python wrappers let through."""
@@ -482,13 +575,13 @@ class TestCBoundary:
     # names the argument and both formats, and writes nothing
     @pytest.mark.parametrize("case", {
         "frame_step-int32-block": lambda px: (
-            kernels.frame_step, (px, px, np.zeros((2, 512), dtype=np.int32), 0, 0),
+            kernels.frame_step, (px, px, np.zeros((2, 512), dtype=np.int32), 0, 0, 0.0),
             "frame_step: argument 3 has format 'i', expected 'q'"),
         "frame_step-float64-block": lambda px: (
-            kernels.frame_step, (px, px, np.zeros((2, 256)), 0, 0),
+            kernels.frame_step, (px, px, np.zeros((2, 256)), 0, 0, 0.0),
             "frame_step: argument 3 has format 'd', expected 'q'"),
         "frame_step-big-endian-block": lambda px: (
-            kernels.frame_step, (px, px, np.zeros((2, 256), dtype=">i8"), 0, 0),
+            kernels.frame_step, (px, px, np.zeros((2, 256), dtype=">i8"), 0, 0, 0.0),
             "frame_step: argument 3 has format '>q', expected 'q'"),
         "segment_entropies-float32-out": lambda px: (
             kernels.segment_entropies, (px, 8, np.zeros(128, dtype=np.float32)),
@@ -517,20 +610,21 @@ class TestCBoundary:
         if sys.byteorder == "little":
             blocks.append((ctypes.c_int64 * 256)())
         for block in blocks:
-            assert kernels.frame_step(px, px, block, 0, 0) == (1.0, 6.0)
+            assert kernels.frame_step(px, px, block, 0, 0, 0.0) == (1.0, 6.0)
             assert list(block[:65]) == [1] * 64 + [0]
 
     def test_wrong_argument_counts_raise(self):
         px, block = np.zeros(8, dtype=np.uint8), np.zeros((2, 256), dtype=np.int64)
-        with pytest.raises(TypeError, match="takes 5 arguments, got 4"):
-            kernels.frame_step(px, px, block, 0)
-        with pytest.raises(TypeError, match="takes 5 arguments, got 6"):
-            kernels.frame_step(px, px, block, 0, 0, 0)
+        with pytest.raises(TypeError, match="takes 6 arguments, got 5"):
+            kernels.frame_step(px, px, block, 0, 0)
+        with pytest.raises(TypeError, match="takes 6 arguments, got 7"):
+            kernels.frame_step(px, px, block, 0, 0, 0.0, 0)
 
     def test_the_entry_points_are_the_kernels_src_calls(self):
-        # a C kernel that the program stops calling fails here, so it cannot linger
+        # a C kernel that the program stops calling fails here, so it cannot
+        # linger; BusError is what a guarded call raises on a SIGBUS
         assert {name for name in dir(kernels._C) if not name.startswith("_")} == {
-            "frame_step", "segment_entropies", "sd_rows"}
+            "frame_step", "segment_entropies", "sd_rows", "BusError"}
 
 
 def _frozen(array):
@@ -544,24 +638,24 @@ class TestFrameStepBoundary:
     PX = np.arange(64, dtype=np.uint8).reshape(8, 8)
 
     @pytest.mark.parametrize("args,error,message", [
-        ((PX.astype(np.int16), PX, np.zeros((2, 256), dtype=np.int64), 1, 0),
+        ((PX.astype(np.int16), PX, np.zeros((2, 256), dtype=np.int64), 1, 0, 0.0),
          ValueError, "argument 1 has format 'h', expected 'B'"),
-        ((PX, PX.astype(np.int16), np.zeros((2, 256), dtype=np.int64), 1, 0),
+        ((PX, PX.astype(np.int16), np.zeros((2, 256), dtype=np.int64), 1, 0, 0.0),
          ValueError, "argument 2 has format 'h', expected 'B'"),
         ((np.zeros((8, 16), dtype=np.uint8)[:, ::2], PX, np.zeros((2, 256), dtype=np.int64), 1,
-          0), ValueError, "contiguous"),
-        ((PX, PX.T, np.zeros((2, 256), dtype=np.int64), 1, 0), ValueError, "contiguous"),
-        ((PX, PX, _frozen(np.zeros((2, 256), dtype=np.int64)), 1, 0), ValueError, "read-only"),
-        ((PX, PX, bytes(4096), 1, 0), BufferError, "not writable"),
-        ((PX, PX, np.zeros(511, dtype=np.int64), 1, 0), ValueError,
+          0, 0.0), ValueError, "contiguous"),
+        ((PX, PX.T, np.zeros((2, 256), dtype=np.int64), 1, 0, 0.0), ValueError, "contiguous"),
+        ((PX, PX, _frozen(np.zeros((2, 256), dtype=np.int64)), 1, 0, 0.0), ValueError, "read-only"),
+        ((PX, PX, bytes(4096), 1, 0, 0.0), BufferError, "not writable"),
+        ((PX, PX, np.zeros(511, dtype=np.int64), 1, 0, 0.0), ValueError,
          "argument 3 has 4088 bytes, not a multiple of 2048"),
-        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 2, 0), ValueError, "not both in 0..1"),
-        ((PX, PX, np.zeros((2, 256), dtype=np.int64), -1, 0), ValueError, "not both in 0..1"),
-        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 1, 2), ValueError, "not both in 0..1"),
-        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 1, -1), ValueError, "not both in 0..1"),
-        ((PX, PX.ravel()[:63].copy(), np.zeros((2, 256), dtype=np.int64), 1, 0), ValueError,
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 2, 0, 0.0), ValueError, "not both in 0..1"),
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), -1, 0, 0.0), ValueError, "not both in 0..1"),
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 1, 2, 0.0), ValueError, "not both in 0..1"),
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 1, -1, 0.0), ValueError, "not both in 0..1"),
+        ((PX, PX.ravel()[:63].copy(), np.zeros((2, 256), dtype=np.int64), 1, 0, 0.0), ValueError,
          "differ in size: 63 vs 64"),
-        ((PX, np.zeros(65, dtype=np.uint8), np.zeros((2, 256), dtype=np.int64), 1, 0),
+        ((PX, np.zeros(65, dtype=np.uint8), np.zeros((2, 256), dtype=np.int64), 1, 0, 0.0),
          ValueError, "differ in size: 65 vs 64"),
     ], ids=["int16-pixels", "int16-prev-pixels", "strided-pixels", "transposed-prev-pixels",
             "read-only-block", "bytes-block", "partial-row", "row-past-the-end", "row-below-0",
@@ -588,15 +682,17 @@ class TestFrameStepBoundary:
         for level, change in changes[1].items():
             block[0, level] += change
         with pytest.raises(ValueError, match="row 0 is not the histogram of 64 pixels"):
-            kernels.frame_step(self.PX, self.PX, block, 1, 0)
+            kernels.frame_step(self.PX, self.PX, block, 1, 0, 0.0)
         assert not block[1].any()
 
     def test_arguments_that_are_not_integers_raise(self):
         block = np.zeros((2, 256), dtype=np.int64)
         with pytest.raises(TypeError):
-            kernels.frame_step(self.PX, self.PX, block, 1.0, 0)
+            kernels.frame_step(self.PX, self.PX, block, 1.0, 0, 0.0)
         with pytest.raises(TypeError):
-            kernels.frame_step(self.PX, self.PX, block, 1, None)
+            kernels.frame_step(self.PX, self.PX, block, 1, None, 0.0)
+        with pytest.raises(TypeError):  # the previous entropy is a real
+            kernels.frame_step(self.PX, self.PX, block, 0, 0, "6.0")
 
 
 def _counter_advances_during(call) -> bool:
@@ -653,17 +749,17 @@ class TestGilRelease:
         # then counts the frame
         other = _changed_at(tall_frame, -1)
         block = np.zeros((2, 256), dtype=np.int64)
-        kernels.frame_step(tall_frame, tall_frame, block, 0, 0)
+        en = kernels.frame_step(tall_frame, tall_frame, block, 0, 0, 0.0)[1]
         assert _counter_advances_during(
-            lambda: kernels.frame_step(other, tall_frame, block, 1, 0))
+            lambda: kernels.frame_step(other, tall_frame, block, 1, 0, en))
 
     def test_frame_step_on_an_equal_pair(self, tall_frame):
         # equal byte for byte: the call only compares the pair and copies a row
         other = tall_frame.copy()
         block = np.zeros((2, 256), dtype=np.int64)
-        kernels.frame_step(tall_frame, tall_frame, block, 0, 0)
+        en = kernels.frame_step(tall_frame, tall_frame, block, 0, 0, 0.0)[1]
         assert _counter_advances_during(
-            lambda: kernels.frame_step(other, tall_frame, block, 1, 0))
+            lambda: kernels.frame_step(other, tall_frame, block, 1, 0, en))
 
     def test_segment_entropies(self, tall_frame):
         out = np.empty(64)

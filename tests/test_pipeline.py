@@ -548,8 +548,8 @@ class TestEntropyRoute:
             calls.append(len(cells))
             out[:] = array.array("d", numpy_entropy_from_counts(cells).tolist())
 
-        def numpy_frame_step(pixels, prev_pixels, block, row, prev_row):
-            r, _ = step(pixels, prev_pixels, block, row, prev_row)
+        def numpy_frame_step(pixels, prev_pixels, block, row, prev_row, prev_entropy):
+            r, _ = step(pixels, prev_pixels, block, row, prev_row, prev_entropy)
             calls.append(1)
             return r, float(numpy_entropy_from_counts(np.asarray(block)[row:row + 1])[0])
 
@@ -1062,6 +1062,75 @@ def _src_env() -> dict:
 def _cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "entropykf.cli", *args],
                           capture_output=True, env=_src_env(), **kwargs)
+
+
+# runs extract on a raw file, through the CLI or run_pipeline, and cuts the
+# file to a given size between two pulls: once the pass has pulled frame after
+_CUT_BETWEEN_PULLS = """
+import os, runpy, sys
+from entropykf import pipeline
+from entropykf.ingest import IngestError, SourceSpec
+
+path, after, size, how = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+opened = pipeline._open_access
+
+
+class Cut:
+    def __init__(self, source):
+        self._source = source
+
+    def frames(self):
+        for frame in self._source.frames():
+            yield frame
+            if frame.index == after:
+                os.truncate(path, size)
+
+    def __getattr__(self, name):
+        return getattr(self._source, name)
+
+
+pipeline._open_access = lambda spec: Cut(opened(spec))
+if how == "cli":
+    sys.argv = ["entropykf", "extract", "--input", path, "--format", "raw", "--width", "64",
+                "--height", "48", "--out", "out"]
+    runpy.run_module("entropykf.cli", run_name="__main__")
+try:
+    pipeline.run_pipeline(pipeline.PipelineConfig(
+        source=SourceSpec(kind="raw", path=path, width=64, height=48), output_dir="out"))
+except IngestError as exc:
+    print(f"IngestError: {exc}")
+"""
+
+
+class TestTruncatedRawFile:
+    """A raw file cut short during the pass, under the map that reads it in
+    place, ends in IngestError and exit 3, not in SIGBUS."""
+
+    # 778 frames of 3,072 bytes.  Cut at frame 100's start, on a page
+    # boundary: reading frame 100 faults, inside frame_step's guard.  Cut
+    # inside the last page: frame 777 reads zeros past the end rather than
+    # fault, and the end of the pass finds the file shorter than the frames
+    CUTS = {"fault": (20, 100 * 3072, "video.raw: frame 100 could not be read: the file "
+                                      "shrank while it was mapped"),
+            "last-page": (700, 2_388_000, "video.raw shrank to 2388000 bytes while it was "
+                                          "mapped: frame 777 and those after it are gone")}
+
+    @pytest.mark.parametrize("how", ["cli", "run_pipeline"])
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_cut_between_two_pulls(self, cut, how, tmp_path):
+        _recurring_raw(tmp_path / "video.raw")
+        after, size, message = self.CUTS[cut]
+        done = subprocess.run(
+            [sys.executable, "-c", _CUT_BETWEEN_PULLS, "video.raw", str(after), str(size), how],
+            cwd=tmp_path, capture_output=True, text=True, env=_src_env(), timeout=120)
+        if how == "cli":
+            assert done.returncode == cli.EXIT_INGEST, done.stderr
+            assert done.stderr == f"entropykf: ingest error: {message}\n"
+        else:
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == f"IngestError: {message}\n"
+        assert (tmp_path / "video.raw").stat().st_size == size
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestCli:
