@@ -18,9 +18,8 @@
  * -ffp-contract=off, so no product and sum fuse into one rounding;
  * -ffast-math would reorder the additions.
  *
- * A frame equal byte for byte to the one before costs frame_step one memcmp:
- * the caller passes the entropy frame_step returned for that frame, and the
- * call returns it with a correlation of 1.0 (see py_frame_step).  Pixels may
+ * A frame equal byte for byte to the one before costs frame_step one memcmp
+ * and a row copy, and it returns no entropy (see py_frame_step).  Pixels may
  * be a window of a mapped file, which a shrinking file leaves partly
  * unbacked: a read there raises SIGBUS.  So frame_step and
  * segment_entropies run their loops under a guard (guarded): a SIGBUS in a
@@ -50,9 +49,6 @@ typedef unsigned __int128 u128;
 #define HIST_BLOCK ((int64_t)1 << 32)
 /* Pixels per uint32 partial of the dot: 255 * 255 * 65536 < 2^32. */
 #define DOT_BLOCK ((int64_t)1 << 16)
-/* Bytes per memcmp when frame_step looks for the run of equal bytes two
- * frames start with. */
-#define PREFIX_BLOCK ((int64_t)1 << 12)
 
 #define COUNTS_BYTES ((Py_ssize_t)(256 * sizeof(int64_t)))
 #define SEGMENT_ROW_BYTES ((Py_ssize_t)(64 * sizeof(double)))
@@ -79,21 +75,6 @@ static void add_histogram(const uint8_t *px, int64_t n, int64_t *out)
         for (v = 0; v < 256; v++)
             out[v] += (int64_t)lanes[0][v] + lanes[1][v] + lanes[2][v] + lanes[3][v];
     }
-}
-
-/* The length of a run of equal bytes that a[0..n) and b[0..n) start with:
- * n when they are equal, else a multiple of PREFIX_BLOCK no greater than the
- * index of their first difference. */
-static int64_t equal_prefix(const uint8_t *a, const uint8_t *b, int64_t n)
-{
-    int64_t k, len;
-
-    for (k = 0; k < n; k += len) {
-        len = n - k < PREFIX_BLOCK ? n - k : PREFIX_BLOCK;
-        if (memcmp(a + k, b + k, len) != 0)
-            break;
-    }
-    return k;
 }
 
 /* Sum over i of a[i] * b[i].  Each block of at most DOT_BLOCK products is
@@ -417,19 +398,13 @@ static void set_bus_error(const char *name)
 }
 
 /* One argument of an entry point.  kind is 'B' for bytes, 'q' for 8-byte
- * integers, 'd' for doubles, 'n' for an index, a Python int, or 'f' for a
- * real, a Python float.  out is set for a buffer the call writes.  A buffer
- * must have len bytes when len is set, and a whole number of rows of row
- * bytes when row is; else any length. */
+ * integers, 'd' for doubles, or 'n' for an index, a Python int.  out is set
+ * for a buffer the call writes.  A buffer must have len bytes when len is
+ * set, and a whole number of rows of row bytes when row is; else any
+ * length. */
 struct arg {
     char kind, out;
     Py_ssize_t len, row;
-};
-
-/* A parsed argument: a buffer's size or an index as n, a real as f. */
-union value {
-    Py_ssize_t n;
-    double f;
 };
 
 /* Sets the ValueError of argument i of name, whose buffer does not have len
@@ -467,14 +442,13 @@ static void release_buffers(Py_buffer *views, Py_ssize_t n)
 
 /* Reads the nargs arguments of the entry point name against the n that spec
  * lists.  A buffer goes into views[i]: C-contiguous, writable if out, of its
- * kind and length; values[i].n gets its number of rows, or of items when it
- * has no row size.  An index goes into values[i].n, a real into values[i].f.
- * views starts zeroed, so a PyBuffer_Release of any of the n is safe; on
- * failure this sets an exception, releases them all and returns -1, and on
- * success the caller releases them. */
+ * kind and length; sizes[i] gets its number of rows, or of items when it has
+ * no row size.  An index goes into sizes[i].  views starts zeroed, so a
+ * PyBuffer_Release of any of the n is safe; on failure this sets an exception,
+ * releases them all and returns -1, and on success the caller releases them. */
 static int parse_args(const char *name, const struct arg *spec, Py_ssize_t n,
                       PyObject *const *args, Py_ssize_t nargs, Py_buffer *views,
-                      union value *values)
+                      Py_ssize_t *sizes)
 {
     Py_buffer *v;
     Py_ssize_t i;
@@ -487,12 +461,7 @@ static int parse_args(const char *name, const struct arg *spec, Py_ssize_t n,
     for (i = 0; i < n; i++) {
         v = &views[i];
         if (spec[i].kind == 'n') {
-            if ((values[i].n = PyLong_AsSsize_t(args[i])) == -1 && PyErr_Occurred())
-                goto fail;
-            continue;
-        }
-        if (spec[i].kind == 'f') {
-            if ((values[i].f = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred())
+            if ((sizes[i] = PyLong_AsSsize_t(args[i])) == -1 && PyErr_Occurred())
                 goto fail;
             continue;
         }
@@ -512,7 +481,7 @@ static int parse_args(const char *name, const struct arg *spec, Py_ssize_t n,
                          name, i + 1, v->len, spec[i].row);
             goto fail;
         }
-        values[i].n = v->len / (spec[i].row > 0 ? spec[i].row : v->itemsize);
+        sizes[i] = v->len / (spec[i].row > 0 ? spec[i].row : v->itemsize);
     }
     return 0;
 fail:
@@ -520,96 +489,80 @@ fail:
     return -1;
 }
 
-/* The loops of one frame_step call, and its results r and h. */
+/* The loops of one frame_step call, and its results: equal, or r and h. */
 struct step {
     const uint8_t *px, *prev_px;
     int64_t *cur, *prev, n;
-    double prev_h, r, h;
+    int equal;
+    double r, h;
 };
 
 static void step_loops(void *job)
 {
     struct step *s = job;
-    int64_t sa, sb, saa, sbb, k;
-    uint64_t sab;
+    int64_t sa, sb, saa, sbb;
 
-    k = equal_prefix(s->px, s->prev_px, s->n);
-    if (k == s->n && s->cur != s->prev) { /* an equal pair: row prev's counts and entropy */
+    s->equal = s->cur != s->prev && memcmp(s->px, s->prev_px, s->n) == 0;
+    if (s->equal) {
         memcpy(s->cur, s->prev, COUNTS_BYTES);
-        s->r = 1.0;
-        s->h = s->prev_h;
         return;
     }
     memset(s->cur, 0, COUNTS_BYTES);
-    add_histogram(s->px, k, s->cur);
+    add_histogram(s->px, s->n, s->cur);
     moments(s->cur, &sb, &sbb);
-    sab = (uint64_t)sbb; /* Σab over the equal run is its Σb² */
-    if (k < s->n) {
-        add_histogram(s->px + k, s->n - k, s->cur);
-        moments(s->cur, &sb, &sbb);
-        sab += dot_u8(s->prev_px + k, s->px + k, s->n - k);
-    }
     moments(s->prev, &sa, &saa);
-    s->r = correlation(s->n, sa, sb, saa, sbb, sab);
+    s->r = correlation(s->n, sa, sb, saa, sbb, dot_u8(s->prev_px, s->px, s->n));
     s->h = row_entropy(s->cur);
 }
 
-/* frame_step(pixels, prev_pixels, block, row, prev_row, prev_entropy): the
- * histogram of the pixel bytes into row row of the block of 256-int64 rows,
- * and the pair (correlation of prev_pixels against pixels, entropy of
- * pixels), the histogram of prev_pixels being row prev_row and the entropy
- * row_entropy of the row just written.  row may equal prev_row; prev_entropy
- * is then ignored.  The pixels must be bytes of one length, and row prev_row
- * a histogram of that many pixels; nothing is written unless all holds.  The
- * histogram and Σab stay two loops: one loop over both frames that counts
- * and multiplies was slower.
+/* frame_step(pixels, prev_pixels, block, row, prev_row): the histogram of the
+ * pixel bytes into row row of the block of 256-int64 rows, and the pair
+ * (correlation of prev_pixels against pixels, entropy of pixels), the
+ * histogram of prev_pixels being row prev_row and the entropy row_entropy of
+ * the row just written.  row may equal prev_row.  The pixels must be bytes of
+ * one length, and row prev_row a histogram of that many pixels; nothing is
+ * written unless all holds.  The histogram and Σab stay two loops: one loop
+ * over both frames that counts and multiplies was slower.
  *
- * memcmp first finds the run of bytes the two frames start with in common,
- * where a = b, so that Σab over it is Σb², which the histogram of that run
- * holds exactly: the dot runs over the rest alone.  The caller guarantees
- * more than is checked: row prev_row is the histogram of prev_pixels itself,
- * not only of as many pixels, and prev_entropy is the entropy frame_step
- * returned for that row.  So when the frames are equal byte for byte and row
- * differs from prev_row, the memcmp stands in for every other step: row
- * prev_row is copied into row row, and the call returns (1.0, prev_entropy).
- * Those are the results the loops would give.  The copied row's entropy is
- * the bits row_entropy gave that row; and the correlation of an equal pair
- * is exactly 1.0: a flat pair's means differ by 0 <= n, and otherwise Σab =
- * Σa², so the numerator equals both variances and its square their product.
- * row == prev_row, the first frame stepped against itself, always counts,
- * since that row is not yet a histogram of anything.  A pair that differs
- * pays the memcmp up to its first difference in place of the dot over the
- * same bytes: at worst, when only its last byte differs, one pass at memcmp
- * speed in place of one at the dot's.  The loops run guarded: a SIGBUS in
- * them raises BusError and leaves row row undefined. */
+ * There are two paths.  When row differs from prev_row and one memcmp finds
+ * the frames equal byte for byte, row prev_row is copied into row row and
+ * the call returns (1.0, None): the caller, which keeps row prev_row the
+ * histogram of prev_pixels itself, holds the entropy of that row already.
+ * Every other pair is counted whole: the histogram, its moments once, and
+ * the dot over all n pixels.  row == prev_row, the first frame stepped
+ * against itself, always counts, since that row is not yet a histogram of
+ * anything.  The correlation of an equal pair is exactly 1.0: a flat pair's
+ * means differ by 0 <= n, and otherwise Σab = Σa², so the numerator equals
+ * both variances and its square their product.  A pair that differs pays
+ * the memcmp up to its first difference on top of the loops.  The loops run
+ * guarded: a SIGBUS in them raises BusError and leaves row row undefined. */
 static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const struct arg spec[6] = {
+    static const struct arg spec[5] = {
         {.kind = 'B'}, {.kind = 'B'}, {.kind = 'q', .out = 1, .row = COUNTS_BYTES},
-        {.kind = 'n'}, {.kind = 'n'}, {.kind = 'f'}};
-    Py_buffer v[6];
-    union value s[6];
-    Py_ssize_t row, prev_row, n;
+        {.kind = 'n'}, {.kind = 'n'}};
+    Py_buffer v[5];
+    Py_ssize_t s[5], row, prev_row, n;
     struct step job;
     PyObject *result = NULL;
     int ok, faulted = 0;
 
     (void)self;
-    if (parse_args("frame_step", spec, 6, args, nargs, v, s) < 0)
+    if (parse_args("frame_step", spec, 5, args, nargs, v, s) < 0)
         return NULL;
     n = v[0].len;
-    row = s[3].n;
-    prev_row = s[4].n;
+    row = s[3];
+    prev_row = s[4];
     if (v[1].len != n) {
         PyErr_Format(PyExc_ValueError, "frames differ in size: %zd vs %zd pixels", v[1].len, n);
         goto done;
     }
-    if (row < 0 || row >= s[2].n || prev_row < 0 || prev_row >= s[2].n) {
+    if (row < 0 || row >= s[2] || prev_row < 0 || prev_row >= s[2]) {
         PyErr_Format(PyExc_ValueError, "frame_step: rows %zd and %zd are not both in 0..%zd",
-                     row, prev_row, s[2].n - 1);
+                     row, prev_row, s[2] - 1);
         goto done;
     }
-    job = (struct step){.px = v[0].buf, .prev_px = v[1].buf, .n = n, .prev_h = s[5].f,
+    job = (struct step){.px = v[0].buf, .prev_px = v[1].buf, .n = n,
                         .cur = (int64_t *)v[2].buf + row * 256,
                         .prev = (int64_t *)v[2].buf + prev_row * 256};
     Py_BEGIN_ALLOW_THREADS
@@ -622,10 +575,12 @@ static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t
                      prev_row, n);
     else if (faulted)
         set_bus_error("frame_step");
+    else if (job.equal)
+        result = Py_BuildValue("(dO)", 1.0, Py_None);
     else
         result = Py_BuildValue("(dd)", job.r, job.h);
 done:
-    release_buffers(v, 6);
+    release_buffers(v, 5);
     return result;
 }
 
@@ -653,8 +608,7 @@ static PyObject *py_segment_entropies(PyObject *self, PyObject *const *args, Py_
     static const struct arg spec[3] = {
         {.kind = 'B'}, {.kind = 'n'}, {.kind = 'd', .out = 1, .len = SEGMENT_ROW_BYTES}};
     Py_buffer v[3];
-    union value s[3];
-    Py_ssize_t w;
+    Py_ssize_t s[3], w;
     struct segments job;
     PyObject *result = NULL;
     int faulted;
@@ -662,7 +616,7 @@ static PyObject *py_segment_entropies(PyObject *self, PyObject *const *args, Py_
     (void)self;
     if (parse_args("segment_entropies", spec, 3, args, nargs, v, s) < 0)
         return NULL;
-    if ((w = s[1].n) <= 0 || v[0].len % w != 0 || (uint64_t)v[0].len > UINT32_MAX) {
+    if ((w = s[1]) <= 0 || v[0].len % w != 0 || (uint64_t)v[0].len > UINT32_MAX) {
         PyErr_Format(PyExc_ValueError, "segment_entropies: %zd bytes are not whole rows of "
                      "width %zd, fewer than 2**32 in all", v[0].len, w);
         goto done;
@@ -688,15 +642,15 @@ static PyObject *py_sd_rows(PyObject *self, PyObject *const *args, Py_ssize_t na
         {.kind = 'd', .row = SEGMENT_ROW_BYTES}, {.kind = 'd', .len = SEGMENT_ROW_BYTES},
         {.kind = 'd', .out = 1}};
     Py_buffer v[3];
-    union value s[3];
+    Py_ssize_t s[3];
     PyObject *result = NULL;
 
     (void)self;
     if (parse_args("sd_rows", spec, 3, args, nargs, v, s) < 0)
         return NULL;
-    if (check_len("sd_rows", 2, &v[2], s[0].n * (Py_ssize_t)sizeof(double)) == 0) {
+    if (check_len("sd_rows", 2, &v[2], s[0] * (Py_ssize_t)sizeof(double)) == 0) {
         Py_BEGIN_ALLOW_THREADS
-        sd_rows(v[0].buf, v[1].buf, s[0].n, v[2].buf);
+        sd_rows(v[0].buf, v[1].buf, s[0], v[2].buf);
         Py_END_ALLOW_THREADS
         result = Py_NewRef(Py_None);
     }
@@ -706,8 +660,9 @@ static PyObject *py_sd_rows(PyObject *self, PyObject *const *args, Py_ssize_t na
 
 static PyMethodDef kernel_methods[] = {
     {"frame_step", (PyCFunction)(void (*)(void))py_frame_step, METH_FASTCALL,
-     "frame_step(pixels, prev_pixels, block, row, prev_row, prev_entropy): the histogram "
-     "into block[row], and (correlation of prev_pixels against pixels, entropy of pixels)."},
+     "frame_step(pixels, prev_pixels, block, row, prev_row): the histogram into block[row], "
+     "and (correlation of prev_pixels against pixels, entropy of pixels, or None when the "
+     "frames are equal and the rows differ)."},
     {"segment_entropies", (PyCFunction)(void (*)(void))py_segment_entropies, METH_FASTCALL,
      "segment_entropies(pixels, width, out): the entropies of the 8x8 grid cells into out."},
     {"sd_rows", (PyCFunction)(void (*)(void))py_sd_rows, METH_FASTCALL,

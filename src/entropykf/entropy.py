@@ -24,7 +24,7 @@ def frame_entropy(frame) -> float:
     itself into a one-row block, as the pass takes its first frame's.
     """
     px = _as_frame(frame).pixels
-    return kernels.frame_step(px, px, kernels.counts_block(1), 0, 0, 0.0)[1]
+    return kernels.frame_step(px, px, kernels.counts_block(1), 0, 0)[1]
 
 
 def modified_entropy(en: float) -> int:

@@ -25,21 +25,19 @@ appended since are read, a trailing partial frame is the truncation error a
 read would give, and a file that shrank below the frames already given is an
 ``IngestError``.  Where a shrunken file leaves a mapped frame unbacked, the
 kernels that read it raise ``kernels.BusError``, which ``pipeline.analyse``
-turns into an ``IngestError``.  Any other raw input, a pipe say, is read
-unbuffered (``open(path, "rb", buffering=0)``), a plane at a time; Y4M
-inputs, whose FRAME lines need ``readline``, stdin and the spool are
-buffered.  Each plane is one ``read``: a buffered ``read(n)`` returns fewer
-than n bytes only at end of input, and where an unbuffered one stops short,
-``_read_plane`` reads on until the plane is whole or the input ends.  Y4M
-chroma is read into one ``bytearray`` per stream and dropped.  A PGM
-directory is listed once, with one ``os.scandir``, and ``read_frame``
-re-reads the i-th file, an ``IngestError`` if it no longer holds a frame of
-the first frame's size.  Raw and Y4M streams share one random-access path:
-the parser records each frame's Y-plane byte offset, and ``read_frame``
-seeks there and reads in the input file, or, for an input that cannot seek
-(stdin, a named pipe, ``/dev/fd/N`` of a process substitution), in a spool
-file of the Y planes written as they stream.  The spool holds one plane per
-run of equal planes: a plane equal byte for byte to the one before is not
+turns into an ``IngestError``.  Any other raw or Y4M input, a pipe say, is
+read through a buffer, so each plane is one ``read``: a buffered ``read(n)``
+returns fewer than n bytes only at end of input.  Y4M chroma is
+read into one ``bytearray`` per stream and dropped.  A PGM directory is
+listed once, with one ``os.scandir``, and ``read_frame`` re-reads the i-th
+file, an ``IngestError`` if it no longer holds a frame of the first frame's
+size.  Raw and Y4M streams share one random-access path: the parser records
+each frame's Y-plane byte offset, and ``read_frame`` reads the plane there
+with one ``os.pread`` of the input file, or, for an input that cannot seek
+(stdin, a named pipe, ``/dev/fd/N`` of a process substitution), of a spool
+file of the Y planes written as they stream, flushed first; ``pread`` leaves
+the stream's position where it was.  The spool holds one plane per run of
+equal planes: a plane equal byte for byte to the one before is not
 written again, and its frame takes the earlier offset.  ``read_frame``
 serves only the frames a source can: a stream's frames read so far, a
 directory's listed files; any other index, a negative one too, is an
@@ -295,15 +293,6 @@ def _plane_frame(index: int, plane: bytes, shape: tuple[int, int]) -> Frame:
     return _frame(index, memoryview(plane).cast("B", shape))
 
 
-def _read_plane(stream: BinaryIO, size: int) -> bytes:
-    """size bytes of stream, fewer only at end of input: one ``read``, repeated
-    only after a short one, which an unbuffered file may return early."""
-    data = stream.read(size)
-    while 0 < len(data) < size and (more := stream.read(size - len(data))):
-        data += more
-    return data
-
-
 def _raw_truncated(index: int, got: int, width: int, height: int) -> IngestError:
     """The error of a raw stream whose frame index has only got bytes."""
     return IngestError(f"raw stream truncated at byte offset {index * width * height}: frame "
@@ -315,7 +304,7 @@ def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, 
     """(byte offset, frame) for each frame of a raw stream."""
     frame_size, shape = width * height, (height, width)
     for index in itertools.count():
-        data = _read_plane(stream, frame_size)
+        data = stream.read(frame_size)
         if not data:
             return
         if len(data) != frame_size:
@@ -447,8 +436,8 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
 def _open_binary(spec: SourceSpec) -> BinaryIO:
     if spec.path == "-":
         return sys.stdin.buffer
-    try:  # a raw file is mapped or read a plane at a time, which needs no buffer
-        return open(spec.path, "rb", buffering=0 if spec.kind is SourceKind.RAW else -1)
+    try:
+        return open(spec.path, "rb")
     except OSError as exc:
         raise IngestError(f"cannot read {spec.path}: {exc}") from exc
 
@@ -498,10 +487,8 @@ class _StreamSource:
                               f"read so far from {self._spec.path}")
         size = self._shape[0] * self._shape[1]
         stream = self._input if self._spool is None else self._spool
-        resume = stream.tell()  # where frames() goes on parsing or spooling
-        stream.seek(self._offsets[index])
-        data = _read_plane(stream, size)
-        stream.seek(resume)
+        stream.flush()  # the spool's planes still in its buffer
+        data = os.pread(stream.fileno(), size, self._offsets[index])
         if len(data) != size:
             raise IngestError(f"{self._spec.path} ended before frame {index}")
         return _plane_frame(index, data, self._shape)

@@ -15,15 +15,14 @@ of histograms (``counts_block``) and ``array("d")`` outputs.
 pass's one call per frame, and the step that ``shots.correlation`` and
 ``entropy.frame_entropy`` take.  It writes the frame's histogram into a row
 of a block of histograms and returns the pair (correlation with the previous
-row's frame, from exact integer moments; entropy of the row just written);
-``_kernels.c`` says how bytes the two frames share spare it work.  Its sixth
-argument, ``prev_entropy``, is the entropy ``frame_step`` returned for the
-previous row; the caller guarantees it, as it guarantees that the previous
-row is the previous frame's histogram, and a frame equal byte for byte to the
-previous one returns ``(1.0, prev_entropy)`` after one ``memcmp`` and a row
-copy.  A frame stepped against itself into one row ignores it.  The
-entropy's log2 is C's own, from exponent bits and IEEE arithmetic compiled
-with ``-ffp-contract=off``, so entropy bits depend on no libm, numpy build or
+row's frame, from exact integer moments; entropy of the row just written).
+It has two paths.  A frame equal byte for byte to the previous one, in
+another row, costs one ``memcmp`` and a row copy and returns ``(1.0,
+None)``: the caller keeps the previous row the previous frame's histogram,
+and already holds that row's entropy.  Every other pair, and a frame stepped
+against itself into one row, is counted whole.  The entropy's log2 is C's
+own, from exponent bits and IEEE arithmetic compiled with
+``-ffp-contract=off``, so entropy bits depend on no libm, numpy build or
 CPU.  ``segment_entropies`` owns the paper's 8x8 grid:
 ``entropy.segmented_entropies``'s one call, it writes each cell's entropy
 with the bits ``frame_step`` gives a frame of the cell's histogram.

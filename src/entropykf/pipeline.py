@@ -344,7 +344,8 @@ def analyse(frames: Iterable[Frame], name: str = "the input") -> tuple[array, ar
     Each frame costs one ``kernels.frame_step`` call, which writes its
     histogram into one row of a two-row block, the rows taking turns, and
     returns its correlation with the frame before, whose histogram is the
-    other row and whose entropy the call is passed, and its own entropy; the
+    other row, and its own entropy, or ``None`` for a frame equal byte for
+    byte to the one before, whose entropy is then the one already held; the
     first frame is stepped against itself and that 1.0 dropped.  The frame
     before stays held as a ``Frame``, so two frames are resident at a time.
     Frames of two sizes raise ``ValueError`` naming both.  A frame whose
@@ -360,13 +361,14 @@ def analyse(frames: Iterable[Frame], name: str = "the input") -> tuple[array, ar
         raise ValueError("cannot analyse an empty frame stream")
     prev_pixels, row = prev.pixels, 0
     try:
-        en = step(prev_pixels, prev_pixels, block, row, row, 0.0)[1]
+        en = step(prev_pixels, prev_pixels, block, row, row)[1]
         entropies.append(en)
         for frame in frames:
             check_same_size(prev, frame)  # the C side sees only byte lengths
             pixels = frame.pixels
             row ^= 1
-            r, en = step(pixels, prev_pixels, block, row, row ^ 1, en)
+            r, h = step(pixels, prev_pixels, block, row, row ^ 1)
+            en = en if h is None else h  # None: the frame equals the one before
             correlations.append(r)
             entropies.append(en)
             prev, prev_pixels = frame, pixels

@@ -52,13 +52,13 @@ def correlation(a: Frame, b: Frame) -> float:
     same shot (1.0) when their means are within one grey level, as a cut (0.0)
     otherwise, and a flat frame never matches a textured one (0.0).  Two
     ``kernels.frame_step`` calls give it, with the pass's bits: a against
-    itself into row 0 of a block, then b against a, with a's entropy, into row 1.
+    itself into row 0 of a block, then b against a into row 1.
     """
     a, b = _as_frame(a), _as_frame(b)
     check_same_size(a, b)
     block = kernels.counts_block(2)
-    en = kernels.frame_step(a.pixels, a.pixels, block, 0, 0, 0.0)[1]
-    return kernels.frame_step(b.pixels, a.pixels, block, 1, 0, en)[0]
+    kernels.frame_step(a.pixels, a.pixels, block, 0, 0)
+    return kernels.frame_step(b.pixels, a.pixels, block, 1, 0)[0]
 
 
 def detect_cuts(correlations: Sequence[float],

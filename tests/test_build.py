@@ -96,7 +96,7 @@ def test_concurrent_first_imports_leave_one_whole_library(tmp_path):
     env = {"PYTHONPATH": str(root), "PATH": os.environ["PATH"]}
     code = ("import numpy as np, entropykf.kernels as k; "
             "px, block = np.arange(3, dtype=np.uint8), np.zeros((1, 256), dtype=np.int64); "
-            "k.frame_step(px, px, block, 0, 0, 0.0); print(block[0, :4])")
+            "k.frame_step(px, px, block, 0, 0); print(block[0, :4])")
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True) for _ in range(2)]
     outputs = [p.communicate(timeout=120) for p in procs]

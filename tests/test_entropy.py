@@ -49,7 +49,7 @@ def _key_series():
 def _histogram(px):
     """The histogram ``kernels.frame_step`` counts for a frame stepped against itself."""
     block = np.empty((1, 256), dtype=np.int64)
-    kernels.frame_step(px, px, block, 0, 0, 0.0)
+    kernels.frame_step(px, px, block, 0, 0)
     return block[0]
 
 
@@ -125,7 +125,7 @@ class TestEntropy:
         px = rand_pixels(rng, 20, 30)
         counts = bincount_histogram(px)
         assert frame_entropy(px).hex() == exact_entropy_from_counts(counts)[0].hex() == \
-            kernels.frame_step(px, px, np.empty((1, 256), dtype=np.int64), 0, 0, 0.0)[1].hex()
+            kernels.frame_step(px, px, np.empty((1, 256), dtype=np.int64), 0, 0)[1].hex()
 
     def test_stacked_rows_equal_each_row_alone_and_the_oracle(self):
         # each row's entropy, taken alone from a 1-row frame of its counts,

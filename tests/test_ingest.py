@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import tempfile
+import threading
 import weakref
 from pathlib import Path
 
@@ -486,19 +487,24 @@ class TestRandomAccess:
         if kind == "raw-file":
             path.write_bytes(raw)
             return SourceSpec(kind=SourceKind.RAW, path=str(path), width=16, height=8)
+        if kind == "raw-fifo":  # a named pipe cannot seek, so its planes are spooled
+            os.mkfifo(path)
+            threading.Thread(target=path.write_bytes, args=(raw,), daemon=True).start()
+            return SourceSpec(kind=SourceKind.RAW, path=str(path), width=16, height=8)
         params = _frame_params if kind == "y4m-frame-params" else (lambda i: "")
         path.write_bytes(make_y4m(16, 8, planes, frame_params=params))
         return SourceSpec(kind=SourceKind.Y4M, path=str(path))
 
-    @pytest.mark.parametrize("kind", ["pgm-dir", "raw-file", "raw-stdin", "y4m-file",
-                                      "y4m-frame-params"])
+    @pytest.mark.parametrize("kind", ["pgm-dir", "raw-file", "raw-stdin", "raw-fifo",
+                                      "y4m-file", "y4m-frame-params", "y4m-stdin"])
     def test_read_frame_matches_stream(self, kind, planes, tmp_path, monkeypatch):
         source = open_source(self._spec(kind, planes, tmp_path, monkeypatch))
         try:
             streamed = []
             for f in source.frames():
                 streamed.append(f.pixels)
-                # a re-read mid-stream must not disturb the stream
+                # a re-read mid-stream must not disturb the stream; a spooled
+                # plane is read back right after it is written
                 assert np.array_equal(source.read_frame(f.index // 2).pixels,
                                       planes[f.index // 2])
             assert len(streamed) == len(planes)
@@ -629,20 +635,20 @@ class TestRandomAccess:
         finally:
             source.close()
 
-    @pytest.mark.parametrize("kind, reader", [("raw-file", io.FileIO),
-                                              ("y4m-file", io.BufferedReader)])
-    def test_only_raw_files_are_read_unbuffered(self, kind, reader, planes, tmp_path,
-                                                monkeypatch):
-        # a Y4M file needs the buffer for its FRAME lines; stdin keeps its own
+    @pytest.mark.parametrize("kind", ["raw-file", "raw-fifo", "y4m-file"])
+    def test_every_input_file_is_read_buffered(self, kind, planes, tmp_path, monkeypatch):
+        # a plane is one buffered read, whole unless the input ends; a raw
+        # file is mapped, so its buffer goes unused, and stdin keeps its own
         source = open_source(self._spec(kind, planes, tmp_path, monkeypatch))
         try:
-            assert type(source._input) is reader
+            assert type(source._input) is io.BufferedReader
+            assert len(list(source.frames())) == len(planes)
         finally:
             source.close()
 
 
 class _ShortReads(io.RawIOBase):
-    """An unbuffered stream whose reads return at most limit bytes."""
+    """A raw stream whose reads return at most limit bytes, as a pipe's may."""
 
     def __init__(self, data: bytes, limit: int):
         self._data, self._pos, self._limit = data, 0, limit
@@ -651,31 +657,45 @@ class _ShortReads(io.RawIOBase):
     def readable(self):
         return True
 
+    def readinto(self, buffer):
+        self.reads += 1
+        chunk = self._data[self._pos:self._pos + min(len(buffer), self._limit)]
+        buffer[:len(chunk)] = chunk
+        self._pos += len(chunk)
+        return len(chunk)
+
+
+class _CountedReader(io.BufferedReader):
+    """A buffered reader that counts the ``read`` calls made of it."""
+
+    reads = 0
+
     def read(self, size=-1):
         self.reads += 1
-        chunk = self._data[self._pos:self._pos + min(size, self._limit)]
-        self._pos += len(chunk)
-        return chunk
+        return super().read(size)
 
 
 class TestShortReads:
-    """A plane is one ``read``, repeated only after a short one."""
+    """A plane is one buffered ``read``, whole however short the reads of
+    the raw stream beneath it."""
 
     def test_frames_are_whole_across_short_reads(self):
         rng = np.random.default_rng(67)
         planes = [rand_pixels(rng, 16, 8) for _ in range(3)]
-        stream = _ShortReads(b"".join(px.tobytes() for px in planes), limit=50)
+        raw = _ShortReads(b"".join(px.tobytes() for px in planes), limit=50)
+        stream = _CountedReader(raw)
         frames = [f for _, f in _iter_raw(stream, 16, 8)]
         assert [f.pixels.tobytes() for f in frames] == [px.tobytes() for px in planes]
-        assert stream.reads == 3 * 3 + 1  # 50 + 50 + 28 bytes a plane, then the end
+        assert stream.reads == 3 + 1  # a plane each, then the end
+        assert raw.reads > 384 // 50  # the buffer read on across the short reads
 
     def test_one_read_a_plane_when_reads_are_whole(self):
-        stream = _ShortReads(bytes(16 * 8 * 4), limit=1 << 20)
+        stream = _CountedReader(_ShortReads(bytes(16 * 8 * 4), limit=1 << 20))
         assert len(list(_iter_raw(stream, 16, 8))) == 4
         assert stream.reads == 4 + 1
 
     def test_truncation_is_counted_across_short_reads(self):
-        stream = _ShortReads(bytes(16 * 8 + 100), limit=30)
+        stream = io.BufferedReader(_ShortReads(bytes(16 * 8 + 100), limit=30))
         with pytest.raises(IngestError, match="frame 1 has 100 of 128 bytes"):
             list(_iter_raw(stream, 16, 8))
 

@@ -70,7 +70,7 @@ def _histogram(px):
     against itself."""
     px = np.ascontiguousarray(px)
     block = np.empty((1, 256), dtype=np.int64)
-    kernels.frame_step(px, px, block, 0, 0, 0.0)
+    kernels.frame_step(px, px, block, 0, 0)
     return block[0]
 
 
@@ -296,10 +296,13 @@ class TestPearsonSums:
 
 def _step(pixels, prev_pixels, block, row, prev_row):
     """frame_step's correlation, once its entropy is held by ``.hex()`` to the
-    exact oracle's of the row the call wrote; the previous entropy it is passed
-    is the exact oracle's of row prev_row, which frame_step returned for it."""
-    prev_entropy = 0.0 if row == prev_row else _entropy(np.asarray(block)[prev_row])
-    r, en = kernels.frame_step(pixels, prev_pixels, block, row, prev_row, prev_entropy)
+    exact oracle's of the row the call wrote.  An equal pair returns None for
+    the entropy, and the caller takes the previous one: the exact oracle's of
+    row prev_row, which frame_step returned for it."""
+    r, en = kernels.frame_step(pixels, prev_pixels, block, row, prev_row)
+    if en is None:
+        assert row != prev_row and r == 1.0
+        en = _entropy(np.asarray(block)[prev_row])
     assert en.hex() == _entropy(np.asarray(block)[row]).hex()
     return r
 
@@ -323,6 +326,13 @@ def _changed_at(a, index):
     return b
 
 
+def _letterboxed(a, bar=4):
+    """A copy of frame a with its top and bottom bar rows black."""
+    b = a.copy()
+    b[:bar] = b[-bar:] = 0
+    return b
+
+
 _RNG = np.random.default_rng(149)
 _TEXTURE = rand_pixels(_RNG, 31, 17)
 _STEP_PAIRS = {
@@ -343,6 +353,8 @@ _STEP_PAIRS = {
     "negated": (_TEXTURE, 255 - _TEXTURE),
     "near-collinear": (_TEXTURE, _TEXTURE // 2 * 2),
     "one-pixel": (_flat(3, 1, 1), _flat(200, 1, 1)),
+    # equal black top rows, different below: counted whole like any other pair
+    "letterboxed": (_letterboxed(_TEXTURE), _letterboxed(255 - _TEXTURE)),
 }
 
 
@@ -392,9 +404,9 @@ class TestFrameStep:
 
     @pytest.mark.parametrize("index", [0, 4095, 4096, 4097, 8191, 10000, 19198, 19199])
     def test_pairs_that_start_with_a_run_of_equal_bytes(self, index):
-        # a 160x120 pair equal up to byte index, in the middle of or at the
-        # edges of the 4,096-byte blocks that the compare steps by: Σab over
-        # the equal run comes from its histogram, the dot covers the rest
+        # a 160x120 pair equal up to byte index, where the memcmp stops, in
+        # the middle of or at the edges of 4,096-byte pages: the pair is
+        # counted whole, and the dot covers the equal run too
         a = rand_pixels(np.random.default_rng(163), 160, 120)
         b = _changed_at(a, index)
         _, r, block = _stepped(a, b)
@@ -450,28 +462,27 @@ _EQUAL_FRAMES = {
 
 class TestEqualFramePath:
     """A frame equal byte for byte to the previous one, in another row, is one
-    memcmp and a row copy: the call returns the entropy it is passed."""
+    memcmp and a row copy: the call returns (1.0, None), and the caller keeps
+    the previous entropy, which is the copied row's."""
 
     @pytest.mark.parametrize("name", _EQUAL_FRAMES)
     def test_returns_one_and_the_previous_entropy(self, name):
         a = _EQUAL_FRAMES[name]
         block = np.full((2, 256), -1, dtype=np.int64)
-        r, en = kernels.frame_step(a, a, block, 0, 0, 0.0)
+        r, en = kernels.frame_step(a, a, block, 0, 0)
         assert (r, en) == (1.0, _entropy(bincount_histogram(a)))
         copy = a.copy()  # equal bytes in another buffer
-        result = kernels.frame_step(copy, a, block, 1, 0, en)
-        assert result == (1.0, en) and result[1].hex() == en.hex()
+        assert kernels.frame_step(copy, a, block, 1, 0) == (1.0, None)
         assert np.array_equal(block[1], bincount_histogram(a))
-        # the entropy comes from the argument, not from the row: a value no
-        # row gives comes back as it is
-        assert kernels.frame_step(copy, a, block, 1, 0, 3.25) == (1.0, 3.25)
-        assert np.array_equal(block[1], bincount_histogram(a))
+        assert _entropy(block[1]).hex() == en.hex()
 
     @pytest.mark.parametrize("name", _EQUAL_FRAMES)
     def test_the_same_row_still_counts_and_ignores_the_entropy(self, name):
+        # row == prev_row: the row's old contents, no histogram, are ignored;
+        # the pair is counted and the call returns its entropy, never None
         a = _EQUAL_FRAMES[name]
         block = np.full((1, 256), -1, dtype=np.int64)
-        r, en = kernels.frame_step(a.copy(), a, block, 0, 0, 3.25)
+        r, en = kernels.frame_step(a.copy(), a, block, 0, 0)
         assert np.array_equal(block[0], bincount_histogram(a))
         assert en.hex() == _entropy(block[0]).hex()
         assert r == _oracle(a, a)
@@ -490,10 +501,10 @@ os.write(fd, bytes(range(256)) * 64)
 view = memoryview(mmap.mmap(fd, 16384, access=mmap.ACCESS_READ))
 os.ftruncate(fd, 4096)
 block, out = kernels.counts_block(2), memoryview(bytearray(512)).cast("d")
-calls = [lambda: kernels.frame_step(view, view, block, 0, 0, 0.0),
-         lambda: kernels.frame_step(view[:4096], view[:4096], block, 0, 0, 0.0)[1],
-         lambda: kernels.frame_step(view[4096:8192], view[:4096], block, 1, 0, 8.0),
-         lambda: kernels.frame_step(view[:4096], view[4096:8192], block, 1, 0, 8.0),
+calls = [lambda: kernels.frame_step(view, view, block, 0, 0),
+         lambda: kernels.frame_step(view[:4096], view[:4096], block, 0, 0)[1],
+         lambda: kernels.frame_step(view[4096:8192], view[:4096], block, 1, 0),
+         lambda: kernels.frame_step(view[:4096], view[4096:8192], block, 1, 0),
          lambda: kernels.segment_entropies(view, 128, out)]
 
 def run(call):
@@ -575,13 +586,13 @@ class TestCBoundary:
     # names the argument and both formats, and writes nothing
     @pytest.mark.parametrize("case", {
         "frame_step-int32-block": lambda px: (
-            kernels.frame_step, (px, px, np.zeros((2, 512), dtype=np.int32), 0, 0, 0.0),
+            kernels.frame_step, (px, px, np.zeros((2, 512), dtype=np.int32), 0, 0),
             "frame_step: argument 3 has format 'i', expected 'q'"),
         "frame_step-float64-block": lambda px: (
-            kernels.frame_step, (px, px, np.zeros((2, 256)), 0, 0, 0.0),
+            kernels.frame_step, (px, px, np.zeros((2, 256)), 0, 0),
             "frame_step: argument 3 has format 'd', expected 'q'"),
         "frame_step-big-endian-block": lambda px: (
-            kernels.frame_step, (px, px, np.zeros((2, 256), dtype=">i8"), 0, 0, 0.0),
+            kernels.frame_step, (px, px, np.zeros((2, 256), dtype=">i8"), 0, 0),
             "frame_step: argument 3 has format '>q', expected 'q'"),
         "segment_entropies-float32-out": lambda px: (
             kernels.segment_entropies, (px, 8, np.zeros(128, dtype=np.float32)),
@@ -610,15 +621,15 @@ class TestCBoundary:
         if sys.byteorder == "little":
             blocks.append((ctypes.c_int64 * 256)())
         for block in blocks:
-            assert kernels.frame_step(px, px, block, 0, 0, 0.0) == (1.0, 6.0)
+            assert kernels.frame_step(px, px, block, 0, 0) == (1.0, 6.0)
             assert list(block[:65]) == [1] * 64 + [0]
 
     def test_wrong_argument_counts_raise(self):
         px, block = np.zeros(8, dtype=np.uint8), np.zeros((2, 256), dtype=np.int64)
-        with pytest.raises(TypeError, match="takes 6 arguments, got 5"):
-            kernels.frame_step(px, px, block, 0, 0)
-        with pytest.raises(TypeError, match="takes 6 arguments, got 7"):
-            kernels.frame_step(px, px, block, 0, 0, 0.0, 0)
+        with pytest.raises(TypeError, match="takes 5 arguments, got 4"):
+            kernels.frame_step(px, px, block, 0)
+        with pytest.raises(TypeError, match="takes 5 arguments, got 6"):
+            kernels.frame_step(px, px, block, 0, 0, 0.0)
 
     def test_the_entry_points_are_the_kernels_src_calls(self):
         # a C kernel that the program stops calling fails here, so it cannot
@@ -638,24 +649,24 @@ class TestFrameStepBoundary:
     PX = np.arange(64, dtype=np.uint8).reshape(8, 8)
 
     @pytest.mark.parametrize("args,error,message", [
-        ((PX.astype(np.int16), PX, np.zeros((2, 256), dtype=np.int64), 1, 0, 0.0),
+        ((PX.astype(np.int16), PX, np.zeros((2, 256), dtype=np.int64), 1, 0),
          ValueError, "argument 1 has format 'h', expected 'B'"),
-        ((PX, PX.astype(np.int16), np.zeros((2, 256), dtype=np.int64), 1, 0, 0.0),
+        ((PX, PX.astype(np.int16), np.zeros((2, 256), dtype=np.int64), 1, 0),
          ValueError, "argument 2 has format 'h', expected 'B'"),
-        ((np.zeros((8, 16), dtype=np.uint8)[:, ::2], PX, np.zeros((2, 256), dtype=np.int64), 1,
-          0, 0.0), ValueError, "contiguous"),
-        ((PX, PX.T, np.zeros((2, 256), dtype=np.int64), 1, 0, 0.0), ValueError, "contiguous"),
-        ((PX, PX, _frozen(np.zeros((2, 256), dtype=np.int64)), 1, 0, 0.0), ValueError, "read-only"),
-        ((PX, PX, bytes(4096), 1, 0, 0.0), BufferError, "not writable"),
-        ((PX, PX, np.zeros(511, dtype=np.int64), 1, 0, 0.0), ValueError,
+        ((np.zeros((8, 16), dtype=np.uint8)[:, ::2], PX, np.zeros((2, 256), dtype=np.int64),
+          1, 0), ValueError, "contiguous"),
+        ((PX, PX.T, np.zeros((2, 256), dtype=np.int64), 1, 0), ValueError, "contiguous"),
+        ((PX, PX, _frozen(np.zeros((2, 256), dtype=np.int64)), 1, 0), ValueError, "read-only"),
+        ((PX, PX, bytes(4096), 1, 0), BufferError, "not writable"),
+        ((PX, PX, np.zeros(511, dtype=np.int64), 1, 0), ValueError,
          "argument 3 has 4088 bytes, not a multiple of 2048"),
-        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 2, 0, 0.0), ValueError, "not both in 0..1"),
-        ((PX, PX, np.zeros((2, 256), dtype=np.int64), -1, 0, 0.0), ValueError, "not both in 0..1"),
-        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 1, 2, 0.0), ValueError, "not both in 0..1"),
-        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 1, -1, 0.0), ValueError, "not both in 0..1"),
-        ((PX, PX.ravel()[:63].copy(), np.zeros((2, 256), dtype=np.int64), 1, 0, 0.0), ValueError,
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 2, 0), ValueError, "not both in 0..1"),
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), -1, 0), ValueError, "not both in 0..1"),
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 1, 2), ValueError, "not both in 0..1"),
+        ((PX, PX, np.zeros((2, 256), dtype=np.int64), 1, -1), ValueError, "not both in 0..1"),
+        ((PX, PX.ravel()[:63].copy(), np.zeros((2, 256), dtype=np.int64), 1, 0), ValueError,
          "differ in size: 63 vs 64"),
-        ((PX, np.zeros(65, dtype=np.uint8), np.zeros((2, 256), dtype=np.int64), 1, 0, 0.0),
+        ((PX, np.zeros(65, dtype=np.uint8), np.zeros((2, 256), dtype=np.int64), 1, 0),
          ValueError, "differ in size: 65 vs 64"),
     ], ids=["int16-pixels", "int16-prev-pixels", "strided-pixels", "transposed-prev-pixels",
             "read-only-block", "bytes-block", "partial-row", "row-past-the-end", "row-below-0",
@@ -682,17 +693,15 @@ class TestFrameStepBoundary:
         for level, change in changes[1].items():
             block[0, level] += change
         with pytest.raises(ValueError, match="row 0 is not the histogram of 64 pixels"):
-            kernels.frame_step(self.PX, self.PX, block, 1, 0, 0.0)
+            kernels.frame_step(self.PX, self.PX, block, 1, 0)
         assert not block[1].any()
 
     def test_arguments_that_are_not_integers_raise(self):
         block = np.zeros((2, 256), dtype=np.int64)
         with pytest.raises(TypeError):
-            kernels.frame_step(self.PX, self.PX, block, 1.0, 0, 0.0)
+            kernels.frame_step(self.PX, self.PX, block, 1.0, 0)
         with pytest.raises(TypeError):
-            kernels.frame_step(self.PX, self.PX, block, 1, None, 0.0)
-        with pytest.raises(TypeError):  # the previous entropy is a real
-            kernels.frame_step(self.PX, self.PX, block, 0, 0, "6.0")
+            kernels.frame_step(self.PX, self.PX, block, 1, None)
 
 
 def _counter_advances_during(call) -> bool:
@@ -749,17 +758,17 @@ class TestGilRelease:
         # then counts the frame
         other = _changed_at(tall_frame, -1)
         block = np.zeros((2, 256), dtype=np.int64)
-        en = kernels.frame_step(tall_frame, tall_frame, block, 0, 0, 0.0)[1]
+        kernels.frame_step(tall_frame, tall_frame, block, 0, 0)
         assert _counter_advances_during(
-            lambda: kernels.frame_step(other, tall_frame, block, 1, 0, en))
+            lambda: kernels.frame_step(other, tall_frame, block, 1, 0))
 
     def test_frame_step_on_an_equal_pair(self, tall_frame):
         # equal byte for byte: the call only compares the pair and copies a row
         other = tall_frame.copy()
         block = np.zeros((2, 256), dtype=np.int64)
-        en = kernels.frame_step(tall_frame, tall_frame, block, 0, 0, 0.0)[1]
+        kernels.frame_step(tall_frame, tall_frame, block, 0, 0)
         assert _counter_advances_during(
-            lambda: kernels.frame_step(other, tall_frame, block, 1, 0, en))
+            lambda: kernels.frame_step(other, tall_frame, block, 1, 0))
 
     def test_segment_entropies(self, tall_frame):
         out = np.empty(64)

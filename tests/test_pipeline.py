@@ -548,8 +548,8 @@ class TestEntropyRoute:
             calls.append(len(cells))
             out[:] = array.array("d", numpy_entropy_from_counts(cells).tolist())
 
-        def numpy_frame_step(pixels, prev_pixels, block, row, prev_row, prev_entropy):
-            r, _ = step(pixels, prev_pixels, block, row, prev_row, prev_entropy)
+        def numpy_frame_step(pixels, prev_pixels, block, row, prev_row):
+            r, _ = step(pixels, prev_pixels, block, row, prev_row)
             calls.append(1)
             return r, float(numpy_entropy_from_counts(np.asarray(block)[row:row + 1])[0])
 

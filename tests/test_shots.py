@@ -178,13 +178,12 @@ def _videos(draw):
 
 @st.composite
 def _repeating_videos(draw):
-    """Frames of up to 96x64 pixels, some longer than the 4,096-byte blocks
-    ``frame_step`` compares by, that repeat the frame before byte for byte, as
-    a copy or as the same array, in each of these runs in a drawn order: a run
-    of repeats, a cut to a new texture repeated at once, a repeated flat
-    frame, and a frame that differs from the one before only in its last byte;
-    noisy frames then fill the video up to frame 63, which frame 64 repeats
-    across the wrap of ``analyse``'s 64-row block."""
+    """Frames of up to 96x64 pixels, some longer than a 4,096-byte page, that
+    repeat the frame before byte for byte, as a copy or as the same array, in
+    each of these runs in a drawn order: a run of repeats, a cut to a new
+    texture repeated at once, a repeated flat frame, and a frame that differs
+    from the one before only in its last byte; noisy frames then fill the
+    video up to frame 63, which frame 64 repeats."""
     width, height = draw(st.integers(1, 96)), draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frames = [rand_pixels(rng, width, height)]
@@ -219,7 +218,8 @@ class TestAnalyse:
         with pytest.raises(ValueError, match="empty"):
             analyse(iter([]))
 
-    # 64 histograms make one entropy block in analyse
+    # analyse's two histogram rows take turns: runs ending in either row, and
+    # runs past 64 frames
     @pytest.mark.parametrize("count", [1, 10, 63, 64, 65, 130])
     def test_series_equal_the_per_frame_calls_bit_for_bit(self, count):
         rng = np.random.default_rng(101)
