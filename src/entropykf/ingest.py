@@ -31,7 +31,12 @@ returns fewer than n bytes only at end of input.  Y4M chroma is
 read into one ``bytearray`` per stream and dropped.  A PGM directory is
 listed once, with one ``os.scandir``, and ``read_frame`` re-reads the i-th
 file, an ``IngestError`` if it no longer holds a frame of the first frame's
-size.  Raw and Y4M streams share one random-access path: the parser records
+size.  A PGM file is read with ``os.open``, one ``os.read`` of one byte
+more than the first file's length, and ``os.close``; a later file of the
+first's length whose leading bytes are the first's header is that header's
+raster with no parse, and any other file is parsed in full, so it gives
+the frame or the message it would alone.
+Raw and Y4M streams share one random-access path: the parser records
 each frame's Y-plane byte offset, and ``read_frame`` reads the plane there
 with one ``os.pread`` of the input file, or, for an input that cannot seek
 (stdin, a named pipe, ``/dev/fd/N`` of a process substitution), of a spool
@@ -194,19 +199,32 @@ def _parse_pgm(data: bytes, name: str) -> memoryview:
 
 def read_pgm(path: str | Path) -> memoryview:
     """Read one binary PGM file into a (height, width) memoryview of its raster
-    bytes, in one unbuffered read of the whole file."""
-    return _read_pgm(str(Path(path)))  # a str is named in messages as its Path
+    bytes, in one ``os.read`` of the whole file (see ``_read_file``)."""
+    name = str(Path(path))  # a str is named in messages as its Path
+    return _parse_pgm(_read_file(name), name)
 
 
-def _read_pgm(name: str) -> memoryview:
-    """``read_pgm`` of a path already in the form ``str(Path(name))`` gives,
-    as ``list_pgm_dir`` lists it, without building a Path."""
+def _read_file(name: str, size: int | None = None) -> bytes:
+    """The bytes of the file at name, in one ``os.read`` of size + 1 bytes;
+    size is the file's length from ``os.fstat`` unless given.  Only a read
+    that returns another count than size, from a file that grew, shrank or
+    holds another length, goes on to the end of the file."""
     try:
-        with open(name, "rb", buffering=0) as file:
-            data = file.readall()
+        fd = os.open(name, os.O_RDONLY)
     except OSError as exc:
         raise IngestError(f"cannot read {name}: {exc}") from exc
-    return _parse_pgm(data, name)
+    try:
+        if size is None:
+            size = os.fstat(fd).st_size
+        data = os.read(fd, size + 1)
+        if len(data) != size:  # read on to the end, 1 MiB at a time
+            data += b"".join(iter(lambda: os.read(fd, 1 << 20), b""))
+    except OSError as exc:  # os.read names no file: "[Errno 21] Is a directory"
+        named = OSError(exc.errno, exc.strerror, name)
+        raise IngestError(f"cannot read {name}: {named}") from exc
+    finally:
+        os.close(fd)
+    return data
 
 
 def write_pgm(path: str | Path, pixels) -> None:
@@ -216,8 +234,9 @@ def write_pgm(path: str | Path, pixels) -> None:
     if 0 in view.shape:
         raise ValueError(f"expected a frame with no side of 0, got shape {view.shape}")
     h, w = view.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + view.tobytes())
+    with open(path, "wb") as file:  # the raster is written from the view, not copied
+        file.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        file.write(view)
 
 
 # the errors of following a symlink that Path.is_file reads as "not a file":
@@ -255,24 +274,38 @@ def list_pgm_dir(path: str | Path) -> list[str]:
 class _PgmDirSource:
     def __init__(self, spec: SourceSpec):
         self._paths = list_pgm_dir(spec.path)
-        self._shape = None  # the first frame's (height, width), once frames() reads it
+        # once frames() reads the first file: its length, its header (the
+        # bytes before the raster) and its frame's (height, width)
+        self._size = self._header = self._shape = None
 
     def frames(self) -> Iterator[Frame]:
-        for index, path in enumerate(self._paths):
-            pixels = _read_pgm(path)
-            if index == 0:  # later frames must match the first, so only it is range-checked
-                check_frame_size(pixels.shape[1], pixels.shape[0], f"{path}: ")
-                self._shape = pixels.shape
-            yield self._frame(index, path, pixels)
+        first = self._paths[0]
+        data = _read_file(first)
+        pixels = _parse_pgm(data, first)
+        # later frames must match the first, so only it is range-checked
+        check_frame_size(pixels.shape[1], pixels.shape[0], f"{first}: ")
+        self._size, self._shape = len(data), pixels.shape
+        self._header = data[:len(data) - pixels.nbytes]
+        yield _frame(0, pixels)
+        for index in range(1, len(self._paths)):
+            yield self._read(index)
 
     def read_frame(self, index: int) -> Frame:
         if not 0 <= index < len(self._paths):
             raise IngestError(f"frame {index} is outside the {len(self._paths)} frames listed")
-        return self._frame(index, self._paths[index], _read_pgm(self._paths[index]))
+        return self._read(index)
 
-    def _frame(self, index: int, path: str, pixels: memoryview) -> Frame:
-        """Frame index of the file at path, unless the first frame's size is known
-        and the file, since read again or replaced, holds another."""
+    def _read(self, index: int) -> Frame:
+        """Frame index, unless the first frame's size is known and the file,
+        since read again or replaced, holds another.  A file of the first's
+        length that starts with its header is that header's raster without a
+        parse: the header regex matches the same bytes, as none of its paths
+        reads past the whitespace byte that ends the first file's match."""
+        path = self._paths[index]
+        data = _read_file(path, self._size)
+        if len(data) == self._size and data.startswith(self._header):
+            return _frame(index, memoryview(data)[len(self._header):].cast("B", self._shape))
+        pixels = _parse_pgm(data, path)
         if self._shape not in (None, pixels.shape):
             raise IngestError(f"{path}: frame {index} is {pixels.shape[1]}x{pixels.shape[0]}, "
                               f"expected {self._shape[1]}x{self._shape[0]}")

@@ -21,6 +21,8 @@ the fused call must match bit for bit.  ``check_report_oracle`` is the
 report check as one recursive walk over the schema and the value together,
 building each value's JSON path on the way down; ``pipeline.check_report``,
 which compiles the schema first, must give the same verdict and message.
+``pgm_second_frame`` holds a PGM directory's second frame, the one a read
+without a parse may give, to a full parse of its file.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import operator
 import numpy as np
 
 from entropykf.extraction import DedupScan, Elimination
-from entropykf.ingest import Frame
+from entropykf.ingest import (Frame, IngestError, SourceKind, SourceSpec, _parse_pgm,
+                              open_source)
 from entropykf.pipeline import ReportError
 
 
@@ -358,6 +361,34 @@ def check_report_oracle(value, node: dict, defs: dict, path: str = "$",
 def rand_pixels(rng: np.random.Generator, width: int, height: int,
                 levels: int = 256) -> np.ndarray:
     return rng.integers(0, levels, (height, width), dtype=np.uint8)
+
+
+def pgm_second_frame(directory, first: bytes, second: bytes) -> list:
+    """The second frame of a PGM directory of two files, first (a frame that
+    streams) and second, as its pixel bytes or its ``IngestError`` message:
+    streamed by ``frames()``, read again by ``read_frame(1)``, and, the
+    reference, parsed in full by ``_parse_pgm`` and held to the first's size."""
+    paths = [directory / "f0.pgm", directory / "f1.pgm"]
+    for path, data in zip(paths, (first, second)):
+        path.write_bytes(data)
+    source = open_source(SourceSpec(kind=SourceKind.PGM_DIR, path=str(directory)))
+    frames = source.frames()
+    height, width = next(frames).pixels.shape
+
+    def alone():
+        pixels = _parse_pgm(second, str(paths[1]))
+        if pixels.shape != (height, width):
+            raise IngestError(f"{paths[1]}: frame 1 is {pixels.shape[1]}x{pixels.shape[0]}, "
+                              f"expected {width}x{height}")
+        return pixels
+
+    outcomes = []
+    for read in (lambda: next(frames).pixels, lambda: source.read_frame(1).pixels, alone):
+        try:
+            outcomes.append(read().tobytes())
+        except IngestError as exc:
+            outcomes.append(str(exc))
+    return outcomes
 
 
 def frame(index: int, pixels: np.ndarray) -> Frame:

@@ -8,11 +8,12 @@ import tempfile
 import threading
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import make_y4m, rand_pixels
+from conftest import make_y4m, pgm_second_frame, rand_pixels
 from entropykf import cli
 from entropykf.ingest import (MAX_DIMENSION, MIN_DIMENSION, Frame, IngestError,
                               SourceKind, SourceSpec, _iter_raw, _iter_y4m, _parse_pgm,
@@ -26,7 +27,10 @@ class TestPgm:
         px = rand_pixels(rng, 33, 21)
         path = tmp_path / "frame.pgm"
         write_pgm(path, px)
+        assert path.read_bytes() == b"P5\n33 21\n255\n" + px.tobytes()
         assert np.array_equal(read_pgm(path), px)
+        write_pgm(path, px[:, ::2])  # not contiguous
+        assert path.read_bytes() == b"P5\n17 21\n255\n" + px[:, ::2].tobytes()
 
     @pytest.mark.parametrize("pixels", [np.full((2, 3), 300, dtype=np.int16),
                                         np.full((2, 3), 0.9), np.full((2, 3), -1)],
@@ -232,6 +236,129 @@ class TestDirectorySource:
         (tmp_path / "f0.pgm").write_bytes(b"P5 20000 8 255\n" + bytes(20000 * 8))
         with pytest.raises(IngestError, match="f0.pgm: frame size 20000x8.*16384x16384"):
             list(open_source(spec).frames())
+
+
+_R1, _R2 = bytes(range(64)), bytes(range(100, 164))  # two 8x8 rasters
+
+
+class TestPgmReadWithoutParse:
+    """A later file of the first's length whose leading bytes are the first's
+    header is read as that header's raster with no parse.  Every file gives
+    what a full parse of its bytes gives: the frame, or the exact message."""
+
+    @pytest.mark.parametrize("first,second,expected", [
+        (b"P5\n8 8\n255\n" + _R1, b"P5 8 8 255\n" + _R2, _R2),
+        (b"P5   8 8 255\n" + _R1, b"P5\n#\n8 8 255\n" + _R2, _R2),
+        (b"P5\n8 8\n255\n" + _R1, b"P5\n# c\n8 8\n255\n" + _R2, _R2),
+        (b"P5\n8 8\n255\n" + _R1, b"P5\n8 8\n255\n" + _R2 + b"\0",
+         "unsupported image file: {} (raster holds 65 bytes, expected 64)"),
+        (b"P5\n8 8\n255\n" + _R1, b"P5\n8 8\n255\n" + _R2[:-1],
+         "unsupported image file: {} (raster holds 63 bytes, expected 64)"),
+        (b"P5  8 8 255\n" + _R1, b"P5 16 4 255\n" + _R2, "{}: frame 1 is 16x4, expected 8x8"),
+        (b"P5\n8 8\n255\n" + _R1, b"P5\n8 8\n2550" + _R2,
+         "unsupported image file: {} (malformed PGM header)"),
+        (b"P5\n8 8\n255\n" + _R1, b"P5\n8 8\n255\r" + _R2, _R2),
+    ], ids=["header-spelled-otherwise", "comment-equal-length", "comment-longer",
+            "one-byte-longer", "one-byte-shorter", "another-size-equal-length",
+            "no-whitespace-byte-before-the-raster", "another-whitespace-byte"])
+    def test_a_later_file_gives_what_a_full_parse_gives(self, first, second, expected,
+                                                        tmp_path):
+        if isinstance(expected, str):
+            expected = expected.format(tmp_path / "f1.pgm")
+        assert pgm_second_frame(tmp_path, first, second) == [expected] * 3
+
+    @pytest.mark.parametrize("lead", [b"#", b" ", b"\n", b"\r", b"\t"])
+    @pytest.mark.parametrize("header", [b"P5\n8 8\n255\n", b"P5 8 8 255#c\n\n", b"P5 8 8 255 "])
+    def test_a_raster_that_starts_like_a_header_gap(self, lead, header, tmp_path):
+        # a raster byte after the header's one whitespace byte is never a
+        # comment or a gap, with line ends after it too
+        first, second = header + lead + b"#x\n" + _R1[4:], header + lead + b"9\n#" + _R2[4:]
+        assert pgm_second_frame(tmp_path, first, second) == [second[len(header):]] * 3
+
+    @pytest.mark.parametrize("grown", [1, 3 << 20], ids=["byte", "3MiB"])
+    def test_a_file_that_grows_after_listing(self, grown, tmp_path):
+        for name in ("f0.pgm", "f1.pgm"):
+            (tmp_path / name).write_bytes(b"P5\n8 8\n255\n" + _R1)
+        source = open_source(SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path)))
+        with open(tmp_path / "f1.pgm", "ab") as file:
+            file.write(bytes(grown))
+        message = (f"unsupported image file: {tmp_path / 'f1.pgm'} "
+                   f"(raster holds {64 + grown} bytes, expected 64)")
+        with pytest.raises(IngestError) as raised:
+            list(source.frames())
+        assert str(raised.value) == message
+        with pytest.raises(IngestError) as raised:
+            source.read_frame(1)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("cut", ["fstat-short-of-the-length", "reads-of-7-bytes"])
+    def test_a_read_that_returns_another_count_goes_on_to_the_end(self, cut, tmp_path,
+                                                                  monkeypatch):
+        # a first file that grew after its fstat, or reads cut short: each
+        # file is still read whole
+        rng = np.random.default_rng(47)
+        planes = [rand_pixels(rng, 8, 8) for _ in range(3)]
+        for i, px in enumerate(planes):
+            write_pgm(tmp_path / f"f{i}.pgm", px)
+        source = open_source(SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path)))
+        read, fstat = os.read, os.fstat
+        with monkeypatch.context() as patch:
+            if cut == "reads-of-7-bytes":
+                patch.setattr(os, "read", lambda fd, n: read(fd, min(n, 7)))
+            else:
+                patch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+                    st_size=fstat(fd).st_size - 5))
+            streamed = [f.pixels.tobytes() for f in source.frames()]
+            again = [source.read_frame(i).pixels.tobytes() for i in range(3)]
+        assert streamed == again == [px.tobytes() for px in planes]
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("replaced", ["by-a-directory", "by-nothing"])
+    def test_an_entry_replaced_after_listing_is_named(self, replaced, index, tmp_path):
+        for name in ("f0.pgm", "f1.pgm"):
+            (tmp_path / name).write_bytes(b"P5\n8 8\n255\n" + _R1)
+        source = open_source(SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path)))
+        path = tmp_path / f"f{index}.pgm"
+        path.unlink()
+        if replaced == "by-a-directory":
+            path.mkdir()  # os.read names no file here, where a FileIO did
+            message = f"cannot read {path}: [Errno 21] Is a directory: '{path}'"
+        else:
+            message = f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+        with pytest.raises(IngestError) as raised:
+            list(source.frames())
+        assert str(raised.value) == message
+        with pytest.raises(IngestError) as raised:
+            source.read_frame(index)
+        assert str(raised.value) == message
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+    @pytest.mark.parametrize("second", ["directory", "missing", "P2 magic", "longer",
+                                        "another size", "a frame"])
+    def test_no_descriptor_stays_open(self, second, tmp_path):
+        first = b"P5\n8 8\n255\n" + _R1
+        (tmp_path / "f0.pgm").write_bytes(first)
+        (tmp_path / "f1.pgm").write_bytes(first)
+        source = open_source(SourceSpec(kind=SourceKind.PGM_DIR, path=str(tmp_path)))
+        path = tmp_path / "f1.pgm"
+        if second in ("directory", "missing"):
+            path.unlink()
+            if second == "directory":
+                path.mkdir()
+        else:
+            path.write_bytes({"P2 magic": b"P2" + first[2:], "longer": first + bytes(3 << 20),
+                              "another size": b"P5\n4 16\n255\n" + _R1,
+                              "a frame": first}[second])
+        raises = (contextlib.nullcontext() if second == "a frame" else
+                  pytest.raises(IngestError))
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with raises:
+            list(source.frames())
+        with raises:
+            source.read_frame(1)
+        with contextlib.suppress(IngestError):  # the read sized by fstat
+            read_pgm(path)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 class TestRawSource:

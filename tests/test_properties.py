@@ -3,12 +3,15 @@ the documented error types, never in a bare exception or an unbounded size.
 The shot stages are checked the same way on arbitrary correlation series."""
 
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import pgm_second_frame
 from entropykf.evaluation import EvaluationError, load_ground_truth
 from entropykf.ingest import (MAX_DIMENSION, MIN_DIMENSION, IngestError, SourceKind,
                               SourceSpec, _iter_raw, _iter_y4m, _parse_pgm)
@@ -85,10 +88,10 @@ _comments = st.builds(lambda body, end: b"#" + body + end,
 
 
 @st.composite
-def pgm_round_trips(draw) -> tuple[bytes, bytes, int, int]:
+def pgm_round_trips(draw, min_side: int = 1) -> tuple[bytes, bytes, int, int]:
     """A valid P5 file with random runs of whitespace and comments in every
     header gap, comments after maxval, then exactly one whitespace byte."""
-    width, height = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    width, height = draw(st.integers(min_side, 16)), draw(st.integers(min_side, 16))
     raster = draw(st.binary(min_size=width * height, max_size=width * height))
     gaps = [b"".join(draw(st.lists(st.one_of(_whitespace, _comments), min_size=1, max_size=5)))
             for _ in range(3)]
@@ -104,6 +107,47 @@ def test_parse_pgm_round_trip(case):
     pixels = _parse_pgm(data, "frame.pgm")
     assert pixels.shape == (height, width)
     assert pixels.tobytes() == raster
+
+
+# bytes that make or break a header: its magic, gaps, comments and digits
+_header_bytes = st.one_of(st.sampled_from(b"P25 \t\n\r#09"), st.integers(0, 255))
+
+
+@st.composite
+def pgm_mutants(draw) -> tuple[bytes, bytes]:
+    """A valid P5 file that streams as a first frame, and a copy with one to
+    three bytes set, inserted or deleted, in its header, often at the
+    whitespace byte that ends it, or in its raster, or with bytes appended
+    or cut off its end."""
+    first, raster, _, _ = draw(pgm_round_trips(min_side=MIN_DIMENSION))
+    header = len(first) - len(raster)
+    second = bytearray(first)
+    for _ in range(draw(st.integers(1, 3))):
+        at = min(draw(st.one_of(st.just(header - 1), st.integers(0, header + 1),
+                                st.integers(header, len(second)))), len(second) - 1)
+        # most edits keep the length, so that the read without a parse is tried
+        edit = draw(st.sampled_from(["set"] * 4 + ["insert", "delete", "append", "cut"]))
+        if edit == "set":
+            second[at] = draw(_header_bytes)
+        elif edit == "insert":
+            second.insert(at, draw(_header_bytes))
+        elif edit == "delete":
+            del second[at]
+        elif edit == "append":
+            second += draw(st.binary(min_size=1, max_size=3))
+        else:
+            del second[len(second) - draw(st.integers(1, 3)):]
+    return first, bytes(second)
+
+
+@FUZZ
+@given(pgm_mutants())
+def test_pgm_second_frame_is_what_a_full_parse_gives(case):
+    # the read that skips the parse for a file of the first's length and
+    # header gives the frame or the message a parse of the file's bytes gives
+    with tempfile.TemporaryDirectory() as directory:
+        outcomes = pgm_second_frame(Path(directory), *case)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 @FUZZ
