@@ -19,21 +19,13 @@
  * -ffast-math would reorder the additions.
  *
  * A frame equal byte for byte to the one before costs frame_step one memcmp
- * and a row copy, and it returns no entropy (see py_frame_step).  Pixels may
- * be a window of a mapped file, which a shrinking file leaves partly
- * unbacked: a read there raises SIGBUS.  So frame_step and
- * segment_entropies run their loops under a guard (guarded): a SIGBUS in a
- * guarded loop jumps back out of it, and the call raises BusError, not the
- * ValueError of a refused argument.  A SIGBUS outside a guarded loop goes to
- * the action installed before this module, by default death by the signal.
+ * and a row copy, and it returns no entropy (see py_frame_step).
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <math.h>
-#include <setjmp.h>
-#include <signal.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -339,64 +331,6 @@ static void sd_rows(const double *a, const double *b, int64_t rows, double *out)
     }
 }
 
-/* The guard of the guarded call running in this thread, or NULL outside
- * one.  __thread, not C11's _Thread_local, which C99 lacks; initial-exec,
- * so that the handler reads it at a fixed offset, where a dlopen'ed
- * module's default TLS access may allocate, which a handler must not. */
-static __thread sigjmp_buf *guard __attribute__((tls_model("initial-exec")));
-/* The SIGBUS action in place before this module installed on_sigbus. */
-static struct sigaction chained;
-/* What a guarded call raises when a SIGBUS cuts its loops short. */
-static PyObject *BusError;
-
-/* The SIGBUS handler, installed once at module init with SA_SIGINFO |
- * SA_NODEFER.  Inside a guarded call it jumps back to the call's guard.
- * Outside one it hands the signal to the chained action: a handler is
- * called, and the default or ignore action is put back and the signal
- * raised again, so that it ends the process as it would have without this
- * module (an ignored fault is fatal too: the fault repeats on return, and
- * the kernel then applies the default). */
-static void on_sigbus(int sig, siginfo_t *info, void *context)
-{
-    if (guard != NULL)
-        siglongjmp(*guard, 1);
-    if (chained.sa_flags & SA_SIGINFO) {
-        chained.sa_sigaction(sig, info, context);
-    } else if (chained.sa_handler != SIG_DFL && chained.sa_handler != SIG_IGN) {
-        chained.sa_handler(sig);
-    } else {
-        sigaction(SIGBUS, &chained, NULL);
-        raise(sig);
-    }
-}
-
-/* Runs task(job) under this thread's guard; returns 0, or -1 if a SIGBUS cut
- * it short, leaving what it writes undefined.  sigsetjmp has this frame to
- * itself: task and job are not changed after it, and no local of an entry
- * point, Py_BEGIN_ALLOW_THREADS' saved thread state among them, lives across
- * it, so the jump clobbers nothing.  The signal mask is not saved, as
- * SA_NODEFER leaves SIGBUS unblocked in the handler. */
-static int guarded(void (*task)(void *), void *job)
-{
-    sigjmp_buf jump;
-
-    if (sigsetjmp(jump, 0) != 0) {
-        guard = NULL;
-        return -1;
-    }
-    guard = &jump;
-    task(job);
-    guard = NULL;
-    return 0;
-}
-
-/* Sets BusError for the entry point name, whose loops a SIGBUS cut short. */
-static void set_bus_error(const char *name)
-{
-    PyErr_Format(BusError, "%s: SIGBUS while reading the pixels: their memory is no longer "
-                 "backed, as when a mapped file shrinks", name);
-}
-
 /* One argument of an entry point.  kind is 'B' for bytes, 'q' for 8-byte
  * integers, 'd' for doubles, or 'n' for an index, a Python int.  out is set
  * for a buffer the call writes.  A buffer must have len bytes when len is
@@ -489,32 +423,6 @@ fail:
     return -1;
 }
 
-/* The loops of one frame_step call, and its results: equal, or r and h. */
-struct step {
-    const uint8_t *px, *prev_px;
-    int64_t *cur, *prev, n;
-    int equal;
-    double r, h;
-};
-
-static void step_loops(void *job)
-{
-    struct step *s = job;
-    int64_t sa, sb, saa, sbb;
-
-    s->equal = s->cur != s->prev && memcmp(s->px, s->prev_px, s->n) == 0;
-    if (s->equal) {
-        memcpy(s->cur, s->prev, COUNTS_BYTES);
-        return;
-    }
-    memset(s->cur, 0, COUNTS_BYTES);
-    add_histogram(s->px, s->n, s->cur);
-    moments(s->cur, &sb, &sbb);
-    moments(s->prev, &sa, &saa);
-    s->r = correlation(s->n, sa, sb, saa, sbb, dot_u8(s->prev_px, s->px, s->n));
-    s->h = row_entropy(s->cur);
-}
-
 /* frame_step(pixels, prev_pixels, block, row, prev_row): the histogram of the
  * pixel bytes into row row of the block of 256-int64 rows, and the pair
  * (correlation of prev_pixels against pixels, entropy of pixels), the
@@ -534,8 +442,7 @@ static void step_loops(void *job)
  * anything.  The correlation of an equal pair is exactly 1.0: a flat pair's
  * means differ by 0 <= n, and otherwise Σab = Σa², so the numerator equals
  * both variances and its square their product.  A pair that differs pays
- * the memcmp up to its first difference on top of the loops.  The loops run
- * guarded: a SIGBUS in them raises BusError and leaves row row undefined. */
+ * the memcmp up to its first difference on top of the loops. */
 static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     static const struct arg spec[5] = {
@@ -543,9 +450,11 @@ static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t
         {.kind = 'n'}, {.kind = 'n'}};
     Py_buffer v[5];
     Py_ssize_t s[5], row, prev_row, n;
-    struct step job;
+    const uint8_t *px, *prev_px;
+    int64_t *cur, *prev, sa, sb, saa, sbb;
+    double r = 0.0, h = 0.0;
+    int ok, equal;
     PyObject *result = NULL;
-    int ok, faulted = 0;
 
     (void)self;
     if (parse_args("frame_step", spec, 5, args, nargs, v, s) < 0)
@@ -562,56 +471,47 @@ static PyObject *py_frame_step(PyObject *self, PyObject *const *args, Py_ssize_t
                      row, prev_row, s[2] - 1);
         goto done;
     }
-    job = (struct step){.px = v[0].buf, .prev_px = v[1].buf, .n = n,
-                        .cur = (int64_t *)v[2].buf + row * 256,
-                        .prev = (int64_t *)v[2].buf + prev_row * 256};
+    px = v[0].buf;
+    prev_px = v[1].buf;
+    cur = (int64_t *)v[2].buf + row * 256;
+    prev = (int64_t *)v[2].buf + prev_row * 256;
     Py_BEGIN_ALLOW_THREADS
-    ok = prev_row == row || is_histogram_of(job.prev, n);
-    if (ok)
-        faulted = guarded(step_loops, &job);
+    ok = prev_row == row || is_histogram_of(prev, n);
+    equal = ok && row != prev_row && memcmp(px, prev_px, n) == 0;
+    if (equal) {
+        memcpy(cur, prev, COUNTS_BYTES);
+    } else if (ok) {
+        memset(cur, 0, COUNTS_BYTES);
+        add_histogram(px, n, cur);
+        moments(cur, &sb, &sbb);
+        moments(prev, &sa, &saa);
+        r = correlation(n, sa, sb, saa, sbb, dot_u8(prev_px, px, n));
+        h = row_entropy(cur);
+    }
     Py_END_ALLOW_THREADS
     if (!ok)
         PyErr_Format(PyExc_ValueError, "frame_step: row %zd is not the histogram of %zd pixels",
                      prev_row, n);
-    else if (faulted)
-        set_bus_error("frame_step");
-    else if (job.equal)
+    else if (equal)
         result = Py_BuildValue("(dO)", 1.0, Py_None);
     else
-        result = Py_BuildValue("(dd)", job.r, job.h);
+        result = Py_BuildValue("(dd)", r, h);
 done:
     release_buffers(v, 5);
     return result;
 }
 
-/* The loops of one segment_entropies call. */
-struct segments {
-    const uint8_t *px;
-    int64_t w, h;
-    double *out;
-};
-
-static void segment_loops(void *job)
-{
-    struct segments *s = job;
-
-    segment_entropies(s->px, s->w, s->h, s->out);
-}
-
 /* segment_entropies(pixels, width, out): the 64 segment entropies of the
  * frame of width-pixel rows into the 64 doubles of out.  A width that is not
  * positive, pixels that are not whole rows, or 2^32 pixels or more, which a
- * uint32 cell might not count, raise, writing nothing.  The loops run
- * guarded: a SIGBUS in them raises BusError and leaves out undefined. */
+ * uint32 cell might not count, raise, writing nothing. */
 static PyObject *py_segment_entropies(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     static const struct arg spec[3] = {
         {.kind = 'B'}, {.kind = 'n'}, {.kind = 'd', .out = 1, .len = SEGMENT_ROW_BYTES}};
     Py_buffer v[3];
     Py_ssize_t s[3], w;
-    struct segments job;
     PyObject *result = NULL;
-    int faulted;
 
     (void)self;
     if (parse_args("segment_entropies", spec, 3, args, nargs, v, s) < 0)
@@ -621,14 +521,10 @@ static PyObject *py_segment_entropies(PyObject *self, PyObject *const *args, Py_
                      "width %zd, fewer than 2**32 in all", v[0].len, w);
         goto done;
     }
-    job = (struct segments){.px = v[0].buf, .w = w, .h = v[0].len / w, .out = v[2].buf};
     Py_BEGIN_ALLOW_THREADS
-    faulted = guarded(segment_loops, &job);
+    segment_entropies(v[0].buf, w, v[0].len / w, v[2].buf);
     Py_END_ALLOW_THREADS
-    if (faulted)
-        set_bus_error("segment_entropies");
-    else
-        result = Py_NewRef(Py_None);
+    result = Py_NewRef(Py_None);
 done:
     release_buffers(v, 3);
     return result;
@@ -675,32 +571,12 @@ static struct PyModuleDef kernel_module = {
     kernel_methods, NULL, NULL, NULL, NULL
 };
 
-/* Fills the log2 table; the first init in a process also makes BusError and
- * installs on_sigbus, so that a second, of another interpreter, cannot chain
- * the handler to itself. */
+/* Fills the log2 table. */
 PyMODINIT_FUNC PyInit__kernels(void)
 {
-    struct sigaction action;
-    PyObject *module;
     int c;
 
     for (c = 1; c < LOG2_TABLE; c++)
         log2_parts((double)c, &table_e[c], &table_f[c]);
-    if (BusError == NULL) {
-        memset(&action, 0, sizeof(action));
-        action.sa_sigaction = on_sigbus;
-        action.sa_flags = SA_SIGINFO | SA_NODEFER;
-        sigemptyset(&action.sa_mask);
-        BusError = PyErr_NewException("entropykf._kernels.BusError", PyExc_OSError, NULL);
-        if (BusError == NULL)
-            return NULL;
-        if (sigaction(SIGBUS, &action, &chained) != 0) {
-            Py_CLEAR(BusError);
-            return PyErr_SetFromErrno(PyExc_OSError);
-        }
-    }
-    module = PyModule_Create(&kernel_module);
-    if (module != NULL && PyModule_AddObjectRef(module, "BusError", BusError) < 0)
-        Py_CLEAR(module);
-    return module;
+    return PyModule_Create(&kernel_module);
 }

@@ -14,19 +14,16 @@ one whitespace byte then precedes the raster, and the raster ends the file.
 A Y4M header starts with the word ``YUV4MPEG2`` and names an 8-bit
 colorspace (``_CHROMA``); each frame opens with a line that is ``FRAME``
 alone or ``FRAME``, a space and parameters, so an empty line where a frame
-belongs is an error, not the end of the input.  A raw regular file is
-mapped, not read: ``frames()`` maps it read-only in windows of whole frames,
-512 KiB or one frame if a frame is larger, each at an offset aligned to
-``mmap.ALLOCATIONGRANULARITY``, and a frame's pixels are a slice of its
-window (``pixels.obj`` is the ``mmap``).  A window is unmapped when its last
-frame dies, so a pass that holds two frames holds at most two windows.  At
-the end of the size it knew, the pass looks at the file's size again: frames
-appended since are read, a trailing partial frame is the truncation error a
-read would give, and a file that shrank below the frames already given is an
-``IngestError``.  Where a shrunken file leaves a mapped frame unbacked, the
-kernels that read it raise ``kernels.BusError``, which ``pipeline.analyse``
-turns into an ``IngestError``.  Any other raw or Y4M input, a pipe say, is
-read through a buffer, so each plane is one ``read``: a buffered ``read(n)``
+belongs is an error, not the end of the input.  A raw regular file is read
+in windows of whole frames, 512 KiB or one frame if a frame is larger, each
+window one unbuffered read, and a frame's pixels are a slice of its
+window's ``bytes``, so a pass that holds two frames holds at most two
+windows.  A read shorter than its window is the end of the file as it
+stands: frames appended since are read by the next, a trailing partial frame
+is the truncation error, and a file that an ``fstat`` then finds shorter
+than the frames already given is an ``IngestError``.  Any other raw or Y4M
+input, a pipe say, is read through a buffer, a plane to a ``read``, so the
+spool compares planes as ``bytes``: a buffered ``read(n)``
 returns fewer than n bytes only at end of input.  Y4M chroma is
 read into one ``bytearray`` per stream and dropped.  A PGM directory is
 listed once, with one ``os.scandir``, and ``read_frame`` re-reads the i-th
@@ -57,7 +54,6 @@ from __future__ import annotations
 import enum
 import errno
 import itertools
-import mmap
 import os
 import re
 import stat
@@ -333,55 +329,35 @@ def _raw_truncated(index: int, got: int, width: int, height: int) -> IngestError
                        f"(stream length is not a multiple of {width}x{height})")
 
 
-def _iter_raw(stream: BinaryIO, width: int, height: int) -> Iterator[tuple[int, Frame]]:
-    """(byte offset, frame) for each frame of a raw stream."""
-    frame_size, shape = width * height, (height, width)
-    for index in itertools.count():
-        data = stream.read(frame_size)
-        if not data:
-            return
-        if len(data) != frame_size:
-            raise _raw_truncated(index, len(data), width, height)
-        yield index * frame_size, _plane_frame(index, data, shape)
-
-
-# bytes of whole frames a raw file maps at a time, or one frame if larger
+# bytes of whole frames a raw file is read in at a time, or one frame if larger
 _WINDOW = 512 * 1024
 
 
-def _iter_mapped(fd: int, name: str, width: int, height: int) -> Iterator[tuple[int, Frame]]:
-    """(byte offset, frame) for each frame of a raw regular file, read in place:
-    its pixels are a slice of a read-only map of a window of whole frames,
-    which is unmapped when its last frame dies.  At the end of the size known,
-    an ``fstat`` looks again, for frames appended since and for a file that
-    shrank below the frames already given: a cut inside the map's last page
-    faults nowhere, as the rest of that page reads as zeros."""
+def _iter_raw(stream: BinaryIO, width: int, height: int, per_read: int = 1,
+              name: str | None = None) -> Iterator[tuple[int, Frame]]:
+    """(byte offset, frame) for each frame of a raw stream, read per_read
+    frames at a time; each frame's pixels are a slice of its read's bytes.  A
+    read shorter than asked is the end of the input as it stands, and the next
+    read finds what was appended since.  Where name is given, stream is that
+    file read unbuffered, and an ``fstat`` at a short read tells a file that
+    shrank below the frames already given from a trailing partial frame."""
     frame_size, shape = width * height, (height, width)
-    per_window = max(1, _WINDOW // frame_size)
-    offset = size = 0
+    offset = 0
     while True:
-        if size - offset < frame_size:
-            size = os.fstat(fd).st_size
-            if size < offset:
-                raise IngestError(f"{name} shrank to {size} bytes while it was mapped: frame "
-                                  f"{size // frame_size} and those after it are gone")
-            if size - offset < frame_size:
-                if size > offset:
-                    raise _raw_truncated(offset // frame_size, size - offset, width, height)
-                return
-        count = min(per_window, (size - offset) // frame_size)
-        start = offset - offset % mmap.ALLOCATIONGRANULARITY
-        try:
-            window = memoryview(mmap.mmap(fd, offset - start + count * frame_size,
-                                          access=mmap.ACCESS_READ, offset=start))
-        except ValueError:  # the file shrank since the fstat
-            size = offset
-            continue
-        for at in range(offset - start, len(window), frame_size):
-            yield offset, _frame(offset // frame_size,
-                                 window[at:at + frame_size].cast("B", shape))
+        data = stream.read(per_read * frame_size)
+        if name is not None and len(data) < per_read * frame_size:
+            st = os.fstat(stream.fileno())
+            if stat.S_ISREG(st.st_mode) and st.st_size < offset:
+                raise IngestError(f"{name} shrank to {st.st_size} bytes while it was read: frame "
+                                  f"{st.st_size // frame_size} and those after it are gone")
+        window = memoryview(data)
+        for at in range(0, len(data) - frame_size + 1, frame_size):
+            yield offset, _frame(offset // frame_size, window[at:at + frame_size].cast("B", shape))
             offset += frame_size
-        del window  # it lives on only in its frames
+        if len(data) % frame_size:
+            raise _raw_truncated(offset // frame_size, len(data) % frame_size, width, height)
+        if not data:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +461,14 @@ class _StreamSource:
         # they stream, each run of equal planes once
         self._spool = (tempfile.TemporaryFile(prefix="entropykf_spool_")
                        if spec.path == "-" or not self._input.seekable() else None)
-        self._mapped = (spec.kind is SourceKind.RAW and self._spool is None
-                        and stat.S_ISREG(os.fstat(self._input.fileno()).st_mode))
         self._offsets = array("q")  # 8 bytes per frame
         self._shape: tuple[int, int] | None = None
 
     def frames(self) -> Iterator[Frame]:
         spec = self._spec
-        if self._mapped:
-            parsed = _iter_mapped(self._input.fileno(), spec.path, spec.width, spec.height)
+        if spec.kind is SourceKind.RAW and self._spool is None:  # a file: windows, unbuffered
+            per_read = max(1, _WINDOW // (spec.width * spec.height))
+            parsed = _iter_raw(self._input.raw, spec.width, spec.height, per_read, spec.path)
         elif spec.kind is SourceKind.RAW:
             parsed = _iter_raw(self._input, spec.width, spec.height)
         else:
@@ -502,7 +477,7 @@ class _StreamSource:
         for offset, frame in parsed:
             self._shape = frame.pixels.shape
             if self._spool is not None:
-                plane = frame.pixels.obj  # the parser's bytes (_plane_frame)
+                plane = frame.pixels.obj  # the bytes of one read, a plane to a read
                 if plane == previous:  # one memcmp; a repeat takes the earlier offset
                     offset = self._offsets[-1]
                 else:

@@ -32,14 +32,6 @@ three: ``segment_entropies`` and ``sd_rows`` run inside its spans of
 ``segmented_entropies`` and ``dedup_detailed``, and ``frame_step`` inside
 ``pipeline.run_pipeline``'s own time.
 
-Pixels may be a window of a mapped file (``ingest``), and a file that shrinks
-leaves part of its map unbacked, where a read raises SIGBUS.  ``frame_step``
-and ``segment_entropies`` run their loops under a SIGBUS guard that the
-module installs at import: a fault in them raises ``BusError``, an
-``OSError``, rather than ending the process, and ``pipeline.analyse`` turns
-it into an ``IngestError``.  A SIGBUS anywhere else goes to the action
-installed before, by default the end of the process.
-
 The first import compiles ``_kernels.c`` with ``cc -O3 -ffp-contract=off
 -shared -fPIC`` and the interpreter's include directory into the
 ``__pycache__`` directory beside it, under a name keyed by a CRC of the
@@ -119,7 +111,6 @@ _C = _load()
 frame_step = _C.frame_step
 segment_entropies = _C.segment_entropies
 sd_rows = _C.sd_rows
-BusError = _C.BusError
 
 
 def frame_view(pixels) -> memoryview:

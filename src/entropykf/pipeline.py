@@ -35,7 +35,7 @@ from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, GroundTruth,
 from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, DedupScan, KeyFrame,
                          bin_indexed_keys, dedup_detailed, fallback_pick, select_keyframes)
 from .entropy import modified_entropies, segmented_entropies
-from .ingest import Frame, IngestError, SourceKind, SourceSpec, write_pgm
+from .ingest import Frame, SourceKind, SourceSpec, write_pgm
 from .ingest import open_source as _open_access  # perfbench wraps this binding
 from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, check_same_size,
                     detect_cuts, merge_short_shots)
@@ -337,7 +337,7 @@ def check_report(value, node: dict, defs: dict, write=lambda text: None) -> None
         raise ReportError(f"${''.join(reversed(failure.steps))}: {failure.detail}") from None
 
 
-def analyse(frames: Iterable[Frame], name: str = "the input") -> tuple[array, array]:
+def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
     """One pass over the frames: each frame's entropy, and as ``correlations[i]``
     the correlation of frame i + 1 against frame i.
 
@@ -348,33 +348,27 @@ def analyse(frames: Iterable[Frame], name: str = "the input") -> tuple[array, ar
     byte to the one before, whose entropy is then the one already held; the
     first frame is stepped against itself and that 1.0 dropped.  The frame
     before stays held as a ``Frame``, so two frames are resident at a time.
-    Frames of two sizes raise ``ValueError`` naming both.  A frame whose
-    mapped bytes a shrunken file no longer backs (``kernels.BusError``)
-    raises ``IngestError`` naming it and ``name``.
+    Frames of two sizes raise ``ValueError`` naming both.
     """
     step = kernels.frame_step
     entropies, correlations = array("d"), array("d")
     block = kernels.counts_block(2)
     frames = iter(frames)
-    frame = prev = next(frames, None)
+    prev = next(frames, None)
     if prev is None:
         raise ValueError("cannot analyse an empty frame stream")
     prev_pixels, row = prev.pixels, 0
-    try:
-        en = step(prev_pixels, prev_pixels, block, row, row)[1]
+    en = step(prev_pixels, prev_pixels, block, row, row)[1]
+    entropies.append(en)
+    for frame in frames:
+        check_same_size(prev, frame)  # the C side sees only byte lengths
+        pixels = frame.pixels
+        row ^= 1
+        r, h = step(pixels, prev_pixels, block, row, row ^ 1)
+        en = en if h is None else h  # None: the frame equals the one before
+        correlations.append(r)
         entropies.append(en)
-        for frame in frames:
-            check_same_size(prev, frame)  # the C side sees only byte lengths
-            pixels = frame.pixels
-            row ^= 1
-            r, h = step(pixels, prev_pixels, block, row, row ^ 1)
-            en = en if h is None else h  # None: the frame equals the one before
-            correlations.append(r)
-            entropies.append(en)
-            prev, prev_pixels = frame, pixels
-    except kernels.BusError:
-        raise IngestError(f"{name}: frame {frame.index} could not be read: the file "
-                          f"shrank while it was mapped") from None
+        prev, prev_pixels = frame, pixels
     return entropies, correlations
 
 
@@ -474,8 +468,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     tracker = _FrameWatermark()
     source = _open_access(config.source)
     try:
-        entropies, correlations = analyse(map(tracker.register, source.frames()),
-                                          config.source.path)
+        entropies, correlations = analyse(map(tracker.register, source.frames()))
         raw_shots = detect_cuts(correlations, config.cut_threshold)
         shots = merge_short_shots(raw_shots, config.min_shot_len)
         keys, scan = modified_entropies(entropies), DedupScan()

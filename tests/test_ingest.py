@@ -1,23 +1,24 @@
 import contextlib
 import io
-import mmap
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import threading
-import weakref
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import entropykf
 from conftest import make_y4m, pgm_second_frame, rand_pixels
 from entropykf import cli
 from entropykf.ingest import (MAX_DIMENSION, MIN_DIMENSION, Frame, IngestError,
-                              SourceKind, SourceSpec, _iter_raw, _iter_y4m, _parse_pgm,
-                              list_pgm_dir, open_source, read_pgm, write_pgm)
+                              SourceKind, SourceSpec, _WINDOW, _iter_raw, _iter_y4m,
+                              _parse_pgm, list_pgm_dir, open_source, read_pgm, write_pgm)
 from entropykf.pipeline import PipelineConfig, run_pipeline
 
 
@@ -754,8 +755,8 @@ class TestRandomAccess:
                 assert frame.pixels.shape == built.pixels.shape == (8, 16)
                 assert type(frame.pixels) is type(built.pixels) is memoryview
                 assert frame.pixels.format == built.pixels.format == "B"
-                if kind == "raw-file" and position < len(planes):  # read in place
-                    assert type(frame.pixels.obj) is mmap.mmap
+                if kind == "raw-file" and position < len(planes):  # a slice of its window
+                    assert type(frame.pixels.obj) is bytes
                 elif kind != "pgm-dir":  # the plane's bytes, which the stdin spool compares
                     assert type(frame.pixels.obj) is bytes
                     assert frame.pixels.obj == planes[frame.index].tobytes()
@@ -765,7 +766,8 @@ class TestRandomAccess:
     @pytest.mark.parametrize("kind", ["raw-file", "raw-fifo", "y4m-file"])
     def test_every_input_file_is_read_buffered(self, kind, planes, tmp_path, monkeypatch):
         # a plane is one buffered read, whole unless the input ends; a raw
-        # file is mapped, so its buffer goes unused, and stdin keeps its own
+        # file is read in windows through the file beneath the buffer, and
+        # stdin keeps its own
         source = open_source(self._spec(kind, planes, tmp_path, monkeypatch))
         try:
             assert type(source._input) is io.BufferedReader
@@ -833,9 +835,10 @@ def _raw_file(path: Path, planes) -> SourceSpec:
     return SourceSpec(kind=SourceKind.RAW, path=str(path), width=width, height=height)
 
 
-class TestMappedRawFile:
-    """A raw regular file is read in place: each frame a slice of a read-only
-    map of a window of whole frames, at most two windows alive in a pass."""
+class TestRawFileWindows:
+    """A raw regular file is read a window of whole frames at a time, each
+    window one unbuffered read and each frame a slice of its window's bytes,
+    at most two windows alive in a pass."""
 
     def test_a_pass_holds_at_most_two_windows(self, tmp_path):
         # 5,000 frames of 1 KiB, 512 to a window: a pass that holds the frame
@@ -843,26 +846,27 @@ class TestMappedRawFile:
         rng = np.random.default_rng(71)
         planes = [rand_pixels(rng, 32, 32, 4) for _ in range(50)] * 100
         source = open_source(_raw_file(tmp_path / "video.raw", planes))
-        live, peak, windows, prev = weakref.WeakSet(), 0, 0, None
+        windows, prev = 0, None
+        tracemalloc.start()
         try:
             for frame in source.frames():
                 window = frame.pixels.obj
-                assert type(window) is mmap.mmap
+                assert type(window) is bytes and len(window) <= _WINDOW
                 windows += prev is None or window is not prev.pixels.obj
-                live.add(window)
-                peak = max(peak, len(live))
                 prev, window = frame, None  # the frame before is held as the pass holds it
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
+            tracemalloc.stop()
             source.close()
         assert windows == 10
-        assert peak == 2
+        assert 2 * _WINDOW <= peak < 3 * _WINDOW
 
     @pytest.mark.parametrize("width, height, count", [(40, 24, 600), (1024, 1024, 3)],
                              ids=["unaligned-windows", "frames-larger-than-a-window"])
     def test_frames_are_the_file_bytes(self, width, height, count, tmp_path):
-        # 960-byte frames put the second window's first frame off the page
-        # grid, so its map starts on the page below; a 1 MiB frame is a
-        # window of its own
+        # 546 frames of 960 bytes fill a window, so the second window starts
+        # off the page grid and the last is short; a 1 MiB frame is a window
+        # of its own
         rng = np.random.default_rng(73)
         planes = [rand_pixels(rng, width, height) for _ in range(count)]
         source = open_source(_raw_file(tmp_path / "video.raw", planes))
@@ -903,13 +907,11 @@ class TestMappedRawFile:
 
     @pytest.mark.parametrize("side, count, size, lost", [(8, 100, 4196, 65),
                                                          (64, 300, 50 * 4096, 50)],
-                             ids=["inside-the-last-page", "before-the-next-window"])
-    def test_a_file_that_shrinks_under_its_map_is_an_ingest_error(self, side, count, size,
-                                                                  lost, tmp_path):
-        # no byte is read here.  Cut inside the map's last page, past frame
-        # 65's start, the frames after it would read as zeros, not fault, so
-        # the end of the pass looks at the file's size again; cut before the
-        # second window of 4 KiB frames, that window cannot be mapped
+                             ids=["one-short-window", "first-of-three-windows"])
+    def test_a_file_that_shrinks_during_the_pass_is_an_ingest_error(self, side, count, size,
+                                                                    lost, tmp_path):
+        # the cut lands inside the window already read, whose frames are
+        # still given; the next read finds the file shorter than they are
         path = tmp_path / "video.raw"
         source = open_source(_raw_file(path, [np.full((side, side), 9, dtype=np.uint8)] * count))
         try:
@@ -917,10 +919,29 @@ class TestMappedRawFile:
             next(frames)
             os.truncate(path, size)
             with pytest.raises(IngestError, match=f"^{re.escape(str(path))} shrank to {size} "
-                                                  f"bytes while it was mapped: frame {lost} and "):
+                                                  f"bytes while it was read: frame {lost} and "):
                 list(frames)
         finally:
             source.close()
+
+    def test_a_frame_stays_readable_after_its_file_is_cut(self, tmp_path):
+        # in a child process under faulthandler: a frame over memory that the
+        # cut took away would end the process with a fatal error
+        script = ("import os, sys\n"
+                  "from entropykf.ingest import SourceSpec, open_source\n"
+                  "spec = SourceSpec(kind='raw', path='video.raw', width=64, height=64)\n"
+                  "frames = open_source(spec).frames()\n"
+                  "frame = [next(frames) for _ in range(51)][-1]\n"
+                  "os.truncate('video.raw', 0)\n"
+                  "print(frame.pixels.tobytes() == bytes([50]) * 4096)\n")
+        (tmp_path / "video.raw").write_bytes(b"".join(bytes([i]) * 4096 for i in range(100)))
+        src = str(Path(entropykf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-X", "faulthandler", "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert "Fatal Python error" not in done.stderr
+        assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr
 
 
 class TestFrameContract:

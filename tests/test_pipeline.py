@@ -1103,17 +1103,16 @@ except IngestError as exc:
 
 
 class TestTruncatedRawFile:
-    """A raw file cut short during the pass, under the map that reads it in
-    place, ends in IngestError and exit 3, not in SIGBUS."""
+    """A raw file cut short during the pass ends in IngestError and exit 3."""
 
-    # 778 frames of 3,072 bytes.  Cut at frame 100's start, on a page
-    # boundary: reading frame 100 faults, inside frame_step's guard.  Cut
-    # inside the last page: frame 777 reads zeros past the end rather than
-    # fault, and the end of the pass finds the file shorter than the frames
-    CUTS = {"fault": (20, 100 * 3072, "video.raw: frame 100 could not be read: the file "
-                                      "shrank while it was mapped"),
-            "last-page": (700, 2_388_000, "video.raw shrank to 2388000 bytes while it was "
-                                          "mapped: frame 777 and those after it are gone")}
+    # 778 frames of 3,072 bytes, 170 to a window.  Cut to frame 100 while the
+    # first window, frames 0-169, is read: its frames are still given, and the
+    # read after it finds the file shorter than they are.  Cut inside frame
+    # 777 while the last window is read: the read after it finds the same
+    CUTS = {"inside-the-first-window": (20, 100 * 3072, "video.raw shrank to 307200 bytes "
+                                        "while it was read: frame 100 and those after it are gone"),
+            "inside-the-last-window": (700, 2_388_000, "video.raw shrank to 2388000 bytes while "
+                                       "it was read: frame 777 and those after it are gone")}
 
     @pytest.mark.parametrize("how", ["cli", "run_pipeline"])
     @pytest.mark.parametrize("cut", CUTS)
