@@ -372,15 +372,16 @@ _CHROMA = {"420": (2, 2, 2), "420jpeg": (2, 2, 2), "420paldv": (2, 2, 2),
            "420mpeg2": (2, 2, 2), "422": (2, 2, 1), "444": (2, 1, 1), "mono": (0, 1, 1)}
 
 
-def _read_line(stream: BinaryIO) -> bytes | None:
-    """The next line without its newline, possibly empty, or None at end of
-    input; bounded to catch garbage."""
+def _read_line(stream: BinaryIO, offset: int) -> bytes | None:
+    """The next line, which starts at byte ``offset``, without its newline,
+    possibly empty, or None at end of input; bounded to catch garbage."""
     line = stream.readline(_MAX_LINE + 1)
     if not line:
         return None
     line = line.removesuffix(b"\n")
     if len(line) >= _MAX_LINE:
-        raise IngestError(f"Y4M header line exceeds {_MAX_LINE} bytes; not a Y4M stream?")
+        raise IngestError(f"Y4M line at byte offset {offset} exceeds {_MAX_LINE} bytes; "
+                          "not a Y4M stream?")
     return line
 
 
@@ -393,7 +394,7 @@ def _y4m_dimension(param: bytes) -> int:
 
 def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
     """(Y-plane byte offset, frame) for each frame of a Y4M stream."""
-    header = _read_line(stream) or b""
+    header = _read_line(stream, 0) or b""
     signature, *params = header.split(b" ")
     if signature != b"YUV4MPEG2":
         raise IngestError("missing YUV4MPEG2 signature at byte offset 0")
@@ -419,7 +420,7 @@ def _iter_y4m(stream: BinaryIO) -> Iterator[tuple[int, Frame]]:
     chroma = bytearray(skip)  # each frame's chroma is read into it and dropped
     offset = len(header) + 1
     for index in itertools.count():
-        marker = _read_line(stream)
+        marker = _read_line(stream, offset)
         if marker is None:
             return
         if marker.partition(b" ")[0] != b"FRAME":  # FRAME, then parameters after a space

@@ -41,7 +41,7 @@ from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, check_sam
                     detect_cuts, merge_short_shots)
 
 _KEYFRAME_NAME = re.compile(r"keyframe_\d{6,}\.pgm$")
-# the values each annotated field type admits; a bool only where the type is bool
+# the values each annotated field type admits, a number only of exactly these types
 _FIELD_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "SourceSpec": (SourceSpec,),
                 "Path": (str, os.PathLike), "Path | None": (str, os.PathLike, type(None))}
 
@@ -68,7 +68,8 @@ class PipelineConfig:
     def validate(self) -> None:
         for field in fields(self):  # types first: a wrong type can pass a comparison
             value, kinds = getattr(self, field.name), _FIELD_KINDS[field.type]
-            if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
+            if not isinstance(value, kinds) or \
+                    isinstance(value, (int, float)) and type(value) not in kinds:
                 raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
             if field.name in ("min_shot_len", "min_bin_size") and value < 0:
                 raise ConfigError(f"{field.name} must be non-negative, got {value}")
@@ -207,7 +208,8 @@ def _compile(nodes: list, defs: dict):
     """The walk of a value that every schema of ``nodes`` describes: a function
     ``emit(value, write, prefix, newline)`` that checks the value, raising
     _Failure, and writes ``prefix`` and then the value as ``json.dumps(indent=2)``
-    writes it at the indent ``newline`` ends in; ``emit.check`` checks a scalar
+    writes it at the indent ``newline`` ends in, or raises json's TypeError at a
+    value that is no list, dict or exact scalar; ``emit.check`` checks a scalar
     alone, or is None.  The value's own keywords are tested first; the schemas
     of its items and properties are compiled when a value first reaches them,
     so a ``$ref`` that recurses through ``items`` ends with the value."""
@@ -246,7 +248,7 @@ def _compile(nodes: list, defs: dict):
             separator = prefix + "{" + inner
             try:
                 for name, element in value.items():
-                    key, member = keyed.get(name) or (_json_key(name) + ": ", _any)
+                    key, member = keyed.get(name) or (encode_basestring_ascii(name) + ": ", _any)
                     text = _SCALAR_TEXT.get(type(element))
                     if text is None:  # a container, or no exact scalar type
                         member(element, write, separator + key, inner)
@@ -259,31 +261,32 @@ def _compile(nodes: list, defs: dict):
                 failure.steps.append(f".{name}")
                 raise
             write(newline + "}")
-        elif isinstance(value, (list, tuple)):
+        elif isinstance(value, list):
             if not value:
                 write(prefix + "[]")
                 return
             if item is None:
                 item = _compile(items, defs) if items else _any
-            member = item if isinstance(value, list) else _any  # items apply to a list
             try:
                 if set(map(type, value)) <= _SCALAR_TEXT.keys():  # json's C encoder
-                    if member.check is not None:
+                    if item.check is not None:
                         for index, element in enumerate(value):
-                            member.check(element)
+                            item.check(element)
                     write(f"{prefix}[{inner}{json.dumps(value, separators=(',' + inner, ''))[1:-1]}"
                           f"{newline}]")
                     return
                 separator = prefix + "[" + inner
                 for index, element in enumerate(value):
-                    member(element, write, separator, inner)
+                    item(element, write, separator, inner)
                     separator = "," + inner
             except _Failure as failure:
                 failure.steps.append(f"[{index}]")
                 raise
             write(newline + "]")
+        elif type(value) in _SCALAR_TEXT:
+            write(prefix + _SCALAR_TEXT[type(value)](value))
         else:
-            write(prefix + _json_scalar(value))
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     emit.check = check if tests else None
     return emit
 
@@ -298,26 +301,6 @@ _SCALAR_TEXT = {int: int.__repr__, float: _float_text, str: encode_basestring_as
                 bool: lambda value: "true" if value else "false", type(None): lambda value: "null"}
 
 
-def _json_scalar(value) -> str:
-    """A str, number, bool or None, or an instance of a subclass, as
-    ``json.dumps`` writes it; json's TypeError for any other value."""
-    text = _SCALAR_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    for cls in (str, int, float):  # json's order
-        if isinstance(value, cls):
-            return _SCALAR_TEXT[cls](value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if not isinstance(key, (int, float)) and key is not None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return f'"{_json_scalar(key)}"'
-
-
 _any = _compile([], {})  # the walk of a value no schema describes: json.dumps alone
 
 
@@ -327,10 +310,10 @@ def check_report(value, node: dict, defs: dict, write=lambda text: None) -> None
     report_schema.json uses; a ``$ref`` names an entry of ``defs``.  Any other
     keyword, and an ``additionalProperties`` other than false, fails every
     value that reaches it, so a schema edit cannot silently weaken the check.
-    NaN fails every bound.  The walk writes the value's ``json.dumps(indent=2)``
-    text to ``write`` as it goes.  That the schema has the forms it reads (dict
-    subschemas, lone local ``$ref``s, no cycle that skips ``items`` and
-    ``properties``) is a test's to hold."""
+    NaN fails every bound.  The walk writes a value of lists, str-keyed dicts
+    and exact scalars to ``write`` as ``json.dumps(indent=2)`` does, as it goes.
+    That the schema has the forms it reads (dict subschemas, lone local
+    ``$ref``s, no cycle that skips ``items`` and ``properties``) is a test's to hold."""
     try:
         _compile([node], defs)(value, write, "", "\n")
     except _Failure as failure:
@@ -427,6 +410,7 @@ def write_report(config: PipelineConfig, out_dir: Path, results: dict,
     report["config"] = {**asdict(config), "output_dir": os.fspath(config.output_dir),
                         "ground_truth": config.ground_truth and os.fspath(config.ground_truth)}
     del report["config"]["seed_report"]
+    report["config"]["source"]["kind"] = config.source.kind.value  # the walk writes no enum
     report.update(results)
     schema = load_report_schema()
     partial = out_dir / ".report.json.tmp"

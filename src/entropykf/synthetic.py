@@ -89,6 +89,8 @@ def plan_layout(scenes: int, frames_per_scene: int, width: int, height: int,
         raise ValueError("frames_per_scene must be positive")
     if fade_frames < 0:
         raise ValueError("fade_frames must be non-negative")
+    if seed < 0:  # named here, before numpy's RNG refuses it in its own words
+        raise ValueError(f"seed must be non-negative, got {seed}")
     classes = list(range(scenes)) + ([0] if repeat_first else [])
     n, f = frames_per_scene, fade_frames
     segments = tuple((cls, i * (n + f), i * (n + f) + n) for i, cls in enumerate(classes))

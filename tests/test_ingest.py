@@ -540,7 +540,9 @@ class TestY4mSource:
             marker += b" X" + b"x" * (length - len(marker) - 2)
         stream = io.BytesIO(header + b"\n" + marker + b"\n" + bytes(range(64)))
         if length == 1024:
-            with pytest.raises(IngestError, match="exceeds 1024 bytes"):
+            where = 0 if line == "header" else len(header) + 1
+            message = f"Y4M line at byte offset {where} exceeds 1024 bytes; not a Y4M stream?"
+            with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
                 list(_iter_y4m(stream))
             return
         [(offset, frame)] = list(_iter_y4m(stream))
@@ -549,7 +551,8 @@ class TestY4mSource:
 
     _BAD_DIMENSIONS = {b"Wabc H16": "not a dimension", b"W-16 H16": "not a dimension",
                        b"W100000000 H100000000": "frame size 100000000x100000000 is outside",
-                       b"W4 H4": "frame size 4x4 is outside 8x8"}
+                       b"W4 H4": "frame size 4x4 is outside 8x8",
+                       b"H16": "lacks W/H dimensions", b"W16": "lacks W/H dimensions"}
 
     @pytest.mark.parametrize("dims", list(_BAD_DIMENSIONS))
     def test_bad_header_dimensions(self, dims):
@@ -713,6 +716,20 @@ class TestRandomAccess:
             with pytest.raises(IngestError, match="frame 7 is outside the 7 frames "):
                 source.read_frame(7)
             assert source.read_frame(6).pixels.tobytes() == planes[6].tobytes()
+        finally:
+            source.close()
+
+    @pytest.mark.parametrize("kind", ["raw-file", "y4m-file"])
+    def test_a_file_cut_after_the_pass_ends_before_its_frame(self, kind, planes, tmp_path,
+                                                             monkeypatch):
+        spec = self._spec(kind, planes, tmp_path, monkeypatch)
+        source = open_source(spec)
+        try:
+            assert len(list(source.frames())) == len(planes)
+            os.truncate(spec.path, Path(spec.path).read_bytes().index(planes[5].tobytes()) + 10)
+            with pytest.raises(IngestError, match=f"^{re.escape(spec.path)} ended before frame 5$"):
+                source.read_frame(5)
+            assert source.read_frame(4).pixels.tobytes() == planes[4].tobytes()
         finally:
             source.close()
 

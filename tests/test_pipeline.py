@@ -402,7 +402,7 @@ class TestRunPipeline:
         ("match_window", "5"), ("match_window", np.int64(5)), ("cut_threshold", True),
         ("cut_threshold", "0.9"), ("sd_threshold", None), ("fallback_keyframe", 1),
         ("width", 16.0), ("height", np.int64(16)), ("source", "frames"), ("output_dir", 5),
-        ("ground_truth", 7)])
+        ("ground_truth", 7), ("sd_threshold", np.float64(0.5))])
     def test_wrong_type_is_refused_before_any_output(self, field, value, tmp_path):
         textures = synthetic.make_textures(np.random.default_rng(7), 2, 16, 16)
         video = tmp_path / "video.raw"
@@ -800,18 +800,15 @@ class TestReportValidator:
         assert json.loads((tmp_path / "out" / "report.json").read_text())["evaluation"]
 
 
+# the forms a report holds: values of the exact scalar types, lists, and
+# dicts with str keys
 _JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(),
-    st.sampled_from([2 ** 64, -2 ** 100, 10 ** 300, *SourceKind]),
-    st.floats(), st.floats().map(np.float64),
-    st.sampled_from([-0.0, 5e-324, 1e16, 1e300, math.nan, math.inf, -math.inf]),
-    st.sampled_from([-0.0, 5e-324, 1e16, 1e300, math.nan, math.inf, -math.inf]).map(np.float64),
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2 ** 64, -2 ** 100, 10 ** 300]),
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1e300, math.nan, math.inf, -math.inf]),
     st.text(), st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aé\u2028\U0001f600')))
-_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
-                       st.sampled_from(list(SourceKind)))
 _JSON_VALUES = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
-    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
-    st.dictionaries(_JSON_KEYS, children, max_size=4)), max_leaves=24)
+    st.lists(children, max_size=4), st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=24)
 
 
 class TestReportWriter:
@@ -822,12 +819,21 @@ class TestReportWriter:
         pipeline.check_report(value, {}, {}, out.write)
         assert out.getvalue() == json.dumps(value, indent=2)
 
-    @pytest.mark.parametrize("value", [np.int64(1), Path("report.json"), [1, {"a": [np.int64(2)]}],
-                                       {"a": 1, (1, 2): 2}, {"a": {Path("x"): 1}}])
-    def test_writer_refuses_what_json_refuses(self, value):
-        with pytest.raises(TypeError) as refused:
-            json.dumps(value, indent=2)
-        with pytest.raises(TypeError, match=f"^{re.escape(str(refused.value))}$"):
+    @pytest.mark.parametrize("value, message", [
+        ((1, 2), "Object of type tuple is not JSON serializable"),
+        ({"a": [1, (2,)]}, "Object of type tuple is not JSON serializable"),
+        ({"a": 1, 2: 2}, "first argument must be a string, not int"),
+        ([{"a": {None: 1}}], "first argument must be a string, not NoneType"),
+        ([1.5, np.float64(2)], "Object of type float64 is not JSON serializable"),
+        ({"kind": SourceKind.RAW}, "Object of type SourceKind is not JSON serializable"),
+        ([1, {"a": [np.int64(2)]}], "Object of type int64 is not JSON serializable"),
+        (Path("report.json"), f"Object of type {type(Path()).__name__} is not JSON serializable")],
+        ids=["tuple", "tuple-in-a-list", "int-key", "none-key", "np-float64", "source-kind",
+             "np-int64", "path"])
+    def test_writer_refuses_what_a_report_does_not_hold(self, value, message):
+        # json.dumps writes a tuple, a non-str key and a scalar subclass; the
+        # walk writes only what a report holds and raises for the rest
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             pipeline.check_report(value, {}, {}, io.StringIO().write)
 
     def test_report_is_streamed_to_its_file(self, tmp_path):
@@ -1292,12 +1298,15 @@ class TestCli:
         assert b"Traceback" not in result.stderr
         assert not (tmp_path / "o" / "report.json").exists()
 
-    def test_bad_y4m_dimensions_exit_3(self, tmp_path):
+    @pytest.mark.parametrize("dims, message", [(b"Wabc H16", b"'Wabc' is not a dimension"),
+                                               (b"H16", b"lacks W/H dimensions"),
+                                               (b"W16", b"lacks W/H dimensions")])
+    def test_bad_y4m_dimensions_exit_3(self, dims, message, tmp_path):
         result = _cli("extract", "--input", "-", "--format", "y4m",
                       "--out", str(tmp_path / "o"),
-                      input=b"YUV4MPEG2 Wabc H16 C420\nFRAME\n" + bytes(64))
+                      input=b"YUV4MPEG2 " + dims + b" C420\nFRAME\n" + bytes(64))
         assert result.returncode == 3
-        assert b"ingest error" in result.stderr
+        assert b"ingest error" in result.stderr and message in result.stderr
         assert b"Traceback" not in result.stderr
 
     @pytest.mark.parametrize("case", ["empty-line-between-frames", "empty-line-at-end",
@@ -1384,8 +1393,8 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["gt-out is out", "gt-out is a directory",
                                       "gt-out in no directory", "out below a file"])
-    def test_generate_synthetic_unusable_output_paths_exit_2(self, case, tmp_path):
-        # each is refused before any frame is written, not by a traceback after
+    def test_generate_synthetic_unusable_output_paths_exit_2(self, case, tmp_path, capsys):
+        # each is refused before any frame is written, in one line
         d = tmp_path / "d"
         (d / "dir").mkdir(parents=True)
         (d / "file").write_bytes(b"")
@@ -1393,10 +1402,10 @@ class TestCli:
                    "gt-out is a directory": (d / "v", d / "dir"),
                    "gt-out in no directory": (d / "v", d / "nodir" / "gt.txt"),
                    "out below a file": (d / "file" / "v", d / "gt.txt")}[case]
-        result = _cli("generate-synthetic", "--scenes", "1", "--frames-per-scene", "8",
-                      "--size", "16x16", "--out", str(out), "--gt-out", str(gt))
-        assert result.returncode == 2, result.stderr
-        assert b"bad configuration" in result.stderr and b"Traceback" not in result.stderr
+        assert cli.main(["generate-synthetic", "--scenes", "1", "--frames-per-scene", "8",
+                         "--size", "16x16", "--out", str(out), "--gt-out", str(gt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("entropykf: bad configuration: ") and err.count("\n") == 1, err
         assert [p for p in d.rglob("*") if p.is_file()] == [d / "file"]
 
     @pytest.mark.parametrize("alias", ["same path", "symlink"])
@@ -1451,14 +1460,26 @@ class TestCli:
         assert b"Traceback" not in result.stderr
         assert not (tmp_path / "o" / "report.json").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--scenes", "0"), ("--frames-per-scene", "0"),
-                                            ("--fade-frames", "-1")])
-    def test_generate_synthetic_empty_layout_exits_2(self, flag, value, tmp_path):
-        result = _cli("generate-synthetic", "--size", "16x16", "--frames-per-scene", "2",
-                      flag, value, "--out", str(tmp_path / "v"))
-        assert result.returncode == 2
-        assert result.stderr.startswith(b"entropykf: bad configuration: ")
-        assert b"Traceback" not in result.stderr
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--scenes", "0", "need at least one scene"),
+        ("--frames-per-scene", "0", "frames_per_scene must be positive"),
+        ("--fade-frames", "-1", "fade_frames must be non-negative"),
+        ("--seed", "-1", "seed must be non-negative, got -1")],
+        ids=["--scenes-0", "--frames-per-scene-0", "--fade-frames--1", "--seed--1"])
+    def test_generate_synthetic_empty_layout_exits_2(self, flag, value, message, tmp_path,
+                                                      capsys):
+        assert cli.main(["generate-synthetic", "--size", "16x16", "--frames-per-scene", "2",
+                         flag, value, "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().err == f"entropykf: bad configuration: {message}\n"
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("size", ["8", "8x", "8x8x8"])
+    def test_generate_synthetic_size_not_w_by_h_exits_2(self, size, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["generate-synthetic", "--size", size, "--out", str(tmp_path / "v")])
+        assert exited.value.code == 2
+        assert f"argument --size: expected WxH, e.g. 320x240, got {size!r}\n" \
+            in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
     @pytest.mark.parametrize("size", ["16385x8", "8x16385"])
