@@ -22,6 +22,7 @@ import math
 import operator
 import os
 import re
+import tempfile
 import weakref
 from array import array
 from dataclasses import asdict, dataclass, fields
@@ -41,6 +42,8 @@ from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, check_sam
                     detect_cuts, merge_short_shots)
 
 _KEYFRAME_NAME = re.compile(r"keyframe_\d{6,}\.pgm$")
+_UMASK = os.umask(0o022)  # the process's umask: setting it is the one way to read it
+os.umask(_UMASK)
 # the values each annotated field type admits, a number only of exactly these types
 _FIELD_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "SourceSpec": (SourceSpec,),
                 "Path": (str, os.PathLike), "Path | None": (str, os.PathLike, type(None))}
@@ -185,56 +188,35 @@ def _fails(key: str, rule, node: dict):
     return refuse
 
 
-def _gather(node: dict, defs: dict, tests: list, items: list, properties: dict) -> None:
-    """Sort the keywords of ``node``, following ``allOf`` and ``$ref`` in place,
-    into the tests of the value, in order, and the schemas of its items and of
-    each of its properties."""
-    for key, rule in node.items():
-        if key == "allOf":
-            for sub in rule:
-                _gather(sub, defs, tests, items, properties)
-        elif key == "$ref":
-            _gather(defs[rule[8:]], defs, tests, items, properties)  # after "#/$defs/"
-        elif key == "items":
-            items.append(rule)
-        elif key == "properties":
-            for name, sub in rule.items():
-                properties.setdefault(name, []).append(sub)
-        elif key not in ("$defs", "$schema", "title"):
-            tests.append((key, rule, _fails(key, rule, node)))
-
-
-def _compile(nodes: list, defs: dict):
-    """The walk of a value that every schema of ``nodes`` describes: a function
-    ``emit(value, write, prefix, newline)`` that checks the value, raising
-    _Failure, and writes ``prefix`` and then the value as ``json.dumps(indent=2)``
-    writes it at the indent ``newline`` ends in, or raises json's TypeError at a
-    value that is no list, dict or exact scalar; ``emit.check`` checks a scalar
-    alone, or is None.  The value's own keywords are tested first; the schemas
-    of its items and properties are compiled when a value first reaches them,
-    so a ``$ref`` that recurses through ``items`` ends with the value."""
-    tests, items, properties = [], [], {}
-    for node in nodes:
-        _gather(node, defs, tests, items, properties)
+def _compile(node: dict, defs: dict):
+    """The walk of a value that the schema ``node``, or the definition its lone
+    ``$ref`` names, describes: a function ``emit(value, write, prefix, newline)``
+    that checks the value, raising _Failure, and writes ``prefix`` and then the
+    value as ``json.dumps(indent=2)`` writes it at the indent ``newline`` ends
+    in, or raises json's TypeError at a value that is no list, dict or exact
+    scalar; ``emit.check`` checks a scalar alone, or is None.  The value's own
+    keywords are tested before the walks, compiled here, of its items and properties."""
+    if node.keys() == {"$ref"}:
+        return _compile(defs[node["$ref"][8:]], defs)  # after "#/$defs/"
+    tests = [(key, rule, _fails(key, rule, node)) for key, rule in node.items()
+             if key not in ("items", "properties", "$defs", "$schema", "title")]
 
     def check(value):
         for key, rule, fails in tests:
             if fails(value):
                 raise _Failure(f"{value!r:.80} fails {key} {rule!r}")
-    if len(nodes) == 1 and "type" in nodes[0] and nodes[0].keys() <= {"type", "minimum", "maximum"}:
+    if "type" in node and node.keys() <= {"type", "minimum", "maximum"}:
         # one test passes a value of an exact type the type admits, in bounds
-        exact = _exact_types(nodes[0]["type"])
+        exact = _exact_types(node["type"])
         numbers, others = exact & {int, float}, exact - {int, float}
-        low, high = nodes[0].get("minimum", -math.inf), nodes[0].get("maximum", math.inf)
+        low, high = node.get("minimum", -math.inf), node.get("maximum", math.inf)
 
         def check(value, full=check):
             cls = type(value)
             if not (cls in others or cls in numbers and low <= value <= high):
                 full(value)
-    item = keyed = None
 
     def emit(value, write, prefix, newline):
-        nonlocal item, keyed
         if tests:
             check(value)
         inner = newline + "  "
@@ -242,9 +224,6 @@ def _compile(nodes: list, defs: dict):
             if not value:
                 write(prefix + "{}")
                 return
-            if keyed is None:
-                keyed = {name: (encode_basestring_ascii(name) + ": ", _compile(subs, defs))
-                         for name, subs in properties.items()}
             separator = prefix + "{" + inner
             try:
                 for name, element in value.items():
@@ -265,8 +244,6 @@ def _compile(nodes: list, defs: dict):
             if not value:
                 write(prefix + "[]")
                 return
-            if item is None:
-                item = _compile(items, defs) if items else _any
             try:
                 if set(map(type, value)) <= _SCALAR_TEXT.keys():  # json's C encoder
                     if item.check is not None:
@@ -287,6 +264,10 @@ def _compile(nodes: list, defs: dict):
             write(prefix + _SCALAR_TEXT[type(value)](value))
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    # items no schema describes take _any's walk, which is this one while _any is made
+    item = _compile(node["items"], defs) if "items" in node else _any if node else emit
+    keyed = {name: (encode_basestring_ascii(name) + ": ", _compile(sub, defs))
+             for name, sub in node.get("properties", {}).items()}
     emit.check = check if tests else None
     return emit
 
@@ -301,21 +282,21 @@ _SCALAR_TEXT = {int: int.__repr__, float: _float_text, str: encode_basestring_as
                 bool: lambda value: "true" if value else "false", type(None): lambda value: "null"}
 
 
-_any = _compile([], {})  # the walk of a value no schema describes: json.dumps alone
+_any = _compile({}, {})  # the walk of a value no schema describes: json.dumps alone
 
 
 def check_report(value, node: dict, defs: dict, write=lambda text: None) -> None:
     """Raise ReportError, with the value's JSON path first, unless ``value`` meets
-    the schema ``node`` by the Draft 2020-12 meaning of the 14 keywords
-    report_schema.json uses; a ``$ref`` names an entry of ``defs``.  Any other
-    keyword, and an ``additionalProperties`` other than false, fails every
-    value that reaches it, so a schema edit cannot silently weaken the check.
-    NaN fails every bound.  The walk writes a value of lists, str-keyed dicts
-    and exact scalars to ``write`` as ``json.dumps(indent=2)`` does, as it goes.
-    That the schema has the forms it reads (dict subschemas, lone local
-    ``$ref``s, no cycle that skips ``items`` and ``properties``) is a test's to hold."""
+    the schema ``node`` by the Draft 2020-12 meaning of the 13 keywords
+    report_schema.json uses, every object of which is closed; a lone ``$ref``
+    names an entry of ``defs``.  Any other keyword, a ``$ref`` beside another
+    and an ``additionalProperties`` other than false fail every value that
+    reaches them, so a schema edit cannot silently weaken the check.  NaN fails
+    every bound.  The schema is compiled whole before the walk, which writes
+    the value to ``write`` as ``json.dumps(indent=2)`` does.  A test holds the
+    schema to the forms it reads: dict subschemas, local ``$ref``s, no cycle."""
     try:
-        _compile([node], defs)(value, write, "", "\n")
+        _compile(node, defs)(value, write, "", "\n")
     except _Failure as failure:
         raise ReportError(f"${''.join(reversed(failure.steps))}: {failure.detail}") from None
 
@@ -402,8 +383,8 @@ def write_keyframes(keyframes: list[dict], source, out_dir: Path) -> None:
 def write_report(config: PipelineConfig, out_dir: Path, results: dict,
                  before_rename=lambda: None) -> dict:
     """Prefix the run's results with the config and write report.json through
-    ``check_report`` into a temporary file; once the whole report has passed,
-    ``before_rename`` runs and the file is renamed into place."""
+    ``check_report`` into a temporary file of a fresh name; once the whole
+    report has passed, ``before_rename`` runs and the file is renamed into place."""
     report = {}
     if not config.seed_report:
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -413,17 +394,18 @@ def write_report(config: PipelineConfig, out_dir: Path, results: dict,
     report["config"]["source"]["kind"] = config.source.kind.value  # the walk writes no enum
     report.update(results)
     schema = load_report_schema()
-    partial = out_dir / ".report.json.tmp"
+    fd, partial = tempfile.mkstemp(dir=out_dir, prefix=".report.json.", suffix=".tmp")
     try:
-        with open(partial, "w") as out:
+        with open(fd, "w") as out:
+            os.fchmod(fd, 0o666 & ~_UMASK)  # open()'s mode, not mkstemp's 0o600
             # streamed: a string of the whole report would add about six times
             # its size to the peak memory of a run
             check_report(report, schema, schema["$defs"], out.write)
             out.write("\n")
         before_rename()
-        partial.replace(out_dir / "report.json")
+        os.replace(partial, out_dir / "report.json")
     finally:
-        partial.unlink(missing_ok=True)
+        Path(partial).unlink(missing_ok=True)
     return report
 
 
@@ -431,9 +413,7 @@ def _writable_dir(path: Path) -> Path:
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.touch()
-        probe.unlink()
+        tempfile.NamedTemporaryFile(dir=out_dir).close()  # a fresh name, deleted on close
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir} is not writable: {exc}") from exc
     return out_dir

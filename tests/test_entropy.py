@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -444,3 +445,7 @@ class TestDissimilarity:
         for stack in (view, as_float32, wide[:, :64].tolist()):
             want = np.std(b - np.asarray(stack, dtype=np.float64), axis=-1)
             assert dissimilarity(stack, b).tobytes() == want.tobytes()
+        # a pair of plain lists of 64 floats, converted value by value
+        a, b = wide[0, :64].tolist(), b.tolist()
+        got = dissimilarity(a, b)
+        assert type(got) is float and got.hex() == dissimilarity(array("d", a), array("d", b)).hex()

@@ -395,6 +395,26 @@ class TestRunPipeline:
         config.validate()  # validate states no window rule of its own
         assert seen == [-1]
 
+    @pytest.mark.parametrize("field", ["min_shot_len", "min_bin_size"])
+    def test_validate_refuses_a_negative_count(self, field, tmp_path):
+        spec = SourceSpec(kind="raw", path=str(tmp_path / "video.raw"), width=16, height=16)
+        config = PipelineConfig(source=spec, output_dir=tmp_path / "out", **{field: -1})
+        with pytest.raises(ConfigError, match=f"^{field} must be non-negative, got -1$"):
+            config.validate()
+
+    @pytest.mark.parametrize("alias", ["same path", "symlink"])
+    def test_validate_refuses_the_pgm_input_as_output(self, alias, tmp_path):
+        src = tmp_path / "frames"
+        src.mkdir()
+        out = src
+        if alias == "symlink":
+            out = tmp_path / "link"
+            out.symlink_to(src, target_is_directory=True)
+        message = (f"output directory {out} is the input directory, "
+                   "where key-frames and report.json would be read as frames")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            _config(src, out).validate()
+
     # a value of a wrong type can pass the range checks and fail only after the
     # pass has written key-frame images, or fail them with a TypeError
     @pytest.mark.parametrize("field, value", [
@@ -613,6 +633,34 @@ class TestReportValidator:
             run_pipeline(_config(root / "frames", out))
         assert _tree(out) == before
 
+    @pytest.mark.parametrize("outcome", ["written", "refused"])
+    def test_user_files_of_temporary_file_names_survive_a_run(self, outcome, small_video, tmp_path,
+                                                       monkeypatch):
+        # the writability probe and the partial report take fresh names, so
+        # files of the names they once had are a user's, left byte for byte
+        root, _ = small_video
+        out = tmp_path / "out"
+        out.mkdir()
+        planted = {".write_probe": b"a user's file\n", ".report.json.tmp": b"another\n"}
+        for name, data in planted.items():
+            (out / name).write_bytes(data)
+        if outcome == "refused":
+            schema = load_report_schema()
+            schema["properties"]["keyframes"]["maxItems"] = 0
+            monkeypatch.setattr(pipeline, "load_report_schema", lambda: schema)
+            with pytest.raises(ReportError, match=r"^\$\.keyframes: .* fails maxItems 0$"):
+                run_pipeline(_config(root / "frames", out))
+            assert _tree(out) == planted
+            return
+        report = run_pipeline(_config(root / "frames", out))
+        images = {kf["image"] for kf in report["keyframes"]}
+        tree = _tree(out)
+        assert images and tree.keys() == {*planted, *images, "report.json"}
+        assert {name: tree[name] for name in planted} == planted
+        # the report takes the mode open() gives, as the images do
+        assert {(out / name).stat().st_mode for name in {*images, "report.json"}} == \
+            {(out / min(images)).stat().st_mode}
+
     def test_runtime_check_rejects_what_the_schema_rejects(self, small_video, tmp_path):
         # one mutation per rule the shipped schema states, so a rule added later
         # is covered too; the runtime check must agree with the full validator
@@ -645,8 +693,9 @@ class TestReportValidator:
     def test_random_mutations_agree_with_a_plain_validator(self, tmp_path):
         # seeded single-leaf mutations of a report with an evaluation, a fallback
         # pick and an elimination: a value replaced, a key or item deleted, or a
-        # key added.  The check is stricter in one way, pinned here: it refuses
-        # NaN, which the plain validator's bounds let through.
+        # key added, which both refuse, since every object is closed.  The check
+        # is stricter in one way, pinned here: it refuses NaN, which the plain
+        # validator's bounds let through.
         report = _fallback_report(tmp_path)
         schema = load_report_schema()
         verdicts = {}
@@ -661,13 +710,15 @@ class TestReportValidator:
             else:
                 assert rejected == _full_check_rejects(mutated), (path, edit)
             verdicts[edit, rejected] = verdicts.get((edit, rejected), 0) + 1
-        assert all(verdicts.get((edit, rejected)) for edit in ("value", "delete", "add")
+        assert all(verdicts.get((edit, rejected)) for edit in ("value", "delete")
                    for rejected in (False, True)), verdicts
+        assert verdicts.get(("add", True)) and ("add", False) not in verdicts, verdicts
 
     def test_compiled_check_agrees_with_the_recursive_oracle(self, small_video, tmp_path):
         # in verdict and in message, on every per-rule mutation of a report
         # with an evaluation block and on the 600 random ones, and on a $ref
-        # that recurses through items
+        # to a definition; a $ref that recurses through items, which the oracle
+        # follows, the schema test refuses
         root, _ = small_video
         report = run_pipeline(_config(root / "frames", tmp_path / "run",
                                       ground_truth=root / "gt.txt"))
@@ -679,11 +730,12 @@ class TestReportValidator:
             cases.append((schema, mutated))
         cases += [(schema, mutated)
                   for *_, mutated in _random_mutations(_fallback_report(tmp_path))]
-        defs = {"leaf": {"type": "integer"}, "nest": {"items": {"$ref": "#/$defs/nest"}}}
-        for name in defs:
-            node = {"$defs": defs, "items": {"$ref": f"#/$defs/{name}"}}
-            assert _schema_refusals(node) == []
-            cases += [(node, [[[]], 1]), (node, [[[1], ["2"]]]), (node, ["1"])]
+        node = {"$defs": {"leaf": {"type": "integer"}}, "items": {"$ref": "#/$defs/leaf"}}
+        assert _schema_refusals(node) == []
+        cases += [(node, [[[]], 1]), (node, [[[1], ["2"]]]), (node, ["1"]), (node, [1, 2])]
+        nest = {"$defs": {"nest": {"items": {"$ref": "#/$defs/nest"}}},
+                "items": {"$ref": "#/$defs/nest"}}
+        assert _schema_refusals(nest) != []
         messages = set()
         for node, value in cases:
             verdicts = []
@@ -730,45 +782,83 @@ class TestReportValidator:
         report = run_pipeline(config)
         (tmp_path / "out" / "report.json").unlink()
         schema = load_report_schema()
-        schema["properties"]["keyframes"]["items"]["properties"]["segments"]["items"][
-            "multipleOf"] = 0.5
+        schema["$defs"]["keyframe"]["properties"]["segments"]["items"]["multipleOf"] = 0.5
         monkeypatch.setattr(pipeline, "load_report_schema", lambda: schema)
         with pytest.raises(ReportError, match=r"^\$\.keyframes\[0\]\.segments\[0\]: .*multipleOf"):
             write_report(config, tmp_path / "out", report)
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_lone_refs_to_definitions_are_followed(self):
+        defs = {"leaf": {"type": "integer"}, "to_leaf": {"$ref": "#/$defs/leaf"}}
+        node = {"$defs": defs, "properties": {"x": {"$ref": "#/$defs/leaf"},
+                                              "y": {"items": {"$ref": "#/$defs/to_leaf"}}}}
+        assert _schema_refusals(node) == []
+        pipeline.check_report({"x": 1, "y": [2, 3]}, node, defs)
+        with pytest.raises(ReportError, match=r"^\$: '1' fails type 'integer'"):
+            pipeline.check_report("1", {"$ref": "#/$defs/leaf"}, defs)
+        with pytest.raises(ReportError, match=r"^\$\.y\[1\]: '3' fails type 'integer'"):
+            pipeline.check_report({"y": [2, "3"]}, node, defs)
 
     @pytest.mark.parametrize("ref", [
         {"$ref": "other.json#/$defs/leaf"},          # not local
         {"$ref": "#/$defs/missing"},                 # names no definition
         {"$ref": "#/$defs/leaf", "type": "object"},  # sibling keyword
         {"$ref": "#/$defs/loop"},                    # cyclic
-        {"$ref": "#/$defs/all"},                     # cyclic through allOf
+        {"$ref": "#/$defs/all"},                     # through allOf
         {"$ref": "#/$defs/pair"},                    # cyclic through a second definition
+        {"$ref": "#/$defs/nest"},                    # cyclic through items
     ])
     def test_refs_that_cannot_be_inlined_are_refused(self, ref):
-        # a ref cycle that passes through items ends with the instance; one that
-        # stays on the same value would never end.  The walk follows the refs
-        # the schema test admits, and that test refuses the others
-        defs = {"leaf": {"type": "integer"}, "loop": {"$ref": "#/$defs/loop"},
-                "nest": {"items": {"$ref": "#/$defs/nest"}},
-                "all": {"allOf": [{"$ref": "#/$defs/all"}]},
-                "pair": {"allOf": [{"$ref": "#/$defs/chain"}]}, "chain": {"$ref": "#/$defs/pair"},
-                "to_leaf": {"$ref": "#/$defs/leaf"}}
-        pipeline.check_report([[[]], 1], {"items": {"$ref": "#/$defs/nest"}}, defs)
-        pipeline.check_report({"x": 1, "y": [2]}, {"properties": {
-            "x": {"allOf": [{"$ref": "#/$defs/leaf"}, {"$ref": "#/$defs/leaf"}]},
-            "y": {"items": {"$ref": "#/$defs/to_leaf"}}}}, defs)
-        with pytest.raises(ReportError, match=r"^\$: '1' fails type 'integer'"):
-            pipeline.check_report("1", {"$ref": "#/$defs/leaf"}, defs)
-        with pytest.raises(ReportError, match=r"^\$\.y\[0\]: '2' fails type 'integer'"):
-            pipeline.check_report({"y": ["2"]}, {"properties": {
-                "y": {"items": {"$ref": "#/$defs/to_leaf"}}}}, defs)
-        assert _schema_refusals({"$defs": defs, "properties": {"x": {"$ref": "#/$defs/nest"}}}) \
-            == []
+        # the walk compiles the whole schema before any value, so a ref cycle,
+        # even one through items or properties, would never end, and it applies
+        # no allOf.  The walk follows the refs the schema test admits, and that
+        # test refuses the others, each with only the definitions it reaches
+        name = ref["$ref"].rpartition("/")[2]
+        defs = {"leaf": {"type": "integer"}, **{
+            "loop": {"loop": {"$ref": "#/$defs/loop"}},
+            "all": {"all": {"allOf": [{"$ref": "#/$defs/leaf"}]}},
+            "pair": {"pair": {"properties": {"x": {"$ref": "#/$defs/chain"}}},
+                     "chain": {"$ref": "#/$defs/pair"}},
+            "nest": {"nest": {"items": {"$ref": "#/$defs/nest"}}}}.get(name, {})}
         assert _schema_refusals({"$defs": defs, "properties": {"x": ref}}) != []
+        if name in ("loop", "pair", "nest"):
+            with pytest.raises(RecursionError):
+                pipeline.check_report([], ref, defs)
+        if name == "all":  # refused like any keyword the walk does not apply
+            with pytest.raises(ReportError, match=r"^\$\.x: the report check cannot apply 'allOf'"):
+                pipeline.check_report({"x": 1}, {"properties": {"x": ref}}, defs)
 
     def test_shipped_schema_has_only_the_forms_the_walk_applies(self):
         assert _schema_refusals(load_report_schema()) == []
+
+    def test_a_key_frame_entry_states_the_candidate_rules(self):
+        # a key-frame entry is a candidate entry with its image and segments;
+        # the schema states the five shared rules twice, so they must agree
+        defs = load_report_schema()["$defs"]
+        candidate, keyframe = defs["candidate"], defs["keyframe"]
+        shared = list(candidate["properties"])
+        assert len(shared) == 5
+        assert list(keyframe["properties"]) == [*shared, "image", "segments"]
+        assert {name: keyframe["properties"][name] for name in shared} == candidate["properties"]
+        assert keyframe["required"] == [*candidate["required"], "image", "segments"]
+        assert {**keyframe, "required": None, "properties": None} == \
+            {**candidate, "required": None, "properties": None}
+
+    def test_every_object_of_the_report_is_closed(self, tmp_path):
+        # an added key in a candidate or a key-frame entry, the last objects
+        # that took one, is refused by the check, at the entry's path, and by
+        # a plain Draft 2020-12 validator
+        report = _fallback_report(tmp_path)
+        schema = load_report_schema()
+        validator = jsonschema.Draft202012Validator(schema)
+        for entry in ("candidates", "keyframes"):
+            for i in range(len(report[entry])):
+                mutated = copy.deepcopy(report)
+                mutated[entry][i]["stray"] = 1
+                assert not validator.is_valid(mutated)
+                with pytest.raises(ReportError, match=rf"^\$\.{entry}\[{i}\]: .* fails "
+                                                      r"additionalProperties False$"):
+                    pipeline.check_report(mutated, schema, schema["$defs"])
 
     @pytest.mark.parametrize("node", [
         {"items": True}, {"properties": {"x": False}}, {"$ref": 5}, {"properties": 5},
@@ -777,7 +867,7 @@ class TestReportValidator:
     ], ids=["items-true", "property-false", "ref-not-a-string", "properties-5", "required-5",
             "enum-5", "allOf-5", "type-5", "minimum-x", "minItems-x"])
     def test_schemas_outside_the_dict_form_are_refused(self, node):
-        # outside the forms of the 14 keywords the walk applies: valid Draft
+        # outside the forms of the 13 keywords the walk applies: valid Draft
         # 2020-12 (a boolean subschema) or a value the draft's meta-schema
         # rejects; the schema test refuses each, as it would in the shipped one
         assert _schema_refusals(node) != []
@@ -855,7 +945,7 @@ class TestReportWriter:
 
 
 # the keywords _rule_violations can violate or descend through; a new one fails it
-_SCHEMA_KEYWORDS = {"$schema", "title", "$defs", "$ref", "allOf", "properties", "items",
+_SCHEMA_KEYWORDS = {"$schema", "title", "$defs", "$ref", "properties", "items",
                     "required", "additionalProperties", "type", "enum", "minimum",
                     "exclusiveMinimum", "maximum", "minItems", "maxItems"}
 
@@ -865,9 +955,9 @@ def _schema_refusals(schema) -> list[str]:
     meaning: an error against the draft's meta-schema, a keyword outside
     _SCHEMA_KEYWORDS, a subschema that is no dict, an ``additionalProperties``
     other than false, a ``$ref`` that is not a lone ``#/$defs/<name>`` naming a
-    definition, or a chain of ``$ref`` and ``allOf`` from the root that comes
-    back to a definition without passing through ``items`` or ``properties``,
-    which the walk would follow without end."""
+    definition, or a ``$ref`` cycle, a definition that reaches itself through
+    ``$ref``, ``items`` or ``properties``, which the walk, compiled before any
+    value, would follow without end."""
     meta = jsonschema.Draft202012Validator(jsonschema.Draft202012Validator.META_SCHEMA)
     refusals = [error.message for error in meta.iter_errors(schema)]
     defs = schema.get("$defs", {}) if isinstance(schema, dict) else {}
@@ -889,30 +979,23 @@ def _schema_refusals(schema) -> list[str]:
         for key in ("properties", "$defs"):
             for name, sub in (node[key] if isinstance(node.get(key), dict) else {}).items():
                 visit(sub, f"{where}.{key}.{name}")
-        for i, sub in enumerate(node["allOf"] if isinstance(node.get("allOf"), list) else []):
-            visit(sub, f"{where}.allOf[{i}]")
 
-    def same_value(node, followed, values):  # ``followed``: the definitions on one value
+    def follow(node, followed):  # ``followed``: the definitions on the way to ``node``
         if not isinstance(node, dict):
             return
-        values += [node["items"]] if "items" in node else []
-        values += node["properties"].values() if isinstance(node.get("properties"), dict) else []
         if local(node.get("$ref")):
             name = node["$ref"][8:]
             if name in followed:
                 refusals.append(f"$ref cycle through {sorted(followed)}")
                 return
-            same_value(defs[name], followed | {name}, values)
-        for sub in node["allOf"] if isinstance(node.get("allOf"), list) else []:
-            same_value(sub, followed, values)
+            follow(defs[name], followed | {name})
+        for key in ("properties", "$defs"):
+            for sub in (node[key] if isinstance(node.get(key), dict) else {}).values():
+                follow(sub, followed)
+        follow(node.get("items"), followed)
 
     visit(schema, "$")
-    values, seen = [schema], set()  # the schemas the walk starts a value at
-    while values:
-        node = values.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            same_value(node, frozenset(), values)
+    follow(schema, frozenset())
     return refusals
 
 
@@ -947,8 +1030,6 @@ def _rule_violations(schema, node, report, path=()):
     if "$ref" in node:
         yield from _rule_violations(schema, schema["$defs"][node["$ref"].split("/")[-1]],
                                     report, path)
-    for sub in node.get("allOf", []):
-        yield from _rule_violations(schema, sub, report, path)
     types = node.get("type", [])
     types = [types] if isinstance(types, str) else types
     step = 1 if "integer" in types else 1e-9
@@ -1380,6 +1461,15 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert len(list((tmp_path / "v").iterdir())) == 3 * 10 + 2 * 2
         assert (tmp_path / "gt.txt").read_text().startswith("total_frames=34")
+
+    def test_generate_synthetic_prints_what_it_wrote(self, tmp_path, capsys):
+        # in process, so that a line trace of the suite reaches the ground-truth line
+        out, gt = tmp_path / "v", tmp_path / "gt.txt"
+        assert cli.main(["generate-synthetic", "--scenes", "2", "--frames-per-scene", "10",
+                         "--size", "32x24", "--seed", "5", "--fade-frames", "2",
+                         "--out", str(out), "--gt-out", str(gt)]) == 0
+        assert capsys.readouterr().out == (f"wrote 34 frames (32x24) to {out}\n"
+                                           f"ground truth (2 key-frames): {gt}\n")
 
     def test_generate_synthetic_into_a_used_directory_exits_2(self, tmp_path):
         args = ["generate-synthetic", "--scenes", "1", "--size", "16x16",
