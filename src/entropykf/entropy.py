@@ -1,8 +1,7 @@
-"""Entropy primitives: frame entropy (the global feature), the squared-entropy
-bin key, 64-segment local entropies, and the segment-difference dissimilarity.
-
-All functions are pure and thread-safe.  Entropy is base-2, so an 8-bit frame
-lands in [0, 8] bits and the squared-entropy key in [0, 64].
+"""Entropy primitives: frame entropy (the global feature, ``kernels.analyse``
+over one frame), the squared-entropy bin key, 64-segment local entropies, and
+the segment-difference dissimilarity.  All are pure and thread-safe.  Entropy
+is base-2, so an 8-bit frame lands in [0, 8] bits and the key in [0, 64].
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ def frame_entropy(frame) -> float:
     """Shannon entropy of the frame's grey-level distribution, in bits.
 
     Levels with zero probability contribute nothing; the result lies in
-    [0, 8] for 8-bit frames.  Takes a ``Frame`` or a bare 2-D uint8 buffer,
-    and takes it from one ``kernels.frame_step`` call, the frame against
-    itself into a one-row block, as the pass takes its first frame's.
+    [0, 8] for 8-bit frames.  Takes a ``Frame`` or a bare 2-D uint8 buffer.
+    It is ``kernels.analyse`` over the one frame, with the pass's bits.
     """
-    px = _as_frame(frame).pixels
-    return kernels.frame_step(px, px, kernels.counts_block(1), 0, 0)[1]
+    return kernels.analyse((_as_frame(frame),))[0][0]
 
 
 def modified_entropy(en: float) -> int:

@@ -8,20 +8,19 @@ Each declares its arguments in one list and checks every buffer against it,
 its format, writability and byte length, and the buffer protocol refuses a
 non-contiguous buffer, so a wrong buffer raises ``ValueError`` and nothing is
 written.  Python keeps only what C cannot see, shapes, and allocation, with
-no numpy: 2-D memoryviews of pixels (``frame_view``), (k, 256) int64 blocks
-of histograms (``counts_block``) and ``array("d")`` outputs.
+no numpy: 2-D memoryviews of pixels (``frame_view``), the pass's two-row
+int64 block of histograms and ``array("d")`` outputs.
 
-``frame_step`` is the one histogram, entropy and correlation route: the
-pass's one call per frame, and the step that ``shots.correlation`` and
-``entropy.frame_entropy`` take.  It writes the frame's histogram into a row
-of a block of histograms and returns the pair (correlation with the previous
-row's frame, from exact integer moments; entropy of the row just written).
-It has two paths.  A frame equal byte for byte to the previous one, in
-another row, costs one ``memcmp`` and a row copy and returns ``(1.0,
-None)``: the caller keeps the previous row the previous frame's histogram,
-and already holds that row's entropy.  Every other pair, and a frame stepped
-against itself into one row, is counted whole.  The entropy's log2 is C's
-own, from exponent bits and IEEE arithmetic compiled with
+``frame_step`` is the one histogram, entropy and correlation route, and
+``analyse``, the pass, its one caller.  It writes the frame's histogram into
+a row of a block of histograms and returns the pair (correlation with the
+previous row's frame, from exact integer moments; entropy of the row just
+written).  It has two paths.  A frame equal byte for byte to the previous
+one, in another row, costs one ``memcmp`` and a row copy and returns
+``(1.0, None)``: the caller keeps the previous row the previous frame's
+histogram, and already holds that row's entropy.  Every other pair, and a
+frame stepped against itself into one row, is counted whole.  The entropy's
+log2 is C's own, from exponent bits and IEEE arithmetic compiled with
 ``-ffp-contract=off``, so entropy bits depend on no libm, numpy build or
 CPU.  ``segment_entropies`` owns the paper's 8x8 grid:
 ``entropy.segmented_entropies``'s one call, it writes each cell's entropy
@@ -29,8 +28,8 @@ with the bits ``frame_step`` gives a frame of the cell's histogram.
 ``sd_rows`` is ``entropy.dissimilarity``'s one call: ``np.std(b - a,
 axis=-1)`` of a stack, with numpy's bits.  ``perfbench/`` spans none of the
 three: ``segment_entropies`` and ``sd_rows`` run inside its spans of
-``segmented_entropies`` and ``dedup_detailed``, and ``frame_step`` inside
-``pipeline.run_pipeline``'s own time.
+``segmented_entropies`` and ``dedup_detailed``, and ``frame_step``, through
+``analyse``, inside ``pipeline.run_pipeline``'s own time.
 
 The first import compiles ``_kernels.c`` with ``cc -O3 -ffp-contract=off
 -shared -fPIC`` and the interpreter's include directory into the
@@ -46,6 +45,7 @@ from __future__ import annotations
 
 import os
 import zlib
+from array import array
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
@@ -124,9 +124,35 @@ def frame_view(pixels) -> memoryview:
     return view if view.c_contiguous else memoryview(view.tobytes()).cast("B", view.shape)
 
 
-def counts_block(rows: int) -> memoryview:
-    """A zeroed (rows, 256) block of int64 histogram counts, rows > 0."""
-    return memoryview(bytearray(2048 * rows)).cast("q", (rows, 256))
+def analyse(frames) -> tuple[array, array]:
+    """The pass over ``ingest.Frame`` values: each frame's entropy, and as
+    ``correlations[i]`` frame i + 1 against frame i; ``entropy.frame_entropy``
+    is the pass over one frame and ``shots.correlation`` over two.  Each frame
+    is one ``frame_step`` into the row of a two-row block that the frame
+    before did not write, the first against itself, that 1.0 dropped.  The
+    frame before stays held, so two are resident at a time, and frames of two
+    shapes raise ``ValueError`` naming both sizes."""
+    step = frame_step  # looked up per call, so a rebinding of it is seen
+    block = memoryview(bytearray(4096)).cast("q", (2, 256))
+    frames = iter(frames)
+    prev = next(frames, None)
+    if prev is None:
+        raise ValueError("cannot analyse an empty frame stream")
+    prev_pixels, row = prev.pixels, 0
+    en = step(prev_pixels, prev_pixels, block, row, row)[1]
+    entropies, correlations = array("d", [en]), array("d")
+    for frame in frames:
+        pixels = frame.pixels
+        if pixels.shape != prev_pixels.shape:  # frame_step sees only byte lengths
+            raise ValueError(f"frame dimensions differ: {prev.width}x{prev.height} "
+                             f"vs {frame.width}x{frame.height}")
+        row ^= 1
+        r, h = step(pixels, prev_pixels, block, row, row ^ 1)
+        en = en if h is None else h  # None: the frame equals the one before
+        correlations.append(r)
+        entropies.append(en)
+        prev, prev_pixels = frame, pixels
+    return entropies, correlations
 
 
 SEGMENT_GRID = 8  # _kernels.c splits frames into an 8x8 grid, 64 segments

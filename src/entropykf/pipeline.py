@@ -1,7 +1,7 @@
 """The extraction pipeline: one call per stage, in the paper's order.
 
-``analyse`` makes the one pass over the frames, holding two at a time, and
-returns two series: ``entropies[i]`` is frame i's entropy and
+``kernels.analyse`` makes the one pass over the frames, holding two at a
+time, and returns two series: ``entropies[i]`` is frame i's entropy and
 ``correlations[i]`` frame i + 1 against frame i.  The stages follow:
 ``detect_cuts``, ``merge_short_shots``, ``close_shot`` per merged shot (the
 entropy bins, the gated bin centres, their segment entropies, and in frame
@@ -16,6 +16,7 @@ frame count waits for ``score``.  Frame geometry is ``ingest``'s contract.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import math
@@ -28,9 +29,7 @@ from array import array
 from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable
 
-from . import kernels
 from .evaluation import (DEFAULT_MATCH_WINDOW, EvaluationError, GroundTruth,
                          check_match_window, evaluate, load_ground_truth)
 from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, DedupScan, KeyFrame,
@@ -38,12 +37,11 @@ from .extraction import (DEFAULT_MIN_BIN_SIZE, DEFAULT_SD_THRESHOLD, DedupScan, 
 from .entropy import modified_entropies, segmented_entropies
 from .ingest import Frame, SourceKind, SourceSpec, write_pgm
 from .ingest import open_source as _open_access  # perfbench wraps this binding
-from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, check_same_size,
-                    detect_cuts, merge_short_shots)
+from .kernels import analyse
+from .shots import (DEFAULT_CUT_THRESHOLD, DEFAULT_MIN_SHOT_LEN, Shot, detect_cuts,
+                    merge_short_shots)
 
 _KEYFRAME_NAME = re.compile(r"keyframe_\d{6,}\.pgm$")
-_UMASK = os.umask(0o022)  # the process's umask: setting it is the one way to read it
-os.umask(_UMASK)
 # the values each annotated field type admits, a number only of exactly these types
 _FIELD_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "SourceSpec": (SourceSpec,),
                 "Path": (str, os.PathLike), "Path | None": (str, os.PathLike, type(None))}
@@ -301,41 +299,6 @@ def check_report(value, node: dict, defs: dict, write=lambda text: None) -> None
         raise ReportError(f"${''.join(reversed(failure.steps))}: {failure.detail}") from None
 
 
-def analyse(frames: Iterable[Frame]) -> tuple[array, array]:
-    """One pass over the frames: each frame's entropy, and as ``correlations[i]``
-    the correlation of frame i + 1 against frame i.
-
-    Each frame costs one ``kernels.frame_step`` call, which writes its
-    histogram into one row of a two-row block, the rows taking turns, and
-    returns its correlation with the frame before, whose histogram is the
-    other row, and its own entropy, or ``None`` for a frame equal byte for
-    byte to the one before, whose entropy is then the one already held; the
-    first frame is stepped against itself and that 1.0 dropped.  The frame
-    before stays held as a ``Frame``, so two frames are resident at a time.
-    Frames of two sizes raise ``ValueError`` naming both.
-    """
-    step = kernels.frame_step
-    entropies, correlations = array("d"), array("d")
-    block = kernels.counts_block(2)
-    frames = iter(frames)
-    prev = next(frames, None)
-    if prev is None:
-        raise ValueError("cannot analyse an empty frame stream")
-    prev_pixels, row = prev.pixels, 0
-    en = step(prev_pixels, prev_pixels, block, row, row)[1]
-    entropies.append(en)
-    for frame in frames:
-        check_same_size(prev, frame)  # the C side sees only byte lengths
-        pixels = frame.pixels
-        row ^= 1
-        r, h = step(pixels, prev_pixels, block, row, row ^ 1)
-        en = en if h is None else h  # None: the frame equals the one before
-        correlations.append(r)
-        entropies.append(en)
-        prev, prev_pixels = frame, pixels
-    return entropies, correlations
-
-
 def close_shot(shot: Shot, keys: list[int], entropies: array, source, config: PipelineConfig,
                tracker: _FrameWatermark, scan: DedupScan) -> dict:
     """Bin a merged shot, pick its gated bin centres or the fallback, and continue
@@ -370,6 +333,15 @@ def score(survivors: list[KeyFrame], total_frames: int, gt: GroundTruth | None,
             "gt_count": len(gt.keyframe_indices), "gt_total_frames": gt.total_frames}
 
 
+@contextlib.contextmanager
+def _writing(out_dir: Path):
+    """Raise an ``OSError`` of the block, a write into out_dir, as ``ConfigError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {out_dir}: {exc}") from exc
+
+
 def write_keyframes(keyframes: list[dict], source, out_dir: Path) -> None:
     """The PGM each report entry names, replacing stale ones and the report that
     named them; one frame at a time, within the peak the report states."""
@@ -377,7 +349,9 @@ def write_keyframes(keyframes: list[dict], source, out_dir: Path) -> None:
         if _KEYFRAME_NAME.fullmatch(old.name) or old.name == "report.json":
             old.unlink()
     for entry in keyframes:
-        write_pgm(out_dir / entry["image"], source.read_frame(entry["frame_index"]).pixels)
+        pixels = source.read_frame(entry["frame_index"]).pixels  # its own errors
+        with _writing(out_dir):
+            write_pgm(out_dir / entry["image"], pixels)
 
 
 def write_report(config: PipelineConfig, out_dir: Path, results: dict,
@@ -394,18 +368,20 @@ def write_report(config: PipelineConfig, out_dir: Path, results: dict,
     report["config"]["source"]["kind"] = config.source.kind.value  # the walk writes no enum
     report.update(results)
     schema = load_report_schema()
-    fd, partial = tempfile.mkstemp(dir=out_dir, prefix=".report.json.", suffix=".tmp")
+    partial = out_dir / f".report.json.{os.urandom(8).hex()}.tmp"
+    with _writing(out_dir):  # open()'s mode, as the images take
+        out = open(partial, "x")
     try:
-        with open(fd, "w") as out:
-            os.fchmod(fd, 0o666 & ~_UMASK)  # open()'s mode, not mkstemp's 0o600
+        with _writing(out_dir), out:
             # streamed: a string of the whole report would add about six times
             # its size to the peak memory of a run
             check_report(report, schema, schema["$defs"], out.write)
             out.write("\n")
         before_rename()
-        os.replace(partial, out_dir / "report.json")
+        with _writing(out_dir):
+            os.replace(partial, out_dir / "report.json")
     finally:
-        Path(partial).unlink(missing_ok=True)
+        partial.unlink(missing_ok=True)
     return report
 
 
@@ -413,7 +389,7 @@ def _writable_dir(path: Path) -> Path:
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        tempfile.NamedTemporaryFile(dir=out_dir).close()  # a fresh name, deleted on close
+        tempfile.TemporaryFile(dir=out_dir).close()  # on Linux, a file with no name
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir} is not writable: {exc}") from exc
     return out_dir

@@ -2,10 +2,10 @@
 
 A cut is declared wherever the Pearson correlation of co-located pixels in two
 consecutive frames drops below the threshold (0.9 by default).  ``detect_cuts``
-reads the series of ``pipeline.analyse``, where ``correlations[i]`` is frame
-i + 1 against frame i.  Fades and dissolves leave trails of very short shots;
-those are absorbed by a minimum shot length rather than detected as boundaries
-of their own.
+reads the series of ``kernels.analyse``, where ``correlations[i]`` is frame
+i + 1 against frame i; ``correlation`` is that pass over two frames.  Fades
+and dissolves leave trails of very short shots; those are absorbed by a
+minimum shot length rather than detected as boundaries of their own.
 """
 
 from __future__ import annotations
@@ -38,27 +38,16 @@ class Shot:
         return self.start <= index < self.end
 
 
-def check_same_size(a: Frame, b: Frame) -> None:
-    """Raise ``ValueError``, naming both sizes, unless the frames have one shape."""
-    if a.pixels.shape != b.pixels.shape:
-        raise ValueError(f"frame dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}")
-
-
 def correlation(a: Frame, b: Frame) -> float:
     """Pearson correlation of co-located pixel intensities, in [-1, 1].
 
-    Takes two ``Frame`` values or two 2-D uint8 buffers of one size.  Flat
+    Takes two ``Frame`` values or two 2-D uint8 buffers of one shape.  Flat
     (zero-variance) frames make the quotient undefined; they count as the
     same shot (1.0) when their means are within one grey level, as a cut (0.0)
-    otherwise, and a flat frame never matches a textured one (0.0).  Two
-    ``kernels.frame_step`` calls give it, with the pass's bits: a against
-    itself into row 0 of a block, then b against a into row 1.
+    otherwise, and a flat frame never matches a textured one (0.0).  It is
+    ``kernels.analyse`` over the two frames, with the pass's bits.
     """
-    a, b = _as_frame(a), _as_frame(b)
-    check_same_size(a, b)
-    block = kernels.counts_block(2)
-    kernels.frame_step(a.pixels, a.pixels, block, 0, 0)
-    return kernels.frame_step(b.pixels, a.pixels, block, 1, 0)[0]
+    return kernels.analyse((_as_frame(a), _as_frame(b)))[1][0]
 
 
 def detect_cuts(correlations: Sequence[float],

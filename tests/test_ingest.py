@@ -15,7 +15,7 @@ import pytest
 
 import entropykf
 from conftest import make_y4m, pgm_second_frame, rand_pixels
-from entropykf import cli
+from entropykf import cli, ingest
 from entropykf.ingest import (MAX_DIMENSION, MIN_DIMENSION, Frame, IngestError,
                               SourceKind, SourceSpec, _WINDOW, _iter_raw, _iter_y4m,
                               _parse_pgm, list_pgm_dir, open_source, read_pgm, write_pgm)
@@ -586,11 +586,16 @@ class _RecordedSpool:
         self._file.close()
 
 
+def _spools(monkeypatch, make_spool) -> None:
+    """Make ingest's spool files, and no other temporary file, with make_spool."""
+    monkeypatch.setattr(ingest, "tempfile", SimpleNamespace(TemporaryFile=make_spool))
+
+
 def _record_spools(monkeypatch) -> list:
     """The contents of each spool file made from here on, appended as it closes."""
-    make_spool, contents = tempfile.TemporaryFile, []
-    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: _RecordedSpool(
-        make_spool(*args, **kwargs), contents))
+    contents = []
+    _spools(monkeypatch, lambda *args, **kwargs: _RecordedSpool(
+        tempfile.TemporaryFile(*args, **kwargs), contents))
     return contents
 
 
@@ -650,15 +655,13 @@ class TestRandomAccess:
         path = tmp_path / "video.y4m"
         path.write_bytes(data)
         config = dict(output_dir=tmp_path / "out", fallback_keyframe=True)
-        make_spool = tempfile.TemporaryFile
 
         def refuse(*args, **kwargs):
             raise AssertionError("a Y4M file is re-read in place, never spooled")
-        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        _spools(monkeypatch, refuse)
         from_file = run_pipeline(PipelineConfig(
             source=SourceSpec(kind=SourceKind.Y4M, path=str(path)), **config))
 
-        monkeypatch.setattr(tempfile, "TemporaryFile", make_spool)
         spools = _record_spools(monkeypatch)
         _stdin(monkeypatch, data)
         from_stdin = run_pipeline(PipelineConfig(

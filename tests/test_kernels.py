@@ -283,6 +283,9 @@ class TestPearsonSums:
         b = np.zeros((8, 9), dtype=np.uint8)
         with pytest.raises(ValueError, match="frame dimensions differ"):
             correlation(a, b)
+        # one byte length, two shapes: only the shape test tells them apart
+        with pytest.raises(ValueError, match="^frame dimensions differ: 16x8 vs 8x16$"):
+            correlation(np.zeros((8, 16), dtype=np.uint8), np.zeros((16, 8), dtype=np.uint8))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 64), st.integers(1, 64), st.data())

@@ -1,6 +1,7 @@
 import array
 import copy
 import dataclasses
+import errno
 import functools
 import io
 import json
@@ -613,7 +614,7 @@ class TestReportValidator:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(pipeline, "check_report", write_then_fail)
-        with pytest.raises(OSError, match="no space"):
+        with pytest.raises(ConfigError, match=r"^cannot write to output directory .*: no space"):
             run_pipeline(_config(root / "frames", out))
         # the report is written before the images: the earlier run's files,
         # and no part of the new report
@@ -1537,6 +1538,45 @@ class TestCli:
         assert result.stderr.startswith(b"entropykf: bad configuration: output directory ")
         assert b"is not writable" in result.stderr
         assert b"Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("target", ["image", "report-open", "report-write"])
+    def test_failed_output_write_exits_2(self, target, small_video, tmp_path, monkeypatch,
+                                         capsys):
+        # a full disk under a key-frame image or the partial report is a bad
+        # output directory: one stderr line, no traceback
+        root, _ = small_video
+        out = tmp_path / "out"
+
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def open_full(*args, **kwargs):  # the file is made, its writes fail
+            file = open(*args, **kwargs)
+            file.write = full
+            return file
+        if target == "image":
+            monkeypatch.setattr(pipeline, "write_pgm", full)
+        else:
+            monkeypatch.setattr(pipeline, "open", full if target == "report-open" else open_full,
+                                raising=False)
+        assert cli.main(["extract", "--input", str(root / "frames"), "--format", "pgm-dir",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"entropykf: bad configuration: cannot write to "
+                                           f"output directory {out}: [Errno {errno.ENOSPC}] "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
+        assert not [p for p in out.iterdir() if p.name.startswith(".report.json.")]
+
+    def test_import_makes_no_umask_call(self):
+        # setting the umask is the one way to read it, and a file another thread
+        # makes meanwhile would take the mode set, not the process's
+        code = ("import os, sys\n"
+                "calls, umask = [], os.umask\n"
+                "os.umask = lambda mask: calls.append(mask) or umask(mask)\n"
+                "import entropykf, entropykf.cli\n"
+                "sys.exit(f'os.umask calls: {calls}' if calls else 0)\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                env=_src_env())
+        assert result.returncode == 0, result.stderr
 
     def test_y4m_cut_off_inside_chroma_exits_3(self, tmp_path):
         # the Y plane is whole; the 4:2:0 chroma of 32 bytes stops after 10

@@ -75,12 +75,15 @@ class TestCorrelation:
             assert r.hex() == correlation(a, b).hex()
 
     def test_dimension_mismatch_names_both(self):
-        a = frame(0, np.zeros((24, 32), dtype=np.uint8))
-        b = frame(1, np.zeros((16, 16), dtype=np.uint8))
-        with pytest.raises(ValueError, match=r"32x24.*16x16"):
-            correlation(a, b)
-        with pytest.raises(ValueError, match=r"32x24.*16x16"):
-            analyse(iter([a, b]))
+        # the transposed pair has one byte length, which is all frame_step compares
+        for (ha, wa), (hb, wb) in [((24, 32), (16, 16)), ((8, 16), (16, 8))]:
+            a = frame(0, np.zeros((ha, wa), dtype=np.uint8))
+            b = frame(1, np.zeros((hb, wb), dtype=np.uint8))
+            message = rf"^frame dimensions differ: {wa}x{ha} vs {wb}x{hb}$"
+            with pytest.raises(ValueError, match=message):
+                correlation(a, b)
+            with pytest.raises(ValueError, match=message):
+                analyse(iter([a, b]))
 
     def test_arrays_must_be_8_bit(self):
         # the kernels read 256-level histograms, so wider samples are refused
